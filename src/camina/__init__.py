@@ -57,16 +57,14 @@ from .reports import (
     persist_reports,
 )
 from .verify import (
+    CLAIMS,
+    Pair,
     VerificationReport,
     summarize,
     sweep,
-    verify_cor1,
     verify_cor2,
     verify_covering,
-    verify_lemma_suite,
-    verify_odd_order,
-    verify_theorem1,
-    verify_theorem2,
+    verify_pair_claim,
 )
 
 __version__ = "0.1.0"

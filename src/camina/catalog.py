@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .grouptable import GroupTable, generate
+from .grouptable import DEFAULT_ORDER_CAP, GroupTable, generate
 from .perm import Permutation
 
 
@@ -28,7 +28,7 @@ class CatalogEntry:
     generators: tuple[Permutation, ...]
     provenance: str  # "builtin" | "file"
 
-    def group(self, cap: int = 20_000) -> GroupTable:
+    def group(self, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
         return generate(self.degree, self.generators, cap=cap)
 
 

@@ -261,13 +261,16 @@ def _primitive_root(q: int) -> int:
 
 def character_table(
     G: GroupTable,
-    order_cap: int = DEFAULT_CHARTAB_ORDER_CAP,
-    class_cap: int = DEFAULT_CLASS_CAP,
+    order_cap: int | None = None,
+    class_cap: int | None = None,
     prime: int | None = None,
 ) -> CharacterTable:
     """The exact table of irreducible characters, rows ordered by
     (degree, lexicographic value order).  Cached on the table unless an
-    explicit prime is supplied."""
+    explicit prime is supplied.  A cap of None means its default,
+    ``DEFAULT_CHARTAB_ORDER_CAP`` or ``DEFAULT_CLASS_CAP``."""
+    order_cap = DEFAULT_CHARTAB_ORDER_CAP if order_cap is None else order_cap
+    class_cap = DEFAULT_CLASS_CAP if class_cap is None else class_cap
     if G.order > order_cap:
         raise CapExceeded("character table order cap exceeded", G.order)
     classes = conjugacy_classes(G)

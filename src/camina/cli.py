@@ -10,6 +10,7 @@ import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 from .catalog import (
@@ -28,9 +29,10 @@ from .conditions import (
     satisfies_Fpm,
     satisfies_O,
 )
-from .grouptable import CapExceeded, ElementSet, GroupTable, closure_indices
+from .grouptable import DEFAULT_ORDER_CAP, CapExceeded, ElementSet, GroupTable, closure_indices
 from .reports import cached_character_table, persist_reports
 from .structure import (
+    DEFAULT_SUBGROUP_CAP,
     center,
     commutator_subgroup,
     conjugacy_classes,
@@ -41,7 +43,7 @@ from .structure import (
     small_generating_set,
     subgroups,
 )
-from .verify import ALL_CLAIMS, VIOLATION, VerificationReport, summarize, sweep_single
+from .verify import ALL_CLAIMS, VIOLATION, VerificationReport, report_key, select_group, summarize, sweep_single
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,9 +51,6 @@ EXIT_VIOLATION = 2
 EXIT_CAPS_IO = 3
 
 VERSION = "0.1.0"
-
-DEFAULT_GENERATION_CAP = 20_000
-DEFAULT_SUBGROUP_CAP = 50_000
 
 _CONDITIONS = ("camina", "f", "fpm", "ci", "o", "equal-order")
 
@@ -137,12 +136,7 @@ def _condition_verdict(G: GroupTable, H: ElementSet, condition: str, args) -> ob
     if condition == "fpm":
         return satisfies_Fpm(G, H)
     if condition == "ci":
-        caps = {}
-        if args.order_cap is not None:
-            caps["order_cap"] = args.order_cap
-        if args.class_cap is not None:
-            caps["class_cap"] = args.class_cap
-        return satisfies_CI(G, H, **caps)
+        return satisfies_CI(G, H, args.order_cap, args.class_cap)
     if condition == "o":
         return satisfies_O(G, H)
     if condition == "equal-order":
@@ -176,7 +170,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    label, G = _resolve_group(args.group, args.order_cap or DEFAULT_GENERATION_CAP)
+    label, G = _resolve_group(args.group, args.order_cap or DEFAULT_ORDER_CAP)
     classes = conjugacy_classes(G)
     print(f"group {label}")
     print(f"order {G.order}")
@@ -193,13 +187,8 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_chartab(args) -> int:
-    label, G = _resolve_group(args.group, args.order_cap or DEFAULT_GENERATION_CAP)
-    caps = {}
-    if args.order_cap is not None:
-        caps["order_cap"] = args.order_cap
-    if args.class_cap is not None:
-        caps["class_cap"] = args.class_cap
-    table = cached_character_table(G, args.cache_dir, **caps)
+    label, G = _resolve_group(args.group, args.order_cap or DEFAULT_ORDER_CAP)
+    table = cached_character_table(G, args.cache_dir, order_cap=args.order_cap, class_cap=args.class_cap)
     classes = conjugacy_classes(G)
     print(f"character table of {label} (order {G.order}, {classes.count} classes)")
     reps = [format_cycles(G.elements[r]) for r in classes.reps]
@@ -212,7 +201,7 @@ def _cmd_chartab(args) -> int:
 
 
 def _cmd_subgroups(args) -> int:
-    label, G = _resolve_group(args.group, args.order_cap or DEFAULT_GENERATION_CAP)
+    label, G = _resolve_group(args.group, args.order_cap or DEFAULT_ORDER_CAP)
     for idx, H in enumerate(subgroups(G, args.subgroup_cap or DEFAULT_SUBGROUP_CAP)):
         gens = [format_cycles(G.elements[i]) for i in small_generating_set(G, H.members)]
         flags = []
@@ -223,7 +212,7 @@ def _cmd_subgroups(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    label, G = _resolve_group(args.group, args.order_cap or DEFAULT_GENERATION_CAP)
+    label, G = _resolve_group(args.group, args.order_cap or DEFAULT_ORDER_CAP)
     targets: list[tuple[int | None, ElementSet]] = []
     if args.subgroup_file is not None:
         targets.append((None, _subgroup_by_file(G, args.subgroup_file)))
@@ -247,7 +236,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    label, G = _resolve_group(args.group, args.order_cap or DEFAULT_GENERATION_CAP)
+    label, G = _resolve_group(args.group, args.order_cap or DEFAULT_ORDER_CAP)
     found = 0
     for idx, H in enumerate(subgroups(G, args.subgroup_cap or DEFAULT_SUBGROUP_CAP)):
         try:
@@ -290,44 +279,35 @@ def _catalog_entries(source: str) -> list[tuple[str, str]]:
     return [("file", str(f)) for f in sorted(directory.iterdir()) if f.is_file()]
 
 
-def _sweep_payload(item, max_order, claims, char_order_cap, char_class_cap, subgroup_cap, generation_cap):
+def _sweep_payload(
+    item, max_order, claims, char_order_cap, char_class_cap, subgroup_cap, generation_cap
+) -> list[VerificationReport]:
     kind, payload = item
     entry = builtin(payload) if kind == "builtin" else parse_group_file(payload)
-    G = entry.group(cap=generation_cap)
-    if G.order > max_order:
+    G = select_group(entry, max_order, generation_cap)
+    if G is None:
         return []
-    reports = sweep_single(entry.label, G, claims, char_order_cap, char_class_cap, subgroup_cap)
-    return [
-        (r.group_label, r.group_order, r.subgroup_index, r.subgroup_order, r.claim, r.status, r.details)
-        for r in reports
-    ]
-
-
-def _worker(args_tuple):
-    return _sweep_payload(*args_tuple)
+    return sweep_single(entry.label, G, claims, char_order_cap, char_class_cap, subgroup_cap)
 
 
 def _cmd_verify(args) -> int:
     claims = _parse_claims(args.claims)
     items = _catalog_entries(args.catalog)
-    char_order_cap = args.order_cap
-    char_class_cap = args.class_cap
-    subgroup_cap = args.subgroup_cap or DEFAULT_SUBGROUP_CAP
-    generation_cap = args.order_cap or DEFAULT_GENERATION_CAP
-    payloads = [
-        (item, args.max_order, claims, char_order_cap, char_class_cap, subgroup_cap, generation_cap)
-        for item in items
-    ]
-    raw: list[tuple] = []
+    run = partial(
+        _sweep_payload,
+        max_order=args.max_order,
+        claims=claims,
+        char_order_cap=args.order_cap,
+        char_class_cap=args.class_cap,
+        subgroup_cap=args.subgroup_cap or DEFAULT_SUBGROUP_CAP,
+        generation_cap=args.order_cap or DEFAULT_ORDER_CAP,
+    )
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for chunk in pool.map(_worker, payloads):
-                raw.extend(chunk)
+            chunks = list(pool.map(run, items))
     else:
-        for payload in payloads:
-            raw.extend(_sweep_payload(*payload))
-    reports = [VerificationReport(*t) for t in raw]
-    reports.sort(key=lambda r: (r.group_label, r.subgroup_index, r.claim, str(sorted(r.details.items()))))
+        chunks = [run(item) for item in items]
+    reports = sorted((r for chunk in chunks for r in chunk), key=report_key)
     summary = summarize(reports)
     for claim in sorted(summary["claims"]):
         c = summary["claims"][claim]

@@ -116,14 +116,9 @@ def satisfies_CI(
 ) -> ConditionVerdict:
     """Every nontrivial irreducible character of H induces homogeneously to G."""
     _require_nontrivial_proper(G, H, "condition (CI)")
-    caps = {}
-    if order_cap is not None:
-        caps["order_cap"] = order_cap
-    if class_cap is not None:
-        caps["class_cap"] = class_cap
-    character_table(G, **caps)
+    character_table(G, order_cap=order_cap, class_cap=class_cap)
     table, _, _ = subgroup_table(G, H)
-    h_chars = character_table(table, **caps)
+    h_chars = character_table(table, order_cap=order_cap, class_cap=class_cap)
     for idx, theta in enumerate(h_chars.irreducibles):
         if all(v == 1 for v in theta.values):
             continue
@@ -167,8 +162,11 @@ def equal_order_coset(G: GroupTable, H: ElementSet) -> ConditionVerdict:
     return _equal_order_scan(G, H, EQUAL_ORDER_COSET)
 
 
-def _equal_order_scan(G: GroupTable, H: ElementSet, tag: str) -> ConditionVerdict:
-    for x in range(G.order):
+def _equal_order_scan(
+    G: GroupTable, H: ElementSet, tag: str, ambient: ElementSet | None = None
+) -> ConditionVerdict:
+    """Scan x in ``ambient`` (default G) outside H against every h in H."""
+    for x in range(G.order) if ambient is None else ambient.members:
         if x in H:
             continue
         ox = G.element_order(x)

@@ -1,20 +1,34 @@
 """Theorem and lemma harness.
 
-Each verifier evaluates one implication on one (G, H) pair and reports
+Each claim evaluates one implication on one (G, H) pair and reports
 PASS (hypothesis and conclusion hold), VACUOUS (hypothesis fails),
 VIOLATION (hypothesis holds, conclusion fails: a counterexample), or
 SKIPPED (a size cap prevented evaluation).  Every VIOLATION carries a
 replayable witness in the details record.
+
+Pair claims are the functions of the ``CLAIMS`` table.  They read the
+hypotheses of a pair from one ``Pair`` object, which computes each of them
+at most once, so claims that share a hypothesis share its evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 from .catalog import CatalogEntry
-from .chartab import character_table, inner_product_int, restrict, trivial_character
+from .chartab import (
+    ClassFunction,
+    character_table,
+    in_irr_given_N,
+    inner_product_int,
+    restrict,
+    trivial_character,
+)
 from .conditions import (
+    EQUAL_ORDER_COSET,
     ConditionVerdict,
+    _equal_order_scan,
     bs_hypothesis,
     derangements,
     is_camina_pair,
@@ -24,6 +38,7 @@ from .conditions import (
     satisfies_O,
 )
 from .grouptable import (
+    DEFAULT_ORDER_CAP,
     CapExceeded,
     ElementSet,
     GroupTable,
@@ -66,13 +81,6 @@ LEMMA_CLAIMS = tuple(f"lemma_{c}" for c in "abcdefghijklm")
 CLAIM9 = "claim9"
 COVERING = "covering"
 
-PAIR_CLAIMS = (THEOREM1, THEOREM2, ODD_ORDER, COR1) + LEMMA_CLAIMS + (CLAIM9,)
-GROUP_CLAIMS = (COR2, COVERING)
-ALL_CLAIMS = PAIR_CLAIMS + GROUP_CLAIMS
-
-# Claims that need character tables, hence tighter caps.
-CHARACTER_CLAIMS = (THEOREM1, "lemma_l", "lemma_m")
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -85,38 +93,60 @@ class VerificationReport:
     details: dict
 
 
+def report_key(r: VerificationReport) -> tuple:
+    """The canonical report order: group label, subgroup index, claim, details."""
+    return (r.group_label, r.subgroup_index, r.claim, str(sorted(r.details.items())))
+
+
 def _witness_dict(verdict: ConditionVerdict) -> dict | None:
     return None if verdict.witness is None else asdict(verdict.witness)
 
 
-@dataclass
-class _Ctx:
-    """Identification and caps threaded through a single verification."""
+@dataclass(eq=False)
+class Pair:
+    """One (G, H) pair: its identification, its character-table caps and its
+    facts.  Each fact is computed on first use and then kept."""
 
+    G: GroupTable
+    H: ElementSet
     label: str = ""
     subgroup_index: int = -1
     order_cap: int | None = None
     class_cap: int | None = None
 
-    def report(self, G: GroupTable, H: ElementSet | None, claim: str, status: str, details: dict) -> VerificationReport:
+    def report(self, claim: str, status: str, details: dict) -> VerificationReport:
         return VerificationReport(
-            self.label,
-            G.order,
-            self.subgroup_index,
-            0 if H is None else len(H),
-            claim,
-            status,
-            details,
+            self.label, self.G.order, self.subgroup_index, len(self.H), claim, status, details
         )
 
+    @cached_property
+    def F(self) -> ConditionVerdict:
+        return satisfies_F(self.G, self.H)
 
-def _char_caps(ctx: _Ctx) -> dict:
-    caps = {}
-    if ctx.order_cap is not None:
-        caps["order_cap"] = ctx.order_cap
-    if ctx.class_cap is not None:
-        caps["class_cap"] = ctx.class_cap
-    return caps
+    @cached_property
+    def Fpm(self) -> ConditionVerdict:
+        return satisfies_Fpm(self.G, self.H)
+
+    @cached_property
+    def O(self) -> ConditionVerdict:
+        return satisfies_O(self.G, self.H)
+
+    @cached_property
+    def CI(self) -> ConditionVerdict:
+        return satisfies_CI(self.G, self.H, self.order_cap, self.class_cap)
+
+    @cached_property
+    def N(self) -> ElementSet:
+        """The normal closure of H."""
+        return normal_closure(self.G, self.H)
+
+    @cached_property
+    def normal(self) -> bool:
+        return self.H.is_normal()
+
+
+def _group_report(label: str, G: GroupTable, claim: str, status: str, details: dict) -> VerificationReport:
+    return VerificationReport(label, G.order, -1, 0, claim, status, details)
 
 
 def _is_2_power(n: int) -> bool:
@@ -142,47 +172,21 @@ def _o2_in_parent(G: GroupTable, H: ElementSet, p: int = 2) -> ElementSet:
     return ElementSet(G, (to_parent[i] for i in inner.members))
 
 
-def _quotient_pair(G: GroupTable, M: ElementSet, H: ElementSet) -> tuple[GroupTable, ElementSet]:
-    table, proj = quotient_table(G, M)
-    return table, ElementSet(table, (proj[h] for h in H.members))
-
-
-def _equal_order_holds(G: GroupTable, H: ElementSet) -> tuple[bool, dict | None]:
-    for x in range(G.order):
-        if x in H:
-            continue
-        ox = G.element_order(x)
-        for h in H.members:
-            if G.element_order(G.mul(x, h)) != ox:
-                return False, {"x": x, "h": h, "detail": "o(x*h) differs from o(x)"}
-    return True, None
-
-
 # --- main theorems ----------------------------------------------------------
 
 
-def verify_theorem1(G: GroupTable, H: ElementSet, ctx: _Ctx | None = None) -> VerificationReport:
+def _theorem1(pair: Pair) -> tuple[str, dict]:
     """CI holds iff F holds; a biconditional, so never VACUOUS."""
-    ctx = ctx or _Ctx()
-    f = satisfies_F(G, H)
-    try:
-        ci = satisfies_CI(G, H, **_char_caps(ctx))
-    except CapExceeded as exc:
-        return ctx.report(G, H, THEOREM1, SKIPPED, {"reason": str(exc)})
-    details = {
-        "f_holds": f.holds,
-        "ci_holds": ci.holds,
-        "fired": f.holds or ci.holds,
-        "h_normal": H.is_normal(),
-    }
+    f, ci = pair.F, pair.CI
+    details = {"f_holds": f.holds, "ci_holds": ci.holds, "fired": f.holds or ci.holds, "h_normal": pair.normal}
     if f.holds != ci.holds:
         details["f_witness"] = _witness_dict(f)
         details["ci_witness"] = _witness_dict(ci)
-        return ctx.report(G, H, THEOREM1, VIOLATION, details)
-    return ctx.report(G, H, THEOREM1, PASS, details)
+        return VIOLATION, details
+    return PASS, details
 
 
-def verify_theorem2(G: GroupTable, H: ElementSet, ctx: _Ctx | None = None) -> VerificationReport:
+def _theorem2(pair: Pair) -> tuple[str, dict]:
     """F+- on (G,H) implies F+- on (G,N) and N nilpotent, N the normal closure.
 
     The nilpotency conclusion requires H non-normal: (Frob(5:4), D5) satisfies
@@ -190,32 +194,28 @@ def verify_theorem2(G: GroupTable, H: ElementSet, ctx: _Ctx | None = None) -> Ve
     for normal H only the closure condition is asserted and the nilpotency
     verdict is recorded in the details.
     """
-    ctx = ctx or _Ctx()
-    hyp = satisfies_Fpm(G, H)
-    if not hyp.holds:
-        return ctx.report(G, H, THEOREM2, VACUOUS, {"fpm_witness": _witness_dict(hyp)})
-    N = normal_closure(G, H)
-    h_normal = H.is_normal()
-    details = {"n_order": len(N), "fired": True, "h_normal": h_normal}
+    if not pair.Fpm.holds:
+        return VACUOUS, {"fpm_witness": _witness_dict(pair.Fpm)}
+    G, N = pair.G, pair.N
+    details = {"n_order": len(N), "fired": True, "h_normal": pair.normal}
     if len(N) == G.order:
         details["failure"] = "normal closure is the whole group"
-        return ctx.report(G, H, THEOREM2, VIOLATION, details)
+        return VIOLATION, details
     fpm_n = satisfies_Fpm(G, N)
     nilp = nilpotent_subgroup(G, N)
     details["fpm_on_closure"] = fpm_n.holds
     details["closure_nilpotent"] = nilp
-    if fpm_n.holds and (nilp or h_normal):
-        return ctx.report(G, H, THEOREM2, PASS, details)
+    if fpm_n.holds and (nilp or pair.normal):
+        return PASS, details
     details["fpm_witness"] = _witness_dict(fpm_n)
-    return ctx.report(G, H, THEOREM2, VIOLATION, details)
+    return VIOLATION, details
 
 
-def verify_odd_order(G: GroupTable, H: ElementSet, ctx: _Ctx | None = None) -> VerificationReport:
+def _odd_order(pair: Pair) -> tuple[str, dict]:
     """(O) implies O^2(H) normal with 2-group quotient, or H solvable."""
-    ctx = ctx or _Ctx()
-    hyp = satisfies_O(G, H)
-    if not hyp.holds:
-        return ctx.report(G, H, ODD_ORDER, VACUOUS, {"o_witness": _witness_dict(hyp)})
+    if not pair.O.holds:
+        return VACUOUS, {"o_witness": _witness_dict(pair.O)}
+    G, H = pair.G, pair.H
     o2 = _o2_in_parent(G, H)
     o2_normal = o2.is_normal()
     quotient_2group = _is_2_power(G.order // len(o2))
@@ -228,21 +228,18 @@ def verify_odd_order(G: GroupTable, H: ElementSet, ctx: _Ctx | None = None) -> V
         "h_solvable": solvable,
     }
     ok = (o2_normal and quotient_2group) or solvable
-    return ctx.report(G, H, ODD_ORDER, PASS if ok else VIOLATION, details)
+    return (PASS if ok else VIOLATION), details
 
 
-def verify_cor1(G: GroupTable, H: ElementSet, ctx: _Ctx | None = None) -> VerificationReport:
+def _cor1(pair: Pair) -> tuple[str, dict]:
     """Equal orders on every coset xH implies H solvable, or the
     2-element/subnormal structure with (N_G(H), H) an equal order pair."""
-    ctx = ctx or _Ctx()
-    hyp_holds, witness = _equal_order_holds(G, H)
-    if not hyp_holds:
-        return ctx.report(G, H, COR1, VACUOUS, {"equal_order_witness": witness})
-    details: dict = {"fired": True}
+    G, H = pair.G, pair.H
+    hyp = _equal_order_scan(G, H, EQUAL_ORDER_COSET)
+    if not hyp.holds:
+        return VACUOUS, {"equal_order_witness": _witness_dict(hyp)}
     if solvable_subgroup(G, H):
-        details["h_solvable"] = True
-        return ctx.report(G, H, COR1, PASS, details)
-    details["h_solvable"] = False
+        return PASS, {"fired": True, "h_solvable": True}
     o2g = o_upper_p(G, 2)
     a_ok = all(m in H for m in o2g.members) and is_subnormal(G, H)
     b_ok = all(
@@ -250,88 +247,74 @@ def verify_cor1(G: GroupTable, H: ElementSet, ctx: _Ctx | None = None) -> Verifi
     )
     ngh = normalizer(G, H)
     if len(ngh) > len(H):
-        c_ok, c_wit = _equal_order_holds_within(G, ngh, H)
+        c = _equal_order_scan(G, H, EQUAL_ORDER_COSET, ambient=ngh)
+        c_ok, c_wit = c.holds, _witness_dict(c)
     else:
         c_ok, c_wit = False, {"detail": "H is self-normalizing"}
-    details.update(
-        {"o2_in_h_and_subnormal": a_ok, "outside_all_2_elements": b_ok, "normalizer_pair_equal_order": c_ok}
-    )
-    if a_ok and b_ok and c_ok:
-        return ctx.report(G, H, COR1, PASS, details)
+    details = {
+        "fired": True,
+        "h_solvable": False,
+        "o2_in_h_and_subnormal": a_ok,
+        "outside_all_2_elements": b_ok,
+        "normalizer_pair_equal_order": c_ok,
+    }
     if not c_ok:
         details["c_witness"] = c_wit
-    return ctx.report(G, H, COR1, VIOLATION, details)
+    return (PASS if a_ok and b_ok and c_ok else VIOLATION), details
 
 
-def _equal_order_holds_within(G: GroupTable, ambient: ElementSet, H: ElementSet) -> tuple[bool, dict | None]:
-    for x in ambient.members:
-        if x in H:
-            continue
-        ox = G.element_order(x)
-        for h in H.members:
-            if G.element_order(G.mul(x, h)) != ox:
-                return False, {"x": x, "h": h, "detail": "o(x*h) differs from o(x)"}
-    return True, None
-
-
-def verify_cor2(G: GroupTable, p: int, ctx: _Ctx | None = None) -> VerificationReport:
+def verify_cor2(G: GroupTable, p: int, label: str = "") -> VerificationReport:
     """Every p-element whose products with nontrivial p-regular elements stay
     p-regular lies in O_p(G)."""
-    ctx = ctx or _Ctx()
     if G.order % p:
-        return ctx.report(G, None, COR2, VACUOUS, {"p": p, "reason": "p does not divide |G|"})
+        return _group_report(label, G, COR2, VACUOUS, {"p": p, "reason": "p does not divide |G|"})
     opg = o_lower_p(G, p)
     fired = 0
     for x in range(G.order):
         ox = G.element_order(x)
-        if p_part(ox, p) != ox:
-            continue
-        if bs_hypothesis(G, x, p).holds:
+        if p_part(ox, p) == ox and bs_hypothesis(G, x, p).holds:
             fired += 1
             if x not in opg:
-                return ctx.report(
+                return _group_report(
+                    label,
                     G,
-                    None,
                     COR2,
                     VIOLATION,
                     {"p": p, "x": x, "detail": "hypothesis fires but x is outside O_p(G)"},
                 )
-    return ctx.report(G, None, COR2, PASS, {"p": p, "fired": fired, "o_p_order": len(opg)})
+    return _group_report(label, G, COR2, PASS, {"p": p, "fired": fired, "o_p_order": len(opg)})
 
 
 # --- lemma suite ------------------------------------------------------------
 
 
-def _normal_subgroups(G: GroupTable, cap: int) -> list[ElementSet]:
-    return [S for S in subgroups(G, cap) if S.is_normal()]
-
-
-def _lemma_a(G: GroupTable, H: ElementSet, ctx: _Ctx) -> tuple[str, dict]:
-    hyp = satisfies_F(G, H)
-    if not hyp.holds:
-        return VACUOUS, {}
+def _quotients_keep(G: GroupTable, H: ElementSet, predicate, name: str) -> tuple[str, dict]:
+    """Every normal M not containing H lies properly below H, and (G/M, H/M)
+    keeps the condition ``predicate``."""
     checked = 0
-    for M in _normal_subgroups(G, DEFAULT_SUBGROUP_CAP):
-        if all(h in M for h in H.members):
+    for M in subgroups(G, DEFAULT_SUBGROUP_CAP):
+        if not M.is_normal() or all(h in M for h in H.members):
             continue
         checked += 1
         if not (all(m in H for m in M.members) and len(M) < len(H)):
             return VIOLATION, {"m_order": len(M), "failure": "M is not properly below H"}
-        Q, imageH = _quotient_pair(G, M, H)
-        sub = satisfies_F(Q, imageH)
+        table, proj = quotient_table(G, M)
+        sub = predicate(table, ElementSet(table, (proj[h] for h in H.members)))
         if not sub.holds:
             return VIOLATION, {
                 "m_order": len(M),
-                "failure": "quotient pair loses condition (F)",
+                "failure": f"quotient pair loses condition ({name})",
                 "quotient_witness": _witness_dict(sub),
             }
     return PASS, {"normal_subgroups_checked": checked}
 
 
-def _lemma_b(G: GroupTable, H: ElementSet, ctx: _Ctx) -> tuple[str, dict]:
-    hyp = satisfies_F(G, H)
-    if not hyp.holds:
-        return VACUOUS, {}
+def _lemma_a(pair: Pair) -> tuple[str, dict]:
+    return _quotients_keep(pair.G, pair.H, satisfies_F, "F")
+
+
+def _lemma_b(pair: Pair) -> tuple[str, dict]:
+    G, H = pair.G, pair.H
     z = center(G)
     gprime = commutator_subgroup(G)
     z_in_h = all(m in H for m in z.members)
@@ -340,11 +323,8 @@ def _lemma_b(G: GroupTable, H: ElementSet, ctx: _Ctx) -> tuple[str, dict]:
     return (PASS if z_in_h and h_in_gprime else VIOLATION), details
 
 
-def _lemma_c(G: GroupTable, H: ElementSet, ctx: _Ctx) -> tuple[str, dict]:
-    hyp = satisfies_Fpm(G, H)
-    if not hyp.holds or H.is_normal():
-        return VACUOUS, {}
-    N = normal_closure(G, H)
+def _lemma_c(pair: Pair) -> tuple[str, dict]:
+    G, H, N = pair.G, pair.H, pair.N
     union = set()
     for g in range(G.order):
         for h in H.members:
@@ -354,23 +334,16 @@ def _lemma_c(G: GroupTable, H: ElementSet, ctx: _Ctx) -> tuple[str, dict]:
     return (PASS if ok else VIOLATION), details
 
 
-def _lemma_d(G: GroupTable, H: ElementSet, ctx: _Ctx) -> tuple[str, dict]:
-    hyp = satisfies_F(G, H)
-    if not hyp.holds:
-        return VACUOUS, {}
-    N = normal_closure(G, H)
-    verdict = is_camina_pair(G, N)
-    details = {"n_order": len(N), "camina": verdict.holds}
+def _lemma_d(pair: Pair) -> tuple[str, dict]:
+    verdict = is_camina_pair(pair.G, pair.N)
+    details = {"n_order": len(pair.N), "camina": verdict.holds}
     if not verdict.holds:
         details["witness"] = _witness_dict(verdict)
     return (PASS if verdict.holds else VIOLATION), details
 
 
-def _lemma_e(G: GroupTable, H: ElementSet, ctx: _Ctx) -> tuple[str, dict]:
-    hyp = satisfies_F(G, H)
-    if not hyp.holds or H.is_normal():
-        return VACUOUS, {}
-    N = normal_closure(G, H)
+def _lemma_e(pair: Pair) -> tuple[str, dict]:
+    G, N = pair.G, pair.N
     nilp = nilpotent_subgroup(G, N)
     frob = is_frobenius_with_kernel(G, N)
     pgrp = is_p_group(len(N))
@@ -378,11 +351,8 @@ def _lemma_e(G: GroupTable, H: ElementSet, ctx: _Ctx) -> tuple[str, dict]:
     return (PASS if nilp and (frob or pgrp) else VIOLATION), details
 
 
-def _lemma_f(G: GroupTable, H: ElementSet, ctx: _Ctx) -> tuple[str, dict]:
-    hyp = satisfies_F(G, H)
-    if not hyp.holds or H.is_normal():
-        return VACUOUS, {}
-    N = normal_closure(G, H)
+def _lemma_f(pair: Pair) -> tuple[str, dict]:
+    G, H, N = pair.G, pair.H, pair.N
     n_gens = small_generating_set(G, N.members)
     h_normal_in_n = all(G.conj(h, n) in H for h in H.members for n in n_gens)
     table, to_parent, _ = subgroup_table(G, N)
@@ -392,23 +362,11 @@ def _lemma_f(G: GroupTable, H: ElementSet, ctx: _Ctx) -> tuple[str, dict]:
     return (PASS if h_normal_in_n and derived_in_h else VIOLATION), details
 
 
-def _lemma_g(G: GroupTable, H: ElementSet, ctx: _Ctx) -> tuple[str, dict]:
-    hyp = satisfies_Fpm(G, H)
-    if not hyp.holds or H.is_normal():
-        return VACUOUS, {}
-    for M in _normal_subgroups(G, DEFAULT_SUBGROUP_CAP):
-        if all(h in M for h in H.members):
-            continue
-        if not (all(m in H for m in M.members) and len(M) < len(H)):
-            return VIOLATION, {"m_order": len(M), "failure": "M is not properly below H"}
-        Q, imageH = _quotient_pair(G, M, H)
-        sub = satisfies_Fpm(Q, imageH)
-        if not sub.holds:
-            return VIOLATION, {
-                "m_order": len(M),
-                "failure": "quotient pair loses condition (F+-)",
-                "quotient_witness": _witness_dict(sub),
-            }
+def _lemma_g(pair: Pair) -> tuple[str, dict]:
+    G, H = pair.G, pair.H
+    status, details = _quotients_keep(G, H, satisfies_Fpm, "F+-")
+    if status == VIOLATION:
+        return status, details
     z = center(G)
     gprime = commutator_subgroup(G)
     strict_lower = all(m in H for m in z.members) and len(z) < len(H)
@@ -417,18 +375,13 @@ def _lemma_g(G: GroupTable, H: ElementSet, ctx: _Ctx) -> tuple[str, dict]:
     return (PASS if strict_lower and strict_upper else VIOLATION), details
 
 
-def _lemma_h(G: GroupTable, H: ElementSet, ctx: _Ctx) -> tuple[str, dict]:
-    hyp = satisfies_Fpm(G, H)
-    if not hyp.holds or H.is_normal():
-        return VACUOUS, {}
-    N = normal_closure(G, H)
+def _lemma_h(pair: Pair) -> tuple[str, dict]:
+    G, N = pair.G, pair.N
     classes = conjugacy_classes(G)
-    delta = derangements(G, H)
-    checked = 0
-    for cid in sorted({classes.class_of[x] for x in delta.members}):
+    delta_class_ids = sorted({classes.class_of[x] for x in derangements(G, pair.H).members})
+    for cid in delta_class_ids:
         members = classes.members(cid)
         allowed = set(members) | set(classes.members(classes.inverse_class[cid]))
-        checked += 1
         for k in members:
             for n in N.members:
                 if G.mul(k, n) not in allowed:
@@ -438,20 +391,15 @@ def _lemma_h(G: GroupTable, H: ElementSet, ctx: _Ctx) -> tuple[str, dict]:
                         "n": n,
                         "failure": "K*N escapes K union K^-1",
                     }
-    return PASS, {"derangement_classes_checked": checked}
+    return PASS, {"derangement_classes_checked": len(delta_class_ids)}
 
 
-def _lemma_i(G: GroupTable, H: ElementSet, ctx: _Ctx) -> tuple[str, dict]:
-    if not is_p_group(G.order):
-        return VACUOUS, {}
-    hyp = satisfies_Fpm(G, H)
-    if not hyp.holds:
-        return VACUOUS, {}
-    normal = H.is_normal()
-    return (PASS if normal else VIOLATION), {"h_normal": normal}
+def _lemma_i(pair: Pair) -> tuple[str, dict]:
+    return (PASS if pair.normal else VIOLATION), {"h_normal": pair.normal}
 
 
-def _lemma_j(G: GroupTable, H: ElementSet, ctx: _Ctx) -> tuple[str, dict]:
+def _lemma_j(pair: Pair) -> tuple[str, dict]:
+    G, H = pair.G, pair.H
     outside = [x for x in range(G.order) if x not in H]
     fired = []
     for p in prime_factors(G.order):
@@ -465,57 +413,36 @@ def _lemma_j(G: GroupTable, H: ElementSet, ctx: _Ctx) -> tuple[str, dict]:
     return PASS, {"fired": bool(fired), "primes_with_all_outside_singular": fired}
 
 
-def _lemma_k(G: GroupTable, H: ElementSet, ctx: _Ctx) -> tuple[str, dict]:
-    hyp = satisfies_O(G, H)
-    if not hyp.holds:
-        return VACUOUS, {}
-    o2 = _o2_in_parent(G, H)
-    sub = satisfies_O(G, o2)
+def _lemma_k(pair: Pair) -> tuple[str, dict]:
+    o2 = _o2_in_parent(pair.G, pair.H)
+    sub = satisfies_O(pair.G, o2)
     details = {"o2_order": len(o2), "o_on_o2": sub.holds}
     if not sub.holds:
         details["witness"] = _witness_dict(sub)
     return (PASS if sub.holds else VIOLATION), details
 
 
-def _lemma_l(G: GroupTable, H: ElementSet, ctx: _Ctx) -> tuple[str, dict]:
-    ci = satisfies_CI(G, H, **_char_caps(ctx))
-    if not ci.holds:
-        return VACUOUS, {}
-    N = normal_closure(G, H)
-    table = character_table(G, **_char_caps(ctx))
+def _irr_given_n(pair: Pair) -> list[ClassFunction]:
+    """Irr(G|N) in table order, N the normal closure of H."""
+    table = character_table(pair.G, order_cap=pair.order_cap, class_cap=pair.class_cap)
+    return [chi for chi in table.irreducibles if in_irr_given_N(chi, pair.N)]
+
+
+def _lemma_l(pair: Pair) -> tuple[str, dict]:
+    G, H = pair.G, pair.H
     triv_h = trivial_character(subgroup_table(G, H)[0])
-    relevant = 0
-    for chi in table.irreducibles:
-        if all(n in _kernel_members(chi) for n in N.members):
-            continue
-        relevant += 1
-        if inner_product_int(restrict(G, chi, H), triv_h) != 0:
-            return VACUOUS, {"reason": "some chi in Irr(G|H) restricts with trivial constituent"}
-    normal = H.is_normal()
-    return (PASS if normal else VIOLATION), {"irr_given_h": relevant, "h_normal": normal}
+    irr = _irr_given_n(pair)
+    if any(inner_product_int(restrict(G, chi, H), triv_h) != 0 for chi in irr):
+        return VACUOUS, {"fired": False, "reason": "some chi in Irr(G|H) restricts with trivial constituent"}
+    return (PASS if pair.normal else VIOLATION), {"irr_given_h": len(irr), "h_normal": pair.normal}
 
 
-def _kernel_members(chi) -> set[int]:
-    classes = conjugacy_classes(chi.group)
-    top = chi.values[0]
-    return {
-        i for i in range(chi.group.order) if chi.values[classes.class_of[i]] == top
-    }
-
-
-def _lemma_m(G: GroupTable, H: ElementSet, ctx: _Ctx) -> tuple[str, dict]:
-    ci = satisfies_CI(G, H, **_char_caps(ctx))
-    if not ci.holds or H.is_normal():
-        return VACUOUS, {}
-    N = normal_closure(G, H)
-    table = character_table(G, **_char_caps(ctx))
+def _lemma_m(pair: Pair) -> tuple[str, dict]:
+    G, H = pair.G, pair.H
     classes = conjugacy_classes(G)
-    checked = 0
-    for chi in table.irreducibles:
-        if all(n in _kernel_members(chi) for n in N.members):
-            continue
-        checked += 1
-        for x in N.members:
+    irr = _irr_given_n(pair)
+    for chi in irr:
+        for x in pair.N.members:
             if x in H:
                 continue
             vx = chi.values[classes.class_of[x]]
@@ -526,47 +453,34 @@ def _lemma_m(G: GroupTable, H: ElementSet, ctx: _Ctx) -> tuple[str, dict]:
                         "h": h,
                         "failure": "character is not constant on the coset xH",
                     }
-    return PASS, {"characters_checked": checked}
+    return PASS, {"characters_checked": len(irr)}
 
 
-def _verify_claim9(G: GroupTable, H: ElementSet, ctx: _Ctx) -> tuple[str, dict]:
-    hyp = satisfies_O(G, H)
-    if not hyp.holds:
-        return VACUOUS, {}
+def _claim9(pair: Pair) -> tuple[str, dict]:
+    G, H = pair.G, pair.H
     classes = conjugacy_classes(G)
-    delta = derangements(G, H)
+    delta_class_ids = sorted({classes.class_of[x] for x in derangements(G, H).members})
     h_class_ids = sorted({classes.class_of[h] for h in H.members})
-    checked = 0
-    for did in sorted({classes.class_of[x] for x in delta.members}):
+    for did in delta_class_ids:
         x_odd = G.element_order(classes.reps[did]) % 2 == 1
         for cid in h_class_ids:
-            checked += 1
-            product = class_product(G, did, cid)
-            for z in product.members:
-                oz = G.element_order(z)
-                if x_odd and oz % 2 == 0:
+            for z in class_product(G, did, cid).members:
+                if (G.element_order(z) % 2 == 1) != x_odd:
+                    z_parity, x_parity = ("even", "odd") if x_odd else ("odd", "even")
                     return VIOLATION, {
                         "derangement_class_rep": classes.reps[did],
                         "h_class_rep": classes.reps[cid],
                         "z": z,
-                        "failure": "even order element in x^G y^G with x odd",
+                        "failure": f"{z_parity} order element in x^G y^G with x {x_parity}",
                     }
-                if not x_odd and oz % 2 == 1:
-                    return VIOLATION, {
-                        "derangement_class_rep": classes.reps[did],
-                        "h_class_rep": classes.reps[cid],
-                        "z": z,
-                        "failure": "odd order element in x^G y^G with x even",
-                    }
-    return PASS, {"class_pairs_checked": checked}
+    return PASS, {"class_pairs_checked": len(delta_class_ids) * len(h_class_ids)}
 
 
-def verify_covering(G: GroupTable, ctx: _Ctx | None = None, step_cap: int | None = None) -> VerificationReport:
+def verify_covering(G: GroupTable, label: str = "", step_cap: int | None = None) -> VerificationReport:
     """For nonabelian simple G, every nontrivial class C has C^m = G for
     some m bounded by |G| (the power is iterated as a set product)."""
-    ctx = ctx or _Ctx()
     if not is_simple(G):
-        return ctx.report(G, None, COVERING, VACUOUS, {"reason": "group is not nonabelian simple"})
+        return _group_report(label, G, COVERING, VACUOUS, {"reason": "group is not nonabelian simple"})
     classes = conjugacy_classes(G)
     cap = step_cap if step_cap is not None else G.order
     everything = set(range(G.order))
@@ -576,9 +490,9 @@ def verify_covering(G: GroupTable, ctx: _Ctx | None = None, step_cap: int | None
         m = 1
         while set(current.members) != everything:
             if m > cap:
-                return ctx.report(
+                return _group_report(
+                    label,
                     G,
-                    None,
                     COVERING,
                     VIOLATION,
                     {"class_rep": classes.reps[cid], "failure": f"C^m did not reach G within {cap} steps"},
@@ -586,79 +500,70 @@ def verify_covering(G: GroupTable, ctx: _Ctx | None = None, step_cap: int | None
             current = set_times_class(G, current, cid)
             m += 1
         max_m = max(max_m, m)
-    return ctx.report(G, None, COVERING, PASS, {"fired": True, "max_power_needed": max_m})
+    return _group_report(label, G, COVERING, PASS, {"fired": True, "max_power_needed": max_m})
 
 
-_LEMMA_FUNCS = {
-    "lemma_a": _lemma_a,
-    "lemma_b": _lemma_b,
-    "lemma_c": _lemma_c,
-    "lemma_d": _lemma_d,
-    "lemma_e": _lemma_e,
-    "lemma_f": _lemma_f,
-    "lemma_g": _lemma_g,
-    "lemma_h": _lemma_h,
-    "lemma_i": _lemma_i,
-    "lemma_j": _lemma_j,
-    "lemma_k": _lemma_k,
-    "lemma_l": _lemma_l,
-    "lemma_m": _lemma_m,
+# claim -> (hypothesis, check, whether the trivial subgroup is admissible).
+# Every claim needs H proper; (F), (F+-) and (CI) also need H nontrivial.
+# On a pair where the hypothesis fails the claim is VACUOUS with fired: False
+# and its check does not run.  The theorems have no hypothesis here: they test
+# their own and report its witness when it fails.
+CLAIMS = {
+    THEOREM1: (None, _theorem1, False),
+    THEOREM2: (None, _theorem2, False),
+    ODD_ORDER: (None, _odd_order, True),
+    COR1: (None, _cor1, True),
+    "lemma_a": (lambda p: p.F.holds, _lemma_a, False),
+    "lemma_b": (lambda p: p.F.holds, _lemma_b, False),
+    "lemma_c": (lambda p: p.Fpm.holds and not p.normal, _lemma_c, False),
+    "lemma_d": (lambda p: p.F.holds, _lemma_d, False),
+    "lemma_e": (lambda p: p.F.holds and not p.normal, _lemma_e, False),
+    "lemma_f": (lambda p: p.F.holds and not p.normal, _lemma_f, False),
+    "lemma_g": (lambda p: p.Fpm.holds and not p.normal, _lemma_g, False),
+    "lemma_h": (lambda p: p.Fpm.holds and not p.normal, _lemma_h, False),
+    "lemma_i": (lambda p: is_p_group(p.G.order) and p.Fpm.holds, _lemma_i, False),
+    "lemma_j": (None, _lemma_j, False),
+    "lemma_k": (lambda p: p.O.holds, _lemma_k, False),
+    "lemma_l": (lambda p: p.CI.holds, _lemma_l, False),
+    "lemma_m": (lambda p: p.CI.holds and not p.normal, _lemma_m, False),
+    CLAIM9: (lambda p: p.O.holds, _claim9, False),
 }
+PAIR_CLAIMS = tuple(CLAIMS)
+GROUP_CLAIMS = (COR2, COVERING)
+ALL_CLAIMS = PAIR_CLAIMS + GROUP_CLAIMS
 
 
-def verify_lemma(G: GroupTable, H: ElementSet, claim: str, ctx: _Ctx | None = None) -> VerificationReport:
-    ctx = ctx or _Ctx()
-    func = _LEMMA_FUNCS[claim]
+def verify_pair_claim(G: GroupTable, H: ElementSet, claim: str, pair: Pair | None = None) -> VerificationReport:
+    """Evaluate one pair claim on (G, H).  Facts already computed on ``pair``,
+    which must be the pair (G, H), are reused; a cap overrun is SKIPPED."""
+    if claim not in CLAIMS:
+        raise ValueError(f"unknown pair claim {claim!r}")
+    hypothesis, check, _ = CLAIMS[claim]
+    if pair is None:
+        pair = Pair(G, H)
     try:
-        status, details = func(G, H, ctx)
+        if hypothesis is not None and not hypothesis(pair):
+            return pair.report(claim, VACUOUS, {"fired": False})
+        status, details = check(pair)
     except CapExceeded as exc:
-        return ctx.report(G, H, claim, SKIPPED, {"reason": str(exc)})
+        return pair.report(claim, SKIPPED, {"reason": str(exc)})
     if status == PASS:
         details.setdefault("fired", True)
-    elif status == VACUOUS:
-        details.setdefault("fired", False)
-    return ctx.report(G, H, claim, status, details)
+    return pair.report(claim, status, details)
 
 
-def verify_lemma_suite(G: GroupTable, H: ElementSet, ctx: _Ctx | None = None) -> list[VerificationReport]:
-    ctx = ctx or _Ctx()
-    return [verify_lemma(G, H, claim, ctx) for claim in LEMMA_CLAIMS]
+def select_group(entry: CatalogEntry, max_order: int, generation_cap: int = DEFAULT_ORDER_CAP) -> GroupTable | None:
+    """The entry's group if its order is at most ``max_order``, else None.
 
-
-def verify_pair_claim(G: GroupTable, H: ElementSet, claim: str, ctx: _Ctx | None = None) -> VerificationReport:
-    ctx = ctx or _Ctx()
-    if claim == THEOREM1:
-        return verify_theorem1(G, H, ctx)
-    if claim == THEOREM2:
-        return verify_theorem2(G, H, ctx)
-    if claim == ODD_ORDER:
-        return verify_odd_order(G, H, ctx)
-    if claim == COR1:
-        return verify_cor1(G, H, ctx)
-    if claim == CLAIM9:
-        return verify_lemma_like_claim9(G, H, ctx)
-    if claim in _LEMMA_FUNCS:
-        return verify_lemma(G, H, claim, ctx)
-    raise ValueError(f"unknown pair claim {claim!r}")
-
-
-def verify_lemma_like_claim9(G: GroupTable, H: ElementSet, ctx: _Ctx | None = None) -> VerificationReport:
-    ctx = ctx or _Ctx()
+    Generation stops at the smaller of the two bounds, so a group above
+    ``max_order`` is never enumerated past it.  A group above
+    ``generation_cap`` but within ``max_order`` still raises CapExceeded."""
     try:
-        status, details = _verify_claim9(G, H, ctx)
-    except CapExceeded as exc:
-        return ctx.report(G, H, CLAIM9, SKIPPED, {"reason": str(exc)})
-    if status == PASS:
-        details.setdefault("fired", True)
-    elif status == VACUOUS:
-        details.setdefault("fired", False)
-    return ctx.report(G, H, CLAIM9, status, details)
-
-
-def _claim_admissible(claim: str, G: GroupTable, H: ElementSet) -> bool:
-    if claim in (ODD_ORDER, COR1):
-        return len(H) < G.order
-    return 1 < len(H) < G.order
+        return entry.group(cap=min(max_order, generation_cap))
+    except CapExceeded:
+        if max_order <= generation_cap:
+            return None
+        raise
 
 
 def sweep(
@@ -669,7 +574,7 @@ def sweep(
     char_order_cap: int | None = None,
     char_class_cap: int | None = None,
     subgroup_cap: int = DEFAULT_SUBGROUP_CAP,
-    generation_cap: int = 20_000,
+    generation_cap: int = DEFAULT_ORDER_CAP,
 ) -> list[VerificationReport]:
     """Run the selected claims over every admissible (G, H) pair of every
     catalog entry with |G| <= order_cap; reports come back in canonical
@@ -680,11 +585,10 @@ def sweep(
         raise ValueError(f"unknown claims: {unknown}")
     reports: list[VerificationReport] = []
     for entry in entries:
-        G = entry.group(cap=generation_cap)
-        if G.order > order_cap:
-            continue
-        reports.extend(sweep_single(entry.label, G, claims, char_order_cap, char_class_cap, subgroup_cap))
-    reports.sort(key=lambda r: (r.group_label, r.subgroup_index, r.claim, str(sorted(r.details.items(), key=lambda kv: kv[0]))))
+        G = select_group(entry, order_cap, generation_cap)
+        if G is not None:
+            reports.extend(sweep_single(entry.label, G, claims, char_order_cap, char_class_cap, subgroup_cap))
+    reports.sort(key=report_key)
     return reports
 
 
@@ -697,30 +601,25 @@ def sweep_single(
     subgroup_cap: int = DEFAULT_SUBGROUP_CAP,
 ) -> list[VerificationReport]:
     reports: list[VerificationReport] = []
-    ctx = _Ctx(label=label, order_cap=char_order_cap, class_cap=char_class_cap)
     if COR2 in claims:
-        for p in prime_factors(G.order) or []:
-            reports.append(verify_cor2(G, p, ctx))
+        reports.extend(verify_cor2(G, p, label) for p in prime_factors(G.order))
     if COVERING in claims:
-        reports.append(verify_covering(G, ctx))
-    pair_claims = [c for c in claims if c in PAIR_CLAIMS]
+        reports.append(verify_covering(G, label))
+    pair_claims = [c for c in claims if c in CLAIMS]
     if pair_claims:
         try:
             subs = subgroups(G, subgroup_cap)
         except CapExceeded as exc:
             for claim in pair_claims:
-                reports.append(ctx.report(G, None, claim, SKIPPED, {"reason": str(exc)}))
+                reports.append(_group_report(label, G, claim, SKIPPED, {"reason": str(exc)}))
             return reports
         for idx, H in enumerate(subs):
-            pair_ctx = _Ctx(
-                label=label,
-                subgroup_index=idx,
-                order_cap=char_order_cap,
-                class_cap=char_class_cap,
-            )
+            if len(H) == G.order:
+                continue
+            pair = Pair(G, H, label, idx, char_order_cap, char_class_cap)
             for claim in pair_claims:
-                if _claim_admissible(claim, G, H):
-                    reports.append(verify_pair_claim(G, H, claim, pair_ctx))
+                if len(H) > 1 or CLAIMS[claim][2]:
+                    reports.append(verify_pair_claim(G, H, claim, pair))
     return reports
 
 

@@ -146,6 +146,13 @@ class TestCli:
         rc = run_cli(["--order-cap", "10", "info", "--group", "S4"])
         assert rc == 3
 
+    def test_max_order_below_order_cap(self, capsys):
+        # groups above --max-order are left out before they reach the generation cap
+        assert run_cli(["--order-cap", "50", "verify", "--max-order", "24", "--claims", "cor2"]) == 0
+        assert "violations: 0" in capsys.readouterr().out
+        # a selected group above --order-cap (A5, order 60) is still a cap error
+        assert run_cli(["--order-cap", "50", "verify", "--max-order", "60", "--claims", "cor2"]) == 3
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         f = tmp_path / "bad.grp"
         f.write_text("degree 3\n(1,2)(2,3)\n")

@@ -1,5 +1,12 @@
+import importlib.util
+import inspect
+import json
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
+import camina.verify as verify
 from camina.catalog import builtin, builtin_catalog
 from camina.structure import subgroups
 from camina.verify import (
@@ -7,18 +14,14 @@ from camina.verify import (
     PASS,
     SKIPPED,
     VACUOUS,
+    Pair,
     is_subnormal,
     summarize,
     sweep,
-    verify_cor1,
+    sweep_single,
     verify_cor2,
     verify_covering,
-    verify_lemma,
-    verify_lemma_suite,
-    verify_odd_order,
     verify_pair_claim,
-    verify_theorem1,
-    verify_theorem2,
 )
 
 
@@ -28,38 +31,37 @@ def by_order(G, n, which=0):
 
 class TestTheorem1:
     def test_s3_a3_both_hold(self, s3):
-        r = verify_theorem1(s3, by_order(s3, 3))
+        r = verify_pair_claim(s3, by_order(s3, 3), "theorem1")
         assert r.status == PASS
         assert r.details["f_holds"] and r.details["ci_holds"]
 
     def test_s3_transposition_both_fail(self, s3):
-        r = verify_theorem1(s3, by_order(s3, 2))
+        r = verify_pair_claim(s3, by_order(s3, 2), "theorem1")
         assert r.status == PASS
         assert not r.details["f_holds"] and not r.details["ci_holds"]
 
     def test_q8_center(self, q8):
-        r = verify_theorem1(q8, by_order(q8, 2))
+        r = verify_pair_claim(q8, by_order(q8, 2), "theorem1")
         assert r.status == PASS
         assert r.details["fired"]
 
     def test_skipped_on_cap(self, s4):
-        from camina.verify import _Ctx
-
-        r = verify_theorem1(s4, by_order(s4, 4), _Ctx(order_cap=10))
+        H = by_order(s4, 4)
+        r = verify_pair_claim(s4, H, "theorem1", Pair(s4, H, order_cap=10))
         assert r.status == SKIPPED
 
 
 class TestTheorem2:
     def test_q8_center(self, q8):
-        r = verify_theorem2(q8, by_order(q8, 2))
+        r = verify_pair_claim(q8, by_order(q8, 2), "theorem2")
         assert r.status == PASS
         assert r.details["closure_nilpotent"]
 
     def test_s3_transposition_vacuous(self, s3):
-        assert verify_theorem2(s3, by_order(s3, 2)).status == VACUOUS
+        assert verify_pair_claim(s3, by_order(s3, 2), "theorem2").status == VACUOUS
 
     def test_s3_a3(self, s3):
-        r = verify_theorem2(s3, by_order(s3, 3))
+        r = verify_pair_claim(s3, by_order(s3, 3), "theorem2")
         assert r.status == PASS
         assert r.details["n_order"] == 3
 
@@ -67,7 +69,7 @@ class TestTheorem2:
         # normal H = D5 in Frob(5:4): F+- holds, the closure is H itself and is
         # not nilpotent; the harness records the verdict without a violation
         G = builtin("Frob(5:4)").group()
-        r = verify_theorem2(G, by_order(G, 10))
+        r = verify_pair_claim(G, by_order(G, 10), "theorem2")
         assert r.status == PASS
         assert r.details["h_normal"]
         assert r.details["fpm_on_closure"]
@@ -75,7 +77,7 @@ class TestTheorem2:
 
     def test_a4_non_normal_pair(self, a4):
         H = by_order(a4, 2)
-        r = verify_theorem2(a4, H)
+        r = verify_pair_claim(a4, H, "theorem2")
         assert r.status == PASS
         assert not r.details["h_normal"]
         assert r.details["n_order"] == 4
@@ -84,31 +86,31 @@ class TestTheorem2:
 
 class TestOddOrder:
     def test_s3_a3(self, s3):
-        r = verify_odd_order(s3, by_order(s3, 3))
+        r = verify_pair_claim(s3, by_order(s3, 3), "odd_order")
         assert r.status == PASS
         assert r.details["h_solvable"]
 
     def test_a5_a4_scan(self, a5):
         H = by_order(a5, 12)
-        r = verify_odd_order(a5, H)
+        r = verify_pair_claim(a5, H, "odd_order")
         assert r.status in (PASS, VACUOUS)
 
     def test_two_group(self, q8):
         for H in subgroups(q8):
             if len(H) < q8.order:
-                assert verify_odd_order(q8, H).status == PASS
+                assert verify_pair_claim(q8, H, "odd_order").status == PASS
 
 
 class TestCor1:
     def test_q8_center(self, q8):
-        r = verify_cor1(q8, by_order(q8, 2))
+        r = verify_pair_claim(q8, by_order(q8, 2), "cor1")
         assert r.status == PASS and r.details["h_solvable"]
 
     def test_s3_transposition_vacuous(self, s3):
-        assert verify_cor1(s3, by_order(s3, 2)).status == VACUOUS
+        assert verify_pair_claim(s3, by_order(s3, 2), "cor1").status == VACUOUS
 
     def test_s3_a3(self, s3):
-        assert verify_cor1(s3, by_order(s3, 3)).status == PASS
+        assert verify_pair_claim(s3, by_order(s3, 3), "cor1").status == PASS
 
 
 class TestCor2:
@@ -136,30 +138,31 @@ class TestCor2:
 
 class TestLemmaSuite:
     def test_s3_a3_lemma_b(self, s3):
-        r = verify_lemma(s3, by_order(s3, 3), "lemma_b")
+        r = verify_pair_claim(s3, by_order(s3, 3), "lemma_b")
         assert r.status == PASS
         assert r.details["center_in_h"] and r.details["h_in_derived"]
 
     def test_q8_center_lemma_j(self, q8):
-        r = verify_lemma(q8, by_order(q8, 2), "lemma_j")
+        r = verify_pair_claim(q8, by_order(q8, 2), "lemma_j")
         assert r.status == PASS
         assert 2 in r.details["primes_with_all_outside_singular"]
 
     def test_normal_f_failing_pairs_vacuous(self, s4):
         V4 = next(H for H in subgroups(s4) if len(H) == 4 and H.is_normal())
         for claim in ("lemma_c", "lemma_d", "lemma_e", "lemma_f"):
-            r = verify_lemma(s4, V4, claim)
+            r = verify_pair_claim(s4, V4, claim)
             assert r.status == VACUOUS, claim
 
     def test_a4_non_normal_f_pair_full_suite(self, a4):
         H = by_order(a4, 2)
-        for r in verify_lemma_suite(a4, H):
+        for r in [verify_pair_claim(a4, H, claim) for claim in LEMMA_CLAIMS]:
             assert r.status in (PASS, VACUOUS), (r.claim, r.details)
             if r.claim in ("lemma_c", "lemma_e", "lemma_f", "lemma_g", "lemma_h", "lemma_m"):
                 assert r.status == PASS, (r.claim, r.details)
 
     def test_suite_covers_all_lemmas(self, s3):
-        rs = verify_lemma_suite(s3, by_order(s3, 3))
+        H = by_order(s3, 3)
+        rs = [verify_pair_claim(s3, H, claim) for claim in LEMMA_CLAIMS]
         assert [r.claim for r in rs] == list(LEMMA_CLAIMS)
 
 
@@ -225,3 +228,54 @@ class TestSweep:
             again = verify_pair_claim(G, H, r.claim)
             assert again.status == r.status
             assert again.details == r.details
+
+
+class TestOneEvaluationPerPair:
+    @pytest.mark.parametrize(
+        "predicate, claims",
+        [
+            ("satisfies_CI", ["theorem1", "lemma_l", "lemma_m"]),
+            ("satisfies_F", ["theorem1", "lemma_a", "lemma_b", "lemma_d", "lemma_e", "lemma_f"]),
+        ],
+    )
+    def test_predicate_runs_once_per_pair(self, monkeypatch, a4, predicate, claims):
+        calls = Counter()
+        original = getattr(verify, predicate)
+
+        def counted(G, H, *args, **kwargs):
+            if G is a4:  # lemma_a also tests (F) on quotient pairs
+                calls[H.members] += 1
+            return original(G, H, *args, **kwargs)
+
+        monkeypatch.setattr(verify, predicate, counted)
+        assert len(sweep_single("A4", a4, claims)) == 8 * len(claims)
+        assert len(calls) == 8 and set(calls.values()) == {1}, calls
+
+
+class TestTracedHooks:
+    """The traced benchmark wraps these names; renaming one silently zeroes
+    its per-layer metrics."""
+
+    def test_wrapped_names_exist(self):
+        import camina.chartab as chartab
+        import camina.reports as reports
+        import camina.structure as structure
+
+        root = Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location("perfbench_spans", root / "perfbench" / "spans.py")
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        extra = [(structure, "subgroups"), (chartab, "character_table"), (reports, "load_chartab")]
+        for module, attr in [(m, a) for m, a, _ in spans.SPANS] + extra:
+            assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+        for cls, attr in spans.COUNTED:
+            assert attr in cls.__dict__, f"{cls.__name__}.{attr}"
+        # one verify.claim.<claim>_s metric per claim, named from verify.ALL_CLAIMS
+        per_layer = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
+        prefix = "verify.claim."
+        claims = {m["name"][len(prefix) : -len("_s")] for m in per_layer if m["name"].startswith(prefix)}
+        assert claims == set(verify.ALL_CLAIMS)
+
+    def test_pair_claim_signature(self):
+        params = list(inspect.signature(verify.verify_pair_claim).parameters)
+        assert params[:3] == ["G", "H", "claim"]
