@@ -7,10 +7,12 @@ witness against the defining clause reproduces the violation.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .chartab import character_table, is_homogeneous_induction
-from .grouptable import ElementSet, GroupTable, subgroup_table
+from .chartab import character_table
+from .cyclotomic import Cyc
+from .grouptable import ElementSet, GroupTable
 from .structure import conjugacy_classes, p_part
 
 CAMINA = "CAMINA"
@@ -114,19 +116,33 @@ def satisfies_CI(
     order_cap: int | None = None,
     class_cap: int | None = None,
 ) -> ConditionVerdict:
-    """Every nontrivial irreducible character of H induces homogeneously to G."""
+    """Every nontrivial irreducible character of H induces homogeneously to G.
+
+    Decided from Irr(G) alone.  By Frobenius reciprocity [theta^G, chi] =
+    [theta, chi_H], so theta^G is homogeneous iff theta lies under exactly one
+    chi in Irr(G); every theta lies under at least one.  (CI) therefore fails
+    iff two distinct chi_i, chi_j share a nontrivial constituent on H, i.e.
+    [chi_i_H, chi_j_H] > [chi_i_H, 1_H][chi_j_H, 1_H].  With c_k elements of H
+    in class k, that reads |H| sum_k c_k chi_i(k) conj(chi_j(k)) against
+    (sum_k c_k chi_i(k)) (sum_k c_k chi_j(k)), compared exactly."""
     _require_nontrivial_proper(G, H, "condition (CI)")
-    character_table(G, order_cap=order_cap, class_cap=class_cap)
-    table, _, _ = subgroup_table(G, H)
-    h_chars = character_table(table, order_cap=order_cap, class_cap=class_cap)
-    for idx, theta in enumerate(h_chars.irreducibles):
-        if all(v == 1 for v in theta.values):
-            continue
-        homogeneous, _, _ = is_homogeneous_induction(G, H, theta)
-        if not homogeneous:
-            return ConditionVerdict.fail(
-                CI, None, None, f"theta_index={idx} induces non-homogeneously"
-            )
+    table = character_table(G, order_cap=order_cap, class_cap=class_cap)
+    class_of = conjugacy_classes(G).class_of
+    in_h = Counter(class_of[h] for h in H.members)
+    c = list(in_h.values())
+    rows = [[chi.values[k] for k in in_h] for chi in table.irreducibles]
+    conj_rows = [[v.conjugate() for v in row] for row in rows]
+    # |H| [chi_H, 1_H] and |H| [chi_i_H, chi_j_H] are rational integers
+    trivial = [sum((v * n for v, n in zip(row, c)), Cyc.zero(1)).as_int() for row in rows]
+    for i, row in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            gram = Cyc.zero(1)
+            for v, w, n in zip(row, conj_rows[j], c):
+                gram = gram + v * w * n
+            if gram.as_int() * len(H) != trivial[i] * trivial[j]:
+                return ConditionVerdict.fail(
+                    CI, None, None, f"chi_index={i} and chi_index={j} share a nontrivial constituent on H"
+                )
     return ConditionVerdict.ok(CI)
 
 

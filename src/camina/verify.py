@@ -131,9 +131,20 @@ class Pair:
     def O(self) -> ConditionVerdict:
         return satisfies_O(self.G, self.H)
 
-    @cached_property
+    @property
     def CI(self) -> ConditionVerdict:
-        return satisfies_CI(self.G, self.H, self.order_cap, self.class_cap)
+        """(CI), or the CapExceeded of its character table, raised on every read."""
+        verdict = self._CI
+        if isinstance(verdict, CapExceeded):
+            raise verdict
+        return verdict
+
+    @cached_property
+    def _CI(self) -> ConditionVerdict | CapExceeded:
+        try:
+            return satisfies_CI(self.G, self.H, self.order_cap, self.class_cap)
+        except CapExceeded as exc:
+            return exc
 
     @cached_property
     def N(self) -> ElementSet:
@@ -201,7 +212,7 @@ def _theorem2(pair: Pair) -> tuple[str, dict]:
     if len(N) == G.order:
         details["failure"] = "normal closure is the whole group"
         return VIOLATION, details
-    fpm_n = satisfies_Fpm(G, N)
+    fpm_n = pair.Fpm if pair.normal else satisfies_Fpm(G, N)
     nilp = nilpotent_subgroup(G, N)
     details["fpm_on_closure"] = fpm_n.holds
     details["closure_nilpotent"] = nilp

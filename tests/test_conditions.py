@@ -1,6 +1,9 @@
+import re
+
 import pytest
 
 from camina.catalog import builtin, builtin_catalog
+from camina.chartab import character_table, decompose, is_homogeneous_induction, restrict
 from camina.conditions import (
     bs_hypothesis,
     derangements,
@@ -12,7 +15,7 @@ from camina.conditions import (
     satisfies_Fpm,
     satisfies_O,
 )
-from camina.grouptable import ElementSet
+from camina.grouptable import ElementSet, subgroup_table
 from camina.structure import conjugacy_classes, subgroups
 
 
@@ -110,9 +113,20 @@ class TestConditionCI:
         assert satisfies_CI(s3, by_order(s3, 3)).holds
 
     def test_s4_transposition_fails(self, s4):
-        v = satisfies_CI(s4, by_order(s4, 2))
+        H = by_order(s4, 2)
+        v = satisfies_CI(s4, H)
         assert not v.holds
-        assert "theta_index" in v.witness.detail
+        # replay: chi_i and chi_j restricted to H share a nontrivial constituent
+        i, j = (int(k) for k in re.findall(r"chi_index=(\d+)", v.witness.detail))
+        irr = character_table(s4).irreducibles
+        h_table = character_table(subgroup_table(s4, H)[0])
+        a, b = (dict(decompose(restrict(s4, irr[k], H), h_table)) for k in (i, j))
+        shared = [
+            t
+            for t, theta in enumerate(h_table.irreducibles)
+            if a[t] and b[t] and not all(x == 1 for x in theta.values)
+        ]
+        assert shared
 
     def test_q8_center(self, q8):
         assert satisfies_CI(q8, by_order(q8, 2)).holds
@@ -125,6 +139,27 @@ class TestConditionCI:
             for H in subgroups(G):
                 if 1 < len(H) < G.order:
                     assert satisfies_CI(G, H).holds == satisfies_F(G, H).holds
+
+    def test_matches_induction_definition(self):
+        """Frobenius reciprocity against the definition: every nontrivial
+        theta in Irr(H) is induced to G and decomposed in Irr(G)."""
+        pairs = 0
+        for entry in builtin_catalog():
+            G = entry.group()
+            if G.order > 48:
+                continue
+            for H in subgroups(G):
+                if not 1 < len(H) < G.order:
+                    continue
+                thetas = character_table(subgroup_table(G, H)[0]).irreducibles
+                expected = all(
+                    is_homogeneous_induction(G, H, theta)[0]
+                    for theta in thetas
+                    if not all(x == 1 for x in theta.values)
+                )
+                assert satisfies_CI(G, H).holds == expected, (entry.label, H.members)
+                pairs += 1
+        assert pairs == 448
 
     def test_cap_propagates(self, s4):
         from camina.grouptable import CapExceeded

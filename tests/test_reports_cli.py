@@ -136,6 +136,15 @@ class TestCli:
         assert rc == 0
         assert "4 subgroup(s) satisfy f" in out
 
+    def test_search_ci_matches_f(self, capsys):
+        # theorem 1: (CI) and (F) select the same subgroups
+        listed = {}
+        for condition in ("ci", "f"):
+            assert run_cli(["search", "--group", "A4", "--condition", condition]) == 0
+            out = capsys.readouterr().out
+            listed[condition] = [line for line in out.splitlines() if line.startswith("subgroup ")]
+        assert listed["ci"] == listed["f"] and len(listed["ci"]) == 4
+
     def test_usage_errors(self, capsys):
         assert run_cli(["check", "--group", "NOPE", "--subgroup-order", "2", "--condition", "f"]) == 1
         assert run_cli(["verify", "--claims", "bogus", "--max-order", "6"]) == 1

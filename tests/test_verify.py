@@ -75,6 +75,21 @@ class TestTheorem2:
         assert r.details["fpm_on_closure"]
         assert not r.details["closure_nilpotent"]
 
+    def test_normal_subgroup_reuses_fpm(self, monkeypatch):
+        # H normal means N = H, so (F+-) on (G, N) is the pair's own (F+-)
+        G = builtin("Frob(5:4)").group()
+        H = by_order(G, 10)
+        calls = Counter()
+        original = verify.satisfies_Fpm
+
+        def counted(G, H):
+            calls[H.members] += 1
+            return original(G, H)
+
+        monkeypatch.setattr(verify, "satisfies_Fpm", counted)
+        assert verify_pair_claim(G, H, "theorem2").status == PASS
+        assert calls == {H.members: 1}
+
     def test_a4_non_normal_pair(self, a4):
         H = by_order(a4, 2)
         r = verify_pair_claim(a4, H, "theorem2")
@@ -250,6 +265,38 @@ class TestOneEvaluationPerPair:
         monkeypatch.setattr(verify, predicate, counted)
         assert len(sweep_single("A4", a4, claims)) == 8 * len(claims)
         assert len(calls) == 8 and set(calls.values()) == {1}, calls
+
+    def test_ci_over_cap_runs_once_per_pair(self, monkeypatch, s4):
+        calls = Counter()
+        original = verify.satisfies_CI
+
+        def counted(G, H, *args, **kwargs):
+            calls[H.members] += 1
+            return original(G, H, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "satisfies_CI", counted)
+        reports = sweep_single("S4", s4, ["theorem1", "lemma_l", "lemma_m"], char_class_cap=3)
+        assert len(reports) == 28 * 3
+        assert {(r.status, r.details["reason"]) for r in reports} == {
+            (SKIPPED, "character table class cap exceeded (reached 5)")
+        }
+        assert len(calls) == 28 and set(calls.values()) == {1}, calls
+
+    def test_sweep_builds_one_character_table(self, monkeypatch):
+        # (CI) reads Irr(G) only: no subgroup gets a table of its own
+        import camina.chartab as chartab
+
+        builds = []
+        original = chartab._simultaneous_eigenvectors
+
+        def counted(*args):
+            builds.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(chartab, "_simultaneous_eigenvectors", counted)
+        reports = sweep_single("S4", builtin("S4").group(), list(verify.ALL_CLAIMS))
+        assert not any(r.status == SKIPPED for r in reports)
+        assert len(builds) == 1
 
 
 class TestTracedHooks:
