@@ -17,8 +17,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
+from .chartab import is_prime
 from .grouptable import DEFAULT_ORDER_CAP, GroupTable, generate
 from .perm import Permutation
+from .structure import prime_factors
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         raise ValueError("empty permutation")
     consumed = 0
     cycles: list[list[int]] = []
+    seen: set[int] = set()
     for m in _CYCLE_RE.finditer(stripped):
         if m.start() != consumed:
             raise ValueError(f"malformed cycle text {text!r}")
@@ -68,13 +71,13 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         for p in points:
             if not 1 <= p <= degree:
                 raise ValueError(f"point {p} out of range 1..{degree}")
+            if p in seen:
+                raise ValueError(f"point {p} repeated across cycles")
+            seen.add(p)
         cycles.append([p - 1 for p in points])
     if consumed != len(stripped):
         raise ValueError(f"malformed cycle text {text!r}")
-    try:
-        return Permutation.from_cycles(degree, cycles)
-    except ValueError as exc:
-        raise ValueError(str(exc).replace("point ", "point (1-based) ")) from None
+    return Permutation.from_cycles(degree, cycles)
 
 
 def format_cycles(perm: Permutation) -> str:
@@ -180,7 +183,7 @@ def _quaternion(order: int) -> tuple[int, list[Permutation]]:
 
 
 def _heisenberg(p: int) -> tuple[int, list[Permutation]]:
-    if p == 2 or not _is_prime(p):
+    if p == 2 or not is_prime(p):
         raise UnknownLabel(f"Heis parameter must be an odd prime, got {p}")
     elements = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
 
@@ -206,45 +209,20 @@ def _sl23() -> tuple[int, list[Permutation]]:
     return 8, [action(((1, 1), (0, 1))), action(((1, 0), (1, 1)))]
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _frobenius(p: int, q: int) -> tuple[int, list[Permutation]]:
-    if not _is_prime(p):
+    if not is_prime(p):
         raise UnknownLabel(f"Frob parameter {p} is not prime")
     if q <= 1 or (p - 1) % q != 0:
         raise UnknownLabel(f"Frob requires q | p-1, got Frob({p}:{q})")
     gamma = next(
         g
         for g in range(2, p)
-        if all(pow(g, (p - 1) // r, p) != 1 for r in _prime_divisors(p - 1))
+        if all(pow(g, (p - 1) // r, p) != 1 for r in prime_factors(p - 1))
     )
     c = pow(gamma, (p - 1) // q, p)
     shift = Permutation(tuple((i + 1) % p for i in range(p)))
     mult = Permutation(tuple((c * i) % p for i in range(p)))
     return p, [shift, mult]
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _direct_product(parts: list[CatalogEntry]) -> tuple[int, list[Permutation]]:

@@ -3,12 +3,19 @@
 Every predicate is an exhaustive scan with early exit; a failing verdict
 carries the first witness in canonical element order, and replaying the
 witness against the defining clause reproduces the violation.
+
+The coset conditions ((F), (F+-), (O), equal orders, Camina) share one
+scan, ``_coset_scan``, over x outside H and h in H.  Each of them holds for
+every member of xH once it holds for x, so the scan skips the members of
+cosets already passed: it skips only elements that would pass, and the
+witness stays the first one in element order.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from .chartab import character_table
 from .cyclotomic import Cyc
@@ -67,47 +74,23 @@ def is_camina_pair(G: GroupTable, N: ElementSet) -> ConditionVerdict:
                     return ConditionVerdict.fail(
                         CAMINA, g, n, "N is not normal: conjugate of h by x leaves N"
                     )
-    classes = conjugacy_classes(G)
-    for g in range(G.order):
-        if g in N:
-            continue
-        cg = classes.class_of[g]
-        for n in N.members:
-            if classes.class_of[G.mul(g, n)] != cg:
-                return ConditionVerdict.fail(CAMINA, g, n, "x*h is not conjugate to x")
-    return ConditionVerdict.ok(CAMINA)
+    return _coset_scan(G, N, CAMINA, _same_class(G), "x*h is not conjugate to x")
 
 
 def satisfies_F(G: GroupTable, H: ElementSet) -> ConditionVerdict:
     """xH inside x^G for every x outside H."""
     _require_nontrivial_proper(G, H, "condition (F)")
-    classes = conjugacy_classes(G)
-    for x in range(G.order):
-        if x in H:
-            continue
-        cx = classes.class_of[x]
-        for h in H.members:
-            if classes.class_of[G.mul(x, h)] != cx:
-                return ConditionVerdict.fail(F, x, h, "x*h is not conjugate to x")
-    return ConditionVerdict.ok(F)
+    return _coset_scan(G, H, F, _same_class(G), "x*h is not conjugate to x")
 
 
 def satisfies_Fpm(G: GroupTable, H: ElementSet) -> ConditionVerdict:
     """x*h conjugate to x or to x^-1 for every x outside H, h in H."""
     _require_nontrivial_proper(G, H, "condition (F+-)")
     classes = conjugacy_classes(G)
-    for x in range(G.order):
-        if x in H:
-            continue
-        cx = classes.class_of[x]
-        cxinv = classes.inverse_class[cx]
-        for h in H.members:
-            c = classes.class_of[G.mul(x, h)]
-            if c != cx and c != cxinv:
-                return ConditionVerdict.fail(
-                    FPM, x, h, "x*h is conjugate to neither x nor x^-1"
-                )
-    return ConditionVerdict.ok(FPM)
+    c, inv = classes.class_of, classes.inverse_class
+    return _coset_scan(
+        G, H, FPM, lambda x, y: c[y] in (c[x], inv[c[x]]), "x*h is conjugate to neither x nor x^-1"
+    )
 
 
 def satisfies_CI(
@@ -155,13 +138,10 @@ def satisfies_O(G: GroupTable, H: ElementSet) -> ConditionVerdict:
         raise ValueError("condition (O) requires a subgroup")
     if len(H) >= G.order:
         raise ValueError("condition (O) requires a proper subgroup")
-    for x in range(G.order):
-        if x in H or G.element_order(x) % 2 == 0:
-            continue
-        for h in H.members:
-            if G.element_order(G.mul(x, h)) % 2 == 0:
-                return ConditionVerdict.fail(O, x, h, "x has odd order but x*h has even order")
-    return ConditionVerdict.ok(O)
+    odd = [x for x in range(G.order) if G.element_order(x) % 2]
+    return _coset_scan(
+        G, H, O, lambda x, y: G.element_order(y) % 2 == 1, "x has odd order but x*h has even order", odd
+    )
 
 
 def is_equal_order_pair(G: GroupTable, N: ElementSet) -> ConditionVerdict:
@@ -179,30 +159,54 @@ def equal_order_coset(G: GroupTable, H: ElementSet) -> ConditionVerdict:
 
 
 def _equal_order_scan(
-    G: GroupTable, H: ElementSet, tag: str, ambient: ElementSet | None = None
+    G: GroupTable, H: ElementSet, tag: str, xs: Iterable[int] | None = None
 ) -> ConditionVerdict:
-    """Scan x in ``ambient`` (default G) outside H against every h in H."""
-    for x in range(G.order) if ambient is None else ambient.members:
-        if x in H:
+    """Every x in ``xs`` (default G) outside H against every h in H: o(x*h) = o(x)."""
+    order = G.element_order
+    return _coset_scan(G, H, tag, lambda x, y: order(y) == order(x), "o(x*h) differs from o(x)", xs)
+
+
+def _same_class(G: GroupTable) -> Callable[[int, int], bool]:
+    class_of = conjugacy_classes(G).class_of
+    return lambda x, y: class_of[y] == class_of[x]
+
+
+def _coset_scan(
+    G: GroupTable,
+    H: ElementSet,
+    tag: str,
+    keeps: Callable[[int, int], bool],
+    detail: str,
+    xs: Iterable[int] | None = None,
+) -> ConditionVerdict:
+    """The first x in ``xs`` (default G, in element order) outside H and h in
+    H with ``keeps(x, x*h)`` false, as a failing verdict with ``detail``.
+
+    ``keeps`` must hold on all of xH once it holds for x and every h; the
+    members of such a passed coset are then skipped as x."""
+    passed = set(H.members)
+    for x in range(G.order) if xs is None else xs:
+        if x in passed:
             continue
-        ox = G.element_order(x)
         for h in H.members:
-            if G.element_order(G.mul(x, h)) != ox:
-                return ConditionVerdict.fail(tag, x, h, "o(x*h) differs from o(x)")
+            y = G.mul(x, h)
+            if not keeps(x, y):
+                return ConditionVerdict.fail(tag, x, h, detail)
+            passed.add(y)
     return ConditionVerdict.ok(tag)
 
 
 def derangements(G: GroupTable, H: ElementSet) -> ElementSet:
-    """G minus the union of all conjugates of H; nonempty for proper H."""
+    """G minus the union of all conjugates of H; nonempty for proper H.
+
+    That union is the union of the classes of G that meet H."""
     if not H.is_subgroup:
         raise ValueError("derangements requires a subgroup")
     if len(H) >= G.order:
         raise ValueError("derangements requires a proper subgroup")
-    covered = set()
-    for g in range(G.order):
-        for h in H.members:
-            covered.add(G.conj(h, g))
-    members = [x for x in range(G.order) if x not in covered]
+    class_of = conjugacy_classes(G).class_of
+    meets = {class_of[h] for h in H.members}
+    members = [x for x in range(G.order) if class_of[x] not in meets]
     if not members:
         raise RuntimeError("a proper subgroup always has derangements")
     return ElementSet(G, members)

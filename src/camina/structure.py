@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .grouptable import (
     CapExceeded,
@@ -135,16 +136,18 @@ def center(G: GroupTable) -> ElementSet:
 
 def normal_closure(G: GroupTable, H: ElementSet) -> ElementSet:
     """Least normal subgroup of G containing H (H may be any subset)."""
-    gens = list(small_generating_set(G, H.members)) if H.is_subgroup else list(H.members)
+    gens = small_generating_set(G, H.members) if H.is_subgroup else H.members
+    return _conjugation_closure(G, gens, G.generator_ids)
+
+
+def _conjugation_closure(G: GroupTable, gens: Iterable[int], conjugators: Sequence[int]) -> ElementSet:
+    """Least subgroup containing ``gens`` and closed under conjugation by
+    ``conjugators``: close, add the missing conjugates, repeat."""
+    gens = list(gens)
     while True:
         current = closure_indices(G, gens)
         memberset = set(current)
-        missing = []
-        for x in current:
-            for g in G.generator_ids:
-                y = G.conj(x, g)
-                if y not in memberset:
-                    missing.append(y)
+        missing = [y for x in current for g in conjugators if (y := G.conj(x, g)) not in memberset]
         if not missing:
             return ElementSet(G, current)
         gens.extend(missing)
@@ -174,19 +177,7 @@ def derived_subgroup(G: GroupTable, S: ElementSet | None = None) -> ElementSet:
     members = S.members if S is not None else tuple(range(G.order))
     gens = small_generating_set(G, members)
     seed = {G.commutator(a, b) for a in gens for b in gens}
-    closure_gens = sorted(seed)
-    while True:
-        current = closure_indices(G, closure_gens)
-        memberset = set(current)
-        missing = []
-        for x in current:
-            for g in gens:
-                y = G.conj(x, g)
-                if y not in memberset:
-                    missing.append(y)
-        if not missing:
-            return ElementSet(G, current)
-        closure_gens.extend(missing)
+    return _conjugation_closure(G, sorted(seed), gens)
 
 
 def commutator_subgroup(G: GroupTable) -> ElementSet:
@@ -239,43 +230,61 @@ def is_nilpotent(G: GroupTable) -> bool:
 def subgroups(G: GroupTable, count_cap: int = DEFAULT_SUBGROUP_CAP) -> list[ElementSet]:
     """All subgroups of G, ordered by (order, member tuple).
 
-    Seeded with every cyclic subgroup and saturated under pairwise join
-    until no new subgroup appears.  Cached on the table.
+    Found breadth-first from the trivial group by zuppo joins (Neubüser's
+    cyclic extension): each subgroup found is joined with one generator of
+    every zuppo, i.e. cyclic subgroup of prime-power order, outside it.
+    Every element is a product of commuting prime-power-order powers of
+    itself, so every subgroup is generated by its zuppos, and a chain of
+    single zuppo joins leads from 1 to it.  Each join at least doubles the
+    order, so a subgroup is kept with at most log2 of its order generators.
+    Cached on the table.
     """
     hit = G._cache.get("subgroups")
     if hit is not None:
         return hit
+    zuppos = _zuppo_generators(G)
     gens_of: dict[tuple[int, ...], tuple[int, ...]] = {}
-    set_of: dict[tuple[int, ...], frozenset[int]] = {}
+    worklist: list[tuple[int, ...]] = []
 
-    def record(members: tuple[int, ...]) -> bool:
+    def record(members: tuple[int, ...], gens: tuple[int, ...]) -> None:
         if members in gens_of:
-            return False
+            return
         if len(gens_of) >= count_cap:
             raise CapExceeded("subgroup cap exceeded", len(gens_of))
-        gens_of[members] = small_generating_set(G, members)
-        set_of[members] = frozenset(members)
-        return True
+        gens_of[members] = gens
+        worklist.append(members)
 
-    for x in range(G.order):
-        record(closure_indices(G, (x,)))
-    worklist = list(gens_of)
-    while worklist:
-        a = worklist.pop()
-        aset = set_of[a]
-        for b in list(gens_of):
-            bset = set_of[b]
-            if aset <= bset or bset <= aset:
-                continue
-            join = closure_indices(G, gens_of[a] + gens_of[b])
-            if record(join):
-                worklist.append(join)
+    record((0,), ())
+    for a in worklist:  # grows while it is walked: breadth-first
+        inside = set(a)
+        for z in zuppos:
+            if z not in inside:
+                gens = gens_of[a] + (z,)
+                record(closure_indices(G, gens), gens)
     ordered = sorted(gens_of, key=lambda m: (len(m), m))
     result = [ElementSet(G, m) for m in ordered]
     for s in result:
         s._is_subgroup = True
     G._cache["subgroups"] = result
     return result
+
+
+def _zuppo_generators(G: GroupTable) -> list[int]:
+    """The least generator of each nontrivial cyclic subgroup of prime-power
+    order, ascending."""
+    out = []
+    covered = set()
+    for x in range(1, G.order):
+        n = G.element_order(x)
+        if x in covered or not is_p_group(n):
+            continue
+        out.append(x)
+        y = x
+        for k in range(1, n):
+            if math.gcd(k, n) == 1:
+                covered.add(y)
+            y = G.mul(y, x)
+    return out
 
 
 def sylow_subgroup(G: GroupTable, p: int) -> ElementSet:

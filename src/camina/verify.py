@@ -28,6 +28,7 @@ from .chartab import (
 from .conditions import (
     EQUAL_ORDER_COSET,
     ConditionVerdict,
+    _coset_scan,
     _equal_order_scan,
     bs_hypothesis,
     derangements,
@@ -258,7 +259,7 @@ def _cor1(pair: Pair) -> tuple[str, dict]:
     )
     ngh = normalizer(G, H)
     if len(ngh) > len(H):
-        c = _equal_order_scan(G, H, EQUAL_ORDER_COSET, ambient=ngh)
+        c = _equal_order_scan(G, H, EQUAL_ORDER_COSET, ngh.members)
         c_ok, c_wit = c.holds, _witness_dict(c)
     else:
         c_ok, c_wit = False, {"detail": "H is self-normalizing"}
@@ -336,12 +337,11 @@ def _lemma_b(pair: Pair) -> tuple[str, dict]:
 
 def _lemma_c(pair: Pair) -> tuple[str, dict]:
     G, H, N = pair.G, pair.H, pair.N
-    union = set()
-    for g in range(G.order):
-        for h in H.members:
-            union.add(G.conj(h, g))
+    class_of = conjugacy_classes(G).class_of
+    meets = {class_of[h] for h in H.members}
+    union = tuple(x for x in range(G.order) if class_of[x] in meets)  # of the conjugates of H
     details = {"n_order": len(N), "union_size": len(union)}
-    ok = union == set(N.members) and 1 < len(N) < G.order
+    ok = union == N.members and 1 < len(N) < G.order
     return (PASS if ok else VIOLATION), details
 
 
@@ -450,20 +450,21 @@ def _lemma_l(pair: Pair) -> tuple[str, dict]:
 
 def _lemma_m(pair: Pair) -> tuple[str, dict]:
     G, H = pair.G, pair.H
-    classes = conjugacy_classes(G)
+    class_of = conjugacy_classes(G).class_of
     irr = _irr_given_n(pair)
     for chi in irr:
-        for x in pair.N.members:
-            if x in H:
-                continue
-            vx = chi.values[classes.class_of[x]]
-            for h in H.members:
-                if not chi.values[classes.class_of[G.mul(x, h)]] == vx:
-                    return VIOLATION, {
-                        "x": x,
-                        "h": h,
-                        "failure": "character is not constant on the coset xH",
-                    }
+        values = chi.values
+        verdict = _coset_scan(
+            G,
+            H,
+            "lemma_m",
+            lambda x, y: values[class_of[y]] == values[class_of[x]],
+            "character is not constant on the coset xH",
+            pair.N.members,
+        )
+        if not verdict.holds:
+            w = verdict.witness
+            return VIOLATION, {"x": w.x, "h": w.h, "failure": w.detail}
     return PASS, {"characters_checked": len(irr)}
 
 

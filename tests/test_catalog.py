@@ -90,6 +90,11 @@ class TestCycleNotation:
         with pytest.raises(ValueError):
             parse_cycles("(1,2)(2,3)", 3)
 
+    @pytest.mark.parametrize("text, point", [("(1,2)(2,3)", 2), ("(1,1)", 1)])
+    def test_repeated_point_named_one_based(self, text, point):
+        with pytest.raises(ValueError, match=rf"^point {point} repeated"):
+            parse_cycles(text, 3)
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             parse_cycles("(1,4)", 3)

@@ -267,6 +267,17 @@ class TestDerangements:
                 for g in s4.generator_ids:
                     assert s4.conj(x, g) in members
 
+    def test_matches_union_of_conjugates(self):
+        for entry in builtin_catalog():
+            G = entry.group()
+            if G.order > 24:
+                continue
+            for H in subgroups(G):
+                if len(H) == G.order:
+                    continue
+                covered = {G.conj(h, g) for g in range(G.order) for h in H.members}
+                assert set(derangements(G, H).members) == set(range(G.order)) - covered
+
 
 class TestBsHypothesis:
     def test_identity_holds(self, s3):
@@ -312,3 +323,49 @@ class TestImplicationChain:
                 if not 1 < len(H) < G.order or not H.is_normal():
                     continue
                 assert is_camina_pair(G, H).holds == satisfies_F(G, H).holds
+
+
+def _first_failure(G, H, keeps, xs):
+    """The definition as a plain double loop: the first (x, h) in element
+    order, x in ``xs`` outside H, with keeps(x, x*h) false."""
+    for x in xs:
+        if x in H:
+            continue
+        for h in H.members:
+            if not keeps(x, G.mul(x, h)):
+                return x, h
+    return None
+
+
+class TestCosetScan:
+    def test_first_witness_matches_double_loop(self):
+        """Skipping passed cosets keeps every verdict and its first witness."""
+        checked = 0
+        for entry in builtin_catalog():
+            G = entry.group()
+            if G.order > 48:
+                continue
+            cls = conjugacy_classes(G)
+            c, order = cls.class_of, G.element_order
+            odd = [x for x in range(G.order) if order(x) % 2]
+            for H in subgroups(G):
+                if not 1 < len(H) < G.order:
+                    continue
+                cases = [
+                    (satisfies_F(G, H), lambda x, y: c[y] == c[x], range(G.order)),
+                    (
+                        satisfies_Fpm(G, H),
+                        lambda x, y: c[y] in (c[x], cls.inverse_class[c[x]]),
+                        range(G.order),
+                    ),
+                    (satisfies_O(G, H), lambda x, y: order(y) % 2 == 1, odd),
+                    (equal_order_coset(G, H), lambda x, y: order(y) == order(x), range(G.order)),
+                ]
+                if H.is_normal():
+                    cases.append((is_camina_pair(G, H), lambda x, y: c[y] == c[x], range(G.order)))
+                for verdict, keeps, xs in cases:
+                    expect = _first_failure(G, H, keeps, xs)
+                    got = None if verdict.holds else (verdict.witness.x, verdict.witness.h)
+                    assert got == expect, (entry.label, H.members, verdict.condition)
+                    checked += 1
+        assert checked > 1000

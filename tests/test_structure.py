@@ -1,7 +1,8 @@
+import pytest
 from hypothesis import given, strategies as st
 
 from camina.catalog import builtin, builtin_catalog
-from camina.grouptable import ElementSet, subgroup_table
+from camina.grouptable import CapExceeded, ElementSet, closure_indices, small_generating_set, subgroup_table
 from camina.perm import Permutation, compose, element_order
 from camina.structure import (
     center,
@@ -224,8 +225,32 @@ class TestSubgroups:
         assert keys == sorted(keys)
 
     def test_known_counts(self):
-        for label, expect in [("A4", 10), ("S4", 30), ("A5", 59), ("D6", 16)]:
+        for label, expect in [("A4", 10), ("S4", 30), ("A5", 59), ("D6", 16), ("S5", 156)]:
             assert len(subgroups(builtin(label).group())) == expect, label
+
+    def test_complete_under_single_element_joins(self):
+        # Independent of how subgroups are found: the list holds distinct
+        # subgroups, and joining any of them with any element stays in it.
+        for entry in builtin_catalog():
+            G = entry.group()
+            if G.order > 60:
+                continue
+            listed = [H.members for H in subgroups(G)]
+            assert len(set(listed)) == len(listed), entry.label
+            assert all(ElementSet(G, m).is_subgroup for m in listed), entry.label
+            found = set(listed)
+            for members in listed:
+                inside = set(members)
+                gens = small_generating_set(G, members)
+                for x in range(G.order):
+                    if x not in inside:
+                        assert closure_indices(G, gens + (x,)) in found, (entry.label, members, x)
+
+    def test_count_cap(self):
+        with pytest.raises(CapExceeded, match="subgroup cap exceeded") as exc:
+            subgroups(builtin("S4").group(), count_cap=29)
+        assert exc.value.partial == 29
+        assert len(subgroups(builtin("S4").group(), count_cap=30)) == 30
 
 
 class TestSylowAndFittingPieces:

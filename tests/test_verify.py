@@ -326,3 +326,12 @@ class TestTracedHooks:
     def test_pair_claim_signature(self):
         params = list(inspect.signature(verify.verify_pair_claim).parameters)
         assert params[:3] == ["G", "H", "claim"]
+
+
+class TestSubgroupCap:
+    def test_every_pair_claim_skipped(self):
+        reports = sweep_single("S4", builtin("S4").group(), list(verify.PAIR_CLAIMS), subgroup_cap=29)
+        assert [r.claim for r in reports] == list(verify.PAIR_CLAIMS)
+        assert {(r.status, r.subgroup_index, r.details["reason"]) for r in reports} == {
+            (SKIPPED, -1, "subgroup cap exceeded (reached 29)")
+        }
