@@ -348,11 +348,15 @@ def character_table(
 
     if sum(d * d for d in degrees) != n:
         raise RuntimeError("degree squares do not sum to the group order")
-    for i, chi in enumerate(rows):
-        for j in range(i, len(rows)):
-            expect = 1 if i == j else 0
-            got = inner_product(chi, rows[j])
-            if not (isinstance(got, Cyc) and got == expect):
+    # |G| [chi_i, chi_j] = sum_k chi_i(k) w_k with w_k = conj(chi_j(k)) |K_k|,
+    # each weighted row built once and compared with every row up to it.
+    for j, chi in enumerate(rows):
+        weighted = [v.conjugate() * size for v, size in zip(chi.values, classes.sizes)]
+        for i in range(j + 1):
+            total = Cyc.zero(e)
+            for a, w in zip(rows[i].values, weighted):
+                total = total + a * w
+            if not total == (n if i == j else 0):
                 raise RuntimeError("character rows are not orthonormal")
 
     rows.sort(key=lambda cf: (cf.values[0].as_int(), tuple(v.coeffs for v in cf.values)))

@@ -28,9 +28,8 @@ class GroupTable:
     """A fully enumerated permutation group.
 
     ``elements[0]`` is the identity (the identity image table is the
-    lexicographic minimum among bijections), ``index_of`` maps an image
-    tuple back to its index, and ``cayley_action[k][i]`` is the index of
-    ``elements[i] * generators[k]``.
+    lexicographic minimum among bijections) and ``index_of`` maps an image
+    tuple back to its index.
     """
 
     def __init__(self, degree: int, elements: Sequence[Permutation], generator_ids: Sequence[int]):
@@ -45,10 +44,6 @@ class GroupTable:
         self._orders: list[int | None] = [None] * len(self.elements)
         self._mul_memo: dict[int, int] | None = {} if len(self.elements) <= MUL_MEMO_LIMIT else None
         self._cache: dict = {}
-        self.cayley_action = tuple(
-            tuple(self.mul(i, g) for i in range(len(self.elements)))
-            for g in self.generator_ids
-        )
 
     @property
     def order(self) -> int:
@@ -207,9 +202,10 @@ def left_coset(G: GroupTable, x: int, H: ElementSet) -> ElementSet:
 
 
 def closure_indices(G: GroupTable, seed: Iterable[int]) -> tuple[int, ...]:
-    """Indices of the subgroup of G generated by ``seed``, sorted."""
-    gens = sorted(set(seed) | {0})
-    members = set(gens)
+    """Indices of the subgroup of G generated by ``seed``, sorted.  The
+    identity is a member but never a multiplier."""
+    gens = sorted(set(seed) - {0})
+    members = {0, *gens}
     frontier = list(gens)
     while frontier:
         nxt = []

@@ -18,7 +18,6 @@ from .grouptable import (
     GroupTable,
     closure_indices,
     small_generating_set,
-    subgroup_table,
 )
 from .perm import Permutation, element_order
 
@@ -192,8 +191,10 @@ class SeriesChain:
     terms: tuple[ElementSet, ...]
 
 
-def derived_series(G: GroupTable) -> SeriesChain:
-    terms = [ElementSet.whole(G)]
+def derived_series(G: GroupTable, S: ElementSet | None = None) -> SeriesChain:
+    """S >= [S, S] >= ... until it stabilizes, each term a subgroup of G
+    computed with G's products (S defaults to the whole group)."""
+    terms = [S if S is not None else ElementSet.whole(G)]
     while True:
         nxt = derived_subgroup(G, terms[-1])
         if len(nxt) == len(terms[-1]):
@@ -202,29 +203,32 @@ def derived_series(G: GroupTable) -> SeriesChain:
     return SeriesChain("derived", tuple(terms))
 
 
-def is_solvable(G: GroupTable) -> bool:
-    return len(derived_series(G).terms[-1]) == 1
+def is_solvable(G: GroupTable, S: ElementSet | None = None) -> bool:
+    """Whether the subgroup S of G (default: G) is solvable."""
+    return len(derived_series(G, S).terms[-1]) == 1
 
 
-def upper_central_series(G: GroupTable) -> SeriesChain:
-    """1 = Z_0 <= Z_1 <= ... with Z_{i+1}/Z_i the center of G/Z_i."""
+def upper_central_series(G: GroupTable, S: ElementSet | None = None) -> SeriesChain:
+    """1 = Z_0 <= Z_1 <= ... with Z_{i+1}/Z_i the center of S/Z_i, for the
+    subgroup S of G (default: G), computed with G's products.  An element
+    of S is central modulo Z_i iff it commutes modulo Z_i with a generating
+    set of S: G's generators, or ``small_generating_set`` of a proper S."""
+    members = S.members if S is not None else range(G.order)
+    gens = G.generator_ids if S is None else small_generating_set(G, S.members)
     terms = [ElementSet.trivial(G)]
     while True:
         prev = terms[-1]
-        members = [
-            x
-            for x in range(G.order)
-            if all(G.commutator(x, g) in prev for g in G.generator_ids)
-        ]
-        nxt = ElementSet(G, members)
+        nxt = ElementSet(G, (x for x in members if all(G.commutator(x, g) in prev for g in gens)))
         if len(nxt) == len(prev):
             break
         terms.append(nxt)
     return SeriesChain("upper_central", tuple(terms))
 
 
-def is_nilpotent(G: GroupTable) -> bool:
-    return len(upper_central_series(G).terms[-1]) == G.order
+def is_nilpotent(G: GroupTable, S: ElementSet | None = None) -> bool:
+    """Whether the subgroup S of G (default: G) is nilpotent."""
+    order = len(S) if S is not None else G.order
+    return len(upper_central_series(G, S).terms[-1]) == order
 
 
 def subgroups(G: GroupTable, count_cap: int = DEFAULT_SUBGROUP_CAP) -> list[ElementSet]:
@@ -322,13 +326,15 @@ def o_lower_p(G: GroupTable, p: int) -> ElementSet:
     return core(G, sylow_subgroup(G, p))
 
 
-def o_upper_p(G: GroupTable, p: int) -> ElementSet:
-    """O^p(G): the subgroup generated by all p-regular elements.
+def o_upper_p(G: GroupTable, p: int, S: ElementSet | None = None) -> ElementSet:
+    """O^p(S) for the subgroup S of G (default: G): the subgroup generated
+    by the p-regular elements of S, closed with G's products.
 
-    It is normal (the p-regular elements are closed under conjugation)
-    and is the least normal subgroup with p-group quotient.
+    It is normal in S (the p-regular elements are closed under conjugation)
+    and is the least normal subgroup of S with p-group quotient.
     """
-    regulars = [x for x in range(G.order) if G.element_order(x) % p != 0]
+    members = S.members if S is not None else range(G.order)
+    regulars = [x for x in members if G.element_order(x) % p != 0]
     return ElementSet(G, closure_indices(G, regulars))
 
 
@@ -412,13 +418,3 @@ def exponent(G: GroupTable) -> int:
         hit = math.lcm(*(G.element_order(i) for i in range(G.order)))
         G._cache["exponent"] = hit
     return hit
-
-
-def solvable_subgroup(G: GroupTable, H: ElementSet) -> bool:
-    table, _, _ = subgroup_table(G, H)
-    return is_solvable(table)
-
-
-def nilpotent_subgroup(G: GroupTable, H: ElementSet) -> bool:
-    table, _, _ = subgroup_table(G, H)
-    return is_nilpotent(table)

@@ -13,18 +13,12 @@ at most once, so claims that share a hypothesis share its evaluation.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 from .catalog import CatalogEntry
-from .chartab import (
-    ClassFunction,
-    character_table,
-    in_irr_given_N,
-    inner_product_int,
-    restrict,
-    trivial_character,
-)
+from .chartab import ClassFunction, character_table, in_irr_given_N
 from .conditions import (
     EQUAL_ORDER_COSET,
     ConditionVerdict,
@@ -38,6 +32,7 @@ from .conditions import (
     satisfies_Fpm,
     satisfies_O,
 )
+from .cyclotomic import Cyc
 from .grouptable import (
     DEFAULT_ORDER_CAP,
     CapExceeded,
@@ -45,7 +40,6 @@ from .grouptable import (
     GroupTable,
     quotient_table,
     small_generating_set,
-    subgroup_table,
 )
 from .structure import (
     DEFAULT_SUBGROUP_CAP,
@@ -53,10 +47,12 @@ from .structure import (
     class_product,
     commutator_subgroup,
     conjugacy_classes,
+    derived_subgroup,
     is_frobenius_with_kernel,
+    is_nilpotent,
     is_p_group,
     is_simple,
-    nilpotent_subgroup,
+    is_solvable,
     normal_closure,
     normalizer,
     o_lower_p,
@@ -64,7 +60,6 @@ from .structure import (
     p_part,
     prime_factors,
     set_times_class,
-    solvable_subgroup,
     subgroups,
 )
 
@@ -114,6 +109,7 @@ class Pair:
     subgroup_index: int = -1
     order_cap: int | None = None
     class_cap: int | None = None
+    _o_upper: dict[int, ElementSet] = field(default_factory=dict, init=False, repr=False)
 
     def report(self, claim: str, status: str, details: dict) -> VerificationReport:
         return VerificationReport(
@@ -156,6 +152,13 @@ class Pair:
     def normal(self) -> bool:
         return self.H.is_normal()
 
+    def o_upper(self, p: int) -> ElementSet:
+        """O^p(H), computed once per prime."""
+        hit = self._o_upper.get(p)
+        if hit is None:
+            hit = self._o_upper[p] = o_upper_p(self.G, p, self.H)
+        return hit
+
 
 def _group_report(label: str, G: GroupTable, claim: str, status: str, details: dict) -> VerificationReport:
     return VerificationReport(label, G.order, -1, 0, claim, status, details)
@@ -175,13 +178,6 @@ def is_subnormal(G: GroupTable, H: ElementSet) -> bool:
         if len(nxt) == len(current):
             return False
         current = nxt
-
-
-def _o2_in_parent(G: GroupTable, H: ElementSet, p: int = 2) -> ElementSet:
-    """O^p(H) as a subset of G."""
-    table, to_parent, _ = subgroup_table(G, H)
-    inner = o_upper_p(table, p)
-    return ElementSet(G, (to_parent[i] for i in inner.members))
 
 
 # --- main theorems ----------------------------------------------------------
@@ -214,7 +210,7 @@ def _theorem2(pair: Pair) -> tuple[str, dict]:
         details["failure"] = "normal closure is the whole group"
         return VIOLATION, details
     fpm_n = pair.Fpm if pair.normal else satisfies_Fpm(G, N)
-    nilp = nilpotent_subgroup(G, N)
+    nilp = is_nilpotent(G, N)
     details["fpm_on_closure"] = fpm_n.holds
     details["closure_nilpotent"] = nilp
     if fpm_n.holds and (nilp or pair.normal):
@@ -228,10 +224,10 @@ def _odd_order(pair: Pair) -> tuple[str, dict]:
     if not pair.O.holds:
         return VACUOUS, {"o_witness": _witness_dict(pair.O)}
     G, H = pair.G, pair.H
-    o2 = _o2_in_parent(G, H)
+    o2 = pair.o_upper(2)
     o2_normal = o2.is_normal()
     quotient_2group = _is_2_power(G.order // len(o2))
-    solvable = solvable_subgroup(G, H)
+    solvable = is_solvable(G, H)
     details = {
         "fired": True,
         "o2_order": len(o2),
@@ -250,7 +246,7 @@ def _cor1(pair: Pair) -> tuple[str, dict]:
     hyp = _equal_order_scan(G, H, EQUAL_ORDER_COSET)
     if not hyp.holds:
         return VACUOUS, {"equal_order_witness": _witness_dict(hyp)}
-    if solvable_subgroup(G, H):
+    if is_solvable(G, H):
         return PASS, {"fired": True, "h_solvable": True}
     o2g = o_upper_p(G, 2)
     a_ok = all(m in H for m in o2g.members) and is_subnormal(G, H)
@@ -355,7 +351,7 @@ def _lemma_d(pair: Pair) -> tuple[str, dict]:
 
 def _lemma_e(pair: Pair) -> tuple[str, dict]:
     G, N = pair.G, pair.N
-    nilp = nilpotent_subgroup(G, N)
+    nilp = is_nilpotent(G, N)
     frob = is_frobenius_with_kernel(G, N)
     pgrp = is_p_group(len(N))
     details = {"n_order": len(N), "n_nilpotent": nilp, "frobenius_kernel": frob, "n_p_group": pgrp}
@@ -366,9 +362,7 @@ def _lemma_f(pair: Pair) -> tuple[str, dict]:
     G, H, N = pair.G, pair.H, pair.N
     n_gens = small_generating_set(G, N.members)
     h_normal_in_n = all(G.conj(h, n) in H for h in H.members for n in n_gens)
-    table, to_parent, _ = subgroup_table(G, N)
-    derived = commutator_subgroup(table)
-    derived_in_h = all(to_parent[i] in H for i in derived.members)
+    derived_in_h = all(d in H for d in derived_subgroup(G, N).members)
     details = {"h_normal_in_n": h_normal_in_n, "n_over_h_abelian": derived_in_h}
     return (PASS if h_normal_in_n and derived_in_h else VIOLATION), details
 
@@ -415,7 +409,7 @@ def _lemma_j(pair: Pair) -> tuple[str, dict]:
     fired = []
     for p in prime_factors(G.order):
         lhs = all(G.element_order(x) % p == 0 for x in outside)
-        op = _o2_in_parent(G, H, p)
+        op = pair.o_upper(p)
         rhs = op.is_normal() and p_part(G.order // len(op), p) == G.order // len(op)
         if lhs:
             fired.append(p)
@@ -425,7 +419,7 @@ def _lemma_j(pair: Pair) -> tuple[str, dict]:
 
 
 def _lemma_k(pair: Pair) -> tuple[str, dict]:
-    o2 = _o2_in_parent(pair.G, pair.H)
+    o2 = pair.o_upper(2)
     sub = satisfies_O(pair.G, o2)
     details = {"o2_order": len(o2), "o_on_o2": sub.holds}
     if not sub.holds:
@@ -441,9 +435,12 @@ def _irr_given_n(pair: Pair) -> list[ClassFunction]:
 
 def _lemma_l(pair: Pair) -> tuple[str, dict]:
     G, H = pair.G, pair.H
-    triv_h = trivial_character(subgroup_table(G, H)[0])
+    class_of = conjugacy_classes(G).class_of
+    in_h = Counter(class_of[h] for h in H.members)
     irr = _irr_given_n(pair)
-    if any(inner_product_int(restrict(G, chi, H), triv_h) != 0 for chi in irr):
+    # sum_{h in H} chi(h) = |H| [chi_H, 1_H]
+    h_sums = (sum((chi.values[k] * n for k, n in in_h.items()), Cyc.zero(1)) for chi in irr)
+    if any(not total.is_zero() for total in h_sums):
         return VACUOUS, {"fired": False, "reason": "some chi in Irr(G|H) restricts with trivial constituent"}
     return (PASS if pair.normal else VIOLATION), {"irr_given_h": len(irr), "h_normal": pair.normal}
 

@@ -130,6 +130,27 @@ class TestCharacterTable:
         t = character_table(G)
         assert t.degree_sequence == (1,)
 
+    @pytest.mark.parametrize("wrong", ["value_off_by_one", "row_repeated"])
+    def test_selfcheck_rejects_wrong_rows(self, monkeypatch, wrong):
+        # S4's 5 rows are lifted one after another, 5 values each.  Since its
+        # values are rational integers, chi(k) + 1 at one class k changes
+        # |G| [chi, chi] by |K_k| (2 chi(k) + 1), which is odd.  A repeated
+        # row keeps every [chi, chi] = 1 but makes [chi_0, chi_1] = 1.
+        lifted = []
+        original = Cyc.from_root_multiset
+
+        def lift(e, counts):
+            n = len(lifted)
+            lifted.append(original(e, counts))
+            if wrong == "value_off_by_one":
+                return lifted[n] + Cyc.integer(1) if n == 1 else lifted[n]
+            return lifted[n - 5] if 5 <= n < 10 else lifted[n]
+
+        monkeypatch.setattr(Cyc, "from_root_multiset", lift)
+        with pytest.raises(RuntimeError, match="character rows are not orthonormal"):
+            character_table(builtin("S4").group())
+        assert len(lifted) == 25
+
 
 class TestInnerProduct:
     def test_orthonormal_rows(self, frob21):

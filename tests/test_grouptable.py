@@ -4,6 +4,8 @@ from camina.catalog import builtin
 from camina.grouptable import (
     CapExceeded,
     ElementSet,
+    GroupTable,
+    closure_indices,
     generate,
     left_coset,
     quotient_table,
@@ -63,7 +65,25 @@ class TestGenerate:
         b = builtin("S4").group()
         assert [p.images for p in a.elements] == [p.images for p in b.elements]
         assert a.generator_ids == b.generator_ids
-        assert a.cayley_action == b.cayley_action
+
+
+class TestClosure:
+    def test_identity_never_multiplies(self, monkeypatch):
+        G = builtin("S4").group()
+        right_factors = []
+        original = GroupTable.mul
+
+        def recorded(self, i, j):
+            right_factors.append(j)
+            return original(self, i, j)
+
+        monkeypatch.setattr(GroupTable, "mul", recorded)
+        for seed in ([0], [0, 1], [5, 0, 9], list(range(G.order))):
+            closure_indices(G, seed)
+        assert right_factors and 0 not in right_factors
+        monkeypatch.undo()
+        assert closure_indices(G, [0]) == (0,)
+        assert closure_indices(G, range(G.order)) == tuple(range(G.order))
 
 
 class TestElementSet:

@@ -12,6 +12,7 @@ from camina.structure import (
     conjugacy_classes,
     core,
     derived_series,
+    derived_subgroup,
     is_frobenius_with_kernel,
     is_nilpotent,
     is_solvable,
@@ -164,6 +165,34 @@ class TestCommutatorAndSeries:
                     break
                 current = nxt
             assert is_solvable(G) == oracle, entry.label
+
+
+class TestSubgroupFactsInsideG:
+    def test_match_the_subgroup_table(self):
+        # Reference: each fact computed on H's own table, mapped back to G;
+        # H = G passes G as an explicit S
+        for entry in builtin_catalog():
+            G = entry.group()
+            if G.order > 60:
+                continue
+            for H in subgroups(G)[1:]:
+                table, to_parent, _ = subgroup_table(G, H)
+
+                def back(S):
+                    return tuple(sorted(to_parent[i] for i in S.members))
+
+                where = (entry.label, H.members)
+                assert is_solvable(G, H) == is_solvable(table), where
+                assert is_nilpotent(G, H) == is_nilpotent(table), where
+                assert derived_subgroup(G, H).members == back(commutator_subgroup(table)), where
+                assert [back(t) for t in derived_series(table).terms] == [
+                    t.members for t in derived_series(G, H).terms
+                ], where
+                assert [back(t) for t in upper_central_series(table).terms] == [
+                    t.members for t in upper_central_series(G, H).terms
+                ], where
+                for p in prime_factors(G.order):
+                    assert o_upper_p(G, p, H).members == back(o_upper_p(table, p)), (where, p)
 
 
 class TestNormalClosureAndCore:

@@ -1,6 +1,7 @@
 import importlib.util
 import inspect
 import json
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -8,6 +9,9 @@ import pytest
 
 import camina.verify as verify
 from camina.catalog import builtin, builtin_catalog
+from camina.chartab import character_table, in_irr_given_N, inner_product_int, restrict, trivial_character
+from camina.cyclotomic import Cyc
+from camina.grouptable import subgroup_table
 from camina.structure import subgroups
 from camina.verify import (
     LEMMA_CLAIMS,
@@ -181,6 +185,25 @@ class TestLemmaSuite:
         assert [r.claim for r in rs] == list(LEMMA_CLAIMS)
 
 
+class TestLemmaL:
+    def test_character_sums_match_restriction(self):
+        # Reference: [chi_H, 1_H] on H's own table, by restriction
+        for entry in builtin_catalog():
+            G = entry.group()
+            if G.order > 60:
+                continue
+            irr = character_table(G).irreducibles
+            for H in subgroups(G)[1:-1]:
+                trivial_h = trivial_character(subgroup_table(G, H)[0])
+                mults = [inner_product_int(restrict(G, chi, H), trivial_h) for chi in irr]
+                for chi, m in zip(irr, mults):
+                    assert sum((chi.value_at(h) for h in H.members), Cyc.zero(1)) == len(H) * m
+                pair = Pair(G, H)
+                fires = not any(m for chi, m in zip(irr, mults) if in_irr_given_N(chi, pair.N))
+                status, _ = verify._lemma_l(pair)
+                assert (status != VACUOUS) == fires, (entry.label, H.members)
+
+
 class TestClaim9AndCovering:
     def test_claim9_s3(self, s3):
         r = verify_pair_claim(s3, by_order(s3, 3), "claim9")
@@ -297,6 +320,32 @@ class TestOneEvaluationPerPair:
         reports = sweep_single("S4", builtin("S4").group(), list(verify.ALL_CLAIMS))
         assert not any(r.status == SKIPPED for r in reports)
         assert len(builds) == 1
+
+    def test_no_subgroup_table_and_o_upper_once_per_prime(self, monkeypatch):
+        # Facts about H are computed inside G: H gets no table of its own,
+        # and O^p(H) is computed once per (pair, prime).
+        import camina.grouptable as grouptable
+        import camina.structure as structure
+
+        tables, o_upper = [], Counter()
+        original_table, original_o_upper = grouptable.subgroup_table, structure.o_upper_p
+
+        def counted_table(*args):
+            tables.append(args)
+            return original_table(*args)
+
+        def counted_o_upper(*args):
+            o_upper[args] += 1
+            return original_o_upper(*args)
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("camina.")]:
+            for attr, wrapper in (("subgroup_table", counted_table), ("o_upper_p", counted_o_upper)):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, wrapper)
+        sweep_single("S4", builtin("S4").group(), list(verify.ALL_CLAIMS))
+        assert len(tables) == 0
+        # lemma_j on the 28 nontrivial proper pairs for p = 2, 3; odd_order on H = 1
+        assert sum(o_upper.values()) == 57 and set(o_upper.values()) == {1}, o_upper
 
 
 class TestTracedHooks:
