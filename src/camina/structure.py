@@ -235,36 +235,52 @@ def subgroups(G: GroupTable, count_cap: int = DEFAULT_SUBGROUP_CAP) -> list[Elem
     """All subgroups of G, ordered by (order, member tuple).
 
     Found breadth-first from the trivial group by zuppo joins (Neubüser's
-    cyclic extension): each subgroup found is joined with one generator of
-    every zuppo, i.e. cyclic subgroup of prime-power order, outside it.
-    Every element is a product of commuting prime-power-order powers of
-    itself, so every subgroup is generated by its zuppos, and a chain of
-    single zuppo joins leads from 1 to it.  Each join at least doubles the
-    order, so a subgroup is kept with at most log2 of its order generators.
-    Cached on the table.
+    cyclic extension), one conjugacy class at a time: one representative
+    of each class is joined with one generator of every zuppo, i.e.
+    cyclic subgroup of prime-power order, outside it.  When a join is new,
+    its conjugates under G's generators are added with it, without a
+    closure, and are not extended themselves: <A^g, z> = <A, z^(g^-1)>^g,
+    and a conjugate of a zuppo is a zuppo, so a conjugate's joins are the
+    conjugates of its representative's joins.  Every element is a product
+    of commuting prime-power-order powers of itself, so every subgroup is
+    generated by its zuppos, and a chain of single zuppo joins leads from
+    1 to it.  Each join at least doubles the order, so a subgroup is kept
+    with at most log2 of its order generators.  Cached on the table.
     """
     hit = G._cache.get("subgroups")
     if hit is not None:
         return hit
     zuppos = _zuppo_generators(G)
+    conjugators = [[G.conj(x, g) for x in range(G.order)] for g in G.generator_ids]
     gens_of: dict[tuple[int, ...], tuple[int, ...]] = {}
     worklist: list[tuple[int, ...]] = []
 
     def record(members: tuple[int, ...], gens: tuple[int, ...]) -> None:
-        if members in gens_of:
-            return
         if len(gens_of) >= count_cap:
             raise CapExceeded("subgroup cap exceeded", len(gens_of))
         gens_of[members] = gens
-        worklist.append(members)
 
-    record((0,), ())
+    def record_class(members: tuple[int, ...], gens: tuple[int, ...]) -> None:
+        """Record a new subgroup and queue it; record its conjugates."""
+        record(members, gens)
+        worklist.append(members)
+        orbit = [members]
+        for a in orbit:  # grows while it is walked
+            for c in conjugators:
+                b = tuple(sorted(c[m] for m in a))
+                if b not in gens_of:
+                    record(b, tuple(c[x] for x in gens_of[a]))
+                    orbit.append(b)
+
+    record_class((0,), ())
     for a in worklist:  # grows while it is walked: breadth-first
         inside = set(a)
         for z in zuppos:
             if z not in inside:
                 gens = gens_of[a] + (z,)
-                record(closure_indices(G, gens), gens)
+                joined = closure_indices(G, gens)
+                if joined not in gens_of:
+                    record_class(joined, gens)
     ordered = sorted(gens_of, key=lambda m: (len(m), m))
     result = [ElementSet(G, m) for m in ordered]
     for s in result:

@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from camina import structure
 from camina.catalog import builtin, builtin_catalog
-from camina.grouptable import CapExceeded, ElementSet, closure_indices, small_generating_set, subgroup_table
-from camina.perm import Permutation, compose, element_order
+from camina.grouptable import CapExceeded, ElementSet, closure_indices, generate, small_generating_set, subgroup_table
+from camina.perm import Permutation, compose, conjugate, element_order
 from camina.structure import (
     center,
     centralizer,
@@ -30,6 +31,19 @@ from camina.structure import (
 
 def by_order(G, n, which=0):
     return [H for H in subgroups(G) if len(H) == n][which]
+
+
+def psl27():
+    """PSL(2,7) on the 7 points of the Fano plane."""
+    return generate(7, [Permutation.from_cycles(7, [(0, 1, 2, 3, 4, 5, 6)]), Permutation.from_cycles(7, [(0, 1), (2, 5)])])
+
+
+RELABEL_LABELS = [e.label for e in builtin_catalog() if e.group().order <= 48] + ["S4xC2"]
+
+
+def lattice_shape(subs):
+    """(count, sorted orders, normal count): unchanged by relabelling."""
+    return len(subs), sorted(len(H) for H in subs), sum(H.is_normal() for H in subs)
 
 
 class TestConjugacyClasses:
@@ -256,6 +270,25 @@ class TestSubgroups:
     def test_known_counts(self):
         for label, expect in [("A4", 10), ("S4", 30), ("A5", 59), ("D6", 16), ("S5", 156)]:
             assert len(subgroups(builtin(label).group())) == expect, label
+        assert len(subgroups(psl27())) == 179
+        a6 = generate(6, [Permutation.from_cycles(6, [(0, 1, 2)]), Permutation.from_cycles(6, [(1, 2, 3, 4, 5)])])
+        assert a6.order == 360
+        assert len(subgroups(a6)) == 501
+
+    def test_closure_budget(self, monkeypatch):
+        # One closure per (class representative, zuppo outside it): the
+        # conjugates of a new join are added without closing them again.
+        calls = []
+
+        def counted(G, seed):
+            calls.append(seed)
+            return closure_indices(G, seed)
+
+        monkeypatch.setattr(structure, "closure_indices", counted)
+        for G, budget in [(builtin("S5").group(), 1_000), (psl27(), 1_100)]:
+            calls.clear()
+            subgroups(G)
+            assert len(calls) < budget, G
 
     def test_complete_under_single_element_joins(self):
         # Independent of how subgroups are found: the list holds distinct
@@ -280,6 +313,23 @@ class TestSubgroups:
             subgroups(builtin("S4").group(), count_cap=29)
         assert exc.value.partial == 29
         assert len(subgroups(builtin("S4").group(), count_cap=30)) == 30
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(RELABEL_LABELS), st.randoms(use_true_random=False))
+    def test_relabelling_invariance(self, label, rng):
+        # Relabelling the points conjugates G inside Sym(n): an isomorphic
+        # group with different element indices and the same lattice shape.
+        entry = builtin(label)
+        points = list(range(entry.degree))
+        rng.shuffle(points)
+        sigma = Permutation(points)
+        G = generate(entry.degree, [conjugate(g, sigma) for g in entry.generators])
+        subs = subgroups(G)
+        assert lattice_shape(subs) == lattice_shape(subgroups(entry.group()))
+        listed = {H.members for H in subs}
+        for H in subs:
+            for g in G.generator_ids:
+                assert tuple(sorted(G.conj(h, g) for h in H.members)) in listed
 
 
 class TestSylowAndFittingPieces:
