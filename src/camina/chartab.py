@@ -348,22 +348,27 @@ def character_table(
 
     if sum(d * d for d in degrees) != n:
         raise RuntimeError("degree squares do not sum to the group order")
-    # |G| [chi_i, chi_j] = sum_k chi_i(k) w_k with w_k = conj(chi_j(k)) |K_k|,
-    # each weighted row built once and compared with every row up to it.
-    for j, chi in enumerate(rows):
-        weighted = [v.conjugate() * size for v, size in zip(chi.values, classes.sizes)]
-        for i in range(j + 1):
-            total = Cyc.zero(e)
-            for a, w in zip(rows[i].values, weighted):
-                total = total + a * w
-            if not total == (n if i == j else 0):
-                raise RuntimeError("character rows are not orthonormal")
+    check_orthonormal(rows, classes)
 
     rows.sort(key=lambda cf: (cf.values[0].as_int(), tuple(v.coeffs for v in cf.values)))
     table = CharacterTable(G, tuple(rows), tuple(sorted(cf.values[0].as_int() for cf in rows)))
     if prime is None:
         G._cache["chartab"] = table
     return table
+
+
+def check_orthonormal(rows: list[ClassFunction], classes: ConjClassPartition) -> None:
+    """Raise RuntimeError unless [chi_i, chi_j] = delta_ij exactly: |G| [chi_i, chi_j] =
+    sum_k chi_i(k) w_k, w_k = conj(chi_j(k)) |K_k|, each weighted row built once."""
+    n = classes.group.order
+    for j, chi in enumerate(rows):
+        weighted = [v.conjugate() * size for v, size in zip(chi.values, classes.sizes)]
+        for i in range(j + 1):
+            total = Cyc.zero(chi.values[0].e)
+            for a, w in zip(rows[i].values, weighted):
+                total = total + a * w
+            if not total == (n if i == j else 0):
+                raise RuntimeError("character rows are not orthonormal")
 
 
 # --- class function operations -------------------------------------------
@@ -478,13 +483,11 @@ def is_homogeneous_induction(
 
 
 def kernel_of(chi: ClassFunction) -> ElementSet:
-    """{x : chi(x) = chi(1)}, a normal subgroup."""
+    """{x : chi(x) = chi(1)}, a normal subgroup: the union of the classes
+    whose value equals chi(1), compared once per class."""
     classes = conjugacy_classes(chi.group)
     top = chi.values[0]
-    members = [
-        i for i in range(chi.group.order) if chi.values[classes.class_of[i]] == top
-    ]
-    return ElementSet(chi.group, members)
+    return ElementSet(chi.group, (m for k, v in enumerate(chi.values) if v == top for m in classes.members(k)))
 
 
 def in_irr_given_N(chi: ClassFunction, N: ElementSet) -> bool:

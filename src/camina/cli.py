@@ -56,6 +56,9 @@ _CONDITIONS = ("camina", "f", "fpm", "ci", "o", "equal-order")
 
 CLAIM_ALIASES = {"lemmas": [c for c in ALL_CLAIMS if c.startswith("lemma_")]}
 
+# Input that cannot be read or is over a cap: exit code 3, or one group left out of a sweep.
+INPUT_ERRORS = (ParseError, OSError, CapExceeded)
+
 
 class UsageError(Exception):
     pass
@@ -281,13 +284,18 @@ def _catalog_entries(source: str) -> list[tuple[str, str]]:
 
 def _sweep_payload(
     item, max_order, claims, char_order_cap, char_class_cap, subgroup_cap, generation_cap
-) -> list[VerificationReport]:
+) -> tuple[list[VerificationReport], str | None]:
+    """The reports of one catalog group, and the error that left them out
+    when its file cannot be read or it is over the generation cap."""
     kind, payload = item
-    entry = builtin(payload) if kind == "builtin" else parse_group_file(payload)
-    G = select_group(entry, max_order, generation_cap)
+    try:
+        entry = builtin(payload) if kind == "builtin" else parse_group_file(payload)
+        G = select_group(entry, max_order, generation_cap)
+    except INPUT_ERRORS as exc:
+        return [], f"{payload}: {exc}"
     if G is None:
-        return []
-    return sweep_single(entry.label, G, claims, char_order_cap, char_class_cap, subgroup_cap)
+        return [], None
+    return sweep_single(entry.label, G, claims, char_order_cap, char_class_cap, subgroup_cap), None
 
 
 def _cmd_verify(args) -> int:
@@ -304,10 +312,13 @@ def _cmd_verify(args) -> int:
     )
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = list(pool.map(run, items))
+            results = list(pool.map(run, items))
     else:
-        chunks = [run(item) for item in items]
-    reports = sorted((r for chunk in chunks for r in chunk), key=report_key)
+        results = [run(item) for item in items]
+    errors = [error for _, error in results if error is not None]
+    for error in errors:
+        print(f"error: {error}", file=sys.stderr)
+    reports = sorted((r for chunk, _ in results for r in chunk), key=report_key)
     summary = summarize(reports)
     for claim in sorted(summary["claims"]):
         c = summary["claims"][claim]
@@ -326,6 +337,8 @@ def _cmd_verify(args) -> int:
         timestamp = datetime.now(timezone.utc).isoformat()
         persist_reports(reports, args.out, VERSION, timestamp)
         print(f"wrote {len(reports)} reports to {args.out}")
+    if errors:
+        return EXIT_CAPS_IO
     return EXIT_VIOLATION if summary["violations"] else EXIT_OK
 
 
@@ -347,19 +360,10 @@ def run_cli(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except UsageError as exc:
+    except (UsageError, UnknownLabel) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except UnknownLabel as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPS_IO
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPS_IO
-    except OSError as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPS_IO
 

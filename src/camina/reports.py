@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .chartab import CharacterTable, ClassFunction, character_table
+from .chartab import CharacterTable, ClassFunction, character_table, check_orthonormal
 from .cyclotomic import Cyc
 from .grouptable import GroupTable
 from .structure import conjugacy_classes
@@ -117,6 +117,8 @@ def save_chartab(G: GroupTable, table: CharacterTable, cache_dir: str | Path) ->
 
 
 def load_chartab(G: GroupTable, cache_dir: str | Path) -> CharacterTable | None:
+    """The cached table of G, or None when there is none or it fails the
+    exact orthonormality check of a fresh build."""
     path = Path(cache_dir) / f"chartab-{chartab_cache_key(G)}.json"
     if not path.exists():
         return None
@@ -124,13 +126,16 @@ def load_chartab(G: GroupTable, cache_dir: str | Path) -> CharacterTable | None:
     if obj.get("format") != FORMAT_VERSION or obj.get("order") != G.order:
         return None
     e = obj["root_order"]
-    r = conjugacy_classes(G).count
-    rows = []
-    for row in obj["rows"]:
-        if len(row) != r:
-            return None
-        rows.append(ClassFunction(G, tuple(Cyc(e, coeffs) for coeffs in row)))
-    return CharacterTable(G, tuple(rows), tuple(obj["degree_sequence"]))
+    classes = conjugacy_classes(G)
+    if len(obj["rows"]) != classes.count or any(len(row) != classes.count for row in obj["rows"]):
+        return None
+    try:
+        rows = [ClassFunction(G, tuple(Cyc(e, coeffs) for coeffs in row)) for row in obj["rows"]]
+        check_orthonormal(rows, classes)
+        degrees = tuple(sorted(chi.degree() for chi in rows))
+    except (RuntimeError, ValueError):
+        return None
+    return CharacterTable(G, tuple(rows), degrees)
 
 
 def cached_character_table(

@@ -61,18 +61,14 @@ class ConjClassPartition:
     reps: tuple[int, ...]
     sizes: tuple[int, ...]
     inverse_class: tuple[int, ...]
+    member_lists: tuple[tuple[int, ...], ...]
 
     @property
     def count(self) -> int:
         return len(self.reps)
 
     def members(self, cid: int) -> tuple[int, ...]:
-        key = ("class_members", cid)
-        hit = self.group._cache.get(key)
-        if hit is None:
-            hit = tuple(i for i, c in enumerate(self.class_of) if c == cid)
-            self.group._cache[key] = hit
-        return hit
+        return self.member_lists[cid]
 
 
 def conjugacy_classes(G: GroupTable) -> ConjClassPartition:
@@ -108,10 +104,11 @@ def conjugacy_classes(G: GroupTable) -> ConjClassPartition:
     for new, old in enumerate(order_key):
         relabel[old] = new
     class_of = tuple(relabel[c] for c in assigned)
-    reps = tuple(raw[old][0] for old in order_key)
-    sizes = tuple(len(raw[old]) for old in order_key)
+    member_lists = tuple(tuple(raw[old]) for old in order_key)
+    reps = tuple(m[0] for m in member_lists)
+    sizes = tuple(len(m) for m in member_lists)
     inverse_class = tuple(class_of[G.inv(r)] for r in reps)
-    part = ConjClassPartition(G, class_of, reps, sizes, inverse_class)
+    part = ConjClassPartition(G, class_of, reps, sizes, inverse_class, member_lists)
     G._cache["classes"] = part
     return part
 
@@ -127,10 +124,9 @@ def centralizer(G: GroupTable, x: int) -> ElementSet:
 
 
 def center(G: GroupTable) -> ElementSet:
-    members = set(range(G.order))
-    for g in G.generator_ids:
-        members &= set(centralizer(G, g).members)
-    return ElementSet(G, members)
+    """Z(G): the union of the conjugacy classes of size 1."""
+    classes = conjugacy_classes(G)
+    return ElementSet(G, (r for r, size in zip(classes.reps, classes.sizes) if size == 1))
 
 
 def normal_closure(G: GroupTable, H: ElementSet) -> ElementSet:
@@ -375,37 +371,23 @@ def p_decomposition(a: Permutation, p: int) -> tuple[Permutation, Permutation]:
 
 def is_frobenius_with_kernel(G: GroupTable, N: ElementSet) -> bool:
     """True iff N is a proper nontrivial normal subgroup with C_G(n) <= N
-    for every nonidentity n in N."""
+    for every nonidentity n in N; checked on one representative r of each
+    class inside N, since C_G(r^g) = C_G(r)^g and N^g = N."""
     if not N.is_subgroup or not N.is_normal():
         return False
     if len(N) == 1 or len(N) == G.order:
         return False
-    for n in N.members:
-        if n == 0:
-            continue
-        for g in centralizer(G, n).members:
-            if g not in N:
-                return False
-    return True
+    reps = conjugacy_classes(G).reps[1:]
+    return all(g in N for r in reps if r in N for g in centralizer(G, r).members)
 
 
 def class_product(G: GroupTable, cid: int, did: int) -> ElementSet:
-    """The set of products {c * d : c in class cid, d in class did}."""
+    """The set of products {c * d : c in class cid, d in class did}: it is
+    (x K_d)^G for x = reps[cid], the union of the classes met by x * d."""
     classes = conjugacy_classes(G)
-    out = set()
-    for c in classes.members(cid):
-        for d in classes.members(did):
-            out.add(G.mul(c, d))
-    return ElementSet(G, out)
-
-
-def set_times_class(G: GroupTable, S: ElementSet, did: int) -> ElementSet:
-    classes = conjugacy_classes(G)
-    out = set()
-    for s in S.members:
-        for d in classes.members(did):
-            out.add(G.mul(s, d))
-    return ElementSet(G, out)
+    x = classes.reps[cid]
+    met = {classes.class_of[G.mul(x, d)] for d in classes.members(did)}
+    return ElementSet(G, (m for c in met for m in classes.members(c)))
 
 
 def is_p_group(order: int) -> bool:

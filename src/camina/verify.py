@@ -21,6 +21,8 @@ from .catalog import CatalogEntry
 from .chartab import ClassFunction, character_table, in_irr_given_N
 from .conditions import (
     EQUAL_ORDER_COSET,
+    F,
+    FPM,
     ConditionVerdict,
     _coset_scan,
     _equal_order_scan,
@@ -38,7 +40,6 @@ from .grouptable import (
     CapExceeded,
     ElementSet,
     GroupTable,
-    quotient_table,
     small_generating_set,
 )
 from .structure import (
@@ -59,7 +60,6 @@ from .structure import (
     o_upper_p,
     p_part,
     prime_factors,
-    set_times_class,
     subgroups,
 )
 
@@ -158,6 +158,12 @@ class Pair:
         if hit is None:
             hit = self._o_upper[p] = o_upper_p(self.G, p, self.H)
         return hit
+
+    @cached_property
+    def irr_given_n(self) -> list[ClassFunction]:
+        """Irr(G|N) in table order, N the normal closure of H."""
+        table = character_table(self.G, order_cap=self.order_cap, class_cap=self.class_cap)
+        return [chi for chi in table.irreducibles if in_irr_given_N(chi, self.N)]
 
 
 def _group_report(label: str, G: GroupTable, claim: str, status: str, details: dict) -> VerificationReport:
@@ -273,15 +279,17 @@ def _cor1(pair: Pair) -> tuple[str, dict]:
 
 def verify_cor2(G: GroupTable, p: int, label: str = "") -> VerificationReport:
     """Every p-element whose products with nontrivial p-regular elements stay
-    p-regular lies in O_p(G)."""
+    p-regular lies in O_p(G).  Both sides are closed under conjugation, so
+    each class is decided by its representative, its least member."""
     if G.order % p:
         return _group_report(label, G, COR2, VACUOUS, {"p": p, "reason": "p does not divide |G|"})
     opg = o_lower_p(G, p)
+    classes = conjugacy_classes(G)
     fired = 0
-    for x in range(G.order):
+    for x, size in sorted(zip(classes.reps, classes.sizes)):
         ox = G.element_order(x)
         if p_part(ox, p) == ox and bs_hypothesis(G, x, p).holds:
-            fired += 1
+            fired += size
             if x not in opg:
                 return _group_report(
                     label,
@@ -296,9 +304,23 @@ def verify_cor2(G: GroupTable, p: int, label: str = "") -> VerificationReport:
 # --- lemma suite ------------------------------------------------------------
 
 
-def _quotients_keep(G: GroupTable, H: ElementSet, predicate, name: str) -> tuple[str, dict]:
+def _quotient_verdict(G: GroupTable, H: ElementSet, M: ElementSet, plus_minus: bool) -> ConditionVerdict:
+    """(F), or (F+-) when ``plus_minus``, on (G/M, H/M) for M normal, M <= H,
+    read inside G: the class of xM in G/M pulls back to K M = (r M)^G, K the
+    class of x and r its representative, so class c gets the label q[c], the
+    least class met by reps[c] * M.  A witness (x, h) holds G's indices."""
+    classes = conjugacy_classes(G)
+    c, inv = classes.class_of, classes.inverse_class
+    q = [min(c[G.mul(r, m)] for m in M.members) for r in classes.reps]
+    allowed = [(q[k], q[inv[k] if plus_minus else k]) for k in range(classes.count)]
+    tag, detail = (FPM, "x*h is conjugate to neither x nor x^-1") if plus_minus else (F, "x*h is not conjugate to x")
+    return _coset_scan(G, H, tag, lambda x, y: q[c[y]] in allowed[c[x]], detail)
+
+
+def _quotients_keep(G: GroupTable, H: ElementSet, plus_minus: bool) -> tuple[str, dict]:
     """Every normal M not containing H lies properly below H, and (G/M, H/M)
-    keeps the condition ``predicate``."""
+    keeps (F), or (F+-) when ``plus_minus``, read off G's classes by
+    ``_quotient_verdict`` with no quotient table."""
     checked = 0
     for M in subgroups(G, DEFAULT_SUBGROUP_CAP):
         if not M.is_normal() or all(h in M for h in H.members):
@@ -306,19 +328,18 @@ def _quotients_keep(G: GroupTable, H: ElementSet, predicate, name: str) -> tuple
         checked += 1
         if not (all(m in H for m in M.members) and len(M) < len(H)):
             return VIOLATION, {"m_order": len(M), "failure": "M is not properly below H"}
-        table, proj = quotient_table(G, M)
-        sub = predicate(table, ElementSet(table, (proj[h] for h in H.members)))
+        sub = _quotient_verdict(G, H, M, plus_minus)
         if not sub.holds:
             return VIOLATION, {
                 "m_order": len(M),
-                "failure": f"quotient pair loses condition ({name})",
+                "failure": f"quotient pair loses condition ({'F+-' if plus_minus else 'F'})",
                 "quotient_witness": _witness_dict(sub),
             }
     return PASS, {"normal_subgroups_checked": checked}
 
 
 def _lemma_a(pair: Pair) -> tuple[str, dict]:
-    return _quotients_keep(pair.G, pair.H, satisfies_F, "F")
+    return _quotients_keep(pair.G, pair.H, False)
 
 
 def _lemma_b(pair: Pair) -> tuple[str, dict]:
@@ -333,11 +354,10 @@ def _lemma_b(pair: Pair) -> tuple[str, dict]:
 
 def _lemma_c(pair: Pair) -> tuple[str, dict]:
     G, H, N = pair.G, pair.H, pair.N
-    class_of = conjugacy_classes(G).class_of
-    meets = {class_of[h] for h in H.members}
-    union = tuple(x for x in range(G.order) if class_of[x] in meets)  # of the conjugates of H
-    details = {"n_order": len(N), "union_size": len(union)}
-    ok = union == N.members and 1 < len(N) < G.order
+    classes = conjugacy_classes(G)
+    union_size = sum(classes.sizes[c] for c in {classes.class_of[h] for h in H.members})  # of the conjugates of H
+    details = {"n_order": len(N), "union_size": union_size}
+    ok = union_size == len(N) and 1 < len(N) < G.order  # that union lies in N
     return (PASS if ok else VIOLATION), details
 
 
@@ -369,7 +389,7 @@ def _lemma_f(pair: Pair) -> tuple[str, dict]:
 
 def _lemma_g(pair: Pair) -> tuple[str, dict]:
     G, H = pair.G, pair.H
-    status, details = _quotients_keep(G, H, satisfies_Fpm, "F+-")
+    status, details = _quotients_keep(G, H, True)
     if status == VIOLATION:
         return status, details
     z = center(G)
@@ -381,21 +401,17 @@ def _lemma_g(pair: Pair) -> tuple[str, dict]:
 
 
 def _lemma_h(pair: Pair) -> tuple[str, dict]:
+    """K*N lies in K union K^-1 for every class K of derangements.  Only k =
+    reps[K], K's least member, is tested: a failing (k^g, n) gives (k, n^(g^-1))."""
     G, N = pair.G, pair.N
     classes = conjugacy_classes(G)
     delta_class_ids = sorted({classes.class_of[x] for x in derangements(G, pair.H).members})
     for cid in delta_class_ids:
-        members = classes.members(cid)
-        allowed = set(members) | set(classes.members(classes.inverse_class[cid]))
-        for k in members:
-            for n in N.members:
-                if G.mul(k, n) not in allowed:
-                    return VIOLATION, {
-                        "class_rep": classes.reps[cid],
-                        "k": k,
-                        "n": n,
-                        "failure": "K*N escapes K union K^-1",
-                    }
+        k = classes.reps[cid]
+        allowed = (cid, classes.inverse_class[cid])
+        for n in N.members:
+            if classes.class_of[G.mul(k, n)] not in allowed:
+                return VIOLATION, {"class_rep": k, "k": k, "n": n, "failure": "K*N escapes K union K^-1"}
     return PASS, {"derangement_classes_checked": len(delta_class_ids)}
 
 
@@ -427,17 +443,11 @@ def _lemma_k(pair: Pair) -> tuple[str, dict]:
     return (PASS if sub.holds else VIOLATION), details
 
 
-def _irr_given_n(pair: Pair) -> list[ClassFunction]:
-    """Irr(G|N) in table order, N the normal closure of H."""
-    table = character_table(pair.G, order_cap=pair.order_cap, class_cap=pair.class_cap)
-    return [chi for chi in table.irreducibles if in_irr_given_N(chi, pair.N)]
-
-
 def _lemma_l(pair: Pair) -> tuple[str, dict]:
     G, H = pair.G, pair.H
     class_of = conjugacy_classes(G).class_of
     in_h = Counter(class_of[h] for h in H.members)
-    irr = _irr_given_n(pair)
+    irr = pair.irr_given_n
     # sum_{h in H} chi(h) = |H| [chi_H, 1_H]
     h_sums = (sum((chi.values[k] * n for k, n in in_h.items()), Cyc.zero(1)) for chi in irr)
     if any(not total.is_zero() for total in h_sums):
@@ -448,7 +458,7 @@ def _lemma_l(pair: Pair) -> tuple[str, dict]:
 def _lemma_m(pair: Pair) -> tuple[str, dict]:
     G, H = pair.G, pair.H
     class_of = conjugacy_classes(G).class_of
-    irr = _irr_given_n(pair)
+    irr = pair.irr_given_n
     for chi in irr:
         values = chi.values
         verdict = _coset_scan(
@@ -487,17 +497,18 @@ def _claim9(pair: Pair) -> tuple[str, dict]:
 
 def verify_covering(G: GroupTable, label: str = "", step_cap: int | None = None) -> VerificationReport:
     """For nonabelian simple G, every nontrivial class C has C^m = G for
-    some m bounded by |G| (the power is iterated as a set product)."""
+    some m bounded by |G|.  C^m is kept as its set S of class ids: C^(m+1)
+    is the union of the classes met by reps[s] * y, s in S and y in C."""
     if not is_simple(G):
         return _group_report(label, G, COVERING, VACUOUS, {"reason": "group is not nonabelian simple"})
     classes = conjugacy_classes(G)
     cap = step_cap if step_cap is not None else G.order
-    everything = set(range(G.order))
     max_m = 0
     for cid in range(1, classes.count):
-        current = ElementSet(G, classes.members(cid))
+        members = classes.members(cid)
+        current = {cid}
         m = 1
-        while set(current.members) != everything:
+        while len(current) < classes.count:
             if m > cap:
                 return _group_report(
                     label,
@@ -506,7 +517,7 @@ def verify_covering(G: GroupTable, label: str = "", step_cap: int | None = None)
                     VIOLATION,
                     {"class_rep": classes.reps[cid], "failure": f"C^m did not reach G within {cap} steps"},
                 )
-            current = set_times_class(G, current, cid)
+            current = {classes.class_of[G.mul(classes.reps[s], y)] for s in current for y in members}
             m += 1
         max_m = max(max_m, m)
     return _group_report(label, G, COVERING, PASS, {"fired": True, "max_power_needed": max_m})

@@ -1,6 +1,6 @@
 import pytest
 
-from camina.catalog import builtin
+from camina.catalog import builtin, builtin_catalog
 from camina.chartab import (
     CycFraction,
     character_table,
@@ -375,6 +375,18 @@ class TestKernels:
         H = by_order(s3, 2)
         with pytest.raises(ValueError):
             in_irr_given_N(trivial_character(s3), H)
+
+    def test_match_elementwise_kernels(self):
+        # every irreducible of every builtin group of order <= 60, against
+        # chi(x) == chi(1) compared element by element
+        for entry in builtin_catalog():
+            G = entry.group()
+            if G.order > 60:
+                continue
+            class_of = conjugacy_classes(G).class_of
+            for chi in character_table(G).irreducibles:
+                elementwise = [x for x in range(G.order) if chi.values[class_of[x]] == chi.values[0]]
+                assert kernel_of(chi).members == tuple(elementwise), entry.label
 
 
 class TestCliffordConsistency:

@@ -1,6 +1,9 @@
 import json
 import re
+from dataclasses import asdict
 from pathlib import Path
+
+import pytest
 
 from camina.catalog import builtin
 from camina.chartab import character_table
@@ -83,6 +86,22 @@ class TestChartabCache:
 
     def test_miss_returns_none(self, tmp_path, s3):
         assert load_chartab(s3, tmp_path) is None
+
+    @pytest.mark.parametrize("tamper", ["coefficient", "degree_sequence"])
+    def test_tampered_file_is_not_trusted(self, tmp_path, s4, tamper):
+        fresh = character_table(s4)
+        path = save_chartab(s4, fresh, tmp_path)
+        obj = json.loads(path.read_text())
+        if tamper == "coefficient":
+            obj["rows"][1][2][0] += 1  # S4 is rational: [chi, chi] changes by |K| (2 chi(k) + 1)
+        else:
+            obj["degree_sequence"] = [1, 1, 2, 3, 4]
+        path.write_text(json.dumps(obj, sort_keys=True))
+        assert (load_chartab(s4, tmp_path) is None) == (tamper == "coefficient")
+        table = cached_character_table(s4, tmp_path)
+        assert [chi.values for chi in table.irreducibles] == [chi.values for chi in fresh.irreducibles]
+        assert table.degree_sequence == fresh.degree_sequence == (1, 1, 2, 3, 3)
+        assert load_chartab(s4, tmp_path) is not None  # a rejected file is rebuilt and saved again
 
 
 class TestCli:
@@ -206,3 +225,40 @@ class TestCli:
         assert run_cli(["--jobs", "2"] + args + ["--out", str(out2)]) == 0
         strip = lambda p: re.sub(r'"timestamp":"[^"]*"', '"timestamp":null', p.read_text())
         assert strip(out1) == strip(out2)
+
+
+class TestSweepFaultIsolation:
+    """A group that cannot be read or is over a cap is left out of a sweep
+    with an error; the other groups are swept and the exit code is 3."""
+
+    @staticmethod
+    def records(path):
+        return [{**asdict(r), "timestamp": None} for r in load_records(path)]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_malformed_file_in_catalog(self, tmp_path, capsys, jobs):
+        good, mixed = tmp_path / "good", tmp_path / "mixed"
+        for directory in (good, mixed):
+            directory.mkdir()
+            (directory / "s3.grp").write_text("degree 3\n(1,2)\n(1,2,3)\n")
+            (directory / "c4.grp").write_text("degree 4\n(1,2,3,4)\n")
+        bad = mixed / "bad.grp"
+        bad.write_text("degree 3\n(1,2)(2,3)\n")
+        args = ["--jobs", jobs, "verify", "--max-order", "24", "--claims", "all"]
+        assert run_cli(args + ["--catalog", str(good), "--out", str(tmp_path / "good.jsonl")]) == 0
+        capsys.readouterr()
+        assert run_cli(args + ["--catalog", str(mixed), "--out", str(tmp_path / "mixed.jsonl")]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {bad}: line 2: point 2 repeated across cycles\n"
+        assert "violations: 0" in captured.out
+        assert self.records(tmp_path / "mixed.jsonl") == self.records(tmp_path / "good.jsonl") != []
+
+    def test_group_over_order_cap(self, tmp_path, capsys):
+        capped, below = tmp_path / "capped.jsonl", tmp_path / "below.jsonl"
+        args = ["--order-cap", "50", "verify", "--claims", "cor2", "--out"]
+        assert run_cli(args + [str(capped), "--max-order", "200"]) == 3
+        # the builtin groups of order 51 to 200, in catalog order
+        labels = ["A5", "Frob(13:6)", "Frob(11:10)", "C2xA5"]
+        assert capsys.readouterr().err == "".join(f"error: {g}: order cap exceeded (reached 51)\n" for g in labels)
+        assert run_cli(args + [str(below), "--max-order", "50"]) == 0
+        assert self.records(capped) == self.records(below) != []

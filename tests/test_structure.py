@@ -441,3 +441,50 @@ class TestClassProduct:
         transpositions = next(c for c in range(cl.count) if s3.element_order(cl.reps[c]) == 2)
         prod = class_product(s3, three_cycles, transpositions)
         assert prod.members == cl.members(transpositions)
+
+
+def small_builtin_groups(max_order=60):
+    return [(e.label, e.group()) for e in builtin_catalog() if e.group().order <= max_order]
+
+
+def elementwise_class_product(G, cid, did):
+    classes = conjugacy_classes(G)
+    return ElementSet(G, {G.mul(c, d) for c in classes.members(cid) for d in classes.members(did)})
+
+
+def elementwise_center(G):
+    members = set(range(G.order))
+    for g in G.generator_ids:
+        members &= set(centralizer(G, g).members)
+    return ElementSet(G, members)
+
+
+def elementwise_frobenius_kernel(G, N):
+    if not N.is_subgroup or not N.is_normal() or len(N) in (1, G.order):
+        return False
+    return all(g in N for n in N.members if n != 0 for g in centralizer(G, n).members)
+
+
+class TestClassRepresentativesMatchElementwise:
+    """The normal subsets read off one representative per class equal the
+    element-by-element definitions on every builtin group of order <= 60."""
+
+    def test_class_product(self):
+        for label, G in small_builtin_groups():
+            r = conjugacy_classes(G).count
+            for cid in range(r):
+                for did in range(r):
+                    assert class_product(G, cid, did) == elementwise_class_product(G, cid, did), (label, cid, did)
+
+    def test_center(self):
+        for label, G in small_builtin_groups():
+            assert center(G) == elementwise_center(G), label
+
+    def test_frobenius_kernel(self):
+        kernels = 0
+        for label, G in small_builtin_groups():
+            for N in subgroups(G):
+                got = is_frobenius_with_kernel(G, N)
+                assert got == elementwise_frobenius_kernel(G, N), (label, N.members)
+                kernels += got
+        assert kernels == 9  # D3, S3, D5, A4, D7, D9, Frob(5:4), Frob(7:3), D11

@@ -6,16 +6,44 @@ import pytest
 combinatorics = pytest.importorskip("sympy.combinatorics")
 
 from camina.catalog import builtin_catalog
-from camina.structure import center, conjugacy_classes, derived_subgroup, is_nilpotent, is_solvable
+from camina.grouptable import ElementSet, closure_indices
+from camina.structure import (
+    center,
+    conjugacy_classes,
+    derived_series,
+    derived_subgroup,
+    is_nilpotent,
+    is_solvable,
+    normal_closure,
+    prime_factors,
+    sylow_subgroup,
+)
+
+
+def sympy_group(entry):
+    return combinatorics.PermutationGroup([combinatorics.Permutation(list(g.images)) for g in entry.generators])
 
 
 @pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.label)
 def test_invariants_agree_with_sympy(entry):
     G = entry.group()
-    P = combinatorics.PermutationGroup([combinatorics.Permutation(list(g.images)) for g in entry.generators])
+    P = sympy_group(entry)
     assert G.order == P.order()
     assert sorted(conjugacy_classes(G).sizes) == sorted(len(c) for c in P.conjugacy_classes())
     assert len(center(G)) == P.center().order()
     assert len(derived_subgroup(G)) == P.derived_subgroup().order()
     assert is_solvable(G) == P.is_solvable
     assert is_nilpotent(G) == P.is_nilpotent
+
+
+@pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.label)
+def test_series_sylow_and_class_closures_agree_with_sympy(entry):
+    G = entry.group()
+    P = sympy_group(entry)
+    assert [len(term) for term in derived_series(G).terms] == [term.order() for term in P.derived_series()]
+    for p in prime_factors(G.order):
+        assert len(sylow_subgroup(G, p)) == P.sylow_subgroup(p).order(), p
+    for rep in conjugacy_classes(G).reps:
+        cyclic = combinatorics.PermutationGroup([combinatorics.Permutation(list(G.elements[rep].images))])
+        closure = normal_closure(G, ElementSet(G, closure_indices(G, [rep])))
+        assert len(closure) == P.normal_closure(cyclic).order(), rep

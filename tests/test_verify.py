@@ -6,18 +6,22 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import camina.verify as verify
 from camina.catalog import builtin, builtin_catalog
 from camina.chartab import character_table, in_irr_given_N, inner_product_int, restrict, trivial_character
+from camina.conditions import bs_hypothesis, derangements, satisfies_F, satisfies_Fpm
 from camina.cyclotomic import Cyc
-from camina.grouptable import subgroup_table
-from camina.structure import subgroups
+from camina.grouptable import ElementSet, generate, quotient_table, subgroup_table
+from camina.perm import Permutation, conjugate
+from camina.structure import conjugacy_classes, o_lower_p, p_part, prime_factors, subgroups
 from camina.verify import (
     LEMMA_CLAIMS,
     PASS,
     SKIPPED,
     VACUOUS,
+    VIOLATION,
     Pair,
     is_subnormal,
     summarize,
@@ -384,3 +388,205 @@ class TestSubgroupCap:
         assert {(r.status, r.subgroup_index, r.details["reason"]) for r in reports} == {
             (SKIPPED, -1, "subgroup cap exceeded (reached 29)")
         }
+
+
+# --- element-by-element references for the class-representative claims ------
+
+
+def small_groups(max_order=60):
+    return [(e.label, e.group()) for e in builtin_catalog() if e.group().order <= max_order]
+
+
+def proper_nontrivial_pairs(max_order=60):
+    return [(label, G, H) for label, G in small_groups(max_order) for H in subgroups(G) if 1 < len(H) < G.order]
+
+
+def delta_classes(G, H):
+    class_of = conjugacy_classes(G).class_of
+    return sorted({class_of[x] for x in derangements(G, H).members})
+
+
+def elementwise_lemma_h(pair):
+    G, N = pair.G, pair.N
+    classes = conjugacy_classes(G)
+    deltas = delta_classes(G, pair.H)
+    for cid in deltas:
+        members = classes.members(cid)
+        allowed = set(members) | set(classes.members(classes.inverse_class[cid]))
+        for k in members:
+            for n in N.members:
+                if G.mul(k, n) not in allowed:
+                    return VIOLATION, {"class_rep": classes.reps[cid], "k": k, "n": n, "failure": "K*N escapes K union K^-1"}
+    return PASS, {"derangement_classes_checked": len(deltas)}
+
+
+def elementwise_lemma_c(pair):
+    G, H, N = pair.G, pair.H, pair.N
+    class_of = conjugacy_classes(G).class_of
+    meets = {class_of[h] for h in H.members}
+    union = tuple(x for x in range(G.order) if class_of[x] in meets)
+    ok = union == N.members and 1 < len(N) < G.order
+    return (PASS if ok else VIOLATION), {"n_order": len(N), "union_size": len(union)}
+
+
+def elementwise_claim9(pair):
+    G, H = pair.G, pair.H
+    classes = conjugacy_classes(G)
+    deltas = delta_classes(G, H)
+    h_class_ids = sorted({classes.class_of[h] for h in H.members})
+    for did in deltas:
+        x_odd = G.element_order(classes.reps[did]) % 2 == 1
+        for cid in h_class_ids:
+            product = sorted({G.mul(a, b) for a in classes.members(did) for b in classes.members(cid)})
+            for z in product:
+                if (G.element_order(z) % 2 == 1) != x_odd:
+                    z_parity, x_parity = ("even", "odd") if x_odd else ("odd", "even")
+                    return VIOLATION, {
+                        "derangement_class_rep": classes.reps[did],
+                        "h_class_rep": classes.reps[cid],
+                        "z": z,
+                        "failure": f"{z_parity} order element in x^G y^G with x {x_parity}",
+                    }
+    return PASS, {"class_pairs_checked": len(deltas) * len(h_class_ids)}
+
+
+def elementwise_cor2(G, p):
+    opg = o_lower_p(G, p)
+    fired = 0
+    for x in range(G.order):
+        ox = G.element_order(x)
+        if p_part(ox, p) == ox and bs_hypothesis(G, x, p).holds:
+            fired += 1
+            if x not in opg:
+                return VIOLATION, {"p": p, "x": x, "detail": "hypothesis fires but x is outside O_p(G)"}
+    return PASS, {"p": p, "fired": fired, "o_p_order": len(opg)}
+
+
+def elementwise_covering(G, cap):
+    classes = conjugacy_classes(G)
+    max_m = 0
+    for cid in range(1, classes.count):
+        current = set(classes.members(cid))
+        m = 1
+        while len(current) < G.order:
+            if m > cap:
+                return VIOLATION, {"class_rep": classes.reps[cid], "failure": f"C^m did not reach G within {cap} steps"}
+            current = {G.mul(s, d) for s in current for d in classes.members(cid)}
+            m += 1
+        max_m = max(max_m, m)
+    return PASS, {"fired": True, "max_power_needed": max_m}
+
+
+class TestClassRepresentativesMatchElementwise:
+    """Claims that read one representative per class agree with their
+    element-by-element definitions on the builtin groups of order <= 60."""
+
+    def test_lemma_c_lemma_h_and_claim9_checks(self):
+        pairs = proper_nontrivial_pairs()
+        assert len(pairs) == 505
+        statuses = Counter()
+        for label, G, H in pairs:
+            pair = Pair(G, H)
+            got = verify._lemma_h(pair)
+            assert got == elementwise_lemma_h(pair), (label, H.members)
+            assert verify._claim9(pair) == elementwise_claim9(pair), (label, H.members)
+            assert verify._lemma_c(pair) == elementwise_lemma_c(pair), (label, H.members)
+            statuses[got[0]] += 1
+        assert statuses[VIOLATION] > 0 and statuses[PASS] > 0
+
+    def test_cor2_and_covering(self):
+        for label, G in small_groups():
+            for p in prime_factors(G.order):
+                r = verify_cor2(G, p)
+                assert (r.status, r.details) == elementwise_cor2(G, p), (label, p)
+        a5 = builtin("A5").group()
+        for cap in (1, 2, None):
+            r = verify_covering(a5, step_cap=cap)
+            assert (r.status, r.details) == elementwise_covering(a5, cap or a5.order), cap
+
+    def test_quotient_verdicts_match_quotient_tables(self):
+        # every (G, H, M) with M normal and M < H < G
+        triples = Counter()
+        for label, G in small_groups():
+            subs = subgroups(G)
+            normals = [M for M in subs if M.is_normal()]
+            for H in subs:
+                if not 1 < len(H) < G.order:
+                    continue
+                for M in normals:
+                    if len(M) == len(H) or not all(m in H for m in M.members):
+                        continue
+                    Q, proj = quotient_table(G, M)
+                    HQ = ElementSet(Q, (proj[h] for h in H.members))
+                    for plus_minus, reference in ((False, satisfies_F), (True, satisfies_Fpm)):
+                        got = verify._quotient_verdict(G, H, M, plus_minus)
+                        want = reference(Q, HQ)
+                        assert got.holds == want.holds, (label, H.members, M.members, plus_minus)
+                        triples[plus_minus, got.holds] += 1
+                        if not got.holds:  # the witness is in G's indices and replays in G/M
+                            x, h = got.witness.x, got.witness.h
+                            q_class = conjugacy_classes(Q).class_of
+                            image = q_class[proj[G.mul(x, h)]]
+                            conjugates = {q_class[proj[x]]}
+                            if plus_minus:
+                                conjugates.add(q_class[proj[G.inv(x)]])
+                            assert x not in H and h in H and image not in conjugates
+        # both verdicts of both conditions occur
+        assert all(triples[pm, holds] for pm in (False, True) for holds in (False, True)), triples
+
+
+class TestIrrGivenNOncePerPair:
+    def test_a4_non_normal_order_two(self, monkeypatch):
+        # (CI) holds on these pairs, so lemma_l and lemma_m both read Irr(G|N)
+        G = builtin("A4").group()
+        calls = []
+
+        def counted(chi, N):
+            calls.append(chi)
+            return in_irr_given_N(chi, N)
+
+        monkeypatch.setattr(verify, "in_irr_given_N", counted)
+        subs = [H for H in subgroups(G) if len(H) == 2]
+        assert len(subs) == 3
+        for H in subs:
+            calls.clear()
+            pair = Pair(G, H)
+            for claim in ("lemma_l", "lemma_m"):  # each runs its check, not only its hypothesis
+                assert set(verify_pair_claim(G, H, claim, pair).details) != {"fired"}
+            assert pair.CI.holds and not pair.normal
+            assert len(calls) == 4  # one per irreducible of A4
+
+
+ISOMORPHIC_ENTRIES = [("D6", "C2xS3"), ("C6", "C2xC3"), ("C12", "C4xC3"), ("D10", "C2xD5")]
+RELABEL_ENTRIES = [e.label for e in builtin_catalog() if e.group().order <= 24]
+_SUMMARIES: dict = {}
+
+
+def claim_summary(G):
+    return summarize(sweep_single("G", G, list(verify.ALL_CLAIMS)))
+
+
+def builtin_summary(label):
+    if label not in _SUMMARIES:
+        _SUMMARIES[label] = claim_summary(builtin(label).group())
+    return _SUMMARIES[label]
+
+
+class TestMetamorphicVerdicts:
+    """Every claim's status and fired counts, and the non-normal (F) count,
+    are invariants of the abstract group."""
+
+    @pytest.mark.parametrize("a,b", ISOMORPHIC_ENTRIES)
+    def test_isomorphic_entries(self, a, b):
+        assert builtin(a).group().order == builtin(b).group().order
+        assert builtin_summary(a) == builtin_summary(b)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from(RELABEL_ENTRIES), st.randoms(use_true_random=False))
+    def test_point_relabelling(self, label, rng):
+        entry = builtin(label)
+        points = list(range(entry.degree))
+        rng.shuffle(points)
+        sigma = Permutation(points)
+        G = generate(entry.degree, [conjugate(g, sigma) for g in entry.generators])
+        assert claim_summary(G) == builtin_summary(label)
