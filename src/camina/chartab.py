@@ -259,6 +259,20 @@ def _primitive_root(q: int) -> int:
     raise RuntimeError(f"no primitive root mod {q}")
 
 
+def check_caps(
+    G: GroupTable, order_cap: int | None = None, class_cap: int | None = None
+) -> ConjClassPartition:
+    """G's classes, or CapExceeded when G is over a character-table cap.  A
+    cap of None means its default, ``DEFAULT_CHARTAB_ORDER_CAP`` or
+    ``DEFAULT_CLASS_CAP``."""
+    if G.order > (DEFAULT_CHARTAB_ORDER_CAP if order_cap is None else order_cap):
+        raise CapExceeded("character table order cap exceeded", G.order)
+    classes = conjugacy_classes(G)
+    if classes.count > (DEFAULT_CLASS_CAP if class_cap is None else class_cap):
+        raise CapExceeded("character table class cap exceeded", classes.count)
+    return classes
+
+
 def character_table(
     G: GroupTable,
     order_cap: int | None = None,
@@ -267,16 +281,9 @@ def character_table(
 ) -> CharacterTable:
     """The exact table of irreducible characters, rows ordered by
     (degree, lexicographic value order).  Cached on the table unless an
-    explicit prime is supplied.  A cap of None means its default,
-    ``DEFAULT_CHARTAB_ORDER_CAP`` or ``DEFAULT_CLASS_CAP``."""
-    order_cap = DEFAULT_CHARTAB_ORDER_CAP if order_cap is None else order_cap
-    class_cap = DEFAULT_CLASS_CAP if class_cap is None else class_cap
-    if G.order > order_cap:
-        raise CapExceeded("character table order cap exceeded", G.order)
-    classes = conjugacy_classes(G)
+    explicit prime is supplied.  The caps are those of ``check_caps``."""
+    classes = check_caps(G, order_cap, class_cap)
     r = classes.count
-    if r > class_cap:
-        raise CapExceeded("character table class cap exceeded", r)
     if prime is None:
         hit = G._cache.get("chartab")
         if hit is not None:
@@ -346,8 +353,6 @@ def character_table(
             values.append(Cyc.from_root_multiset(e, counts))
         rows.append(ClassFunction(G, tuple(values)))
 
-    if sum(d * d for d in degrees) != n:
-        raise RuntimeError("degree squares do not sum to the group order")
     check_orthonormal(rows, classes)
 
     rows.sort(key=lambda cf: (cf.values[0].as_int(), tuple(v.coeffs for v in cf.values)))
@@ -358,8 +363,10 @@ def character_table(
 
 
 def check_orthonormal(rows: list[ClassFunction], classes: ConjClassPartition) -> None:
-    """Raise RuntimeError unless [chi_i, chi_j] = delta_ij exactly: |G| [chi_i, chi_j] =
-    sum_k chi_i(k) w_k, w_k = conj(chi_j(k)) |K_k|, each weighted row built once."""
+    """Raise RuntimeError unless [chi_i, chi_j] = delta_ij exactly and every
+    chi(1) is a positive integer: |G| [chi_i, chi_j] = sum_k chi_i(k) w_k,
+    w_k = conj(chi_j(k)) |K_k|, each weighted row built once.  With one such
+    row per class, sum chi(1)^2 = |G| follows."""
     n = classes.group.order
     for j, chi in enumerate(rows):
         weighted = [v.conjugate() * size for v, size in zip(chi.values, classes.sizes)]
@@ -369,6 +376,8 @@ def check_orthonormal(rows: list[ClassFunction], classes: ConjClassPartition) ->
                 total = total + a * w
             if not total == (n if i == j else 0):
                 raise RuntimeError("character rows are not orthonormal")
+    if not all(chi.values[0].is_rational_integer() and chi.values[0].as_int() > 0 for chi in rows):
+        raise RuntimeError("character degrees are not positive integers")
 
 
 # --- class function operations -------------------------------------------

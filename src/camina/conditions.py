@@ -106,22 +106,20 @@ def satisfies_CI(
     chi in Irr(G); every theta lies under at least one.  (CI) therefore fails
     iff two distinct chi_i, chi_j share a nontrivial constituent on H, i.e.
     [chi_i_H, chi_j_H] > [chi_i_H, 1_H][chi_j_H, 1_H].  With c_k elements of H
-    in class k, that reads |H| sum_k c_k chi_i(k) conj(chi_j(k)) against
-    (sum_k c_k chi_i(k)) (sum_k c_k chi_j(k)), compared exactly."""
+    in class k, the count-weighted row w_i[k] = chi_i(k) c_k sums to
+    |H| [chi_i_H, 1_H], and since conj(chi(k)) = chi(k^-1), sum_k w_i[k]
+    chi_j(k^-1) is |H| [chi_i_H, chi_j_H]; the two sides are compared exactly."""
     _require_nontrivial_proper(G, H, "condition (CI)")
-    table = character_table(G, order_cap=order_cap, class_cap=class_cap)
-    class_of = conjugacy_classes(G).class_of
-    in_h = Counter(class_of[h] for h in H.members)
-    c = list(in_h.values())
-    rows = [[chi.values[k] for k in in_h] for chi in table.irreducibles]
-    conj_rows = [[v.conjugate() for v in row] for row in rows]
+    irr = [chi.values for chi in character_table(G, order_cap=order_cap, class_cap=class_cap).irreducibles]
+    classes = conjugacy_classes(G)
+    in_h = Counter(classes.class_of[h] for h in H.members)
+    inv = [classes.inverse_class[k] for k in in_h]
+    weighted = [[chi[k] * n for k, n in in_h.items()] for chi in irr]
     # |H| [chi_H, 1_H] and |H| [chi_i_H, chi_j_H] are rational integers
-    trivial = [sum((v * n for v, n in zip(row, c)), Cyc.zero(1)).as_int() for row in rows]
-    for i, row in enumerate(rows):
-        for j in range(i + 1, len(rows)):
-            gram = Cyc.zero(1)
-            for v, w, n in zip(row, conj_rows[j], c):
-                gram = gram + v * w * n
+    trivial = [sum(w, Cyc.zero(1)).as_int() for w in weighted]
+    for i, w in enumerate(weighted):
+        for j in range(i + 1, len(irr)):
+            gram = sum((a * irr[j][k] for a, k in zip(w, inv)), Cyc.zero(1))
             if gram.as_int() * len(H) != trivial[i] * trivial[j]:
                 return ConditionVerdict.fail(
                     CI, None, None, f"chi_index={i} and chi_index={j} share a nontrivial constituent on H"

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .chartab import CharacterTable, ClassFunction, character_table, check_orthonormal
+from .chartab import CharacterTable, ClassFunction, character_table, check_caps, check_orthonormal
 from .cyclotomic import Cyc
 from .grouptable import GroupTable
 from .structure import conjugacy_classes
@@ -118,7 +118,7 @@ def save_chartab(G: GroupTable, table: CharacterTable, cache_dir: str | Path) ->
 
 def load_chartab(G: GroupTable, cache_dir: str | Path) -> CharacterTable | None:
     """The cached table of G, or None when there is none or it fails the
-    exact orthonormality check of a fresh build."""
+    exact check of a fresh build: orthonormal rows, positive integer degrees."""
     path = Path(cache_dir) / f"chartab-{chartab_cache_key(G)}.json"
     if not path.exists():
         return None
@@ -141,6 +141,9 @@ def load_chartab(G: GroupTable, cache_dir: str | Path) -> CharacterTable | None:
 def cached_character_table(
     G: GroupTable, cache_dir: str | Path | None, **caps
 ) -> CharacterTable:
+    """G's table from ``cache_dir`` when a valid file is there, else a fresh
+    build that is saved there.  The caps apply to a load as to a build."""
+    check_caps(G, **caps)
     if cache_dir is not None:
         hit = load_chartab(G, cache_dir)
         if hit is not None:

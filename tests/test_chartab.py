@@ -1,4 +1,7 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from camina.catalog import builtin, builtin_catalog
 from camina.chartab import (
@@ -20,12 +23,27 @@ from camina.chartab import (
     ClassFunction,
 )
 from camina.cyclotomic import Cyc
-from camina.grouptable import CapExceeded, ElementSet, subgroup_table
+from camina.grouptable import CapExceeded, ElementSet, generate, subgroup_table
+from camina.perm import Permutation, conjugate
 from camina.structure import conjugacy_classes, exponent, subgroups
 
 
 def by_order(G, n, which=0):
     return [H for H in subgroups(G) if len(H) == n][which]
+
+
+RELABEL_LABELS = [e.label for e in builtin_catalog() if e.group().order <= 24]
+
+
+def table_shape(G):
+    """Sorted class sizes, and the character table up to row and column
+    order: for each pair of rows, the multiset over the columns of (class
+    size, representative order, value, value)."""
+    classes = conjugacy_classes(G)
+    columns = [(size, G.element_order(rep)) for size, rep in zip(classes.sizes, classes.reps)]
+    rows = [[(v.e, v.coeffs) for v in chi.values] for chi in character_table(G).irreducibles]
+    pairs = sorted(tuple(sorted(Counter(zip(columns, a, b)).items())) for a in rows for b in rows)
+    return sorted(classes.sizes), pairs
 
 
 class TestExponent:
@@ -150,6 +168,19 @@ class TestCharacterTable:
         with pytest.raises(RuntimeError, match="character rows are not orthonormal"):
             character_table(builtin("S4").group())
         assert len(lifted) == 25
+
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(RELABEL_LABELS), st.randoms(use_true_random=False))
+    def test_relabelling_invariance(self, label, rng):
+        # Relabelling the points gives an isomorphic group whose elements,
+        # classes and rows come in another order.
+        entry = builtin(label)
+        points = list(range(entry.degree))
+        rng.shuffle(points)
+        sigma = Permutation(points)
+        G = generate(entry.degree, [conjugate(g, sigma) for g in entry.generators])
+        assert table_shape(G) == table_shape(entry.group())
 
 
 class TestInnerProduct:

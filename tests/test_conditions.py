@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 
 import pytest
 
@@ -15,6 +16,7 @@ from camina.conditions import (
     satisfies_Fpm,
     satisfies_O,
 )
+from camina.cyclotomic import Cyc
 from camina.grouptable import ElementSet, subgroup_table
 from camina.structure import conjugacy_classes, subgroups
 
@@ -108,6 +110,23 @@ class TestConditionFpm:
         assert satisfies_Fpm(G, H).holds
 
 
+def ci_by_conjugated_rows(G, H):
+    """(holds, witness detail) of (CI) by the Gram loop over the rows of Irr(G)
+    restricted to the classes meeting H, their complex conjugates and their
+    weighted sums: |H| [chi_i_H, chi_j_H] against |H|^2 [chi_i_H, 1_H][chi_j_H, 1_H]."""
+    in_h = Counter(conjugacy_classes(G).class_of[h] for h in H.members)
+    c = list(in_h.values())
+    rows = [[chi.values[k] for k in in_h] for chi in character_table(G).irreducibles]
+    conj_rows = [[v.conjugate() for v in row] for row in rows]
+    trivial = [sum((v * n for v, n in zip(row, c)), Cyc.zero(1)).as_int() for row in rows]
+    for i, row in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            gram = sum((v * w * n for v, w, n in zip(row, conj_rows[j], c)), Cyc.zero(1))
+            if gram.as_int() * len(H) != trivial[i] * trivial[j]:
+                return False, f"chi_index={i} and chi_index={j} share a nontrivial constituent on H"
+    return True, None
+
+
 class TestConditionCI:
     def test_s3_a3(self, s3):
         assert satisfies_CI(s3, by_order(s3, 3)).holds
@@ -160,6 +179,37 @@ class TestConditionCI:
                 assert satisfies_CI(G, H).holds == expected, (entry.label, H.members)
                 pairs += 1
         assert pairs == 448
+
+    def test_matches_conjugated_rows_on_catalog(self):
+        """Verdict and witness against the Gram loop over conjugated rows, on
+        every proper nontrivial pair of the builtin catalog."""
+        pairs = holding = 0
+        for entry in builtin_catalog():
+            G = entry.group()
+            for H in subgroups(G):
+                if not 1 < len(H) < G.order:
+                    continue
+                v = satisfies_CI(G, H)
+                got = (v.holds, None if v.holds else v.witness.detail)
+                assert got == ci_by_conjugated_rows(G, H), (entry.label, H.members)
+                pairs += 1
+                holding += v.holds
+        assert (pairs, holding) == (745, 17)
+
+    def test_no_complex_conjugation(self, s4, monkeypatch):
+        # conj(chi(k)) is read as chi(k^-1); only the table's self-check conjugates
+        character_table(s4)
+        calls = []
+        original = Cyc.conjugate
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Cyc, "conjugate", counted)
+        verdicts = [satisfies_CI(s4, H).holds for H in subgroups(s4) if 1 < len(H) < s4.order]
+        assert len(verdicts) == 28
+        assert calls == []
 
     def test_cap_propagates(self, s4):
         from camina.grouptable import CapExceeded

@@ -8,6 +8,7 @@ import pytest
 from camina.catalog import builtin
 from camina.chartab import character_table
 from camina.cli import run_cli
+from camina.grouptable import CapExceeded
 from camina.reports import (
     ReportRecord,
     cached_character_table,
@@ -103,6 +104,25 @@ class TestChartabCache:
         assert table.degree_sequence == fresh.degree_sequence == (1, 1, 2, 3, 3)
         assert load_chartab(s4, tmp_path) is not None  # a rejected file is rebuilt and saved again
 
+    def test_negated_row_is_not_trusted(self, tmp_path, s4):
+        # -chi is orthonormal to every other row, but -chi(1) is no degree
+        fresh = character_table(s4)
+        path = save_chartab(s4, fresh, tmp_path)
+        obj = json.loads(path.read_text())
+        obj["rows"][2] = [[-c for c in coeffs] for coeffs in obj["rows"][2]]
+        path.write_text(json.dumps(obj, sort_keys=True))
+        assert load_chartab(s4, tmp_path) is None
+        table = cached_character_table(s4, tmp_path)
+        assert [chi.values for chi in table.irreducibles] == [chi.values for chi in fresh.irreducibles]
+        assert load_chartab(s4, tmp_path).degree_sequence == (1, 1, 2, 3, 3)
+
+    def test_caps_apply_before_a_load(self, tmp_path, s4):
+        save_chartab(s4, character_table(s4), tmp_path)
+        assert load_chartab(s4, tmp_path) is not None
+        with pytest.raises(CapExceeded, match="character table order cap exceeded"):
+            cached_character_table(s4, tmp_path, order_cap=10)
+        assert cached_character_table(s4, tmp_path, order_cap=24).degree_sequence == (1, 1, 2, 3, 3)
+
 
 class TestCli:
     def test_check_camina(self, capsys):
@@ -130,6 +150,15 @@ class TestCli:
         assert rc == 0
         assert out.count("chi_") == 5
         assert "degree sequence: 1,1,1,1,2" in out
+
+    def test_chartab_class_cap_with_cached_table(self, tmp_path, capsys):
+        cache = str(tmp_path)
+        assert run_cli(["--cache-dir", cache, "chartab", "--group", "S4"]) == 0
+        assert "character table of S4" in capsys.readouterr().out
+        assert run_cli(["--cache-dir", cache, "--class-cap", "3", "chartab", "--group", "S4"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: character table class cap exceeded (reached 5)\n"
 
     def test_info(self, capsys):
         rc = run_cli(["info", "--group", "Frob(7:3)"])

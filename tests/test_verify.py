@@ -557,7 +557,13 @@ class TestIrrGivenNOncePerPair:
             assert len(calls) == 4  # one per irreducible of A4
 
 
-ISOMORPHIC_ENTRIES = [("D6", "C2xS3"), ("C6", "C2xC3"), ("C12", "C4xC3"), ("D10", "C2xD5")]
+ISOMORPHIC_ENTRIES = [
+    ("D6", "C2xS3"),
+    ("C6", "C2xC3"),
+    ("C12", "C4xC3"),
+    ("D10", "C2xD5"),
+    ("S3", "D3"),
+]
 RELABEL_ENTRIES = [e.label for e in builtin_catalog() if e.group().order <= 24]
 _SUMMARIES: dict = {}
 
@@ -580,6 +586,14 @@ class TestMetamorphicVerdicts:
     def test_isomorphic_entries(self, a, b):
         assert builtin(a).group().order == builtin(b).group().order
         assert builtin_summary(a) == builtin_summary(b)
+
+    def test_regular_representation(self):
+        # Frob(5:4) acting on itself by left multiplication, on 20 points
+        F = builtin("Frob(5:4)").group()
+        gens = [Permutation([F.mul(g, x) for x in range(F.order)]) for g in F.generator_ids]
+        G = generate(F.order, gens)
+        assert (G.order, G.degree) == (20, 20)
+        assert claim_summary(G) == builtin_summary("Frob(5:4)")
 
     @settings(max_examples=12, deadline=None)
     @given(st.sampled_from(RELABEL_ENTRIES), st.randoms(use_true_random=False))
