@@ -61,7 +61,6 @@ from .verify import (
     Pair,
     VerificationReport,
     summarize,
-    sweep,
     verify_cor2,
     verify_covering,
     verify_pair_claim,

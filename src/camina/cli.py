@@ -43,7 +43,7 @@ from .structure import (
     small_generating_set,
     subgroups,
 )
-from .verify import ALL_CLAIMS, VIOLATION, VerificationReport, report_key, select_group, summarize, sweep_single
+from .verify import ALL_CLAIMS, VIOLATION, VerificationReport, report_key, summarize, sweep_single
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -69,12 +69,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="camina", description="Exact coset-conjugacy workbench for small groups")
-    p.add_argument("--order-cap", type=int, default=None, help="group order cap (generation and character tables)")
-    p.add_argument("--class-cap", type=int, default=None, help="conjugacy class cap for character tables")
-    p.add_argument("--subgroup-cap", type=int, default=None, help="subgroup enumeration cap")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for verify")
+    p.add_argument("--order-cap", type=_positive_int, help="group order cap (generation and character tables)")
+    p.add_argument("--class-cap", type=_positive_int, help="conjugacy class cap for character tables")
+    p.add_argument("--subgroup-cap", type=_positive_int, default=DEFAULT_SUBGROUP_CAP, help="subgroup enumeration cap")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers for verify")
     p.add_argument("--cache-dir", default=".camina-cache", help="character table cache directory")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -104,18 +114,15 @@ def build_parser() -> _Parser:
 
     verify = sub.add_parser("verify", help="sweep theorem/lemma claims over a catalog")
     verify.add_argument("--catalog", default="builtin", help="'builtin' or a directory of group files")
-    verify.add_argument("--max-order", type=int, default=96)
+    verify.add_argument("--max-order", type=_positive_int, default=96)
     verify.add_argument("--claims", default="all", help="comma list (theorem1,...,lemma_a..lemma_m,claim9,cor2,covering,lemmas,all)")
     verify.add_argument("--out", default=None, help="write a JSON-lines report file")
     return p
 
 
-def _resolve_group(label: str, cap: int) -> tuple[str, GroupTable]:
-    if Path(label).is_file():
-        entry = parse_group_file(label)
-    else:
-        entry = builtin(label)
-    return entry.label, entry.group(cap=cap)
+def _resolve_group(args) -> tuple[str, GroupTable]:
+    entry = parse_group_file(args.group) if Path(args.group).is_file() else builtin(args.group)
+    return entry.label, entry.group(cap=args.generation_cap)
 
 
 def _subgroup_by_file(G: GroupTable, path: str) -> ElementSet:
@@ -173,7 +180,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    label, G = _resolve_group(args.group, args.order_cap or DEFAULT_ORDER_CAP)
+    label, G = _resolve_group(args)
     classes = conjugacy_classes(G)
     print(f"group {label}")
     print(f"order {G.order}")
@@ -190,7 +197,7 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_chartab(args) -> int:
-    label, G = _resolve_group(args.group, args.order_cap or DEFAULT_ORDER_CAP)
+    label, G = _resolve_group(args)
     table = cached_character_table(G, args.cache_dir, order_cap=args.order_cap, class_cap=args.class_cap)
     classes = conjugacy_classes(G)
     print(f"character table of {label} (order {G.order}, {classes.count} classes)")
@@ -204,8 +211,8 @@ def _cmd_chartab(args) -> int:
 
 
 def _cmd_subgroups(args) -> int:
-    label, G = _resolve_group(args.group, args.order_cap or DEFAULT_ORDER_CAP)
-    for idx, H in enumerate(subgroups(G, args.subgroup_cap or DEFAULT_SUBGROUP_CAP)):
+    label, G = _resolve_group(args)
+    for idx, H in enumerate(subgroups(G, args.subgroup_cap)):
         gens = [format_cycles(G.elements[i]) for i in small_generating_set(G, H.members)]
         flags = []
         if H.is_normal():
@@ -215,12 +222,12 @@ def _cmd_subgroups(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    label, G = _resolve_group(args.group, args.order_cap or DEFAULT_ORDER_CAP)
+    label, G = _resolve_group(args)
     targets: list[tuple[int | None, ElementSet]] = []
     if args.subgroup_file is not None:
         targets.append((None, _subgroup_by_file(G, args.subgroup_file)))
     else:
-        subs = subgroups(G, args.subgroup_cap or DEFAULT_SUBGROUP_CAP)
+        subs = subgroups(G, args.subgroup_cap)
         if args.subgroup_index is not None:
             if not 0 <= args.subgroup_index < len(subs):
                 raise UsageError(f"subgroup index {args.subgroup_index} out of range (0..{len(subs) - 1})")
@@ -239,9 +246,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    label, G = _resolve_group(args.group, args.order_cap or DEFAULT_ORDER_CAP)
+    label, G = _resolve_group(args)
     found = 0
-    for idx, H in enumerate(subgroups(G, args.subgroup_cap or DEFAULT_SUBGROUP_CAP)):
+    for idx, H in enumerate(subgroups(G, args.subgroup_cap)):
         try:
             verdict = _condition_verdict(G, H, args.condition, args)
         except ValueError:
@@ -286,15 +293,19 @@ def _sweep_payload(
     item, max_order, claims, char_order_cap, char_class_cap, subgroup_cap, generation_cap
 ) -> tuple[list[VerificationReport], str | None]:
     """The reports of one catalog group, and the error that left them out
-    when its file cannot be read or it is over the generation cap."""
+    when its file cannot be read or it is over the generation cap.
+
+    Generation stops at the smaller of ``max_order`` and the generation cap,
+    so a group above ``max_order`` is never enumerated past it: it has no
+    reports and no error."""
     kind, payload = item
     try:
         entry = builtin(payload) if kind == "builtin" else parse_group_file(payload)
-        G = select_group(entry, max_order, generation_cap)
+        G = entry.group(cap=min(max_order, generation_cap))
     except INPUT_ERRORS as exc:
+        if isinstance(exc, CapExceeded) and max_order <= generation_cap:
+            return [], None
         return [], f"{payload}: {exc}"
-    if G is None:
-        return [], None
     return sweep_single(entry.label, G, claims, char_order_cap, char_class_cap, subgroup_cap), None
 
 
@@ -307,8 +318,8 @@ def _cmd_verify(args) -> int:
         claims=claims,
         char_order_cap=args.order_cap,
         char_class_cap=args.class_cap,
-        subgroup_cap=args.subgroup_cap or DEFAULT_SUBGROUP_CAP,
-        generation_cap=args.order_cap or DEFAULT_ORDER_CAP,
+        subgroup_cap=args.subgroup_cap,
+        generation_cap=args.generation_cap,
     )
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -349,6 +360,8 @@ def run_cli(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # --order-cap bounds generation too; unset, generation stops at DEFAULT_ORDER_CAP
+    args.generation_cap = args.order_cap or DEFAULT_ORDER_CAP
     handlers = {
         "catalog": _cmd_catalog,
         "info": _cmd_info,

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .chartab import CharacterTable, ClassFunction, character_table, check_caps, check_orthonormal
 from .cyclotomic import Cyc
@@ -18,73 +18,34 @@ FORMAT_VERSION = "camina/0.1.0"
 
 
 @dataclass(frozen=True)
-class ReportRecord:
+class ReportRecord(VerificationReport):
     """A VerificationReport plus artifact version and run timestamp."""
 
-    group_label: str
-    group_order: int
-    subgroup_index: int
-    subgroup_order: int
-    claim: str
-    status: str
-    details: dict
     version: str
     timestamp: str
-
-    @classmethod
-    def from_report(cls, r: VerificationReport, version: str, timestamp: str) -> ReportRecord:
-        return cls(
-            r.group_label,
-            r.group_order,
-            r.subgroup_index,
-            r.subgroup_order,
-            r.claim,
-            r.status,
-            r.details,
-            version,
-            timestamp,
-        )
-
-
-_FIELDS = (
-    "group_label",
-    "group_order",
-    "subgroup_index",
-    "subgroup_order",
-    "claim",
-    "status",
-    "details",
-    "version",
-    "timestamp",
-)
-
-
-def persist_records(records: Sequence[ReportRecord], path: str | Path) -> None:
-    """One JSON object per line, keys sorted, exact round trip."""
-    lines = []
-    for rec in records:
-        obj = {f: getattr(rec, f) for f in _FIELDS}
-        lines.append(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-    Path(path).write_text("".join(line + "\n" for line in lines))
-
-
-def load_records(path: str | Path) -> list[ReportRecord]:
-    records = []
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        records.append(ReportRecord(**{f: obj[f] for f in _FIELDS}))
-    return records
 
 
 def persist_reports(
     reports: Iterable[VerificationReport], path: str | Path, version: str, timestamp: str
 ) -> None:
-    persist_records([ReportRecord.from_report(r, version, timestamp) for r in reports], path)
+    """One JSON object per line, keys sorted, exact round trip: each
+    report's fields as a ReportRecord with ``version`` and ``timestamp``.
+    ``vars`` rather than ``asdict``, which would deep-copy every details dict."""
+    lines = []
+    for r in reports:
+        record = {**vars(r), "version": version, "timestamp": timestamp}
+        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+    Path(path).write_text("".join(line + "\n" for line in lines))
 
 
-load_reports = load_records
+def load_reports(path: str | Path) -> list[ReportRecord]:
+    names = [f.name for f in fields(ReportRecord)]
+    records = []
+    for line in Path(path).read_text().splitlines():
+        if line.strip():
+            obj = json.loads(line)
+            records.append(ReportRecord(**{name: obj[name] for name in names}))
+    return records
 
 
 # --- character table cache --------------------------------------------------
@@ -117,23 +78,21 @@ def save_chartab(G: GroupTable, table: CharacterTable, cache_dir: str | Path) ->
 
 
 def load_chartab(G: GroupTable, cache_dir: str | Path) -> CharacterTable | None:
-    """The cached table of G, or None when there is none or it fails the
-    exact check of a fresh build: orthonormal rows, positive integer degrees."""
+    """The cached table of G, or None when there is no readable file or it
+    fails the exact check of a fresh build: orthonormal rows, positive
+    integer degrees."""
     path = Path(cache_dir) / f"chartab-{chartab_cache_key(G)}.json"
-    if not path.exists():
-        return None
-    obj = json.loads(path.read_text())
-    if obj.get("format") != FORMAT_VERSION or obj.get("order") != G.order:
-        return None
-    e = obj["root_order"]
     classes = conjugacy_classes(G)
-    if len(obj["rows"]) != classes.count or any(len(row) != classes.count for row in obj["rows"]):
-        return None
     try:
-        rows = [ClassFunction(G, tuple(Cyc(e, coeffs) for coeffs in row)) for row in obj["rows"]]
+        obj = json.loads(path.read_text())
+        if obj["format"] != FORMAT_VERSION or obj["order"] != G.order:
+            return None
+        if len(obj["rows"]) != classes.count or any(len(row) != classes.count for row in obj["rows"]):
+            return None
+        rows = [ClassFunction(G, tuple(Cyc(obj["root_order"], coeffs) for coeffs in row)) for row in obj["rows"]]
         check_orthonormal(rows, classes)
         degrees = tuple(sorted(chi.degree() for chi in rows))
-    except (RuntimeError, ValueError):
+    except (OSError, LookupError, RuntimeError, TypeError, ValueError):
         return None
     return CharacterTable(G, tuple(rows), degrees)
 

@@ -17,7 +17,6 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
-from .catalog import CatalogEntry
 from .chartab import ClassFunction, character_table, in_irr_given_N
 from .conditions import (
     EQUAL_ORDER_COSET,
@@ -36,7 +35,6 @@ from .conditions import (
 )
 from .cyclotomic import Cyc
 from .grouptable import (
-    DEFAULT_ORDER_CAP,
     CapExceeded,
     ElementSet,
     GroupTable,
@@ -570,46 +568,6 @@ def verify_pair_claim(G: GroupTable, H: ElementSet, claim: str, pair: Pair | Non
     if status == PASS:
         details.setdefault("fired", True)
     return pair.report(claim, status, details)
-
-
-def select_group(entry: CatalogEntry, max_order: int, generation_cap: int = DEFAULT_ORDER_CAP) -> GroupTable | None:
-    """The entry's group if its order is at most ``max_order``, else None.
-
-    Generation stops at the smaller of the two bounds, so a group above
-    ``max_order`` is never enumerated past it.  A group above
-    ``generation_cap`` but within ``max_order`` still raises CapExceeded."""
-    try:
-        return entry.group(cap=min(max_order, generation_cap))
-    except CapExceeded:
-        if max_order <= generation_cap:
-            return None
-        raise
-
-
-def sweep(
-    entries: list[CatalogEntry],
-    order_cap: int,
-    claims: list[str] | tuple[str, ...] = ALL_CLAIMS,
-    *,
-    char_order_cap: int | None = None,
-    char_class_cap: int | None = None,
-    subgroup_cap: int = DEFAULT_SUBGROUP_CAP,
-    generation_cap: int = DEFAULT_ORDER_CAP,
-) -> list[VerificationReport]:
-    """Run the selected claims over every admissible (G, H) pair of every
-    catalog entry with |G| <= order_cap; reports come back in canonical
-    (group label, subgroup index, claim) order."""
-    claims = list(claims)
-    unknown = [c for c in claims if c not in ALL_CLAIMS]
-    if unknown:
-        raise ValueError(f"unknown claims: {unknown}")
-    reports: list[VerificationReport] = []
-    for entry in entries:
-        G = select_group(entry, order_cap, generation_cap)
-        if G is not None:
-            reports.extend(sweep_single(entry.label, G, claims, char_order_cap, char_class_cap, subgroup_cap))
-    reports.sort(key=report_key)
-    return reports
 
 
 def sweep_single(

@@ -23,7 +23,7 @@ from camina.structure import (
     is_frobenius_with_kernel,
     subgroups,
 )
-from camina.verify import LEMMA_CLAIMS, summarize, sweep, verify_covering
+from camina.verify import LEMMA_CLAIMS, summarize, verify_covering
 
 
 def _criterion(name, ok):
@@ -89,10 +89,10 @@ def test_criterion_2_frobenius_reciprocity():
     _criterion(f"criterion 2: Frobenius reciprocity exact on {checked} quadruples (<= 60)", checked > 0)
 
 
-def test_criterion_3_theorem1_sweep():
+def test_criterion_3_theorem1_sweep(verify_builtin):
     """verify --claims theorem1 --max-order 96: zero violations, and the
     summary shows a nonzero number of pairs where CI/F fire."""
-    reports = sweep(builtin_catalog(), 96, ["theorem1"])
+    reports = verify_builtin(96, ["theorem1"])
     s = summarize(reports)
     fired = s["claims"]["theorem1"]["fired"]
     by_pair = {
@@ -109,19 +109,19 @@ def test_criterion_3_theorem1_sweep():
     )
 
 
-def test_criterion_4_structure_theorem_sweeps():
+def test_criterion_4_structure_theorem_sweeps(verify_builtin):
     """theorem2, odd-order theorem and corollary 1 sweeps: 0 VIOLATION <= 128."""
-    reports = sweep(builtin_catalog(), 128, ["theorem2", "odd_order", "cor1"])
+    reports = verify_builtin(128, ["theorem2", "odd_order", "cor1"])
     s = summarize(reports)
     ok = s["violations"] == 0
     counts = {c: s["claims"][c]["fired"] for c in ("theorem2", "odd_order", "cor1")}
     _criterion(f"criterion 4: theorem2/odd_order/cor1 sweeps <= 128, fired={counts}, 0 violations", ok)
 
 
-def test_criterion_5_cor2_sweep(s3):
+def test_criterion_5_cor2_sweep(s3, verify_builtin):
     """Corollary 2 sweep <= 128 for every prime; the S3, p=3 hypothesis
     fires for both 3-cycles."""
-    reports = sweep(builtin_catalog(), 128, ["cor2"])
+    reports = verify_builtin(128, ["cor2"])
     s = summarize(reports)
     from camina.conditions import bs_hypothesis
 
@@ -148,11 +148,11 @@ def test_criterion_6_known_pair_fixtures(s3, q8, frob21):
     _criterion("criterion 6: known-pair fixtures (S3/A3, Q8/Z, abelian, Frob(7:3)/C7)", ok)
 
 
-def test_criterion_7_lemma_suite_sweep():
+def test_criterion_7_lemma_suite_sweep(verify_builtin):
     """Lemmas (a)-(m): 0 VIOLATION, order <= 96 (character lemmas l, m <= 60)."""
     charfree = [c for c in LEMMA_CLAIMS if c not in ("lemma_l", "lemma_m")] + ["claim9"]
-    r1 = sweep(builtin_catalog(), 96, charfree)
-    r2 = sweep(builtin_catalog(), 60, ["lemma_l", "lemma_m"])
+    r1 = verify_builtin(96, charfree)
+    r2 = verify_builtin(60, ["lemma_l", "lemma_m"])
     s1, s2 = summarize(r1), summarize(r2)
     ok = s1["violations"] == 0 and s2["violations"] == 0
     _criterion(

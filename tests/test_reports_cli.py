@@ -1,56 +1,67 @@
 import json
 import re
-from dataclasses import asdict
+import shlex
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
 
 from camina.catalog import builtin
 from camina.chartab import character_table
-from camina.cli import run_cli
+from camina.cli import build_parser, run_cli
 from camina.grouptable import CapExceeded
 from camina.reports import (
     ReportRecord,
     cached_character_table,
     chartab_cache_key,
     load_chartab,
-    load_records,
-    persist_records,
+    load_reports,
     persist_reports,
     save_chartab,
 )
 from camina.verify import VerificationReport
 
 
+REPORTS = [
+    VerificationReport("S3", 6, 4, 3, "theorem1", "PASS", {"f_holds": True}),
+    VerificationReport(
+        "S3",
+        6,
+        1,
+        2,
+        "lemma_b",
+        "VIOLATION",
+        {"witness": {"x": 3, "h": 1, "detail": "x*h is not conjugate to x"}},
+    ),
+]
+
+
 class TestReportPersistence:
     def test_round_trip(self, tmp_path):
-        records = [
-            ReportRecord("S3", 6, 4, 3, "theorem1", "PASS", {"f_holds": True}, "0.1.0", "t0"),
-            ReportRecord(
-                "S3",
-                6,
-                1,
-                2,
-                "lemma_b",
-                "VIOLATION",
-                {"witness": {"x": 3, "h": 1, "detail": "x*h is not conjugate to x"}},
-                "0.1.0",
-                "t0",
-            ),
-        ]
+        records = [ReportRecord(**vars(r), version="0.1.0", timestamp="t0") for r in REPORTS]
         path = tmp_path / "reports.jsonl"
-        persist_records(records, path)
-        assert load_records(path) == records
+        persist_reports(REPORTS, path, "0.1.0", "t0")
+        assert load_reports(path) == records
         # witness fields survive verbatim
-        reloaded = load_records(path)[1]
+        reloaded = load_reports(path)[1]
         assert reloaded.details["witness"]["x"] == 3
         assert reloaded.details["witness"]["detail"] == "x*h is not conjugate to x"
 
     def test_empty_list(self, tmp_path):
         path = tmp_path / "empty.jsonl"
-        persist_records([], path)
+        persist_reports([], path, "0.1.0", "t0")
         assert path.read_text() == ""
-        assert load_records(path) == []
+        assert load_reports(path) == []
+
+    def test_records_are_the_written_reports(self, tmp_path):
+        path = tmp_path / "reports.jsonl"
+        persist_reports(REPORTS, path, "0.1.0", "2024-01-01T00:00:00+00:00")
+        records = load_reports(path)
+        assert len(records) == len(REPORTS)
+        for record, report in zip(records, REPORTS):
+            assert isinstance(record, VerificationReport)
+            assert all(getattr(record, f.name) == getattr(report, f.name) for f in fields(VerificationReport))
+            assert (record.version, record.timestamp) == ("0.1.0", "2024-01-01T00:00:00+00:00")
 
     def test_one_object_per_line(self, tmp_path):
         reports = [VerificationReport("Q8", 8, 0, 1, "odd_order", "PASS", {"fired": True})]
@@ -61,6 +72,19 @@ class TestReportPersistence:
         obj = json.loads(lines[0])
         assert obj["group_label"] == "Q8"
         assert obj["version"] == "0.1.0"
+
+
+def damaged(text: str, damage: str) -> str:
+    """A character-table cache file with one kind of damage."""
+    if damage == "truncated":
+        return text[:40]
+    if damage == "missing_key":
+        return '{"format":"camina/0.1.0","order":6}'
+    if damage == "list":
+        return f"[{text}]"
+    obj = json.loads(text)
+    obj["rows"][1][1][0] = str(obj["rows"][1][1][0])  # a row of the right shape
+    return json.dumps(obj)
 
 
 class TestChartabCache:
@@ -115,6 +139,18 @@ class TestChartabCache:
         table = cached_character_table(s4, tmp_path)
         assert [chi.values for chi in table.irreducibles] == [chi.values for chi in fresh.irreducibles]
         assert load_chartab(s4, tmp_path).degree_sequence == (1, 1, 2, 3, 3)
+
+    @pytest.mark.parametrize("damage", ["truncated", "missing_key", "list", "string_coefficient"])
+    def test_unreadable_file_is_a_miss(self, tmp_path, capsys, s3, damage):
+        cache = str(tmp_path)
+        assert run_cli(["--cache-dir", cache, "chartab", "--group", "S3"]) == 0
+        printed = capsys.readouterr().out
+        (path,) = tmp_path.glob("chartab-*.json")
+        path.write_text(damaged(path.read_text(), damage))
+        assert load_chartab(s3, tmp_path) is None
+        assert run_cli(["--cache-dir", cache, "chartab", "--group", "S3"]) == 0
+        assert capsys.readouterr().out == printed
+        assert load_chartab(s3, tmp_path) is not None  # rebuilt and saved again
 
     def test_caps_apply_before_a_load(self, tmp_path, s4):
         save_chartab(s4, character_table(s4), tmp_path)
@@ -199,6 +235,25 @@ class TestCli:
         assert run_cli(["nonsense"]) == 1
         assert run_cli(["check", "--group", "S3", "--subgroup-order", "5", "--condition", "f"]) == 1
 
+    @pytest.mark.parametrize("flag", ["--order-cap", "--class-cap", "--subgroup-cap", "--jobs", "--max-order"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_counts_are_positive_integers(self, capsys, flag, value):
+        if flag == "--max-order":
+            argv = ["verify", flag, value, "--claims", "cor2"]
+        else:
+            argv = [flag, value, "info", "--group", "S3"]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == f"error: argument {flag}: expected a positive integer, got '{value}'\n"
+
+    def test_readme_command_lines_parse(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("camina ")]
+        assert lines
+        parser = build_parser()
+        for line in lines:
+            parser.parse_args(shlex.split(line)[1:])  # raises UsageError on an argument it does not take
+
     def test_cap_exit_code(self, capsys):
         rc = run_cli(["--order-cap", "10", "info", "--group", "S4"])
         assert rc == 3
@@ -223,7 +278,7 @@ class TestCli:
         )
         assert rc == 0
         assert out_file.exists()
-        records = load_records(out_file)
+        records = load_reports(out_file)
         assert records and all(r.claim == "theorem1" for r in records)
         out = capsys.readouterr().out
         assert "violations: 0" in out
@@ -262,7 +317,7 @@ class TestSweepFaultIsolation:
 
     @staticmethod
     def records(path):
-        return [{**asdict(r), "timestamp": None} for r in load_records(path)]
+        return [{**asdict(r), "timestamp": None} for r in load_reports(path)]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_malformed_file_in_catalog(self, tmp_path, capsys, jobs):

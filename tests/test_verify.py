@@ -13,7 +13,7 @@ from camina.catalog import builtin, builtin_catalog
 from camina.chartab import character_table, in_irr_given_N, inner_product_int, restrict, trivial_character
 from camina.conditions import bs_hypothesis, derangements, satisfies_F, satisfies_Fpm
 from camina.cyclotomic import Cyc
-from camina.grouptable import ElementSet, generate, quotient_table, subgroup_table
+from camina.grouptable import ElementSet, closure_indices, generate, quotient_table, subgroup_table
 from camina.perm import Permutation, conjugate
 from camina.structure import conjugacy_classes, o_lower_p, p_part, prime_factors, subgroups
 from camina.verify import (
@@ -25,7 +25,6 @@ from camina.verify import (
     Pair,
     is_subnormal,
     summarize,
-    sweep,
     sweep_single,
     verify_cor2,
     verify_covering,
@@ -238,31 +237,21 @@ class TestSubnormality:
 
 
 class TestSweep:
-    def test_empty_selection(self):
-        assert sweep([], 100, ["theorem1"]) == []
-
-    def test_small_sweeps_have_no_violations(self):
-        entries = builtin_catalog()
-        reports = sweep(entries, 24, ["theorem1"])
+    def test_small_sweeps_have_no_violations(self, verify_builtin):
+        reports = verify_builtin(24, ["theorem1"])
         s = summarize(reports)
         assert s["violations"] == 0
         assert s["claims"]["theorem1"]["fired"] > 0
-        reports = sweep(entries, 48, ["cor2"])
+        reports = verify_builtin(48, ["cor2"])
         assert summarize(reports)["violations"] == 0
 
-    def test_unknown_claim_rejected(self):
-        with pytest.raises(ValueError):
-            sweep([], 10, ["nope"])
-
-    def test_report_order_canonical(self):
-        entries = builtin_catalog()
-        reports = sweep(entries, 12, ["theorem1", "theorem2"])
+    def test_report_order_canonical(self, verify_builtin):
+        reports = verify_builtin(12, ["theorem1", "theorem2"])
         keys = [(r.group_label, r.subgroup_index, r.claim) for r in reports]
         assert keys == sorted(keys)
 
     def test_replayable(self, s3):
-        entries = [e for e in builtin_catalog() if e.label == "S3"]
-        reports = sweep(entries, 6, ["theorem1", "odd_order"])
+        reports = sweep_single("S3", s3, ["theorem1", "odd_order"])
         G = builtin("S3").group()
         subs = subgroups(G)
         for r in reports:
@@ -566,10 +555,29 @@ ISOMORPHIC_ENTRIES = [
 ]
 RELABEL_ENTRIES = [e.label for e in builtin_catalog() if e.group().order <= 24]
 _SUMMARIES: dict = {}
+_FACTS: dict = {}
 
 
 def claim_summary(G):
     return summarize(sweep_single("G", G, list(verify.ALL_CLAIMS)))
+
+
+def group_facts(label, G):
+    """Everything a change of generators must leave identical, element indices included."""
+    classes = conjugacy_classes(G)
+    return (
+        G.elements,
+        (classes.class_of, classes.reps, classes.sizes, classes.inverse_class, classes.member_lists),
+        [chi.values for chi in character_table(G).irreducibles],
+        [H.members for H in subgroups(G)],
+        sweep_single(label, G, list(verify.ALL_CLAIMS)),
+    )
+
+
+def builtin_facts(label):
+    if label not in _FACTS:
+        _FACTS[label] = group_facts(label, builtin(label).group())
+    return _FACTS[label]
 
 
 def builtin_summary(label):
@@ -604,3 +612,21 @@ class TestMetamorphicVerdicts:
         sigma = Permutation(points)
         G = generate(entry.degree, [conjugate(g, sigma) for g in entry.generators])
         assert claim_summary(G) == builtin_summary(label)
+
+    @pytest.mark.parametrize("label", RELABEL_ENTRIES)
+    @settings(max_examples=3, deadline=None)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_generator_change(self, label, rng):
+        # generate sorts the elements, so any generating set gives the same indices
+        F = builtin(label).group()
+        order = list(range(F.order))
+        rng.shuffle(order)
+        ids, span = [], {0}
+        for x in order:  # a random generating set: each new element enlarges the span
+            if x not in span:
+                ids.append(x)
+                span = set(closure_indices(F, ids))
+        redundant = F.mul(rng.choice(ids or [0]), rng.choice(ids or [0]))
+        ids.insert(rng.randrange(len(ids) + 1), redundant)
+        G = generate(F.degree, [F.elements[i] for i in ids])
+        assert group_facts(label, G) == builtin_facts(label)
