@@ -1,16 +1,22 @@
 """Exact complex character theory for enumerated groups.
 
 Character tables are computed by simultaneous eigenspace splitting of
-the class matrices over a finite field F_q with q = 1 mod exp(G), then
-lifted to exact cyclotomic integers by multiplicity counting over the
-powers of each class representative.  All downstream operations
-(induction, restriction, inner products, kernels) stay exact.
+the class matrices over a finite field F_q with q = 1 mod exp(G) (Dixon),
+then lifted to exact cyclotomic integers by multiplicity counting over the
+powers of one class representative per Galois class of columns; the other
+columns of a Galois class re-index those counts.  Every table, built or
+read from a cache, must pass ``check_orthonormal``, which decides the
+orthogonality relations exactly in Z[zeta_e] by arithmetic mod a prime
+p = 1 mod e that lies above an explicit bound on the values.  All
+downstream operations (induction, restriction, inner products, kernels)
+stay exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .cyclotomic import Cyc
 from .grouptable import CapExceeded, ElementSet, GroupTable, subgroup_table
@@ -73,17 +79,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def prime_above(e: int, bound: int) -> int:
+    """Smallest prime q = 1 (mod e) with q > bound."""
+    q = bound + 1
+    q += (1 - q) % e
+    while not is_prime(q):
+        q += e
+    return q
+
+
 def dixon_prime(e: int, order: int) -> int:
     """Smallest prime q = 1 (mod e) with q > 2 * ceil(sqrt(order))."""
     root = math.isqrt(order)
     if root * root < order:
         root += 1
-    bound = 2 * root
-    q = 1
-    while True:
-        q += e
-        if q > bound and is_prime(q):
-            return q
+    return prime_above(e, 2 * root)
 
 
 def class_matrices(G: GroupTable, classes: ConjClassPartition | None = None) -> list[list[list[int]]]:
@@ -197,7 +207,7 @@ def _roots_mod(poly: list[int], q: int) -> list[int]:
 
 
 def _mat_vec(M: list[list[int]], v: list[int], q: int) -> list[int]:
-    return [sum(a * b for a, b in zip(row, v)) % q for row in M]
+    return [sum(map(mul, row, v)) % q for row in M]
 
 
 def _simultaneous_eigenvectors(mats: list[list[list[int]]], q: int) -> list[list[int]]:
@@ -251,12 +261,34 @@ def _simultaneous_eigenvectors(mats: list[list[list[int]]], q: int) -> list[list
     return sorted(out)
 
 
-def _primitive_root(q: int) -> int:
+def _root_of_unity(e: int, q: int) -> int:
+    """A primitive e-th root of unity mod the prime q = 1 (mod e): a
+    primitive root of F_q raised to the power (q - 1) / e."""
     factors = prime_factors(q - 1)
     for g in range(2, q):
         if all(pow(g, (q - 1) // p, q) != 1 for p in factors):
-            return g
+            return pow(g, (q - 1) // e, q)
     raise RuntimeError(f"no primitive root mod {q}")
+
+
+def _eigenvalue_counts(chi_mod: list[int], pcls: list[int], d: int, zpow: list[int], q: int) -> dict[int, int]:
+    """Multiplicity of each eigenvalue zeta_e^(step l), step = e/m, of rho(x)
+    for a character of degree d known mod q, x of order m with x^t in the
+    class pcls[t]: the inverse DFT of chi(x^t) over 0 <= t < m."""
+    e, m = len(zpow), len(pcls)
+    step = e // m
+    inv_m = pow(m, -1, q)
+    values = [chi_mod[c] for c in pcls]
+    counts = {}
+    total = 0
+    for l in range(m):
+        c = sum(x * zpow[-step * l * t % e] for t, x in enumerate(values)) * inv_m % q
+        total += c
+        if c:
+            counts[step * l] = c
+    if total != d:
+        raise RuntimeError("eigenvalue multiplicities do not sum to the degree")
+    return counts
 
 
 def check_caps(
@@ -313,13 +345,21 @@ def character_table(
             raise RuntimeError("no integer degree matches the orthogonality relation")
         degrees.append(d)
 
-    z = pow(_primitive_root(q), (q - 1) // e, q)
+    z = _root_of_unity(e, q)
     zpow = [1] * e
     for i in range(1, e):
         zpow[i] = (zpow[i - 1] * z) % q
 
-    power_classes = []
+    # One lift per Galois class of columns.  For a prime to the order m of
+    # rep, rho(rep^a) has the eigenvalues of rho(rep) raised to the a-th
+    # power, with the same multiplicities, so the column of rep^a re-indexes
+    # the counts of rep's column.  source[k] = (lifted class, a).
+    power_classes = {}
+    source: list[tuple[int, int] | None] = [None] * r
     for k in range(r):
+        if source[k] is not None:
+            continue
+        source[k] = (k, 1)
         rep = classes.reps[k]
         m = G.element_order(rep)
         cur = 0
@@ -327,30 +367,18 @@ def character_table(
         for _ in range(m):
             pcls.append(classes.class_of[cur])
             cur = G.mul(cur, rep)
-        power_classes.append(pcls)
+        for a in range(2, m):
+            if source[pcls[a]] is None and math.gcd(a, m) == 1:
+                source[pcls[a]] = (k, a)
+        power_classes[k] = pcls
 
     rows = []
     for w, d in zip(omegas, degrees):
         chi_mod = [(d * w[k] * inv_sizes[k]) % q for k in range(r)]
+        counts = {k: _eigenvalue_counts(chi_mod, pcls, d, zpow, q) for k, pcls in power_classes.items()}
         values = []
-        for k in range(r):
-            pcls = power_classes[k]
-            m = len(pcls)
-            step = e // m
-            inv_m = pow(m, -1, q)
-            counts = {}
-            total = 0
-            for l in range(m):
-                acc = 0
-                for t in range(m):
-                    acc += chi_mod[pcls[t]] * zpow[(-step * l * t) % e]
-                c = (acc * inv_m) % q
-                total += c
-                if c:
-                    counts[step * l] = c
-            if total != d:
-                raise RuntimeError("eigenvalue multiplicities do not sum to the degree")
-            values.append(Cyc.from_root_multiset(e, counts))
+        for lifted, a in source:
+            values.append(Cyc.from_root_multiset(e, {t * a % e: c for t, c in counts[lifted].items()}))
         rows.append(ClassFunction(G, tuple(values)))
 
     check_orthonormal(rows, classes)
@@ -364,20 +392,56 @@ def character_table(
 
 def check_orthonormal(rows: list[ClassFunction], classes: ConjClassPartition) -> None:
     """Raise RuntimeError unless [chi_i, chi_j] = delta_ij exactly and every
-    chi(1) is a positive integer: |G| [chi_i, chi_j] = sum_k chi_i(k) w_k,
-    w_k = conj(chi_j(k)) |K_k|, each weighted row built once.  With one such
-    row per class, sum chi(1)^2 = |G| follows."""
+    chi(1) is a positive integer.  With one such row per class, sum chi(1)^2
+    = |G| follows.
+
+    The equalities alpha_ij = sum_k chi_i(k) |K_k| conj(chi_j(k)) - |G| delta_ij
+    = 0 in Z[zeta_e] are decided mod a prime p = 1 (mod e) with p > |G| (D^2 + 1),
+    D the largest coefficient L1 norm of a value, under every embedding
+    zeta_e -> z^a of Z[zeta_e] into F_p (``_orthonormal_mod``).  This is exact:
+    p splits completely in Z[zeta_e], so an alpha that every embedding sends
+    to 0 lies in p Z[zeta_e], and a nonzero element of p Z[zeta_e] has a
+    complex conjugate of absolute value >= p, while every conjugate of alpha
+    has absolute value <= |G| (D^2 + 1) < p.
+
+    A value of a character of G is a sum of chi(1) <= sqrt(|G|) roots of
+    unity, so a value with a larger L1 norm than that many of the largest
+    reduced zeta_e^s is rejected first; this keeps p small for any input."""
     n = classes.group.order
-    for j, chi in enumerate(rows):
-        weighted = [v.conjugate() * size for v, size in zip(chi.values, classes.sizes)]
-        for i in range(j + 1):
-            total = Cyc.zero(chi.values[0].e)
-            for a, w in zip(rows[i].values, weighted):
-                total = total + a * w
-            if not total == (n if i == j else 0):
-                raise RuntimeError("character rows are not orthonormal")
+    e = math.lcm(*(v.e for chi in rows for v in chi.values))
+    values = [[v.rebase(e) for v in chi.values] for chi in rows]
+    D = max((sum(map(abs, v.coeffs)) for row in values for v in row), default=0)
+    root_norm = max(sum(map(abs, Cyc.root_power(e, t).coeffs)) for t in range(e))
+    if D > math.isqrt(n) * root_norm:
+        raise RuntimeError("character values exceed the bound for a group of this order")
+    p = prime_above(e, n * (D * D + 1))
+    if not _orthonormal_mod(values, classes.sizes, n, e, p):
+        raise RuntimeError("character rows are not orthonormal")
     if not all(chi.values[0].is_rational_integer() and chi.values[0].as_int() > 0 for chi in rows):
         raise RuntimeError("character degrees are not positive integers")
+
+
+def _orthonormal_mod(values: list[list[Cyc]], sizes: list[int], n: int, e: int, p: int) -> bool:
+    """Whether X_a W_a^T = n I mod p for every a in (Z/e)^x / {+-1}, where
+    X_a[i][k] = iota_a(values[i][k]), W_a[j][k] = iota_-a(values[j][k]) sizes[k]
+    and iota_a maps zeta_e to z^a, z a primitive e-th root of unity mod p.
+    The product at -a is the transpose of the one at a, so half the units
+    cover every embedding."""
+    z = _root_of_unity(e, p)
+    zpow = [pow(z, t, p) for t in range(e)]
+    units = [a for a in range(1, max(e // 2, 1) + 1) if math.gcd(a, e) == 1]
+    distinct = {v.coeffs for row in values for v in row}
+    for a in units:
+        up = [zpow[a * j % e] for j in range(e)]
+        down = [zpow[-a * j % e] for j in range(e)]
+        image = {c: (sum(map(mul, c, up)) % p, sum(map(mul, c, down)) % p) for c in distinct}
+        X = [[image[v.coeffs][0] for v in row] for row in values]
+        W = [[image[v.coeffs][1] * size % p for v, size in zip(row, sizes)] for row in values]
+        for i, x in enumerate(X):
+            for j, w in enumerate(W):
+                if sum(map(mul, x, w)) % p != (n if i == j else 0):
+                    return False
+    return True
 
 
 # --- class function operations -------------------------------------------

@@ -13,6 +13,7 @@ witness stays the first one in element order.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -114,13 +115,20 @@ def satisfies_CI(
     classes = conjugacy_classes(G)
     in_h = Counter(classes.class_of[h] for h in H.members)
     inv = [classes.inverse_class[k] for k in in_h]
-    weighted = [[chi[k] * n for k, n in in_h.items()] for chi in irr]
-    # |H| [chi_H, 1_H] and |H| [chi_i_H, chi_j_H] are rational integers
-    trivial = [sum(w, Cyc.zero(1)).as_int() for w in weighted]
-    for i, w in enumerate(weighted):
+
+    # Each row and its sum are built on first use: most pairs fail at an
+    # early (i, j).  |H| [chi_H, 1_H] and |H| [chi_i_H, chi_j_H] are rational
+    # integers.
+    @functools.cache
+    def weighted(i: int) -> tuple[list[Cyc], int]:
+        w = [irr[i][k] * n for k, n in in_h.items()]
+        return w, sum(w, Cyc.zero(1)).as_int()
+
+    for i in range(len(irr)):
+        w, trivial = weighted(i)
         for j in range(i + 1, len(irr)):
             gram = sum((a * irr[j][k] for a, k in zip(w, inv)), Cyc.zero(1))
-            if gram.as_int() * len(H) != trivial[i] * trivial[j]:
+            if gram.as_int() * len(H) != trivial * weighted(j)[1]:
                 return ConditionVerdict.fail(
                     CI, None, None, f"chi_index={i} and chi_index={j} share a nontrivial constituent on H"
                 )

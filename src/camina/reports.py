@@ -11,7 +11,7 @@ from typing import Iterable
 from .chartab import CharacterTable, ClassFunction, character_table, check_caps, check_orthonormal
 from .cyclotomic import Cyc
 from .grouptable import GroupTable
-from .structure import conjugacy_classes
+from .structure import conjugacy_classes, exponent
 from .verify import VerificationReport
 
 FORMAT_VERSION = "camina/0.1.0"
@@ -78,9 +78,9 @@ def save_chartab(G: GroupTable, table: CharacterTable, cache_dir: str | Path) ->
 
 
 def load_chartab(G: GroupTable, cache_dir: str | Path) -> CharacterTable | None:
-    """The cached table of G, or None when there is no readable file or it
-    fails the exact check of a fresh build: orthonormal rows, positive
-    integer degrees."""
+    """The cached table of G, or None when there is no readable file, its
+    root order does not divide the exponent of G, or it fails the exact check
+    of a fresh build: orthonormal rows, positive integer degrees."""
     path = Path(cache_dir) / f"chartab-{chartab_cache_key(G)}.json"
     classes = conjugacy_classes(G)
     try:
@@ -89,7 +89,10 @@ def load_chartab(G: GroupTable, cache_dir: str | Path) -> CharacterTable | None:
             return None
         if len(obj["rows"]) != classes.count or any(len(row) != classes.count for row in obj["rows"]):
             return None
-        rows = [ClassFunction(G, tuple(Cyc(obj["root_order"], coeffs) for coeffs in row)) for row in obj["rows"]]
+        e = obj["root_order"]
+        if type(e) is not int or e < 1 or exponent(G) % e:  # Z[zeta_e] costs time and memory quadratic in e
+            return None
+        rows = [ClassFunction(G, tuple(Cyc(e, coeffs) for coeffs in row)) for row in obj["rows"]]
         check_orthonormal(rows, classes)
         degrees = tuple(sorted(chi.degree() for chi in rows))
     except (OSError, LookupError, RuntimeError, TypeError, ValueError):

@@ -1,12 +1,15 @@
+import functools
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import camina.chartab as chartab
 from camina.catalog import builtin, builtin_catalog
 from camina.chartab import (
     CycFraction,
     character_table,
+    check_orthonormal,
     class_matrices,
     decompose,
     dixon_prime,
@@ -17,6 +20,7 @@ from camina.chartab import (
     is_homogeneous_induction,
     is_prime,
     kernel_of,
+    prime_above,
     regular_character,
     restrict,
     trivial_character,
@@ -26,6 +30,7 @@ from camina.cyclotomic import Cyc
 from camina.grouptable import CapExceeded, ElementSet, generate, subgroup_table
 from camina.perm import Permutation, conjugate
 from camina.structure import conjugacy_classes, exponent, subgroups
+from reference import reference_character_table, reference_check_orthonormal
 
 
 def by_order(G, n, which=0):
@@ -33,6 +38,22 @@ def by_order(G, n, which=0):
 
 
 RELABEL_LABELS = [e.label for e in builtin_catalog() if e.group().order <= 24]
+PERTURB_LABELS = [e.label for e in builtin_catalog() if e.group().order <= 60]
+
+
+@functools.cache
+def built_table(label):
+    """(G, its classes, Irr(G) as a list of value lists) of a builtin label."""
+    G = builtin(label).group()
+    return G, conjugacy_classes(G), [list(chi.values) for chi in character_table(G).irreducibles]
+
+
+def accepts(check, G, classes, values):
+    try:
+        check([ClassFunction(G, tuple(row)) for row in values], classes)
+    except RuntimeError:
+        return False
+    return True
 
 
 def table_shape(G):
@@ -69,6 +90,11 @@ class TestDixonPrime:
             assert is_prime(q)
             assert q % e == 1
             assert q * q > 4 * order
+
+    def test_prime_above(self):
+        assert prime_above(1, 10) == 11
+        assert prime_above(4, 13) == 17
+        assert prime_above(60, 1000) == 1021
 
 
 class TestClassMatrices:
@@ -181,6 +207,85 @@ class TestCharacterTable:
         sigma = Permutation(points)
         G = generate(entry.degree, [conjugate(g, sigma) for g in entry.generators])
         assert table_shape(G) == table_shape(entry.group())
+
+
+class TestGaloisClassLift:
+    def test_matches_reference_tables(self):
+        # every builtin group: the same rows, value for value, as one DFT per column
+        for entry in builtin_catalog():
+            G = entry.group()
+            got, want = character_table(G), reference_character_table(G)
+            assert got.degree_sequence == want.degree_sequence, entry.label
+            for a, b in zip(got.irreducibles, want.irreducibles, strict=True):
+                assert [(v.e, v.coeffs) for v in a.values] == [(v.e, v.coeffs) for v in b.values], entry.label
+
+    def test_one_dft_per_galois_class_of_columns(self, monkeypatch):
+        # C60 has 60 classes of columns but 12 Galois classes, one per cyclic subgroup
+        lifted = []
+        original = chartab._eigenvalue_counts
+        monkeypatch.setattr(chartab, "_eigenvalue_counts", lambda *args: lifted.append(args) or original(*args))
+        table = character_table(builtin("C60").group())
+        assert len(table.irreducibles) == 60
+        assert len(lifted) == 12 * 60
+        orders = Counter(len(pcls) for _, pcls, *_ in lifted)
+        assert orders == {m: 60 for m in (1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60)}
+
+
+class TestModularSelfCheck:
+    def test_agrees_with_reference_on_builtin_tables(self):
+        for entry in builtin_catalog():
+            G, classes, values = built_table(entry.label)
+            assert accepts(check_orthonormal, G, classes, values), entry.label
+            assert accepts(reference_check_orthonormal, G, classes, values), entry.label
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(PERTURB_LABELS), st.data())
+    def test_agrees_with_reference_on_perturbed_tables(self, label, data):
+        G, classes, values = built_table(label)
+        i = data.draw(st.integers(0, len(values) - 1))
+        k = data.draw(st.integers(0, len(values) - 1))
+        coeffs = list(values[i][k].coeffs)
+        j = data.draw(st.integers(0, len(coeffs) - 1))
+        coeffs[j] += data.draw(st.integers(-3, 3))
+        perturbed = [list(row) for row in values]
+        perturbed[i][k] = Cyc(values[i][k].e, coeffs)
+        assert accepts(check_orthonormal, G, classes, perturbed) == accepts(
+            reference_check_orthonormal, G, classes, perturbed
+        )
+
+    def test_embeddings_other_than_plus_or_minus_one(self, monkeypatch):
+        # zeta_e - z is sent to 0 by iota_1 (zeta_e -> z), and zeta_e - z^-1
+        # by iota_-1, which builds W_1; their product changes a value of
+        # Frob(5:4) (e = 20) where only iota_3, iota_7 and iota_9 can see it.
+        G, classes, values = built_table("Frob(5:4)")
+        seen = []
+        original = chartab._orthonormal_mod
+        monkeypatch.setattr(chartab, "_orthonormal_mod", lambda *args: seen.append(args) or original(*args))
+        assert accepts(check_orthonormal, G, classes, values)
+        embedded, sizes, n, e, p = seen[0]
+        z = chartab._root_of_unity(e, p)
+        zeta = Cyc.root_power(e, 1)
+        delta = (zeta - Cyc.integer(z, e)) * (zeta - Cyc.integer(pow(z, -1, p), e))
+        perturbed = [list(row) for row in embedded]
+        perturbed[1][1] = perturbed[1][1] + delta
+        assert e == 20 and not delta.is_zero()
+        assert not original(perturbed, sizes, n, e, p)
+        assert not accepts(check_orthonormal, G, classes, perturbed)
+
+    def test_no_cyc_products(self, monkeypatch):
+        # the check embeds values into F_p; only the reference multiplies Cyc values
+        G, classes, values = built_table("C60")
+        calls = []
+        original = Cyc.__mul__
+
+        def counted(self, other):
+            calls.append(self)
+            return original(self, other)
+
+        monkeypatch.setattr(Cyc, "__mul__", counted)
+        monkeypatch.setattr(Cyc, "__rmul__", counted)
+        assert accepts(check_orthonormal, G, classes, values)
+        assert calls == []
 
 
 class TestInnerProduct:

@@ -1,11 +1,14 @@
 import json
 import re
 import shlex
+import time
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
 
+import camina.chartab as chartab
+import camina.cyclotomic as cyclotomic
 from camina.catalog import builtin
 from camina.chartab import character_table
 from camina.cli import build_parser, run_cli
@@ -151,6 +154,48 @@ class TestChartabCache:
         assert run_cli(["--cache-dir", cache, "chartab", "--group", "S3"]) == 0
         assert capsys.readouterr().out == printed
         assert load_chartab(s3, tmp_path) is not None  # rebuilt and saved again
+
+    def test_root_order_not_dividing_the_exponent_is_a_miss(self, tmp_path, capsys, monkeypatch, s3):
+        # Z[zeta_e] costs time and memory quadratic in e, so no ring is built
+        # for a root order that no value of G's table can need
+        cache = str(tmp_path)
+        assert run_cli(["--cache-dir", cache, "chartab", "--group", "S3"]) == 0
+        printed = capsys.readouterr().out
+        (path,) = tmp_path.glob("chartab-*.json")
+        obj = json.loads(path.read_text())
+        obj["root_order"] = 100_000
+        path.write_text(json.dumps(obj))
+        rings = []
+        original = cyclotomic._ring
+
+        def ring(e):
+            rings.append(e)
+            if e == 100_000:
+                raise ValueError("ring for root order 100000 requested")
+            return original(e)
+
+        monkeypatch.setattr(cyclotomic, "_ring", ring)
+        assert load_chartab(s3, tmp_path) is None
+        assert run_cli(["--cache-dir", cache, "chartab", "--group", "S3"]) == 0
+        assert capsys.readouterr().out == printed
+        assert json.loads(path.read_text())["root_order"] == 6  # rebuilt and saved again
+        assert 100_000 not in rings
+
+    def test_huge_coefficient_is_a_quick_miss(self, tmp_path, monkeypatch, s4):
+        # the modular check's prime grows with the largest value, so a value
+        # no character of G can take is rejected before the prime search
+        path = save_chartab(s4, character_table(s4), tmp_path)
+        obj = json.loads(path.read_text())
+        obj["rows"][1][2][0] = 10**15
+        path.write_text(json.dumps(obj))
+
+        def no_search(e, bound):
+            raise AssertionError(f"prime search above {bound}")
+
+        monkeypatch.setattr(chartab, "prime_above", no_search)
+        start = time.perf_counter()
+        assert load_chartab(s4, tmp_path) is None
+        assert time.perf_counter() - start < 1.0
 
     def test_caps_apply_before_a_load(self, tmp_path, s4):
         save_chartab(s4, character_table(s4), tmp_path)
