@@ -239,8 +239,18 @@ def _direct_product(parts: list[CatalogEntry]) -> tuple[int, list[Permutation]]:
     return degree, gens
 
 
-_FROB_RE = re.compile(r"Frob\((\d+):(\d+)\)")
-_HEIS_RE = re.compile(r"Heis\((\d+)\)")
+# Each family: a label pattern, and the constructor that takes the
+# pattern's groups as integers.
+_FAMILIES: list[tuple[str, Callable[..., tuple[int, list[Permutation]]]]] = [
+    (r"C(\d+)", _cyclic),
+    (r"D(\d+)", _dihedral),
+    (r"S(\d+)", _symmetric),
+    (r"A(\d+)", _alternating),
+    (r"Q(8|16|32)", _quaternion),
+    (r"SL23", _sl23),
+    (r"Frob\((\d+):(\d+)\)", _frobenius),
+    (r"Heis\((\d+)\)", _heisenberg),
+]
 
 
 def _split_product(label: str) -> list[str]:
@@ -266,40 +276,16 @@ def builtin(label: str) -> CatalogEntry:
     label = label.strip()
     parts = _split_product(label)
     if len(parts) > 1:
-        entries = [builtin(p) for p in parts]
-        degree, gens = _direct_product(entries)
-        return CatalogEntry(label, degree, tuple(gens), "builtin")
-    m = re.fullmatch(r"C(\d+)", label)
-    if m:
-        degree, gens = _cyclic(int(m.group(1)))
-        return CatalogEntry(label, degree, tuple(gens), "builtin")
-    m = re.fullmatch(r"D(\d+)", label)
-    if m:
-        degree, gens = _dihedral(int(m.group(1)))
-        return CatalogEntry(label, degree, tuple(gens), "builtin")
-    m = re.fullmatch(r"S(\d+)", label)
-    if m:
-        degree, gens = _symmetric(int(m.group(1)))
-        return CatalogEntry(label, degree, tuple(gens), "builtin")
-    m = re.fullmatch(r"A(\d+)", label)
-    if m:
-        degree, gens = _alternating(int(m.group(1)))
-        return CatalogEntry(label, degree, tuple(gens), "builtin")
-    if label in ("Q8", "Q16", "Q32"):
-        degree, gens = _quaternion(int(label[1:]))
-        return CatalogEntry(label, degree, tuple(gens), "builtin")
-    if label == "SL23":
-        degree, gens = _sl23()
-        return CatalogEntry(label, degree, tuple(gens), "builtin")
-    m = _FROB_RE.fullmatch(label)
-    if m:
-        degree, gens = _frobenius(int(m.group(1)), int(m.group(2)))
-        return CatalogEntry(label, degree, tuple(gens), "builtin")
-    m = _HEIS_RE.fullmatch(label)
-    if m:
-        degree, gens = _heisenberg(int(m.group(1)))
-        return CatalogEntry(label, degree, tuple(gens), "builtin")
-    raise UnknownLabel(f"unknown builtin label {label!r}")
+        degree, gens = _direct_product([builtin(p) for p in parts])
+    else:
+        for pattern, build in _FAMILIES:
+            m = re.fullmatch(pattern, label)
+            if m:
+                degree, gens = build(*map(int, m.groups()))
+                break
+        else:
+            raise UnknownLabel(f"unknown builtin label {label!r}")
+    return CatalogEntry(label, degree, tuple(gens), "builtin")
 
 
 BUILTIN_LABELS = (

@@ -2,21 +2,24 @@
 
 Character tables are computed by simultaneous eigenspace splitting of
 the class matrices over a finite field F_q with q = 1 mod exp(G) (Dixon),
-then lifted to exact cyclotomic integers by multiplicity counting over the
+each space split by the roots of the class matrix restricted to it, then
+lifted to exact cyclotomic integers by multiplicity counting over the
 powers of one class representative per Galois class of columns; the other
 columns of a Galois class re-index those counts.  Every table, built or
 read from a cache, must pass ``check_orthonormal``, which decides the
 orthogonality relations exactly in Z[zeta_e] by arithmetic mod a prime
-p = 1 mod e that lies above an explicit bound on the values.  All
-downstream operations (induction, restriction, inner products, kernels)
-stay exact.
+p = 1 mod e that lies above an explicit bound on the values.  Integer sums
+below p, such as |H| [chi_i_H, chi_j_H], are read from the table mod p
+(``CharacterTable.mod_p``); equality tests (kernels) stay in Z[zeta_e].
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
+from typing import Sequence
 
 from .cyclotomic import Cyc
 from .grouptable import CapExceeded, ElementSet, GroupTable, subgroup_table
@@ -66,6 +69,17 @@ class CharacterTable:
     group: GroupTable
     irreducibles: tuple[ClassFunction, ...]
     degree_sequence: tuple[int, ...]
+
+    @cached_property
+    def mod_p(self) -> tuple[int, list[list[int]]]:
+        """(p, X): p the prime of ``check_orthonormal`` and X[i][k] = chi_i(k)
+        mod p under zeta_e -> z.  A sum of products of values that is an
+        integer in [0, p) is its own residue, and p > |G| (D^2 + 1) >= |G|
+        chi(1)^2 for every degree chi(1)."""
+        values, e, p = _reduction(self.irreducibles, self.group.order)
+        z = _root_of_unity(e, p)
+        zpow = [pow(z, t, p) for t in range(e)]
+        return p, [[sum(map(mul, v.coeffs, zpow)) % p for v in row] for row in values]
 
 
 def is_prime(n: int) -> bool:
@@ -215,35 +229,24 @@ def _simultaneous_eigenvectors(mats: list[list[list[int]]], q: int) -> list[list
     normalized so the identity-class coordinate is 1."""
     r = len(mats)
     spaces: list[list[list[int]]] = [[[1 if i == j else 0 for j in range(r)] for i in range(r)]]
-    for idx in range(1, r):
+    for M in mats[1:]:
         if all(len(B) == 1 for B in spaces):
             break
-        M = mats[idx]
-        lams = _roots_mod(_charpoly(M, q), q)
         new_spaces: list[list[list[int]]] = []
         for B in spaces:
             if len(B) == 1:
                 new_spaces.append(B)
                 continue
+            # B is in reduced echelon form and M maps span(B) into itself, so M
+            # on span(B) has the matrix A[i][j] = entry pivot_i of M b_j.
+            pivots = [b.index(1) for b in B]
             images = [_mat_vec(M, b, q) for b in B]
+            A = [[mb[pv] for mb in images] for pv in pivots]
             split_total = 0
-            for lam in lams:
-                cols = []
-                for b, mb in zip(B, images):
-                    cols.append([(x - lam * y) % q for x, y in zip(mb, b)])
-                rows = [[cols[j][i] for j in range(len(B))] for i in range(r)]
-                coeffs = _kernel(rows, len(B), q)
-                if not coeffs:
-                    continue
-                vectors = []
-                for c in coeffs:
-                    v = [0] * r
-                    for cj, b in zip(c, B):
-                        if cj:
-                            for i in range(r):
-                                v[i] = (v[i] + cj * b[i]) % q
-                    vectors.append(v)
-                vectors = _rref(vectors, q)
+            for lam in _roots_mod(_charpoly(A, q), q):
+                shifted = [[(a - lam) % q if i == j else a for j, a in enumerate(row)] for i, row in enumerate(A)]
+                coeffs = _kernel(shifted, len(B), q)
+                vectors = _rref([[sum(map(mul, c, col)) % q for col in zip(*B)] for c in coeffs], q)
                 split_total += len(vectors)
                 new_spaces.append(vectors)
             if split_total != len(B):
@@ -396,29 +399,36 @@ def check_orthonormal(rows: list[ClassFunction], classes: ConjClassPartition) ->
     = |G| follows.
 
     The equalities alpha_ij = sum_k chi_i(k) |K_k| conj(chi_j(k)) - |G| delta_ij
-    = 0 in Z[zeta_e] are decided mod a prime p = 1 (mod e) with p > |G| (D^2 + 1),
-    D the largest coefficient L1 norm of a value, under every embedding
-    zeta_e -> z^a of Z[zeta_e] into F_p (``_orthonormal_mod``).  This is exact:
-    p splits completely in Z[zeta_e], so an alpha that every embedding sends
-    to 0 lies in p Z[zeta_e], and a nonzero element of p Z[zeta_e] has a
-    complex conjugate of absolute value >= p, while every conjugate of alpha
-    has absolute value <= |G| (D^2 + 1) < p.
-
-    A value of a character of G is a sum of chi(1) <= sqrt(|G|) roots of
-    unity, so a value with a larger L1 norm than that many of the largest
-    reduced zeta_e^s is rejected first; this keeps p small for any input."""
+    = 0 in Z[zeta_e] are decided mod the prime p of ``_reduction`` under every
+    embedding zeta_e -> z^a of Z[zeta_e] into F_p (``_orthonormal_mod``).  This
+    is exact: p splits completely in Z[zeta_e], so an alpha that every
+    embedding sends to 0 lies in p Z[zeta_e], and a nonzero element of
+    p Z[zeta_e] has a complex conjugate of absolute value >= p, while every
+    conjugate of alpha has absolute value <= |G| (D^2 + 1) < p."""
     n = classes.group.order
+    values, e, p = _reduction(rows, n)
+    if not _orthonormal_mod(values, classes.sizes, n, e, p):
+        raise RuntimeError("character rows are not orthonormal")
+    if not all(chi.values[0].is_rational_integer() and chi.values[0].as_int() > 0 for chi in rows):
+        raise RuntimeError("character degrees are not positive integers")
+
+
+def _reduction(rows: Sequence[ClassFunction], n: int) -> tuple[list[list[Cyc]], int, int]:
+    """(values, e, p): the rows' values in one ring Z[zeta_e], and the
+    smallest prime p = 1 (mod e) with p > n (D^2 + 1), D the largest
+    coefficient L1 norm of a value.
+
+    A value of a character of a group of order n is a sum of chi(1) <=
+    sqrt(n) roots of unity, so a value with a larger L1 norm than that many
+    of the largest reduced zeta_e^s raises RuntimeError; this keeps p small
+    for any input."""
     e = math.lcm(*(v.e for chi in rows for v in chi.values))
     values = [[v.rebase(e) for v in chi.values] for chi in rows]
     D = max((sum(map(abs, v.coeffs)) for row in values for v in row), default=0)
     root_norm = max(sum(map(abs, Cyc.root_power(e, t).coeffs)) for t in range(e))
     if D > math.isqrt(n) * root_norm:
         raise RuntimeError("character values exceed the bound for a group of this order")
-    p = prime_above(e, n * (D * D + 1))
-    if not _orthonormal_mod(values, classes.sizes, n, e, p):
-        raise RuntimeError("character rows are not orthonormal")
-    if not all(chi.values[0].is_rational_integer() and chi.values[0].as_int() > 0 for chi in rows):
-        raise RuntimeError("character degrees are not positive integers")
+    return values, e, prime_above(e, n * (D * D + 1))
 
 
 def _orthonormal_mod(values: list[list[Cyc]], sizes: list[int], n: int, e: int, p: int) -> bool:

@@ -13,13 +13,12 @@ witness stays the first one in element order.
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Iterable
 
 from .chartab import character_table
-from .cyclotomic import Cyc
 from .grouptable import ElementSet, GroupTable
 from .structure import conjugacy_classes, p_part
 
@@ -109,26 +108,19 @@ def satisfies_CI(
     [chi_i_H, chi_j_H] > [chi_i_H, 1_H][chi_j_H, 1_H].  With c_k elements of H
     in class k, the count-weighted row w_i[k] = chi_i(k) c_k sums to
     |H| [chi_i_H, 1_H], and since conj(chi(k)) = chi(k^-1), sum_k w_i[k]
-    chi_j(k^-1) is |H| [chi_i_H, chi_j_H]; the two sides are compared exactly."""
+    chi_j(k^-1) is |H| [chi_i_H, chi_j_H].  Both are integers in [0, p) for
+    the prime p of ``CharacterTable.mod_p``, so they are summed exactly as
+    residues of the table mod p."""
     _require_nontrivial_proper(G, H, "condition (CI)")
-    irr = [chi.values for chi in character_table(G, order_cap=order_cap, class_cap=class_cap).irreducibles]
+    p, X = character_table(G, order_cap=order_cap, class_cap=class_cap).mod_p
     classes = conjugacy_classes(G)
     in_h = Counter(classes.class_of[h] for h in H.members)
-    inv = [classes.inverse_class[k] for k in in_h]
-
-    # Each row and its sum are built on first use: most pairs fail at an
-    # early (i, j).  |H| [chi_H, 1_H] and |H| [chi_i_H, chi_j_H] are rational
-    # integers.
-    @functools.cache
-    def weighted(i: int) -> tuple[list[Cyc], int]:
-        w = [irr[i][k] * n for k, n in in_h.items()]
-        return w, sum(w, Cyc.zero(1)).as_int()
-
-    for i in range(len(irr)):
-        w, trivial = weighted(i)
-        for j in range(i + 1, len(irr)):
-            gram = sum((a * irr[j][k] for a, k in zip(w, inv)), Cyc.zero(1))
-            if gram.as_int() * len(H) != trivial * weighted(j)[1]:
+    weighted = [[row[k] * n for k, n in in_h.items()] for row in X]
+    at_inverse = [[row[classes.inverse_class[k]] for k in in_h] for row in X]
+    trivial = [sum(w) % p for w in weighted]
+    for i, w in enumerate(weighted):
+        for j in range(i + 1, len(X)):
+            if sum(map(mul, w, at_inverse[j])) % p * len(H) != trivial[i] * trivial[j]:
                 return ConditionVerdict.fail(
                     CI, None, None, f"chi_index={i} and chi_index={j} share a nontrivial constituent on H"
                 )

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
-from .chartab import ClassFunction, character_table, in_irr_given_N
+from .chartab import CharacterTable, character_table, in_irr_given_N
 from .conditions import (
     EQUAL_ORDER_COSET,
     F,
@@ -33,7 +33,6 @@ from .conditions import (
     satisfies_Fpm,
     satisfies_O,
 )
-from .cyclotomic import Cyc
 from .grouptable import (
     CapExceeded,
     ElementSet,
@@ -158,10 +157,13 @@ class Pair:
         return hit
 
     @cached_property
-    def irr_given_n(self) -> list[ClassFunction]:
-        """Irr(G|N) in table order, N the normal closure of H."""
-        table = character_table(self.G, order_cap=self.order_cap, class_cap=self.class_cap)
-        return [chi for chi in table.irreducibles if in_irr_given_N(chi, self.N)]
+    def table(self) -> CharacterTable:
+        return character_table(self.G, order_cap=self.order_cap, class_cap=self.class_cap)
+
+    @cached_property
+    def irr_given_n(self) -> list[int]:
+        """The indices of the rows of Irr(G|N) in ``table``, N the normal closure of H."""
+        return [i for i, chi in enumerate(self.table.irreducibles) if in_irr_given_N(chi, self.N)]
 
 
 def _group_report(label: str, G: GroupTable, claim: str, status: str, details: dict) -> VerificationReport:
@@ -446,9 +448,9 @@ def _lemma_l(pair: Pair) -> tuple[str, dict]:
     class_of = conjugacy_classes(G).class_of
     in_h = Counter(class_of[h] for h in H.members)
     irr = pair.irr_given_n
-    # sum_{h in H} chi(h) = |H| [chi_H, 1_H]
-    h_sums = (sum((chi.values[k] * n for k, n in in_h.items()), Cyc.zero(1)) for chi in irr)
-    if any(not total.is_zero() for total in h_sums):
+    p, X = pair.table.mod_p
+    # sum_{h in H} chi(h) = |H| [chi_H, 1_H], an integer in [0, p)
+    if any(sum(X[i][k] * n for k, n in in_h.items()) % p for i in irr):
         return VACUOUS, {"fired": False, "reason": "some chi in Irr(G|H) restricts with trivial constituent"}
     return (PASS if pair.normal else VIOLATION), {"irr_given_h": len(irr), "h_normal": pair.normal}
 
@@ -457,8 +459,8 @@ def _lemma_m(pair: Pair) -> tuple[str, dict]:
     G, H = pair.G, pair.H
     class_of = conjugacy_classes(G).class_of
     irr = pair.irr_given_n
-    for chi in irr:
-        values = chi.values
+    for i in irr:
+        values = pair.table.irreducibles[i].values
         verdict = _coset_scan(
             G,
             H,

@@ -8,8 +8,12 @@ import math
 from camina.chartab import (
     CharacterTable,
     ClassFunction,
+    _charpoly,
+    _kernel,
+    _mat_vec,
     _root_of_unity,
-    _simultaneous_eigenvectors,
+    _roots_mod,
+    _rref,
     class_matrices,
     dixon_prime,
 )
@@ -36,14 +40,43 @@ def reference_check_orthonormal(rows: list[ClassFunction], classes: ConjClassPar
         raise RuntimeError("character degrees are not positive integers")
 
 
+def reference_simultaneous_eigenvectors(mats: list[list[list[int]]], q: int) -> list[list[int]]:
+    """Common eigenvectors of the class matrices over F_q, normalized so the
+    identity-class coordinate is 1: each space is split by the kernel of
+    M - lambda, taken in F_q^r, for every root lambda of M's own
+    characteristic polynomial."""
+    r = len(mats)
+    spaces = [[[1 if i == j else 0 for j in range(r)] for i in range(r)]]
+    for M in mats[1:]:
+        lams = _roots_mod(_charpoly(M, q), q)
+        new_spaces = []
+        for B in spaces:
+            if len(B) == 1:
+                new_spaces.append(B)
+                continue
+            images = [_mat_vec(M, b, q) for b in B]
+            for lam in lams:
+                # columns (M - lambda) b_j, as an r x len(B) matrix
+                rows = [[(mb[i] - lam * b[i]) % q for b, mb in zip(B, images)] for i in range(r)]
+                coeffs = _kernel(rows, len(B), q)
+                if coeffs:
+                    vectors = [[sum(c * b[i] for c, b in zip(cs, B)) % q for i in range(r)] for cs in coeffs]
+                    new_spaces.append(_rref(vectors, q))
+        assert sum(map(len, new_spaces)) == r
+        spaces = new_spaces
+    assert all(len(B) == 1 for B in spaces)
+    return sorted([x * pow(B[0][0], -1, q) % q for x in B[0]] for B in spaces)
+
+
 def reference_character_table(G: GroupTable) -> CharacterTable:
-    """Irr(G) with every column lifted by its own DFT over the powers of its
-    class representative, checked by ``reference_check_orthonormal``; rows
-    in the order of ``character_table``."""
+    """Irr(G) split by ``reference_simultaneous_eigenvectors``, with every
+    column lifted by its own DFT over the powers of its class
+    representative, checked by ``reference_check_orthonormal``; rows in the
+    order of ``character_table``."""
     classes = conjugacy_classes(G)
     r, e, n = classes.count, exponent(G), G.order
     q = dixon_prime(e, n)
-    omegas = _simultaneous_eigenvectors(class_matrices(G, classes), q)
+    omegas = reference_simultaneous_eigenvectors(class_matrices(G, classes), q)
     inv_sizes = [pow(s, -1, q) for s in classes.sizes]
     z = _root_of_unity(e, q)
     rows = []

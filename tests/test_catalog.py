@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
 from camina.catalog import (
+    BUILTIN_LABELS,
     ParseError,
     UnknownLabel,
     builtin,
@@ -59,6 +62,34 @@ class TestBuiltin:
         for label in ["X5", "Frob(6:2)", "Frob(7:4)", "D2", "Heis(2)", "Heis(4)", "Q12", "S1"]:
             with pytest.raises(UnknownLabel):
                 builtin(label)
+
+    @pytest.mark.parametrize(
+        "label,message",
+        [
+            ("Q12", "unknown builtin label 'Q12'"),
+            ("C2xX5", "unknown builtin label 'X5'"),
+            ("Frob(6:2)", "Frob parameter 6 is not prime"),
+            ("Frob(7:4)", "Frob requires q | p-1, got Frob(7:4)"),
+            ("D2", "dihedral parameter must be >= 3, got 2"),
+            ("S1", "symmetric parameter must be >= 2, got 1"),
+            ("A2", "alternating parameter must be >= 3, got 2"),
+            ("Heis(4)", "Heis parameter must be an odd prime, got 4"),
+        ],
+    )
+    def test_unknown_label_messages(self, label, message):
+        with pytest.raises(UnknownLabel) as info:
+            builtin(label)
+        assert str(info.value) == message
+
+    def test_generators_pinned(self):
+        # sha256 of (degree, generator images) of every builtin label: the
+        # generators fix the element order, and so the subgroup indices and
+        # witnesses in every report
+        h = hashlib.sha256()
+        for label in BUILTIN_LABELS:
+            entry = builtin(label)
+            h.update(repr((entry.degree, [g.images for g in entry.generators])).encode())
+        assert h.hexdigest() == "f5a75feda7fcd06961af9897b290e82c181666d94649c34bfcb5b7b829edac9a"
 
     def test_catalog_sorted_and_unique(self):
         entries = builtin_catalog()

@@ -209,10 +209,15 @@ class TestCharacterTable:
         assert table_shape(G) == table_shape(entry.group())
 
 
+# the groups of the benchmark's chartab workload, and two outside the catalog
+EXTRA_TABLE_LABELS = ["C60", "C5xC10", "C4xC4xC2", "Heis(5)", "C3xC3xC3", "Q32xC2", "D30", "S5", "S4xC2"]
+
+
 class TestGaloisClassLift:
     def test_matches_reference_tables(self):
-        # every builtin group: the same rows, value for value, as one DFT per column
-        for entry in builtin_catalog():
+        # every builtin group and more: the same rows, value for value, as the
+        # split with whole-space kernels and one DFT per column
+        for entry in builtin_catalog() + [builtin(label) for label in EXTRA_TABLE_LABELS]:
             G = entry.group()
             got, want = character_table(G), reference_character_table(G)
             assert got.degree_sequence == want.degree_sequence, entry.label
@@ -229,6 +234,17 @@ class TestGaloisClassLift:
         assert len(lifted) == 12 * 60
         orders = Counter(len(pcls) for _, pcls, *_ in lifted)
         assert orders == {m: 60 for m in (1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60)}
+
+
+class TestDixonSplit:
+    def test_each_space_split_by_its_own_matrix(self, monkeypatch):
+        # C16's 16 one-dimensional spaces: no kernel for a root that is no
+        # eigenvalue on the space being split
+        calls = []
+        original = chartab._rref
+        monkeypatch.setattr(chartab, "_rref", lambda *args: calls.append(args) or original(*args))
+        assert len(character_table(builtin("C16").group()).irreducibles) == 16
+        assert len(calls) <= 120
 
 
 class TestModularSelfCheck:

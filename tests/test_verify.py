@@ -207,6 +207,33 @@ class TestLemmaL:
                 assert (status != VACUOUS) == fires, (entry.label, H.members)
 
 
+class TestTableModP:
+    def test_prime_bounds_the_integers_read_mod_p(self):
+        # |H| [chi_i_H, chi_j_H] <= |G| chi_i(1) chi_j(1) < p, so each residue is the integer
+        for entry in builtin_catalog():
+            table = character_table(entry.group())
+            p, X = table.mod_p
+            assert p > entry.group().order * max(table.degree_sequence) ** 2, entry.label
+            assert [row[0] for row in X] == [chi.degree() for chi in table.irreducibles], entry.label
+
+    def test_no_cyc_arithmetic_in_the_verdicts(self, monkeypatch):
+        # (CI) and lemma_l sum residues; lemma_m and the kernels only compare values
+        groups = [(e.label, e.group()) for e in builtin_catalog() if e.group().order <= 60]
+        for _, G in groups:
+            character_table(G)
+        calls = []
+
+        def counted(name):
+            original = getattr(Cyc, name)
+            return lambda self, other: calls.append(name) or original(self, other)
+
+        for name in ("__mul__", "__rmul__", "__add__"):
+            monkeypatch.setattr(Cyc, name, counted(name))
+        for label, G in groups:
+            assert sweep_single(label, G, list(verify.ALL_CLAIMS))
+        assert calls == []
+
+
 class TestClaim9AndCovering:
     def test_claim9_s3(self, s3):
         r = verify_pair_claim(s3, by_order(s3, 3), "claim9")
