@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .chartab import is_prime
+from .chartab import _root_of_unity, is_prime
 from .grouptable import DEFAULT_ORDER_CAP, GroupTable, generate
 from .perm import Permutation
-from .structure import prime_factors
 
 
 @dataclass(frozen=True)
@@ -214,12 +213,7 @@ def _frobenius(p: int, q: int) -> tuple[int, list[Permutation]]:
         raise UnknownLabel(f"Frob parameter {p} is not prime")
     if q <= 1 or (p - 1) % q != 0:
         raise UnknownLabel(f"Frob requires q | p-1, got Frob({p}:{q})")
-    gamma = next(
-        g
-        for g in range(2, p)
-        if all(pow(g, (p - 1) // r, p) != 1 for r in prime_factors(p - 1))
-    )
-    c = pow(gamma, (p - 1) // q, p)
+    c = _root_of_unity(q, p)
     shift = Permutation(tuple((i + 1) % p for i in range(p)))
     mult = Permutation(tuple((c * i) % p for i in range(p)))
     return p, [shift, mult]

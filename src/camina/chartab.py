@@ -308,30 +308,18 @@ def check_caps(
     return classes
 
 
-def character_table(
-    G: GroupTable,
-    order_cap: int | None = None,
-    class_cap: int | None = None,
-    prime: int | None = None,
-) -> CharacterTable:
+def character_table(G: GroupTable, order_cap: int | None = None, class_cap: int | None = None) -> CharacterTable:
     """The exact table of irreducible characters, rows ordered by
-    (degree, lexicographic value order).  Cached on the table unless an
-    explicit prime is supplied.  The caps are those of ``check_caps``."""
+    (degree, lexicographic value order).  Cached on the table.  The caps
+    are those of ``check_caps``."""
     classes = check_caps(G, order_cap, class_cap)
     r = classes.count
-    if prime is None:
-        hit = G._cache.get("chartab")
-        if hit is not None:
-            return hit
+    hit = G._cache.get("chartab")
+    if hit is not None:
+        return hit
     e = exponent(G)
     n = G.order
-    if prime is None:
-        q = dixon_prime(e, n)
-    else:
-        q = prime
-        bound = 2 * (math.isqrt(n - 1) + 1) if n > 1 else 2
-        if not is_prime(q) or q % e != 1 or q <= bound:
-            raise ValueError(f"{q} is not a valid splitting prime for this group")
+    q = dixon_prime(e, n)
 
     mats = class_matrices(G, classes)
     omegas = _simultaneous_eigenvectors(mats, q)
@@ -388,8 +376,7 @@ def character_table(
 
     rows.sort(key=lambda cf: (cf.values[0].as_int(), tuple(v.coeffs for v in cf.values)))
     table = CharacterTable(G, tuple(rows), tuple(sorted(cf.values[0].as_int() for cf in rows)))
-    if prime is None:
-        G._cache["chartab"] = table
+    G._cache["chartab"] = table
     return table
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 def _poly_divmod_exact(num: list[int], den: list[int]) -> list[int]:
@@ -68,6 +68,18 @@ def _ring(e: int) -> _Ring:
     return _Ring(e)
 
 
+def _root_sum(ring: _Ring, terms: Iterable[tuple[int, int]]) -> list[int]:
+    """Coefficients of sum c * zeta_e^k over the (k, c) terms, reduced."""
+    acc = [0] * ring.deg
+    for k, c in terms:
+        if c == 0:
+            continue
+        row = ring.rows[k % ring.e]
+        for i in range(ring.deg):
+            acc[i] += c * row[i]
+    return acc
+
+
 class Cyc:
     """An element of Z[zeta_e] in the power basis of zeta_e mod Phi_e."""
 
@@ -97,15 +109,7 @@ class Cyc:
     @classmethod
     def from_root_multiset(cls, e: int, counts: dict[int, int]) -> Cyc:
         """Sum of counts[k] copies of zeta_e^k."""
-        ring = _ring(e)
-        acc = [0] * ring.deg
-        for k, c in counts.items():
-            if c == 0:
-                continue
-            row = ring.rows[k % e]
-            for i in range(ring.deg):
-                acc[i] += c * row[i]
-        return cls(e, acc)
+        return cls(e, _root_sum(_ring(e), counts.items()))
 
     def rebase(self, new_e: int) -> Cyc:
         """Embed into Z[zeta_new_e] via zeta_e = zeta_new_e^(new_e/e)."""
@@ -114,15 +118,7 @@ class Cyc:
         if new_e % self.e:
             raise ValueError(f"cannot embed Z[zeta_{self.e}] into Z[zeta_{new_e}]")
         step = new_e // self.e
-        ring = _ring(new_e)
-        acc = [0] * ring.deg
-        for j, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            row = ring.rows[(j * step) % new_e]
-            for i in range(ring.deg):
-                acc[i] += c * row[i]
-        return Cyc(new_e, acc)
+        return Cyc(new_e, _root_sum(_ring(new_e), ((j * step, c) for j, c in enumerate(self.coeffs))))
 
     def _aligned(self, other: Cyc) -> tuple[Cyc, Cyc]:
         if self.e == other.e:
@@ -166,15 +162,7 @@ class Cyc:
 
     def conjugate(self) -> Cyc:
         """Complex conjugation: zeta_e -> zeta_e^(e-1)."""
-        ring = _ring(self.e)
-        acc = [0] * ring.deg
-        for j, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            row = ring.rows[(self.e - j) % self.e]
-            for i in range(ring.deg):
-                acc[i] += c * row[i]
-        return Cyc(self.e, acc)
+        return Cyc(self.e, _root_sum(_ring(self.e), ((-j, c) for j, c in enumerate(self.coeffs))))
 
     def divide_exact(self, n: int) -> Cyc:
         if any(c % n for c in self.coeffs):

@@ -172,21 +172,10 @@ class ElementSet:
 
     @property
     def is_subgroup(self) -> bool:
+        """Whether the set is a subgroup: a finite set is one iff it equals
+        the subgroup it generates, ``closure_indices`` of its members."""
         if self._is_subgroup is None:
-            G = self.parent
-            ok = 0 in self._memberset
-            if ok:
-                for a in self.members:
-                    if G.inv(a) not in self._memberset:
-                        ok = False
-                        break
-                    for b in self.members:
-                        if G.mul(a, b) not in self._memberset:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            self._is_subgroup = ok
+            self._is_subgroup = closure_indices(self.parent, self.members) == self.members
         return self._is_subgroup
 
     def is_normal(self) -> bool:
@@ -201,37 +190,50 @@ def left_coset(G: GroupTable, x: int, H: ElementSet) -> ElementSet:
     return ElementSet(G, (G.mul(x, h) for h in H.members))
 
 
+def _dimino(G: GroupTable, seeds: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Dimino's closure of ``seeds``, taken in order: ``(members, kept)``,
+    the members of the subgroup they generate, identity first, and the seeds
+    kept, each outside the group generated by the kept seeds before it.
+
+    A kept seed s extends the group K built so far coset by coset: for each
+    coset representative r, from the identity on, and each kept seed g, a
+    product r g outside the group adds the whole right coset K (r g) and
+    becomes a representative.  The union of the cosets is then closed under
+    right multiplication by every kept seed, so it is <K, s>.  The identity
+    is never a right factor.
+    """
+    mul = G.mul
+    members = [0]
+    memberset = {0}
+    kept: list[int] = []
+    for s in seeds:
+        if s in memberset:
+            continue
+        kept.append(s)
+        K = members[1:]
+        reps = [0]
+        for r in reps:  # grows while it is walked
+            for g in kept:
+                x = mul(r, g)
+                if x not in memberset:
+                    reps.append(x)
+                    coset = [x] + [mul(k, x) for k in K]
+                    members += coset
+                    memberset.update(coset)
+    return members, kept
+
+
 def closure_indices(G: GroupTable, seed: Iterable[int]) -> tuple[int, ...]:
-    """Indices of the subgroup of G generated by ``seed``, sorted.  The
-    identity is a member but never a multiplier."""
-    gens = sorted(set(seed) - {0})
-    members = {0, *gens}
-    frontier = list(gens)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in gens:
-                p = G.mul(a, b)
-                if p not in members:
-                    members.add(p)
-                    nxt.append(p)
-        frontier = nxt
-    return tuple(sorted(members))
+    """Indices of the subgroup of G generated by ``seed``, sorted: the
+    members of ``_dimino``'s coset-by-coset closure."""
+    return tuple(sorted(_dimino(G, seed)[0]))
 
 
 def small_generating_set(G: GroupTable, members: Sequence[int]) -> tuple[int, ...]:
-    """A short generating list for the subgroup with the given members."""
-    target = len(members)
-    gens: list[int] = []
-    reached = {0}
-    for m in members:
-        if m in reached:
-            continue
-        gens.append(m)
-        reached = set(closure_indices(G, gens))
-        if len(reached) == target:
-            break
-    return tuple(gens)
+    """A short generating list for the subgroup with the given members: the
+    seeds ``_dimino`` keeps, so a member is kept iff it lies outside the
+    group generated by the members kept before it."""
+    return tuple(_dimino(G, members)[1])
 
 
 def subgroup_table(G: GroupTable, H: ElementSet) -> tuple[GroupTable, tuple[int, ...], dict[int, int]]:

@@ -16,6 +16,7 @@ from .grouptable import (
     CapExceeded,
     ElementSet,
     GroupTable,
+    _dimino,
     closure_indices,
     small_generating_set,
 )
@@ -131,21 +132,22 @@ def center(G: GroupTable) -> ElementSet:
 
 def normal_closure(G: GroupTable, H: ElementSet) -> ElementSet:
     """Least normal subgroup of G containing H (H may be any subset)."""
-    gens = small_generating_set(G, H.members) if H.is_subgroup else H.members
-    return _conjugation_closure(G, gens, G.generator_ids)
+    return _conjugation_closure(G, H.members, G.generator_ids)
 
 
 def _conjugation_closure(G: GroupTable, gens: Iterable[int], conjugators: Sequence[int]) -> ElementSet:
     """Least subgroup containing ``gens`` and closed under conjugation by
-    ``conjugators``: close, add the missing conjugates, repeat."""
-    gens = list(gens)
+    ``conjugators``: close, add the missing conjugates of the kept seeds,
+    repeat.  <S>^g = <S^g>, so a closure that holds the conjugates of the
+    seeds it kept holds those of all its members."""
+    kept = list(gens)
     while True:
-        current = closure_indices(G, gens)
-        memberset = set(current)
-        missing = [y for x in current for g in conjugators if (y := G.conj(x, g)) not in memberset]
+        members, kept = _dimino(G, kept)
+        memberset = set(members)
+        missing = [y for x in kept for g in conjugators if (y := G.conj(x, g)) not in memberset]
         if not missing:
-            return ElementSet(G, current)
-        gens.extend(missing)
+            return ElementSet(G, members)
+        kept += missing
 
 
 def core(G: GroupTable, H: ElementSet) -> ElementSet:
@@ -241,7 +243,9 @@ def subgroups(G: GroupTable, count_cap: int = DEFAULT_SUBGROUP_CAP) -> list[Elem
     of commuting prime-power-order powers of itself, so every subgroup is
     generated by its zuppos, and a chain of single zuppo joins leads from
     1 to it.  Each join at least doubles the order, so a subgroup is kept
-    with at most log2 of its order generators.  Cached on the table.
+    with at most log2 of its order generators.  A join is one
+    ``closure_indices`` pass: the representative is rebuilt from its kept
+    generators and z then adds whole cosets of it.  Cached on the table.
     """
     hit = G._cache.get("subgroups")
     if hit is not None:

@@ -4,6 +4,7 @@ against: straightforward versions of code the library computes faster."""
 from __future__ import annotations
 
 import math
+from typing import Iterable, Sequence
 
 from camina.chartab import (
     CharacterTable,
@@ -20,6 +21,49 @@ from camina.chartab import (
 from camina.cyclotomic import Cyc
 from camina.grouptable import GroupTable
 from camina.structure import ConjClassPartition, conjugacy_classes, exponent
+
+
+def reference_closure_indices(G: GroupTable, seed: Iterable[int]) -> tuple[int, ...]:
+    """The subgroup generated by ``seed``, sorted, breadth first: every new
+    member is multiplied by every generator."""
+    gens = sorted(set(seed) - {0})
+    members = {0, *gens}
+    frontier = list(gens)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in gens:
+                p = G.mul(a, b)
+                if p not in members:
+                    members.add(p)
+                    nxt.append(p)
+        frontier = nxt
+    return tuple(sorted(members))
+
+
+def reference_small_generating_set(G: GroupTable, members: Sequence[int]) -> tuple[int, ...]:
+    """Greedy generators: a member is kept iff it lies outside the closure of
+    the members kept before it, closed again from scratch after each one;
+    stops once the closure has ``len(members)`` elements."""
+    gens: list[int] = []
+    reached = {0}
+    for m in members:
+        if m in reached:
+            continue
+        gens.append(m)
+        reached = set(reference_closure_indices(G, gens))
+        if len(reached) == len(members):
+            break
+    return tuple(gens)
+
+
+def reference_is_subgroup(G: GroupTable, members: Sequence[int]) -> bool:
+    """Whether ``members`` holds the identity, every inverse and all
+    |members|^2 products."""
+    inside = set(members)
+    return 0 in inside and all(G.inv(a) in inside for a in members) and all(
+        G.mul(a, b) in inside for a in members for b in members
+    )
 
 
 def reference_check_orthonormal(rows: list[ClassFunction], classes: ConjClassPartition) -> None:
@@ -68,14 +112,16 @@ def reference_simultaneous_eigenvectors(mats: list[list[list[int]]], q: int) -> 
     return sorted([x * pow(B[0][0], -1, q) % q for x in B[0]] for B in spaces)
 
 
-def reference_character_table(G: GroupTable) -> CharacterTable:
-    """Irr(G) split by ``reference_simultaneous_eigenvectors``, with every
-    column lifted by its own DFT over the powers of its class
-    representative, checked by ``reference_check_orthonormal``; rows in the
-    order of ``character_table``."""
+def reference_character_table(G: GroupTable, prime: int | None = None) -> CharacterTable:
+    """Irr(G) split mod ``prime`` (default ``dixon_prime``), a prime
+    q = 1 (mod exp G) above 2 sqrt|G|, by
+    ``reference_simultaneous_eigenvectors``, with every column lifted by its
+    own DFT over the powers of its class representative, checked by
+    ``reference_check_orthonormal``; rows in the order of
+    ``character_table``."""
     classes = conjugacy_classes(G)
     r, e, n = classes.count, exponent(G), G.order
-    q = dixon_prime(e, n)
+    q = dixon_prime(e, n) if prime is None else prime
     omegas = reference_simultaneous_eigenvectors(class_matrices(G, classes), q)
     inv_sizes = [pow(s, -1, q) for s in classes.sizes]
     z = _root_of_unity(e, q)

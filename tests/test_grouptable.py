@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from camina.catalog import builtin
+from camina.catalog import builtin, builtin_catalog
 from camina.grouptable import (
     CapExceeded,
     ElementSet,
@@ -9,10 +10,14 @@ from camina.grouptable import (
     generate,
     left_coset,
     quotient_table,
+    small_generating_set,
     subgroup_table,
 )
 from camina.perm import Permutation
-from camina.structure import subgroups
+from camina.structure import conjugacy_classes, subgroups
+from reference import reference_closure_indices, reference_is_subgroup, reference_small_generating_set
+
+SMALL_LABELS = [entry.label for entry in builtin_catalog() if entry.group().order <= 60]
 
 
 def cyc(degree, *cycles):
@@ -84,6 +89,47 @@ class TestClosure:
         monkeypatch.undo()
         assert closure_indices(G, [0]) == (0,)
         assert closure_indices(G, range(G.order)) == tuple(range(G.order))
+
+
+def assert_matches_reference(G, members):
+    """closure_indices, small_generating_set and is_subgroup on ``members``
+    agree with the breadth-first, re-closing and all-pairs versions."""
+    closure = closure_indices(G, members)
+    assert closure == reference_closure_indices(G, members)
+    is_subgroup = ElementSet(G, members).is_subgroup
+    assert is_subgroup == reference_is_subgroup(G, members)
+    gens = small_generating_set(G, members)
+    want = reference_small_generating_set(G, members)
+    if is_subgroup:
+        assert gens == want
+    else:
+        # the reference stops once it has reached len(members) elements,
+        # which a non-subgroup's closure can do before every member is seen
+        assert gens[: len(want)] == want
+    assert closure_indices(G, gens) == closure
+
+
+class TestClosureAgainstReference:
+    @pytest.mark.parametrize("label", SMALL_LABELS)
+    def test_subgroups_classes_and_cosets(self, label):
+        G = builtin(label).group()
+        subs = subgroups(G)
+        sets = {H.members for H in subs}
+        classes = conjugacy_classes(G)
+        sets.update(classes.members(cid) for cid in range(classes.count))
+        sets.update(left_coset(G, x, H).members for H in subs for x in range(G.order))
+        for members in sets:
+            assert_matches_reference(G, members)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_drawn_seed_sets(self, data):
+        G = builtin(data.draw(st.sampled_from(SMALL_LABELS))).group()
+        seeds = data.draw(st.lists(st.integers(0, G.order - 1), max_size=6))
+        assert closure_indices(G, seeds) == reference_closure_indices(G, seeds)
+        members = tuple(sorted(set(seeds)))
+        assert_matches_reference(G, members)
+        assert_matches_reference(G, closure_indices(G, seeds))
 
 
 class TestElementSet:

@@ -232,6 +232,26 @@ class TestCli:
         assert out.count("chi_") == 5
         assert "degree sequence: 1,1,1,1,2" in out
 
+    def test_chartab_irrational_values(self, tmp_path, capsys):
+        assert run_cli(["--cache-dir", str(tmp_path), "chartab", "--group", "C3"]) == 0
+        assert "chi_0: 1  -1-z3  z3\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "condition, name, reason",
+        [
+            ("fpm", "FPM", "x*h is conjugate to neither x nor x^-1"),
+            ("o", "O", "x has odd order but x*h has even order"),
+            ("equal-order", "EQUAL_ORDER_COSET", "o(x*h) differs from o(x)"),
+        ],
+    )
+    def test_check_other_conditions(self, capsys, condition, name, reason):
+        assert run_cli(["check", "--group", "S3", "--subgroup-order", "3", "--condition", condition]) == 0
+        assert capsys.readouterr().out == f"subgroup index=4 order=3 gens=(1,2,3)\ncondition {name}: holds\n"
+        assert run_cli(["check", "--group", "S3", "--subgroup-index", "1", "--condition", condition]) == 0
+        first, second = capsys.readouterr().out.splitlines()
+        assert first == "subgroup index=1 order=2 gens=(2,3)"
+        assert second.startswith(f"condition {name}: fails x=") and second.endswith(f"h=(2,3) ({reason})")
+
     def test_chartab_class_cap_with_cached_table(self, tmp_path, capsys):
         cache = str(tmp_path)
         assert run_cli(["--cache-dir", cache, "chartab", "--group", "S4"]) == 0
@@ -327,6 +347,12 @@ class TestCli:
         assert records and all(r.claim == "theorem1" for r in records)
         out = capsys.readouterr().out
         assert "violations: 0" in out
+
+    def test_verify_lemmas_alias(self, tmp_path, capsys):
+        out_file = tmp_path / "reports.jsonl"
+        assert run_cli(["verify", "--max-order", "6", "--claims", "lemmas", "--out", str(out_file)]) == 0
+        assert sorted({r.claim for r in load_reports(out_file)}) == [f"lemma_{c}" for c in "abcdefghijklm"]
+        assert "violations: 0" in capsys.readouterr().out
 
     def test_verify_exit_two_on_violation(self, monkeypatch, capsys):
         import camina.cli as cli_mod

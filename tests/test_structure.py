@@ -3,7 +3,15 @@ from hypothesis import given, settings, strategies as st
 
 from camina import structure
 from camina.catalog import builtin, builtin_catalog
-from camina.grouptable import CapExceeded, ElementSet, closure_indices, generate, small_generating_set, subgroup_table
+from camina.grouptable import (
+    CapExceeded,
+    ElementSet,
+    GroupTable,
+    closure_indices,
+    generate,
+    small_generating_set,
+    subgroup_table,
+)
 from camina.perm import Permutation, compose, conjugate, element_order
 from camina.structure import (
     center,
@@ -289,6 +297,20 @@ class TestSubgroups:
             calls.clear()
             subgroups(G)
             assert len(calls) < budget, G
+
+    def test_mul_budget(self, monkeypatch):
+        # Each closure adds whole cosets of the group built so far, so S5's
+        # lattice needs far fewer products than one per (member, generator).
+        calls = [0]
+        original = GroupTable.mul
+
+        def counted(self, i, j):
+            calls[0] += 1
+            return original(self, i, j)
+
+        monkeypatch.setattr(GroupTable, "mul", counted)
+        subgroups(builtin("S5").group())
+        assert calls[0] <= 120_000
 
     def test_complete_under_single_element_joins(self):
         # Independent of how subgroups are found: the list holds distinct

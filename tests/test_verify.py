@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import camina.grouptable as grouptable
 import camina.verify as verify
 from camina.catalog import builtin, builtin_catalog
 from camina.chartab import character_table, in_irr_given_N, inner_product_int, restrict, trivial_character
@@ -133,6 +134,21 @@ class TestCor1:
 
     def test_s3_a3(self, s3):
         assert verify_pair_claim(s3, by_order(s3, 3), "cor1").status == PASS
+
+    def test_non_solvable_branch(self, monkeypatch, s3):
+        # Every H the builtin catalog offers is solvable; declaring H
+        # non-solvable runs the structure checks of the other alternative.
+        monkeypatch.setattr(verify, "is_solvable", lambda G, S=None: False)
+        r = verify_pair_claim(s3, by_order(s3, 3), "cor1")
+        assert r.status == PASS
+        assert r.details["h_solvable"] is False
+        for flag in ("o2_in_h_and_subnormal", "outside_all_2_elements", "normalizer_pair_equal_order"):
+            assert r.details[flag] is True, flag
+        c9 = builtin("C9").group()
+        r = verify_pair_claim(c9, by_order(c9, 3), "cor1")
+        assert r.status == VIOLATION
+        assert r.details["o2_in_h_and_subnormal"] is False
+        assert r.details["outside_all_2_elements"] is False
 
 
 class TestCor2:
@@ -276,6 +292,16 @@ class TestSweep:
         reports = verify_builtin(12, ["theorem1", "theorem2"])
         keys = [(r.group_label, r.subgroup_index, r.claim) for r in reports]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("label", ["S4", "A5"])
+    def test_unmemoized_products_same_reports(self, monkeypatch, label):
+        # Above MUL_MEMO_LIMIT, GroupTable.mul forms every product afresh.
+        claims = list(verify.ALL_CLAIMS)
+        memoized = sweep_single(label, builtin(label).group(), claims)
+        monkeypatch.setattr(grouptable, "MUL_MEMO_LIMIT", 0)
+        G = builtin(label).group()
+        assert G._mul_memo is None
+        assert sweep_single(label, G, claims) == memoized
 
     def test_replayable(self, s3):
         reports = sweep_single("S3", s3, ["theorem1", "odd_order"])
