@@ -42,14 +42,6 @@ class ClassFunction:
     def value_at(self, element: int) -> Cyc:
         return self.values[conjugacy_classes(self.group).class_of[element]]
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ClassFunction)
-            and self.group is other.group
-            and all(a == b for a, b in zip(self.values, other.values))
-            and len(self.values) == len(other.values)
-        )
-
 
 @dataclass(frozen=True)
 class CycFraction:
@@ -131,7 +123,6 @@ def class_matrices(G: GroupTable, classes: ConjClassPartition | None = None) -> 
 def _rref(rows: list[list[int]], q: int) -> list[list[int]]:
     """Reduced row echelon form mod q; zero rows dropped."""
     rows = [r[:] for r in rows]
-    pivots = []
     pr = 0
     ncols = len(rows[0]) if rows else 0
     for c in range(ncols):
@@ -145,7 +136,6 @@ def _rref(rows: list[list[int]], q: int) -> list[list[int]]:
             if i != pr and rows[i][c] % q:
                 f = rows[i][c]
                 rows[i] = [(a - f * b) % q for a, b in zip(rows[i], rows[pr])]
-        pivots.append(c)
         pr += 1
         if pr == len(rows):
             break
@@ -155,9 +145,7 @@ def _rref(rows: list[list[int]], q: int) -> list[list[int]]:
 def _kernel(rows: list[list[int]], ncols: int, q: int) -> list[list[int]]:
     """Basis of the null space {v : rows * v = 0}, one vector per free column."""
     rr = _rref(rows, q)
-    pivot_cols = []
-    for r in rr:
-        pivot_cols.append(next(i for i, v in enumerate(r) if v))
+    pivot_cols = [next(i for i, v in enumerate(r) if v) for r in rr]
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     basis = []
     for fc in free_cols:
@@ -327,9 +315,7 @@ def character_table(G: GroupTable, order_cap: int | None = None, class_cap: int 
     inv_sizes = [pow(s, -1, q) for s in classes.sizes]
     degrees = []
     for w in omegas:
-        s = 0
-        for k in range(r):
-            s = (s + w[k] * w[classes.inverse_class[k]] * inv_sizes[k]) % q
+        s = sum(w[k] * w[classes.inverse_class[k]] * inv_sizes[k] for k in range(r)) % q
         t = (n * pow(s, -1, q)) % q
         d = next((d for d in range(1, math.isqrt(n) + 1) if (d * d) % q == t), None)
         if d is None:
@@ -337,9 +323,7 @@ def character_table(G: GroupTable, order_cap: int | None = None, class_cap: int 
         degrees.append(d)
 
     z = _root_of_unity(e, q)
-    zpow = [1] * e
-    for i in range(1, e):
-        zpow[i] = (zpow[i - 1] * z) % q
+    zpow = [pow(z, t, q) for t in range(e)]
 
     # One lift per Galois class of columns.  For a prime to the order m of
     # rep, rho(rep^a) has the eigenvalues of rho(rep) raised to the a-th
@@ -418,27 +402,56 @@ def _reduction(rows: Sequence[ClassFunction], n: int) -> tuple[list[list[Cyc]], 
     return values, e, prime_above(e, n * (D * D + 1))
 
 
+def _embeddings(values: list[list[Cyc]], e: int, p: int) -> dict[int, dict[tuple[int, ...], int]]:
+    """iota_a for every unit a mod e: the image mod p of each distinct value,
+    by its coefficients, under zeta_e -> z^a, z a primitive e-th root of
+    unity mod p."""
+    z = _root_of_unity(e, p)
+    zpow = [pow(z, t, p) for t in range(e)]
+    distinct = {v.coeffs for row in values for v in row}
+    images = {}
+    for a in (a for a in range(e) if math.gcd(a, e) == 1):
+        za = [zpow[a * j % e] for j in range(e)]
+        images[a] = {c: sum(map(mul, c, za)) % p for c in distinct}
+    return images
+
+
 def _orthonormal_mod(values: list[list[Cyc]], sizes: list[int], n: int, e: int, p: int) -> bool:
     """Whether X_a W_a^T = n I mod p for every a in (Z/e)^x / {+-1}, where
     X_a[i][k] = iota_a(values[i][k]), W_a[j][k] = iota_-a(values[j][k]) sizes[k]
-    and iota_a maps zeta_e to z^a, z a primitive e-th root of unity mod p.
-    The product at -a is the transpose of the one at a, so half the units
-    cover every embedding."""
-    z = _root_of_unity(e, p)
-    zpow = [pow(z, t, p) for t in range(e)]
-    units = [a for a in range(1, max(e // 2, 1) + 1) if math.gcd(a, e) == 1]
-    distinct = {v.coeffs for row in values for v in row}
-    for a in units:
-        up = [zpow[a * j % e] for j in range(e)]
-        down = [zpow[-a * j % e] for j in range(e)]
-        image = {c: (sum(map(mul, c, up)) % p, sum(map(mul, c, down)) % p) for c in distinct}
-        X = [[image[v.coeffs][0] for v in row] for row in values]
-        W = [[image[v.coeffs][1] * size % p for v, size in zip(row, sizes)] for row in values]
+    and iota_a is that of ``_embeddings``.  The product at -a is the
+    transpose of the one at a, so half the units cover every embedding."""
+    images = _embeddings(values, e, p)
+    for a in (a for a in images if 2 * a <= max(e, 2)):
+        up, down = images[a], images[-a % e]
+        X = [[up[v.coeffs] for v in row] for row in values]
+        W = [[down[v.coeffs] * size % p for v, size in zip(row, sizes)] for row in values]
         for i, x in enumerate(X):
             for j, w in enumerate(W):
                 if sum(map(mul, x, w)) % p != (n if i == j else 0):
                     return False
     return True
+
+
+def check_galois(rows: list[ClassFunction], classes: ConjClassPartition) -> None:
+    """Raise RuntimeError unless chi(r^c) = sigma_c(chi(r)), sigma_c: zeta_e ->
+    zeta_e^c, for every row chi, class representative r and c prime to
+    exp(G): the power maps, which a built table has by construction and
+    orthonormality does not see (it survives swapping columns of equal size).
+
+    Decided as iota_1(chi(r^c)) = iota_c(chi(r)) mod the prime p of
+    ``_reduction``, which covers every embedding iota_b: with s ~ r^c, the
+    checks at (s, b) and (r, cb) give iota_b(chi(r^c)) = iota_1(chi(r^cb)) =
+    iota_cb(chi(r)).  Each conjugate of the difference is at most 2D < p in
+    absolute value, so it is 0, as in ``check_orthonormal``."""
+    G, n_exp = classes.group, exponent(classes.group)
+    values, e, p = _reduction(rows, G.order)
+    images = _embeddings(values, e, p)
+    for c in (c for c in range(1, n_exp + 1) if math.gcd(c, n_exp) == 1):
+        one, at = images[1 % e], images[c % e]
+        power_class = [classes.class_of[G.power(r, c)] for r in classes.reps]
+        if any(one[row[power_class[k]].coeffs] != at[v.coeffs] for row in values for k, v in enumerate(row)):
+            raise RuntimeError("character values do not follow the power maps")
 
 
 # --- class function operations -------------------------------------------
@@ -479,8 +492,8 @@ def inner_product_int(f: ClassFunction, g: ClassFunction) -> int:
 
 
 def induce(G: GroupTable, H: ElementSet, theta: ClassFunction) -> ClassFunction:
-    """The induced class function theta^G, evaluated by the direct sum
-    over conjugating elements; exact division by |H| is asserted."""
+    """The induced class function theta^G: at x in class K, |G| / |K| times
+    the sum of theta over K meet H, divided by |H|, which is asserted exact."""
     table, _to_parent, from_parent = subgroup_table(G, H)
     if theta.group is not table:
         raise ValueError("theta is not a class function on this subgroup")
@@ -489,17 +502,10 @@ def induce(G: GroupTable, H: ElementSet, theta: ClassFunction) -> ClassFunction:
     e = exponent(G)
     theta_up = [v.rebase(e) if v.e != e else v for v in theta.values]
     values = []
-    for rep in g_classes.reps:
-        counts = [0] * h_classes.count
-        for t in range(G.order):
-            c = G.conj(rep, t)
-            hidx = from_parent.get(c)
-            if hidx is not None:
-                counts[h_classes.class_of[hidx]] += 1
+    for k, size in enumerate(g_classes.sizes):
         acc = Cyc.zero(e)
-        for cnt, val in zip(counts, theta_up):
-            if cnt:
-                acc = acc + val * cnt
+        for c, n in h_classes.counts(from_parent[y] for y in g_classes.members(k) if y in from_parent).items():
+            acc = acc + theta_up[c] * (n * (G.order // size))
         values.append(acc.divide_exact(len(H)))
     return ClassFunction(G, tuple(values))
 

@@ -52,7 +52,15 @@ EXIT_CAPS_IO = 3
 
 VERSION = "0.1.0"
 
-_CONDITIONS = ("camina", "f", "fpm", "ci", "o", "equal-order")
+# --condition name -> its verdict on (G, H) under the parsed arguments
+_CONDITIONS = {
+    "camina": lambda G, H, args: is_camina_pair(G, H),
+    "f": lambda G, H, args: satisfies_F(G, H),
+    "fpm": lambda G, H, args: satisfies_Fpm(G, H),
+    "ci": lambda G, H, args: satisfies_CI(G, H, args.order_cap, args.class_cap),
+    "o": lambda G, H, args: satisfies_O(G, H),
+    "equal-order": lambda G, H, args: equal_order_coset(G, H),
+}
 
 CLAIM_ALIASES = {"lemmas": [c for c in ALL_CLAIMS if c.startswith("lemma_")]}
 
@@ -138,22 +146,6 @@ def _subgroup_by_file(G: GroupTable, path: str) -> ElementSet:
     return ElementSet(G, closure_indices(G, ids))
 
 
-def _condition_verdict(G: GroupTable, H: ElementSet, condition: str, args) -> object:
-    if condition == "camina":
-        return is_camina_pair(G, H)
-    if condition == "f":
-        return satisfies_F(G, H)
-    if condition == "fpm":
-        return satisfies_Fpm(G, H)
-    if condition == "ci":
-        return satisfies_CI(G, H, args.order_cap, args.class_cap)
-    if condition == "o":
-        return satisfies_O(G, H)
-    if condition == "equal-order":
-        return equal_order_coset(G, H)
-    raise UsageError(f"unknown condition {condition!r}")
-
-
 def _print_verdict(G: GroupTable, H: ElementSet, index: int | None, verdict) -> None:
     gens = [format_cycles(G.elements[i]) for i in small_generating_set(G, H.members)]
     where = f"subgroup index={index} " if index is not None else ""
@@ -214,10 +206,7 @@ def _cmd_subgroups(args) -> int:
     label, G = _resolve_group(args)
     for idx, H in enumerate(subgroups(G, args.subgroup_cap)):
         gens = [format_cycles(G.elements[i]) for i in small_generating_set(G, H.members)]
-        flags = []
-        if H.is_normal():
-            flags.append("normal")
-        print(f"index={idx} order={len(H)} gens={' '.join(gens) or '()'} {' '.join(flags)}".rstrip())
+        print(f"index={idx} order={len(H)} gens={' '.join(gens) or '()'}" + (" normal" if H.is_normal() else ""))
     return EXIT_OK
 
 
@@ -238,7 +227,7 @@ def _cmd_check(args) -> int:
                 raise UsageError(f"no subgroup of order {args.subgroup_order}")
     for index, H in targets:
         try:
-            verdict = _condition_verdict(G, H, args.condition, args)
+            verdict = _CONDITIONS[args.condition](G, H, args)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         _print_verdict(G, H, index, verdict)
@@ -250,7 +239,7 @@ def _cmd_search(args) -> int:
     found = 0
     for idx, H in enumerate(subgroups(G, args.subgroup_cap)):
         try:
-            verdict = _condition_verdict(G, H, args.condition, args)
+            verdict = _CONDITIONS[args.condition](G, H, args)
         except ValueError:
             continue  # precondition not met (trivial or improper H)
         if verdict.holds:

@@ -13,7 +13,6 @@ witness stays the first one in element order.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from operator import mul
 from typing import Callable, Iterable
@@ -69,8 +68,8 @@ def is_camina_pair(G: GroupTable, N: ElementSet) -> ConditionVerdict:
         return ConditionVerdict.fail(CAMINA, None, None, "N is not nontrivial proper")
     if not N.is_normal():
         for n in N.members:
-            for g in G.generator_ids:
-                if G.conj(n, g) not in N:
+            for g, conj in zip(G.generator_ids, conjugacy_classes(G).conjugators):
+                if conj[n] not in N:
                     return ConditionVerdict.fail(
                         CAMINA, g, n, "N is not normal: conjugate of h by x leaves N"
                     )
@@ -114,7 +113,7 @@ def satisfies_CI(
     _require_nontrivial_proper(G, H, "condition (CI)")
     p, X = character_table(G, order_cap=order_cap, class_cap=class_cap).mod_p
     classes = conjugacy_classes(G)
-    in_h = Counter(classes.class_of[h] for h in H.members)
+    in_h = classes.counts(H.members)
     weighted = [[row[k] * n for k, n in in_h.items()] for row in X]
     at_inverse = [[row[classes.inverse_class[k]] for k in in_h] for row in X]
     trivial = [sum(w) % p for w in weighted]
@@ -202,9 +201,9 @@ def derangements(G: GroupTable, H: ElementSet) -> ElementSet:
         raise ValueError("derangements requires a subgroup")
     if len(H) >= G.order:
         raise ValueError("derangements requires a proper subgroup")
-    class_of = conjugacy_classes(G).class_of
-    meets = {class_of[h] for h in H.members}
-    members = [x for x in range(G.order) if class_of[x] not in meets]
+    classes = conjugacy_classes(G)
+    meets = classes.counts(H.members)
+    members = [x for x in range(G.order) if classes.class_of[x] not in meets]
     if not members:
         raise RuntimeError("a proper subgroup always has derangements")
     return ElementSet(G, members)

@@ -4,10 +4,15 @@ A GroupTable holds every element of the group generated by a set of
 permutations, in canonical (lexicographic) order, with index-based
 arithmetic on top.  ElementSet is a subset of a table (a subgroup, a
 coset, a conjugacy class, ...) given by sorted element indices.
+ConjClassPartition is G's partition into conjugacy classes, with the maps
+x -> x^g of G's generators g that found it; a set is normal iff it is a
+union of classes, read off its class counts.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .perm import Permutation, element_order, inverse
@@ -37,10 +42,7 @@ class GroupTable:
         self.elements = tuple(elements)
         self.index_of = {p.images: i for i, p in enumerate(self.elements)}
         self.generator_ids = tuple(generator_ids)
-        inv = []
-        for p in self.elements:
-            inv.append(self.index_of[inverse(p).images])
-        self.inverse_ids = tuple(inv)
+        self.inverse_ids = tuple(self.index_of[inverse(p).images] for p in self.elements)
         self._orders: list[int | None] = [None] * len(self.elements)
         self._mul_memo: dict[int, int] | None = {} if len(self.elements) <= MUL_MEMO_LIMIT else None
         self._cache: dict = {}
@@ -179,8 +181,74 @@ class ElementSet:
         return self._is_subgroup
 
     def is_normal(self) -> bool:
-        G = self.parent
-        return all(G.conj(m, g) in self._memberset for m in self.members for g in G.generator_ids)
+        """Whether the set is closed under conjugation: a union of classes of G."""
+        classes = conjugacy_classes(self.parent)
+        return classes.is_union(classes.counts(self.members))
+
+
+@dataclass(frozen=True)
+class ConjClassPartition:
+    """Partition of a group into conjugacy classes.
+
+    Classes are numbered by (element order of representative, class size,
+    least representative index); the identity is always class 0.
+    ``conjugators[k]`` maps x to x^g, g = ``group.generator_ids[k]``.
+    """
+
+    group: GroupTable
+    class_of: tuple[int, ...]
+    reps: tuple[int, ...]
+    sizes: tuple[int, ...]
+    inverse_class: tuple[int, ...]
+    member_lists: tuple[tuple[int, ...], ...]
+    conjugators: tuple[tuple[int, ...], ...]
+
+    @property
+    def count(self) -> int:
+        return len(self.reps)
+
+    def members(self, cid: int) -> tuple[int, ...]:
+        return self.member_lists[cid]
+
+    def counts(self, members: Iterable[int]) -> Counter:
+        """How many of ``members`` lie in each class, by class id."""
+        return Counter(map(self.class_of.__getitem__, members))
+
+    def is_union(self, counts: Counter) -> bool:
+        """Whether a set with these class ``counts`` is a union of classes."""
+        return all(self.sizes[c] == n for c, n in counts.items())
+
+
+def conjugacy_classes(G: GroupTable) -> ConjClassPartition:
+    """Orbits of G acting on itself by conjugation, walked with the maps
+    x -> x^g of G's generators; cached on the table."""
+    hit = G._cache.get("classes")
+    if hit is not None:
+        return hit
+    conjugators = tuple(tuple(G.conj(x, g) for x in range(G.order)) for g in G.generator_ids)
+    seen = [False] * G.order
+    orbits = []
+    for seed in range(G.order):
+        if not seen[seed]:
+            seen[seed] = True
+            orbit = [seed]
+            for x in orbit:  # grows while it is walked
+                for c in conjugators:
+                    if not seen[c[x]]:
+                        seen[c[x]] = True
+                        orbit.append(c[x])
+            orbits.append(tuple(sorted(orbit)))
+    member_lists = tuple(sorted(orbits, key=lambda m: (G.element_order(m[0]), len(m), m[0])))
+    class_of = [0] * G.order
+    for cid, members in enumerate(member_lists):
+        for x in members:
+            class_of[x] = cid
+    reps = tuple(m[0] for m in member_lists)
+    inverse_class = tuple(class_of[G.inv(r)] for r in reps)
+    sizes = tuple(map(len, member_lists))
+    part = ConjClassPartition(G, tuple(class_of), reps, sizes, inverse_class, member_lists, conjugators)
+    G._cache["classes"] = part
+    return part
 
 
 def left_coset(G: GroupTable, x: int, H: ElementSet) -> ElementSet:
@@ -250,13 +318,10 @@ def subgroup_table(G: GroupTable, H: ElementSet) -> tuple[GroupTable, tuple[int,
         return hit
     if not H.is_subgroup:
         raise ValueError("not a subgroup")
-    elements = [G.elements[i] for i in H.members]
+    from_parent = {g: i for i, g in enumerate(H.members)}
     gens = small_generating_set(G, H.members)
-    index = {G.elements[i].images: pos for pos, i in enumerate(H.members)}
-    table = GroupTable(G.degree, elements, [index[G.elements[g].images] for g in gens])
-    to_parent = H.members
-    from_parent = {g_idx: i for i, g_idx in enumerate(H.members)}
-    result = (table, to_parent, from_parent)
+    table = GroupTable(G.degree, [G.elements[i] for i in H.members], [from_parent[g] for g in gens])
+    result = (table, H.members, from_parent)
     G._cache[key] = result
     return result
 

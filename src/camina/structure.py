@@ -1,9 +1,10 @@
 """Structural invariants of a GroupTable.
 
-Conjugacy classes, centralizers, center, derived and upper central
-series, solvability and nilpotency, Sylow subgroups, O_p and O^p,
-normal closure, core, subgroup enumeration, p-part decomposition,
-Frobenius-kernel detection and class products.
+Centralizers, center, derived and upper central series, solvability and
+nilpotency, Sylow subgroups, O_p and O^p, normal closure, core, subgroup
+enumeration, p-part decomposition, Frobenius-kernel detection and class
+products.  The conjugacy classes are ``grouptable.conjugacy_classes``,
+re-exported here; a normal subset is a union of classes.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ from typing import Iterable, Sequence
 
 from .grouptable import (
     CapExceeded,
+    ConjClassPartition,
     ElementSet,
     GroupTable,
     _dimino,
     closure_indices,
+    conjugacy_classes,
     small_generating_set,
 )
 from .perm import Permutation, element_order
@@ -49,79 +52,10 @@ def p_part(n: int, p: int) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class ConjClassPartition:
-    """Partition of a group into conjugacy classes.
-
-    Classes are numbered by (element order of representative, class size,
-    least representative index); the identity is always class 0.
-    """
-
-    group: GroupTable
-    class_of: tuple[int, ...]
-    reps: tuple[int, ...]
-    sizes: tuple[int, ...]
-    inverse_class: tuple[int, ...]
-    member_lists: tuple[tuple[int, ...], ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.reps)
-
-    def members(self, cid: int) -> tuple[int, ...]:
-        return self.member_lists[cid]
-
-
-def conjugacy_classes(G: GroupTable) -> ConjClassPartition:
-    """Orbits of G acting on itself by conjugation; cached on the table."""
-    hit = G._cache.get("classes")
-    if hit is not None:
-        return hit
-    assigned = [-1] * G.order
-    raw: list[list[int]] = []
-    for seed in range(G.order):
-        if assigned[seed] != -1:
-            continue
-        cid = len(raw)
-        orbit = [seed]
-        assigned[seed] = cid
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in G.generator_ids:
-                    y = G.conj(x, g)
-                    if assigned[y] == -1:
-                        assigned[y] = cid
-                        orbit.append(y)
-                        nxt.append(y)
-            frontier = nxt
-        raw.append(sorted(orbit))
-    order_key = sorted(
-        range(len(raw)),
-        key=lambda c: (G.element_order(raw[c][0]), len(raw[c]), raw[c][0]),
-    )
-    relabel = [0] * len(raw)
-    for new, old in enumerate(order_key):
-        relabel[old] = new
-    class_of = tuple(relabel[c] for c in assigned)
-    member_lists = tuple(tuple(raw[old]) for old in order_key)
-    reps = tuple(m[0] for m in member_lists)
-    sizes = tuple(len(m) for m in member_lists)
-    inverse_class = tuple(class_of[G.inv(r)] for r in reps)
-    part = ConjClassPartition(G, class_of, reps, sizes, inverse_class, member_lists)
-    G._cache["classes"] = part
-    return part
-
-
 def centralizer(G: GroupTable, x: int) -> ElementSet:
     xs = G.elements[x].images
-    out = []
-    for g in range(G.order):
-        gs = G.elements[g].images
-        if all(gs[xs[i]] == xs[gs[i]] for i in range(G.degree)):
-            out.append(g)
-    return ElementSet(G, out)
+    commuting = (g for g, p in enumerate(G.elements) if all(p.images[a] == xs[b] for a, b in zip(xs, p.images)))
+    return ElementSet(G, commuting)
 
 
 def center(G: GroupTable) -> ElementSet:
@@ -155,7 +89,7 @@ def core(G: GroupTable, H: ElementSet) -> ElementSet:
     if not H.is_subgroup:
         raise ValueError("core requires a subgroup")
     classes = conjugacy_classes(G)
-    inside = {cid for cid in range(classes.count) if all(m in H for m in classes.members(cid))}
+    inside = {c for c, n in classes.counts(H.members).items() if n == classes.sizes[c]}
     return ElementSet(G, (i for i in H.members if classes.class_of[i] in inside))
 
 
@@ -168,11 +102,11 @@ def normalizer(G: GroupTable, H: ElementSet) -> ElementSet:
 def derived_subgroup(G: GroupTable, S: ElementSet | None = None) -> ElementSet:
     """[S, S] as a subgroup of G (S defaults to the whole group).
 
-    Generated by commutators of a generating set of S, then closed under
-    conjugation by S (the derived subgroup is normal in S).
+    Generated by commutators of a generating set of S, G's generators or
+    ``small_generating_set`` of a proper S, then closed under conjugation
+    by S (the derived subgroup is normal in S).
     """
-    members = S.members if S is not None else tuple(range(G.order))
-    gens = small_generating_set(G, members)
+    gens = G.generator_ids if S is None else small_generating_set(G, S.members)
     seed = {G.commutator(a, b) for a in gens for b in gens}
     return _conjugation_closure(G, sorted(seed), gens)
 
@@ -251,7 +185,7 @@ def subgroups(G: GroupTable, count_cap: int = DEFAULT_SUBGROUP_CAP) -> list[Elem
     if hit is not None:
         return hit
     zuppos = _zuppo_generators(G)
-    conjugators = [[G.conj(x, g) for x in range(G.order)] for g in G.generator_ids]
+    conjugators = conjugacy_classes(G).conjugators
     gens_of: dict[tuple[int, ...], tuple[int, ...]] = {}
     worklist: list[tuple[int, ...]] = []
 

@@ -26,7 +26,6 @@ from .conditions import (
     _coset_scan,
     _equal_order_scan,
     bs_hypothesis,
-    derangements,
     is_camina_pair,
     satisfies_CI,
     satisfies_F,
@@ -146,8 +145,14 @@ class Pair:
         return normal_closure(self.G, self.H)
 
     @cached_property
+    def class_counts(self) -> Counter:
+        """How many elements of H lie in each class of G, by class id."""
+        return conjugacy_classes(self.G).counts(self.H.members)
+
+    @cached_property
     def normal(self) -> bool:
-        return self.H.is_normal()
+        """Whether H is normal: a union of classes of G."""
+        return conjugacy_classes(self.G).is_union(self.class_counts)
 
     def o_upper(self, p: int) -> ElementSet:
         """O^p(H), computed once per prime."""
@@ -353,9 +358,9 @@ def _lemma_b(pair: Pair) -> tuple[str, dict]:
 
 
 def _lemma_c(pair: Pair) -> tuple[str, dict]:
-    G, H, N = pair.G, pair.H, pair.N
-    classes = conjugacy_classes(G)
-    union_size = sum(classes.sizes[c] for c in {classes.class_of[h] for h in H.members})  # of the conjugates of H
+    G, N = pair.G, pair.N
+    sizes = conjugacy_classes(G).sizes
+    union_size = sum(sizes[c] for c in pair.class_counts)  # of the conjugates of H
     details = {"n_order": len(N), "union_size": union_size}
     ok = union_size == len(N) and 1 < len(N) < G.order  # that union lies in N
     return (PASS if ok else VIOLATION), details
@@ -401,11 +406,12 @@ def _lemma_g(pair: Pair) -> tuple[str, dict]:
 
 
 def _lemma_h(pair: Pair) -> tuple[str, dict]:
-    """K*N lies in K union K^-1 for every class K of derangements.  Only k =
-    reps[K], K's least member, is tested: a failing (k^g, n) gives (k, n^(g^-1))."""
+    """K*N lies in K union K^-1 for every class K of derangements, the classes
+    that miss H.  Only k = reps[K], K's least member, is tested: a failing
+    (k^g, n) gives (k, n^(g^-1))."""
     G, N = pair.G, pair.N
     classes = conjugacy_classes(G)
-    delta_class_ids = sorted({classes.class_of[x] for x in derangements(G, pair.H).members})
+    delta_class_ids = [c for c in range(classes.count) if c not in pair.class_counts]
     for cid in delta_class_ids:
         k = classes.reps[cid]
         allowed = (cid, classes.inverse_class[cid])
@@ -444,13 +450,10 @@ def _lemma_k(pair: Pair) -> tuple[str, dict]:
 
 
 def _lemma_l(pair: Pair) -> tuple[str, dict]:
-    G, H = pair.G, pair.H
-    class_of = conjugacy_classes(G).class_of
-    in_h = Counter(class_of[h] for h in H.members)
     irr = pair.irr_given_n
     p, X = pair.table.mod_p
     # sum_{h in H} chi(h) = |H| [chi_H, 1_H], an integer in [0, p)
-    if any(sum(X[i][k] * n for k, n in in_h.items()) % p for i in irr):
+    if any(sum(X[i][k] * n for k, n in pair.class_counts.items()) % p for i in irr):
         return VACUOUS, {"fired": False, "reason": "some chi in Irr(G|H) restricts with trivial constituent"}
     return (PASS if pair.normal else VIOLATION), {"irr_given_h": len(irr), "h_normal": pair.normal}
 
@@ -476,10 +479,11 @@ def _lemma_m(pair: Pair) -> tuple[str, dict]:
 
 
 def _claim9(pair: Pair) -> tuple[str, dict]:
-    G, H = pair.G, pair.H
+    """Derangement classes, those that miss H, against the classes that meet H."""
+    G = pair.G
     classes = conjugacy_classes(G)
-    delta_class_ids = sorted({classes.class_of[x] for x in derangements(G, H).members})
-    h_class_ids = sorted({classes.class_of[h] for h in H.members})
+    delta_class_ids = [c for c in range(classes.count) if c not in pair.class_counts]
+    h_class_ids = sorted(pair.class_counts)
     for did in delta_class_ids:
         x_odd = G.element_order(classes.reps[did]) % 2 == 1
         for cid in h_class_ids:

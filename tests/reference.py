@@ -66,6 +66,13 @@ def reference_is_subgroup(G: GroupTable, members: Sequence[int]) -> bool:
     )
 
 
+def reference_is_normal(G: GroupTable, members: Sequence[int]) -> bool:
+    """Whether ``members`` is closed under conjugation: every member
+    conjugated by every generator of G with ``G.conj`` stays inside."""
+    inside = set(members)
+    return all(G.conj(m, g) in inside for m in members for g in G.generator_ids)
+
+
 def reference_check_orthonormal(rows: list[ClassFunction], classes: ConjClassPartition) -> None:
     """The character-table self-check in exact Cyc arithmetic: raise
     RuntimeError unless |G| [chi_i, chi_j] = sum_k chi_i(k) w_k equals
@@ -82,6 +89,22 @@ def reference_check_orthonormal(rows: list[ClassFunction], classes: ConjClassPar
                 raise RuntimeError("character rows are not orthonormal")
     if not all(chi.values[0].is_rational_integer() and chi.values[0].as_int() > 0 for chi in rows):
         raise RuntimeError("character degrees are not positive integers")
+
+
+def reference_check_galois(rows: list[ClassFunction], classes: ConjClassPartition) -> None:
+    """The power-map check in exact Cyc arithmetic: raise RuntimeError
+    unless chi(r^c) equals chi(r) with zeta_e -> zeta_e^c for every row,
+    class representative r and c prime to exp(G)."""
+    G = classes.group
+    n_exp = exponent(G)
+    for c in (c for c in range(1, n_exp + 1) if math.gcd(c, n_exp) == 1):
+        for k, r in enumerate(classes.reps):
+            at = classes.class_of[G.power(r, c)]
+            for chi in rows:
+                v = chi.values[k]
+                image = Cyc.from_root_multiset(v.e, {j * c % v.e: a for j, a in enumerate(v.coeffs)})
+                if not chi.values[at] == image:
+                    raise RuntimeError("character values do not follow the power maps")
 
 
 def reference_simultaneous_eigenvectors(mats: list[list[list[int]]], q: int) -> list[list[int]]:

@@ -9,6 +9,7 @@ from camina.catalog import builtin, builtin_catalog
 from camina.chartab import (
     CycFraction,
     character_table,
+    check_galois,
     check_orthonormal,
     class_matrices,
     decompose,
@@ -30,7 +31,7 @@ from camina.cyclotomic import Cyc
 from camina.grouptable import CapExceeded, ElementSet, generate, subgroup_table
 from camina.perm import Permutation, conjugate
 from camina.structure import conjugacy_classes, exponent, subgroups
-from reference import reference_character_table, reference_check_orthonormal
+from reference import reference_character_table, reference_check_galois, reference_check_orthonormal
 
 
 def by_order(G, n, which=0):
@@ -298,6 +299,50 @@ class TestModularSelfCheck:
         monkeypatch.setattr(Cyc, "__rmul__", counted)
         assert accepts(check_orthonormal, G, classes, values)
         assert calls == []
+
+
+class TestPowerMapCheck:
+    def test_agrees_with_reference_on_built_tables(self):
+        for label in [e.label for e in builtin_catalog()] + EXTRA_TABLE_LABELS:
+            G, classes, values = built_table(label)
+            assert accepts(check_galois, G, classes, values), label
+            assert accepts(reference_check_galois, G, classes, values), label
+
+    def test_c4_swapped_columns(self):
+        # orthonormality survives swapping the columns of the involution and
+        # of a generator g; the power maps do not: g^2 has class size 1 too,
+        # but chi(g^3) must be the complex conjugate of chi(g)
+        G, classes, values = built_table("C4")
+        swapped = [[row[0], row[2], row[1], row[3]] for row in values]
+        assert accepts(check_orthonormal, G, classes, swapped)
+        assert not accepts(check_galois, G, classes, swapped)
+        assert not accepts(reference_check_galois, G, classes, swapped)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(PERTURB_LABELS + ["C8", "C5xC10"]), st.data())
+    def test_agrees_with_reference_on_swapped_or_perturbed_tables(self, label, data):
+        G, classes, values = built_table(label)
+        same_size = [(a, b) for a in range(classes.count) for b in range(a) if classes.sizes[a] == classes.sizes[b]]
+        changed = [list(row) for row in values]
+        if same_size and data.draw(st.booleans()):
+            a, b = data.draw(st.sampled_from(same_size))
+            for row in changed:
+                row[a], row[b] = row[b], row[a]
+        else:
+            i, k = data.draw(st.integers(0, len(values) - 1)), data.draw(st.integers(0, len(values) - 1))
+            coeffs = list(values[i][k].coeffs)
+            coeffs[data.draw(st.integers(0, len(coeffs) - 1))] += data.draw(st.integers(-2, 2))
+            changed[i][k] = Cyc(values[i][k].e, coeffs)
+        # values no character of G can take fail the bound of the modular check first
+        in_bound = accepts(lambda rows, classes: chartab._reduction(rows, G.order), G, classes, changed)
+        assert accepts(check_galois, G, classes, changed) == (
+            in_bound and accepts(reference_check_galois, G, classes, changed)
+        )
+
+    def test_a_build_does_not_run_it(self, monkeypatch):
+        # a built table follows the power maps by construction
+        monkeypatch.setattr(chartab, "check_galois", lambda *args: pytest.fail("check_galois ran"))
+        assert character_table(builtin("C4xC4xC2").group()).degree_sequence == (1,) * 32
 
 
 class TestInnerProduct:

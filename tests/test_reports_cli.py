@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import shlex
@@ -9,7 +10,7 @@ import pytest
 
 import camina.chartab as chartab
 import camina.cyclotomic as cyclotomic
-from camina.catalog import builtin
+from camina.catalog import builtin, builtin_catalog
 from camina.chartab import character_table
 from camina.cli import build_parser, run_cli
 from camina.grouptable import CapExceeded
@@ -142,6 +143,34 @@ class TestChartabCache:
         table = cached_character_table(s4, tmp_path)
         assert [chi.values for chi in table.irreducibles] == [chi.values for chi in fresh.irreducibles]
         assert load_chartab(s4, tmp_path).degree_sequence == (1, 1, 2, 3, 3)
+
+    def test_column_swapped_table_is_rebuilt(self, tmp_path, capsys):
+        # swapping C4's involution and generator columns keeps the rows
+        # orthonormal and the degrees positive, but puts z4 at the involution
+        cache = str(tmp_path)
+        assert run_cli(["--cache-dir", cache, "chartab", "--group", "C4"]) == 0
+        printed = capsys.readouterr().out
+        assert "chi_0: 1  -1  -z4  z4\n" in printed
+        (path,) = tmp_path.glob("chartab-*.json")
+        obj = json.loads(path.read_text())
+        for row in obj["rows"]:
+            row[1], row[2] = row[2], row[1]
+        path.write_text(json.dumps(obj))
+        assert load_chartab(builtin("C4").group(), tmp_path) is None
+        assert run_cli(["--cache-dir", cache, "chartab", "--group", "C4"]) == 0
+        assert capsys.readouterr().out == printed
+        assert load_chartab(builtin("C4").group(), tmp_path) is not None  # rebuilt and saved again
+
+    def test_every_built_table_loads_after_a_save(self, tmp_path):
+        # the builtin groups and those of the benchmark's chartab workload
+        extra = ["C60", "C5xC10", "C4xC4xC2", "Heis(5)", "C3xC3xC3", "Q32xC2", "D30"]
+        for label in [e.label for e in builtin_catalog()] + extra:
+            G = builtin(label).group()
+            fresh = character_table(G)
+            save_chartab(G, fresh, tmp_path)
+            loaded = load_chartab(builtin(label).group(), tmp_path)
+            assert loaded is not None, label
+            assert [chi.values for chi in loaded.irreducibles] == [chi.values for chi in fresh.irreducibles], label
 
     @pytest.mark.parametrize("damage", ["truncated", "missing_key", "list", "string_coefficient"])
     def test_unreadable_file_is_a_miss(self, tmp_path, capsys, s3, damage):
@@ -380,6 +409,23 @@ class TestCli:
         assert run_cli(["--jobs", "2"] + args + ["--out", str(out2)]) == 0
         strip = lambda p: re.sub(r'"timestamp":"[^"]*"', '"timestamp":null', p.read_text())
         assert strip(out1) == strip(out2)
+
+
+# sha256 of the builtin sweep's report file, all claims up to order 1000,
+# with every timestamp replaced by null: 13,642 reports, 0 violations
+BUILTIN_SWEEP_SHA256 = "92d8349cf9c68629866d14f829ca04085b2f3d0d2b868e5fef2ca34c037cff77"
+
+
+class TestBuiltinSweepDigest:
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_reports_are_pinned(self, tmp_path, capsys, jobs):
+        out = tmp_path / "reports.jsonl"
+        argv = ["--jobs", jobs, "verify", "--catalog", "builtin", "--max-order", "1000", "--claims", "all"]
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "total reports: 13642\nviolations: 0\n" in printed
+        stripped = re.sub(r'"timestamp":"[^"]*"', '"timestamp":null', out.read_text())
+        assert hashlib.sha256(stripped.encode()).hexdigest() == BUILTIN_SWEEP_SHA256
 
 
 class TestSweepFaultIsolation:

@@ -35,6 +35,7 @@ from camina.structure import (
     sylow_subgroup,
     upper_central_series,
 )
+from reference import reference_is_normal
 
 
 def by_order(G, n, which=0):
@@ -258,6 +259,69 @@ class TestNormalClosureAndCore:
         assert len(sylow) == 8
         c = core(s4, sylow)
         assert len(c) == 4 and c.is_normal()
+
+
+NORMALITY_LABELS = [e.label for e in builtin_catalog()] + ["S5", "PSL(2,7)", "S4xC2"]
+
+
+def fresh_group(label):
+    """A newly generated table, with nothing cached on it."""
+    return psl27() if label == "PSL(2,7)" else builtin(label).group()
+
+
+class TestNormalityFromClasses:
+    @pytest.mark.parametrize("label", NORMALITY_LABELS)
+    def test_is_normal_matches_generator_conjugation(self, label):
+        G = fresh_group(label)
+        for H in subgroups(G):
+            assert H.is_normal() == reference_is_normal(G, H.members), (label, H.members)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_any_subset(self, data):
+        # a union of classes, with some elements toggled or not
+        G = S4_TABLE
+        classes = conjugacy_classes(G)
+        chosen = data.draw(st.sets(st.integers(0, classes.count - 1)))
+        toggled = data.draw(st.sets(st.integers(0, G.order - 1), max_size=3))
+        members = {m for c in chosen for m in classes.members(c)} ^ toggled
+        S = ElementSet(G, members)
+        assert S.is_normal() == reference_is_normal(G, S.members)
+        assert sum(classes.counts(S.members).values()) == len(S)
+
+    def test_no_conj_beyond_the_partition_maps(self, monkeypatch):
+        # the classes conjugate each element by each generator once; the
+        # normality flags and the lattice's conjugates read those maps
+        calls = [0]
+        original = GroupTable.conj
+
+        def counted(self, x, g):
+            calls[0] += 1
+            return original(self, x, g)
+
+        monkeypatch.setattr(GroupTable, "conj", counted)
+        for label in ["S5", "PSL(2,7)", "S4xC2", "A4"]:
+            G = fresh_group(label)
+            calls[0] = 0
+            flags = [H.is_normal() for H in subgroups(G)]
+            assert ElementSet(G, range(0, G.order, 2)).is_normal() in (True, False)
+            assert calls[0] == G.order * len(G.generator_ids), label
+            assert sum(flags) == sum(reference_is_normal(G, H.members) for H in subgroups(G))
+
+    def test_conjugators_are_the_generator_maps(self, s4):
+        classes = conjugacy_classes(s4)
+        assert len(classes.conjugators) == len(s4.generator_ids)
+        for g, conj in zip(s4.generator_ids, classes.conjugators):
+            assert list(conj) == [s4.conj(x, g) for x in range(s4.order)]
+
+    def test_derived_subgroup_of_g_matches_the_whole_set(self):
+        # S = None seeds from G's generators, S = G from a generating set of G
+        for label in [e.label for e in builtin_catalog()] + ["S5", "S4xC2", "Heis(5)"]:
+            G = builtin(label).group()
+            assert derived_subgroup(G) == derived_subgroup(G, ElementSet.whole(G)), label
+
+
+S4_TABLE = builtin("S4").group()
 
 
 class TestSubgroups:

@@ -367,6 +367,22 @@ class TestOneEvaluationPerPair:
         assert not any(r.status == SKIPPED for r in reports)
         assert len(builds) == 1
 
+    def test_sweep_conj_and_mul_budget(self, monkeypatch):
+        # Normality and the lattice's conjugates read the generator maps of
+        # the class partition, one G.conj per (element, generator) of each
+        # group; the remaining calls come from normal closures and lemma_f.
+        calls = Counter()
+
+        def counted(name):
+            original = getattr(grouptable.GroupTable, name)
+            return lambda self, a, b: calls.update([name]) or original(self, a, b)
+
+        for name in ("mul", "conj"):
+            monkeypatch.setattr(grouptable.GroupTable, name, counted(name))
+        for entry in builtin_catalog():
+            assert sweep_single(entry.label, entry.group(), list(verify.ALL_CLAIMS))
+        assert calls["conj"] <= 3_000 and calls["mul"] <= 211_370, calls
+
     def test_no_subgroup_table_and_o_upper_once_per_prime(self, monkeypatch):
         # Facts about H are computed inside G: H gets no table of its own,
         # and O^p(H) is computed once per (pair, prime).
