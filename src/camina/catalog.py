@@ -91,7 +91,12 @@ def parse_group_file(path: str | Path) -> CatalogEntry:
     path = Path(path)
     degree = None
     gens: list[Permutation] = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("not UTF-8 text", data.count(b"\n", 0, exc.start) + 1) from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -25,7 +25,6 @@ from .cyclotomic import Cyc
 from .grouptable import CapExceeded, ElementSet, GroupTable, subgroup_table
 from .structure import ConjClassPartition, conjugacy_classes, exponent, prime_factors
 
-DEFAULT_CHARTAB_ORDER_CAP = 2_000
 DEFAULT_CLASS_CAP = 60
 
 
@@ -282,25 +281,20 @@ def _eigenvalue_counts(chi_mod: list[int], pcls: list[int], d: int, zpow: list[i
     return counts
 
 
-def check_caps(
-    G: GroupTable, order_cap: int | None = None, class_cap: int | None = None
-) -> ConjClassPartition:
-    """G's classes, or CapExceeded when G is over a character-table cap.  A
-    cap of None means its default, ``DEFAULT_CHARTAB_ORDER_CAP`` or
-    ``DEFAULT_CLASS_CAP``."""
-    if G.order > (DEFAULT_CHARTAB_ORDER_CAP if order_cap is None else order_cap):
-        raise CapExceeded("character table order cap exceeded", G.order)
+def check_caps(G: GroupTable, class_cap: int | None = None) -> ConjClassPartition:
+    """G's classes, or CapExceeded when G has more than ``class_cap`` of them
+    (None: ``DEFAULT_CLASS_CAP``).  G's order is bounded where it is generated."""
     classes = conjugacy_classes(G)
     if classes.count > (DEFAULT_CLASS_CAP if class_cap is None else class_cap):
         raise CapExceeded("character table class cap exceeded", classes.count)
     return classes
 
 
-def character_table(G: GroupTable, order_cap: int | None = None, class_cap: int | None = None) -> CharacterTable:
+def character_table(G: GroupTable, class_cap: int | None = None) -> CharacterTable:
     """The exact table of irreducible characters, rows ordered by
-    (degree, lexicographic value order).  Cached on the table.  The caps
-    are those of ``check_caps``."""
-    classes = check_caps(G, order_cap, class_cap)
+    (degree, lexicographic value order).  Cached on the table.  The class
+    cap is that of ``check_caps``."""
+    classes = check_caps(G, class_cap)
     r = classes.count
     hit = G._cache.get("chartab")
     if hit is not None:

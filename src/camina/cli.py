@@ -57,7 +57,7 @@ _CONDITIONS = {
     "camina": lambda G, H, args: is_camina_pair(G, H),
     "f": lambda G, H, args: satisfies_F(G, H),
     "fpm": lambda G, H, args: satisfies_Fpm(G, H),
-    "ci": lambda G, H, args: satisfies_CI(G, H, args.order_cap, args.class_cap),
+    "ci": lambda G, H, args: satisfies_CI(G, H, args.class_cap),
     "o": lambda G, H, args: satisfies_O(G, H),
     "equal-order": lambda G, H, args: equal_order_coset(G, H),
 }
@@ -89,7 +89,7 @@ def _positive_int(text: str) -> int:
 
 def build_parser() -> _Parser:
     p = _Parser(prog="camina", description="Exact coset-conjugacy workbench for small groups")
-    p.add_argument("--order-cap", type=_positive_int, help="group order cap (generation and character tables)")
+    p.add_argument("--order-cap", type=_positive_int, default=DEFAULT_ORDER_CAP, help="group order cap (default %(default)s)")
     p.add_argument("--class-cap", type=_positive_int, help="conjugacy class cap for character tables")
     p.add_argument("--subgroup-cap", type=_positive_int, default=DEFAULT_SUBGROUP_CAP, help="subgroup enumeration cap")
     p.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers for verify")
@@ -130,7 +130,7 @@ def build_parser() -> _Parser:
 
 def _resolve_group(args) -> tuple[str, GroupTable]:
     entry = parse_group_file(args.group) if Path(args.group).is_file() else builtin(args.group)
-    return entry.label, entry.group(cap=args.generation_cap)
+    return entry.label, entry.group(cap=args.order_cap)
 
 
 def _subgroup_by_file(G: GroupTable, path: str) -> ElementSet:
@@ -190,7 +190,7 @@ def _cmd_info(args) -> int:
 
 def _cmd_chartab(args) -> int:
     label, G = _resolve_group(args)
-    table = cached_character_table(G, args.cache_dir, order_cap=args.order_cap, class_cap=args.class_cap)
+    table = cached_character_table(G, args.cache_dir, args.class_cap)
     classes = conjugacy_classes(G)
     print(f"character table of {label} (order {G.order}, {classes.count} classes)")
     reps = [format_cycles(G.elements[r]) for r in classes.reps]
@@ -279,23 +279,23 @@ def _catalog_entries(source: str) -> list[tuple[str, str]]:
 
 
 def _sweep_payload(
-    item, max_order, claims, char_order_cap, char_class_cap, subgroup_cap, generation_cap
+    item, max_order, claims, order_cap, char_class_cap, subgroup_cap
 ) -> tuple[list[VerificationReport], str | None]:
     """The reports of one catalog group, and the error that left them out
-    when its file cannot be read or it is over the generation cap.
+    when its file cannot be read or it is over the order cap.
 
-    Generation stops at the smaller of ``max_order`` and the generation cap,
+    Generation stops at the smaller of ``max_order`` and the order cap,
     so a group above ``max_order`` is never enumerated past it: it has no
     reports and no error."""
     kind, payload = item
     try:
         entry = builtin(payload) if kind == "builtin" else parse_group_file(payload)
-        G = entry.group(cap=min(max_order, generation_cap))
+        G = entry.group(cap=min(max_order, order_cap))
     except INPUT_ERRORS as exc:
-        if isinstance(exc, CapExceeded) and max_order <= generation_cap:
+        if isinstance(exc, CapExceeded) and max_order <= order_cap:
             return [], None
         return [], f"{payload}: {exc}"
-    return sweep_single(entry.label, G, claims, char_order_cap, char_class_cap, subgroup_cap), None
+    return sweep_single(entry.label, G, claims, char_class_cap, subgroup_cap), None
 
 
 def _cmd_verify(args) -> int:
@@ -305,10 +305,9 @@ def _cmd_verify(args) -> int:
         _sweep_payload,
         max_order=args.max_order,
         claims=claims,
-        char_order_cap=args.order_cap,
+        order_cap=args.order_cap,
         char_class_cap=args.class_cap,
         subgroup_cap=args.subgroup_cap,
-        generation_cap=args.generation_cap,
     )
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -349,8 +348,6 @@ def run_cli(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # --order-cap bounds generation too; unset, generation stops at DEFAULT_ORDER_CAP
-    args.generation_cap = args.order_cap or DEFAULT_ORDER_CAP
     handlers = {
         "catalog": _cmd_catalog,
         "info": _cmd_info,

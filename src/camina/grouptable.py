@@ -1,9 +1,12 @@
 """Exhaustively enumerated finite permutation groups.
 
 A GroupTable holds every element of the group generated by a set of
-permutations, in canonical (lexicographic) order, with index-based
-arithmetic on top.  ElementSet is a subset of a table (a subgroup, a
-coset, a conjugacy class, ...) given by sorted element indices.
+permutations, in canonical (lexicographic) order, and its Cayley table,
+so that products are index lookups.  ``DEFAULT_ORDER_CAP`` is the one
+order cap: ``generate`` stops above it, which bounds a table at 4M
+entries, about 8 n^2 bytes.  ElementSet is a subset of a table (a
+subgroup, a coset, a conjugacy class, ...) given by sorted element
+indices.
 ConjClassPartition is G's partition into conjugacy classes, with the maps
 x -> x^g of G's generators g that found it; a set is normal iff it is a
 union of classes, read off its class counts.
@@ -15,10 +18,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .perm import Permutation, element_order, inverse
+from .perm import Permutation, element_order
 
-DEFAULT_ORDER_CAP = 20_000
-MUL_MEMO_LIMIT = 512
+DEFAULT_ORDER_CAP = 2_000
 
 
 class CapExceeded(RuntimeError):
@@ -34,7 +36,8 @@ class GroupTable:
 
     ``elements[0]`` is the identity (the identity image table is the
     lexicographic minimum among bijections) and ``index_of`` maps an image
-    tuple back to its index.
+    tuple back to its index.  ``rows`` is the Cayley table: ``rows[i][j]``
+    is the index of elements[i] followed by elements[j].
     """
 
     def __init__(self, degree: int, elements: Sequence[Permutation], generator_ids: Sequence[int]):
@@ -42,10 +45,27 @@ class GroupTable:
         self.elements = tuple(elements)
         self.index_of = {p.images: i for i, p in enumerate(self.elements)}
         self.generator_ids = tuple(generator_ids)
-        self.inverse_ids = tuple(self.index_of[inverse(p).images] for p in self.elements)
+        self.rows = self._cayley_rows()
+        self.inverse_ids = tuple(row.index(0) for row in self.rows)
         self._orders: list[int | None] = [None] * len(self.elements)
-        self._mul_memo: dict[int, int] | None = {} if len(self.elements) <= MUL_MEMO_LIMIT else None
         self._cache: dict = {}
+
+    def _cayley_rows(self) -> list[list[int]]:
+        """The Cayley table, breadth-first from the identity row: the row of
+        g x is the row of x mapped through z -> g z, g a generator."""
+        n = len(self.elements)
+        images = [self.elements[g].images for g in self.generator_ids]
+        lefts = [[self.index_of[tuple(map(p.images.__getitem__, gi))] for p in self.elements] for gi in images]
+        rows: list = [list(range(n))] + [None] * (n - 1)
+        reached = [0]
+        for x in reached:  # grows while it is walked
+            for left in lefts:
+                if rows[left[x]] is None:
+                    rows[left[x]] = list(map(left.__getitem__, rows[x]))
+                    reached.append(left[x])
+        if len(reached) != n:
+            raise ValueError("the generators do not generate the elements")
+        return rows
 
     @property
     def order(self) -> int:
@@ -53,28 +73,14 @@ class GroupTable:
 
     def mul(self, i: int, j: int) -> int:
         """Index of the product: elements[i] first, then elements[j]."""
-        memo = self._mul_memo
-        if memo is None:
-            a = self.elements[i].images
-            b = self.elements[j].images
-            return self.index_of[tuple(b[v] for v in a)]
-        key = i * len(self.elements) + j
-        hit = memo.get(key)
-        if hit is None:
-            a = self.elements[i].images
-            b = self.elements[j].images
-            hit = memo[key] = self.index_of[tuple(b[v] for v in a)]
-        return hit
+        return self.rows[i][j]
 
     def inv(self, i: int) -> int:
         return self.inverse_ids[i]
 
     def conj(self, x: int, g: int) -> int:
         """Index of g^-1 x g."""
-        gi = self.elements[g].images
-        xi = self.elements[x].images
-        ginv = self.elements[self.inverse_ids[g]].images
-        return self.index_of[tuple(gi[xi[ginv[i]]] for i in range(self.degree))]
+        return self.rows[self.rows[self.inverse_ids[g]][x]][g]
 
     def commutator(self, a: int, b: int) -> int:
         """Index of a^-1 b^-1 a b."""

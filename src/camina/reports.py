@@ -103,16 +103,16 @@ def load_chartab(G: GroupTable, cache_dir: str | Path) -> CharacterTable | None:
 
 
 def cached_character_table(
-    G: GroupTable, cache_dir: str | Path | None, **caps
+    G: GroupTable, cache_dir: str | Path | None, class_cap: int | None = None
 ) -> CharacterTable:
     """G's table from ``cache_dir`` when a valid file is there, else a fresh
-    build that is saved there.  The caps apply to a load as to a build."""
-    check_caps(G, **caps)
+    build that is saved there.  The class cap applies to a load as to a build."""
+    check_caps(G, class_cap)
     if cache_dir is not None:
         hit = load_chartab(G, cache_dir)
         if hit is not None:
             return hit
-    table = character_table(G, **caps)
+    table = character_table(G, class_cap)
     if cache_dir is not None:
         save_chartab(G, table, cache_dir)
     return table

@@ -103,7 +103,6 @@ class Pair:
     H: ElementSet
     label: str = ""
     subgroup_index: int = -1
-    order_cap: int | None = None
     class_cap: int | None = None
     _o_upper: dict[int, ElementSet] = field(default_factory=dict, init=False, repr=False)
 
@@ -135,7 +134,7 @@ class Pair:
     @cached_property
     def _CI(self) -> ConditionVerdict | CapExceeded:
         try:
-            return satisfies_CI(self.G, self.H, self.order_cap, self.class_cap)
+            return satisfies_CI(self.G, self.H, self.class_cap)
         except CapExceeded as exc:
             return exc
 
@@ -163,7 +162,7 @@ class Pair:
 
     @cached_property
     def table(self) -> CharacterTable:
-        return character_table(self.G, order_cap=self.order_cap, class_cap=self.class_cap)
+        return character_table(self.G, self.class_cap)
 
     @cached_property
     def irr_given_n(self) -> list[int]:
@@ -580,7 +579,6 @@ def sweep_single(
     label: str,
     G: GroupTable,
     claims: list[str],
-    char_order_cap: int | None = None,
     char_class_cap: int | None = None,
     subgroup_cap: int = DEFAULT_SUBGROUP_CAP,
 ) -> list[VerificationReport]:
@@ -600,7 +598,7 @@ def sweep_single(
         for idx, H in enumerate(subs):
             if len(H) == G.order:
                 continue
-            pair = Pair(G, H, label, idx, char_order_cap, char_class_cap)
+            pair = Pair(G, H, label, idx, char_class_cap)
             for claim in pair_claims:
                 if len(H) > 1 or CLAIMS[claim][2]:
                     reports.append(verify_pair_claim(G, H, claim, pair))

@@ -147,12 +147,14 @@ class TestCharacterTable:
             assert chi.values[0].as_int() == chi.degree() > 0
 
     def test_order_cap(self, s4):
+        # G's order is capped where G is generated; S4's 5 classes meet a class cap of 5
         with pytest.raises(CapExceeded):
-            character_table(s4, order_cap=10, class_cap=60)
+            character_table(s4, class_cap=4)
+        assert character_table(s4, class_cap=5).degree_sequence == (1, 1, 2, 3, 3)
 
     def test_class_cap(self, s4):
         with pytest.raises(CapExceeded):
-            character_table(s4, order_cap=2000, class_cap=3)
+            character_table(s4, class_cap=3)
 
     def test_different_prime_same_table(self, s4):
         t1 = character_table(s4)

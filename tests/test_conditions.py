@@ -215,7 +215,7 @@ class TestConditionCI:
         from camina.grouptable import CapExceeded
 
         with pytest.raises(CapExceeded):
-            satisfies_CI(s4, by_order(s4, 4), order_cap=10)
+            satisfies_CI(s4, by_order(s4, 4), class_cap=4)
 
 
 class TestConditionO:

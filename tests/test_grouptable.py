@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from camina.catalog import builtin, builtin_catalog
 from camina.grouptable import (
+    DEFAULT_ORDER_CAP,
     CapExceeded,
     ElementSet,
     GroupTable,
@@ -13,7 +14,7 @@ from camina.grouptable import (
     small_generating_set,
     subgroup_table,
 )
-from camina.perm import Permutation
+from camina.perm import Permutation, compose, conjugate, inverse
 from camina.structure import conjugacy_classes, subgroups
 from reference import reference_closure_indices, reference_is_subgroup, reference_small_generating_set
 
@@ -43,6 +44,12 @@ class TestGenerate:
             generate(4, [cyc(4, (0, 1)), cyc(4, (0, 1, 2, 3))], cap=10)
         assert exc.value.partial > 10
 
+    def test_default_cap_stops_a7(self):
+        # |A7| = 2520 is above the one order cap, 2000
+        with pytest.raises(CapExceeded) as exc:
+            builtin("A7").group()
+        assert exc.value.partial == DEFAULT_ORDER_CAP + 1
+
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
             generate(4, [cyc(3, (0, 1))])
@@ -70,6 +77,40 @@ class TestGenerate:
         b = builtin("S4").group()
         assert [p.images for p in a.elements] == [p.images for p in b.elements]
         assert a.generator_ids == b.generator_ids
+
+
+class TestCayleyTable:
+    """The table against permutation arithmetic, pair by pair."""
+
+    @pytest.mark.parametrize("label", SMALL_LABELS + ["S5"])
+    def test_mul_is_compose(self, label):
+        G = builtin(label).group()
+        els = G.elements
+        for i in range(G.order):
+            for j in range(G.order):
+                assert G.mul(i, j) == G.index_of[compose(els[i], els[j]).images]
+
+    @pytest.mark.parametrize("label", SMALL_LABELS + ["S5"])
+    def test_conj_commutator_power_inv(self, label):
+        G = builtin(label).group()
+        els, index = G.elements, G.index_of
+        for x in range(G.order):
+            assert G.inv(x) == index[inverse(els[x]).images]
+            for k in range(-1, G.element_order(x) + 2):
+                assert G.power(x, k) == index[(els[x] ** k).images]
+        for a in range(G.order):
+            for b in range(G.order):
+                assert G.conj(a, b) == index[conjugate(els[a], els[b]).images]
+                ab = compose(compose(compose(inverse(els[a]), inverse(els[b])), els[a]), els[b])
+                assert G.commutator(a, b) == index[ab.images]
+
+    def test_trivial_table(self):
+        assert generate(1, []).rows == [[0]]
+        assert generate(3, [Permutation.identity(3)]).rows == [[0]]
+
+    def test_generators_must_generate(self, s3):
+        with pytest.raises(ValueError, match="do not generate"):
+            GroupTable(3, s3.elements, [s3.generator_ids[0]])
 
 
 class TestClosure:

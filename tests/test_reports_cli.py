@@ -229,9 +229,9 @@ class TestChartabCache:
     def test_caps_apply_before_a_load(self, tmp_path, s4):
         save_chartab(s4, character_table(s4), tmp_path)
         assert load_chartab(s4, tmp_path) is not None
-        with pytest.raises(CapExceeded, match="character table order cap exceeded"):
-            cached_character_table(s4, tmp_path, order_cap=10)
-        assert cached_character_table(s4, tmp_path, order_cap=24).degree_sequence == (1, 1, 2, 3, 3)
+        with pytest.raises(CapExceeded, match="character table class cap exceeded"):
+            cached_character_table(s4, tmp_path, class_cap=4)
+        assert cached_character_table(s4, tmp_path, class_cap=5).degree_sequence == (1, 1, 2, 3, 3)
 
 
 class TestCli:
@@ -453,6 +453,19 @@ class TestSweepFaultIsolation:
         assert captured.err == f"error: {bad}: line 2: point 2 repeated across cycles\n"
         assert "violations: 0" in captured.out
         assert self.records(tmp_path / "mixed.jsonl") == self.records(tmp_path / "good.jsonl") != []
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_binary_file_in_catalog(self, tmp_path, capsys, jobs):
+        (tmp_path / "s3.grp").write_text("degree 3\n(1,2)\n(1,2,3)\n")
+        binary = tmp_path / "binary.grp"
+        binary.write_bytes(b"degree 3\n(1,2)\n\xff\xfe\x00\x01\n")
+        args = ["--jobs", jobs, "verify", "--catalog", str(tmp_path), "--max-order", "24", "--claims", "all"]
+        assert run_cli(args) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {binary}: line 3: not UTF-8 text\n"
+        assert "violations: 0" in captured.out and "total reports: 0" not in captured.out
+        assert run_cli(["info", "--group", str(binary)]) == 3
+        assert capsys.readouterr().err == "error: line 3: not UTF-8 text\n"
 
     def test_group_over_order_cap(self, tmp_path, capsys):
         capped, below = tmp_path / "capped.jsonl", tmp_path / "below.jsonl"
