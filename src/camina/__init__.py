@@ -43,6 +43,7 @@ from .structure import (
     is_nilpotent,
     is_solvable,
     normal_closure,
+    normal_subgroups,
     o_lower_p,
     o_upper_p,
     p_decomposition,

@@ -72,6 +72,11 @@ class CharacterTable:
         zpow = [pow(z, t, p) for t in range(e)]
         return p, [[sum(map(mul, v.coeffs, zpow)) % p for v in row] for row in values]
 
+    @cached_property
+    def kernels(self) -> tuple[frozenset[int], ...]:
+        """Each row's kernel {x : chi(x) = chi(1)} as a set of class ids."""
+        return tuple(frozenset(k for k, v in enumerate(chi.values) if v == chi.values[0]) for chi in self.irreducibles)
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -559,10 +564,3 @@ def kernel_of(chi: ClassFunction) -> ElementSet:
     top = chi.values[0]
     return ElementSet(chi.group, (m for k, v in enumerate(chi.values) if v == top for m in classes.members(k)))
 
-
-def in_irr_given_N(chi: ClassFunction, N: ElementSet) -> bool:
-    """True iff chi lies in Irr(G|N), i.e. N is not inside ker(chi)."""
-    if not N.is_subgroup or not N.is_normal():
-        raise ValueError("N must be a normal subgroup")
-    ker = kernel_of(chi)
-    return not all(n in ker for n in N.members)

@@ -40,6 +40,7 @@ from .structure import (
     is_nilpotent,
     is_simple,
     is_solvable,
+    normal_subgroups,
     small_generating_set,
     subgroups,
 )
@@ -204,9 +205,10 @@ def _cmd_chartab(args) -> int:
 
 def _cmd_subgroups(args) -> int:
     label, G = _resolve_group(args)
+    normal = set(normal_subgroups(G, args.subgroup_cap))
     for idx, H in enumerate(subgroups(G, args.subgroup_cap)):
         gens = [format_cycles(G.elements[i]) for i in small_generating_set(G, H.members)]
-        print(f"index={idx} order={len(H)} gens={' '.join(gens) or '()'}" + (" normal" if H.is_normal() else ""))
+        print(f"index={idx} order={len(H)} gens={' '.join(gens) or '()'}" + (" normal" if H in normal else ""))
     return EXIT_OK
 
 

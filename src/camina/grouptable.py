@@ -264,43 +264,42 @@ def left_coset(G: GroupTable, x: int, H: ElementSet) -> ElementSet:
     return ElementSet(G, (G.mul(x, h) for h in H.members))
 
 
-def _dimino(G: GroupTable, seeds: Iterable[int]) -> tuple[list[int], list[int]]:
-    """Dimino's closure of ``seeds``, taken in order: ``(members, kept)``,
-    the members of the subgroup they generate, identity first, and the seeds
-    kept, each outside the group generated by the kept seeds before it.
+def _dimino(G: GroupTable, seeds: Iterable[int], start: tuple = ((0,), ())) -> tuple[list[int], list[int]]:
+    """Dimino's closure of ``seeds``, taken in order, from the subgroup
+    ``start`` (its members, identity first, and its kept seeds): ``(members,
+    kept)``, each kept seed outside the group generated by those before it.
 
     A kept seed s extends the group K built so far coset by coset: for each
     coset representative r, from the identity on, and each kept seed g, a
-    product r g outside the group adds the whole right coset K (r g) and
-    becomes a representative.  The union of the cosets is then closed under
-    right multiplication by every kept seed, so it is <K, s>.  The identity
-    is never a right factor.
+    product g r outside the group adds the whole left coset (g r) K, a table
+    row mapped over K, and becomes a representative.  The union of the
+    cosets is then closed under left multiplication by every kept seed, so
+    it is <K, s>.  The identity row is never read.
     """
-    mul = G.mul
-    members = [0]
-    memberset = {0}
-    kept: list[int] = []
+    rows = G.rows
+    members, kept = list(start[0]), list(start[1])
+    memberset = set(members)
     for s in seeds:
         if s in memberset:
             continue
         kept.append(s)
-        K = members[1:]
+        K = members[:]
         reps = [0]
         for r in reps:  # grows while it is walked
             for g in kept:
-                x = mul(r, g)
+                x = rows[g][r]
                 if x not in memberset:
                     reps.append(x)
-                    coset = [x] + [mul(k, x) for k in K]
+                    coset = list(map(rows[x].__getitem__, K))
                     members += coset
                     memberset.update(coset)
     return members, kept
 
 
-def closure_indices(G: GroupTable, seed: Iterable[int]) -> tuple[int, ...]:
-    """Indices of the subgroup of G generated by ``seed``, sorted: the
-    members of ``_dimino``'s coset-by-coset closure."""
-    return tuple(sorted(_dimino(G, seed)[0]))
+def closure_indices(G: GroupTable, seed: Iterable[int], start: tuple = ((0,), ())) -> tuple[int, ...]:
+    """Indices of the subgroup of G generated by ``seed`` and the subgroup
+    ``start``, sorted: the members of ``_dimino``'s closure."""
+    return tuple(sorted(_dimino(G, seed, start)[0]))
 
 
 def small_generating_set(G: GroupTable, members: Sequence[int]) -> tuple[int, ...]:

@@ -167,27 +167,29 @@ def subgroups(G: GroupTable, count_cap: int = DEFAULT_SUBGROUP_CAP) -> list[Elem
     """All subgroups of G, ordered by (order, member tuple).
 
     Found breadth-first from the trivial group by zuppo joins (Neubüser's
-    cyclic extension), one conjugacy class at a time: one representative
-    of each class is joined with one generator of every zuppo, i.e.
-    cyclic subgroup of prime-power order, outside it.  When a join is new,
-    its conjugates under G's generators are added with it, without a
-    closure, and are not extended themselves: <A^g, z> = <A, z^(g^-1)>^g,
-    and a conjugate of a zuppo is a zuppo, so a conjugate's joins are the
-    conjugates of its representative's joins.  Every element is a product
-    of commuting prime-power-order powers of itself, so every subgroup is
-    generated by its zuppos, and a chain of single zuppo joins leads from
-    1 to it.  Each join at least doubles the order, so a subgroup is kept
-    with at most log2 of its order generators.  A join is one
-    ``closure_indices`` pass: the representative is rebuilt from its kept
-    generators and z then adds whole cosets of it.  Cached on the table.
+    cyclic extension), one conjugacy class at a time.  A zuppo is a cyclic
+    subgroup of prime-power order, given by its least generator; every
+    subgroup is generated by its zuppos.  A new join's conjugates are
+    added by conjugating its members, with no closure; the walk keeps a
+    transversal, whose Schreier generators give N_G(A) for the class
+    representative A in one ``_dimino`` pass.  A is joined with one zuppo
+    z of each N_G(A)-orbit outside it: <A, z^n> = <A, z>^n for n in
+    N_G(A) and <A^g, z> = <A, z^(g^-1)>^g, so every other join is a
+    conjugate of these, recorded with its class.  A join is one
+    ``closure_indices`` pass that starts from A's members and generators;
+    it at least doubles the order, so a subgroup keeps at most log2 of its
+    order generators.  Cached on the table, with the normal subgroups (the
+    classes of size 1) and, per class, (A, class size, N_G(A)'s generators).
     """
     hit = G._cache.get("subgroups")
     if hit is not None:
         return hit
-    zuppos = _zuppo_generators(G)
+    zuppo_of = _zuppo_of(G)
+    zuppos = [x for x in range(1, G.order) if zuppo_of[x] == x]
     conjugators = conjugacy_classes(G).conjugators
+    rows, inv = G.rows, G.inverse_ids
     gens_of: dict[tuple[int, ...], tuple[int, ...]] = {}
-    worklist: list[tuple[int, ...]] = []
+    worklist: list[tuple[tuple[int, ...], int, list[int]]] = []
 
     def record(members: tuple[int, ...], gens: tuple[int, ...]) -> None:
         if len(gens_of) >= count_cap:
@@ -195,48 +197,64 @@ def subgroups(G: GroupTable, count_cap: int = DEFAULT_SUBGROUP_CAP) -> list[Elem
         gens_of[members] = gens
 
     def record_class(members: tuple[int, ...], gens: tuple[int, ...]) -> None:
-        """Record a new subgroup and queue it; record its conjugates."""
+        """Record a new subgroup and its class; queue it with N_G of it."""
         record(members, gens)
-        worklist.append(members)
-        orbit = [members]
+        orbit, moved, schreier = [members], {members: 0}, []  # members^moved[b] = b
         for a in orbit:  # grows while it is walked
-            for c in conjugators:
-                b = tuple(sorted(c[m] for m in a))
-                if b not in gens_of:
+            for g, c in zip(G.generator_ids, conjugators):
+                b, t = tuple(sorted(c[m] for m in a)), rows[moved[a]][g]
+                if b in moved:
+                    schreier.append(rows[t][inv[moved[b]]])
+                else:
                     record(b, tuple(c[x] for x in gens_of[a]))
+                    moved[b] = t
                     orbit.append(b)
+        worklist.append((members, len(orbit), _dimino(G, schreier)[1]))
 
     record_class((0,), ())
-    for a in worklist:  # grows while it is walked: breadth-first
-        inside = set(a)
+    for a, _, normalizer_gens in worklist:  # grows while it is walked: breadth-first
+        seen = set(a)
         for z in zuppos:
-            if z not in inside:
-                gens = gens_of[a] + (z,)
-                joined = closure_indices(G, gens)
-                if joined not in gens_of:
-                    record_class(joined, gens)
+            if z in seen:
+                continue
+            orbit = [z]
+            seen.add(z)
+            for y in orbit:  # grows while it is walked: the N_G(A)-orbit of z
+                images = {zuppo_of[rows[rows[inv[n]][y]][n]] for n in normalizer_gens} - seen
+                seen |= images
+                orbit += images
+            joined = closure_indices(G, (z,), start=(a, gens_of[a]))
+            if joined not in gens_of:
+                record_class(joined, gens_of[a] + (z,))
     ordered = sorted(gens_of, key=lambda m: (len(m), m))
     result = [ElementSet(G, m) for m in ordered]
     for s in result:
         s._is_subgroup = True
+    normal = {a for a, size, _ in worklist if size == 1}
     G._cache["subgroups"] = result
+    G._cache["normal_subgroups"] = [s for s in result if s.members in normal]
+    G._cache["subgroup_classes"] = worklist
     return result
 
 
-def _zuppo_generators(G: GroupTable) -> list[int]:
-    """The least generator of each nontrivial cyclic subgroup of prime-power
-    order, ascending."""
-    out = []
-    covered = set()
+def normal_subgroups(G: GroupTable, count_cap: int = DEFAULT_SUBGROUP_CAP) -> list[ElementSet]:
+    """G's normal subgroups, the lattice classes of size 1, in ``subgroups`` order."""
+    subgroups(G, count_cap)
+    return G._cache["normal_subgroups"]
+
+
+def _zuppo_of(G: GroupTable) -> list[int]:
+    """For each element of prime-power order, the least generator of the
+    cyclic subgroup it generates; -1 for the other elements."""
+    out = [-1] * G.order
     for x in range(1, G.order):
         n = G.element_order(x)
-        if x in covered or not is_p_group(n):
+        if out[x] >= 0 or not is_p_group(n):
             continue
-        out.append(x)
         y = x
         for k in range(1, n):
             if math.gcd(k, n) == 1:
-                covered.add(y)
+                out[y] = x
             y = G.mul(y, x)
     return out
 

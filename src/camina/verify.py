@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
-from .chartab import CharacterTable, character_table, in_irr_given_N
+from .chartab import CharacterTable, character_table
 from .conditions import (
     EQUAL_ORDER_COSET,
     F,
@@ -51,6 +51,7 @@ from .structure import (
     is_simple,
     is_solvable,
     normal_closure,
+    normal_subgroups,
     normalizer,
     o_lower_p,
     o_upper_p,
@@ -166,8 +167,9 @@ class Pair:
 
     @cached_property
     def irr_given_n(self) -> list[int]:
-        """The indices of the rows of Irr(G|N) in ``table``, N the normal closure of H."""
-        return [i for i, chi in enumerate(self.table.irreducibles) if in_irr_given_N(chi, self.N)]
+        """The rows of Irr(G|N) in ``table``, N = H^G: those whose kernel misses a class of N."""
+        inside = conjugacy_classes(self.G).counts(self.N.members).keys()
+        return [i for i, ker in enumerate(self.table.kernels) if not inside <= ker]
 
 
 def _group_report(label: str, G: GroupTable, claim: str, status: str, details: dict) -> VerificationReport:
@@ -326,8 +328,8 @@ def _quotients_keep(G: GroupTable, H: ElementSet, plus_minus: bool) -> tuple[str
     keeps (F), or (F+-) when ``plus_minus``, read off G's classes by
     ``_quotient_verdict`` with no quotient table."""
     checked = 0
-    for M in subgroups(G, DEFAULT_SUBGROUP_CAP):
-        if not M.is_normal() or all(h in M for h in H.members):
+    for M in normal_subgroups(G):
+        if all(h in M for h in H.members):
             continue
         checked += 1
         if not (all(m in H for m in M.members) and len(M) < len(H)):

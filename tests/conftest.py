@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -35,6 +36,32 @@ def q8():
 @pytest.fixture(scope="session")
 def frob21():
     return builtin("Frob(7:3)").group()
+
+
+class RecordingRow(list):
+    """A Cayley table row that counts, by row index, the entries read from it."""
+
+    def __init__(self, index, row, reads):
+        super().__init__(row)
+        self.index, self.reads = index, reads
+
+    def __getitem__(self, j):
+        self.reads[self.index] += 1
+        return list.__getitem__(self, j)
+
+
+@pytest.fixture
+def table_reads(monkeypatch):
+    """``watch(G)``: put recording rows in place of ``G.rows`` and return
+    the Counter they fill, row index -> entries read: every product G
+    makes, whether through ``mul``, ``conj`` or a direct row read."""
+
+    def watch(G):
+        reads = Counter()
+        monkeypatch.setattr(G, "rows", [RecordingRow(i, row, reads) for i, row in enumerate(G.rows)])
+        return reads
+
+    return watch
 
 
 @pytest.fixture

@@ -17,9 +17,10 @@ from camina.chartab import (
     _rref,
     class_matrices,
     dixon_prime,
+    kernel_of,
 )
 from camina.cyclotomic import Cyc
-from camina.grouptable import GroupTable
+from camina.grouptable import ElementSet, GroupTable
 from camina.structure import ConjClassPartition, conjugacy_classes, exponent
 
 
@@ -71,6 +72,15 @@ def reference_is_normal(G: GroupTable, members: Sequence[int]) -> bool:
     conjugated by every generator of G with ``G.conj`` stays inside."""
     inside = set(members)
     return all(G.conj(m, g) in inside for m in members for g in G.generator_ids)
+
+
+def reference_in_irr_given_N(chi: ClassFunction, N: ElementSet) -> bool:
+    """True iff chi lies in Irr(G|N), i.e. the normal subgroup N is not
+    inside ker(chi), compared element by element."""
+    if not N.is_subgroup or not N.is_normal():
+        raise ValueError("N must be a normal subgroup")
+    ker = kernel_of(chi)
+    return not all(n in ker for n in N.members)
 
 
 def reference_check_orthonormal(rows: list[ClassFunction], classes: ConjClassPartition) -> None:

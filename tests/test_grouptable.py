@@ -114,22 +114,28 @@ class TestCayleyTable:
 
 
 class TestClosure:
-    def test_identity_never_multiplies(self, monkeypatch):
+    def test_identity_never_multiplies(self, table_reads):
+        # Each coset is one row of the table mapped over the group built so
+        # far, and each representative a row entry: the identity's row is
+        # never read.
         G = builtin("S4").group()
-        right_factors = []
-        original = GroupTable.mul
-
-        def recorded(self, i, j):
-            right_factors.append(j)
-            return original(self, i, j)
-
-        monkeypatch.setattr(GroupTable, "mul", recorded)
+        reads = table_reads(G)
         for seed in ([0], [0, 1], [5, 0, 9], list(range(G.order))):
             closure_indices(G, seed)
-        assert right_factors and 0 not in right_factors
-        monkeypatch.undo()
+        assert reads and 0 not in reads
         assert closure_indices(G, [0]) == (0,)
         assert closure_indices(G, range(G.order)) == tuple(range(G.order))
+
+    def test_start_from_a_subgroup(self):
+        # Starting from a subgroup's members and generators gives the
+        # closure of the generators and the seeds together.
+        for label in ["S4", "D6", "Q8", "C2xA4"]:
+            G = builtin(label).group()
+            for H in subgroups(G):
+                gens = small_generating_set(G, H.members)
+                for x in range(0, G.order, 5):
+                    want = reference_closure_indices(G, gens + (x,))
+                    assert closure_indices(G, (x,), start=(H.members, gens)) == want, (label, H.members, x)
 
 
 def assert_matches_reference(G, members):

@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import camina.grouptable as grouptable
 from camina import structure
 from camina.catalog import builtin, builtin_catalog
 from camina.grouptable import (
@@ -26,6 +29,8 @@ from camina.structure import (
     is_nilpotent,
     is_solvable,
     normal_closure,
+    normal_subgroups,
+    normalizer,
     o_lower_p,
     o_upper_p,
     p_decomposition,
@@ -346,35 +351,74 @@ class TestSubgroups:
         a6 = generate(6, [Permutation.from_cycles(6, [(0, 1, 2)]), Permutation.from_cycles(6, [(1, 2, 3, 4, 5)])])
         assert a6.order == 360
         assert len(subgroups(a6)) == 501
+        assert len(subgroups(builtin("S6").group())) == 1_455
 
     def test_closure_budget(self, monkeypatch):
-        # One closure per (class representative, zuppo outside it): the
-        # conjugates of a new join are added without closing them again.
-        calls = []
+        # One join per (class representative A, N_G(A)-orbit of zuppos
+        # outside A), each a closure_indices pass that starts from A's
+        # members with the zuppo as its one seed, and one more _dimino pass
+        # per class, for N_G(A): S5 makes 166 joins in 185 passes, PSL(2,7)
+        # 148 in 163 and S6 1,411 in 1,467.
+        joins, passes = [], [0]
+        original_closure, original_dimino = closure_indices, grouptable._dimino
 
-        def counted(G, seed):
-            calls.append(seed)
-            return closure_indices(G, seed)
+        def counted_closure(G, seed, **kwargs):
+            joins.append(tuple(seed))
+            return original_closure(G, seed, **kwargs)
 
-        monkeypatch.setattr(structure, "closure_indices", counted)
-        for G, budget in [(builtin("S5").group(), 1_000), (psl27(), 1_100)]:
-            calls.clear()
+        def counted_dimino(*args, **kwargs):
+            passes[0] += 1
+            return original_dimino(*args, **kwargs)
+
+        monkeypatch.setattr(structure, "closure_indices", counted_closure)
+        for module in (grouptable, structure):
+            monkeypatch.setattr(module, "_dimino", counted_dimino)
+        for G, join_budget, pass_budget in [
+            (builtin("S5").group(), 170, 200),
+            (psl27(), 150, 170),
+            (builtin("S6").group(), 1_420, 1_500),
+        ]:
+            joins.clear()
+            passes[0] = 0
             subgroups(G)
-            assert len(calls) < budget, G
+            assert len(joins) < join_budget and passes[0] < pass_budget, (G, len(joins), passes[0])
+            assert all(len(seed) == 1 for seed in joins)
 
-    def test_mul_budget(self, monkeypatch):
-        # Each closure adds whole cosets of the group built so far, so S5's
-        # lattice needs far fewer products than one per (member, generator).
-        calls = [0]
-        original = GroupTable.mul
+    def test_mul_budget(self, table_reads):
+        # Each closure adds whole cosets of the group built so far, one
+        # table row mapped over it, and starts from the subgroup it extends;
+        # every product S5's lattice makes, class partition included.
+        G = builtin("S5").group()
+        reads = table_reads(G)
+        subgroups(G)
+        assert sum(reads.values()) <= 21_500
 
-        def counted(self, i, j):
-            calls[0] += 1
-            return original(self, i, j)
+    def test_lattice_digest(self):
+        # The member tuples of every subgroup list, pinned as recorded when
+        # each class representative was still joined with every zuppo.
+        groups = [entry.group() for entry in builtin_catalog()]
+        groups += [builtin("S5").group(), psl27(), builtin("S4xC2").group(), builtin("A6").group(), builtin("S6").group()]
+        digest = hashlib.sha256()
+        for G in groups:
+            digest.update(repr([H.members for H in subgroups(G)]).encode())
+        assert digest.hexdigest() == "b7f358507eb677327f7787ca22044140cd57d6f5789723022b4b8ce3692f3aab"
 
-        monkeypatch.setattr(GroupTable, "mul", counted)
-        subgroups(builtin("S5").group())
-        assert calls[0] <= 120_000
+    def test_class_normalizers(self):
+        # N_G(A) from the Schreier generators of A's class orbit, against
+        # the normalizer computed element by element; the class size is its
+        # index, and the classes of size 1 are the normal subgroups.
+        for entry in builtin_catalog():
+            G = entry.group()
+            if G.order > 60:
+                continue
+            listed = subgroups(G)
+            classes = G._cache["subgroup_classes"]
+            assert sum(size for _, size, _ in classes) == len(listed), entry.label
+            for members, size, gens in classes:
+                want = normalizer(G, ElementSet(G, members))
+                assert closure_indices(G, gens) == want.members, (entry.label, members)
+                assert size * len(want) == G.order, (entry.label, members)
+            assert normal_subgroups(G) == [H for H in listed if reference_is_normal(G, H.members)], entry.label
 
     def test_complete_under_single_element_joins(self):
         # Independent of how subgroups are found: the list holds distinct

@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import inspect
 import json
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import camina.grouptable as grouptable
 import camina.verify as verify
 from camina.catalog import builtin, builtin_catalog
-from camina.chartab import character_table, in_irr_given_N, inner_product_int, restrict, trivial_character
+from camina.chartab import CharacterTable, character_table, inner_product_int, restrict, trivial_character
 from camina.conditions import bs_hypothesis, derangements, satisfies_F, satisfies_Fpm
 from camina.cyclotomic import Cyc
 from camina.grouptable import ElementSet, closure_indices, generate, quotient_table, subgroup_table
@@ -31,6 +32,7 @@ from camina.verify import (
     verify_covering,
     verify_pair_claim,
 )
+from reference import reference_in_irr_given_N
 
 
 def by_order(G, n, which=0):
@@ -218,7 +220,7 @@ class TestLemmaL:
                 for chi, m in zip(irr, mults):
                     assert sum((chi.value_at(h) for h in H.members), Cyc.zero(1)) == len(H) * m
                 pair = Pair(G, H)
-                fires = not any(m for chi, m in zip(irr, mults) if in_irr_given_N(chi, pair.N))
+                fires = not any(m for chi, m in zip(irr, mults) if reference_in_irr_given_N(chi, pair.N))
                 status, _ = verify._lemma_l(pair)
                 assert (status != VACUOUS) == fires, (entry.label, H.members)
 
@@ -357,21 +359,26 @@ class TestOneEvaluationPerPair:
         assert not any(r.status == SKIPPED for r in reports)
         assert len(builds) == 1
 
-    def test_sweep_conj_and_mul_budget(self, monkeypatch):
+    def test_sweep_conj_and_mul_budget(self, monkeypatch, table_reads):
         # Normality and the lattice's conjugates read the generator maps of
         # the class partition, one G.conj per (element, generator) of each
         # group; the remaining calls come from normal closures and lemma_f.
-        calls = Counter()
+        # Every product, through G.mul, G.conj or a closure's direct row
+        # reads, is a read of the Cayley table.
+        conj_calls, reads = [0], 0
+        original = grouptable.GroupTable.conj
 
-        def counted(name):
-            original = getattr(grouptable.GroupTable, name)
-            return lambda self, a, b: calls.update([name]) or original(self, a, b)
+        def counted(self, a, b):
+            conj_calls[0] += 1
+            return original(self, a, b)
 
-        for name in ("mul", "conj"):
-            monkeypatch.setattr(grouptable.GroupTable, name, counted(name))
+        monkeypatch.setattr(grouptable.GroupTable, "conj", counted)
         for entry in builtin_catalog():
-            assert sweep_single(entry.label, entry.group(), list(verify.ALL_CLAIMS))
-        assert calls["conj"] <= 3_000 and calls["mul"] <= 211_370, calls
+            G = entry.group()
+            group_reads = table_reads(G)
+            assert sweep_single(entry.label, G, list(verify.ALL_CLAIMS))
+            reads += sum(group_reads.values())
+        assert conj_calls[0] <= 3_000 and reads <= 140_000, (conj_calls, reads)
 
     def test_no_subgroup_table_and_o_upper_once_per_prime(self, monkeypatch):
         # Facts about H are computed inside G: H gets no table of its own,
@@ -585,24 +592,30 @@ class TestClassRepresentativesMatchElementwise:
 
 class TestIrrGivenNOncePerPair:
     def test_a4_non_normal_order_two(self, monkeypatch):
-        # (CI) holds on these pairs, so lemma_l and lemma_m both read Irr(G|N)
+        # (CI) holds on these pairs, so lemma_l and lemma_m both read
+        # Irr(G|N); it is read off the rows' kernel class sets, which are
+        # built once per table, not once per pair or claim.
         G = builtin("A4").group()
-        calls = []
+        builds = []
+        original = CharacterTable.kernels.func
 
-        def counted(chi, N):
-            calls.append(chi)
-            return in_irr_given_N(chi, N)
+        def counted(table):
+            builds.append(table)
+            return original(table)
 
-        monkeypatch.setattr(verify, "in_irr_given_N", counted)
+        kernels = functools.cached_property(counted)
+        kernels.__set_name__(CharacterTable, "kernels")
+        monkeypatch.setattr(CharacterTable, "kernels", kernels)
         subs = [H for H in subgroups(G) if len(H) == 2]
         assert len(subs) == 3
         for H in subs:
-            calls.clear()
             pair = Pair(G, H)
             for claim in ("lemma_l", "lemma_m"):  # each runs its check, not only its hypothesis
                 assert set(verify_pair_claim(G, H, claim, pair).details) != {"fired"}
             assert pair.CI.holds and not pair.normal
-            assert len(calls) == 4  # one per irreducible of A4
+            rows = pair.table.irreducibles
+            assert len(rows) == 4 and pair.irr_given_n == [i for i, chi in enumerate(rows) if reference_in_irr_given_N(chi, pair.N)]
+        assert len(builds) == 1
 
 
 ISOMORPHIC_ENTRIES = [
