@@ -12,6 +12,7 @@ one generator in 1-based disjoint-cycle notation, e.g. ``(1,2)(3,4,5)``;
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +29,7 @@ class CatalogEntry:
     degree: int
     generators: tuple[Permutation, ...]
     provenance: str  # "builtin" | "file"
+    order: int | None = None  # known without generating for a builtin label
 
     def group(self, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
         return generate(self.degree, self.generators, cap=cap)
@@ -238,17 +240,17 @@ def _direct_product(parts: list[CatalogEntry]) -> tuple[int, list[Permutation]]:
     return degree, gens
 
 
-# Each family: a label pattern, and the constructor that takes the
-# pattern's groups as integers.
-_FAMILIES: list[tuple[str, Callable[..., tuple[int, list[Permutation]]]]] = [
-    (r"C(\d+)", _cyclic),
-    (r"D(\d+)", _dihedral),
-    (r"S(\d+)", _symmetric),
-    (r"A(\d+)", _alternating),
-    (r"Q(8|16|32)", _quaternion),
-    (r"SL23", _sl23),
-    (r"Frob\((\d+):(\d+)\)", _frobenius),
-    (r"Heis\((\d+)\)", _heisenberg),
+# Each family: a label pattern, the constructor that takes the pattern's
+# groups as integers, and the group order as a function of the same integers.
+_FAMILIES: list[tuple[str, Callable[..., tuple[int, list[Permutation]]], Callable[..., int]]] = [
+    (r"C(\d+)", _cyclic, lambda n: n),
+    (r"D(\d+)", _dihedral, lambda n: 2 * n),
+    (r"S(\d+)", _symmetric, math.factorial),
+    (r"A(\d+)", _alternating, lambda n: math.factorial(n) // 2),
+    (r"Q(8|16|32)", _quaternion, lambda n: n),
+    (r"SL23", _sl23, lambda: 24),
+    (r"Frob\((\d+):(\d+)\)", _frobenius, lambda p, q: p * q),
+    (r"Heis\((\d+)\)", _heisenberg, lambda p: p**3),
 ]
 
 
@@ -275,16 +277,20 @@ def builtin(label: str) -> CatalogEntry:
     label = label.strip()
     parts = _split_product(label)
     if len(parts) > 1:
-        degree, gens = _direct_product([builtin(p) for p in parts])
+        factors = [builtin(p) for p in parts]
+        degree, gens = _direct_product(factors)
+        order = math.prod(f.order for f in factors)
     else:
-        for pattern, build in _FAMILIES:
+        for pattern, build, order_of in _FAMILIES:
             m = re.fullmatch(pattern, label)
             if m:
-                degree, gens = build(*map(int, m.groups()))
+                args = list(map(int, m.groups()))
+                degree, gens = build(*args)
+                order = order_of(*args)
                 break
         else:
             raise UnknownLabel(f"unknown builtin label {label!r}")
-    return CatalogEntry(label, degree, tuple(gens), "builtin")
+    return CatalogEntry(label, degree, tuple(gens), "builtin", order)
 
 
 BUILTIN_LABELS = (
@@ -312,6 +318,4 @@ BUILTIN_LABELS = (
 
 def builtin_catalog() -> list[CatalogEntry]:
     """The default catalog, ordered by (group order, label)."""
-    entries = [builtin(label) for label in BUILTIN_LABELS]
-    orders = {e.label: e.group().order for e in entries}
-    return sorted(entries, key=lambda e: (orders[e.label], e.label))
+    return sorted((builtin(label) for label in BUILTIN_LABELS), key=lambda e: (e.order, e.label))

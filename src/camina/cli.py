@@ -167,8 +167,7 @@ def _print_verdict(G: GroupTable, H: ElementSet, index: int | None, verdict) -> 
 
 def _cmd_catalog(args) -> int:
     for entry in builtin_catalog():
-        G = entry.group()
-        print(f"{entry.label:12s} order={G.order:4d} degree={G.degree}")
+        print(f"{entry.label:12s} order={entry.order:4d} degree={entry.degree}")
     return EXIT_OK
 
 

@@ -134,7 +134,9 @@ def satisfies_O(G: GroupTable, H: ElementSet) -> ConditionVerdict:
         raise ValueError("condition (O) requires a subgroup")
     if len(H) >= G.order:
         raise ValueError("condition (O) requires a proper subgroup")
-    odd = [x for x in range(G.order) if G.element_order(x) % 2]
+    odd = G._cache.get("odd_order_elements")
+    if odd is None:
+        odd = G._cache["odd_order_elements"] = [x for x in range(G.order) if G.element_order(x) % 2]
     return _coset_scan(
         G, H, O, lambda x, y: G.element_order(y) % 2 == 1, "x has odd order but x*h has even order", odd
     )

@@ -28,14 +28,31 @@ class ReportRecord(VerificationReport):
 def persist_reports(
     reports: Iterable[VerificationReport], path: str | Path, version: str, timestamp: str
 ) -> None:
-    """One JSON object per line, keys sorted, exact round trip: each
-    report's fields as a ReportRecord with ``version`` and ``timestamp``.
-    ``vars`` rather than ``asdict``, which would deep-copy every details dict."""
+    """One JSON object per line, exact round trip: each report's fields as a
+    ReportRecord with ``version`` and ``timestamp``, written as
+    ``json.dumps(record, sort_keys=True, separators=(",", ":"))`` writes it.
+    The keys are the record's field names in sorted order.  ``version`` and
+    ``timestamp`` are encoded once, a field annotated ``str`` or ``int`` on
+    its own, and any other (``details``) by one shared encoder."""
+    quote = json.encoder.encode_basestring_ascii
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    by_type = {"str": quote, "int": int.__repr__}
+    fixed = {"version": version, "timestamp": timestamp}
+    segments = []  # (the text before a field's value, the field, its encoder)
+    text = "{"
+    for f in sorted(fields(ReportRecord), key=lambda f: f.name):
+        text += quote(f.name) + ":"
+        if f.name in fixed:
+            text += quote(fixed[f.name]) + ","
+        else:
+            segments.append((text, f.name, by_type.get(f.type, encode)))
+            text = ","
+    tail = text[:-1] + "}\n"
     lines = []
     for r in reports:
-        record = {**vars(r), "version": version, "timestamp": timestamp}
-        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
-    Path(path).write_text("".join(line + "\n" for line in lines))
+        values = vars(r)
+        lines.append("".join([t + enc(values[name]) for t, name, enc in segments]) + tail)
+    Path(path).write_text("".join(lines))
 
 
 def load_reports(path: str | Path) -> list[ReportRecord]:

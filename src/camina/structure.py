@@ -179,7 +179,8 @@ def subgroups(G: GroupTable, count_cap: int = DEFAULT_SUBGROUP_CAP) -> list[Elem
     ``closure_indices`` pass that starts from A's members and generators;
     it at least doubles the order, so a subgroup keeps at most log2 of its
     order generators.  Cached on the table, with the normal subgroups (the
-    classes of size 1) and, per class, (A, class size, N_G(A)'s generators).
+    classes of size 1), per class (A, class size, N_G(A)'s generators) and,
+    per subgroup in the returned order, the index of its class in that list.
     """
     hit = G._cache.get("subgroups")
     if hit is not None:
@@ -189,12 +190,14 @@ def subgroups(G: GroupTable, count_cap: int = DEFAULT_SUBGROUP_CAP) -> list[Elem
     conjugators = conjugacy_classes(G).conjugators
     rows, inv = G.rows, G.inverse_ids
     gens_of: dict[tuple[int, ...], tuple[int, ...]] = {}
+    class_of: dict[tuple[int, ...], int] = {}
     worklist: list[tuple[tuple[int, ...], int, list[int]]] = []
 
     def record(members: tuple[int, ...], gens: tuple[int, ...]) -> None:
         if len(gens_of) >= count_cap:
             raise CapExceeded("subgroup cap exceeded", len(gens_of))
         gens_of[members] = gens
+        class_of[members] = len(worklist)  # record_class appends the class last
 
     def record_class(members: tuple[int, ...], gens: tuple[int, ...]) -> None:
         """Record a new subgroup and its class; queue it with N_G of it."""
@@ -234,6 +237,7 @@ def subgroups(G: GroupTable, count_cap: int = DEFAULT_SUBGROUP_CAP) -> list[Elem
     G._cache["subgroups"] = result
     G._cache["normal_subgroups"] = [s for s in result if s.members in normal]
     G._cache["subgroup_classes"] = worklist
+    G._cache["subgroup_class_ids"] = [class_of[m] for m in ordered]
     return result
 
 
@@ -241,6 +245,12 @@ def normal_subgroups(G: GroupTable, count_cap: int = DEFAULT_SUBGROUP_CAP) -> li
     """G's normal subgroups, the lattice classes of size 1, in ``subgroups`` order."""
     subgroups(G, count_cap)
     return G._cache["normal_subgroups"]
+
+
+def subgroup_class_ids(G: GroupTable, count_cap: int = DEFAULT_SUBGROUP_CAP) -> list[int]:
+    """For each subgroup in ``subgroups`` order, the index of its conjugacy class."""
+    subgroups(G, count_cap)
+    return G._cache["subgroup_class_ids"]
 
 
 def _zuppo_of(G: GroupTable) -> list[int]:

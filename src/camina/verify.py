@@ -8,13 +8,15 @@ replayable witness in the details record.
 
 Pair claims are the functions of the ``CLAIMS`` table.  They read the
 hypotheses of a pair from one ``Pair`` object, which computes each of them
-at most once, so claims that share a hypothesis share its evaluation.
+at most once, so claims that share a hypothesis share its evaluation.  A
+sweep evaluates them once per conjugacy class of subgroups and carries the
+reports that ``transferable`` admits over to the other members of the class.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .chartab import CharacterTable, character_table
@@ -57,6 +59,7 @@ from .structure import (
     o_upper_p,
     p_part,
     prime_factors,
+    subgroup_class_ids,
     subgroups,
 )
 
@@ -92,7 +95,8 @@ def report_key(r: VerificationReport) -> tuple:
 
 
 def _witness_dict(verdict: ConditionVerdict) -> dict | None:
-    return None if verdict.witness is None else asdict(verdict.witness)
+    w = verdict.witness
+    return None if w is None else {"x": w.x, "h": w.h, "detail": w.detail}
 
 
 @dataclass(eq=False)
@@ -427,11 +431,16 @@ def _lemma_i(pair: Pair) -> tuple[str, dict]:
 
 
 def _lemma_j(pair: Pair) -> tuple[str, dict]:
-    G, H = pair.G, pair.H
-    outside = [x for x in range(G.order) if x not in H]
+    """For each prime p: every element outside H is p-singular iff O^p(H) is
+    normal in G with G/O^p(H) a p-group.  The left side says that H holds
+    every p-regular element: each class whose representative has order
+    prime to p lies wholly in H."""
+    G, counts = pair.G, pair.class_counts
+    classes = conjugacy_classes(G)
+    rep_orders = [G.element_order(r) for r in classes.reps]
     fired = []
     for p in prime_factors(G.order):
-        lhs = all(G.element_order(x) % p == 0 for x in outside)
+        lhs = all(counts[c] == size for c, size in enumerate(classes.sizes) if rep_orders[c] % p)
         op = pair.o_upper(p)
         rhs = op.is_normal() and p_part(G.order // len(op), p) == G.order // len(op)
         if lhs:
@@ -577,6 +586,29 @@ def verify_pair_claim(G: GroupTable, H: ElementSet, claim: str, pair: Pair | Non
     return pair.report(claim, status, details)
 
 
+def transferable(report: VerificationReport) -> bool:
+    """Whether ``report`` holds as it stands, up to its subgroup index, for
+    every conjugate H^g of its subgroup H.
+
+    Conjugation by g is an automorphism of G that fixes each class of G: it
+    maps H to H^g, each coset xH to x^g H^g and each element to one of the
+    same order and class, and it fixes every normal subgroup, the normal
+    closure N = H^G among them.  So each hypothesis and conclusion of a pair
+    claim has the same truth value on (G, H) and (G, H^g), and each count,
+    order, boolean and fixed string in the details is an invariant of the
+    class: orders of H, N, O^p(H) and normal subgroups, numbers of classes,
+    characters and class pairs checked, the class counts of H.  Only a
+    witness is not: it is the first failing element in element order, which
+    conjugation does not keep.  PASS details hold no witness, and VACUOUS
+    details hold one only under a ``*_witness`` key (the failed hypothesis of
+    theorem2, odd_order and cor1).  Those reports, VIOLATION and SKIPPED are
+    evaluated on each conjugate's own pair.
+    """
+    if report.status == PASS:
+        return True
+    return report.status == VACUOUS and not any(k.endswith("_witness") for k in report.details)
+
+
 def sweep_single(
     label: str,
     G: GroupTable,
@@ -584,6 +616,12 @@ def sweep_single(
     char_class_cap: int | None = None,
     subgroup_cap: int = DEFAULT_SUBGROUP_CAP,
 ) -> list[VerificationReport]:
+    """The group claims of G, then the pair claims of every proper subgroup,
+    in ``subgroups`` order.  The pair claims are evaluated on the first
+    member of each conjugacy class of subgroups; a later member gets a copy
+    of each ``transferable`` report under its own subgroup index and a fresh
+    evaluation of the others.  The reports equal those of one evaluation per
+    subgroup."""
     reports: list[VerificationReport] = []
     if COR2 in claims:
         reports.extend(verify_cor2(G, p, label) for p in prime_factors(G.order))
@@ -597,13 +635,22 @@ def sweep_single(
             for claim in pair_claims:
                 reports.append(_group_report(label, G, claim, SKIPPED, {"reason": str(exc)}))
             return reports
-        for idx, H in enumerate(subs):
+        first_of_class: dict[int, list[tuple[VerificationReport, bool]]] = {}
+        for idx, (H, cid) in enumerate(zip(subs, subgroup_class_ids(G, subgroup_cap))):
             if len(H) == G.order:
                 continue
             pair = Pair(G, H, label, idx, char_class_cap)
-            for claim in pair_claims:
-                if len(H) > 1 or CLAIMS[claim][2]:
-                    reports.append(verify_pair_claim(G, H, claim, pair))
+            first = first_of_class.get(cid)
+            if first is None:
+                evaluated = [verify_pair_claim(G, H, c, pair) for c in pair_claims if len(H) > 1 or CLAIMS[c][2]]
+                first_of_class[cid] = [(r, transferable(r)) for r in evaluated]
+                reports += evaluated
+                continue
+            for r, same in first:
+                if same:
+                    reports.append(pair.report(r.claim, r.status, r.details))
+                else:
+                    reports.append(verify_pair_claim(G, H, r.claim, pair))
     return reports
 
 

@@ -21,7 +21,8 @@ from camina.chartab import (
 )
 from camina.cyclotomic import Cyc
 from camina.grouptable import ElementSet, GroupTable
-from camina.structure import ConjClassPartition, conjugacy_classes, exponent
+from camina.structure import ConjClassPartition, conjugacy_classes, exponent, subgroups
+from camina.verify import CLAIMS, Pair, VerificationReport, verify_pair_claim
 
 
 def reference_closure_indices(G: GroupTable, seed: Iterable[int]) -> tuple[int, ...]:
@@ -81,6 +82,20 @@ def reference_in_irr_given_N(chi: ClassFunction, N: ElementSet) -> bool:
         raise ValueError("N must be a normal subgroup")
     ker = kernel_of(chi)
     return not all(n in ker for n in N.members)
+
+
+def reference_pair_reports(
+    label: str, G: GroupTable, claims: Sequence[str], class_cap: int | None = None
+) -> list[VerificationReport]:
+    """The pair claims of every proper subgroup, in ``subgroups`` order, each
+    subgroup with a fresh ``Pair`` and every claim evaluated on it."""
+    reports = []
+    for idx, H in enumerate(subgroups(G)):
+        if len(H) == G.order:
+            continue
+        pair = Pair(G, H, label, idx, class_cap)
+        reports += [verify_pair_claim(G, H, c, pair) for c in claims if c in CLAIMS and (len(H) > 1 or CLAIMS[c][2])]
+    return reports
 
 
 def reference_check_orthonormal(rows: list[ClassFunction], classes: ConjClassPartition) -> None:

@@ -99,6 +99,16 @@ class TestBuiltin:
         assert orders == sorted(orders)
         assert all(o <= 200 for o in orders)
 
+    @pytest.mark.parametrize("label", BUILTIN_LABELS + ["C1", "S2", "A3", "S5", "A6", "Q16", "Heis(5)", "S4xC2"])
+    def test_static_order_is_generated_order(self, label):
+        entry = builtin(label)
+        assert entry.order == entry.group().order
+
+    def test_file_entry_has_no_static_order(self, tmp_path):
+        path = tmp_path / "s3.grp"
+        path.write_text("degree 3\n(1,2)\n(1,2,3)\n")
+        assert parse_group_file(path).order is None
+
     def test_criterion_families_present(self):
         labels = {e.label for e in builtin_catalog()}
         required = {"S3", "S4", "A4", "A5", "Q8", "Q16", "SL23", "Frob(7:3)", "Frob(5:4)", "Heis(3)"}

@@ -23,7 +23,7 @@ from camina.reports import (
     persist_reports,
     save_chartab,
 )
-from camina.verify import VerificationReport
+from camina.verify import ALL_CLAIMS, VerificationReport, sweep_single
 
 
 REPORTS = [
@@ -76,6 +76,26 @@ class TestReportPersistence:
         obj = json.loads(lines[0])
         assert obj["group_label"] == "Q8"
         assert obj["version"] == "0.1.0"
+
+    def test_lines_are_json_dumps_sorted(self, tmp_path):
+        # each line is what json.dumps writes with sorted keys and no
+        # spaces, non-ASCII text escaped as \u sequences
+        reports = [r for e in builtin_catalog() for r in sweep_single(e.label, e.group(), list(ALL_CLAIMS))]
+        reports.append(VerificationReport("Gé", 6, 0, 1, "cor1", "SKIPPED", {"reason": "über ∅", "n": [1, None]}))
+        path = tmp_path / "r.jsonl"
+        persist_reports(reports, path, "0.1.0", "2024-01-01T00:00:00+00:00")
+        expected = "".join(
+            json.dumps(
+                {**vars(r), "version": "0.1.0", "timestamp": "2024-01-01T00:00:00+00:00"},
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+            + "\n"
+            for r in reports
+        )
+        written = path.read_text()
+        assert len(reports) == 13_643 and written == expected
+        assert '"group_label":"G\\u00e9","group_order":6,' in written and "\\u00fcber \\u2205" in written
 
 
 def damaged(text: str, damage: str) -> str:

@@ -17,7 +17,7 @@ from camina.conditions import bs_hypothesis, derangements, satisfies_F, satisfie
 from camina.cyclotomic import Cyc
 from camina.grouptable import ElementSet, closure_indices, generate, quotient_table, subgroup_table
 from camina.perm import Permutation, conjugate
-from camina.structure import conjugacy_classes, o_lower_p, p_part, prime_factors, subgroups
+from camina.structure import conjugacy_classes, o_lower_p, p_part, prime_factors, subgroup_class_ids, subgroups
 from camina.verify import (
     LEMMA_CLAIMS,
     PASS,
@@ -32,7 +32,7 @@ from camina.verify import (
     verify_covering,
     verify_pair_claim,
 )
-from reference import reference_in_irr_given_N
+from reference import reference_in_irr_given_N, reference_pair_reports
 
 
 def by_order(G, n, which=0):
@@ -325,7 +325,14 @@ class TestOneEvaluationPerPair:
 
         monkeypatch.setattr(verify, predicate, counted)
         assert len(sweep_single("A4", a4, claims)) == 8 * len(claims)
-        assert len(calls) == 8 and set(calls.values()) == {1}, calls
+        # once on the first member of each class of nontrivial proper
+        # subgroups: A4's 8 such subgroups lie in 3 of its 5 classes, and
+        # every report of these claims is copied to the other members
+        first = {}
+        for H, cid in zip(subgroups(a4), subgroup_class_ids(a4)):
+            if 1 < len(H) < a4.order:
+                first.setdefault(cid, H.members)
+        assert len(first) == 3 and calls == Counter(first.values()), calls
 
     def test_ci_over_cap_runs_once_per_pair(self, monkeypatch, s4):
         calls = Counter()
@@ -403,8 +410,59 @@ class TestOneEvaluationPerPair:
                     monkeypatch.setattr(module, attr, wrapper)
         sweep_single("S4", builtin("S4").group(), list(verify.ALL_CLAIMS))
         assert len(tables) == 0
-        # lemma_j on the 28 nontrivial proper pairs for p = 2, 3; odd_order on H = 1
-        assert sum(o_upper.values()) == 57 and set(o_upper.values()) == {1}, o_upper
+        # lemma_j on the first member of each of the 9 classes of nontrivial
+        # proper subgroups for p = 2, 3; odd_order on H = 1.  No report that
+        # needs O^p(H) is evaluated again on a conjugate.
+        assert sum(o_upper.values()) == 19 and set(o_upper.values()) == {1}, o_upper
+
+
+PER_CLASS_LABELS = [e.label for e in builtin_catalog()] + ["S5", "S4xC2"]
+
+
+class TestOneEvaluationPerClass:
+    """Pair claims run on the first member of each conjugacy class of
+    subgroups; the other members get copies of its transferable reports."""
+
+    @pytest.mark.parametrize("label", PER_CLASS_LABELS)
+    def test_reports_equal_per_subgroup_reference(self, label):
+        claims = list(verify.PAIR_CLAIMS)
+        reports = sweep_single(label, builtin(label).group(), claims)
+        assert reports == reference_pair_reports(label, builtin(label).group(), claims)
+
+    def test_evaluations_are_class_firsts_plus_reruns(self, monkeypatch):
+        calls = [0]
+        original = verify.verify_pair_claim
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "verify_pair_claim", counted)
+        totals = Counter()
+        for label in PER_CLASS_LABELS:
+            G = builtin(label).group()
+            calls[0] = 0
+            reports = sweep_single(label, G, list(verify.PAIR_CLAIMS))
+            first = {}
+            for idx, cid in enumerate(subgroup_class_ids(G)):
+                first.setdefault(cid, idx)
+            firsts = set(first.values())
+            on_first = sum(r.subgroup_index in firsts for r in reports)
+            reruns = sum(r.subgroup_index not in firsts and not verify.transferable(r) for r in reports)
+            assert calls[0] == on_first + reruns, label
+            totals.update(reports=len(reports), on_first=on_first, reruns=reruns)
+        # 7,927 evaluations for 18,014 reports
+        assert totals == Counter(reports=18_014, on_first=6_008, reruns=1_919), totals
+
+    def test_transferable(self):
+        def report(status, details):
+            return verify.VerificationReport("G", 6, 1, 2, "theorem2", status, details)
+
+        assert verify.transferable(report(PASS, {"fired": True, "n_order": 3}))
+        assert verify.transferable(report(VACUOUS, {"fired": False}))
+        assert not verify.transferable(report(VACUOUS, {"fpm_witness": {"x": 1, "h": 3, "detail": "d"}}))
+        assert not verify.transferable(report(VIOLATION, {"failure": "normal closure is the whole group"}))
+        assert not verify.transferable(report(SKIPPED, {"reason": "cap"}))
 
 
 class TestTracedHooks:
@@ -505,6 +563,21 @@ def elementwise_claim9(pair):
     return PASS, {"class_pairs_checked": len(deltas) * len(h_class_ids)}
 
 
+def elementwise_lemma_j(pair):
+    G, H = pair.G, pair.H
+    outside = [x for x in range(G.order) if x not in H]
+    fired = []
+    for p in prime_factors(G.order):
+        lhs = all(G.element_order(x) % p == 0 for x in outside)
+        op = pair.o_upper(p)
+        rhs = op.is_normal() and p_part(G.order // len(op), p) == G.order // len(op)
+        if lhs:
+            fired.append(p)
+        if lhs != rhs:
+            return VIOLATION, {"p": p, "all_outside_p_singular": lhs, "o_p_normal_with_p_quotient": rhs}
+    return PASS, {"fired": bool(fired), "primes_with_all_outside_singular": fired}
+
+
 def elementwise_cor2(G, p):
     opg = o_lower_p(G, p)
     fired = 0
@@ -548,6 +621,15 @@ class TestClassRepresentativesMatchElementwise:
             assert verify._lemma_c(pair) == elementwise_lemma_c(pair), (label, H.members)
             statuses[got[0]] += 1
         assert statuses[VIOLATION] > 0 and statuses[PASS] > 0
+
+    def test_lemma_j(self):
+        fired = 0
+        for label, G, H in proper_nontrivial_pairs():
+            pair = Pair(G, H)
+            got = verify._lemma_j(pair)
+            assert got == elementwise_lemma_j(pair), (label, H.members)
+            fired += got[1]["fired"]
+        assert fired > 0
 
     def test_cor2_and_covering(self):
         for label, G in small_groups():
