@@ -25,7 +25,7 @@ from .cyclotomic import Cyc
 from .grouptable import CapExceeded, ElementSet, GroupTable, subgroup_table
 from .structure import ConjClassPartition, conjugacy_classes, exponent, prime_factors
 
-DEFAULT_CLASS_CAP = 60
+CLASS_CAP = 60
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,10 @@ def dixon_prime(e: int, order: int) -> int:
     return prime_above(e, 2 * root)
 
 
-def class_matrices(G: GroupTable, classes: ConjClassPartition | None = None) -> list[list[list[int]]]:
+def class_matrices(G: GroupTable) -> list[list[list[int]]]:
     """For each class i, the matrix M_i with M_i[j][k] = a_ijk, the number of
     ways a fixed element of class k factors as (class i element)*(class j element)."""
-    classes = classes or conjugacy_classes(G)
+    classes = conjugacy_classes(G)
     r = classes.count
     mats = [[[0] * r for _ in range(r)] for _ in range(r)]
     for k in range(r):
@@ -286,20 +286,20 @@ def _eigenvalue_counts(chi_mod: list[int], pcls: list[int], d: int, zpow: list[i
     return counts
 
 
-def check_caps(G: GroupTable, class_cap: int | None = None) -> ConjClassPartition:
-    """G's classes, or CapExceeded when G has more than ``class_cap`` of them
-    (None: ``DEFAULT_CLASS_CAP``).  G's order is bounded where it is generated."""
+def check_caps(G: GroupTable) -> ConjClassPartition:
+    """G's classes, or CapExceeded when G has more than ``CLASS_CAP`` of
+    them.  G's order is bounded where it is generated."""
     classes = conjugacy_classes(G)
-    if classes.count > (DEFAULT_CLASS_CAP if class_cap is None else class_cap):
+    if classes.count > CLASS_CAP:
         raise CapExceeded("character table class cap exceeded", classes.count)
     return classes
 
 
-def character_table(G: GroupTable, class_cap: int | None = None) -> CharacterTable:
+def character_table(G: GroupTable) -> CharacterTable:
     """The exact table of irreducible characters, rows ordered by
     (degree, lexicographic value order).  Cached on the table.  The class
     cap is that of ``check_caps``."""
-    classes = check_caps(G, class_cap)
+    classes = check_caps(G)
     r = classes.count
     hit = G._cache.get("chartab")
     if hit is not None:
@@ -308,7 +308,7 @@ def character_table(G: GroupTable, class_cap: int | None = None) -> CharacterTab
     n = G.order
     q = dixon_prime(e, n)
 
-    mats = class_matrices(G, classes)
+    mats = class_matrices(G)
     omegas = _simultaneous_eigenvectors(mats, q)
 
     inv_sizes = [pow(s, -1, q) for s in classes.sizes]

@@ -32,7 +32,6 @@ from .conditions import (
 from .grouptable import DEFAULT_ORDER_CAP, CapExceeded, ElementSet, GroupTable, closure_indices
 from .reports import cached_character_table, persist_reports
 from .structure import (
-    DEFAULT_SUBGROUP_CAP,
     center,
     commutator_subgroup,
     conjugacy_classes,
@@ -53,14 +52,14 @@ EXIT_CAPS_IO = 3
 
 VERSION = "0.1.0"
 
-# --condition name -> its verdict on (G, H) under the parsed arguments
+# --condition name -> its predicate on (G, H)
 _CONDITIONS = {
-    "camina": lambda G, H, args: is_camina_pair(G, H),
-    "f": lambda G, H, args: satisfies_F(G, H),
-    "fpm": lambda G, H, args: satisfies_Fpm(G, H),
-    "ci": lambda G, H, args: satisfies_CI(G, H, args.class_cap),
-    "o": lambda G, H, args: satisfies_O(G, H),
-    "equal-order": lambda G, H, args: equal_order_coset(G, H),
+    "camina": is_camina_pair,
+    "f": satisfies_F,
+    "fpm": satisfies_Fpm,
+    "ci": satisfies_CI,
+    "o": satisfies_O,
+    "equal-order": equal_order_coset,
 }
 
 CLAIM_ALIASES = {"lemmas": [c for c in ALL_CLAIMS if c.startswith("lemma_")]}
@@ -91,8 +90,6 @@ def _positive_int(text: str) -> int:
 def build_parser() -> _Parser:
     p = _Parser(prog="camina", description="Exact coset-conjugacy workbench for small groups")
     p.add_argument("--order-cap", type=_positive_int, default=DEFAULT_ORDER_CAP, help="group order cap (default %(default)s)")
-    p.add_argument("--class-cap", type=_positive_int, help="conjugacy class cap for character tables")
-    p.add_argument("--subgroup-cap", type=_positive_int, default=DEFAULT_SUBGROUP_CAP, help="subgroup enumeration cap")
     p.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers for verify")
     p.add_argument("--cache-dir", default=".camina-cache", help="character table cache directory")
     sub = p.add_subparsers(dest="command", required=True)
@@ -190,7 +187,7 @@ def _cmd_info(args) -> int:
 
 def _cmd_chartab(args) -> int:
     label, G = _resolve_group(args)
-    table = cached_character_table(G, args.cache_dir, args.class_cap)
+    table = cached_character_table(G, args.cache_dir)
     classes = conjugacy_classes(G)
     print(f"character table of {label} (order {G.order}, {classes.count} classes)")
     reps = [format_cycles(G.elements[r]) for r in classes.reps]
@@ -204,8 +201,8 @@ def _cmd_chartab(args) -> int:
 
 def _cmd_subgroups(args) -> int:
     label, G = _resolve_group(args)
-    normal = set(normal_subgroups(G, args.subgroup_cap))
-    for idx, H in enumerate(subgroups(G, args.subgroup_cap)):
+    normal = set(normal_subgroups(G))
+    for idx, H in enumerate(subgroups(G)):
         gens = [format_cycles(G.elements[i]) for i in small_generating_set(G, H.members)]
         print(f"index={idx} order={len(H)} gens={' '.join(gens) or '()'}" + (" normal" if H in normal else ""))
     return EXIT_OK
@@ -217,7 +214,7 @@ def _cmd_check(args) -> int:
     if args.subgroup_file is not None:
         targets.append((None, _subgroup_by_file(G, args.subgroup_file)))
     else:
-        subs = subgroups(G, args.subgroup_cap)
+        subs = subgroups(G)
         if args.subgroup_index is not None:
             if not 0 <= args.subgroup_index < len(subs):
                 raise UsageError(f"subgroup index {args.subgroup_index} out of range (0..{len(subs) - 1})")
@@ -228,7 +225,7 @@ def _cmd_check(args) -> int:
                 raise UsageError(f"no subgroup of order {args.subgroup_order}")
     for index, H in targets:
         try:
-            verdict = _CONDITIONS[args.condition](G, H, args)
+            verdict = _CONDITIONS[args.condition](G, H)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         _print_verdict(G, H, index, verdict)
@@ -238,9 +235,9 @@ def _cmd_check(args) -> int:
 def _cmd_search(args) -> int:
     label, G = _resolve_group(args)
     found = 0
-    for idx, H in enumerate(subgroups(G, args.subgroup_cap)):
+    for idx, H in enumerate(subgroups(G)):
         try:
-            verdict = _CONDITIONS[args.condition](G, H, args)
+            verdict = _CONDITIONS[args.condition](G, H)
         except ValueError:
             continue  # precondition not met (trivial or improper H)
         if verdict.holds:
@@ -266,7 +263,7 @@ def _parse_claims(text: str) -> list[str]:
             raise UsageError(f"unknown claim {token!r}")
     if not claims:
         raise UsageError("no claims selected")
-    return claims
+    return list(dict.fromkeys(claims))  # the first of each repeated claim
 
 
 def _catalog_entries(source: str) -> list[tuple[str, str]]:
@@ -279,9 +276,7 @@ def _catalog_entries(source: str) -> list[tuple[str, str]]:
     return [("file", str(f)) for f in sorted(directory.iterdir()) if f.is_file()]
 
 
-def _sweep_payload(
-    item, max_order, claims, order_cap, char_class_cap, subgroup_cap
-) -> tuple[list[VerificationReport], str | None]:
+def _sweep_payload(item, max_order, claims, order_cap) -> tuple[list[VerificationReport], str | None]:
     """The reports of one catalog group, and the error that left them out
     when its file cannot be read or it is over the order cap.
 
@@ -296,20 +291,13 @@ def _sweep_payload(
         if isinstance(exc, CapExceeded) and max_order <= order_cap:
             return [], None
         return [], f"{payload}: {exc}"
-    return sweep_single(entry.label, G, claims, char_class_cap, subgroup_cap), None
+    return sweep_single(entry.label, G, claims), None
 
 
 def _cmd_verify(args) -> int:
     claims = _parse_claims(args.claims)
     items = _catalog_entries(args.catalog)
-    run = partial(
-        _sweep_payload,
-        max_order=args.max_order,
-        claims=claims,
-        order_cap=args.order_cap,
-        char_class_cap=args.class_cap,
-        subgroup_cap=args.subgroup_cap,
-    )
+    run = partial(_sweep_payload, max_order=args.max_order, claims=claims, order_cap=args.order_cap)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(run, items))

@@ -92,11 +92,7 @@ def satisfies_Fpm(G: GroupTable, H: ElementSet) -> ConditionVerdict:
     )
 
 
-def satisfies_CI(
-    G: GroupTable,
-    H: ElementSet,
-    class_cap: int | None = None,
-) -> ConditionVerdict:
+def satisfies_CI(G: GroupTable, H: ElementSet) -> ConditionVerdict:
     """Every nontrivial irreducible character of H induces homogeneously to G.
 
     Decided from Irr(G) alone.  By Frobenius reciprocity [theta^G, chi] =
@@ -110,7 +106,7 @@ def satisfies_CI(
     the prime p of ``CharacterTable.mod_p``, so they are summed exactly as
     residues of the table mod p."""
     _require_nontrivial_proper(G, H, "condition (CI)")
-    p, X = character_table(G, class_cap).mod_p
+    p, X = character_table(G).mod_p
     classes = conjugacy_classes(G)
     in_h = classes.counts(H.members)
     weighted = [[row[k] * n for k, n in in_h.items()] for row in X]

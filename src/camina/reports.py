@@ -119,17 +119,15 @@ def load_chartab(G: GroupTable, cache_dir: str | Path) -> CharacterTable | None:
     return CharacterTable(G, tuple(rows), degrees)
 
 
-def cached_character_table(
-    G: GroupTable, cache_dir: str | Path | None, class_cap: int | None = None
-) -> CharacterTable:
+def cached_character_table(G: GroupTable, cache_dir: str | Path | None) -> CharacterTable:
     """G's table from ``cache_dir`` when a valid file is there, else a fresh
     build that is saved there.  The class cap applies to a load as to a build."""
-    check_caps(G, class_cap)
+    check_caps(G)
     if cache_dir is not None:
         hit = load_chartab(G, cache_dir)
         if hit is not None:
             return hit
-    table = character_table(G, class_cap)
+    table = character_table(G)
     if cache_dir is not None:
         save_chartab(G, table, cache_dir)
     return table

@@ -25,7 +25,7 @@ from .grouptable import (
 )
 from .perm import Permutation, element_order
 
-DEFAULT_SUBGROUP_CAP = 50_000
+SUBGROUP_CAP = 50_000
 
 
 def prime_factors(n: int) -> list[int]:
@@ -163,7 +163,7 @@ def is_nilpotent(G: GroupTable, S: ElementSet | None = None) -> bool:
     return len(upper_central_series(G, S).terms[-1]) == order
 
 
-def subgroups(G: GroupTable, count_cap: int = DEFAULT_SUBGROUP_CAP) -> list[ElementSet]:
+def subgroups(G: GroupTable) -> list[ElementSet]:
     """All subgroups of G, ordered by (order, member tuple).
 
     Found breadth-first from the trivial group by zuppo joins (Neubüser's
@@ -181,6 +181,7 @@ def subgroups(G: GroupTable, count_cap: int = DEFAULT_SUBGROUP_CAP) -> list[Elem
     order generators.  Cached on the table, with the normal subgroups (the
     classes of size 1), per class (A, class size, N_G(A)'s generators) and,
     per subgroup in the returned order, the index of its class in that list.
+    CapExceeded when G has more than ``SUBGROUP_CAP`` subgroups.
     """
     hit = G._cache.get("subgroups")
     if hit is not None:
@@ -194,7 +195,7 @@ def subgroups(G: GroupTable, count_cap: int = DEFAULT_SUBGROUP_CAP) -> list[Elem
     worklist: list[tuple[tuple[int, ...], int, list[int]]] = []
 
     def record(members: tuple[int, ...], gens: tuple[int, ...]) -> None:
-        if len(gens_of) >= count_cap:
+        if len(gens_of) >= SUBGROUP_CAP:
             raise CapExceeded("subgroup cap exceeded", len(gens_of))
         gens_of[members] = gens
         class_of[members] = len(worklist)  # record_class appends the class last
@@ -241,15 +242,15 @@ def subgroups(G: GroupTable, count_cap: int = DEFAULT_SUBGROUP_CAP) -> list[Elem
     return result
 
 
-def normal_subgroups(G: GroupTable, count_cap: int = DEFAULT_SUBGROUP_CAP) -> list[ElementSet]:
+def normal_subgroups(G: GroupTable) -> list[ElementSet]:
     """G's normal subgroups, the lattice classes of size 1, in ``subgroups`` order."""
-    subgroups(G, count_cap)
+    subgroups(G)
     return G._cache["normal_subgroups"]
 
 
-def subgroup_class_ids(G: GroupTable, count_cap: int = DEFAULT_SUBGROUP_CAP) -> list[int]:
+def subgroup_class_ids(G: GroupTable) -> list[int]:
     """For each subgroup in ``subgroups`` order, the index of its conjugacy class."""
-    subgroups(G, count_cap)
+    subgroups(G)
     return G._cache["subgroup_class_ids"]
 
 

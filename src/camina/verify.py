@@ -41,7 +41,6 @@ from .grouptable import (
     small_generating_set,
 )
 from .structure import (
-    DEFAULT_SUBGROUP_CAP,
     center,
     class_product,
     commutator_subgroup,
@@ -101,14 +100,13 @@ def _witness_dict(verdict: ConditionVerdict) -> dict | None:
 
 @dataclass(eq=False)
 class Pair:
-    """One (G, H) pair: its identification, its character-table caps and its
-    facts.  Each fact is computed on first use and then kept."""
+    """One (G, H) pair: its identification and its facts.  Each fact is
+    computed on first use and then kept."""
 
     G: GroupTable
     H: ElementSet
     label: str = ""
     subgroup_index: int = -1
-    class_cap: int | None = None
     _o_upper: dict[int, ElementSet] = field(default_factory=dict, init=False, repr=False)
 
     def report(self, claim: str, status: str, details: dict) -> VerificationReport:
@@ -139,7 +137,7 @@ class Pair:
     @cached_property
     def _CI(self) -> ConditionVerdict | CapExceeded:
         try:
-            return satisfies_CI(self.G, self.H, self.class_cap)
+            return satisfies_CI(self.G, self.H)
         except CapExceeded as exc:
             return exc
 
@@ -167,7 +165,7 @@ class Pair:
 
     @cached_property
     def table(self) -> CharacterTable:
-        return character_table(self.G, self.class_cap)
+        return character_table(self.G)
 
     @cached_property
     def irr_given_n(self) -> list[int]:
@@ -609,13 +607,7 @@ def transferable(report: VerificationReport) -> bool:
     return report.status == VACUOUS and not any(k.endswith("_witness") for k in report.details)
 
 
-def sweep_single(
-    label: str,
-    G: GroupTable,
-    claims: list[str],
-    char_class_cap: int | None = None,
-    subgroup_cap: int = DEFAULT_SUBGROUP_CAP,
-) -> list[VerificationReport]:
+def sweep_single(label: str, G: GroupTable, claims: list[str]) -> list[VerificationReport]:
     """The group claims of G, then the pair claims of every proper subgroup,
     in ``subgroups`` order.  The pair claims are evaluated on the first
     member of each conjugacy class of subgroups; a later member gets a copy
@@ -630,16 +622,16 @@ def sweep_single(
     pair_claims = [c for c in claims if c in CLAIMS]
     if pair_claims:
         try:
-            subs = subgroups(G, subgroup_cap)
+            subs = subgroups(G)
         except CapExceeded as exc:
             for claim in pair_claims:
                 reports.append(_group_report(label, G, claim, SKIPPED, {"reason": str(exc)}))
             return reports
         first_of_class: dict[int, list[tuple[VerificationReport, bool]]] = {}
-        for idx, (H, cid) in enumerate(zip(subs, subgroup_class_ids(G, subgroup_cap))):
+        for idx, (H, cid) in enumerate(zip(subs, subgroup_class_ids(G))):
             if len(H) == G.order:
                 continue
-            pair = Pair(G, H, label, idx, char_class_cap)
+            pair = Pair(G, H, label, idx)
             first = first_of_class.get(cid)
             if first is None:
                 evaluated = [verify_pair_claim(G, H, c, pair) for c in pair_claims if len(H) > 1 or CLAIMS[c][2]]

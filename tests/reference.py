@@ -84,16 +84,14 @@ def reference_in_irr_given_N(chi: ClassFunction, N: ElementSet) -> bool:
     return not all(n in ker for n in N.members)
 
 
-def reference_pair_reports(
-    label: str, G: GroupTable, claims: Sequence[str], class_cap: int | None = None
-) -> list[VerificationReport]:
+def reference_pair_reports(label: str, G: GroupTable, claims: Sequence[str]) -> list[VerificationReport]:
     """The pair claims of every proper subgroup, in ``subgroups`` order, each
     subgroup with a fresh ``Pair`` and every claim evaluated on it."""
     reports = []
     for idx, H in enumerate(subgroups(G)):
         if len(H) == G.order:
             continue
-        pair = Pair(G, H, label, idx, class_cap)
+        pair = Pair(G, H, label, idx)
         reports += [verify_pair_claim(G, H, c, pair) for c in claims if c in CLAIMS and (len(H) > 1 or CLAIMS[c][2])]
     return reports
 
@@ -170,7 +168,7 @@ def reference_character_table(G: GroupTable, prime: int | None = None) -> Charac
     classes = conjugacy_classes(G)
     r, e, n = classes.count, exponent(G), G.order
     q = dixon_prime(e, n) if prime is None else prime
-    omegas = reference_simultaneous_eigenvectors(class_matrices(G, classes), q)
+    omegas = reference_simultaneous_eigenvectors(class_matrices(G), q)
     inv_sizes = [pow(s, -1, q) for s in classes.sizes]
     z = _root_of_unity(e, q)
     rows = []

@@ -43,7 +43,7 @@ def test_criterion_1_character_table_exactness():
         G = entry.group()
         if G.order > 200:
             continue
-        table = character_table(G, class_cap=130)
+        table = character_table(G)
         classes = conjugacy_classes(G)
         r = classes.count
         irr = table.irreducibles

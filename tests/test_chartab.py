@@ -150,15 +150,24 @@ class TestCharacterTable:
         for chi in t.irreducibles:
             assert chi.values[0].as_int() == chi.degree() > 0
 
-    def test_order_cap(self, s4):
+    def test_order_cap(self, monkeypatch, s4):
         # G's order is capped where G is generated; S4's 5 classes meet a class cap of 5
+        monkeypatch.setattr(chartab, "CLASS_CAP", 4)
         with pytest.raises(CapExceeded):
-            character_table(s4, class_cap=4)
-        assert character_table(s4, class_cap=5).degree_sequence == (1, 1, 2, 3, 3)
+            character_table(s4)
+        monkeypatch.setattr(chartab, "CLASS_CAP", 5)
+        assert character_table(s4).degree_sequence == (1, 1, 2, 3, 3)
 
-    def test_class_cap(self, s4):
+    def test_class_cap(self, monkeypatch, s4):
+        monkeypatch.setattr(chartab, "CLASS_CAP", 3)
         with pytest.raises(CapExceeded):
-            character_table(s4, class_cap=3)
+            character_table(s4)
+
+    def test_real_class_cap(self):
+        # C64 has 64 classes, above the class cap of 60, which no builtin group reaches
+        assert chartab.CLASS_CAP == 60
+        with pytest.raises(CapExceeded, match=r"character table class cap exceeded \(reached 64\)"):
+            character_table(builtin("C64").group())
 
     def test_different_prime_same_table(self, s4):
         t1 = character_table(s4)

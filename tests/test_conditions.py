@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+import camina.chartab as chartab
 from camina.catalog import builtin, builtin_catalog
 from camina.chartab import character_table, decompose, is_homogeneous_induction, restrict
 from camina.conditions import (
@@ -211,11 +212,12 @@ class TestConditionCI:
         assert len(verdicts) == 28
         assert calls == []
 
-    def test_cap_propagates(self, s4):
+    def test_cap_propagates(self, monkeypatch, s4):
         from camina.grouptable import CapExceeded
 
+        monkeypatch.setattr(chartab, "CLASS_CAP", 4)
         with pytest.raises(CapExceeded):
-            satisfies_CI(s4, by_order(s4, 4), class_cap=4)
+            satisfies_CI(s4, by_order(s4, 4))
 
 
 class TestConditionO:

@@ -246,12 +246,14 @@ class TestChartabCache:
         assert load_chartab(s4, tmp_path) is None
         assert time.perf_counter() - start < 1.0
 
-    def test_caps_apply_before_a_load(self, tmp_path, s4):
+    def test_caps_apply_before_a_load(self, monkeypatch, tmp_path, s4):
         save_chartab(s4, character_table(s4), tmp_path)
         assert load_chartab(s4, tmp_path) is not None
+        monkeypatch.setattr(chartab, "CLASS_CAP", 4)
         with pytest.raises(CapExceeded, match="character table class cap exceeded"):
-            cached_character_table(s4, tmp_path, class_cap=4)
-        assert cached_character_table(s4, tmp_path, class_cap=5).degree_sequence == (1, 1, 2, 3, 3)
+            cached_character_table(s4, tmp_path)
+        monkeypatch.setattr(chartab, "CLASS_CAP", 5)
+        assert cached_character_table(s4, tmp_path).degree_sequence == (1, 1, 2, 3, 3)
 
 
 class TestCli:
@@ -301,11 +303,12 @@ class TestCli:
         assert first == "subgroup index=1 order=2 gens=(2,3)"
         assert second.startswith(f"condition {name}: fails x=") and second.endswith(f"h=(2,3) ({reason})")
 
-    def test_chartab_class_cap_with_cached_table(self, tmp_path, capsys):
+    def test_chartab_class_cap_with_cached_table(self, monkeypatch, tmp_path, capsys):
         cache = str(tmp_path)
         assert run_cli(["--cache-dir", cache, "chartab", "--group", "S4"]) == 0
         assert "character table of S4" in capsys.readouterr().out
-        assert run_cli(["--cache-dir", cache, "--class-cap", "3", "chartab", "--group", "S4"]) == 3
+        monkeypatch.setattr(chartab, "CLASS_CAP", 3)
+        assert run_cli(["--cache-dir", cache, "chartab", "--group", "S4"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: character table class cap exceeded (reached 5)\n"
@@ -349,7 +352,7 @@ class TestCli:
         assert run_cli(["nonsense"]) == 1
         assert run_cli(["check", "--group", "S3", "--subgroup-order", "5", "--condition", "f"]) == 1
 
-    @pytest.mark.parametrize("flag", ["--order-cap", "--class-cap", "--subgroup-cap", "--jobs", "--max-order"])
+    @pytest.mark.parametrize("flag", ["--order-cap", "--jobs", "--max-order"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_counts_are_positive_integers(self, capsys, flag, value):
         if flag == "--max-order":
@@ -371,6 +374,20 @@ class TestCli:
     def test_cap_exit_code(self, capsys):
         rc = run_cli(["--order-cap", "10", "info", "--group", "S4"])
         assert rc == 3
+
+    def test_chartab_over_the_class_cap(self, tmp_path, capsys):
+        # C64's 64 classes are over the class cap of 60
+        assert run_cli(["--cache-dir", str(tmp_path), "chartab", "--group", "C64"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: character table class cap exceeded (reached 64)\n"
+
+    @pytest.mark.parametrize("flag", ["--class-cap", "--subgroup-cap"])
+    def test_caps_are_not_flags(self, capsys, flag):
+        assert run_cli([flag, "3", "info", "--group", "S3"]) == 1
+        assert run_cli(["info", "--group", "S3", flag, "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(f"error: unrecognized arguments: {flag} 3\n")
 
     def test_max_order_below_order_cap(self, capsys):
         # groups above --max-order are left out before they reach the generation cap
@@ -402,6 +419,15 @@ class TestCli:
         assert run_cli(["verify", "--max-order", "6", "--claims", "lemmas", "--out", str(out_file)]) == 0
         assert sorted({r.claim for r in load_reports(out_file)}) == [f"lemma_{c}" for c in "abcdefghijklm"]
         assert "violations: 0" in capsys.readouterr().out
+
+    def test_verify_repeated_claims_reported_once(self, tmp_path, capsys):
+        once, repeated = tmp_path / "once.jsonl", tmp_path / "repeated.jsonl"
+        assert run_cli(["verify", "--max-order", "6", "--claims", "lemmas", "--out", str(once)]) == 0
+        printed = capsys.readouterr().out
+        assert run_cli(["verify", "--max-order", "6", "--claims", "lemmas,lemma_a", "--out", str(repeated)]) == 0
+        assert capsys.readouterr().out == printed.replace(str(once), str(repeated))
+        strip = lambda p: re.sub(r'"timestamp":"[^"]*"', '"timestamp":null', p.read_text())
+        assert strip(repeated) == strip(once)
 
     def test_verify_exit_two_on_violation(self, monkeypatch, capsys):
         import camina.cli as cli_mod

@@ -438,11 +438,13 @@ class TestSubgroups:
                     if x not in inside:
                         assert closure_indices(G, gens + (x,)) in found, (entry.label, members, x)
 
-    def test_count_cap(self):
+    def test_count_cap(self, monkeypatch):
+        monkeypatch.setattr(structure, "SUBGROUP_CAP", 29)
         with pytest.raises(CapExceeded, match="subgroup cap exceeded") as exc:
-            subgroups(builtin("S4").group(), count_cap=29)
+            subgroups(builtin("S4").group())
         assert exc.value.partial == 29
-        assert len(subgroups(builtin("S4").group(), count_cap=30)) == 30
+        monkeypatch.setattr(structure, "SUBGROUP_CAP", 30)
+        assert len(subgroups(builtin("S4").group())) == 30
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(RELABEL_LABELS), st.randoms(use_true_random=False))

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import camina.chartab as chartab
 import camina.grouptable as grouptable
+import camina.structure as structure
 import camina.verify as verify
 from camina.catalog import builtin, builtin_catalog
 from camina.chartab import CharacterTable, character_table, inner_product_int, restrict, trivial_character
@@ -55,9 +57,10 @@ class TestTheorem1:
         assert r.status == PASS
         assert r.details["fired"]
 
-    def test_skipped_on_cap(self, s4):
+    def test_skipped_on_cap(self, monkeypatch, s4):
+        monkeypatch.setattr(chartab, "CLASS_CAP", 4)
         H = by_order(s4, 4)
-        r = verify_pair_claim(s4, H, "theorem1", Pair(s4, H, class_cap=4))
+        r = verify_pair_claim(s4, H, "theorem1", Pair(s4, H))
         assert r.status == SKIPPED
 
 
@@ -343,7 +346,8 @@ class TestOneEvaluationPerPair:
             return original(G, H, *args, **kwargs)
 
         monkeypatch.setattr(verify, "satisfies_CI", counted)
-        reports = sweep_single("S4", s4, ["theorem1", "lemma_l", "lemma_m"], char_class_cap=3)
+        monkeypatch.setattr(chartab, "CLASS_CAP", 3)
+        reports = sweep_single("S4", s4, ["theorem1", "lemma_l", "lemma_m"])
         assert len(reports) == 28 * 3
         assert {(r.status, r.details["reason"]) for r in reports} == {
             (SKIPPED, "character table class cap exceeded (reached 5)")
@@ -352,8 +356,6 @@ class TestOneEvaluationPerPair:
 
     def test_sweep_builds_one_character_table(self, monkeypatch):
         # (CI) reads Irr(G) only: no subgroup gets a table of its own
-        import camina.chartab as chartab
-
         builds = []
         original = chartab._simultaneous_eigenvectors
 
@@ -390,9 +392,6 @@ class TestOneEvaluationPerPair:
     def test_no_subgroup_table_and_o_upper_once_per_prime(self, monkeypatch):
         # Facts about H are computed inside G: H gets no table of its own,
         # and O^p(H) is computed once per (pair, prime).
-        import camina.grouptable as grouptable
-        import camina.structure as structure
-
         tables, o_upper = [], Counter()
         original_table, original_o_upper = grouptable.subgroup_table, structure.o_upper_p
 
@@ -470,9 +469,7 @@ class TestTracedHooks:
     its per-layer metrics."""
 
     def test_wrapped_names_exist(self):
-        import camina.chartab as chartab
         import camina.reports as reports
-        import camina.structure as structure
 
         root = Path(__file__).resolve().parents[1]
         spec = importlib.util.spec_from_file_location("perfbench_spans", root / "perfbench" / "spans.py")
@@ -495,12 +492,33 @@ class TestTracedHooks:
 
 
 class TestSubgroupCap:
-    def test_every_pair_claim_skipped(self):
-        reports = sweep_single("S4", builtin("S4").group(), list(verify.PAIR_CLAIMS), subgroup_cap=29)
+    def test_every_pair_claim_skipped(self, monkeypatch):
+        monkeypatch.setattr(structure, "SUBGROUP_CAP", 29)
+        reports = sweep_single("S4", builtin("S4").group(), list(verify.PAIR_CLAIMS))
         assert [r.claim for r in reports] == list(verify.PAIR_CLAIMS)
         assert {(r.status, r.subgroup_index, r.details["reason"]) for r in reports} == {
             (SKIPPED, -1, "subgroup cap exceeded (reached 29)")
         }
+
+
+class TestClassCap:
+    def test_only_the_claims_that_read_irr_g_are_skipped(self):
+        # C64's 64 classes are over the class cap of 60: theorem1, lemma_l
+        # and lemma_m read Irr(G), on each nontrivial proper subgroup
+        reports = sweep_single("C64", builtin("C64").group(), list(verify.ALL_CLAIMS))
+        skipped = {(r.subgroup_index, r.claim): r.details["reason"] for r in reports if r.status == SKIPPED}
+        assert skipped == {
+            (i, c): "character table class cap exceeded (reached 64)"
+            for i in range(1, 6)
+            for c in ("theorem1", "lemma_l", "lemma_m")
+        }
+        trivial_ok = [c for c in verify.PAIR_CLAIMS if verify.CLAIMS[c][2]]
+        evaluated = (
+            [(-1, c) for c in verify.GROUP_CLAIMS]
+            + [(0, c) for c in trivial_ok]
+            + [(i, c) for i in range(1, 6) for c in verify.PAIR_CLAIMS]
+        )
+        assert sorted((r.subgroup_index, r.claim) for r in reports) == sorted(evaluated)
 
 
 # --- element-by-element references for the class-representative claims ------
