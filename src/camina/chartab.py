@@ -6,17 +6,17 @@ each space split by the roots of the class matrix restricted to it, then
 lifted to exact cyclotomic integers by multiplicity counting over the
 powers of one class representative per Galois class of columns; the other
 columns of a Galois class re-index those counts.  Every table, built or
-read from a cache, must pass ``check_orthonormal``, which decides the
-orthogonality relations exactly in Z[zeta_e] by arithmetic mod a prime
-p = 1 mod e that lies above an explicit bound on the values.  Integer sums
-below p, such as |H| [chi_i_H, chi_j_H], are read from the table mod p
-(``CharacterTable.mod_p``); equality tests (kernels) stay in Z[zeta_e].
+read from a cache, runs ``check_orthonormal`` when it is constructed, which
+decides the orthogonality relations exactly in Z[zeta_e] by arithmetic mod a
+prime p = 1 mod e above an explicit bound on the values, and keeps its
+residues: integer sums below p, such as |H| [chi_i_H, chi_j_H], are read from
+them (``CharacterTable.mod_p``); equality tests (kernels) stay in Z[zeta_e].
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
 from typing import Sequence
@@ -57,20 +57,21 @@ class CycFraction:
 
 @dataclass(frozen=True)
 class CharacterTable:
+    """Irr(G), checked by ``check_orthonormal`` when constructed (RuntimeError
+    if it fails), and ``mod_p``, the check's (p, X): X[i][k] = chi_i(k) mod p
+    under zeta_e -> z.  A sum of products of values that is an integer in
+    [0, p) is its own residue; p > |G| (D^2 + 1) >= |G| chi(1)^2 for all chi."""
+
     group: GroupTable
     irreducibles: tuple[ClassFunction, ...]
-    degree_sequence: tuple[int, ...]
+    mod_p: tuple[int, list[list[int]]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "mod_p", check_orthonormal(self.irreducibles, conjugacy_classes(self.group)))
 
     @cached_property
-    def mod_p(self) -> tuple[int, list[list[int]]]:
-        """(p, X): p the prime of ``check_orthonormal`` and X[i][k] = chi_i(k)
-        mod p under zeta_e -> z.  A sum of products of values that is an
-        integer in [0, p) is its own residue, and p > |G| (D^2 + 1) >= |G|
-        chi(1)^2 for every degree chi(1)."""
-        values, e, p = _reduction(self.irreducibles, self.group.order)
-        z = _root_of_unity(e, p)
-        zpow = [pow(z, t, p) for t in range(e)]
-        return p, [[sum(map(mul, v.coeffs, zpow)) % p for v in row] for row in values]
+    def degree_sequence(self) -> tuple[int, ...]:
+        return tuple(sorted(chi.degree() for chi in self.irreducibles))
 
     @cached_property
     def kernels(self) -> tuple[frozenset[int], ...]:
@@ -212,10 +213,6 @@ def _roots_mod(poly: list[int], q: int) -> list[int]:
     return roots
 
 
-def _mat_vec(M: list[list[int]], v: list[int], q: int) -> list[int]:
-    return [sum(map(mul, row, v)) % q for row in M]
-
-
 def _simultaneous_eigenvectors(mats: list[list[list[int]]], q: int) -> list[list[int]]:
     """Common eigenvectors of the commuting class matrices over F_q,
     normalized so the identity-class coordinate is 1."""
@@ -230,10 +227,10 @@ def _simultaneous_eigenvectors(mats: list[list[list[int]]], q: int) -> list[list
                 new_spaces.append(B)
                 continue
             # B is in reduced echelon form and M maps span(B) into itself, so M
-            # on span(B) has the matrix A[i][j] = entry pivot_i of M b_j.
-            pivots = [b.index(1) for b in B]
-            images = [_mat_vec(M, b, q) for b in B]
-            A = [[mb[pv] for mb in images] for pv in pivots]
+            # on span(B) has the matrix A[i][j] = entry pivot_i of M b_j, the
+            # product of M's row pivot_i with b_j; no other row is read.
+            pivot_rows = [M[b.index(1)] for b in B]
+            A = [[sum(map(mul, row, b)) % q for b in B] for row in pivot_rows]
             split_total = 0
             for lam in _roots_mod(_charpoly(A, q), q):
                 shifted = [[(a - lam) % q if i == j else a for j, a in enumerate(row)] for i, row in enumerate(A)]
@@ -355,18 +352,17 @@ def character_table(G: GroupTable) -> CharacterTable:
             values.append(Cyc.from_root_multiset(e, {t * a % e: c for t, c in counts[lifted].items()}))
         rows.append(ClassFunction(G, tuple(values)))
 
-    check_orthonormal(rows, classes)
-
     rows.sort(key=lambda cf: (cf.values[0].as_int(), tuple(v.coeffs for v in cf.values)))
-    table = CharacterTable(G, tuple(rows), tuple(sorted(cf.values[0].as_int() for cf in rows)))
+    table = CharacterTable(G, tuple(rows))
     G._cache["chartab"] = table
     return table
 
 
-def check_orthonormal(rows: list[ClassFunction], classes: ConjClassPartition) -> None:
+def check_orthonormal(rows: Sequence[ClassFunction], classes: ConjClassPartition) -> tuple[int, list[list[int]]]:
     """Raise RuntimeError unless [chi_i, chi_j] = delta_ij exactly and every
     chi(1) is a positive integer.  With one such row per class, sum chi(1)^2
-    = |G| follows.
+    = |G| follows.  Returns ``CharacterTable.mod_p``: (p, X), X[i][k] the
+    image of rows[i](k) under iota_1.
 
     The equalities alpha_ij = sum_k chi_i(k) |K_k| conj(chi_j(k)) - |G| delta_ij
     = 0 in Z[zeta_e] are decided mod the prime p of ``_reduction`` under every
@@ -377,10 +373,12 @@ def check_orthonormal(rows: list[ClassFunction], classes: ConjClassPartition) ->
     conjugate of alpha has absolute value <= |G| (D^2 + 1) < p."""
     n = classes.group.order
     values, e, p = _reduction(rows, n)
-    if not _orthonormal_mod(values, classes.sizes, n, e, p):
+    X = _orthonormal_mod(values, classes.sizes, n, e, p)
+    if X is None:
         raise RuntimeError("character rows are not orthonormal")
     if not all(chi.values[0].is_rational_integer() and chi.values[0].as_int() > 0 for chi in rows):
         raise RuntimeError("character degrees are not positive integers")
+    return p, X
 
 
 def _reduction(rows: Sequence[ClassFunction], n: int) -> tuple[list[list[Cyc]], int, int]:
@@ -415,10 +413,10 @@ def _embeddings(values: list[list[Cyc]], e: int, p: int) -> dict[int, dict[tuple
     return images
 
 
-def _orthonormal_mod(values: list[list[Cyc]], sizes: list[int], n: int, e: int, p: int) -> bool:
-    """Whether X_a W_a^T = n I mod p for every a in (Z/e)^x / {+-1}, where
-    X_a[i][k] = iota_a(values[i][k]), W_a[j][k] = iota_-a(values[j][k]) sizes[k]
-    and iota_a is that of ``_embeddings``.  The product at -a is the
+def _orthonormal_mod(values: list[list[Cyc]], sizes: list[int], n: int, e: int, p: int) -> list[list[int]] | None:
+    """X_1 if X_a W_a^T = n I mod p for every a in (Z/e)^x / {+-1}, else None,
+    where X_a[i][k] = iota_a(values[i][k]), W_a[j][k] = iota_-a(values[j][k])
+    sizes[k] and iota_a is that of ``_embeddings``.  The product at -a is the
     transpose of the one at a, so half the units cover every embedding."""
     images = _embeddings(values, e, p)
     for a in (a for a in images if 2 * a <= max(e, 2)):
@@ -428,11 +426,11 @@ def _orthonormal_mod(values: list[list[Cyc]], sizes: list[int], n: int, e: int, 
         for i, x in enumerate(X):
             for j, w in enumerate(W):
                 if sum(map(mul, x, w)) % p != (n if i == j else 0):
-                    return False
-    return True
+                    return None
+    return [[images[1 % e][v.coeffs] for v in row] for row in values]
 
 
-def check_galois(rows: list[ClassFunction], classes: ConjClassPartition) -> None:
+def check_galois(rows: Sequence[ClassFunction], classes: ConjClassPartition) -> None:
     """Raise RuntimeError unless chi(r^c) = sigma_c(chi(r)), sigma_c: zeta_e ->
     zeta_e^c, for every row chi, class representative r and c prime to
     exp(G): the power maps, which a built table has by construction and

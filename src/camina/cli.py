@@ -43,7 +43,7 @@ from .structure import (
     small_generating_set,
     subgroups,
 )
-from .verify import ALL_CLAIMS, VIOLATION, VerificationReport, report_key, summarize, sweep_single
+from .verify import ALL_CLAIMS, LEMMA_CLAIMS, VIOLATION, VerificationReport, report_key, summarize, sweep_single
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,7 +62,7 @@ _CONDITIONS = {
     "equal-order": equal_order_coset,
 }
 
-CLAIM_ALIASES = {"lemmas": [c for c in ALL_CLAIMS if c.startswith("lemma_")]}
+CLAIM_ALIASES = {"all": ALL_CLAIMS, "lemmas": LEMMA_CLAIMS}
 
 # Input that cannot be read or is over a cap: exit code 3, or one group left out of a sweep.
 INPUT_ERRORS = (ParseError, OSError, CapExceeded)
@@ -248,8 +248,6 @@ def _cmd_search(args) -> int:
 
 
 def _parse_claims(text: str) -> list[str]:
-    if text.strip() == "all":
-        return list(ALL_CLAIMS)
     claims: list[str] = []
     for token in text.split(","):
         token = token.strip()

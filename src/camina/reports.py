@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable
 
-from .chartab import CharacterTable, ClassFunction, character_table, check_caps, check_galois, check_orthonormal
+from .chartab import CharacterTable, ClassFunction, character_table, check_caps, check_galois
 from .cyclotomic import Cyc
 from .grouptable import GroupTable
 from .structure import conjugacy_classes, exponent
@@ -97,8 +97,9 @@ def save_chartab(G: GroupTable, table: CharacterTable, cache_dir: str | Path) ->
 def load_chartab(G: GroupTable, cache_dir: str | Path) -> CharacterTable | None:
     """The cached table of G, or None when there is no readable file, its
     root order does not divide the exponent of G, or it fails the exact check
-    of a fresh build, orthonormal rows and positive integer degrees, or the
-    power maps of ``check_galois``, which a fresh build has by construction."""
+    that constructing any ``CharacterTable`` makes, orthonormal rows and
+    positive integer degrees, or the power maps of ``check_galois``, which a
+    fresh build has by construction."""
     path = Path(cache_dir) / f"chartab-{chartab_cache_key(G)}.json"
     classes = conjugacy_classes(G)
     try:
@@ -110,13 +111,12 @@ def load_chartab(G: GroupTable, cache_dir: str | Path) -> CharacterTable | None:
         e = obj["root_order"]
         if type(e) is not int or e < 1 or exponent(G) % e:  # Z[zeta_e] costs time and memory quadratic in e
             return None
-        rows = [ClassFunction(G, tuple(Cyc(e, coeffs) for coeffs in row)) for row in obj["rows"]]
-        check_orthonormal(rows, classes)
+        rows = tuple(ClassFunction(G, tuple(Cyc(e, coeffs) for coeffs in row)) for row in obj["rows"])
+        table = CharacterTable(G, rows)
         check_galois(rows, classes)
-        degrees = tuple(sorted(chi.degree() for chi in rows))
     except (OSError, LookupError, RuntimeError, TypeError, ValueError):
         return None
-    return CharacterTable(G, tuple(rows), degrees)
+    return table
 
 
 def cached_character_table(G: GroupTable, cache_dir: str | Path | None) -> CharacterTable:

@@ -42,7 +42,6 @@ from .grouptable import (
 )
 from .structure import (
     center,
-    class_product,
     commutator_subgroup,
     conjugacy_classes,
     derived_subgroup,
@@ -72,7 +71,6 @@ THEOREM2 = "theorem2"
 ODD_ORDER = "odd_order"
 COR1 = "cor1"
 COR2 = "cor2"
-LEMMA_CLAIMS = tuple(f"lemma_{c}" for c in "abcdefghijklm")
 CLAIM9 = "claim9"
 COVERING = "covering"
 
@@ -487,51 +485,50 @@ def _lemma_m(pair: Pair) -> tuple[str, dict]:
 
 
 def _claim9(pair: Pair) -> tuple[str, dict]:
-    """Derangement classes, those that miss H, against the classes that meet H."""
+    """Derangement classes x^G, those that miss H, against the classes y^G that
+    meet H: x^G y^G is the union of the classes met by reps[x^G] * y, y in y^G,
+    each judged by its representative, its least member, which is the witness."""
     G = pair.G
     classes = conjugacy_classes(G)
+    odd = [G.element_order(r) % 2 == 1 for r in classes.reps]
     delta_class_ids = [c for c in range(classes.count) if c not in pair.class_counts]
     h_class_ids = sorted(pair.class_counts)
     for did in delta_class_ids:
-        x_odd = G.element_order(classes.reps[did]) % 2 == 1
+        x, x_odd = classes.reps[did], odd[did]
         for cid in h_class_ids:
-            for z in class_product(G, did, cid).members:
-                if (G.element_order(z) % 2 == 1) != x_odd:
-                    z_parity, x_parity = ("even", "odd") if x_odd else ("odd", "even")
-                    return VIOLATION, {
-                        "derangement_class_rep": classes.reps[did],
-                        "h_class_rep": classes.reps[cid],
-                        "z": z,
-                        "failure": f"{z_parity} order element in x^G y^G with x {x_parity}",
-                    }
+            wrong = [c for c in {classes.class_of[G.mul(x, y)] for y in classes.members(cid)} if odd[c] != x_odd]
+            if wrong:
+                z_parity, x_parity = ("even", "odd") if x_odd else ("odd", "even")
+                return VIOLATION, {
+                    "derangement_class_rep": x,
+                    "h_class_rep": classes.reps[cid],
+                    "z": min(classes.reps[c] for c in wrong),
+                    "failure": f"{z_parity} order element in x^G y^G with x {x_parity}",
+                }
     return PASS, {"class_pairs_checked": len(delta_class_ids) * len(h_class_ids)}
 
 
-def verify_covering(G: GroupTable, label: str = "", step_cap: int | None = None) -> VerificationReport:
+def verify_covering(G: GroupTable, label: str = "") -> VerificationReport:
     """For nonabelian simple G, every nontrivial class C has C^m = G for
-    some m bounded by |G|.  C^m is kept as its set S of class ids: C^(m+1)
-    is the union of the classes met by reps[s] * y, s in S and y in C."""
+    some m.  C^m is kept as its set S of class ids: C^(m+1) is the union of
+    the classes met by reps[s] * y, s in S and y in C.  Each set fixes the
+    next, so once one repeats the powers cycle and never reach G."""
     if not is_simple(G):
         return _group_report(label, G, COVERING, VACUOUS, {"reason": "group is not nonabelian simple"})
     classes = conjugacy_classes(G)
-    cap = step_cap if step_cap is not None else G.order
     max_m = 0
     for cid in range(1, classes.count):
         members = classes.members(cid)
-        current = {cid}
-        m = 1
+        current = frozenset({cid})
+        seen = set()  # C^1 .. C^(m-1), all distinct
         while len(current) < classes.count:
-            if m > cap:
-                return _group_report(
-                    label,
-                    G,
-                    COVERING,
-                    VIOLATION,
-                    {"class_rep": classes.reps[cid], "failure": f"C^m did not reach G within {cap} steps"},
-                )
-            current = {classes.class_of[G.mul(classes.reps[s], y)] for s in current for y in members}
-            m += 1
-        max_m = max(max_m, m)
+            if current in seen:
+                failure = f"C^m repeats at m = {len(seen) + 1} without reaching G"
+                details = {"class_rep": classes.reps[cid], "failure": failure}
+                return _group_report(label, G, COVERING, VIOLATION, details)
+            seen.add(current)
+            current = frozenset(classes.class_of[G.mul(classes.reps[s], y)] for s in current for y in members)
+        max_m = max(max_m, len(seen) + 1)
     return _group_report(label, G, COVERING, PASS, {"fired": True, "max_power_needed": max_m})
 
 
@@ -561,6 +558,7 @@ CLAIMS = {
     CLAIM9: (lambda p: p.O.holds, _claim9, False),
 }
 PAIR_CLAIMS = tuple(CLAIMS)
+LEMMA_CLAIMS = tuple(c for c in CLAIMS if c.startswith("lemma_"))
 GROUP_CLAIMS = (COR2, COVERING)
 ALL_CLAIMS = PAIR_CLAIMS + GROUP_CLAIMS
 

@@ -11,7 +11,6 @@ from camina.chartab import (
     ClassFunction,
     _charpoly,
     _kernel,
-    _mat_vec,
     _root_of_unity,
     _roots_mod,
     _rref,
@@ -144,7 +143,7 @@ def reference_simultaneous_eigenvectors(mats: list[list[list[int]]], q: int) -> 
             if len(B) == 1:
                 new_spaces.append(B)
                 continue
-            images = [_mat_vec(M, b, q) for b in B]
+            images = [[sum(m * x for m, x in zip(row, b)) % q for row in M] for b in B]
             for lam in lams:
                 # columns (M - lambda) b_j, as an r x len(B) matrix
                 rows = [[(mb[i] - lam * b[i]) % q for b, mb in zip(B, images)] for i in range(r)]
@@ -192,4 +191,4 @@ def reference_character_table(G: GroupTable, prime: int | None = None) -> Charac
         rows.append(ClassFunction(G, tuple(values)))
     reference_check_orthonormal(rows, classes)
     rows.sort(key=lambda cf: (cf.values[0].as_int(), tuple(v.coeffs for v in cf.values)))
-    return CharacterTable(G, tuple(rows), tuple(cf.degree() for cf in rows))
+    return CharacterTable(G, tuple(rows))

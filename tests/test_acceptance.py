@@ -163,7 +163,7 @@ def test_criterion_7_lemma_suite_sweep(verify_builtin):
 
 def test_criterion_8_covering_spot_check(a5):
     """Every nontrivial class of Alt(5) powers up to the whole group within 10 steps."""
-    report = verify_covering(a5, step_cap=10)
+    report = verify_covering(a5)
     ok = report.status == "PASS" and report.details["max_power_needed"] <= 10
     _criterion(
         f"criterion 8: A5 covering, max class power needed = {report.details.get('max_power_needed')}",

@@ -1,4 +1,5 @@
 import functools
+import math
 from collections import Counter
 
 import pytest
@@ -29,7 +30,8 @@ from camina.chartab import (
 from camina.cyclotomic import Cyc
 from camina.grouptable import CapExceeded, ElementSet, generate, subgroup_table
 from camina.perm import Permutation, conjugate
-from camina.structure import conjugacy_classes, exponent, subgroups
+from camina.reports import load_chartab, save_chartab
+from camina.structure import conjugacy_classes, exponent, prime_factors, subgroups
 from reference import (
     reference_character_table,
     reference_check_galois,
@@ -314,6 +316,47 @@ class TestModularSelfCheck:
         monkeypatch.setattr(Cyc, "__rmul__", counted)
         assert accepts(check_orthonormal, G, classes, values)
         assert calls == []
+
+
+def own_residues(table):
+    """(e, D, and for each primitive e-th root of unity z mod the table's p,
+    the values reduced under zeta_e -> z): e the lcm of the values' root
+    orders and D their largest coefficient L1 norm in Z[zeta_e]."""
+    p, _ = table.mod_p
+    values = [chi.values for chi in table.irreducibles]
+    e = math.lcm(*(v.e for row in values for v in row))
+    D = max(sum(map(abs, v.rebase(e).coeffs)) for row in values for v in row)
+    roots = [z for z in range(1, p) if pow(z, e, p) == 1 and all(pow(z, e // r, p) != 1 for r in prime_factors(e))]
+    reduced = {
+        z: [[sum(c * pow(z, t * (e // v.e), p) for t, c in enumerate(v.coeffs)) % p for v in row] for row in values]
+        for z in roots
+    }
+    return e, D, reduced
+
+
+class TestModP:
+    def test_residues_of_built_and_loaded_tables(self, tmp_path):
+        s4 = builtin("S4").group()
+        save_chartab(s4, character_table(s4), tmp_path)
+        loaded = load_chartab(builtin("S4").group(), tmp_path)
+        assert loaded is not None
+        tables = [(entry.label, character_table(entry.group())) for entry in builtin_catalog()]
+        tables.append(("S4 loaded", loaded))
+        for label, table in tables:
+            p, X = table.mod_p
+            e, D, reduced = own_residues(table)
+            assert is_prime(p) and p % e == 1, label
+            assert p > table.group.order * (D * D + 1), label
+            assert any(X == residues for residues in reduced.values()), label
+
+    def test_one_reduction_per_built_table(self, monkeypatch):
+        calls = []
+        original = chartab._reduction
+        monkeypatch.setattr(chartab, "_reduction", lambda *args: calls.append(args) or original(*args))
+        for label in ("S3", "Q8", "Frob(5:4)", "A5"):
+            calls.clear()
+            character_table(builtin(label).group()).mod_p
+            assert len(calls) == 1, label
 
 
 class TestPowerMapCheck:

@@ -429,6 +429,15 @@ class TestCli:
         strip = lambda p: re.sub(r'"timestamp":"[^"]*"', '"timestamp":null', p.read_text())
         assert strip(repeated) == strip(once)
 
+    def test_verify_all_alias_in_a_list(self, tmp_path, capsys):
+        # "all" is an alias like "lemmas", so it may stand in a comma list
+        strip = lambda p: re.sub(r'"timestamp":"[^"]*"', '"timestamp":null', p.read_text())
+        files = {}
+        for claims in ("all", "all,cor2", "lemmas,all"):
+            files[claims] = tmp_path / f"{claims.replace(',', '-')}.jsonl"
+            assert run_cli(["verify", "--max-order", "12", "--claims", claims, "--out", str(files[claims])]) == 0
+        assert strip(files["all,cor2"]) == strip(files["all"]) == strip(files["lemmas,all"])
+
     def test_verify_exit_two_on_violation(self, monkeypatch, capsys):
         import camina.cli as cli_mod
 

@@ -608,16 +608,19 @@ def elementwise_cor2(G, p):
     return PASS, {"p": p, "fired": fired, "o_p_order": len(opg)}
 
 
-def elementwise_covering(G, cap):
+def elementwise_covering(G):
     classes = conjugacy_classes(G)
     max_m = 0
     for cid in range(1, classes.count):
-        current = set(classes.members(cid))
+        current = frozenset(classes.members(cid))
+        seen = set()
         m = 1
         while len(current) < G.order:
-            if m > cap:
-                return VIOLATION, {"class_rep": classes.reps[cid], "failure": f"C^m did not reach G within {cap} steps"}
-            current = {G.mul(s, d) for s in current for d in classes.members(cid)}
+            if current in seen:
+                failure = f"C^m repeats at m = {m} without reaching G"
+                return VIOLATION, {"class_rep": classes.reps[cid], "failure": failure}
+            seen.add(current)
+            current = frozenset(G.mul(s, d) for s in current for d in classes.members(cid))
             m += 1
         max_m = max(max_m, m)
     return PASS, {"fired": True, "max_power_needed": max_m}
@@ -640,6 +643,20 @@ class TestClassRepresentativesMatchElementwise:
             statuses[got[0]] += 1
         assert statuses[VIOLATION] > 0 and statuses[PASS] > 0
 
+    def test_claim9(self):
+        # every builtin group, and S5 and S4xC2 beyond order 60
+        labels = [e.label for e in builtin_catalog()] + ["S5", "S4xC2"]
+        groups = [(label, builtin(label).group()) for label in labels]
+        statuses = Counter()
+        for label, G in groups:
+            for H in subgroups(G):
+                if 1 < len(H) < G.order:
+                    pair = Pair(G, H)
+                    got = verify._claim9(pair)
+                    assert got == elementwise_claim9(pair), (label, H.members)
+                    statuses[got[0]] += 1
+        assert statuses[VIOLATION] > 0 and statuses[PASS] > 0
+
     def test_lemma_j(self):
         fired = 0
         for label, G, H in proper_nontrivial_pairs():
@@ -649,15 +666,20 @@ class TestClassRepresentativesMatchElementwise:
             fired += got[1]["fired"]
         assert fired > 0
 
-    def test_cor2_and_covering(self):
+    def test_cor2_and_covering(self, monkeypatch):
         for label, G in small_groups():
             for p in prime_factors(G.order):
                 r = verify_cor2(G, p)
                 assert (r.status, r.details) == elementwise_cor2(G, p), (label, p)
         a5 = builtin("A5").group()
-        for cap in (1, 2, None):
-            r = verify_covering(a5, step_cap=cap)
-            assert (r.status, r.details) == elementwise_covering(a5, cap or a5.order), cap
+        r = verify_covering(a5)
+        assert r.status == PASS and (r.status, r.details) == elementwise_covering(a5)
+        # S3 is not simple: the powers of its transpositions alternate between
+        # the transpositions and A3, which reaches the VIOLATION branch
+        s3 = builtin("S3").group()
+        monkeypatch.setattr(verify, "is_simple", lambda G: True)
+        r = verify_covering(s3)
+        assert r.status == VIOLATION and (r.status, r.details) == elementwise_covering(s3)
 
     def test_quotient_verdicts_match_quotient_tables(self):
         # every (G, H, M) with M normal and M < H < G
