@@ -4,13 +4,16 @@ Character tables are computed by simultaneous eigenspace splitting of
 the class matrices over a finite field F_q with q = 1 mod exp(G) (Dixon),
 each space split by the roots of the class matrix restricted to it, then
 lifted to exact cyclotomic integers by multiplicity counting over the
-powers of one class representative per Galois class of columns; the other
-columns of a Galois class re-index those counts.  Every table, built or
-read from a cache, runs ``check_orthonormal`` when it is constructed, which
-decides the orthogonality relations exactly in Z[zeta_e] by arithmetic mod a
-prime p = 1 mod e above an explicit bound on the values, and keeps its
-residues: integer sums below p, such as |H| [chi_i_H, chi_j_H], are read from
-them (``CharacterTable.mod_p``); equality tests (kernels) stay in Z[zeta_e].
+powers of one class representative per Galois class of columns, for one
+row per Galois orbit of rows (Schneider); the other columns of a Galois
+class and the other rows of an orbit re-index those counts.  Every table,
+built or read from a cache, runs ``check_orthonormal`` when it is
+constructed, which decides the orthogonality relations exactly in Z[zeta_e]:
+the rows must be closed under the Galois group, and then one embedding into
+F_p, p = 1 mod e a prime above an explicit bound on the values, decides
+them.  The table keeps the residues: integer sums below p, such as
+|H| [chi_i_H, chi_j_H], are read from them (``CharacterTable.mod_p``);
+equality tests (kernels) stay in Z[zeta_e].
 """
 
 from __future__ import annotations
@@ -231,11 +234,12 @@ def _simultaneous_eigenvectors(mats: list[list[list[int]]], q: int) -> list[list
             # product of M's row pivot_i with b_j; no other row is read.
             pivot_rows = [M[b.index(1)] for b in B]
             A = [[sum(map(mul, row, b)) % q for b in B] for row in pivot_rows]
+            cols = list(zip(*B))
             split_total = 0
             for lam in _roots_mod(_charpoly(A, q), q):
                 shifted = [[(a - lam) % q if i == j else a for j, a in enumerate(row)] for i, row in enumerate(A)]
                 coeffs = _kernel(shifted, len(B), q)
-                vectors = _rref([[sum(map(mul, c, col)) % q for col in zip(*B)] for c in coeffs], q)
+                vectors = _rref([[sum(map(mul, c, col)) % q for col in cols] for c in coeffs], q)
                 split_total += len(vectors)
                 new_spaces.append(vectors)
             if split_total != len(B):
@@ -263,24 +267,44 @@ def _root_of_unity(e: int, q: int) -> int:
     raise RuntimeError(f"no primitive root mod {q}")
 
 
-def _eigenvalue_counts(chi_mod: list[int], pcls: list[int], d: int, zpow: list[int], q: int) -> dict[int, int]:
-    """Multiplicity of each eigenvalue zeta_e^(step l), step = e/m, of rho(x)
-    for a character of degree d known mod q, x of order m with x^t in the
-    class pcls[t]: the inverse DFT of chi(x^t) over 0 <= t < m."""
-    e, m = len(zpow), len(pcls)
-    step = e // m
-    inv_m = pow(m, -1, q)
+def _eigenvalue_counts(
+    chi_mod: list[int], pcls: list[int], d: int, dft: list[tuple[int, list[int]]], q: int
+) -> dict[int, int]:
+    """Multiplicity of each eigenvalue zeta_e^s of rho(x) for a character of
+    degree d known mod q, x of order m with x^t in the class pcls[t]: the
+    inverse DFT of chi(x^t) over 0 <= t < m, one (s, row) of ``dft`` per
+    eigenvalue, row[t] = z^(-s t) / m mod q."""
     values = [chi_mod[c] for c in pcls]
     counts = {}
     total = 0
-    for l in range(m):
-        c = sum(x * zpow[-step * l * t % e] for t, x in enumerate(values)) * inv_m % q
+    for s, row in dft:
+        c = sum(map(mul, values, row)) % q
         total += c
         if c:
-            counts[step * l] = c
+            counts[s] = c
     if total != d:
         raise RuntimeError("eigenvalue multiplicities do not sum to the degree")
     return counts
+
+
+def _units(e: int) -> list[int]:
+    """The units mod e, as residues in [0, e)."""
+    return [a for a in range(e) if math.gcd(a, e) == 1]
+
+
+def _unit_generators(e: int) -> list[int]:
+    """Units that generate the group of units mod e together with -1: each
+    one taken in order that -1 and the units before it do not generate."""
+    gens, reached = [], {1 % e, -1 % e}
+    for a in _units(e):
+        if a not in reached:
+            gens.append(a)
+            powers, x = [1 % e], a
+            while x != 1 % e:
+                powers.append(x)
+                x = x * a % e
+            reached = {h * x % e for h in reached for x in powers}
+    return gens
 
 
 def check_caps(G: GroupTable) -> ConjClassPartition:
@@ -343,14 +367,35 @@ def character_table(G: GroupTable) -> CharacterTable:
                 source[pcls[a]] = (k, a)
         power_classes[k] = pcls
 
+    dft = {}
+    for m in {len(pcls) for pcls in power_classes.values()}:
+        step, inv_m = e // m, pow(m, -1, q)
+        dft[m] = [(step * l, [zpow[-step * l * t % e] * inv_m % q for t in range(m)]) for l in range(m)]
+
+    # One lift per Galois orbit of rows.  For b prime to e, sigma_b(chi)(g) =
+    # chi(g^b), so the row of sigma_b(chi) mod q is chi's row read at
+    # conj_cols[b][k], the class of rep_k^b, and its values are chi's with
+    # zeta_e -> zeta_e^b.  lift[i] = (counts of the orbit's first row, b).
+    conj_cols = {b: [power_classes[k][a * b % len(power_classes[k])] for k, a in source] for b in _units(e)}
+    chi_mods = [[(d * w[k] * inv_sizes[k]) % q for k in range(r)] for w, d in zip(omegas, degrees)]
+    row_of = {tuple(chi_mod): i for i, chi_mod in enumerate(chi_mods)}
+    lift: list[tuple[dict, int] | None] = [None] * len(chi_mods)
+    for i, (chi_mod, d) in enumerate(zip(chi_mods, degrees)):
+        if lift[i] is not None:
+            continue
+        counts = {k: _eigenvalue_counts(chi_mod, pcls, d, dft[len(pcls)], q) for k, pcls in power_classes.items()}
+        for b, cols in conj_cols.items():
+            j = row_of.get(tuple(chi_mod[c] for c in cols))
+            if j is None:
+                raise RuntimeError("a Galois conjugate of a character is not a row")
+            if lift[j] is None:
+                lift[j] = (counts, b)
     rows = []
-    for w, d in zip(omegas, degrees):
-        chi_mod = [(d * w[k] * inv_sizes[k]) % q for k in range(r)]
-        counts = {k: _eigenvalue_counts(chi_mod, pcls, d, zpow, q) for k, pcls in power_classes.items()}
-        values = []
-        for lifted, a in source:
-            values.append(Cyc.from_root_multiset(e, {t * a % e: c for t, c in counts[lifted].items()}))
-        rows.append(ClassFunction(G, tuple(values)))
+    for counts, b in lift:
+        values = tuple(
+            Cyc.from_root_multiset(e, {t * a * b % e: c for t, c in counts[lifted].items()}) for lifted, a in source
+        )
+        rows.append(ClassFunction(G, values))
 
     rows.sort(key=lambda cf: (cf.values[0].as_int(), tuple(v.coeffs for v in cf.values)))
     table = CharacterTable(G, tuple(rows))
@@ -365,12 +410,18 @@ def check_orthonormal(rows: Sequence[ClassFunction], classes: ConjClassPartition
     image of rows[i](k) under iota_1.
 
     The equalities alpha_ij = sum_k chi_i(k) |K_k| conj(chi_j(k)) - |G| delta_ij
-    = 0 in Z[zeta_e] are decided mod the prime p of ``_reduction`` under every
-    embedding zeta_e -> z^a of Z[zeta_e] into F_p (``_orthonormal_mod``).  This
-    is exact: p splits completely in Z[zeta_e], so an alpha that every
-    embedding sends to 0 lies in p Z[zeta_e], and a nonzero element of
+    = 0 in Z[zeta_e] are decided by ``_orthonormal_mod``: the rows must be
+    distinct and each sigma_a: zeta_e -> zeta_e^a must permute them, which
+    it checks exactly, and then alpha_ij must vanish mod the prime p of
+    ``_reduction`` under the one embedding iota_1: zeta_e -> z of Z[zeta_e]
+    into F_p.  This is exact.  If sigma_a sends row i to row pi(i), then
+    iota_a(alpha_ij) = iota_1(sigma_a(alpha_ij)) = iota_1(alpha_pi(i)pi(j)) = 0,
+    and iota_-a(alpha_ij) = iota_a(alpha_ji) = 0 as conj(alpha_ij) = alpha_ji,
+    so every embedding iota_a sends alpha_ij to 0.  Since p splits completely
+    in Z[zeta_e], alpha_ij then lies in p Z[zeta_e], and a nonzero element of
     p Z[zeta_e] has a complex conjugate of absolute value >= p, while every
-    conjugate of alpha has absolute value <= |G| (D^2 + 1) < p."""
+    conjugate of alpha_ij has absolute value <= |G| (D^2 + 1) < p.  Irr(G)
+    is closed under the Galois group, so no true table is rejected."""
     n = classes.group.order
     values, e, p = _reduction(rows, n)
     X = _orthonormal_mod(values, classes.sizes, n, e, p)
@@ -382,9 +433,16 @@ def check_orthonormal(rows: Sequence[ClassFunction], classes: ConjClassPartition
 
 
 def _reduction(rows: Sequence[ClassFunction], n: int) -> tuple[list[list[Cyc]], int, int]:
-    """(values, e, p): the rows' values in one ring Z[zeta_e], and the
-    smallest prime p = 1 (mod e) with p > n (D^2 + 1), D the largest
-    coefficient L1 norm of a value.
+    """(values, e, p): the values of ``_rebased``, and the smallest prime
+    p = 1 (mod e) with p > n (D^2 + 1), D the largest coefficient L1 norm of
+    a value."""
+    values, e, D = _rebased(rows, n)
+    return values, e, prime_above(e, n * (D * D + 1))
+
+
+def _rebased(rows: Sequence[ClassFunction], n: int) -> tuple[list[list[Cyc]], int, int]:
+    """(values, e, D): the rows' values in one ring Z[zeta_e], and D the
+    largest coefficient L1 norm of a value.
 
     A value of a character of a group of order n is a sum of chi(1) <=
     sqrt(n) roots of unity, so a value with a larger L1 norm than that many
@@ -396,38 +454,63 @@ def _reduction(rows: Sequence[ClassFunction], n: int) -> tuple[list[list[Cyc]], 
     root_norm = max(sum(map(abs, Cyc.root_power(e, t).coeffs)) for t in range(e))
     if D > math.isqrt(n) * root_norm:
         raise RuntimeError("character values exceed the bound for a group of this order")
-    return values, e, prime_above(e, n * (D * D + 1))
+    return values, e, D
+
+
+def _value_ids(values: list[list[Cyc]]) -> tuple[list[tuple[int, ...]], list[Cyc], dict[tuple[int, ...], int]]:
+    """(rows, distinct, ids): each row as a tuple of value ids, the distinct
+    values in id order, and the id of each distinct coefficient tuple."""
+    ids: dict[tuple[int, ...], int] = {}
+    distinct = []
+    for row in values:
+        for v in row:
+            if v.coeffs not in ids:
+                ids[v.coeffs] = len(distinct)
+                distinct.append(v)
+    return [tuple(ids[v.coeffs] for v in row) for row in values], distinct, ids
 
 
 def _embeddings(values: list[list[Cyc]], e: int, p: int) -> dict[int, dict[tuple[int, ...], int]]:
-    """iota_a for every unit a mod e: the image mod p of each distinct value,
-    by its coefficients, under zeta_e -> z^a, z a primitive e-th root of
-    unity mod p."""
+    """iota_1 and iota_-1, keyed by 1 % e and -1 % e: the image mod p of each
+    distinct value, by its coefficients, under zeta_e -> z and zeta_e -> z^-1,
+    z a primitive e-th root of unity mod p."""
     z = _root_of_unity(e, p)
     zpow = [pow(z, t, p) for t in range(e)]
     distinct = {v.coeffs for row in values for v in row}
     images = {}
-    for a in (a for a in range(e) if math.gcd(a, e) == 1):
+    for a in (1 % e, -1 % e):
         za = [zpow[a * j % e] for j in range(e)]
         images[a] = {c: sum(map(mul, c, za)) % p for c in distinct}
     return images
 
 
 def _orthonormal_mod(values: list[list[Cyc]], sizes: list[int], n: int, e: int, p: int) -> list[list[int]] | None:
-    """X_1 if X_a W_a^T = n I mod p for every a in (Z/e)^x / {+-1}, else None,
-    where X_a[i][k] = iota_a(values[i][k]), W_a[j][k] = iota_-a(values[j][k])
-    sizes[k] and iota_a is that of ``_embeddings``.  The product at -a is the
-    transpose of the one at a, so half the units cover every embedding."""
+    """X_1 if the rows are distinct, sigma_a permutes them for every a of
+    ``_unit_generators``, and X_1 W_1^T = n I mod p, else None, where
+    X_1[i][k] = iota_1(values[i][k]), W_1[j][k] = iota_-1(values[j][k])
+    sizes[k] and iota_a is that of ``_embeddings``.  Distinctness and
+    closure are decided exactly, on coefficient tuples; the product needs
+    the units 1 and -1 only (see ``check_orthonormal``)."""
+    rows, distinct, ids = _value_ids(values)
+    present = set(rows)
+    if len(present) != len(rows):
+        return None
+    # sigma_a is injective, so one that maps the finite set of rows into
+    # itself permutes it; then so do the products of such sigma_a, and it is
+    # enough to check units that generate the rest with -1
+    for a in _unit_generators(e):
+        image = [ids.get(v.galois(a).coeffs) for v in distinct]
+        if any(tuple(map(image.__getitem__, row)) not in present for row in rows):
+            return None
     images = _embeddings(values, e, p)
-    for a in (a for a in images if 2 * a <= max(e, 2)):
-        up, down = images[a], images[-a % e]
-        X = [[up[v.coeffs] for v in row] for row in values]
-        W = [[down[v.coeffs] * size % p for v, size in zip(row, sizes)] for row in values]
-        for i, x in enumerate(X):
-            for j, w in enumerate(W):
-                if sum(map(mul, x, w)) % p != (n if i == j else 0):
-                    return None
-    return [[images[1 % e][v.coeffs] for v in row] for row in values]
+    up, down = images[1 % e], images[-1 % e]
+    X = [[up[v.coeffs] for v in row] for row in values]
+    W = [[down[v.coeffs] * size % p for v, size in zip(row, sizes)] for row in values]
+    for i, x in enumerate(X):
+        for j, w in enumerate(W):
+            if sum(map(mul, x, w)) % p != (n if i == j else 0):
+                return None
+    return X
 
 
 def check_galois(rows: Sequence[ClassFunction], classes: ConjClassPartition) -> None:
@@ -435,19 +518,20 @@ def check_galois(rows: Sequence[ClassFunction], classes: ConjClassPartition) -> 
     zeta_e^c, for every row chi, class representative r and c prime to
     exp(G): the power maps, which a built table has by construction and
     orthonormality does not see (it survives swapping columns of equal size).
+    Values above the bound of ``_rebased`` raise first; no character of G
+    takes them.
 
-    Decided as iota_1(chi(r^c)) = iota_c(chi(r)) mod the prime p of
-    ``_reduction``, which covers every embedding iota_b: with s ~ r^c, the
-    checks at (s, b) and (r, cb) give iota_b(chi(r^c)) = iota_1(chi(r^cb)) =
-    iota_cb(chi(r)).  Each conjugate of the difference is at most 2D < p in
-    absolute value, so it is 0, as in ``check_orthonormal``."""
+    Decided exactly, on coefficient tuples, for c = -1 and the c of
+    ``_unit_generators(exp(G))``, which generate the units mod exp(G).  That
+    covers every c, as the power maps compose: if the equalities hold at c
+    and d, then chi(r^(cd)) = sigma_d(chi(r^c)) = sigma_cd(chi(r))."""
     G, n_exp = classes.group, exponent(classes.group)
-    values, e, p = _reduction(rows, G.order)
-    images = _embeddings(values, e, p)
-    for c in (c for c in range(1, n_exp + 1) if math.gcd(c, n_exp) == 1):
-        one, at = images[1 % e], images[c % e]
+    values, _, _ = _rebased(rows, G.order)
+    value_rows, distinct, ids = _value_ids(values)
+    for c in _unit_generators(n_exp) + [-1 % n_exp]:
+        image = [ids.get(v.galois(c).coeffs) for v in distinct]
         power_class = [classes.class_of[G.power(r, c)] for r in classes.reps]
-        if any(one[row[power_class[k]].coeffs] != at[v.coeffs] for row in values for k, v in enumerate(row)):
+        if any([row[k] for k in power_class] != [image[i] for i in row] for row in value_rows):
             raise RuntimeError("character values do not follow the power maps")
 
 

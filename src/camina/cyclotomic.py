@@ -160,9 +160,13 @@ class Cyc:
 
     __rmul__ = __mul__
 
+    def galois(self, a: int) -> Cyc:
+        """The Galois automorphism sigma_a: zeta_e -> zeta_e^a, a prime to e."""
+        return Cyc(self.e, _root_sum(_ring(self.e), ((a * j, c) for j, c in enumerate(self.coeffs))))
+
     def conjugate(self) -> Cyc:
         """Complex conjugation: zeta_e -> zeta_e^(e-1)."""
-        return Cyc(self.e, _root_sum(_ring(self.e), ((-j, c) for j, c in enumerate(self.coeffs))))
+        return self.galois(-1)
 
     def divide_exact(self, n: int) -> Cyc:
         if any(c % n for c in self.coeffs):

@@ -55,6 +55,11 @@ def built_table(label):
     return G, conjugacy_classes(G), [list(chi.values) for chi in character_table(G).irreducibles]
 
 
+def galois_image(v, a):
+    """v with zeta_e -> zeta_e^a, by re-indexing its terms."""
+    return Cyc.from_root_multiset(v.e, {j * a % v.e: c for j, c in enumerate(v.coeffs)})
+
+
 def accepts(check, G, classes, values):
     try:
         check([ClassFunction(G, tuple(row)) for row in values], classes)
@@ -239,15 +244,39 @@ class TestGaloisClassLift:
                 assert [(v.e, v.coeffs) for v in a.values] == [(v.e, v.coeffs) for v in b.values], entry.label
 
     def test_one_dft_per_galois_class_of_columns(self, monkeypatch):
-        # C60 has 60 classes of columns but 12 Galois classes, one per cyclic subgroup
+        # C60 has 60 classes of columns but 12 Galois classes, one per cyclic
+        # subgroup, and 60 rows in 12 Galois orbits, one lifted row each
         lifted = []
         original = chartab._eigenvalue_counts
         monkeypatch.setattr(chartab, "_eigenvalue_counts", lambda *args: lifted.append(args) or original(*args))
         table = character_table(builtin("C60").group())
         assert len(table.irreducibles) == 60
-        assert len(lifted) == 12 * 60
+        assert len(lifted) == 12 * 12
         orders = Counter(len(pcls) for _, pcls, *_ in lifted)
-        assert orders == {m: 60 for m in (1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60)}
+        assert orders == {m: 12 for m in (1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60)}
+
+    @pytest.mark.parametrize(
+        "label, orbits",
+        [("C60", 12), ("C5xC10", 14), ("C4xC4xC2", 20), ("Heis(5)", 8), ("C3xC3xC3", 14), ("Q32xC2", 14), ("D30", 10)],
+    )
+    def test_one_dft_per_row_orbit_and_column_class(self, monkeypatch, label, orbits):
+        # the chartab benchmark's groups: the rows' Galois orbits, counted on
+        # the values, and the columns' Galois classes, counted on the group,
+        # are equally many (Brauer's permutation lemma)
+        calls = []
+        original = chartab._eigenvalue_counts
+        monkeypatch.setattr(chartab, "_eigenvalue_counts", lambda *args: calls.append(args) or original(*args))
+        G = builtin(label).group()
+        rows = [chi.values for chi in character_table(G).irreducibles]
+        classes = conjugacy_classes(G)
+        units = [a for a in range(1, exponent(G) + 1) if math.gcd(a, exponent(G)) == 1]
+        column_classes = {frozenset(classes.class_of[G.power(x, a)] for a in units) for x in classes.reps}
+        keys = [tuple((v.e, v.coeffs) for v in row) for row in rows]
+        row_orbits = {
+            frozenset(keys.index(tuple((v.e, galois_image(v, a).coeffs) for v in row)) for a in units) for row in rows
+        }
+        assert len(row_orbits) == len(column_classes) == orbits
+        assert len(calls) == orbits * len(column_classes)
 
 
 class TestDixonSplit:
@@ -282,6 +311,52 @@ class TestModularSelfCheck:
         assert accepts(check_orthonormal, G, classes, perturbed) == accepts(
             reference_check_orthonormal, G, classes, perturbed
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(PERTURB_LABELS), st.data())
+    def test_agrees_with_reference_on_galois_conjugated_values(self, label, data):
+        # sigma_a(v) keeps v's coefficient norm, so the table keeps its bound
+        # and its p, and only the modular check decides it
+        G, classes, values = built_table(label)
+        i = data.draw(st.integers(0, len(values) - 1))
+        k = data.draw(st.integers(0, len(values) - 1))
+        v = values[i][k]
+        a = data.draw(st.sampled_from([a for a in range(1, v.e + 1) if math.gcd(a, v.e) == 1]))
+        perturbed = [list(row) for row in values]
+        perturbed[i][k] = galois_image(v, a)
+        assert accepts(check_orthonormal, G, classes, perturbed) == accepts(
+            reference_check_orthonormal, G, classes, perturbed
+        )
+
+    def test_one_embedding_pair(self, monkeypatch):
+        # the product is formed under iota_1 and iota_-1 alone
+        made = []
+        original = chartab._embeddings
+
+        def recorded(values, e, p):
+            made.append((e, original(values, e, p)))
+            return made[-1][1]
+
+        monkeypatch.setattr(chartab, "_embeddings", recorded)
+        for label in ("C1", "C2", "S3", "Q8", "Frob(5:4)", "A5", "C5xC10"):
+            G, classes, values = built_table(label)
+            made.clear()
+            assert accepts(check_orthonormal, G, classes, values), label
+            assert [set(images) for _, images in made] == [{1 % e, (e - 1) % e} for e, _ in made], label
+            assert len(made) == 1, label
+
+    def test_unit_generators_generate_the_units(self):
+        # the closure check is made for these units only; -1 needs none,
+        # since iota_-1 of [chi_i, chi_j] is iota_1 of [chi_j, chi_i]
+        for e in range(1, 121):
+            reached, frontier = {1 % e, -1 % e}, [1 % e, -1 % e]
+            while frontier:
+                h = frontier.pop()
+                for a in chartab._unit_generators(e):
+                    if h * a % e not in reached:
+                        reached.add(h * a % e)
+                        frontier.append(h * a % e)
+            assert reached == {a for a in range(e) if math.gcd(a, e) == 1}, e
 
     def test_embeddings_other_than_plus_or_minus_one(self, monkeypatch):
         # zeta_e - z is sent to 0 by iota_1 (zeta_e -> z), and zeta_e - z^-1
@@ -358,6 +433,18 @@ class TestModP:
             character_table(builtin(label).group()).mod_p
             assert len(calls) == 1, label
 
+    def test_one_reduction_per_loaded_table(self, monkeypatch, tmp_path):
+        # the power-map check runs on coefficient tuples, with no prime
+        for label in ("S4", "Frob(5:4)", "C5xC10"):
+            save_chartab(builtin(label).group(), character_table(builtin(label).group()), tmp_path)
+        calls = []
+        original = chartab._reduction
+        monkeypatch.setattr(chartab, "_reduction", lambda *args: calls.append(args) or original(*args))
+        for label in ("S4", "Frob(5:4)", "C5xC10"):
+            calls.clear()
+            assert load_chartab(builtin(label).group(), tmp_path) is not None, label
+            assert len(calls) == 1, label
+
 
 class TestPowerMapCheck:
     def test_agrees_with_reference_on_built_tables(self):
@@ -375,6 +462,22 @@ class TestPowerMapCheck:
         assert accepts(check_orthonormal, G, classes, swapped)
         assert not accepts(check_galois, G, classes, swapped)
         assert not accepts(reference_check_galois, G, classes, swapped)
+
+    def test_c60_columns_moved_by_two_power_maps_only(self):
+        # with x of order 60, move the column of x^u to that of x^(7u) for the
+        # units u outside H = <7, -1>, a subgroup of index 2: chi(x^(cu)) =
+        # sigma_c(chi(x^u)) still holds for c in H, but fails for c = 13
+        G, classes, values = built_table("C60")
+        x = next(r for r in classes.reps if G.element_order(r) == 60)
+        H = {1}
+        while len(H) < 8:
+            H |= {h * c % 60 for h in H for c in (7, 59)}
+        at = {u: classes.class_of[G.power(x, u)] for u in range(60)}
+        moved = {at[u]: at[u if u in H or math.gcd(u, 60) > 1 else 7 * u % 60] for u in range(60)}
+        changed = [[row[moved[k]] for k in range(len(row))] for row in values]
+        assert accepts(check_orthonormal, G, classes, changed)
+        assert not accepts(check_galois, G, classes, changed)
+        assert not accepts(reference_check_galois, G, classes, changed)
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(PERTURB_LABELS + ["C8", "C5xC10"]), st.data())
