@@ -19,25 +19,22 @@ from .conditions import (
     derangements,
     equal_order_coset,
     is_camina_pair,
-    is_equal_order_pair,
     satisfies_CI,
     satisfies_F,
     satisfies_Fpm,
     satisfies_O,
 )
 from .cyclotomic import Cyc, cyclotomic_polynomial
-from .grouptable import CapExceeded, ElementSet, GroupTable, generate, left_coset
+from .grouptable import CapExceeded, ElementSet, GroupTable, generate
 from .perm import Permutation, compose, conjugate, element_order, inverse
 from .structure import (
     ConjClassPartition,
-    SeriesChain,
     center,
     centralizer,
-    class_product,
-    commutator_subgroup,
     conjugacy_classes,
     core,
     derived_series,
+    derived_subgroup,
     exponent,
     is_frobenius_with_kernel,
     is_nilpotent,
@@ -46,7 +43,6 @@ from .structure import (
     normal_subgroups,
     o_lower_p,
     o_upper_p,
-    p_decomposition,
     subgroups,
     sylow_subgroup,
     upper_central_series,

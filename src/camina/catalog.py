@@ -123,6 +123,8 @@ def parse_group_file(path: str | Path) -> CatalogEntry:
 
 
 def _cyclic(n: int) -> tuple[int, list[Permutation]]:
+    if n < 1:
+        raise UnknownLabel(f"cyclic parameter must be >= 1, got {n}")
     if n == 1:
         return 1, []
     return n, [Permutation(tuple((i + 1) % n for i in range(n)))]

@@ -41,22 +41,6 @@ class ClassFunction:
     def degree(self) -> int:
         return self.values[0].as_int()
 
-    def value_at(self, element: int) -> Cyc:
-        return self.values[conjugacy_classes(self.group).class_of[element]]
-
-
-@dataclass(frozen=True)
-class CycFraction:
-    """An exact rational multiple num/den of a cyclotomic integer."""
-
-    num: Cyc
-    den: int
-
-    @classmethod
-    def reduced(cls, num: Cyc, den: int) -> CycFraction:
-        g = math.gcd(den, math.gcd(*(abs(c) for c in num.coeffs)) if any(num.coeffs) else den)
-        return cls(Cyc(num.e, tuple(c // g for c in num.coeffs)), den // g)
-
 
 @dataclass(frozen=True)
 class CharacterTable:
@@ -548,11 +532,11 @@ def regular_character(G: GroupTable) -> ClassFunction:
     return ClassFunction(G, tuple(Cyc.integer(G.order if k == 0 else 0) for k in range(r)))
 
 
-def inner_product(f: ClassFunction, g: ClassFunction) -> Cyc | CycFraction:
+def inner_product(f: ClassFunction, g: ClassFunction) -> Cyc:
     """(1/|G|) sum over G of f * conj(g), computed classwise and exactly.
 
-    Returns a Cyc when the division by |G| is exact (always, for
-    characters) and a reduced CycFraction otherwise."""
+    ValueError when the division by |G| is not exact, which it always is
+    for characters."""
     if f.group is not g.group:
         raise ValueError("class functions live on different groups")
     classes = conjugacy_classes(f.group)
@@ -562,12 +546,12 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> Cyc | CycFraction:
     try:
         return total.divide_exact(f.group.order)
     except ArithmeticError:
-        return CycFraction.reduced(total, f.group.order)
+        raise ValueError("inner product is not a cyclotomic integer") from None
 
 
 def inner_product_int(f: ClassFunction, g: ClassFunction) -> int:
     got = inner_product(f, g)
-    if not isinstance(got, Cyc) or not got.is_rational_integer():
+    if not got.is_rational_integer():
         raise ValueError("inner product is not a rational integer")
     return got.as_int()
 
@@ -609,7 +593,7 @@ def decompose(f: ClassFunction, table: CharacterTable | None = None) -> list[tup
     mults = []
     for i, chi in enumerate(table.irreducibles):
         m = inner_product(f, chi)
-        if not isinstance(m, Cyc) or not m.is_rational_integer() or m.as_int() < 0:
+        if not m.is_rational_integer() or m.as_int() < 0:
             raise ValueError("not a character")
         mults.append((i, m.as_int()))
     r = len(f.values)
@@ -628,8 +612,7 @@ def is_homogeneous_induction(
 ) -> tuple[bool, int | None, int]:
     """Whether theta^G = a * xi for a single irreducible xi; returns
     (verdict, index of xi or None, multiplicity a)."""
-    norm = inner_product(theta, theta)
-    if not (isinstance(norm, Cyc) and norm == 1):
+    if inner_product(theta, theta) != 1:
         raise ValueError("theta is not irreducible")
     induced = induce(G, H, theta)
     mults = decompose(induced)

@@ -33,8 +33,8 @@ from .grouptable import DEFAULT_ORDER_CAP, CapExceeded, ElementSet, GroupTable, 
 from .reports import cached_character_table, persist_reports
 from .structure import (
     center,
-    commutator_subgroup,
     conjugacy_classes,
+    derived_subgroup,
     exponent,
     is_nilpotent,
     is_simple,
@@ -178,7 +178,7 @@ def _cmd_info(args) -> int:
     print(f"generators {' '.join(format_cycles(G.elements[i]) for i in G.generator_ids) or '()'}")
     print(f"classes {classes.count} sizes {list(classes.sizes)}")
     print(f"center order {len(center(G))}")
-    print(f"derived subgroup order {len(commutator_subgroup(G))}")
+    print(f"derived subgroup order {len(derived_subgroup(G))}")
     print(f"solvable {is_solvable(G)}")
     print(f"nilpotent {is_nilpotent(G)}")
     print(f"simple {is_simple(G)}")

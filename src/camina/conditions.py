@@ -26,7 +26,6 @@ F = "F"
 FPM = "FPM"
 CI = "CI"
 O = "O"
-EQUAL_ORDER = "EQUAL_ORDER"
 EQUAL_ORDER_COSET = "EQUAL_ORDER_COSET"
 BS_HYPOTHESIS = "BS_HYPOTHESIS"
 
@@ -138,26 +137,18 @@ def satisfies_O(G: GroupTable, H: ElementSet) -> ConditionVerdict:
     )
 
 
-def is_equal_order_pair(G: GroupTable, N: ElementSet) -> ConditionVerdict:
-    """All elements of each coset xN (x outside N) share the order of x; N normal."""
-    _require_nontrivial_proper(G, N, "equal order pair")
-    if not N.is_normal():
-        raise ValueError("equal order pair requires a normal subgroup")
-    return _equal_order_scan(G, N, EQUAL_ORDER)
-
-
 def equal_order_coset(G: GroupTable, H: ElementSet) -> ConditionVerdict:
-    """Same scan as the equal order pair, without assuming normality."""
+    """All elements of each coset xH (x outside H) share the order of x."""
     _require_nontrivial_proper(G, H, "equal order coset condition")
-    return _equal_order_scan(G, H, EQUAL_ORDER_COSET)
+    return _equal_order_scan(G, H)
 
 
-def _equal_order_scan(
-    G: GroupTable, H: ElementSet, tag: str, xs: Iterable[int] | None = None
-) -> ConditionVerdict:
+def _equal_order_scan(G: GroupTable, H: ElementSet, xs: Iterable[int] | None = None) -> ConditionVerdict:
     """Every x in ``xs`` (default G) outside H against every h in H: o(x*h) = o(x)."""
     order = G.element_order
-    return _coset_scan(G, H, tag, lambda x, y: order(y) == order(x), "o(x*h) differs from o(x)", xs)
+    return _coset_scan(
+        G, H, EQUAL_ORDER_COSET, lambda x, y: order(y) == order(x), "o(x*h) differs from o(x)", xs
+    )
 
 
 def _same_class(G: GroupTable) -> Callable[[int, int], bool]:

@@ -257,13 +257,6 @@ def conjugacy_classes(G: GroupTable) -> ConjClassPartition:
     return part
 
 
-def left_coset(G: GroupTable, x: int, H: ElementSet) -> ElementSet:
-    """The left coset xH as an ElementSet of size |H|."""
-    if not H.is_subgroup:
-        raise ValueError("H is not a subgroup")
-    return ElementSet(G, (G.mul(x, h) for h in H.members))
-
-
 def _dimino(G: GroupTable, seeds: Iterable[int], start: tuple = ((0,), ())) -> tuple[list[int], list[int]]:
     """Dimino's closure of ``seeds``, taken in order, from the subgroup
     ``start`` (its members, identity first, and its kept seeds): ``(members,

@@ -50,9 +50,6 @@ class Permutation:
                 images[a] = b
         return cls(images)
 
-    def is_identity(self) -> bool:
-        return all(i == v for i, v in enumerate(self.images))
-
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Disjoint cycles, each starting at its least point, sorted by that point."""
         seen = [False] * self.degree

@@ -2,15 +2,15 @@
 
 Centralizers, center, derived and upper central series, solvability and
 nilpotency, Sylow subgroups, O_p and O^p, normal closure, core, subgroup
-enumeration, p-part decomposition, Frobenius-kernel detection and class
-products.  The conjugacy classes are ``grouptable.conjugacy_classes``,
-re-exported here; a normal subset is a union of classes.
+enumeration and Frobenius-kernel detection, all computed from the
+``GroupTable`` alone.  The conjugacy classes are
+``grouptable.conjugacy_classes``, re-exported here; a normal subset is a
+union of classes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .grouptable import (
@@ -23,7 +23,6 @@ from .grouptable import (
     conjugacy_classes,
     small_generating_set,
 )
-from .perm import Permutation, element_order
 
 SUBGROUP_CAP = 50_000
 
@@ -53,9 +52,9 @@ def p_part(n: int, p: int) -> int:
 
 
 def centralizer(G: GroupTable, x: int) -> ElementSet:
-    xs = G.elements[x].images
-    commuting = (g for g, p in enumerate(G.elements) if all(p.images[a] == xs[b] for a, b in zip(xs, p.images)))
-    return ElementSet(G, commuting)
+    """C_G(x): the g with g x = x g, read off the Cayley table."""
+    row_x = G.rows[x]
+    return ElementSet(G, (g for g, row in enumerate(G.rows) if row[x] == row_x[g]))
 
 
 def center(G: GroupTable) -> ElementSet:
@@ -111,19 +110,7 @@ def derived_subgroup(G: GroupTable, S: ElementSet | None = None) -> ElementSet:
     return _conjugation_closure(G, sorted(seed), gens)
 
 
-def commutator_subgroup(G: GroupTable) -> ElementSet:
-    return derived_subgroup(G)
-
-
-@dataclass(frozen=True)
-class SeriesChain:
-    """A stabilized chain of subgroups: derived or upper central."""
-
-    kind: str
-    terms: tuple[ElementSet, ...]
-
-
-def derived_series(G: GroupTable, S: ElementSet | None = None) -> SeriesChain:
+def derived_series(G: GroupTable, S: ElementSet | None = None) -> tuple[ElementSet, ...]:
     """S >= [S, S] >= ... until it stabilizes, each term a subgroup of G
     computed with G's products (S defaults to the whole group)."""
     terms = [S if S is not None else ElementSet.whole(G)]
@@ -132,15 +119,15 @@ def derived_series(G: GroupTable, S: ElementSet | None = None) -> SeriesChain:
         if len(nxt) == len(terms[-1]):
             break
         terms.append(nxt)
-    return SeriesChain("derived", tuple(terms))
+    return tuple(terms)
 
 
 def is_solvable(G: GroupTable, S: ElementSet | None = None) -> bool:
     """Whether the subgroup S of G (default: G) is solvable."""
-    return len(derived_series(G, S).terms[-1]) == 1
+    return len(derived_series(G, S)[-1]) == 1
 
 
-def upper_central_series(G: GroupTable, S: ElementSet | None = None) -> SeriesChain:
+def upper_central_series(G: GroupTable, S: ElementSet | None = None) -> tuple[ElementSet, ...]:
     """1 = Z_0 <= Z_1 <= ... with Z_{i+1}/Z_i the center of S/Z_i, for the
     subgroup S of G (default: G), computed with G's products.  An element
     of S is central modulo Z_i iff it commutes modulo Z_i with a generating
@@ -154,13 +141,13 @@ def upper_central_series(G: GroupTable, S: ElementSet | None = None) -> SeriesCh
         if len(nxt) == len(prev):
             break
         terms.append(nxt)
-    return SeriesChain("upper_central", tuple(terms))
+    return tuple(terms)
 
 
 def is_nilpotent(G: GroupTable, S: ElementSet | None = None) -> bool:
     """Whether the subgroup S of G (default: G) is nilpotent."""
     order = len(S) if S is not None else G.order
-    return len(upper_central_series(G, S).terms[-1]) == order
+    return len(upper_central_series(G, S)[-1]) == order
 
 
 def subgroups(G: GroupTable) -> list[ElementSet]:
@@ -317,25 +304,6 @@ def o_upper_p(G: GroupTable, p: int, S: ElementSet | None = None) -> ElementSet:
     return ElementSet(G, closure_indices(G, regulars))
 
 
-def p_decomposition(a: Permutation, p: int) -> tuple[Permutation, Permutation]:
-    """Write a = a_p * a_p' with commuting power-of-a factors.
-
-    a_p has p-power order and a_p' has order coprime to p; both are
-    powers of a, found by solving exponent congruences.
-    """
-    n = element_order(a)
-    pa = p_part(n, p)
-    m = n // pa
-    if pa == 1:
-        return Permutation.identity(a.degree), a
-    if m == 1:
-        return a, Permutation.identity(a.degree)
-    # u = 1 mod pa, 0 mod m gives a_p = a^u; v = u complement gives a_p'.
-    u = m * pow(m, -1, pa)
-    v = pa * pow(pa, -1, m)
-    return a ** u, a ** v
-
-
 def is_frobenius_with_kernel(G: GroupTable, N: ElementSet) -> bool:
     """True iff N is a proper nontrivial normal subgroup with C_G(n) <= N
     for every nonidentity n in N; checked on one representative r of each
@@ -346,15 +314,6 @@ def is_frobenius_with_kernel(G: GroupTable, N: ElementSet) -> bool:
         return False
     reps = conjugacy_classes(G).reps[1:]
     return all(g in N for r in reps if r in N for g in centralizer(G, r).members)
-
-
-def class_product(G: GroupTable, cid: int, did: int) -> ElementSet:
-    """The set of products {c * d : c in class cid, d in class did}: it is
-    (x K_d)^G for x = reps[cid], the union of the classes met by x * d."""
-    classes = conjugacy_classes(G)
-    x = classes.reps[cid]
-    met = {classes.class_of[G.mul(x, d)] for d in classes.members(did)}
-    return ElementSet(G, (m for c in met for m in classes.members(c)))
 
 
 def is_p_group(order: int) -> bool:

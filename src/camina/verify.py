@@ -21,7 +21,6 @@ from functools import cached_property
 
 from .chartab import CharacterTable, character_table
 from .conditions import (
-    EQUAL_ORDER_COSET,
     F,
     FPM,
     ConditionVerdict,
@@ -42,7 +41,6 @@ from .grouptable import (
 )
 from .structure import (
     center,
-    commutator_subgroup,
     conjugacy_classes,
     derived_subgroup,
     is_frobenius_with_kernel,
@@ -255,7 +253,7 @@ def _cor1(pair: Pair) -> tuple[str, dict]:
     """Equal orders on every coset xH implies H solvable, or the
     2-element/subnormal structure with (N_G(H), H) an equal order pair."""
     G, H = pair.G, pair.H
-    hyp = _equal_order_scan(G, H, EQUAL_ORDER_COSET)
+    hyp = _equal_order_scan(G, H)
     if not hyp.holds:
         return VACUOUS, {"equal_order_witness": _witness_dict(hyp)}
     if is_solvable(G, H):
@@ -267,7 +265,7 @@ def _cor1(pair: Pair) -> tuple[str, dict]:
     )
     ngh = normalizer(G, H)
     if len(ngh) > len(H):
-        c = _equal_order_scan(G, H, EQUAL_ORDER_COSET, ngh.members)
+        c = _equal_order_scan(G, H, ngh.members)
         c_ok, c_wit = c.holds, _witness_dict(c)
     else:
         c_ok, c_wit = False, {"detail": "H is self-normalizing"}
@@ -351,7 +349,7 @@ def _lemma_a(pair: Pair) -> tuple[str, dict]:
 def _lemma_b(pair: Pair) -> tuple[str, dict]:
     G, H = pair.G, pair.H
     z = center(G)
-    gprime = commutator_subgroup(G)
+    gprime = derived_subgroup(G)
     z_in_h = all(m in H for m in z.members)
     h_in_gprime = all(h in gprime for h in H.members)
     details = {"center_in_h": z_in_h, "h_in_derived": h_in_gprime}
@@ -399,7 +397,7 @@ def _lemma_g(pair: Pair) -> tuple[str, dict]:
     if status == VIOLATION:
         return status, details
     z = center(G)
-    gprime = commutator_subgroup(G)
+    gprime = derived_subgroup(G)
     strict_lower = all(m in H for m in z.members) and len(z) < len(H)
     strict_upper = all(h in gprime for h in H.members) and len(H) < len(gprime)
     details = {"center_strictly_below": strict_lower, "strictly_inside_derived": strict_upper}

@@ -59,7 +59,7 @@ class TestBuiltin:
         assert all(G.element_order(i) in (1, 3) for i in range(G.order))
 
     def test_unknown_labels(self):
-        for label in ["X5", "Frob(6:2)", "Frob(7:4)", "D2", "Heis(2)", "Heis(4)", "Q12", "S1"]:
+        for label in ["X5", "Frob(6:2)", "Frob(7:4)", "D2", "Heis(2)", "Heis(4)", "Q12", "S1", "C0", "C2xC0"]:
             with pytest.raises(UnknownLabel):
                 builtin(label)
 
@@ -73,6 +73,8 @@ class TestBuiltin:
             ("D2", "dihedral parameter must be >= 3, got 2"),
             ("S1", "symmetric parameter must be >= 2, got 1"),
             ("A2", "alternating parameter must be >= 3, got 2"),
+            ("C0", "cyclic parameter must be >= 1, got 0"),
+            ("C2xC0", "cyclic parameter must be >= 1, got 0"),
             ("Heis(4)", "Heis parameter must be an odd prime, got 4"),
         ],
     )

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 import camina.chartab as chartab
 from camina.catalog import builtin, builtin_catalog
 from camina.chartab import (
-    CycFraction,
     character_table,
     check_galois,
     check_orthonormal,
@@ -526,12 +525,12 @@ class TestInnerProduct:
         pi = ClassFunction(s3, tuple(values))
         assert inner_product_int(pi, trivial_character(s3)) == 1
 
-    def test_inexact_division_returns_fraction(self, s3):
+    def test_inexact_division_raises(self, s3):
+        # [f, f] = 3/6 for the indicator f of the transpositions
         cl = conjugacy_classes(s3)
         f = ClassFunction(s3, tuple(Cyc.integer(1 if k == 1 else 0) for k in range(cl.count)))
-        got = inner_product(f, f)
-        assert isinstance(got, CycFraction)
-        assert got.num == Cyc.integer(1) and got.den == 2
+        with pytest.raises(ValueError):
+            inner_product(f, f)
 
 
 class TestInduceRestrict:

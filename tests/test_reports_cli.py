@@ -352,6 +352,13 @@ class TestCli:
         assert run_cli(["nonsense"]) == 1
         assert run_cli(["check", "--group", "S3", "--subgroup-order", "5", "--condition", "f"]) == 1
 
+    @pytest.mark.parametrize("label", ["C0", "C2xC0"])
+    def test_cyclic_parameter_zero_is_a_usage_error(self, capsys, label):
+        assert run_cli(["info", "--group", label]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: cyclic parameter must be >= 1, got 0\n"
+
     @pytest.mark.parametrize("flag", ["--order-cap", "--jobs", "--max-order"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_counts_are_positive_integers(self, capsys, flag, value):

@@ -15,12 +15,10 @@ from camina.grouptable import (
     small_generating_set,
     subgroup_table,
 )
-from camina.perm import Permutation, compose, conjugate, element_order
+from camina.perm import Permutation, compose, conjugate
 from camina.structure import (
     center,
     centralizer,
-    class_product,
-    commutator_subgroup,
     conjugacy_classes,
     core,
     derived_series,
@@ -33,7 +31,6 @@ from camina.structure import (
     normalizer,
     o_lower_p,
     o_upper_p,
-    p_decomposition,
     p_part,
     prime_factors,
     subgroups,
@@ -121,6 +118,13 @@ class TestCentralizerCenter:
         c = centralizer(s3, x)
         assert len(c) == 3 and x in c
 
+    def test_matches_permutation_definition(self):
+        # Independent oracle: g commutes with x as permutations
+        for label, G in small_builtin_groups():
+            for x, px in enumerate(G.elements):
+                want = tuple(g for g, pg in enumerate(G.elements) if compose(pg, px) == compose(px, pg))
+                assert centralizer(G, x).members == want, (label, x)
+
     def test_center_abelian(self):
         G = builtin("C3xC3").group()
         assert len(center(G)) == 9
@@ -135,37 +139,33 @@ class TestCentralizerCenter:
 class TestCommutatorAndSeries:
     def test_abelian_trivial(self):
         G = builtin("C2xC4").group()
-        assert commutator_subgroup(G).members == (0,)
+        assert derived_subgroup(G).members == (0,)
 
     def test_s3_derived_is_a3(self, s3):
-        d = commutator_subgroup(s3)
+        d = derived_subgroup(s3)
         assert len(d) == 3
         assert all(s3.element_order(i) in (1, 3) for i in d.members)
 
     def test_q8_derived(self, q8):
-        assert len(commutator_subgroup(q8)) == 2
+        assert len(derived_subgroup(q8)) == 2
 
     def test_s4_derived_series(self, s4):
-        chain = derived_series(s4)
-        assert [len(t) for t in chain.terms] == [24, 12, 4, 1]
+        assert [len(t) for t in derived_series(s4)] == [24, 12, 4, 1]
         assert is_solvable(s4)
 
     def test_a5_not_solvable(self, a5):
-        chain = derived_series(a5)
-        assert len(chain.terms[-1]) == 60
+        assert len(derived_series(a5)[-1]) == 60
         assert not is_solvable(a5)
 
     def test_p_group_solvable(self):
         assert is_solvable(builtin("Q16").group())
 
     def test_q8_nilpotent(self, q8):
-        chain = upper_central_series(q8)
-        assert [len(t) for t in chain.terms] == [1, 2, 8]
+        assert [len(t) for t in upper_central_series(q8)] == [1, 2, 8]
         assert is_nilpotent(q8)
 
     def test_s3_not_nilpotent(self, s3):
-        chain = upper_central_series(s3)
-        assert [len(t) for t in chain.terms] == [1]
+        assert [len(t) for t in upper_central_series(s3)] == [1]
         assert not is_nilpotent(s3)
 
     def test_abelian_nilpotent(self):
@@ -212,12 +212,10 @@ class TestSubgroupFactsInsideG:
                 where = (entry.label, H.members)
                 assert is_solvable(G, H) == is_solvable(table), where
                 assert is_nilpotent(G, H) == is_nilpotent(table), where
-                assert derived_subgroup(G, H).members == back(commutator_subgroup(table)), where
-                assert [back(t) for t in derived_series(table).terms] == [
-                    t.members for t in derived_series(G, H).terms
-                ], where
-                assert [back(t) for t in upper_central_series(table).terms] == [
-                    t.members for t in upper_central_series(G, H).terms
+                assert derived_subgroup(G, H).members == back(derived_subgroup(table)), where
+                assert [back(t) for t in derived_series(table)] == [t.members for t in derived_series(G, H)], where
+                assert [back(t) for t in upper_central_series(table)] == [
+                    t.members for t in upper_central_series(G, H)
                 ], where
                 for p in prime_factors(G.order):
                     assert o_upper_p(G, p, H).members == back(o_upper_p(table, p)), (where, p)
@@ -508,38 +506,6 @@ class TestSylowAndFittingPieces:
                 assert len(o_upper_p(table, p)) == len(K)
 
 
-class TestPDecomposition:
-    def test_p_regular(self):
-        g = Permutation.from_cycles(3, [(0, 1, 2)])
-        gp, gq = p_decomposition(g, 2)
-        assert gp == Permutation.identity(3) and gq == g
-
-    def test_p_element(self):
-        g = Permutation.from_cycles(4, [(0, 1, 2, 3)])
-        gp, gq = p_decomposition(g, 2)
-        assert gp == g and gq == Permutation.identity(4)
-
-    def test_order_six(self):
-        g = Permutation.from_cycles(5, [(0, 1), (2, 3, 4)])
-        gp, gq = p_decomposition(g, 2)
-        assert gp == g ** 3 and gq == g ** 4
-        assert element_order(gp) == 2 and element_order(gq) == 3
-
-    @given(
-        st.integers(min_value=1, max_value=7).flatmap(
-            lambda n: st.permutations(range(n)).map(Permutation)
-        ),
-        st.sampled_from([2, 3, 5, 7]),
-    )
-    def test_properties(self, g, p):
-        gp, gq = p_decomposition(g, p)
-        n = element_order(g)
-        assert compose(gp, gq) == g
-        assert compose(gq, gp) == g
-        assert element_order(gp) == p_part(n, p)
-        assert element_order(gq) == n // p_part(n, p)
-
-
 class TestFrobeniusDetection:
     def test_s3_a3(self, s3):
         assert is_frobenius_with_kernel(s3, by_order(s3, 3))
@@ -555,33 +521,8 @@ class TestFrobeniusDetection:
         assert not is_frobenius_with_kernel(s3, by_order(s3, 2))
 
 
-class TestClassProduct:
-    def test_identity_class(self, s3):
-        cl = conjugacy_classes(s3)
-        for cid in range(cl.count):
-            prod = class_product(s3, cid, 0)
-            assert prod.members == cl.members(cid)
-
-    def test_inverse_class_contains_identity(self, s4):
-        cl = conjugacy_classes(s4)
-        for cid in range(cl.count):
-            assert 0 in class_product(s4, cid, cl.inverse_class[cid])
-
-    def test_s3_example(self, s3):
-        cl = conjugacy_classes(s3)
-        three_cycles = next(c for c in range(cl.count) if s3.element_order(cl.reps[c]) == 3)
-        transpositions = next(c for c in range(cl.count) if s3.element_order(cl.reps[c]) == 2)
-        prod = class_product(s3, three_cycles, transpositions)
-        assert prod.members == cl.members(transpositions)
-
-
 def small_builtin_groups(max_order=60):
     return [(e.label, e.group()) for e in builtin_catalog() if e.group().order <= max_order]
-
-
-def elementwise_class_product(G, cid, did):
-    classes = conjugacy_classes(G)
-    return ElementSet(G, {G.mul(c, d) for c in classes.members(cid) for d in classes.members(did)})
 
 
 def elementwise_center(G):
@@ -600,13 +541,6 @@ def elementwise_frobenius_kernel(G, N):
 class TestClassRepresentativesMatchElementwise:
     """The normal subsets read off one representative per class equal the
     element-by-element definitions on every builtin group of order <= 60."""
-
-    def test_class_product(self):
-        for label, G in small_builtin_groups():
-            r = conjugacy_classes(G).count
-            for cid in range(r):
-                for did in range(r):
-                    assert class_product(G, cid, did) == elementwise_class_product(G, cid, did), (label, cid, did)
 
     def test_center(self):
         for label, G in small_builtin_groups():

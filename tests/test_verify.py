@@ -217,11 +217,12 @@ class TestLemmaL:
             if G.order > 60:
                 continue
             irr = character_table(G).irreducibles
+            class_of = conjugacy_classes(G).class_of
             for H in subgroups(G)[1:-1]:
                 trivial_h = trivial_character(subgroup_table(G, H)[0])
                 mults = [inner_product_int(restrict(G, chi, H), trivial_h) for chi in irr]
                 for chi, m in zip(irr, mults):
-                    assert sum((chi.value_at(h) for h in H.members), Cyc.zero(1)) == len(H) * m
+                    assert sum((chi.values[class_of[h]] for h in H.members), Cyc.zero(1)) == len(H) * m
                 pair = Pair(G, H)
                 fires = not any(m for chi, m in zip(irr, mults) if reference_in_irr_given_N(chi, pair.N))
                 status, _ = verify._lemma_l(pair)
@@ -475,7 +476,12 @@ class TestTracedHooks:
         spec = importlib.util.spec_from_file_location("perfbench_spans", root / "perfbench" / "spans.py")
         spans = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(spans)
-        extra = [(structure, "subgroups"), (chartab, "character_table"), (reports, "load_chartab")]
+        extra = [
+            (structure, "subgroups"),
+            (chartab, "character_table"),
+            (reports, "load_chartab"),
+            (verify, "verify_pair_claim"),
+        ]
         for module, attr in [(m, a) for m, a, _ in spans.SPANS] + extra:
             assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
         for cls, attr in spans.COUNTED:
