@@ -32,7 +32,6 @@ from .structure import (
     center,
     centralizer,
     conjugacy_classes,
-    core,
     derived_series,
     derived_subgroup,
     exponent,
@@ -44,7 +43,6 @@ from .structure import (
     o_lower_p,
     o_upper_p,
     subgroups,
-    sylow_subgroup,
     upper_central_series,
 )
 from .reports import (

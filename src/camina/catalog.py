@@ -220,7 +220,9 @@ def _sl23() -> tuple[int, list[Permutation]]:
 def _frobenius(p: int, q: int) -> tuple[int, list[Permutation]]:
     if not is_prime(p):
         raise UnknownLabel(f"Frob parameter {p} is not prime")
-    if q <= 1 or (p - 1) % q != 0:
+    if q <= 1:
+        raise UnknownLabel(f"Frob requires q > 1, got Frob({p}:{q})")
+    if (p - 1) % q != 0:
         raise UnknownLabel(f"Frob requires q | p-1, got Frob({p}:{q})")
     c = _root_of_unity(q, p)
     shift = Permutation(tuple((i + 1) % p for i in range(p)))

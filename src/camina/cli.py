@@ -193,8 +193,15 @@ def _cmd_chartab(args) -> int:
     reps = [format_cycles(G.elements[r]) for r in classes.reps]
     print("class reps:  " + "  ".join(reps))
     print("class sizes: " + "  ".join(str(s) for s in classes.sizes))
+    shown: dict[tuple[int, tuple[int, ...]], str] = {}  # a table holds few distinct values
     for i, chi in enumerate(table.irreducibles):
-        print(f"chi_{i}: " + "  ".join(str(v) for v in chi.values))
+        cells = []
+        for v in chi.values:
+            key = (v.e, v.coeffs)
+            if key not in shown:
+                shown[key] = str(v)
+            cells.append(shown[key])
+        print(f"chi_{i}: " + "  ".join(cells))
     print("degree sequence: " + ",".join(str(d) for d in table.degree_sequence))
     return EXIT_OK
 

@@ -30,28 +30,18 @@ def persist_reports(
 ) -> None:
     """One JSON object per line, exact round trip: each report's fields as a
     ReportRecord with ``version`` and ``timestamp``, written as
-    ``json.dumps(record, sort_keys=True, separators=(",", ":"))`` writes it.
-    The keys are the record's field names in sorted order.  ``version`` and
-    ``timestamp`` are encoded once, a field annotated ``str`` or ``int`` on
-    its own, and any other (``details``) by one shared encoder."""
+    ``json.dumps(record, sort_keys=True, separators=(",", ":"))`` writes it,
+    keys in sorted order.  Strings are escaped as ``json.dumps`` escapes
+    them, and ``details`` goes through one shared sorted-key encoder."""
     quote = json.encoder.encode_basestring_ascii
     encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-    by_type = {"str": quote, "int": int.__repr__}
-    fixed = {"version": version, "timestamp": timestamp}
-    segments = []  # (the text before a field's value, the field, its encoder)
-    text = "{"
-    for f in sorted(fields(ReportRecord), key=lambda f: f.name):
-        text += quote(f.name) + ":"
-        if f.name in fixed:
-            text += quote(fixed[f.name]) + ","
-        else:
-            segments.append((text, f.name, by_type.get(f.type, encode)))
-            text = ","
-    tail = text[:-1] + "}\n"
-    lines = []
-    for r in reports:
-        values = vars(r)
-        lines.append("".join([t + enc(values[name]) for t, name, enc in segments]) + tail)
+    tail = f',"timestamp":{quote(timestamp)},"version":{quote(version)}}}\n'
+    lines = [
+        f'{{"claim":{quote(r.claim)},"details":{encode(r.details)},"group_label":{quote(r.group_label)},'
+        f'"group_order":{r.group_order:d},"status":{quote(r.status)},"subgroup_index":{r.subgroup_index:d},'
+        f'"subgroup_order":{r.subgroup_order:d}{tail}'
+        for r in reports
+    ]
     Path(path).write_text("".join(lines))
 
 
@@ -119,15 +109,13 @@ def load_chartab(G: GroupTable, cache_dir: str | Path) -> CharacterTable | None:
     return table
 
 
-def cached_character_table(G: GroupTable, cache_dir: str | Path | None) -> CharacterTable:
+def cached_character_table(G: GroupTable, cache_dir: str | Path) -> CharacterTable:
     """G's table from ``cache_dir`` when a valid file is there, else a fresh
     build that is saved there.  The class cap applies to a load as to a build."""
     check_caps(G)
-    if cache_dir is not None:
-        hit = load_chartab(G, cache_dir)
-        if hit is not None:
-            return hit
+    hit = load_chartab(G, cache_dir)
+    if hit is not None:
+        return hit
     table = character_table(G)
-    if cache_dir is not None:
-        save_chartab(G, table, cache_dir)
+    save_chartab(G, table, cache_dir)
     return table

@@ -1,11 +1,10 @@
 """Structural invariants of a GroupTable.
 
 Centralizers, center, derived and upper central series, solvability and
-nilpotency, Sylow subgroups, O_p and O^p, normal closure, core, subgroup
-enumeration and Frobenius-kernel detection, all computed from the
-``GroupTable`` alone.  The conjugacy classes are
-``grouptable.conjugacy_classes``, re-exported here; a normal subset is a
-union of classes.
+nilpotency, O_p and O^p, normal closure, subgroup enumeration and
+Frobenius-kernel detection, all computed from the ``GroupTable`` alone.
+The conjugacy classes are ``grouptable.conjugacy_classes``, re-exported
+here; a normal subset is a union of classes.
 """
 
 from __future__ import annotations
@@ -81,15 +80,6 @@ def _conjugation_closure(G: GroupTable, gens: Iterable[int], conjugators: Sequen
         if not missing:
             return ElementSet(G, members)
         kept += missing
-
-
-def core(G: GroupTable, H: ElementSet) -> ElementSet:
-    """Largest normal subgroup of G inside H: the classes wholly inside H."""
-    if not H.is_subgroup:
-        raise ValueError("core requires a subgroup")
-    classes = conjugacy_classes(G)
-    inside = {c for c, n in classes.counts(H.members).items() if n == classes.sizes[c]}
-    return ElementSet(G, (i for i in H.members if classes.class_of[i] in inside))
 
 
 def normalizer(G: GroupTable, H: ElementSet) -> ElementSet:
@@ -257,39 +247,23 @@ def _zuppo_of(G: GroupTable) -> list[int]:
     return out
 
 
-def sylow_subgroup(G: GroupTable, p: int) -> ElementSet:
-    """A Sylow p-subgroup, grown greedily by joining p-elements.
-
-    Every maximal p-subgroup is a Sylow subgroup, so the greedy join with
-    a p-group filter always reaches the full p-part; verified at the end.
-    """
-    target = p_part(G.order, p)
-    if target == 1:
-        return ElementSet.trivial(G)
-    p_elements = [x for x in range(G.order) if p_part(G.element_order(x), p) == G.element_order(x)]
-    current: tuple[int, ...] = (0,)
-    gens: list[int] = []
-    grew = True
-    while len(current) < target and grew:
-        grew = False
-        memberset = set(current)
-        for y in p_elements:
-            if y in memberset:
-                continue
-            candidate = closure_indices(G, gens + [y])
-            if p_part(len(candidate), p) == len(candidate):
-                gens.append(y)
-                current = candidate
-                grew = True
-                break
-    if len(current) != target:
-        raise RuntimeError(f"sylow construction stalled at order {len(current)} of {target}")
-    return ElementSet(G, current)
-
-
 def o_lower_p(G: GroupTable, p: int) -> ElementSet:
-    """O_p(G): the largest normal p-subgroup (core of a Sylow p-subgroup)."""
-    return core(G, sylow_subgroup(G, p))
+    """O_p(G): the largest normal p-subgroup, joined one class at a time.
+
+    A subgroup generated by whole classes is normal, and x lies in O_p(G)
+    iff its normal closure is a p-group; then <O, x^G> <= O_p(G) for every
+    normal O <= O_p(G).  So the join of the kept classes with one more class
+    of p-elements, one ``_dimino`` pass from the group kept so far, is a
+    p-group iff that class lies in O_p(G), and the joins end at O_p(G)."""
+    classes = conjugacy_classes(G)
+    group: tuple = ((0,), ())  # (members, kept seeds), as ``_dimino`` takes and returns it
+    for r, members in zip(classes.reps, classes.member_lists):
+        n = G.element_order(r)
+        if p_part(n, p) == n:
+            joined = _dimino(G, members, group)
+            if p_part(len(joined[0]), p) == len(joined[0]):
+                group = joined
+    return ElementSet(G, group[0])
 
 
 def o_upper_p(G: GroupTable, p: int, S: ElementSet | None = None) -> ElementSet:

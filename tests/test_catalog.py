@@ -70,6 +70,8 @@ class TestBuiltin:
             ("C2xX5", "unknown builtin label 'X5'"),
             ("Frob(6:2)", "Frob parameter 6 is not prime"),
             ("Frob(7:4)", "Frob requires q | p-1, got Frob(7:4)"),
+            ("Frob(3:1)", "Frob requires q > 1, got Frob(3:1)"),
+            ("Frob(2:1)", "Frob requires q > 1, got Frob(2:1)"),
             ("D2", "dihedral parameter must be >= 3, got 2"),
             ("S1", "symmetric parameter must be >= 2, got 1"),
             ("A2", "alternating parameter must be >= 3, got 2"),

@@ -20,7 +20,6 @@ from camina.structure import (
     center,
     centralizer,
     conjugacy_classes,
-    core,
     derived_series,
     derived_subgroup,
     is_frobenius_with_kernel,
@@ -34,7 +33,6 @@ from camina.structure import (
     p_part,
     prime_factors,
     subgroups,
-    sylow_subgroup,
     upper_central_series,
 )
 from reference import reference_is_normal
@@ -250,19 +248,6 @@ class TestNormalClosureAndCore:
                 )
                 assert closure == least
 
-    def test_core_of_normal(self, s4):
-        V4 = next(H for H in subgroups(s4) if len(H) == 4 and H.is_normal())
-        assert core(s4, V4) == V4
-
-    def test_core_s3_transposition_trivial(self, s3):
-        assert core(s3, by_order(s3, 2)).members == (0,)
-
-    def test_core_s4_sylow2_is_v4(self, s4):
-        sylow = sylow_subgroup(s4, 2)
-        assert len(sylow) == 8
-        c = core(s4, sylow)
-        assert len(c) == 4 and c.is_normal()
-
 
 NORMALITY_LABELS = [e.label for e in builtin_catalog()] + ["S5", "PSL(2,7)", "S4xC2"]
 
@@ -464,32 +449,34 @@ class TestSubgroups:
 
 class TestSylowAndFittingPieces:
     def test_p_group(self, q8):
-        assert len(sylow_subgroup(q8, 2)) == 8
         assert len(o_lower_p(q8, 2)) == 8
         assert o_upper_p(q8, 2).members == (0,)
 
     def test_s3_p2(self, s3):
-        assert len(sylow_subgroup(s3, 2)) == 2
         assert o_lower_p(s3, 2).members == (0,)
         assert len(o_upper_p(s3, 2)) == 3
 
     def test_s3_p3(self, s3):
-        assert len(sylow_subgroup(s3, 3)) == 3
         assert len(o_lower_p(s3, 3)) == 3
         assert len(o_upper_p(s3, 3)) == 6
 
     def test_p_not_dividing(self, s3):
-        assert sylow_subgroup(s3, 5).members == (0,)
         assert o_lower_p(s3, 5).members == (0,)
         assert len(o_upper_p(s3, 5)) == 6
 
-    def test_sylow_order_is_full_p_part(self):
-        for label in ["S4", "A5", "SL23", "Frob(5:4)", "C2xA4"]:
-            G = builtin(label).group()
-            for p in prime_factors(G.order):
-                S = sylow_subgroup(G, p)
-                assert len(S) == p_part(G.order, p)
-                assert S.is_subgroup
+    def test_s4_and_sl23_p2(self):
+        assert len(o_lower_p(builtin("S4").group(), 2)) == 4  # the Klein four-group
+        assert len(o_lower_p(builtin("SL23").group(), 2)) == 8  # the quaternion group
+
+    @pytest.mark.parametrize("label", NORMALITY_LABELS)
+    def test_o_lower_p_is_the_largest_normal_p_subgroup(self, label):
+        G = fresh_group(label)
+        for p in prime_factors(G.order):
+            O = o_lower_p(G, p)
+            assert O.is_subgroup and O.is_normal() and p_part(len(O), p) == len(O), p
+            for N in normal_subgroups(G):
+                if p_part(len(N), p) == len(N):
+                    assert set(N.members) <= set(O.members), (p, N.members)
 
     def test_o_upper_invariants(self):
         # quotient is a p-group and O^p is idempotent

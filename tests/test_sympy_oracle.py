@@ -15,8 +15,8 @@ from camina.structure import (
     is_nilpotent,
     is_solvable,
     normal_closure,
+    o_lower_p,
     prime_factors,
-    sylow_subgroup,
 )
 
 
@@ -41,8 +41,11 @@ def test_series_sylow_and_class_closures_agree_with_sympy(entry):
     G = entry.group()
     P = sympy_group(entry)
     assert [len(term) for term in derived_series(G)] == [term.order() for term in P.derived_series()]
+    elements = P.elements
     for p in prime_factors(G.order):
-        assert len(sylow_subgroup(G, p)) == P.sylow_subgroup(p).order(), p
+        sylow = P.sylow_subgroup(p).elements
+        core = [x for x in sylow if all(x ^ g in sylow for g in elements)]  # O_p(G), the core of a Sylow p-subgroup
+        assert len(o_lower_p(G, p)) == len(core), p
     for rep in conjugacy_classes(G).reps:
         cyclic = combinatorics.PermutationGroup([combinatorics.Permutation(list(G.elements[rep].images))])
         closure = normal_closure(G, ElementSet(G, closure_indices(G, [rep])))
