@@ -1,12 +1,17 @@
 """Exact complex character theory for enumerated groups.
 
-Character tables are computed by simultaneous eigenspace splitting of
-the class matrices over a finite field F_q with q = 1 mod exp(G) (Dixon),
-each space split by the roots of the class matrix restricted to it, then
-lifted to exact cyclotomic integers by multiplicity counting over the
-powers of one class representative per Galois class of columns, for one
-row per Galois orbit of rows (Schneider); the other columns of a Galois
-class and the other rows of an orbit re-index those counts.  Every table,
+Character tables are built in two steps (Schneider's refinement of
+Dixon).  The linear characters, Hom(G, mu_e) with e = exp(G), are read
+off G/G' exactly, extended along G's generators from G'; an abelian G
+needs nothing more.  The other rows come from simultaneous eigenspace
+splitting of the class matrices over a finite field F_q with q = 1 mod e,
+started in the orthogonal complement of the linear rows, which every class
+matrix maps into itself; one row left needs no class matrix.  Each space
+is split by the roots of the class matrix restricted to it, then lifted to
+exact cyclotomic integers by multiplicity counting over the powers of one
+class representative per Galois class of columns, for one row per Galois
+orbit of rows; the other columns of a Galois class and the other rows of
+an orbit re-index those counts.  Every table,
 built or read from a cache, runs ``check_orthonormal`` when it is
 constructed, which decides the orthogonality relations exactly in Z[zeta_e]:
 the rows must be closed under the Galois group, and then one embedding into
@@ -26,7 +31,7 @@ from typing import Sequence
 
 from .cyclotomic import Cyc
 from .grouptable import CapExceeded, ElementSet, GroupTable, subgroup_table
-from .structure import ConjClassPartition, conjugacy_classes, exponent, prime_factors
+from .structure import ConjClassPartition, conjugacy_classes, derived_subgroup, exponent, prime_factors
 
 CLASS_CAP = 60
 
@@ -200,11 +205,12 @@ def _roots_mod(poly: list[int], q: int) -> list[int]:
     return roots
 
 
-def _simultaneous_eigenvectors(mats: list[list[list[int]]], q: int) -> list[list[int]]:
-    """Common eigenvectors of the commuting class matrices over F_q,
-    normalized so the identity-class coordinate is 1."""
-    r = len(mats)
-    spaces: list[list[list[int]]] = [[[1 if i == j else 0 for j in range(r)] for i in range(r)]]
+def _simultaneous_eigenvectors(mats: list[list[list[int]]], start: list[list[int]], q: int) -> list[list[int]]:
+    """Common eigenvectors over F_q of the commuting class matrices in the
+    space spanned by ``start``, a basis in reduced echelon form that every
+    matrix maps into itself, normalized so the identity-class coordinate
+    is 1."""
+    spaces = [start]
     for M in mats[1:]:
         if all(len(B) == 1 for B in spaces):
             break
@@ -305,16 +311,73 @@ def character_table(G: GroupTable) -> CharacterTable:
     (degree, lexicographic value order).  Cached on the table.  The class
     cap is that of ``check_caps``."""
     classes = check_caps(G)
-    r = classes.count
     hit = G._cache.get("chartab")
     if hit is not None:
         return hit
     e = exponent(G)
-    n = G.order
-    q = dixon_prime(e, n)
+    linear = _linear_exponents(G, classes, e)
+    roots = {t: Cyc.root_power(e, t) for t in {t for ts in linear for t in ts}}
+    rows = [ClassFunction(G, tuple(map(roots.__getitem__, ts))) for ts in linear]
+    if len(linear) < classes.count:
+        rows += _nonlinear_rows(G, classes, linear, e)
+    rows.sort(key=lambda cf: (cf.values[0].as_int(), tuple(v.coeffs for v in cf.values)))
+    table = CharacterTable(G, tuple(rows))
+    G._cache["chartab"] = table
+    return table
 
-    mats = class_matrices(G)
-    omegas = _simultaneous_eigenvectors(mats, q)
+
+def _linear_exponents(G: GroupTable, classes: ConjClassPartition, e: int) -> list[list[int]]:
+    """Hom(G, mu_e), each lambda as its exponents at the class
+    representatives: lambda(rep_k) = zeta_e^t_k.
+
+    Built by extending along G's generators from G' = ``derived_subgroup``,
+    where every lambda is trivial.  Each element of the part A reached so
+    far has coordinates, its exponents over the generators kept, and each
+    lambda of A its exponents t(g) at them.  If g^k is the first power of a
+    generator g in A, <A, g> is the union of the cosets g^j A, j < k (A
+    contains G', so it is normal), and each lambda of A extends in k ways,
+    lambda(g^j a) = lambda(a) + j t(g) with k t(g) = lambda(g^k) (mod e):
+    t(g) = lambda(g^k)/k + l e/k, l < k.  lambda(g^k)'s exponent is
+    divisible by k, as lambda(g^k)^(o(g)/k) = 1 and o(g) divides e."""
+    rows = G.rows
+    coords: dict[int, tuple[int, ...]] = dict.fromkeys(derived_subgroup(G).members, ())
+    chars: list[tuple[int, ...]] = [()]
+    for g in G.generator_ids:
+        if g in coords:
+            continue
+        power, k = g, 1
+        while power not in coords:
+            power, k = rows[power][g], k + 1
+        at, step, extended = coords[power], e // k, []
+        for lam in chars:
+            s = sum(map(mul, at, lam)) % e
+            extended += [lam + (s // k + l * step,) for l in range(k)]
+        chars = extended
+        members, coords, cur = list(coords.items()), {}, 0
+        for j in range(k):
+            row = rows[cur]
+            for x, c in members:
+                coords[row[x]] = c + (j,)
+            cur = row[g]
+    return [[sum(map(mul, coords[rep], lam)) % e for rep in classes.reps] for lam in chars]
+
+
+def _nonlinear_rows(G: GroupTable, classes: ConjClassPartition, linear: list[list[int]], e: int) -> list[ClassFunction]:
+    """The irreducibles of degree > 1, given the linear ones' exponents.
+
+    Their central characters omega_chi(k) = |K_k| chi(rep_k) / chi(1) span
+    the space of v with sum_k v(k) lambda(rep_k*) = 0 for every linear
+    lambda, k* the class of inverses, and every class matrix maps it into
+    itself (Schneider), so the split starts there, mod q = ``dixon_prime``;
+    a one-dimensional space needs no class matrix.  The rows are then
+    lifted from the degrees and the residues chi(k) = chi(1) omega(k) /
+    |K_k| mod q."""
+    r, n = classes.count, G.order
+    q = dixon_prime(e, n)
+    z = _root_of_unity(e, q)
+    zpow = [pow(z, t, q) for t in range(e)]
+    start = _rref(_kernel([[zpow[ts[k]] for k in classes.inverse_class] for ts in linear], r, q), q)
+    omegas = _simultaneous_eigenvectors(class_matrices(G) if len(start) > 1 else [], start, q)
 
     inv_sizes = [pow(s, -1, q) for s in classes.sizes]
     degrees = []
@@ -326,9 +389,6 @@ def character_table(G: GroupTable) -> CharacterTable:
             raise RuntimeError("no integer degree matches the orthogonality relation")
         degrees.append(d)
 
-    z = _root_of_unity(e, q)
-    zpow = [pow(z, t, q) for t in range(e)]
-
     # One lift per Galois class of columns.  For a prime to the order m of
     # rep, rho(rep^a) has the eigenvalues of rho(rep) raised to the a-th
     # power, with the same multiplicities, so the column of rep^a re-indexes
@@ -339,13 +399,9 @@ def character_table(G: GroupTable) -> CharacterTable:
         if source[k] is not None:
             continue
         source[k] = (k, 1)
-        rep = classes.reps[k]
-        m = G.element_order(rep)
-        cur = 0
-        pcls = []
-        for _ in range(m):
-            pcls.append(classes.class_of[cur])
-            cur = G.mul(cur, rep)
+        walk = G.powers(classes.reps[k])
+        m = len(walk)
+        pcls = [classes.class_of[walk[t - 1]] for t in range(m)]  # walk[t - 1] = rep^t, walk[-1] = 1
         for a in range(2, m):
             if source[pcls[a]] is None and math.gcd(a, m) == 1:
                 source[pcls[a]] = (k, a)
@@ -381,10 +437,7 @@ def character_table(G: GroupTable) -> CharacterTable:
         )
         rows.append(ClassFunction(G, values))
 
-    rows.sort(key=lambda cf: (cf.values[0].as_int(), tuple(v.coeffs for v in cf.values)))
-    table = CharacterTable(G, tuple(rows))
-    G._cache["chartab"] = table
-    return table
+    return rows
 
 
 def check_orthonormal(rows: Sequence[ClassFunction], classes: ConjClassPartition) -> tuple[int, list[list[int]]]:

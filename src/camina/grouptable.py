@@ -14,11 +14,12 @@ union of classes, read off its class counts.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .perm import Permutation, element_order
+from .perm import Permutation
 
 DEFAULT_ORDER_CAP = 2_000
 
@@ -96,11 +97,22 @@ class GroupTable:
             k >>= 1
         return result
 
+    def powers(self, i: int) -> list[int]:
+        """The walk [x, x^2, ..., x^o] along x's row of the Cayley table,
+        x = elements[i], to its first return to the identity, 0; it records
+        the order o / gcd(j, o) of each x^j."""
+        row, walk = self.rows[i], [i]
+        while walk[-1]:
+            walk.append(row[walk[-1]])
+        o = len(walk)
+        for j, x in enumerate(walk, 1):
+            self._orders[x] = o // math.gcd(j, o)
+        return walk
+
     def element_order(self, i: int) -> int:
+        """Least k >= 1 with x^k = 1, x = elements[i]: the length of ``powers``."""
         o = self._orders[i]
-        if o is None:
-            o = self._orders[i] = element_order(self.elements[i])
-        return o
+        return len(self.powers(i)) if o is None else o
 
     def __repr__(self) -> str:
         return f"GroupTable(degree={self.degree}, order={self.order})"

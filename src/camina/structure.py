@@ -233,18 +233,17 @@ def subgroup_class_ids(G: GroupTable) -> list[int]:
 
 def _zuppo_of(G: GroupTable) -> list[int]:
     """For each element of prime-power order, the least generator of the
-    cyclic subgroup it generates; -1 for the other elements."""
-    out = [-1] * G.order
+    cyclic subgroup it generates; -1 for the other elements.  Each cyclic
+    subgroup is walked once, from its least generator."""
+    least = [0] * G.order
     for x in range(1, G.order):
-        n = G.element_order(x)
-        if out[x] >= 0 or not is_p_group(n):
-            continue
-        y = x
-        for k in range(1, n):
-            if math.gcd(k, n) == 1:
-                out[y] = x
-            y = G.mul(y, x)
-    return out
+        if not least[x]:
+            walk = G.powers(x)
+            n = len(walk)
+            for k, y in enumerate(walk, 1):
+                if math.gcd(k, n) == 1:
+                    least[y] = x
+    return [x if x and is_p_group(G.element_order(x)) else -1 for x in least]
 
 
 def o_lower_p(G: GroupTable, p: int) -> ElementSet:

@@ -28,9 +28,9 @@ from camina.chartab import (
 )
 from camina.cyclotomic import Cyc
 from camina.grouptable import CapExceeded, ElementSet, generate, subgroup_table
-from camina.perm import Permutation, conjugate
+from camina.perm import Permutation, compose, conjugate
 from camina.reports import load_chartab, save_chartab
-from camina.structure import conjugacy_classes, exponent, prime_factors, subgroups
+from camina.structure import conjugacy_classes, derived_subgroup, exponent, prime_factors, subgroups
 from reference import (
     reference_character_table,
     reference_check_galois,
@@ -192,27 +192,37 @@ class TestCharacterTable:
         t = character_table(G)
         assert t.degree_sequence == (1,)
 
-    @pytest.mark.parametrize("wrong", ["value_off_by_one", "row_repeated"])
+    @pytest.mark.parametrize("wrong", ["value_off_by_one", "row_repeated", "linear_exponent"])
     def test_selfcheck_rejects_wrong_rows(self, monkeypatch, wrong):
-        # S4's 5 rows are lifted one after another, 5 values each.  Since its
-        # values are rational integers, chi(k) + 1 at one class k changes
-        # |G| [chi, chi] by |K_k| (2 chi(k) + 1), which is odd.  A repeated
-        # row keeps every [chi, chi] = 1 but makes [chi_0, chi_1] = 1.
-        lifted = []
-        original = Cyc.from_root_multiset
+        # S4's 2 linear rows are read off G/G'; its other 3 rows are lifted
+        # one after another, 5 values each.  Since its values are rational
+        # integers, chi(k) + 1 at one class k changes |G| [chi, chi] by
+        # |K_k| (2 chi(k) + 1), which is odd.  A repeated row keeps every
+        # [chi, chi] = 1 but makes [chi_0, chi_1] = 1.  The sign's value -1 =
+        # zeta_12^6 with exponent 7 instead is no rational value at all.
+        lifted, roots = [], []
+        original_lift, original_root = Cyc.from_root_multiset, Cyc.root_power
 
         def lift(e, counts):
             n = len(lifted)
-            lifted.append(original(e, counts))
+            lifted.append(original_lift(e, counts))
             if wrong == "value_off_by_one":
                 return lifted[n] + Cyc.integer(1) if n == 1 else lifted[n]
-            return lifted[n - 5] if 5 <= n < 10 else lifted[n]
+            if wrong == "row_repeated":
+                return lifted[n - 5] if 5 <= n < 10 else lifted[n]
+            return lifted[n]
+
+        def root(e, t):
+            # the linear rows' values come first; the constructor's bound reads every root again
+            roots.append((e, t))
+            return original_root(e, 7 if wrong == "linear_exponent" and roots == [(12, 0), (12, 6)] else t)
 
         monkeypatch.setattr(Cyc, "from_root_multiset", lift)
+        monkeypatch.setattr(Cyc, "root_power", root)
         with pytest.raises(RuntimeError, match="character rows are not orthonormal"):
             character_table(builtin("S4").group())
-        assert len(lifted) == 25
-
+        assert len(lifted) == 15
+        assert roots[:2] == [(12, 0), (12, 6)]
 
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from(RELABEL_LABELS), st.randoms(use_true_random=False))
@@ -243,16 +253,23 @@ class TestGaloisClassLift:
                 assert [(v.e, v.coeffs) for v in a.values] == [(v.e, v.coeffs) for v in b.values], entry.label
 
     def test_one_dft_per_galois_class_of_columns(self, monkeypatch):
-        # C60 has 60 classes of columns but 12 Galois classes, one per cyclic
-        # subgroup, and 60 rows in 12 Galois orbits, one lifted row each
+        # C60's 60 rows are all linear, read off G/G' = G with no lift.
+        # Heis(5) lifts one row, for its 4 conjugate rows of degree 5, at its
+        # 8 Galois classes of columns, one per cyclic subgroup: the identity,
+        # the centre and 6 more of order 5
         lifted = []
         original = chartab._eigenvalue_counts
         monkeypatch.setattr(chartab, "_eigenvalue_counts", lambda *args: lifted.append(args) or original(*args))
         table = character_table(builtin("C60").group())
         assert len(table.irreducibles) == 60
-        assert len(lifted) == 12 * 12
-        orders = Counter(len(pcls) for _, pcls, *_ in lifted)
-        assert orders == {m: 12 for m in (1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60)}
+        assert lifted == []
+        table = character_table(builtin("Heis(5)").group())
+        assert table.degree_sequence == (1,) * 25 + (5,) * 4
+        assert len(lifted) == 8
+        assert Counter(len(pcls) for _, pcls, *_ in lifted) == {1: 1, 5: 7}
+
+    # the Galois orbits of the rows of degree > 1, one lifted row each
+    NONLINEAR_ORBITS = {"C60": 0, "C5xC10": 0, "C4xC4xC2": 0, "Heis(5)": 1, "C3xC3xC3": 0, "Q32xC2": 6, "D30": 6}
 
     @pytest.mark.parametrize(
         "label, orbits",
@@ -261,7 +278,8 @@ class TestGaloisClassLift:
     def test_one_dft_per_row_orbit_and_column_class(self, monkeypatch, label, orbits):
         # the chartab benchmark's groups: the rows' Galois orbits, counted on
         # the values, and the columns' Galois classes, counted on the group,
-        # are equally many (Brauer's permutation lemma)
+        # are equally many (Brauer's permutation lemma); only the orbits of
+        # rows of degree > 1 are lifted, the linear rows are read off G/G'
         calls = []
         original = chartab._eigenvalue_counts
         monkeypatch.setattr(chartab, "_eigenvalue_counts", lambda *args: calls.append(args) or original(*args))
@@ -274,8 +292,92 @@ class TestGaloisClassLift:
         row_orbits = {
             frozenset(keys.index(tuple((v.e, galois_image(v, a).coeffs) for v in row)) for a in units) for row in rows
         }
+        nonlinear_orbits = [orbit for orbit in row_orbits if rows[min(orbit)][0] != 1]
         assert len(row_orbits) == len(column_classes) == orbits
-        assert len(calls) == orbits * len(column_classes)
+        assert len(nonlinear_orbits) == self.NONLINEAR_ORBITS[label]
+        assert len(calls) == len(nonlinear_orbits) * len(column_classes)
+
+
+class TestLinearCharacters:
+    LABELS = [e.label for e in builtin_catalog()] + EXTRA_TABLE_LABELS
+
+    def test_count_is_index_of_derived_subgroup(self):
+        for label in self.LABELS:
+            G, _, values = built_table(label)
+            linear = [row for row in values if row[0] == 1]
+            assert len(linear) == G.order // len(derived_subgroup(G)), label
+
+    def test_homomorphisms_on_the_cayley_table(self):
+        # each linear row, read per element, is a root of unity zeta_e^t(x)
+        # with t(xy) = t(x) + t(y) (mod e) for every product xy of the table
+        for label in self.LABELS:
+            G, classes, values = built_table(label)
+            e = exponent(G)
+            exponent_of = {Cyc.root_power(e, t).coeffs: t for t in range(e)}
+            for row in values:
+                if row[0] != 1:
+                    continue
+                t = [exponent_of[row[k].rebase(e).coeffs] for k in classes.class_of]
+                assert all(
+                    t[xy] == (tx + t[y]) % e for tx, products in zip(t, G.rows) for y, xy in enumerate(products)
+                ), label
+
+    def test_generator_with_a_power_already_reached(self):
+        # with x^2 listed before x, x is reached with x^2 already in the part
+        # built, and each character of it extends by a square root of its
+        # value at x^2; likewise x^3 after x^6, and c s after c^2 in
+        # <c s, r> = C3 : C8 (c an 8-cycle, s a transposition and r a 3-cycle
+        # on three more points)
+        x = Permutation.from_cycles(8, [tuple(range(8))])
+        c, s, r = (Permutation.from_cycles(11, [cycle]) for cycle in (tuple(range(8)), (8, 9), (8, 9, 10)))
+        for gens, label in (
+            ([x**2, x], "C8"),
+            ([x**4, x**2, x], "C8"),
+            ([x**6, x**3], "C8"),
+            ([c**2, compose(c, s), r], None),
+        ):
+            G = generate(gens[0].degree, gens)
+            linear = [chi for chi in character_table(G).irreducibles if chi.degree() == 1]
+            assert len(linear) == G.order // len(derived_subgroup(G)) == 8
+            if label:
+                assert table_shape(G) == table_shape(builtin(label).group())
+
+    @pytest.mark.parametrize(
+        "label, skipped",
+        [("C60", ("class_matrices", "_eigenvalue_counts")), ("C5xC10", ("class_matrices", "_eigenvalue_counts")),
+         ("C4xC4xC2", ("class_matrices", "_eigenvalue_counts")), ("C3xC3xC3", ("class_matrices", "_eigenvalue_counts")),
+         ("S3", ("class_matrices",)), ("A4", ("class_matrices",)), ("Frob(11:10)", ("class_matrices",))],
+    )
+    def test_no_class_matrices_when_at_most_one_row_is_left(self, monkeypatch, label, skipped):
+        # abelian groups need no split and no lift; S3, A4 and Frob(11:10)
+        # have one row of degree > 1, (rho_G - sum of the linear rows) / d
+        for name in skipped:
+            monkeypatch.setattr(chartab, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+        G = builtin(label).group()
+        table = character_table(G)
+        assert len(table.irreducibles) == conjugacy_classes(G).count
+        assert sum(d * d for d in table.degree_sequence) == G.order
+
+    def test_split_starts_in_the_complement(self, monkeypatch):
+        # the split starts from the span of the central characters of the
+        # rows of degree > 1: 4 for Heis(5) and 14 for D30
+        starts = []
+        original = chartab._simultaneous_eigenvectors
+
+        def recorded(mats, start, q):
+            starts.append(len(start))
+            return original(mats, start, q)
+
+        monkeypatch.setattr(chartab, "_simultaneous_eigenvectors", recorded)
+        dims = {}
+        for label in self.LABELS:
+            G = builtin(label).group()
+            starts.clear()
+            degrees = character_table(G).degree_sequence
+            nonlinear = sum(1 for d in degrees if d > 1)
+            assert starts == ([nonlinear] if nonlinear else []), label
+            dims[label] = nonlinear
+        assert dims["Heis(5)"] == 4 and dims["D30"] == 14
 
 
 class TestDixonSplit:

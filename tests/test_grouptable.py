@@ -13,7 +13,7 @@ from camina.grouptable import (
     small_generating_set,
     subgroup_table,
 )
-from camina.perm import Permutation, compose, conjugate, inverse
+from camina.perm import Permutation, compose, conjugate, element_order, inverse
 from camina.structure import conjugacy_classes, subgroups
 from reference import reference_closure_indices, reference_is_subgroup, reference_small_generating_set
 
@@ -107,6 +107,19 @@ class TestCayleyTable:
                 assert G.conj(a, b) == index[conjugate(els[a], els[b]).images]
                 ab = compose(compose(compose(inverse(els[a]), inverse(els[b])), els[a]), els[b])
                 assert G.commutator(a, b) == index[ab.images]
+
+    @pytest.mark.parametrize("label", [entry.label for entry in builtin_catalog()])
+    def test_element_order_is_permutation_order(self, label):
+        # the table walk against the lcm of the cycle lengths; a walk records
+        # the orders of all powers it passes, so query forwards and backwards
+        els = builtin(label).group().elements
+        want = [element_order(x) for x in els]
+        for ids in (range(len(els)), reversed(range(len(els)))):
+            G = builtin(label).group()
+            assert {x: G.element_order(x) for x in ids} == dict(enumerate(want)), label
+        G = builtin(label).group()
+        for x in range(G.order):
+            assert G.powers(x) == [G.index_of[(els[x] ** j).images] for j in range(1, want[x] + 1)]
 
     def test_trivial_table(self):
         assert generate(1, []).rows == [[0]]
