@@ -16,7 +16,14 @@ built or read from a cache, runs ``check_orthonormal`` when it is
 constructed, which decides the orthogonality relations exactly in Z[zeta_e]:
 the rows must be closed under the Galois group, and then one embedding into
 F_p, p = 1 mod e a prime above an explicit bound on the values, decides
-them.  The table keeps the residues: integer sums below p, such as
+them.  The check reads each of the r^2 cells once, as the id of its
+distinct value, and works on the distinct values after that.  Its r^2
+residues come from one packed integer product per row (Kronecker
+substitution): with the j-th row of W_1 in bits [s j, s j + s) of the
+packed columns, s = bit_length(r p^2), slot j of row i is a sum of r
+products of residues below p, so it is below r (p - 1)^2 < 2^s, no slot
+carries into the next, and each slot is the exact dot product.  The
+table keeps the residues: integer sums below p, such as
 |H| [chi_i_H, chi_j_H], are read from them (``CharacterTable.mod_p``);
 equality tests (kernels) stay in Z[zeta_e].
 """
@@ -25,9 +32,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cyclotomic import Cyc
 from .grouptable import CapExceeded, ElementSet, GroupTable, subgroup_table
@@ -49,17 +56,26 @@ class ClassFunction:
 
 @dataclass(frozen=True)
 class CharacterTable:
-    """Irr(G), checked by ``check_orthonormal`` when constructed (RuntimeError
-    if it fails), and ``mod_p``, the check's (p, X): X[i][k] = chi_i(k) mod p
-    under zeta_e -> z.  A sum of products of values that is an integer in
-    [0, p) is its own residue; p > |G| (D^2 + 1) >= |G| chi(1)^2 for all chi."""
+    """Irr(G), checked as ``check_orthonormal`` checks when constructed
+    (RuntimeError if it fails), and ``mod_p``, the check's (p, X): X[i][k] =
+    chi_i(k) mod p under zeta_e -> z.  A sum of products of values that is
+    an integer in [0, p) is its own residue; p > |G| (D^2 + 1) >= |G| chi(1)^2
+    for all chi.  The check's value ids are kept for ``check_galois``."""
 
     group: GroupTable
     irreducibles: tuple[ClassFunction, ...]
     mod_p: tuple[int, list[list[int]]] = field(init=False, repr=False, compare=False)
+    _values: _Values = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "mod_p", check_orthonormal(self.irreducibles, conjugacy_classes(self.group)))
+        values, p = _reduction(self.irreducibles, self.group.order)
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "mod_p", (p, _checked_mod(values, conjugacy_classes(self.group), p)))
+
+    def check_galois(self) -> None:
+        """``check_galois`` on the rows, from the value ids that the
+        constructor's check made."""
+        _power_maps(self._values, conjugacy_classes(self.group))
 
     @cached_property
     def degree_sequence(self) -> tuple[int, ...]:
@@ -458,96 +474,133 @@ def check_orthonormal(rows: Sequence[ClassFunction], classes: ConjClassPartition
     in Z[zeta_e], alpha_ij then lies in p Z[zeta_e], and a nonzero element of
     p Z[zeta_e] has a complex conjugate of absolute value >= p, while every
     conjugate of alpha_ij has absolute value <= |G| (D^2 + 1) < p.  Irr(G)
-    is closed under the Galois group, so no true table is rejected."""
-    n = classes.group.order
-    values, e, p = _reduction(rows, n)
-    X = _orthonormal_mod(values, classes.sizes, n, e, p)
+    is closed under the Galois group, so no true table is rejected.
+
+    X_1 W_1^T mod p comes from ``_gram_mod``, one packed integer product
+    per row, and is exact: each s-bit slot of a row's product is a sum of
+    r products of residues below p, at most r (p - 1)^2 < 2^s with
+    s = bit_length(r p^2), so no slot carries into the next."""
+    values, p = _reduction(rows, classes.group.order)
+    return p, _checked_mod(values, classes, p)
+
+
+def _checked_mod(values: _Values, classes: ConjClassPartition, p: int) -> list[list[int]]:
+    """X_1 of ``_orthonormal_mod``, or the RuntimeError of ``check_orthonormal``."""
+    X = _orthonormal_mod(values, classes.sizes, classes.group.order, p)
     if X is None:
         raise RuntimeError("character rows are not orthonormal")
-    if not all(chi.values[0].is_rational_integer() and chi.values[0].as_int() > 0 for chi in rows):
+    degrees = [values.distinct[row[0]] for row in values.cells]
+    if not all(c[0] > 0 and not any(c[1:]) for c in degrees):
         raise RuntimeError("character degrees are not positive integers")
-    return p, X
+    return X
 
 
-def _reduction(rows: Sequence[ClassFunction], n: int) -> tuple[list[list[Cyc]], int, int]:
-    """(values, e, p): the values of ``_rebased``, and the smallest prime
-    p = 1 (mod e) with p > n (D^2 + 1), D the largest coefficient L1 norm of
-    a value."""
-    values, e, D = _rebased(rows, n)
-    return values, e, prime_above(e, n * (D * D + 1))
+class _Values(NamedTuple):
+    """A table's values by id: cells[i][k] is the id of row i's value at
+    class k, distinct[id] that value's coefficients in Z[zeta_e], and ids
+    the id of each distinct coefficient tuple."""
+
+    cells: list[tuple[int, ...]]
+    distinct: list[tuple[int, ...]]
+    ids: dict[tuple[int, ...], int]
+    e: int
 
 
-def _rebased(rows: Sequence[ClassFunction], n: int) -> tuple[list[list[Cyc]], int, int]:
-    """(values, e, D): the rows' values in one ring Z[zeta_e], and D the
-    largest coefficient L1 norm of a value.
+def _reduction(rows: Sequence[ClassFunction], n: int) -> tuple[_Values, int]:
+    """(values, p): the rows' values by id, in one ring Z[zeta_e], e the lcm
+    of their root orders, and the smallest prime p = 1 (mod e) with
+    p > n (D^2 + 1), D the largest coefficient L1 norm of a value.  Each cell
+    is read once; everything else runs on the distinct values.
 
     A value of a character of a group of order n is a sum of chi(1) <=
     sqrt(n) roots of unity, so a value with a larger L1 norm than that many
     of the largest reduced zeta_e^s raises RuntimeError; this keeps p small
     for any input."""
-    e = math.lcm(*(v.e for chi in rows for v in chi.values))
-    values = [[v.rebase(e) for v in chi.values] for chi in rows]
-    D = max((sum(map(abs, v.coeffs)) for row in values for v in row), default=0)
-    root_norm = max(sum(map(abs, Cyc.root_power(e, t).coeffs)) for t in range(e))
-    if D > math.isqrt(n) * root_norm:
-        raise RuntimeError("character values exceed the bound for a group of this order")
-    return values, e, D
-
-
-def _value_ids(values: list[list[Cyc]]) -> tuple[list[tuple[int, ...]], list[Cyc], dict[tuple[int, ...], int]]:
-    """(rows, distinct, ids): each row as a tuple of value ids, the distinct
-    values in id order, and the id of each distinct coefficient tuple."""
+    first: dict[tuple[int, tuple[int, ...]], int] = {}
+    cells = [tuple([first.setdefault((v.e, v.coeffs), len(first)) for v in chi.values]) for chi in rows]
+    e = math.lcm(*(f for f, _ in first))
     ids: dict[tuple[int, ...], int] = {}
-    distinct = []
-    for row in values:
-        for v in row:
-            if v.coeffs not in ids:
-                ids[v.coeffs] = len(distinct)
-                distinct.append(v)
-    return [tuple(ids[v.coeffs] for v in row) for row in values], distinct, ids
+    merged = [ids.setdefault(c if f == e else Cyc(f, c).rebase(e).coeffs, len(ids)) for f, c in first]
+    if len(ids) < len(first):  # equal values given in different rings
+        cells = [tuple(map(merged.__getitem__, row)) for row in cells]
+    D = max((sum(map(abs, c)) for c in ids), default=0)
+    if D > math.isqrt(n) * _root_norm(e):
+        raise RuntimeError("character values exceed the bound for a group of this order")
+    return _Values(cells, list(ids), ids, e), prime_above(e, n * (D * D + 1))
 
 
-def _embeddings(values: list[list[Cyc]], e: int, p: int) -> dict[int, dict[tuple[int, ...], int]]:
+@lru_cache(maxsize=None)
+def _root_norm(e: int) -> int:
+    """The largest coefficient L1 norm of a reduced zeta_e^t."""
+    return max(sum(map(abs, Cyc.root_power(e, t).coeffs)) for t in range(e))
+
+
+def _embeddings(distinct: list[tuple[int, ...]], e: int, p: int) -> dict[int, list[int]]:
     """iota_1 and iota_-1, keyed by 1 % e and -1 % e: the image mod p of each
     distinct value, by its coefficients, under zeta_e -> z and zeta_e -> z^-1,
     z a primitive e-th root of unity mod p."""
     z = _root_of_unity(e, p)
     zpow = [pow(z, t, p) for t in range(e)]
-    distinct = {v.coeffs for row in values for v in row}
     images = {}
     for a in (1 % e, -1 % e):
         za = [zpow[a * j % e] for j in range(e)]
-        images[a] = {c: sum(map(mul, c, za)) % p for c in distinct}
+        images[a] = [sum(map(mul, c, za)) % p for c in distinct]
     return images
 
 
-def _orthonormal_mod(values: list[list[Cyc]], sizes: list[int], n: int, e: int, p: int) -> list[list[int]] | None:
+def _orthonormal_mod(values: _Values, sizes: list[int], n: int, p: int) -> list[list[int]] | None:
     """X_1 if the rows are distinct, sigma_a permutes them for every a of
     ``_unit_generators``, and X_1 W_1^T = n I mod p, else None, where
     X_1[i][k] = iota_1(values[i][k]), W_1[j][k] = iota_-1(values[j][k])
     sizes[k] and iota_a is that of ``_embeddings``.  Distinctness and
     closure are decided exactly, on coefficient tuples; the product needs
     the units 1 and -1 only (see ``check_orthonormal``)."""
-    rows, distinct, ids = _value_ids(values)
-    present = set(rows)
-    if len(present) != len(rows):
+    cells, distinct, ids, e = values
+    present = set(cells)
+    if len(present) != len(cells) or any(len(row) != len(sizes) for row in cells):
         return None
     # sigma_a is injective, so one that maps the finite set of rows into
     # itself permutes it; then so do the products of such sigma_a, and it is
     # enough to check units that generate the rest with -1
     for a in _unit_generators(e):
-        image = [ids.get(v.galois(a).coeffs) for v in distinct]
-        if any(tuple(map(image.__getitem__, row)) not in present for row in rows):
+        image = [ids.get(Cyc(e, c).galois(a).coeffs) for c in distinct]
+        if any(tuple(map(image.__getitem__, row)) not in present for row in cells):
             return None
-    images = _embeddings(values, e, p)
+    images = _embeddings(distinct, e, p)
     up, down = images[1 % e], images[-1 % e]
-    X = [[up[v.coeffs] for v in row] for row in values]
-    W = [[down[v.coeffs] * size % p for v, size in zip(row, sizes)] for row in values]
-    for i, x in enumerate(X):
-        for j, w in enumerate(W):
-            if sum(map(mul, x, w)) % p != (n if i == j else 0):
-                return None
+    X = [list(map(up.__getitem__, row)) for row in cells]
+    W = [[down[i] * size % p for i, size in zip(row, sizes)] for row in cells]
+    r = len(W)
+    for i, got in enumerate(_gram_mod(X, W, p)):
+        if got != [0] * i + [n] + [0] * (r - 1 - i):
+            return None
     return X
+
+
+def _gram_mod(X: list[list[int]], W: list[list[int]], p: int) -> list[list[int]]:
+    """X W^T mod p for matrices whose rows all have c entries in [0, p), by
+    Kronecker substitution: one packed integer product per row of X in
+    place of len(W) dot products.
+
+    Column k of W is packed as P_k = sum_j W[j][k] 2^(s j), with s =
+    bit_length(c p^2).  The s-bit slot j of sum_k X[i][k] P_k is then
+    sum_k X[i][k] W[j][k] <= c (p - 1)^2 < 2^s, so no slot carries into the
+    next; each slot is that dot product exactly, and its residue mod p is
+    entry (i, j)."""
+    packed = [0] * (len(W[0]) if W else 0)
+    s = (len(packed) * p * p).bit_length()
+    mask = (1 << s) - 1
+    for w in reversed(W):
+        packed = [P << s | x for P, x in zip(packed, w)]
+    gram = []
+    for x in X:
+        t = sum(map(mul, x, packed))
+        row = []
+        for _ in W:
+            row.append((t & mask) % p)
+            t >>= s
+        gram.append(row)
+    return gram
 
 
 def check_galois(rows: Sequence[ClassFunction], classes: ConjClassPartition) -> None:
@@ -555,20 +608,24 @@ def check_galois(rows: Sequence[ClassFunction], classes: ConjClassPartition) -> 
     zeta_e^c, for every row chi, class representative r and c prime to
     exp(G): the power maps, which a built table has by construction and
     orthonormality does not see (it survives swapping columns of equal size).
-    Values above the bound of ``_rebased`` raise first; no character of G
+    Values above the bound of ``_reduction`` raise first; no character of G
     takes them.
 
     Decided exactly, on coefficient tuples, for c = -1 and the c of
     ``_unit_generators(exp(G))``, which generate the units mod exp(G).  That
     covers every c, as the power maps compose: if the equalities hold at c
     and d, then chi(r^(cd)) = sigma_d(chi(r^c)) = sigma_cd(chi(r))."""
+    _power_maps(_reduction(rows, classes.group.order)[0], classes)
+
+
+def _power_maps(values: _Values, classes: ConjClassPartition) -> None:
+    """``check_galois`` on the values of ``_reduction``."""
     G, n_exp = classes.group, exponent(classes.group)
-    values, _, _ = _rebased(rows, G.order)
-    value_rows, distinct, ids = _value_ids(values)
+    cells, distinct, ids, e = values
     for c in _unit_generators(n_exp) + [-1 % n_exp]:
-        image = [ids.get(v.galois(c).coeffs) for v in distinct]
+        image = [ids.get(Cyc(e, v).galois(c).coeffs) for v in distinct]
         power_class = [classes.class_of[G.power(r, c)] for r in classes.reps]
-        if any([row[k] for k in power_class] != [image[i] for i in row] for row in value_rows):
+        if any([row[k] for k in power_class] != [image[i] for i in row] for row in cells):
             raise RuntimeError("character values do not follow the power maps")
 
 

@@ -43,7 +43,7 @@ from .structure import (
     small_generating_set,
     subgroups,
 )
-from .verify import ALL_CLAIMS, LEMMA_CLAIMS, VIOLATION, VerificationReport, report_key, summarize, sweep_single
+from .verify import ALL_CLAIMS, LEMMA_CLAIMS, VIOLATION, VerificationReport, sorted_reports, summarize, sweep_single
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -311,7 +311,7 @@ def _cmd_verify(args) -> int:
     errors = [error for _, error in results if error is not None]
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
-    reports = sorted((r for chunk, _ in results for r in chunk), key=report_key)
+    reports = sorted_reports(r for chunk, _ in results for r in chunk)
     summary = summarize(reports)
     for claim in sorted(summary["claims"]):
         c = summary["claims"][claim]

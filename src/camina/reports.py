@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable
 
-from .chartab import CharacterTable, ClassFunction, character_table, check_caps, check_galois
+from .chartab import CharacterTable, ClassFunction, character_table, check_caps
 from .cyclotomic import Cyc
 from .grouptable import GroupTable
 from .structure import conjugacy_classes, exponent
@@ -68,10 +68,18 @@ def chartab_cache_key(G: GroupTable) -> str:
     return h.hexdigest()
 
 
+def _cache_path(G: GroupTable, cache_dir: str | Path) -> Path:
+    """G's file in ``cache_dir``; the key is hashed once per group and kept
+    on it, so a query that loads and then saves hashes G once."""
+    key = G._cache.get("chartab_key")
+    if key is None:
+        key = G._cache["chartab_key"] = chartab_cache_key(G)
+    return Path(cache_dir) / f"chartab-{key}.json"
+
+
 def save_chartab(G: GroupTable, table: CharacterTable, cache_dir: str | Path) -> Path:
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_dir / f"chartab-{chartab_cache_key(G)}.json"
+    path = _cache_path(G, cache_dir)
+    path.parent.mkdir(parents=True, exist_ok=True)
     e = table.irreducibles[0].values[0].e if table.irreducibles else 1
     obj = {
         "format": FORMAT_VERSION,
@@ -90,7 +98,7 @@ def load_chartab(G: GroupTable, cache_dir: str | Path) -> CharacterTable | None:
     that constructing any ``CharacterTable`` makes, orthonormal rows and
     positive integer degrees, or the power maps of ``check_galois``, which a
     fresh build has by construction."""
-    path = Path(cache_dir) / f"chartab-{chartab_cache_key(G)}.json"
+    path = _cache_path(G, cache_dir)
     classes = conjugacy_classes(G)
     try:
         obj = json.loads(path.read_text())
@@ -103,7 +111,7 @@ def load_chartab(G: GroupTable, cache_dir: str | Path) -> CharacterTable | None:
             return None
         rows = tuple(ClassFunction(G, tuple(Cyc(e, coeffs) for coeffs in row)) for row in obj["rows"])
         table = CharacterTable(G, rows)
-        check_galois(rows, classes)
+        table.check_galois()
     except (OSError, LookupError, RuntimeError, TypeError, ValueError):
         return None
     return table

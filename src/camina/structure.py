@@ -93,11 +93,16 @@ def derived_subgroup(G: GroupTable, S: ElementSet | None = None) -> ElementSet:
 
     Generated by commutators of a generating set of S, G's generators or
     ``small_generating_set`` of a proper S, then closed under conjugation
-    by S (the derived subgroup is normal in S).
+    by S (the derived subgroup is normal in S).  G' itself is cached on G.
     """
+    if S is None and "derived_subgroup" in G._cache:
+        return G._cache["derived_subgroup"]
     gens = G.generator_ids if S is None else small_generating_set(G, S.members)
     seed = {G.commutator(a, b) for a in gens for b in gens}
-    return _conjugation_closure(G, sorted(seed), gens)
+    result = _conjugation_closure(G, sorted(seed), gens)
+    if S is None:
+        G._cache["derived_subgroup"] = result
+    return result
 
 
 def derived_series(G: GroupTable, S: ElementSet | None = None) -> tuple[ElementSet, ...]:

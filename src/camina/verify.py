@@ -18,6 +18,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
+from operator import attrgetter
+from typing import Iterable
 
 from .chartab import CharacterTable, character_table
 from .conditions import (
@@ -87,6 +90,19 @@ class VerificationReport:
 def report_key(r: VerificationReport) -> tuple:
     """The canonical report order: group label, subgroup index, claim, details."""
     return (r.group_label, r.subgroup_index, r.claim, str(sorted(r.details.items())))
+
+
+def sorted_reports(reports: Iterable[VerificationReport]) -> list[VerificationReport]:
+    """``reports`` in ``report_key`` order.  They are sorted on (label,
+    index, claim), and only the runs that tie on it, cor2's per-prime
+    reports and groups that share a label, are sorted by ``report_key``,
+    which stringifies the details."""
+    triple = attrgetter("group_label", "subgroup_index", "claim")
+    out: list[VerificationReport] = []
+    for _, run in groupby(sorted(reports, key=triple), key=triple):
+        run = list(run)
+        out += sorted(run, key=report_key) if len(run) > 1 else run
+    return out
 
 
 def _witness_dict(verdict: ConditionVerdict) -> dict | None:

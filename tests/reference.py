@@ -113,6 +113,11 @@ def reference_check_orthonormal(rows: list[ClassFunction], classes: ConjClassPar
         raise RuntimeError("character degrees are not positive integers")
 
 
+def reference_gram_mod(X: list[list[int]], W: list[list[int]], p: int) -> list[list[int]]:
+    """X W^T mod p, one plain dot product per entry."""
+    return [[sum(x * w for x, w in zip(xs, ws)) % p for ws in W] for xs in X]
+
+
 def reference_check_galois(rows: list[ClassFunction], classes: ConjClassPartition) -> None:
     """The power-map check in exact Cyc arithmetic: raise RuntimeError
     unless chi(r^c) equals chi(r) with zeta_e -> zeta_e^c for every row,

@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -35,6 +36,7 @@ from reference import (
     reference_character_table,
     reference_check_galois,
     reference_check_orthonormal,
+    reference_gram_mod,
     reference_in_irr_given_N,
 )
 
@@ -468,15 +470,39 @@ class TestModularSelfCheck:
         original = chartab._orthonormal_mod
         monkeypatch.setattr(chartab, "_orthonormal_mod", lambda *args: seen.append(args) or original(*args))
         assert accepts(check_orthonormal, G, classes, values)
-        embedded, sizes, n, e, p = seen[0]
+        reduced, sizes, n, p = seen[0]
+        e = reduced.e
         z = chartab._root_of_unity(e, p)
         zeta = Cyc.root_power(e, 1)
         delta = (zeta - Cyc.integer(z, e)) * (zeta - Cyc.integer(pow(z, -1, p), e))
-        perturbed = [list(row) for row in embedded]
+        perturbed = [list(row) for row in values]
         perturbed[1][1] = perturbed[1][1] + delta
         assert e == 20 and not delta.is_zero()
-        assert not original(perturbed, sizes, n, e, p)
+        # under the table's own p, past the bound check
+        ids = {}
+        cells = [tuple(ids.setdefault(v.coeffs, len(ids)) for v in row) for row in perturbed]
+        assert not original(chartab._Values(cells, list(ids), ids, e), sizes, n, p)
         assert not accepts(check_orthonormal, G, classes, perturbed)
+
+    def test_equal_values_given_in_different_rings(self):
+        # S4's integer values, every other cell as a Cyc of root order 1:
+        # one value id each, so the table is accepted with its own residues
+        G, classes, values = built_table("S4")
+        mixed = [
+            [Cyc.integer(v.as_int()) if (i + k) % 2 else v for k, v in enumerate(row)] for i, row in enumerate(values)
+        ]
+        assert {v.e for row in mixed for v in row} == {1, 12}
+        rows = tuple(ClassFunction(G, tuple(row)) for row in mixed)
+        assert chartab.CharacterTable(G, rows).mod_p == character_table(G).mod_p
+        assert accepts(check_galois, G, classes, mixed)
+
+    def test_rows_of_another_length_than_the_class_count(self):
+        # C2's rows with a zero appended, or one row cut short, are no table
+        G, classes, values = built_table("C2")
+        zero = Cyc.integer(0)
+        assert accepts(check_orthonormal, G, classes, values)
+        assert not accepts(check_orthonormal, G, classes, [row + [zero] for row in values])
+        assert not accepts(check_orthonormal, G, classes, [values[0], values[1][:1]])
 
     def test_no_cyc_products(self, monkeypatch):
         # the check embeds values into F_p; only the reference multiplies Cyc values
@@ -492,6 +518,50 @@ class TestModularSelfCheck:
         monkeypatch.setattr(Cyc, "__rmul__", counted)
         assert accepts(check_orthonormal, G, classes, values)
         assert calls == []
+
+
+@functools.cache
+def largest_table_prime():
+    """The largest p of ``mod_p`` over the builtin tables and EXTRA_TABLE_LABELS."""
+    labels = [e.label for e in builtin_catalog()] + EXTRA_TABLE_LABELS
+    return max(character_table(builtin(label).group()).mod_p[0] for label in labels)
+
+
+class TestPackedGram:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_dot_products_on_random_residues(self, data):
+        p = data.draw(st.sampled_from([2, 3, 61, 4441, largest_table_prime(), 2**61 - 1]))
+        rows, cols = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+        residue = st.integers(0, p - 1)
+        X = data.draw(st.lists(st.lists(residue, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+        W = data.draw(st.lists(st.lists(residue, min_size=cols, max_size=cols), min_size=1, max_size=12))
+        assert chartab._gram_mod(X, W, p) == reference_gram_mod(X, W, p)
+
+    @pytest.mark.parametrize("r", [1, 2, 60])
+    def test_largest_slot_sums(self, r):
+        # every entry p - 1: each slot holds r (p - 1)^2, its largest value
+        p = largest_table_prime()
+        assert p == 50131
+        top = [[p - 1] * r for _ in range(r)]
+        assert chartab._gram_mod(top, top, p) == reference_gram_mod(top, top, p) == [[r % p] * r] * r
+
+    def test_sixty_classes_at_the_largest_prime(self):
+        rng = random.Random(60)
+        p = largest_table_prime()
+        X, W = ([[rng.randrange(p) for _ in range(60)] for _ in range(60)] for _ in range(2))
+        X[7] = [p - 1] * 60
+        assert chartab._gram_mod(X, W, p) == reference_gram_mod(X, W, p)
+
+    def test_check_forms_one_packed_gram(self, monkeypatch):
+        # C60's check reads its 60 x 60 residues off one _gram_mod call
+        G, classes, values = built_table("C60")
+        grams = []
+        original = chartab._gram_mod
+        monkeypatch.setattr(chartab, "_gram_mod", lambda *args: grams.append(args) or original(*args))
+        assert accepts(check_orthonormal, G, classes, values)
+        [(X, W, p)] = grams
+        assert len(X) == len(W) == 60 and all(len(row) == 60 for row in X + W)
 
 
 def own_residues(table):

@@ -10,6 +10,7 @@ import pytest
 
 import camina.chartab as chartab
 import camina.cyclotomic as cyclotomic
+import camina.reports as reports
 from camina.catalog import builtin, builtin_catalog
 from camina.chartab import character_table
 from camina.cli import build_parser, run_cli
@@ -245,6 +246,21 @@ class TestChartabCache:
         start = time.perf_counter()
         assert load_chartab(s4, tmp_path) is None
         assert time.perf_counter() - start < 1.0
+
+    def test_one_key_hash_per_query(self, monkeypatch, tmp_path, capsys):
+        # a cold query misses, builds and saves; a warm one loads; each
+        # hashes the group once
+        calls = []
+        original = reports.chartab_cache_key
+        monkeypatch.setattr(reports, "chartab_cache_key", lambda G: calls.append(G) or original(G))
+        argv = ["--cache-dir", str(tmp_path), "chartab", "--group", "S4"]
+        assert run_cli(argv) == 0
+        assert len(calls) == 1 and len(list(tmp_path.glob("chartab-*.json"))) == 1
+        built = capsys.readouterr().out
+        calls.clear()
+        monkeypatch.setattr(reports, "character_table", lambda G: pytest.fail("a warm query built the table"))
+        assert run_cli(argv) == 0
+        assert len(calls) == 1 and capsys.readouterr().out == built
 
     def test_caps_apply_before_a_load(self, monkeypatch, tmp_path, s4):
         save_chartab(s4, character_table(s4), tmp_path)

@@ -302,6 +302,27 @@ class TestNormalityFromClasses:
         for g, conj in zip(s4.generator_ids, classes.conjugators):
             assert list(conj) == [s4.conj(x, g) for x in range(s4.order)]
 
+    def test_derived_subgroup_of_g_is_computed_once(self, monkeypatch):
+        G = builtin("S4").group()
+        calls = []
+        original = structure._conjugation_closure
+        monkeypatch.setattr(structure, "_conjugation_closure", lambda *args: calls.append(args) or original(*args))
+        first = derived_subgroup(G)
+        assert derived_subgroup(G) is first and len(first) == 12
+        assert len(calls) == 1
+
+    def test_a_subgroup_is_never_answered_from_the_cached_g_prime(self):
+        # a wrong G' planted in the cache changes no answer for a given S,
+        # the whole group as an ElementSet included
+        for label in ("S4", "Q8", "Frob(5:4)"):
+            fresh = builtin(label).group()
+            want = {H.members: derived_subgroup(fresh, H).members for H in subgroups(fresh)}
+            G = builtin(label).group()
+            G._cache["derived_subgroup"] = ElementSet(G, range(G.order))
+            for H in subgroups(G):
+                assert derived_subgroup(G, ElementSet(G, H.members)).members == want[H.members], (label, H.members)
+            assert len(derived_subgroup(G)) == G.order
+
     def test_derived_subgroup_of_g_matches_the_whole_set(self):
         # S = None seeds from G's generators, S = G from a generating set of G
         for label in [e.label for e in builtin_catalog()] + ["S5", "S4xC2", "Heis(5)"]:

@@ -13,7 +13,7 @@ import camina.chartab as chartab
 import camina.grouptable as grouptable
 import camina.structure as structure
 import camina.verify as verify
-from camina.catalog import builtin, builtin_catalog
+from camina.catalog import builtin, builtin_catalog, parse_group_file
 from camina.chartab import CharacterTable, character_table, inner_product_int, restrict, trivial_character
 from camina.conditions import bs_hypothesis, derangements, satisfies_F, satisfies_Fpm
 from camina.cyclotomic import Cyc
@@ -28,6 +28,8 @@ from camina.verify import (
     VIOLATION,
     Pair,
     is_subnormal,
+    report_key,
+    sorted_reports,
     summarize,
     sweep_single,
     verify_cor2,
@@ -298,6 +300,34 @@ class TestSweep:
         reports = verify_builtin(12, ["theorem1", "theorem2"])
         keys = [(r.group_label, r.subgroup_index, r.claim) for r in reports]
         assert keys == sorted(keys)
+
+    @staticmethod
+    def assert_report_key_order(reports):
+        # the same objects in the same order as a full sort by report_key,
+        # for the input order and its reverse; equal keys keep input order
+        for given in (reports, reports[::-1]):
+            assert list(map(id, sorted_reports(given))) == list(map(id, sorted(given, key=report_key)))
+
+    def test_sorted_reports_orders_cor2_by_details(self):
+        # cor2 makes one report per prime with the same label, index and claim
+        reports = sweep_single("C60", builtin("C60").group(), ["cor2", "odd_order"])
+        cor2 = [r for r in reports if r.claim == "cor2"]
+        assert len(cor2) == 3 and len({(r.subgroup_index, r.group_label) for r in cor2}) == 1
+        triple = lambda r: (r.group_label, r.subgroup_index, r.claim)
+        assert sorted(cor2[::-1], key=triple) != sorted(cor2[::-1], key=report_key)
+        self.assert_report_key_order(reports)
+
+    def test_sorted_reports_orders_groups_that_share_a_label(self, tmp_path):
+        # group files of the same name in two directories share their label
+        reports = []
+        for name, text in (("a", "degree 3\n(1,2)\n(1,2,3)\n"), ("b", "degree 4\n(1,2,3,4)\n")):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "g.grp").write_text(text)
+            entry = parse_group_file(tmp_path / name / "g.grp")
+            reports += sweep_single(entry.label, entry.group(), ["theorem1", "odd_order", "cor2"])
+        assert {r.group_label for r in reports} == {"file:g.grp"}
+        assert {r.group_order for r in reports} == {6, 4}
+        self.assert_report_key_order(reports)
 
     def test_replayable(self, s3):
         reports = sweep_single("S3", s3, ["theorem1", "odd_order"])
