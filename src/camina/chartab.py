@@ -12,12 +12,13 @@ exact cyclotomic integers by multiplicity counting over the powers of one
 class representative per Galois class of columns, for one row per Galois
 orbit of rows; the other columns of a Galois class and the other rows of
 an orbit re-index those counts.  Every table,
-built or read from a cache, runs ``check_orthonormal`` when it is
-constructed, which decides the orthogonality relations exactly in Z[zeta_e]:
-the rows must be closed under the Galois group, and then one embedding into
-F_p, p = 1 mod e a prime above an explicit bound on the values, decides
-them.  The check reads each of the r^2 cells once, as the id of its
-distinct value, and works on the distinct values after that.  Its r^2
+built or read from a cache, is checked by one path, the ``CharacterTable``
+constructor, which decides it exactly in Z[zeta_e]: one row per class, the
+rows closed under the Galois group and following the power maps, both
+compared on coefficient tuples, and then the orthogonality relations, which
+one embedding into F_p, p = 1 mod e a prime above an explicit bound on the
+values, decides.  The check reads each of the r^2 cells once, as the id of
+its distinct value, and works on the distinct values after that.  Its r^2
 residues come from one packed integer product per row (Kronecker
 substitution): with the j-th row of W_1 in bits [s j, s j + s) of the
 packed columns, s = bit_length(r p^2), slot j of row i is a sum of r
@@ -56,26 +57,46 @@ class ClassFunction:
 
 @dataclass(frozen=True)
 class CharacterTable:
-    """Irr(G), checked as ``check_orthonormal`` checks when constructed
-    (RuntimeError if it fails), and ``mod_p``, the check's (p, X): X[i][k] =
-    chi_i(k) mod p under zeta_e -> z.  A sum of products of values that is
-    an integer in [0, p) is its own residue; p > |G| (D^2 + 1) >= |G| chi(1)^2
-    for all chi.  The check's value ids are kept for ``check_galois``."""
+    """Irr(G), checked exactly when constructed, whether built or read from
+    a cache: RuntimeError unless there is one row per class, the rows are
+    distinct, closed under the Galois group and follow the power maps,
+    [chi_i, chi_j] = delta_ij, and every chi(1) is a positive integer; with
+    one such row per class, sum chi(1)^2 = |G| follows.  ``mod_p`` is the
+    check's (p, X): X[i][k] = chi_i(k) mod p under zeta_e -> z.  A sum of
+    products of values that is an integer in [0, p) is its own residue;
+    p > |G| (D^2 + 1) >= |G| chi(1)^2 for all chi.
+
+    The check runs on the distinct values of ``_reduction``, in Z[zeta_e].
+    For c = -1 and each c of ``_unit_generators(L)``, L = lcm(e, exp(G)),
+    which generate the units mod L and so those mod e and mod exp(G), it
+    maps the distinct values by sigma_c: zeta_e -> zeta_e^c once and
+    compares coefficient tuples: each row's image must be a row (closure),
+    and must be the row read at the classes of rep^c (the power maps
+    chi(rep^c) = sigma_c(chi(rep)), which orthonormality does not see: it
+    survives swapping columns of equal size).  Both hold for products of
+    such c, so for every unit.
+
+    Then alpha_ij = sum_k chi_i(k) |K_k| conj(chi_j(k)) - |G| delta_ij = 0
+    in Z[zeta_e] is decided mod p under the one embedding iota_1: zeta_e ->
+    z of Z[zeta_e] into F_p.  This is exact.  If sigma_a sends row i to
+    row pi(i), then iota_a(alpha_ij) = iota_1(sigma_a(alpha_ij)) =
+    iota_1(alpha_pi(i)pi(j)) = 0, and iota_-a(alpha_ij) = iota_a(alpha_ji)
+    = 0 as conj(alpha_ij) = alpha_ji, so every embedding iota_a sends
+    alpha_ij to 0.  Since p splits completely in Z[zeta_e], alpha_ij then
+    lies in p Z[zeta_e], and a nonzero element of p Z[zeta_e] has a complex
+    conjugate of absolute value >= p, while every conjugate of alpha_ij has
+    absolute value <= |G| (D^2 + 1) < p.  Irr(G) is closed under the Galois
+    group and follows the power maps, so no true table is rejected.
+    X_1 W_1^T mod p comes from ``_gram_mod``, one packed integer product
+    per row, exactly."""
 
     group: GroupTable
     irreducibles: tuple[ClassFunction, ...]
     mod_p: tuple[int, list[list[int]]] = field(init=False, repr=False, compare=False)
-    _values: _Values = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values, p = _reduction(self.irreducibles, self.group.order)
-        object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "mod_p", (p, _checked_mod(values, conjugacy_classes(self.group), p)))
-
-    def check_galois(self) -> None:
-        """``check_galois`` on the rows, from the value ids that the
-        constructor's check made."""
-        _power_maps(self._values, conjugacy_classes(self.group))
+        object.__setattr__(self, "mod_p", (p, _residues(values, conjugacy_classes(self.group), p)))
 
     @cached_property
     def degree_sequence(self) -> tuple[int, ...]:
@@ -456,45 +477,6 @@ def _nonlinear_rows(G: GroupTable, classes: ConjClassPartition, linear: list[lis
     return rows
 
 
-def check_orthonormal(rows: Sequence[ClassFunction], classes: ConjClassPartition) -> tuple[int, list[list[int]]]:
-    """Raise RuntimeError unless [chi_i, chi_j] = delta_ij exactly and every
-    chi(1) is a positive integer.  With one such row per class, sum chi(1)^2
-    = |G| follows.  Returns ``CharacterTable.mod_p``: (p, X), X[i][k] the
-    image of rows[i](k) under iota_1.
-
-    The equalities alpha_ij = sum_k chi_i(k) |K_k| conj(chi_j(k)) - |G| delta_ij
-    = 0 in Z[zeta_e] are decided by ``_orthonormal_mod``: the rows must be
-    distinct and each sigma_a: zeta_e -> zeta_e^a must permute them, which
-    it checks exactly, and then alpha_ij must vanish mod the prime p of
-    ``_reduction`` under the one embedding iota_1: zeta_e -> z of Z[zeta_e]
-    into F_p.  This is exact.  If sigma_a sends row i to row pi(i), then
-    iota_a(alpha_ij) = iota_1(sigma_a(alpha_ij)) = iota_1(alpha_pi(i)pi(j)) = 0,
-    and iota_-a(alpha_ij) = iota_a(alpha_ji) = 0 as conj(alpha_ij) = alpha_ji,
-    so every embedding iota_a sends alpha_ij to 0.  Since p splits completely
-    in Z[zeta_e], alpha_ij then lies in p Z[zeta_e], and a nonzero element of
-    p Z[zeta_e] has a complex conjugate of absolute value >= p, while every
-    conjugate of alpha_ij has absolute value <= |G| (D^2 + 1) < p.  Irr(G)
-    is closed under the Galois group, so no true table is rejected.
-
-    X_1 W_1^T mod p comes from ``_gram_mod``, one packed integer product
-    per row, and is exact: each s-bit slot of a row's product is a sum of
-    r products of residues below p, at most r (p - 1)^2 < 2^s with
-    s = bit_length(r p^2), so no slot carries into the next."""
-    values, p = _reduction(rows, classes.group.order)
-    return p, _checked_mod(values, classes, p)
-
-
-def _checked_mod(values: _Values, classes: ConjClassPartition, p: int) -> list[list[int]]:
-    """X_1 of ``_orthonormal_mod``, or the RuntimeError of ``check_orthonormal``."""
-    X = _orthonormal_mod(values, classes.sizes, classes.group.order, p)
-    if X is None:
-        raise RuntimeError("character rows are not orthonormal")
-    degrees = [values.distinct[row[0]] for row in values.cells]
-    if not all(c[0] > 0 and not any(c[1:]) for c in degrees):
-        raise RuntimeError("character degrees are not positive integers")
-    return X
-
-
 class _Values(NamedTuple):
     """A table's values by id: cells[i][k] is the id of row i's value at
     class k, distinct[id] that value's coefficients in Z[zeta_e], and ids
@@ -548,32 +530,35 @@ def _embeddings(distinct: list[tuple[int, ...]], e: int, p: int) -> dict[int, li
     return images
 
 
-def _orthonormal_mod(values: _Values, sizes: list[int], n: int, p: int) -> list[list[int]] | None:
-    """X_1 if the rows are distinct, sigma_a permutes them for every a of
-    ``_unit_generators``, and X_1 W_1^T = n I mod p, else None, where
-    X_1[i][k] = iota_1(values[i][k]), W_1[j][k] = iota_-1(values[j][k])
-    sizes[k] and iota_a is that of ``_embeddings``.  Distinctness and
-    closure are decided exactly, on coefficient tuples; the product needs
-    the units 1 and -1 only (see ``check_orthonormal``)."""
+def _residues(values: _Values, classes: ConjClassPartition, p: int) -> list[list[int]]:
+    """X_1 of ``CharacterTable``, the values under iota_1 of ``_embeddings``,
+    or its RuntimeError: the rows, one per class and distinct, must pass the
+    Galois checks on coefficient tuples, then X_1 W_1^T = |G| I mod p, with
+    W_1[j][k] = iota_-1(values[j][k]) sizes[k], and the degrees must be
+    positive integers."""
     cells, distinct, ids, e = values
+    G, r = classes.group, classes.count
     present = set(cells)
-    if len(present) != len(cells) or any(len(row) != len(sizes) for row in cells):
-        return None
-    # sigma_a is injective, so one that maps the finite set of rows into
-    # itself permutes it; then so do the products of such sigma_a, and it is
-    # enough to check units that generate the rest with -1
-    for a in _unit_generators(e):
-        image = [ids.get(Cyc(e, c).galois(a).coeffs) for c in distinct]
-        if any(tuple(map(image.__getitem__, row)) not in present for row in cells):
-            return None
+    if len(present) != r or len(cells) != r or any(len(row) != r for row in cells):
+        raise RuntimeError("character rows are not orthonormal")
+    L = math.lcm(e, exponent(G))
+    for c in _unit_generators(L) + [-1 % L]:
+        image = [ids.get(Cyc(e, v).galois(c).coeffs) for v in distinct]
+        moved = [tuple(map(image.__getitem__, row)) for row in cells]
+        if not present.issuperset(moved):
+            raise RuntimeError("character rows are not orthonormal")
+        at = [classes.class_of[G.power(rep, c)] for rep in classes.reps]
+        if moved != [tuple(map(row.__getitem__, at)) for row in cells]:
+            raise RuntimeError("character values do not follow the power maps")
     images = _embeddings(distinct, e, p)
     up, down = images[1 % e], images[-1 % e]
     X = [list(map(up.__getitem__, row)) for row in cells]
-    W = [[down[i] * size % p for i, size in zip(row, sizes)] for row in cells]
-    r = len(W)
+    W = [[down[i] * size % p for i, size in zip(row, classes.sizes)] for row in cells]
     for i, got in enumerate(_gram_mod(X, W, p)):
-        if got != [0] * i + [n] + [0] * (r - 1 - i):
-            return None
+        if got != [0] * i + [G.order] + [0] * (r - 1 - i):
+            raise RuntimeError("character rows are not orthonormal")
+    if not all(distinct[row[0]][0] > 0 and not any(distinct[row[0]][1:]) for row in cells):
+        raise RuntimeError("character degrees are not positive integers")
     return X
 
 
@@ -601,32 +586,6 @@ def _gram_mod(X: list[list[int]], W: list[list[int]], p: int) -> list[list[int]]
             t >>= s
         gram.append(row)
     return gram
-
-
-def check_galois(rows: Sequence[ClassFunction], classes: ConjClassPartition) -> None:
-    """Raise RuntimeError unless chi(r^c) = sigma_c(chi(r)), sigma_c: zeta_e ->
-    zeta_e^c, for every row chi, class representative r and c prime to
-    exp(G): the power maps, which a built table has by construction and
-    orthonormality does not see (it survives swapping columns of equal size).
-    Values above the bound of ``_reduction`` raise first; no character of G
-    takes them.
-
-    Decided exactly, on coefficient tuples, for c = -1 and the c of
-    ``_unit_generators(exp(G))``, which generate the units mod exp(G).  That
-    covers every c, as the power maps compose: if the equalities hold at c
-    and d, then chi(r^(cd)) = sigma_d(chi(r^c)) = sigma_cd(chi(r))."""
-    _power_maps(_reduction(rows, classes.group.order)[0], classes)
-
-
-def _power_maps(values: _Values, classes: ConjClassPartition) -> None:
-    """``check_galois`` on the values of ``_reduction``."""
-    G, n_exp = classes.group, exponent(classes.group)
-    cells, distinct, ids, e = values
-    for c in _unit_generators(n_exp) + [-1 % n_exp]:
-        image = [ids.get(Cyc(e, v).galois(c).coeffs) for v in distinct]
-        power_class = [classes.class_of[G.power(r, c)] for r in classes.reps]
-        if any([row[k] for k in power_class] != [image[i] for i in row] for row in cells):
-            raise RuntimeError("character values do not follow the power maps")
 
 
 # --- class function operations -------------------------------------------

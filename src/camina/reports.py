@@ -11,10 +11,10 @@ from typing import Iterable
 from .chartab import CharacterTable, ClassFunction, character_table, check_caps
 from .cyclotomic import Cyc
 from .grouptable import GroupTable
-from .structure import conjugacy_classes, exponent
+from .structure import exponent
 from .verify import VerificationReport
 
-FORMAT_VERSION = "camina/0.1.0"
+FORMAT_VERSION = "camina/0.2.0"
 
 
 @dataclass(frozen=True)
@@ -78,40 +78,36 @@ def _cache_path(G: GroupTable, cache_dir: str | Path) -> Path:
 
 
 def save_chartab(G: GroupTable, table: CharacterTable, cache_dir: str | Path) -> Path:
+    """Write G's table: each distinct coefficient list once, under
+    ``"values"``, and each row as the ids of its values, under ``"rows"``."""
     path = _cache_path(G, cache_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
-    e = table.irreducibles[0].values[0].e if table.irreducibles else 1
-    obj = {
-        "format": FORMAT_VERSION,
-        "order": G.order,
-        "root_order": e,
-        "degree_sequence": list(table.degree_sequence),
-        "rows": [[list(v.coeffs) for v in chi.values] for chi in table.irreducibles],
-    }
+    e = table.irreducibles[0].values[0].e  # a table has a row for each of G's classes
+    ids: dict[tuple[int, ...], int] = {}
+    rows = [[ids.setdefault(v.coeffs, len(ids)) for v in chi.values] for chi in table.irreducibles]
+    obj = {"format": FORMAT_VERSION, "order": G.order, "root_order": e, "values": list(ids), "rows": rows}
     path.write_text(json.dumps(obj, sort_keys=True))
     return path
 
 
 def load_chartab(G: GroupTable, cache_dir: str | Path) -> CharacterTable | None:
     """The cached table of G, or None when there is no readable file, its
-    root order does not divide the exponent of G, or it fails the exact check
-    that constructing any ``CharacterTable`` makes, orthonormal rows and
-    positive integer degrees, or the power maps of ``check_galois``, which a
-    fresh build has by construction."""
+    root order does not divide the exponent of G, a row holds an id that is
+    not an index into its values, or the rows fail the exact check that
+    constructing any ``CharacterTable`` makes.  One ``Cyc`` is built per
+    distinct value."""
     path = _cache_path(G, cache_dir)
-    classes = conjugacy_classes(G)
     try:
         obj = json.loads(path.read_text())
         if obj["format"] != FORMAT_VERSION or obj["order"] != G.order:
             return None
-        if len(obj["rows"]) != classes.count or any(len(row) != classes.count for row in obj["rows"]):
-            return None
         e = obj["root_order"]
         if type(e) is not int or e < 1 or exponent(G) % e:  # Z[zeta_e] costs time and memory quadratic in e
             return None
-        rows = tuple(ClassFunction(G, tuple(Cyc(e, coeffs) for coeffs in row)) for row in obj["rows"])
-        table = CharacterTable(G, rows)
-        table.check_galois()
+        values = [Cyc(e, coeffs) for coeffs in obj["values"]]
+        if any(type(i) is not int or not 0 <= i < len(values) for row in obj["rows"] for i in row):
+            return None
+        table = CharacterTable(G, tuple(ClassFunction(G, tuple(map(values.__getitem__, row))) for row in obj["rows"]))
     except (OSError, LookupError, RuntimeError, TypeError, ValueError):
         return None
     return table

@@ -1,6 +1,8 @@
 import functools
+import inspect
 import math
 import random
+import textwrap
 from collections import Counter
 
 import pytest
@@ -9,9 +11,8 @@ from hypothesis import given, settings, strategies as st
 import camina.chartab as chartab
 from camina.catalog import builtin, builtin_catalog
 from camina.chartab import (
+    CharacterTable,
     character_table,
-    check_galois,
-    check_orthonormal,
     class_matrices,
     decompose,
     dixon_prime,
@@ -67,6 +68,20 @@ def accepts(check, G, classes, values):
     except RuntimeError:
         return False
     return True
+
+
+def constructed(rows, classes):
+    """The one table check: constructing a ``CharacterTable`` of the rows."""
+    CharacterTable(classes.group, tuple(rows))
+
+
+def reference_accepts(G, classes, values):
+    """Whether a table within the bound passes both exact reference checks."""
+    return (
+        accepts(lambda rows, classes: chartab._reduction(rows, G.order), G, classes, values)
+        and accepts(reference_check_orthonormal, G, classes, values)
+        and accepts(reference_check_galois, G, classes, values)
+    )
 
 
 def table_shape(G):
@@ -397,7 +412,7 @@ class TestModularSelfCheck:
     def test_agrees_with_reference_on_builtin_tables(self):
         for entry in builtin_catalog():
             G, classes, values = built_table(entry.label)
-            assert accepts(check_orthonormal, G, classes, values), entry.label
+            assert accepts(constructed, G, classes, values), entry.label
             assert accepts(reference_check_orthonormal, G, classes, values), entry.label
 
     @settings(max_examples=60, deadline=None)
@@ -411,9 +426,7 @@ class TestModularSelfCheck:
         coeffs[j] += data.draw(st.integers(-3, 3))
         perturbed = [list(row) for row in values]
         perturbed[i][k] = Cyc(values[i][k].e, coeffs)
-        assert accepts(check_orthonormal, G, classes, perturbed) == accepts(
-            reference_check_orthonormal, G, classes, perturbed
-        )
+        assert accepts(constructed, G, classes, perturbed) == reference_accepts(G, classes, perturbed)
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(PERTURB_LABELS), st.data())
@@ -427,9 +440,7 @@ class TestModularSelfCheck:
         a = data.draw(st.sampled_from([a for a in range(1, v.e + 1) if math.gcd(a, v.e) == 1]))
         perturbed = [list(row) for row in values]
         perturbed[i][k] = galois_image(v, a)
-        assert accepts(check_orthonormal, G, classes, perturbed) == accepts(
-            reference_check_orthonormal, G, classes, perturbed
-        )
+        assert accepts(constructed, G, classes, perturbed) == reference_accepts(G, classes, perturbed)
 
     def test_one_embedding_pair(self, monkeypatch):
         # the product is formed under iota_1 and iota_-1 alone
@@ -444,7 +455,7 @@ class TestModularSelfCheck:
         for label in ("C1", "C2", "S3", "Q8", "Frob(5:4)", "A5", "C5xC10"):
             G, classes, values = built_table(label)
             made.clear()
-            assert accepts(check_orthonormal, G, classes, values), label
+            assert accepts(constructed, G, classes, values), label
             assert [set(images) for _, images in made] == [{1 % e, (e - 1) % e} for e, _ in made], label
             assert len(made) == 1, label
 
@@ -467,10 +478,10 @@ class TestModularSelfCheck:
         # Frob(5:4) (e = 20) where only iota_3, iota_7 and iota_9 can see it.
         G, classes, values = built_table("Frob(5:4)")
         seen = []
-        original = chartab._orthonormal_mod
-        monkeypatch.setattr(chartab, "_orthonormal_mod", lambda *args: seen.append(args) or original(*args))
-        assert accepts(check_orthonormal, G, classes, values)
-        reduced, sizes, n, p = seen[0]
+        original = chartab._residues
+        monkeypatch.setattr(chartab, "_residues", lambda *args: seen.append(args) or original(*args))
+        assert accepts(constructed, G, classes, values)
+        reduced, _, p = seen[0]
         e = reduced.e
         z = chartab._root_of_unity(e, p)
         zeta = Cyc.root_power(e, 1)
@@ -481,8 +492,9 @@ class TestModularSelfCheck:
         # under the table's own p, past the bound check
         ids = {}
         cells = [tuple(ids.setdefault(v.coeffs, len(ids)) for v in row) for row in perturbed]
-        assert not original(chartab._Values(cells, list(ids), ids, e), sizes, n, p)
-        assert not accepts(check_orthonormal, G, classes, perturbed)
+        with pytest.raises(RuntimeError, match="character rows are not orthonormal"):
+            original(chartab._Values(cells, list(ids), ids, e), classes, p)
+        assert not accepts(constructed, G, classes, perturbed)
 
     def test_equal_values_given_in_different_rings(self):
         # S4's integer values, every other cell as a Cyc of root order 1:
@@ -494,15 +506,25 @@ class TestModularSelfCheck:
         assert {v.e for row in mixed for v in row} == {1, 12}
         rows = tuple(ClassFunction(G, tuple(row)) for row in mixed)
         assert chartab.CharacterTable(G, rows).mod_p == character_table(G).mod_p
-        assert accepts(check_galois, G, classes, mixed)
+        assert accepts(constructed, G, classes, mixed)
 
     def test_rows_of_another_length_than_the_class_count(self):
         # C2's rows with a zero appended, or one row cut short, are no table
         G, classes, values = built_table("C2")
         zero = Cyc.integer(0)
-        assert accepts(check_orthonormal, G, classes, values)
-        assert not accepts(check_orthonormal, G, classes, [row + [zero] for row in values])
-        assert not accepts(check_orthonormal, G, classes, [values[0], values[1][:1]])
+        assert accepts(constructed, G, classes, values)
+        assert not accepts(constructed, G, classes, [row + [zero] for row in values])
+        assert not accepts(constructed, G, classes, [values[0], values[1][:1]])
+
+    def test_one_row_per_class(self):
+        # S3's first two rows are orthonormal, Galois-closed and follow the
+        # power maps, but a table has a row for each of the 3 classes
+        G, classes, values = built_table("S3")
+        rows = tuple(ClassFunction(G, tuple(row)) for row in values)
+        assert accepts(constructed, G, classes, values)
+        for part in (rows[:2], ()):
+            with pytest.raises(RuntimeError, match="character rows are not orthonormal"):
+                CharacterTable(G, part)
 
     def test_no_cyc_products(self, monkeypatch):
         # the check embeds values into F_p; only the reference multiplies Cyc values
@@ -516,7 +538,7 @@ class TestModularSelfCheck:
 
         monkeypatch.setattr(Cyc, "__mul__", counted)
         monkeypatch.setattr(Cyc, "__rmul__", counted)
-        assert accepts(check_orthonormal, G, classes, values)
+        assert accepts(constructed, G, classes, values)
         assert calls == []
 
 
@@ -559,7 +581,7 @@ class TestPackedGram:
         grams = []
         original = chartab._gram_mod
         monkeypatch.setattr(chartab, "_gram_mod", lambda *args: grams.append(args) or original(*args))
-        assert accepts(check_orthonormal, G, classes, values)
+        assert accepts(constructed, G, classes, values)
         [(X, W, p)] = grams
         assert len(X) == len(W) == 60 and all(len(row) == 60 for row in X + W)
 
@@ -621,7 +643,7 @@ class TestPowerMapCheck:
     def test_agrees_with_reference_on_built_tables(self):
         for label in [e.label for e in builtin_catalog()] + EXTRA_TABLE_LABELS:
             G, classes, values = built_table(label)
-            assert accepts(check_galois, G, classes, values), label
+            assert accepts(constructed, G, classes, values), label
             assert accepts(reference_check_galois, G, classes, values), label
 
     def test_c4_swapped_columns(self):
@@ -630,9 +652,10 @@ class TestPowerMapCheck:
         # but chi(g^3) must be the complex conjugate of chi(g)
         G, classes, values = built_table("C4")
         swapped = [[row[0], row[2], row[1], row[3]] for row in values]
-        assert accepts(check_orthonormal, G, classes, swapped)
-        assert not accepts(check_galois, G, classes, swapped)
+        assert accepts(reference_check_orthonormal, G, classes, swapped)
         assert not accepts(reference_check_galois, G, classes, swapped)
+        with pytest.raises(RuntimeError, match="character values do not follow the power maps"):
+            constructed([ClassFunction(G, tuple(row)) for row in swapped], classes)
 
     def test_c60_columns_moved_by_two_power_maps_only(self):
         # with x of order 60, move the column of x^u to that of x^(7u) for the
@@ -646,9 +669,10 @@ class TestPowerMapCheck:
         at = {u: classes.class_of[G.power(x, u)] for u in range(60)}
         moved = {at[u]: at[u if u in H or math.gcd(u, 60) > 1 else 7 * u % 60] for u in range(60)}
         changed = [[row[moved[k]] for k in range(len(row))] for row in values]
-        assert accepts(check_orthonormal, G, classes, changed)
-        assert not accepts(check_galois, G, classes, changed)
+        assert accepts(reference_check_orthonormal, G, classes, changed)
         assert not accepts(reference_check_galois, G, classes, changed)
+        with pytest.raises(RuntimeError, match="character values do not follow the power maps"):
+            constructed([ClassFunction(G, tuple(row)) for row in changed], classes)
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(PERTURB_LABELS + ["C8", "C5xC10"]), st.data())
@@ -666,15 +690,27 @@ class TestPowerMapCheck:
             coeffs[data.draw(st.integers(0, len(coeffs) - 1))] += data.draw(st.integers(-2, 2))
             changed[i][k] = Cyc(values[i][k].e, coeffs)
         # values no character of G can take fail the bound of the modular check first
-        in_bound = accepts(lambda rows, classes: chartab._reduction(rows, G.order), G, classes, changed)
-        assert accepts(check_galois, G, classes, changed) == (
-            in_bound and accepts(reference_check_galois, G, classes, changed)
-        )
+        assert accepts(constructed, G, classes, changed) == reference_accepts(G, classes, changed)
 
-    def test_a_build_does_not_run_it(self, monkeypatch):
-        # a built table follows the power maps by construction
-        monkeypatch.setattr(chartab, "check_galois", lambda *args: pytest.fail("check_galois ran"))
-        assert character_table(builtin("C4xC4xC2").group()).degree_sequence == (1,) * 32
+    def test_a_build_runs_it(self, monkeypatch):
+        # without the lambda(g^k)/k term, C8 from [x^2, x] builds the
+        # characters of C4 x C2 read through element coordinates: orthonormal
+        # and Galois-closed, but chi(x^3) is not sigma_3(chi(x))
+        source = textwrap.dedent(inspect.getsource(chartab._linear_exponents))
+        faulty_source = source.replace("(s // k + l * step,)", "(l * step,)")
+        assert faulty_source != source
+        namespace = {}
+        exec(faulty_source, vars(chartab), namespace)
+        faulty = namespace["_linear_exponents"]
+        x = Permutation.from_cycles(8, [tuple(range(8))])
+        G = generate(8, [x**2, x])
+        classes = conjugacy_classes(G)
+        values = [[Cyc.root_power(8, t) for t in ts] for ts in faulty(G, classes, 8)]
+        assert accepts(reference_check_orthonormal, G, classes, values)
+        assert not accepts(reference_check_galois, G, classes, values)
+        monkeypatch.setattr(chartab, "_linear_exponents", faulty)
+        with pytest.raises(RuntimeError, match="character values do not follow the power maps"):
+            character_table(G)
 
 
 class TestInnerProduct:

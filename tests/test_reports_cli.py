@@ -104,11 +104,19 @@ def damaged(text: str, damage: str) -> str:
     if damage == "truncated":
         return text[:40]
     if damage == "missing_key":
-        return '{"format":"camina/0.1.0","order":6}'
+        return json.dumps({"format": reports.FORMAT_VERSION, "order": 6})
     if damage == "list":
         return f"[{text}]"
     obj = json.loads(text)
-    obj["rows"][1][1][0] = str(obj["rows"][1][1][0])  # a row of the right shape
+    if damage == "string_coefficient":
+        obj["values"][1][0] = str(obj["values"][1][0])
+    else:
+        # the trivial character's first id, 0, as no index into the values;
+        # Python would read -len(values) and False as 0, the same table
+        n = len(obj["values"])
+        assert obj["rows"][0][0] == 0
+        obj["rows"][0][0] = {"negative_id": -n, "id_past_the_end": n, "float_id": 0.0, "bool_id": False,
+                             "string_id": "0"}[damage]
     return json.dumps(obj)
 
 
@@ -137,17 +145,21 @@ class TestChartabCache:
     def test_miss_returns_none(self, tmp_path, s3):
         assert load_chartab(s3, tmp_path) is None
 
-    @pytest.mark.parametrize("tamper", ["coefficient", "degree_sequence"])
+    @pytest.mark.parametrize("tamper", ["coefficient", "row_id"])
     def test_tampered_file_is_not_trusted(self, tmp_path, s4, tamper):
         fresh = character_table(s4)
         path = save_chartab(s4, fresh, tmp_path)
         obj = json.loads(path.read_text())
         if tamper == "coefficient":
-            obj["rows"][1][2][0] += 1  # S4 is rational: [chi, chi] changes by |K| (2 chi(k) + 1)
+            # S4 is rational: chi(k) + 1 at one cell changes [chi, chi] by |K| (2 chi(k) + 1)
+            value = list(obj["values"][obj["rows"][1][2]])
+            value[0] += 1
+            obj["values"].append(value)
+            obj["rows"][1][2] = len(obj["values"]) - 1
         else:
-            obj["degree_sequence"] = [1, 1, 2, 3, 4]
+            obj["rows"][1][0] = obj["rows"][2][0]  # the sign's degree 1 read as the next row's 2
         path.write_text(json.dumps(obj, sort_keys=True))
-        assert (load_chartab(s4, tmp_path) is None) == (tamper == "coefficient")
+        assert load_chartab(s4, tmp_path) is None
         table = cached_character_table(s4, tmp_path)
         assert [chi.values for chi in table.irreducibles] == [chi.values for chi in fresh.irreducibles]
         assert table.degree_sequence == fresh.degree_sequence == (1, 1, 2, 3, 3)
@@ -158,7 +170,8 @@ class TestChartabCache:
         fresh = character_table(s4)
         path = save_chartab(s4, fresh, tmp_path)
         obj = json.loads(path.read_text())
-        obj["rows"][2] = [[-c for c in coeffs] for coeffs in obj["rows"][2]]
+        obj["values"] += [[-c for c in obj["values"][i]] for i in obj["rows"][2]]
+        obj["rows"][2] = list(range(len(obj["values"]) - len(obj["rows"][2]), len(obj["values"])))
         path.write_text(json.dumps(obj, sort_keys=True))
         assert load_chartab(s4, tmp_path) is None
         table = cached_character_table(s4, tmp_path)
@@ -193,7 +206,11 @@ class TestChartabCache:
             assert loaded is not None, label
             assert [chi.values for chi in loaded.irreducibles] == [chi.values for chi in fresh.irreducibles], label
 
-    @pytest.mark.parametrize("damage", ["truncated", "missing_key", "list", "string_coefficient"])
+    @pytest.mark.parametrize(
+        "damage",
+        ["truncated", "missing_key", "list", "string_coefficient", "negative_id", "id_past_the_end", "float_id",
+         "bool_id", "string_id"],
+    )
     def test_unreadable_file_is_a_miss(self, tmp_path, capsys, s3, damage):
         cache = str(tmp_path)
         assert run_cli(["--cache-dir", cache, "chartab", "--group", "S3"]) == 0
@@ -236,7 +253,7 @@ class TestChartabCache:
         # no character of G can take is rejected before the prime search
         path = save_chartab(s4, character_table(s4), tmp_path)
         obj = json.loads(path.read_text())
-        obj["rows"][1][2][0] = 10**15
+        obj["values"][obj["rows"][1][2]][0] = 10**15
         path.write_text(json.dumps(obj))
 
         def no_search(e, bound):
