@@ -7,12 +7,12 @@ needs nothing more.  The other rows come from simultaneous eigenspace
 splitting of the class matrices over a finite field F_q with q = 1 mod e,
 started in the orthogonal complement of the linear rows, which every class
 matrix maps into itself; one row left needs no class matrix.  Each space
-is split by the roots of the class matrix restricted to it, then lifted to
-exact cyclotomic integers by multiplicity counting over the powers of one
-class representative per Galois class of columns, for one row per Galois
-orbit of rows; the other columns of a Galois class and the other rows of
-an orbit re-index those counts.  Every table,
-built or read from a cache, is checked by one path, the ``CharacterTable``
+is split by the roots of the class matrix restricted to it, and each
+row is lifted to exact cyclotomic integers by multiplicity counting over
+the powers of one class representative per Galois class of columns; the
+other columns of a Galois class re-index those counts.  Every value of a
+table lies in one ring, Z[zeta_e] with e = exp(G).  Every table, built or
+read from a cache, is checked by one path, the ``CharacterTable``
 constructor, which decides it exactly in Z[zeta_e]: one row per class, the
 rows closed under the Galois group and following the power maps, both
 compared on coefficient tuples, and then the orthogonality relations, which
@@ -24,9 +24,10 @@ substitution): with the j-th row of W_1 in bits [s j, s j + s) of the
 packed columns, s = bit_length(r p^2), slot j of row i is a sum of r
 products of residues below p, so it is below r (p - 1)^2 < 2^s, no slot
 carries into the next, and each slot is the exact dot product.  The
-table keeps the residues: integer sums below p, such as
-|H| [chi_i_H, chi_j_H], are read from them (``CharacterTable.mod_p``);
-equality tests (kernels) stay in Z[zeta_e].
+table keeps both the value ids (``CharacterTable.values``), on which
+equality tests such as kernels run, and the residues: integer sums below
+p, such as |H| [chi_i_H, chi_j_H], are read from them
+(``CharacterTable.mod_p``).
 """
 
 from __future__ import annotations
@@ -59,17 +60,19 @@ class ClassFunction:
 class CharacterTable:
     """Irr(G), checked exactly when constructed, whether built or read from
     a cache: RuntimeError unless there is one row per class, the rows are
-    distinct, closed under the Galois group and follow the power maps,
-    [chi_i, chi_j] = delta_ij, and every chi(1) is a positive integer; with
-    one such row per class, sum chi(1)^2 = |G| follows.  ``mod_p`` is the
-    check's (p, X): X[i][k] = chi_i(k) mod p under zeta_e -> z.  A sum of
-    products of values that is an integer in [0, p) is its own residue;
-    p > |G| (D^2 + 1) >= |G| chi(1)^2 for all chi.
+    distinct, every value lies in Z[zeta_e] with e = exp(G), the rows are
+    closed under the Galois group and follow the power maps, [chi_i, chi_j]
+    = delta_ij, and every chi(1) is a positive integer; with one such row
+    per class, sum chi(1)^2 = |G| follows.  ``values`` is the check's value
+    index (``_Values``): each cell as the id of its distinct value, so equal
+    values have equal ids.  ``mod_p`` is the check's (p, X): X[i][k] =
+    chi_i(k) mod p under zeta_e -> z.  A sum of products of values that is
+    an integer in [0, p) is its own residue; p > |G| (D^2 + 1) >= |G|
+    chi(1)^2 for all chi.
 
-    The check runs on the distinct values of ``_reduction``, in Z[zeta_e].
-    For c = -1 and each c of ``_unit_generators(L)``, L = lcm(e, exp(G)),
-    which generate the units mod L and so those mod e and mod exp(G), it
-    maps the distinct values by sigma_c: zeta_e -> zeta_e^c once and
+    The check runs on the distinct values of ``_reduction``.  For c = -1
+    and each c of ``_unit_generators(e)``, which generate the units mod e,
+    it maps the distinct values by sigma_c: zeta_e -> zeta_e^c once and
     compares coefficient tuples: each row's image must be a row (closure),
     and must be the row read at the classes of rep^c (the power maps
     chi(rep^c) = sigma_c(chi(rep)), which orthonormality does not see: it
@@ -92,10 +95,12 @@ class CharacterTable:
 
     group: GroupTable
     irreducibles: tuple[ClassFunction, ...]
+    values: _Values = field(init=False, repr=False, compare=False)
     mod_p: tuple[int, list[list[int]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        values, p = _reduction(self.irreducibles, self.group.order)
+        values, p = _reduction(self.irreducibles, self.group)
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "mod_p", (p, _residues(values, conjugacy_classes(self.group), p)))
 
     @cached_property
@@ -104,8 +109,9 @@ class CharacterTable:
 
     @cached_property
     def kernels(self) -> tuple[frozenset[int], ...]:
-        """Each row's kernel {x : chi(x) = chi(1)} as a set of class ids."""
-        return tuple(frozenset(k for k, v in enumerate(chi.values) if v == chi.values[0]) for chi in self.irreducibles)
+        """Each row's kernel {x : chi(x) = chi(1)} as a set of class ids,
+        compared on value ids."""
+        return tuple(frozenset(k for k, v in enumerate(row) if v == row[0]) for row in self.values.cells)
 
 
 def is_prime(n: int) -> bool:
@@ -314,17 +320,12 @@ def _eigenvalue_counts(
     return counts
 
 
-def _units(e: int) -> list[int]:
-    """The units mod e, as residues in [0, e)."""
-    return [a for a in range(e) if math.gcd(a, e) == 1]
-
-
 def _unit_generators(e: int) -> list[int]:
     """Units that generate the group of units mod e together with -1: each
     one taken in order that -1 and the units before it do not generate."""
     gens, reached = [], {1 % e, -1 % e}
-    for a in _units(e):
-        if a not in reached:
+    for a in range(e):
+        if math.gcd(a, e) == 1 and a not in reached:
             gens.append(a)
             powers, x = [1 % e], a
             while x != 1 % e:
@@ -449,31 +450,14 @@ def _nonlinear_rows(G: GroupTable, classes: ConjClassPartition, linear: list[lis
         step, inv_m = e // m, pow(m, -1, q)
         dft[m] = [(step * l, [zpow[-step * l * t % e] * inv_m % q for t in range(m)]) for l in range(m)]
 
-    # One lift per Galois orbit of rows.  For b prime to e, sigma_b(chi)(g) =
-    # chi(g^b), so the row of sigma_b(chi) mod q is chi's row read at
-    # conj_cols[b][k], the class of rep_k^b, and its values are chi's with
-    # zeta_e -> zeta_e^b.  lift[i] = (counts of the orbit's first row, b).
-    conj_cols = {b: [power_classes[k][a * b % len(power_classes[k])] for k, a in source] for b in _units(e)}
-    chi_mods = [[(d * w[k] * inv_sizes[k]) % q for k in range(r)] for w, d in zip(omegas, degrees)]
-    row_of = {tuple(chi_mod): i for i, chi_mod in enumerate(chi_mods)}
-    lift: list[tuple[dict, int] | None] = [None] * len(chi_mods)
-    for i, (chi_mod, d) in enumerate(zip(chi_mods, degrees)):
-        if lift[i] is not None:
-            continue
-        counts = {k: _eigenvalue_counts(chi_mod, pcls, d, dft[len(pcls)], q) for k, pcls in power_classes.items()}
-        for b, cols in conj_cols.items():
-            j = row_of.get(tuple(chi_mod[c] for c in cols))
-            if j is None:
-                raise RuntimeError("a Galois conjugate of a character is not a row")
-            if lift[j] is None:
-                lift[j] = (counts, b)
     rows = []
-    for counts, b in lift:
+    for w, d in zip(omegas, degrees):
+        chi_mod = [(d * w[k] * inv_sizes[k]) % q for k in range(r)]
+        counts = {k: _eigenvalue_counts(chi_mod, pcls, d, dft[len(pcls)], q) for k, pcls in power_classes.items()}
         values = tuple(
-            Cyc.from_root_multiset(e, {t * a * b % e: c for t, c in counts[lifted].items()}) for lifted, a in source
+            Cyc.from_root_multiset(e, {t * a % e: c for t, c in counts[lifted].items()}) for lifted, a in source
         )
         rows.append(ClassFunction(G, values))
-
     return rows
 
 
@@ -488,23 +472,21 @@ class _Values(NamedTuple):
     e: int
 
 
-def _reduction(rows: Sequence[ClassFunction], n: int) -> tuple[_Values, int]:
-    """(values, p): the rows' values by id, in one ring Z[zeta_e], e the lcm
-    of their root orders, and the smallest prime p = 1 (mod e) with
-    p > n (D^2 + 1), D the largest coefficient L1 norm of a value.  Each cell
-    is read once; everything else runs on the distinct values.
+def _reduction(rows: Sequence[ClassFunction], G: GroupTable) -> tuple[_Values, int]:
+    """(values, p): the rows' values by id in Z[zeta_e], e = exp(G), and the
+    smallest prime p = 1 (mod e) with p > |G| (D^2 + 1), D the largest
+    coefficient L1 norm of a value.  Each cell is read once; everything
+    else runs on the distinct values.
 
-    A value of a character of a group of order n is a sum of chi(1) <=
-    sqrt(n) roots of unity, so a value with a larger L1 norm than that many
-    of the largest reduced zeta_e^s raises RuntimeError; this keeps p small
-    for any input."""
-    first: dict[tuple[int, tuple[int, ...]], int] = {}
-    cells = [tuple([first.setdefault((v.e, v.coeffs), len(first)) for v in chi.values]) for chi in rows]
-    e = math.lcm(*(f for f, _ in first))
+    A value given in another ring raises RuntimeError.  A value of a
+    character of G is a sum of chi(1) <= sqrt(|G|) e-th roots of unity, so a
+    value with a larger L1 norm than that many of the largest reduced
+    zeta_e^s raises RuntimeError too; this keeps p small for any input."""
+    e, n = exponent(G), G.order
+    if any(v.e != e for chi in rows for v in chi.values):
+        raise RuntimeError("character values are not in Z[zeta_e], e the exponent of the group")
     ids: dict[tuple[int, ...], int] = {}
-    merged = [ids.setdefault(c if f == e else Cyc(f, c).rebase(e).coeffs, len(ids)) for f, c in first]
-    if len(ids) < len(first):  # equal values given in different rings
-        cells = [tuple(map(merged.__getitem__, row)) for row in cells]
+    cells = [tuple([ids.setdefault(v.coeffs, len(ids)) for v in chi.values]) for chi in rows]
     D = max((sum(map(abs, c)) for c in ids), default=0)
     if D > math.isqrt(n) * _root_norm(e):
         raise RuntimeError("character values exceed the bound for a group of this order")
@@ -541,8 +523,7 @@ def _residues(values: _Values, classes: ConjClassPartition, p: int) -> list[list
     present = set(cells)
     if len(present) != r or len(cells) != r or any(len(row) != r for row in cells):
         raise RuntimeError("character rows are not orthonormal")
-    L = math.lcm(e, exponent(G))
-    for c in _unit_generators(L) + [-1 % L]:
+    for c in _unit_generators(e) + [-1 % e]:
         image = [ids.get(Cyc(e, v).galois(c).coeffs) for v in distinct]
         moved = [tuple(map(image.__getitem__, row)) for row in cells]
         if not present.issuperset(moved):

@@ -29,6 +29,7 @@ from .conditions import (
     satisfies_Fpm,
     satisfies_O,
 )
+from .cyclotomic import Cyc
 from .grouptable import DEFAULT_ORDER_CAP, CapExceeded, ElementSet, GroupTable, closure_indices
 from .reports import cached_character_table, persist_reports
 from .structure import (
@@ -193,15 +194,10 @@ def _cmd_chartab(args) -> int:
     reps = [format_cycles(G.elements[r]) for r in classes.reps]
     print("class reps:  " + "  ".join(reps))
     print("class sizes: " + "  ".join(str(s) for s in classes.sizes))
-    shown: dict[tuple[int, tuple[int, ...]], str] = {}  # a table holds few distinct values
-    for i, chi in enumerate(table.irreducibles):
-        cells = []
-        for v in chi.values:
-            key = (v.e, v.coeffs)
-            if key not in shown:
-                shown[key] = str(v)
-            cells.append(shown[key])
-        print(f"chi_{i}: " + "  ".join(cells))
+    values = table.values  # a table holds few distinct values, each formatted once
+    shown = [str(Cyc(values.e, coeffs)) for coeffs in values.distinct]
+    for i, row in enumerate(values.cells):
+        print(f"chi_{i}: " + "  ".join(map(shown.__getitem__, row)))
     print("degree sequence: " + ",".join(str(d) for d in table.degree_sequence))
     return EXIT_OK
 

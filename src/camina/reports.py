@@ -78,31 +78,29 @@ def _cache_path(G: GroupTable, cache_dir: str | Path) -> Path:
 
 
 def save_chartab(G: GroupTable, table: CharacterTable, cache_dir: str | Path) -> Path:
-    """Write G's table: each distinct coefficient list once, under
-    ``"values"``, and each row as the ids of its values, under ``"rows"``."""
+    """Write G's table as its value index: each distinct coefficient list
+    once, under ``"values"``, and each row as the ids of its values, under
+    ``"rows"``."""
     path = _cache_path(G, cache_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
-    e = table.irreducibles[0].values[0].e  # a table has a row for each of G's classes
-    ids: dict[tuple[int, ...], int] = {}
-    rows = [[ids.setdefault(v.coeffs, len(ids)) for v in chi.values] for chi in table.irreducibles]
-    obj = {"format": FORMAT_VERSION, "order": G.order, "root_order": e, "values": list(ids), "rows": rows}
+    values = table.values
+    obj = {"format": FORMAT_VERSION, "order": G.order, "root_order": values.e, "values": values.distinct,
+           "rows": values.cells}
     path.write_text(json.dumps(obj, sort_keys=True))
     return path
 
 
 def load_chartab(G: GroupTable, cache_dir: str | Path) -> CharacterTable | None:
     """The cached table of G, or None when there is no readable file, its
-    root order does not divide the exponent of G, a row holds an id that is
-    not an index into its values, or the rows fail the exact check that
+    root order is not the exponent of G, a row holds an id that is not an
+    index into its values, or the rows fail the exact check that
     constructing any ``CharacterTable`` makes.  One ``Cyc`` is built per
-    distinct value."""
+    distinct value, in the ring of G's own table."""
     path = _cache_path(G, cache_dir)
     try:
         obj = json.loads(path.read_text())
-        if obj["format"] != FORMAT_VERSION or obj["order"] != G.order:
-            return None
-        e = obj["root_order"]
-        if type(e) is not int or e < 1 or exponent(G) % e:  # Z[zeta_e] costs time and memory quadratic in e
+        e = exponent(G)
+        if obj["format"] != FORMAT_VERSION or obj["order"] != G.order or obj["root_order"] != e:
             return None
         values = [Cyc(e, coeffs) for coeffs in obj["values"]]
         if any(type(i) is not int or not 0 <= i < len(values) for row in obj["rows"] for i in row):

@@ -483,12 +483,12 @@ def _lemma_m(pair: Pair) -> tuple[str, dict]:
     class_of = conjugacy_classes(G).class_of
     irr = pair.irr_given_n
     for i in irr:
-        values = pair.table.irreducibles[i].values
+        ids = pair.table.values.cells[i]
         verdict = _coset_scan(
             G,
             H,
             "lemma_m",
-            lambda x, y: values[class_of[y]] == values[class_of[x]],
+            lambda x, y: ids[class_of[y]] == ids[class_of[x]],
             "character is not constant on the coset xH",
             pair.N.members,
         )

@@ -78,7 +78,7 @@ def constructed(rows, classes):
 def reference_accepts(G, classes, values):
     """Whether a table within the bound passes both exact reference checks."""
     return (
-        accepts(lambda rows, classes: chartab._reduction(rows, G.order), G, classes, values)
+        accepts(lambda rows, classes: chartab._reduction(rows, G), G, classes, values)
         and accepts(reference_check_orthonormal, G, classes, values)
         and accepts(reference_check_galois, G, classes, values)
     )
@@ -271,9 +271,9 @@ class TestGaloisClassLift:
 
     def test_one_dft_per_galois_class_of_columns(self, monkeypatch):
         # C60's 60 rows are all linear, read off G/G' = G with no lift.
-        # Heis(5) lifts one row, for its 4 conjugate rows of degree 5, at its
-        # 8 Galois classes of columns, one per cyclic subgroup: the identity,
-        # the centre and 6 more of order 5
+        # Heis(5) lifts each of its 4 rows of degree 5, one after another, at
+        # its 8 Galois classes of columns, one per cyclic subgroup: the
+        # identity, the centre and 6 more of order 5
         lifted = []
         original = chartab._eigenvalue_counts
         monkeypatch.setattr(chartab, "_eigenvalue_counts", lambda *args: lifted.append(args) or original(*args))
@@ -282,11 +282,13 @@ class TestGaloisClassLift:
         assert lifted == []
         table = character_table(builtin("Heis(5)").group())
         assert table.degree_sequence == (1,) * 25 + (5,) * 4
-        assert len(lifted) == 8
-        assert Counter(len(pcls) for _, pcls, *_ in lifted) == {1: 1, 5: 7}
+        assert len(lifted) == 32
+        assert Counter(len(pcls) for _, pcls, *_ in lifted) == {1: 4, 5: 28}
 
-    # the Galois orbits of the rows of degree > 1, one lifted row each
+    # the Galois orbits of the rows of degree > 1
     NONLINEAR_ORBITS = {"C60": 0, "C5xC10": 0, "C4xC4xC2": 0, "Heis(5)": 1, "C3xC3xC3": 0, "Q32xC2": 6, "D30": 6}
+    # the lifts: rows of degree > 1 times Galois classes of columns, 0 for abelian groups
+    LIFTS = {"C60": 0, "C5xC10": 0, "C4xC4xC2": 0, "Heis(5)": 4 * 8, "C3xC3xC3": 0, "Q32xC2": 14 * 14, "D30": 14 * 10}
 
     @pytest.mark.parametrize(
         "label, orbits",
@@ -295,8 +297,8 @@ class TestGaloisClassLift:
     def test_one_dft_per_row_orbit_and_column_class(self, monkeypatch, label, orbits):
         # the chartab benchmark's groups: the rows' Galois orbits, counted on
         # the values, and the columns' Galois classes, counted on the group,
-        # are equally many (Brauer's permutation lemma); only the orbits of
-        # rows of degree > 1 are lifted, the linear rows are read off G/G'
+        # are equally many (Brauer's permutation lemma); each row of degree
+        # > 1 is lifted once per column class, the linear rows are read off G/G'
         calls = []
         original = chartab._eigenvalue_counts
         monkeypatch.setattr(chartab, "_eigenvalue_counts", lambda *args: calls.append(args) or original(*args))
@@ -310,9 +312,10 @@ class TestGaloisClassLift:
             frozenset(keys.index(tuple((v.e, galois_image(v, a).coeffs) for v in row)) for a in units) for row in rows
         }
         nonlinear_orbits = [orbit for orbit in row_orbits if rows[min(orbit)][0] != 1]
+        nonlinear_rows = [row for row in rows if row[0] != 1]
         assert len(row_orbits) == len(column_classes) == orbits
         assert len(nonlinear_orbits) == self.NONLINEAR_ORBITS[label]
-        assert len(calls) == len(nonlinear_orbits) * len(column_classes)
+        assert len(calls) == len(nonlinear_rows) * len(column_classes) == self.LIFTS[label]
 
 
 class TestLinearCharacters:
@@ -497,16 +500,25 @@ class TestModularSelfCheck:
         assert not accepts(constructed, G, classes, perturbed)
 
     def test_equal_values_given_in_different_rings(self):
-        # S4's integer values, every other cell as a Cyc of root order 1:
-        # one value id each, so the table is accepted with its own residues
+        # a table's values lie in Z[zeta_e], e = exp(G), and in no other
+        # ring: S4's integer values with every other cell as a Cyc of root
+        # order 1, and S3's table moved whole into Z[zeta_3] or Z[zeta_12],
+        # are rejected, though each value equals one of Irr(G)
         G, classes, values = built_table("S4")
         mixed = [
             [Cyc.integer(v.as_int()) if (i + k) % 2 else v for k, v in enumerate(row)] for i, row in enumerate(values)
         ]
         assert {v.e for row in mixed for v in row} == {1, 12}
-        rows = tuple(ClassFunction(G, tuple(row)) for row in mixed)
-        assert chartab.CharacterTable(G, rows).mod_p == character_table(G).mod_p
-        assert accepts(constructed, G, classes, mixed)
+        assert accepts(constructed, G, classes, values)
+        with pytest.raises(RuntimeError, match=r"character values are not in Z\[zeta_e\]"):
+            chartab.CharacterTable(G, tuple(ClassFunction(G, tuple(row)) for row in mixed))
+        G, classes, values = built_table("S3")
+        assert {v.e for row in values for v in row} == {6}
+        for e in (3, 12):
+            moved = [[Cyc.integer(v.as_int(), e) for v in row] for row in values]
+            assert moved == values
+            with pytest.raises(RuntimeError, match=r"character values are not in Z\[zeta_e\]"):
+                chartab.CharacterTable(G, tuple(ClassFunction(G, tuple(row)) for row in moved))
 
     def test_rows_of_another_length_than_the_class_count(self):
         # C2's rows with a zero appended, or one row cut short, are no table
@@ -948,6 +960,28 @@ class TestKernels:
             for chi in character_table(G).irreducibles:
                 elementwise = [x for x in range(G.order) if chi.values[class_of[x]] == chi.values[0]]
                 assert kernel_of(chi).members == tuple(elementwise), entry.label
+
+    def test_value_index_decodes_to_the_rows(self, tmp_path):
+        # every builtin group and more, built and, for a few, loaded: the
+        # ids and distinct values decode to Irr(G) value for value, equal ids
+        # are equal values, and the kernels read off the ids are those found
+        # by Cyc equality
+        loaded = {"S4", "Heis(5)", "D30"}
+        for label in [e.label for e in builtin_catalog()] + EXTRA_TABLE_LABELS:
+            G = builtin(label).group()
+            tables = [character_table(G)]
+            if label in loaded:
+                save_chartab(G, tables[0], tmp_path)
+                tables.append(load_chartab(builtin(label).group(), tmp_path))
+            for table in tables:
+                cells, distinct, ids, e = table.values
+                assert e == exponent(G) and ids == {c: i for i, c in enumerate(distinct)}, label
+                decoded = [[(e, distinct[i]) for i in row] for row in cells]
+                assert decoded == [[(v.e, v.coeffs) for v in chi.values] for chi in table.irreducibles], label
+                by_value = tuple(
+                    frozenset(k for k, v in enumerate(chi.values) if v == chi.values[0]) for chi in table.irreducibles
+                )
+                assert table.kernels == by_value, label
 
     def test_table_kernels_are_kernel_classes(self):
         # the table's per-row class sets are the classes of kernel_of(chi)

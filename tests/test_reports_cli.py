@@ -248,6 +248,24 @@ class TestChartabCache:
         assert json.loads(path.read_text())["root_order"] == 6  # rebuilt and saved again
         assert 100_000 not in rings
 
+    def test_root_order_other_than_the_exponent_is_a_miss(self, tmp_path, capsys, s3):
+        # S3's values are rational, and Z[zeta_3] has as many coefficients as
+        # Z[zeta_6]; the same coefficients under root order 3 are the same
+        # values, but a table's ring is Z[zeta_e] with e = exp(G) = 6 only
+        cache = str(tmp_path)
+        assert run_cli(["--cache-dir", cache, "chartab", "--group", "S3"]) == 0
+        printed = capsys.readouterr().out
+        (path,) = tmp_path.glob("chartab-*.json")
+        obj = json.loads(path.read_text())
+        assert obj["root_order"] == 6
+        obj["root_order"] = 3
+        path.write_text(json.dumps(obj))
+        assert load_chartab(s3, tmp_path) is None
+        assert run_cli(["--cache-dir", cache, "chartab", "--group", "S3"]) == 0
+        assert capsys.readouterr().out == printed
+        assert json.loads(path.read_text())["root_order"] == 6  # rebuilt and saved again
+        assert load_chartab(s3, tmp_path) is not None
+
     def test_huge_coefficient_is_a_quick_miss(self, tmp_path, monkeypatch, s4):
         # the modular check's prime grows with the largest value, so a value
         # no character of G can take is rejected before the prime search
