@@ -10,7 +10,7 @@ import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from .catalog import (
@@ -88,7 +88,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@cache
 def build_parser() -> _Parser:
+    """The ``camina`` argument parser, built at the first call and returned
+    by every later one: a build costs over ten times what parsing one
+    command line does.  Parsing leaves no state on the parser, so each
+    ``run_cli`` call starts from the same defaults.  Its defaults and
+    choices, ``DEFAULT_ORDER_CAP`` and ``_CONDITIONS``, are read at the first
+    build; rebinding either name later does not reach the parser."""
     p = _Parser(prog="camina", description="Exact coset-conjugacy workbench for small groups")
     p.add_argument("--order-cap", type=_positive_int, default=DEFAULT_ORDER_CAP, help="group order cap (default %(default)s)")
     p.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers for verify")

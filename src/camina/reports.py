@@ -17,7 +17,7 @@ from .verify import VerificationReport
 FORMAT_VERSION = "camina/0.2.0"
 
 
-@dataclass(frozen=True)
+@dataclass
 class ReportRecord(VerificationReport):
     """A VerificationReport plus artifact version and run timestamp."""
 
@@ -28,20 +28,42 @@ class ReportRecord(VerificationReport):
 def persist_reports(
     reports: Iterable[VerificationReport], path: str | Path, version: str, timestamp: str
 ) -> None:
-    """One JSON object per line, exact round trip: each report's fields as a
-    ReportRecord with ``version`` and ``timestamp``, written as
-    ``json.dumps(record, sort_keys=True, separators=(",", ":"))`` writes it,
-    keys in sorted order.  Strings are escaped as ``json.dumps`` escapes
-    them, and ``details`` goes through one shared sorted-key encoder."""
+    """One JSON object per line, one line per report, exact round trip: each
+    report's fields as a ReportRecord with ``version`` and ``timestamp``,
+    written as ``json.dumps(record, sort_keys=True, separators=(",", ":"))``
+    writes it, keys in sorted order.  Strings are escaped as ``json.dumps``
+    escapes them, and ``details`` goes through one shared sorted-key encoder.
+
+    A sweep's reports hold few distinct ``details``, so each is encoded
+    once: a dict seen before is found by identity (the memo keeps it alive,
+    so its id is not reused), an equal one by its ``repr``, which tells
+    ``True`` from ``1`` and ``1`` from ``1.0``.  The text around ``details``
+    is formatted once per (claim, label, order, status)."""
     quote = json.encoder.encode_basestring_ascii
     encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     tail = f',"timestamp":{quote(timestamp)},"version":{quote(version)}}}\n'
-    lines = [
-        f'{{"claim":{quote(r.claim)},"details":{encode(r.details)},"group_label":{quote(r.group_label)},'
-        f'"group_order":{r.group_order:d},"status":{quote(r.status)},"subgroup_index":{r.subgroup_index:d},'
-        f'"subgroup_order":{r.subgroup_order:d}{tail}'
-        for r in reports
-    ]
+    by_id: dict[int, tuple[dict, str]] = {}
+    by_repr: dict[str, str] = {}
+    heads: dict[tuple[str, str, int, str], tuple[str, str]] = {}
+    lines = []
+    for r in reports:
+        details = r.details
+        hit = by_id.get(id(details))
+        if hit is None:
+            text = repr(details)
+            encoded = by_repr.get(text)
+            if encoded is None:
+                encoded = by_repr[text] = encode(details)
+            hit = by_id[id(details)] = (details, encoded)
+        key = (r.claim, r.group_label, r.group_order, r.status)
+        head = heads.get(key)
+        if head is None:
+            head = heads[key] = (
+                f'{{"claim":{quote(r.claim)},"details":',
+                f',"group_label":{quote(r.group_label)},"group_order":{r.group_order:d},'
+                f'"status":{quote(r.status)},"subgroup_index":',
+            )
+        lines.append(f'{head[0]}{hit[1]}{head[1]}{r.subgroup_index:d},"subgroup_order":{r.subgroup_order:d}{tail}')
     Path(path).write_text("".join(lines))
 
 

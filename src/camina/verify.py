@@ -18,8 +18,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
-from operator import attrgetter
+from itertools import compress, count
+from operator import attrgetter, eq
 from typing import Iterable
 
 from .chartab import CharacterTable, character_table
@@ -76,8 +76,13 @@ CLAIM9 = "claim9"
 COVERING = "covering"
 
 
-@dataclass(frozen=True)
+@dataclass
 class VerificationReport:
+    """One claim's verdict on one (G, H) pair, or on G alone with subgroup
+    index -1 and subgroup order 0.  A plain dataclass, neither frozen nor
+    hashable: a sweep builds one per claim and subgroup, and the reports
+    copied to the conjugates of a subgroup share one ``details`` dict."""
+
     group_label: str
     group_order: int
     subgroup_index: int
@@ -93,15 +98,22 @@ def report_key(r: VerificationReport) -> tuple:
 
 
 def sorted_reports(reports: Iterable[VerificationReport]) -> list[VerificationReport]:
-    """``reports`` in ``report_key`` order.  They are sorted on (label,
-    index, claim), and only the runs that tie on it, cor2's per-prime
-    reports and groups that share a label, are sorted by ``report_key``,
-    which stringifies the details."""
+    """``reports`` in ``report_key`` order, as ``sorted(reports,
+    key=report_key)`` returns them.  They are sorted once on (label, index,
+    claim); then only the slices that tie on it, cor2's per-prime reports
+    and groups that share a label, are sorted again by ``report_key``, which
+    stringifies the details."""
     triple = attrgetter("group_label", "subgroup_index", "claim")
-    out: list[VerificationReport] = []
-    for _, run in groupby(sorted(reports, key=triple), key=triple):
-        run = list(run)
-        out += sorted(run, key=report_key) if len(run) > 1 else run
+    out = sorted(reports, key=triple)
+    keys = list(map(triple, out))
+    run_end = 0
+    for i in compress(count(1), map(eq, keys, keys[1:])):  # out[i] ties with out[i - 1]
+        if i < run_end:
+            continue
+        run_end = i + 1
+        while run_end < len(keys) and keys[run_end] == keys[i]:
+            run_end += 1
+        out[i - 1:run_end] = sorted(out[i - 1:run_end], key=report_key)
     return out
 
 
@@ -121,10 +133,12 @@ class Pair:
     subgroup_index: int = -1
     _o_upper: dict[int, ElementSet] = field(default_factory=dict, init=False, repr=False)
 
+    def __post_init__(self):
+        # the fields every report of the pair starts with
+        self._head = (self.label, self.G.order, self.subgroup_index, len(self.H))
+
     def report(self, claim: str, status: str, details: dict) -> VerificationReport:
-        return VerificationReport(
-            self.label, self.G.order, self.subgroup_index, len(self.H), claim, status, details
-        )
+        return VerificationReport(*self._head, claim, status, details)
 
     @cached_property
     def F(self) -> ConditionVerdict:
@@ -152,6 +166,11 @@ class Pair:
             return satisfies_CI(self.G, self.H)
         except CapExceeded as exc:
             return exc
+
+    @cached_property
+    def h_solvable(self) -> bool:
+        """Whether H is solvable, which odd_order and cor1 both read."""
+        return is_solvable(self.G, self.H)
 
     @cached_property
     def N(self) -> ElementSet:
@@ -249,11 +268,11 @@ def _odd_order(pair: Pair) -> tuple[str, dict]:
     """(O) implies O^2(H) normal with 2-group quotient, or H solvable."""
     if not pair.O.holds:
         return VACUOUS, {"o_witness": _witness_dict(pair.O)}
-    G, H = pair.G, pair.H
+    G = pair.G
     o2 = pair.o_upper(2)
     o2_normal = o2.is_normal()
     quotient_2group = _is_2_power(G.order // len(o2))
-    solvable = is_solvable(G, H)
+    solvable = pair.h_solvable
     details = {
         "fired": True,
         "o2_order": len(o2),
@@ -272,7 +291,7 @@ def _cor1(pair: Pair) -> tuple[str, dict]:
     hyp = _equal_order_scan(G, H)
     if not hyp.holds:
         return VACUOUS, {"equal_order_witness": _witness_dict(hyp)}
-    if is_solvable(G, H):
+    if pair.h_solvable:
         return PASS, {"fired": True, "h_solvable": True}
     o2g = o_upper_p(G, 2)
     a_ok = all(m in H for m in o2g.members) and is_subnormal(G, H)
@@ -661,17 +680,19 @@ def sweep_single(label: str, G: GroupTable, claims: list[str]) -> list[Verificat
 def summarize(reports: list[VerificationReport]) -> dict:
     """Per-claim status counts, hypothesis-fired counts, and the empirical
     count of non-normal subgroups satisfying condition (F)."""
-    summary: dict = {"claims": {}, "total": len(reports)}
+    claims: dict[str, dict[str, int]] = {}
+    summary: dict = {"claims": claims, "total": len(reports)}
     nonnormal_f = 0
     for r in reports:
-        c = summary["claims"].setdefault(
-            r.claim, {"PASS": 0, "VACUOUS": 0, "VIOLATION": 0, "SKIPPED": 0, "fired": 0}
-        )
+        c = claims.get(r.claim)
+        if c is None:
+            c = claims[r.claim] = {"PASS": 0, "VACUOUS": 0, "VIOLATION": 0, "SKIPPED": 0, "fired": 0}
         c[r.status] += 1
-        if r.details.get("fired"):
+        details = r.details
+        if details.get("fired"):
             c["fired"] += 1
-        if r.claim == THEOREM1 and r.details.get("f_holds") and not r.details.get("h_normal", True):
+        if r.claim == THEOREM1 and details.get("f_holds") and not details.get("h_normal", True):
             nonnormal_f += 1
-    summary["violations"] = sum(c["VIOLATION"] for c in summary["claims"].values())
+    summary["violations"] = sum(c["VIOLATION"] for c in claims.values())
     summary["nonnormal_f_pairs"] = nonnormal_f
     return summary

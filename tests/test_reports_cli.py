@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import re
@@ -82,7 +83,21 @@ class TestReportPersistence:
         # each line is what json.dumps writes with sorted keys and no
         # spaces, non-ASCII text escaped as \u sequences
         reports = [r for e in builtin_catalog() for r in sweep_single(e.label, e.group(), list(ALL_CLAIMS))]
+        assert len(reports) == 13_642
         reports.append(VerificationReport("Gé", 6, 0, 1, "cor1", "SKIPPED", {"reason": "über ∅", "n": [1, None]}))
+        # details that are equal, or whose items are, but encode differently,
+        # and details that encode alike but are not equal, each kept apart
+        # by the encoding memo
+        distinct = [{"n": 1}, {"n": True}, {"n": 1.0}, {"a": 1, "b": 2}, {"b": 2, "a": 1}, {"n": [1]}, {"n": (1,)}]
+        reports += [VerificationReport("S3", 6, i, 2, "cor1", "PASS", d) for i, d in enumerate(distinct)]
+        # one dict shared by reports that differ in claim, label and status
+        shared = {"fired": True, "n": 1}
+        reports += [
+            VerificationReport(label, 6, i, 2, claim, status, shared)
+            for i, (label, claim, status) in enumerate(
+                [("S3", "cor1", "PASS"), ("Gé", "cor1", "PASS"), ("S3", "lemma_a", "PASS"), ("S3", "cor1", "VACUOUS")]
+            )
+        ]
         path = tmp_path / "r.jsonl"
         persist_reports(reports, path, "0.1.0", "2024-01-01T00:00:00+00:00")
         expected = "".join(
@@ -95,8 +110,21 @@ class TestReportPersistence:
             for r in reports
         )
         written = path.read_text()
-        assert len(reports) == 13_643 and written == expected
+        assert len(reports) == 13_643 + 11 and written == expected
         assert '"group_label":"G\\u00e9","group_order":6,' in written and "\\u00fcber \\u2205" in written
+
+    def test_details_of_reports_no_longer_held(self, tmp_path):
+        # each report, and its details, is dropped as soon as it is written:
+        # a later dict that reuses the freed id must not be taken for it
+        def reports():
+            for i in range(2_000):
+                yield VerificationReport("C2", 2, i, 1, "cor1", "PASS", {"i": i, "even": not i % 2})
+
+        path = tmp_path / "r.jsonl"
+        persist_reports(reports(), path, "0.1.0", "t0")
+        assert [(r.subgroup_index, r.details) for r in load_reports(path)] == [
+            (i, {"i": i, "even": not i % 2}) for i in range(2_000)
+        ]
 
 
 def damaged(text: str, damage: str) -> str:
@@ -522,6 +550,48 @@ class TestCli:
         assert run_cli(["--jobs", "2"] + args + ["--out", str(out2)]) == 0
         strip = lambda p: re.sub(r'"timestamp":"[^"]*"', '"timestamp":null', p.read_text())
         assert strip(out1) == strip(out2)
+
+
+class TestCachedParser:
+    """``run_cli`` reuses one parser per process; no call leaves state on it
+    that a later call sees."""
+
+    def test_cap_then_default_cap(self, capsys):
+        assert run_cli(["--order-cap", "10", "info", "--group", "S4"]) == 3
+        capsys.readouterr()
+        assert run_cli(["info", "--group", "S4"]) == 0
+        assert "order 24\n" in capsys.readouterr().out
+
+    def test_claims_then_default_claims(self, tmp_path, capsys):
+        one, default = tmp_path / "one.jsonl", tmp_path / "default.jsonl"
+        assert run_cli(["verify", "--max-order", "12", "--claims", "lemma_a", "--out", str(one)]) == 0
+        assert {r.claim for r in load_reports(one)} == {"lemma_a"}
+        capsys.readouterr()
+        assert run_cli(["verify", "--max-order", "12", "--out", str(default)]) == 0
+        assert {r.claim for r in load_reports(default)} == set(ALL_CLAIMS) and len(ALL_CLAIMS) == 20
+        summary = capsys.readouterr().out.splitlines()[:20]
+        assert [line.split()[0] for line in summary] == sorted(ALL_CLAIMS)
+
+    def test_usage_error_then_valid_call(self, capsys):
+        assert run_cli(["verify", "--claims", "nope"]) == 1
+        assert capsys.readouterr().err == "error: unknown claim 'nope'\n"
+        assert run_cli(["verify", "--max-order", "6", "--claims", "cor2"]) == 0
+        assert "violations: 0\n" in capsys.readouterr().out
+
+    def test_one_build_for_many_calls(self, monkeypatch, capsys):
+        builds = []
+        original = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(kwargs.get("prog"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        build_parser.cache_clear()
+        for argv in (["catalog", "list"], ["info", "--group", "S3"], ["nonsense"], ["info", "--group", "C4"]):
+            run_cli(argv)
+        assert builds.count("camina") == 1 and len(builds) == 8  # camina and its 7 commands
+        assert build_parser() is build_parser()
 
 
 # sha256 of the builtin sweep's report file, all claims up to order 1000,

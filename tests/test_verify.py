@@ -2,6 +2,7 @@ import functools
 import importlib.util
 import inspect
 import json
+import random
 import sys
 from collections import Counter
 from pathlib import Path
@@ -329,6 +330,20 @@ class TestSweep:
         assert {r.group_order for r in reports} == {6, 4}
         self.assert_report_key_order(reports)
 
+    def test_sorted_reports_on_shuffled_builtin_sweep(self):
+        # the builtin sweep, plus two copies of C4 under one label and two of
+        # C60 under another that sorts after every builtin label: whole
+        # reports tie on report_key and keep their input order, and the last
+        # run, C60's six cor2 reports, has three different details
+        reports = [r for e in builtin_catalog() for r in sweep_single(e.label, e.group(), list(verify.ALL_CLAIMS))]
+        for _ in range(2):
+            reports += sweep_single("C4 again", builtin("C4").group(), list(verify.ALL_CLAIMS))
+            reports += sweep_single("~C60", builtin("C60").group(), ["cor2"])
+        for seed in range(5):
+            shuffled = reports[:]
+            random.Random(seed).shuffle(shuffled)
+            assert list(map(id, sorted_reports(shuffled))) == list(map(id, sorted(shuffled, key=report_key)))
+
     def test_replayable(self, s3):
         reports = sweep_single("S3", s3, ["theorem1", "odd_order"])
         G = builtin("S3").group()
@@ -367,6 +382,21 @@ class TestOneEvaluationPerPair:
             if 1 < len(H) < a4.order:
                 first.setdefault(cid, H.members)
         assert len(first) == 3 and calls == Counter(first.values()), calls
+
+    def test_solvability_once_per_pair(self, monkeypatch):
+        # odd_order and cor1 both read whether H is solvable
+        calls = Counter()
+        original = verify.is_solvable
+
+        def counted(G, H=None):
+            calls[id(G), H.members] += 1
+            return original(G, H)
+
+        monkeypatch.setattr(verify, "is_solvable", counted)
+        groups = [(entry.label, entry.group()) for entry in builtin_catalog()]  # alive, so ids stay distinct
+        for label, G in groups:
+            sweep_single(label, G, ["odd_order", "cor1"])
+        assert len(calls) == 226 and set(calls.values()) == {1}, calls
 
     def test_ci_over_cap_runs_once_per_pair(self, monkeypatch, s4):
         calls = Counter()
