@@ -212,8 +212,9 @@ def _cmd_chartab(args) -> int:
 def _cmd_subgroups(args) -> int:
     label, G = _resolve_group(args)
     normal = set(normal_subgroups(G))
+    cycles = cache(lambda i: format_cycles(G.elements[i]))  # each element formatted once
     for idx, H in enumerate(subgroups(G)):
-        gens = [format_cycles(G.elements[i]) for i in small_generating_set(G, H.members)]
+        gens = [cycles(i) for i in small_generating_set(G, H.members)]
         print(f"index={idx} order={len(H)} gens={' '.join(gens) or '()'}" + (" normal" if H in normal else ""))
     return EXIT_OK
 

@@ -14,9 +14,11 @@ union of classes, read off its class counts.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .perm import Permutation
@@ -38,7 +40,9 @@ class GroupTable:
     ``elements[0]`` is the identity (the identity image table is the
     lexicographic minimum among bijections) and ``index_of`` maps an image
     tuple back to its index.  ``rows`` is the Cayley table: ``rows[i][j]``
-    is the index of elements[i] followed by elements[j].
+    is the index of elements[i] followed by elements[j].  ``members`` is
+    G's member tuple, 0..order-1, one tuple shared by every closure that
+    comes out as G.
     """
 
     def __init__(self, degree: int, elements: Sequence[Permutation], generator_ids: Sequence[int]):
@@ -46,27 +50,32 @@ class GroupTable:
         self.elements = tuple(elements)
         self.index_of = {p.images: i for i, p in enumerate(self.elements)}
         self.generator_ids = tuple(generator_ids)
-        self.rows = self._cayley_rows()
-        self.inverse_ids = tuple(row.index(0) for row in self.rows)
-        self._orders: list[int | None] = [None] * len(self.elements)
+        self._set_rows(self._cayley_rows())
+
+    @classmethod
+    def _from_rows(
+        cls, degree: int, elements: Sequence[Permutation], index_of: dict, generator_ids: Sequence[int], rows: list[list[int]]
+    ) -> GroupTable:
+        """The table ``__init__`` builds, given its ``index_of`` and its
+        Cayley table ``rows``."""
+        G = cls.__new__(cls)
+        G.degree, G.elements, G.index_of, G.generator_ids = degree, tuple(elements), index_of, tuple(generator_ids)
+        G._set_rows(rows)
+        return G
+
+    def _set_rows(self, rows: list[list[int]]) -> None:
+        self.rows = rows
+        self.members = tuple(range(len(rows)))
+        self.inverse_ids = tuple(row.index(0) for row in rows)
+        self._orders: list[int | None] = [None] * len(rows)
         self._cache: dict = {}
 
     def _cayley_rows(self) -> list[list[int]]:
-        """The Cayley table, breadth-first from the identity row: the row of
-        g x is the row of x mapped through z -> g z, g a generator."""
-        n = len(self.elements)
+        """The Cayley table of the elements, from the maps z -> g z of the
+        generators g, each composed permutation by permutation."""
         images = [self.elements[g].images for g in self.generator_ids]
         lefts = [[self.index_of[tuple(map(p.images.__getitem__, gi))] for p in self.elements] for gi in images]
-        rows: list = [list(range(n))] + [None] * (n - 1)
-        reached = [0]
-        for x in reached:  # grows while it is walked
-            for left in lefts:
-                if rows[left[x]] is None:
-                    rows[left[x]] = list(map(left.__getitem__, rows[x]))
-                    reached.append(left[x])
-        if len(reached) != n:
-            raise ValueError("the generators do not generate the elements")
-        return rows
+        return _rows_from_lefts(lefts, len(self.elements))
 
     @property
     def order(self) -> int:
@@ -118,34 +127,60 @@ class GroupTable:
         return f"GroupTable(degree={self.degree}, order={self.order})"
 
 
-def generate(degree: int, gens: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
-    """Breadth-first closure of ``gens`` under composition.
+def _rows_from_lefts(lefts: list[list[int]], n: int) -> list[list[int]]:
+    """The Cayley table, breadth-first from the identity row: ``lefts``
+    holds, per generator g, the map z -> g z as a list of indices, and the
+    row of g x is the row of x mapped through it.  ``itemgetter`` reads a
+    whole row's entries in one C call; a row is first reached from another
+    only when n > 1, so it always gets several indices and gives a tuple."""
+    rows: list = [list(range(n))] + [None] * (n - 1)
+    reached = [0]
+    for x in reached:  # grows while it is walked
+        for left in lefts:
+            if rows[left[x]] is None:
+                rows[left[x]] = list(itemgetter(*rows[x])(left))
+                reached.append(left[x])
+    if len(reached) != n:
+        raise ValueError("the generators do not generate the elements")
+    return rows
 
-    Raises CapExceeded as soon as more than ``cap`` elements are discovered.
+
+def generate(degree: int, gens: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
+    """Breadth-first closure of ``gens`` under left multiplication, and
+    its Cayley table in the same pass.
+
+    The walk from the identity computes g z for every element z found and
+    every generator g, so it keeps these maps z -> g z, renumbered to the
+    sorted elements, and the table's rows follow from them (see
+    ``_rows_from_lefts``) with no further permutation products.  Raises
+    CapExceeded as soon as more than ``cap`` elements are discovered.
     The trivial group is produced for an empty generator list.
     """
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"generator degree {g.degree} != {degree}")
-    identity = tuple(range(degree))
-    seen = {identity}
-    frontier = [identity]
     gen_images = [g.images for g in gens]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in gen_images:
-                prod = tuple(b[v] for v in a)
-                if prod not in seen:
-                    seen.add(prod)
-                    if len(seen) > cap:
-                        raise CapExceeded("order cap exceeded", len(seen))
-                    nxt.append(prod)
-        frontier = nxt
-    elements = [Permutation(t) for t in sorted(seen)]
-    index = {p.images: i for i, p in enumerate(elements)}
-    generator_ids = [index[g.images] for g in gens]
-    return GroupTable(degree, elements, generator_ids)
+    found = [tuple(range(degree))]
+    found_at = {found[0]: 0}
+    lefts: list[list[int]] = [[] for _ in gens]  # by discovery number
+    for z in found:  # grows while it is walked
+        for g, left in zip(gen_images, lefts):
+            y = tuple(map(z.__getitem__, g))  # g first, then z
+            at = found_at.get(y)
+            if at is None:
+                at = found_at[y] = len(found)
+                found.append(y)
+                if len(found) > cap:
+                    raise CapExceeded("order cap exceeded", len(found))
+            left.append(at)
+    ordered = sorted(found)
+    index_of = dict(zip(ordered, range(len(ordered))))
+    rank = list(map(index_of.__getitem__, found))  # discovery number -> index
+    by_index = list(map(found_at.__getitem__, ordered))  # index -> discovery number
+    lefts = [list(map(rank.__getitem__, map(left.__getitem__, by_index))) for left in lefts]
+    elements = [Permutation(t) for t in ordered]
+    generator_ids = [index_of[g] for g in gen_images]
+    return GroupTable._from_rows(degree, elements, index_of, generator_ids, _rows_from_lefts(lefts, len(ordered)))
 
 
 class ElementSet:
@@ -154,9 +189,10 @@ class ElementSet:
     def __init__(self, parent: GroupTable, members: Iterable[int]):
         self.parent = parent
         self.members = tuple(sorted(set(members)))
-        for m in self.members:
-            if not 0 <= m < parent.order:
-                raise ValueError(f"element index {m} out of range")
+        m = self.members
+        if m and (m[0] < 0 or m[-1] >= parent.order):
+            bad = m[0] if m[0] < 0 else m[bisect.bisect_left(m, parent.order)]  # least negative, else least >= |G|
+            raise ValueError(f"element index {bad} out of range")
         self._memberset = frozenset(self.members)
         self._is_subgroup: bool | None = None
 
@@ -269,10 +305,20 @@ def conjugacy_classes(G: GroupTable) -> ConjClassPartition:
     return part
 
 
-def _dimino(G: GroupTable, seeds: Iterable[int], start: tuple = ((0,), ())) -> tuple[list[int], list[int]]:
+def _least_prime(n: int) -> int:
+    """The least prime dividing n >= 2."""
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return d
+        d += 1
+    return n
+
+
+def _dimino(G: GroupTable, seeds: Iterable[int], start: tuple = ((0,), ())) -> tuple[Sequence[int], list[int]]:
     """Dimino's closure of ``seeds``, taken in order, from the subgroup
-    ``start`` (its members, identity first, and its kept seeds): ``(members,
-    kept)``, each kept seed outside the group generated by those before it.
+    ``start`` (its members and its kept seeds): ``(members, kept)``, each
+    kept seed outside the group generated by those before it.
 
     A kept seed s extends the group K built so far coset by coset: for each
     coset representative r, from the identity on, and each kept seed g, a
@@ -280,8 +326,14 @@ def _dimino(G: GroupTable, seeds: Iterable[int], start: tuple = ((0,), ())) -> t
     row mapped over K, and becomes a representative.  The union of the
     cosets is then closed under left multiplication by every kept seed, so
     it is <K, s>.  The identity row is never read.
+
+    <K, s> contains K, so by Lagrange its order is |K| times a divisor of
+    |G:K|: if it is not G, it is at most |G|/p, p the least prime dividing
+    |G:K|.  As soon as the union outgrows that bound the pass is G, and it
+    returns ``G.members`` at once; every later seed lies in G, so the kept
+    seeds are those a full pass keeps.
     """
-    rows = G.rows
+    rows, order = G.rows, G.order
     members, kept = list(start[0]), list(start[1])
     memberset = set(members)
     for s in seeds:
@@ -289,14 +341,17 @@ def _dimino(G: GroupTable, seeds: Iterable[int], start: tuple = ((0,), ())) -> t
             continue
         kept.append(s)
         K = members[:]
+        bound = order // _least_prime(order // len(K))
         reps = [0]
         for r in reps:  # grows while it is walked
             for g in kept:
                 x = rows[g][r]
                 if x not in memberset:
-                    reps.append(x)
                     coset = list(map(rows[x].__getitem__, K))
                     members += coset
+                    if len(members) > bound:
+                        return G.members, kept
+                    reps.append(x)
                     memberset.update(coset)
     return members, kept
 
@@ -304,7 +359,8 @@ def _dimino(G: GroupTable, seeds: Iterable[int], start: tuple = ((0,), ())) -> t
 def closure_indices(G: GroupTable, seed: Iterable[int], start: tuple = ((0,), ())) -> tuple[int, ...]:
     """Indices of the subgroup of G generated by ``seed`` and the subgroup
     ``start``, sorted: the members of ``_dimino``'s closure."""
-    return tuple(sorted(_dimino(G, seed, start)[0]))
+    members = _dimino(G, seed, start)[0]
+    return members if members is G.members else tuple(sorted(members))
 
 
 def small_generating_set(G: GroupTable, members: Sequence[int]) -> tuple[int, ...]:

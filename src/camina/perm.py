@@ -7,6 +7,7 @@ left to right (``compose(a, b)`` applies ``a`` first, then ``b``).
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Iterable, Sequence
 
 
@@ -20,11 +21,8 @@ class Permutation:
         n = len(imgs)
         if n == 0:
             raise ValueError("permutation must have positive degree")
-        seen = [False] * n
-        for v in imgs:
-            if not isinstance(v, int) or not 0 <= v < n or seen[v]:
-                raise ValueError(f"images {imgs!r} are not a bijection of 0..{n - 1}")
-            seen[v] = True
+        if not all(map(isinstance, imgs, repeat(int))) or sorted(imgs) != list(range(n)):
+            raise ValueError(f"images {imgs!r} are not a bijection of 0..{n - 1}")
         self.images = imgs
 
     @property

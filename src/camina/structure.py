@@ -160,7 +160,9 @@ def subgroups(G: GroupTable) -> list[ElementSet]:
     conjugate of these, recorded with its class.  A join is one
     ``closure_indices`` pass that starts from A's members and generators;
     it at least doubles the order, so a subgroup keeps at most log2 of its
-    order generators.  Cached on the table, with the normal subgroups (the
+    order generators, and it stops as soon as Lagrange says it is G (see
+    ``_dimino``).  A of prime index joins only to G, so once G is recorded
+    A's walk is skipped.  Cached on the table, with the normal subgroups (the
     classes of size 1), per class (A, class size, N_G(A)'s generators) and,
     per subgroup in the returned order, the index of its class in that list.
     CapExceeded when G has more than ``SUBGROUP_CAP`` subgroups.
@@ -188,17 +190,20 @@ def subgroups(G: GroupTable) -> list[ElementSet]:
         orbit, moved, schreier = [members], {members: 0}, []  # members^moved[b] = b
         for a in orbit:  # grows while it is walked
             for g, c in zip(G.generator_ids, conjugators):
-                b, t = tuple(sorted(c[m] for m in a)), rows[moved[a]][g]
+                b, t = tuple(sorted(map(c.__getitem__, a))), rows[moved[a]][g]
                 if b in moved:
                     schreier.append(rows[t][inv[moved[b]]])
                 else:
-                    record(b, tuple(c[x] for x in gens_of[a]))
+                    record(b, tuple(map(c.__getitem__, gens_of[a])))
                     moved[b] = t
                     orbit.append(b)
         worklist.append((members, len(orbit), _dimino(G, schreier)[1]))
 
     record_class((0,), ())
     for a, _, normalizer_gens in worklist:  # grows while it is walked: breadth-first
+        index = G.order // len(a)
+        if prime_factors(index) == [index] and G.members in gens_of:
+            continue  # A has prime index, so every join with it is G
         seen = set(a)
         for z in zuppos:
             if z in seen:

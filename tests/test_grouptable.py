@@ -44,9 +44,13 @@ class TestGenerate:
         assert G.order == 4
 
     def test_cap_exceeded(self):
-        with pytest.raises(CapExceeded) as exc:
-            generate(4, [cyc(4, (0, 1)), cyc(4, (0, 1, 2, 3))], cap=10)
-        assert exc.value.partial > 10
+        # generation stops at the first element over the cap
+        gens = [cyc(4, (0, 1)), cyc(4, (0, 1, 2, 3))]
+        for cap in (1, 10, 23):
+            with pytest.raises(CapExceeded) as exc:
+                generate(4, gens, cap=cap)
+            assert exc.value.partial == cap + 1
+        assert generate(4, gens, cap=24).order == 24
 
     def test_default_cap_stops_a7(self):
         # |A7| = 2520 is above the one order cap, 2000
@@ -75,6 +79,17 @@ class TestGenerate:
                 assert G.mul(i, G.inv(i)) == 0
                 for j in range(G.order):
                     assert G.mul(i, j) in members
+
+    @pytest.mark.parametrize("label", [entry.label for entry in builtin_catalog()] + ["S5", "S6", "Heis(5)"])
+    def test_matches_the_table_built_from_its_elements(self, label):
+        # The table built from the elements, generators and the rows
+        # recomputed by permutation composition, independent of generation.
+        G = builtin(label).group()
+        H = GroupTable(G.degree, G.elements, G.generator_ids)
+        assert G.elements == H.elements
+        assert G.rows == H.rows
+        assert G.generator_ids == H.generator_ids
+        assert G.inverse_ids == H.inverse_ids
 
     def test_regeneration_is_deterministic(self):
         a = builtin("S4").group()
@@ -211,6 +226,15 @@ class TestElementSet:
     def test_out_of_range(self, s3):
         with pytest.raises(ValueError):
             ElementSet(s3, (99,))
+
+    @pytest.mark.parametrize(
+        "members, named",
+        [((99,), 99), ((3, 7, 6, 0), 6), ((5, -1, 99, -4), -4), ((-2,), -2), ((0, 1, 2, 3, 4, 5, 6), 6)],
+    )
+    def test_out_of_range_message(self, s3, members, named):
+        # the least negative member, or else the least member >= |G|
+        with pytest.raises(ValueError, match=f"^element index {named} out of range$"):
+            ElementSet(s3, members)
 
 
 class TestLeftCoset:

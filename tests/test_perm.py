@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -124,6 +126,15 @@ class TestValidation:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Permutation(())
+
+    @pytest.mark.parametrize(
+        "images",
+        [(0, 2, 2), (0, -1, 1), (0, 3, 1), (0, 1.0, 2), (0, "1", 2)],
+        ids=["duplicate", "negative", "out-of-range", "float", "string"],
+    )
+    def test_rejection_message(self, images):
+        with pytest.raises(ValueError, match=re.escape(f"images {images!r} are not a bijection of 0..2")):
+            Permutation(images)
 
     def test_from_cycles_rejects_repeated_point(self):
         with pytest.raises(ValueError):

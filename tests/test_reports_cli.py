@@ -404,6 +404,25 @@ class TestCli:
         assert rc == 0
         assert len(out.strip().splitlines()) == 6
 
+    @pytest.mark.parametrize(
+        "group, digest",
+        [
+            ("S5", "2866904159fe8ef41d2287c2af7a949bd8634aa659d973d52aeee70af225b05d"),
+            ("S4xC2", "9853a528c30a2ded77c13649c1f3d996f6703407b5d6c9f1cfe3188154c28594"),
+            ("S6", "71e82bf554e1e90f8b5a9f264f7ee2ffcf1a580ff6c72186900a0c47e59a1507"),
+            ("fano", "9c689f0be7c48a3ae771fe24684f691b4dbe232cf4d5db9d908aef72b3d75d8b"),
+        ],
+    )
+    def test_subgroups_listing_digest(self, capsys, tmp_path, group, digest):
+        # The whole listing, subgroup order, orders, generators and normal
+        # marks, pinned byte for byte; "fano" is PSL(2,7) on the 7 points
+        # of the Fano plane, read from a group file.
+        if group == "fano":
+            group = tmp_path / "fano.grp"
+            group.write_text("degree 7\n(1,2,3,4,5,6,7)\n(1,2)(3,6)\n")
+        assert run_cli(["subgroups", "--group", str(group)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_catalog_list(self, capsys):
         rc = run_cli(["catalog", "list"])
         out = capsys.readouterr().out

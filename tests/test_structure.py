@@ -360,42 +360,54 @@ class TestSubgroups:
     def test_closure_budget(self, monkeypatch):
         # One join per (class representative A, N_G(A)-orbit of zuppos
         # outside A), each a closure_indices pass that starts from A's
-        # members with the zuppo as its one seed, and one more _dimino pass
-        # per class, for N_G(A): S5 makes 166 joins in 185 passes, PSL(2,7)
-        # 148 in 163 and S6 1,411 in 1,467.
-        joins, passes = [], [0]
+        # members with the zuppo as its one seed, none from an A of prime
+        # index once G is listed, and one more _dimino pass per class, for
+        # N_G(A): S5 makes 159 joins in 178 passes, PSL(2,7) 136 in 151 and
+        # S6 1,408 in 1,464.  A pass whose union of cosets outgrows |G|/p,
+        # p the least prime dividing the index of the group it extends,
+        # stops there and returns G's member tuple: 69 passes on S5, 68 on
+        # PSL(2,7) and 502 on S6.
+        joins, passes, stopped = [], [0], [0]
         original_closure, original_dimino = closure_indices, grouptable._dimino
 
         def counted_closure(G, seed, **kwargs):
             joins.append(tuple(seed))
             return original_closure(G, seed, **kwargs)
 
-        def counted_dimino(*args, **kwargs):
+        def counted_dimino(G, *args, **kwargs):
             passes[0] += 1
-            return original_dimino(*args, **kwargs)
+            result = original_dimino(G, *args, **kwargs)
+            stopped[0] += result[0] is G.members
+            return result
 
         monkeypatch.setattr(structure, "closure_indices", counted_closure)
         for module in (grouptable, structure):
             monkeypatch.setattr(module, "_dimino", counted_dimino)
-        for G, join_budget, pass_budget in [
-            (builtin("S5").group(), 170, 200),
-            (psl27(), 150, 170),
-            (builtin("S6").group(), 1_420, 1_500),
+        for G, join_budget, pass_budget, at_bound in [
+            (builtin("S5").group(), 170, 200, 69),
+            (psl27(), 150, 170, 68),
+            (builtin("S6").group(), 1_420, 1_500, 502),
         ]:
             joins.clear()
-            passes[0] = 0
+            passes[0] = stopped[0] = 0
             subgroups(G)
             assert len(joins) < join_budget and passes[0] < pass_budget, (G, len(joins), passes[0])
             assert all(len(seed) == 1 for seed in joins)
+            # every class but the trivial one is first found by a join, so
+            # joins made around closure_indices leave this count short
+            assert len(joins) >= len(G._cache["subgroup_classes"]) - 1, (G, len(joins))
+            assert stopped[0] == at_bound, (G, stopped[0])
 
     def test_mul_budget(self, table_reads):
         # Each closure adds whole cosets of the group built so far, one
-        # table row mapped over it, and starts from the subgroup it extends;
-        # every product S5's lattice makes, class partition included.
-        G = builtin("S5").group()
-        reads = table_reads(G)
-        subgroups(G)
-        assert sum(reads.values()) <= 21_500
+        # table row mapped over it, starts from the subgroup it extends and
+        # stops once Lagrange says it is G; every product the lattice
+        # makes, class partition included.
+        for label, budget in [("S5", 13_905), ("S6", 421_690)]:
+            G = builtin(label).group()
+            reads = table_reads(G)
+            subgroups(G)
+            assert sum(reads.values()) <= budget, (label, sum(reads.values()))
 
     def test_lattice_digest(self):
         # The member tuples of every subgroup list, pinned as recorded when
