@@ -40,7 +40,7 @@ from typing import NamedTuple, Sequence
 
 from .cyclotomic import Cyc
 from .grouptable import CapExceeded, ElementSet, GroupTable, subgroup_table
-from .structure import ConjClassPartition, conjugacy_classes, derived_subgroup, exponent, prime_factors
+from .structure import ConjClassPartition, conjugacy_classes, derived_subgroup, exponent, is_prime, prime_factors
 
 CLASS_CAP = 60
 
@@ -90,8 +90,11 @@ class CharacterTable:
     conjugate of absolute value >= p, while every conjugate of alpha_ij has
     absolute value <= |G| (D^2 + 1) < p.  Irr(G) is closed under the Galois
     group and follows the power maps, so no true table is rejected.
-    X_1 W_1^T mod p comes from ``_gram_mod``, one packed integer product
-    per row, exactly."""
+    iota_1(alpha_ij) is entry (i, j) of X_1 W_1^T - |G| I with W_1[j][k] =
+    iota_1(conj(chi_j(k))) |K_k| = X_1[j][k*] |K_k|, k* the inverse class,
+    as conj = sigma_-1 and the power map at c = -1 is chi(k*) =
+    sigma_-1(chi(k)).  X_1 W_1^T mod p comes from ``_gram_mod``, one packed
+    integer product per row, exactly."""
 
     group: GroupTable
     irreducibles: tuple[ClassFunction, ...]
@@ -112,17 +115,6 @@ class CharacterTable:
         """Each row's kernel {x : chi(x) = chi(1)} as a set of class ids,
         compared on value ids."""
         return tuple(frozenset(k for k, v in enumerate(row) if v == row[0]) for row in self.values.cells)
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def prime_above(e: int, bound: int) -> int:
@@ -499,25 +491,12 @@ def _root_norm(e: int) -> int:
     return max(sum(map(abs, Cyc.root_power(e, t).coeffs)) for t in range(e))
 
 
-def _embeddings(distinct: list[tuple[int, ...]], e: int, p: int) -> dict[int, list[int]]:
-    """iota_1 and iota_-1, keyed by 1 % e and -1 % e: the image mod p of each
-    distinct value, by its coefficients, under zeta_e -> z and zeta_e -> z^-1,
-    z a primitive e-th root of unity mod p."""
-    z = _root_of_unity(e, p)
-    zpow = [pow(z, t, p) for t in range(e)]
-    images = {}
-    for a in (1 % e, -1 % e):
-        za = [zpow[a * j % e] for j in range(e)]
-        images[a] = [sum(map(mul, c, za)) % p for c in distinct]
-    return images
-
-
 def _residues(values: _Values, classes: ConjClassPartition, p: int) -> list[list[int]]:
-    """X_1 of ``CharacterTable``, the values under iota_1 of ``_embeddings``,
-    or its RuntimeError: the rows, one per class and distinct, must pass the
+    """X_1 of ``CharacterTable``, the values under iota_1: zeta_e -> z, or
+    its RuntimeError: the rows, one per class and distinct, must pass the
     Galois checks on coefficient tuples, then X_1 W_1^T = |G| I mod p, with
-    W_1[j][k] = iota_-1(values[j][k]) sizes[k], and the degrees must be
-    positive integers."""
+    W_1[j][k] = X_1[j][k*] sizes[k], exact once the power map at c = -1 has
+    passed, and the degrees must be positive integers."""
     cells, distinct, ids, e = values
     G, r = classes.group, classes.count
     present = set(cells)
@@ -531,10 +510,11 @@ def _residues(values: _Values, classes: ConjClassPartition, p: int) -> list[list
         at = [classes.class_of[G.power(rep, c)] for rep in classes.reps]
         if moved != [tuple(map(row.__getitem__, at)) for row in cells]:
             raise RuntimeError("character values do not follow the power maps")
-    images = _embeddings(distinct, e, p)
-    up, down = images[1 % e], images[-1 % e]
-    X = [list(map(up.__getitem__, row)) for row in cells]
-    W = [[down[i] * size % p for i, size in zip(row, classes.sizes)] for row in cells]
+    z = _root_of_unity(e, p)
+    zpow = [pow(z, t, p) for t in range(e)]
+    images = [sum(map(mul, c, zpow)) % p for c in distinct]
+    X = [list(map(images.__getitem__, row)) for row in cells]
+    W = [[x[k] * size % p for k, size in zip(classes.inverse_class, classes.sizes)] for x in X]
     for i, got in enumerate(_gram_mod(X, W, p)):
         if got != [0] * i + [G.order] + [0] * (r - 1 - i):
             raise RuntimeError("character rows are not orthonormal")

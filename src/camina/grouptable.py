@@ -2,7 +2,8 @@
 
 A GroupTable holds every element of the group generated by a set of
 permutations, in canonical (lexicographic) order, and its Cayley table,
-so that products are index lookups.  ``DEFAULT_ORDER_CAP`` is the one
+so that products are index lookups; ``generate`` builds every table,
+subgroup and quotient tables included.  ``DEFAULT_ORDER_CAP`` is the one
 order cap: ``generate`` stops above it, which bounds a table at 4M
 entries, about 8 n^2 bytes.  ElementSet is a subset of a table (a
 subgroup, a coset, a conjugacy class, ...) given by sorted element
@@ -35,7 +36,7 @@ class CapExceeded(RuntimeError):
 
 
 class GroupTable:
-    """A fully enumerated permutation group.
+    """A fully enumerated permutation group, built by ``generate`` alone.
 
     ``elements[0]`` is the identity (the identity image table is the
     lexicographic minimum among bijections) and ``index_of`` maps an image
@@ -45,37 +46,18 @@ class GroupTable:
     comes out as G.
     """
 
-    def __init__(self, degree: int, elements: Sequence[Permutation], generator_ids: Sequence[int]):
+    def __init__(
+        self, degree: int, elements: Sequence[Permutation], index_of: dict, generator_ids: Sequence[int], rows: list[list[int]]
+    ):
         self.degree = degree
         self.elements = tuple(elements)
-        self.index_of = {p.images: i for i, p in enumerate(self.elements)}
+        self.index_of = index_of
         self.generator_ids = tuple(generator_ids)
-        self._set_rows(self._cayley_rows())
-
-    @classmethod
-    def _from_rows(
-        cls, degree: int, elements: Sequence[Permutation], index_of: dict, generator_ids: Sequence[int], rows: list[list[int]]
-    ) -> GroupTable:
-        """The table ``__init__`` builds, given its ``index_of`` and its
-        Cayley table ``rows``."""
-        G = cls.__new__(cls)
-        G.degree, G.elements, G.index_of, G.generator_ids = degree, tuple(elements), index_of, tuple(generator_ids)
-        G._set_rows(rows)
-        return G
-
-    def _set_rows(self, rows: list[list[int]]) -> None:
         self.rows = rows
         self.members = tuple(range(len(rows)))
         self.inverse_ids = tuple(row.index(0) for row in rows)
         self._orders: list[int | None] = [None] * len(rows)
         self._cache: dict = {}
-
-    def _cayley_rows(self) -> list[list[int]]:
-        """The Cayley table of the elements, from the maps z -> g z of the
-        generators g, each composed permutation by permutation."""
-        images = [self.elements[g].images for g in self.generator_ids]
-        lefts = [[self.index_of[tuple(map(p.images.__getitem__, gi))] for p in self.elements] for gi in images]
-        return _rows_from_lefts(lefts, len(self.elements))
 
     @property
     def order(self) -> int:
@@ -97,14 +79,10 @@ class GroupTable:
         return self.mul(self.mul(self.mul(self.inv(a), self.inv(b)), a), b)
 
     def power(self, i: int, k: int) -> int:
-        k %= self.element_order(i)
-        result, base = 0, i
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
+        """Index of x^k, x = elements[i], any integer k: read off ``powers``,
+        whose entry j - 1 is x^j and whose last entry is x^o = 1."""
+        walk = self.powers(i)
+        return walk[k % len(walk) - 1]
 
     def powers(self, i: int) -> list[int]:
         """The walk [x, x^2, ..., x^o] along x's row of the Cayley table,
@@ -127,34 +105,19 @@ class GroupTable:
         return f"GroupTable(degree={self.degree}, order={self.order})"
 
 
-def _rows_from_lefts(lefts: list[list[int]], n: int) -> list[list[int]]:
-    """The Cayley table, breadth-first from the identity row: ``lefts``
-    holds, per generator g, the map z -> g z as a list of indices, and the
-    row of g x is the row of x mapped through it.  ``itemgetter`` reads a
-    whole row's entries in one C call; a row is first reached from another
-    only when n > 1, so it always gets several indices and gives a tuple."""
-    rows: list = [list(range(n))] + [None] * (n - 1)
-    reached = [0]
-    for x in reached:  # grows while it is walked
-        for left in lefts:
-            if rows[left[x]] is None:
-                rows[left[x]] = list(itemgetter(*rows[x])(left))
-                reached.append(left[x])
-    if len(reached) != n:
-        raise ValueError("the generators do not generate the elements")
-    return rows
-
-
 def generate(degree: int, gens: Sequence[Permutation], cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     """Breadth-first closure of ``gens`` under left multiplication, and
-    its Cayley table in the same pass.
+    its Cayley table in the same pass; the one way a GroupTable is built.
 
     The walk from the identity computes g z for every element z found and
     every generator g, so it keeps these maps z -> g z, renumbered to the
-    sorted elements, and the table's rows follow from them (see
-    ``_rows_from_lefts``) with no further permutation products.  Raises
-    CapExceeded as soon as more than ``cap`` elements are discovered.
-    The trivial group is produced for an empty generator list.
+    sorted elements: breadth-first from the identity row, as the elements
+    were found, the row of g x is the row of x mapped through z -> g z, with
+    no further permutation products.  ``itemgetter`` reads a row in one C
+    call; a row is first reached from another only when n > 1, so it gets
+    several indices and gives a tuple.  Raises CapExceeded as soon as more
+    than ``cap`` elements are discovered.  The trivial group is produced
+    for an empty generator list.
     """
     for g in gens:
         if g.degree != degree:
@@ -173,14 +136,21 @@ def generate(degree: int, gens: Sequence[Permutation], cap: int = DEFAULT_ORDER_
                 if len(found) > cap:
                     raise CapExceeded("order cap exceeded", len(found))
             left.append(at)
+    n = len(found)
     ordered = sorted(found)
-    index_of = dict(zip(ordered, range(len(ordered))))
+    index_of = dict(zip(ordered, range(n)))
     rank = list(map(index_of.__getitem__, found))  # discovery number -> index
     by_index = list(map(found_at.__getitem__, ordered))  # index -> discovery number
     lefts = [list(map(rank.__getitem__, map(left.__getitem__, by_index))) for left in lefts]
+    rows: list = [list(range(n))] + [None] * (n - 1)
+    reached = [0]
+    for x in reached:  # grows while it is walked
+        for left in lefts:
+            if rows[left[x]] is None:
+                rows[left[x]] = list(itemgetter(*rows[x])(left))
+                reached.append(left[x])
     elements = [Permutation(t) for t in ordered]
-    generator_ids = [index_of[g] for g in gen_images]
-    return GroupTable._from_rows(degree, elements, index_of, generator_ids, _rows_from_lefts(lefts, len(ordered)))
+    return GroupTable(degree, elements, index_of, [index_of[g] for g in gen_images], rows)
 
 
 class ElementSet:
@@ -306,7 +276,8 @@ def conjugacy_classes(G: GroupTable) -> ConjClassPartition:
 
 
 def _least_prime(n: int) -> int:
-    """The least prime dividing n >= 2."""
+    """The least prime dividing n >= 2, by trial division: the one prime
+    test, behind ``structure.is_prime`` and ``prime_factors`` too."""
     d = 2
     while d * d <= n:
         if n % d == 0:
@@ -375,8 +346,10 @@ def subgroup_table(G: GroupTable, H: ElementSet) -> tuple[GroupTable, tuple[int,
 
     Returns ``(table, to_parent, from_parent)`` where ``to_parent[i]`` is
     the G-index of the subgroup's element i and ``from_parent`` inverts it.
-    The subgroup's canonical element order agrees with G's, so ``to_parent``
-    is just the member tuple.  Results are cached on G.
+    The table is generated from the seeds ``small_generating_set`` keeps.
+    Its canonical element order agrees with G's, so ``to_parent`` is just
+    the member tuple, and a generator's id is its ``from_parent`` image.
+    Results are cached on G.
     """
     key = ("subtable", H.members)
     hit = G._cache.get(key)
@@ -386,7 +359,7 @@ def subgroup_table(G: GroupTable, H: ElementSet) -> tuple[GroupTable, tuple[int,
         raise ValueError("not a subgroup")
     from_parent = {g: i for i, g in enumerate(H.members)}
     gens = small_generating_set(G, H.members)
-    table = GroupTable(G.degree, [G.elements[i] for i in H.members], [from_parent[g] for g in gens])
+    table = generate(G.degree, [G.elements[g] for g in gens], cap=len(H))
     result = (table, H.members, from_parent)
     G._cache[key] = result
     return result

@@ -114,15 +114,17 @@ def save_chartab(G: GroupTable, table: CharacterTable, cache_dir: str | Path) ->
 
 def load_chartab(G: GroupTable, cache_dir: str | Path) -> CharacterTable | None:
     """The cached table of G, or None when there is no readable file, its
-    root order is not the exponent of G, a row holds an id that is not an
-    index into its values, or the rows fail the exact check that
-    constructing any ``CharacterTable`` makes.  One ``Cyc`` is built per
+    root order is not the exponent of G, a coefficient is not an int, a row
+    holds an id that is not an index into its values, or the rows fail the
+    exact check that constructing any ``CharacterTable`` makes.  One ``Cyc`` is built per
     distinct value, in the ring of G's own table."""
     path = _cache_path(G, cache_dir)
     try:
         obj = json.loads(path.read_text())
         e = exponent(G)
         if obj["format"] != FORMAT_VERSION or obj["order"] != G.order or obj["root_order"] != e:
+            return None
+        if any(type(c) is not int for coeffs in obj["values"] for c in coeffs):
             return None
         values = [Cyc(e, coeffs) for coeffs in obj["values"]]
         if any(type(i) is not int or not 0 <= i < len(values) for row in obj["rows"] for i in row):

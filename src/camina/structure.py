@@ -18,6 +18,7 @@ from .grouptable import (
     ElementSet,
     GroupTable,
     _dimino,
+    _least_prime,
     closure_indices,
     conjugacy_classes,
     small_generating_set,
@@ -26,18 +27,18 @@ from .grouptable import (
 SUBGROUP_CAP = 50_000
 
 
+def is_prime(n: int) -> bool:
+    return n >= 2 and _least_prime(n) == n
+
+
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime divisors of n, ascending."""
+    """Distinct prime divisors of n, ascending: each least prime divided out."""
     out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
+    while n > 1:
+        p = _least_prime(n)
+        out.append(p)
+        while n % p == 0:
+            n //= p
     return out
 
 
@@ -202,7 +203,7 @@ def subgroups(G: GroupTable) -> list[ElementSet]:
     record_class((0,), ())
     for a, _, normalizer_gens in worklist:  # grows while it is walked: breadth-first
         index = G.order // len(a)
-        if prime_factors(index) == [index] and G.members in gens_of:
+        if is_prime(index) and G.members in gens_of:
             continue  # A has prime index, so every join with it is G
         seen = set(a)
         for z in zuppos:

@@ -209,10 +209,6 @@ def _group_report(label: str, G: GroupTable, claim: str, status: str, details: d
     return VerificationReport(label, G.order, -1, 0, claim, status, details)
 
 
-def _is_2_power(n: int) -> bool:
-    return n & (n - 1) == 0
-
-
 def is_subnormal(G: GroupTable, H: ElementSet) -> bool:
     """Iterate normalizers upward; subnormal iff the chain reaches G."""
     current = H
@@ -271,7 +267,8 @@ def _odd_order(pair: Pair) -> tuple[str, dict]:
     G = pair.G
     o2 = pair.o_upper(2)
     o2_normal = o2.is_normal()
-    quotient_2group = _is_2_power(G.order // len(o2))
+    index = G.order // len(o2)
+    quotient_2group = p_part(index, 2) == index
     solvable = pair.h_solvable
     details = {
         "fired": True,
@@ -295,9 +292,8 @@ def _cor1(pair: Pair) -> tuple[str, dict]:
         return PASS, {"fired": True, "h_solvable": True}
     o2g = o_upper_p(G, 2)
     a_ok = all(m in H for m in o2g.members) and is_subnormal(G, H)
-    b_ok = all(
-        _is_2_power(G.element_order(x)) for x in range(G.order) if x not in H
-    )
+    orders = (G.element_order(x) for x in range(G.order) if x not in H)
+    b_ok = all(p_part(o, 2) == o for o in orders)
     ngh = normalizer(G, H)
     if len(ngh) > len(H):
         c = _equal_order_scan(G, H, ngh.members)

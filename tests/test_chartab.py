@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import inspect
 import math
 import random
@@ -446,21 +447,24 @@ class TestModularSelfCheck:
         assert accepts(constructed, G, classes, perturbed) == reference_accepts(G, classes, perturbed)
 
     def test_one_embedding_pair(self, monkeypatch):
-        # the product is formed under iota_1 and iota_-1 alone
-        made = []
-        original = chartab._embeddings
-
-        def recorded(values, e, p):
-            made.append((e, original(values, e, p)))
-            return made[-1][1]
-
-        monkeypatch.setattr(chartab, "_embeddings", recorded)
+        # the product is formed under iota_1 alone: X_1 is the values under
+        # zeta_e -> z, and W_1 reads X_1 at the inverse classes, which is
+        # the values under zeta_e -> z^-1
+        grams = []
+        original = chartab._gram_mod
+        monkeypatch.setattr(chartab, "_gram_mod", lambda *args: grams.append(args) or original(*args))
         for label in ("C1", "C2", "S3", "Q8", "Frob(5:4)", "A5", "C5xC10"):
             G, classes, values = built_table(label)
-            made.clear()
+            grams.clear()
             assert accepts(constructed, G, classes, values), label
-            assert [set(images) for _, images in made] == [{1 % e, (e - 1) % e} for e, _ in made], label
-            assert len(made) == 1, label
+            [(X, W, p)] = grams
+            e = exponent(G)
+            z = chartab._root_of_unity(e, p)
+            iota = [[sum(c * pow(z, t, p) for t, c in enumerate(v.coeffs)) % p for v in row] for row in values]
+            iota_inv = [[sum(c * pow(z, -t, p) for t, c in enumerate(v.coeffs)) % p for v in row] for row in values]
+            assert X == iota, label
+            assert W == [[x[k] * size % p for k, size in zip(classes.inverse_class, classes.sizes)] for x in X], label
+            assert W == [[x * size % p for x, size in zip(row, classes.sizes)] for row in iota_inv], label
 
     def test_unit_generators_generate_the_units(self):
         # the closure check is made for these units only; -1 needs none,
@@ -477,8 +481,9 @@ class TestModularSelfCheck:
 
     def test_embeddings_other_than_plus_or_minus_one(self, monkeypatch):
         # zeta_e - z is sent to 0 by iota_1 (zeta_e -> z), and zeta_e - z^-1
-        # by iota_-1, which builds W_1; their product changes a value of
-        # Frob(5:4) (e = 20) where only iota_3, iota_7 and iota_9 can see it.
+        # by iota_-1, which W_1 reads at the inverse classes; their product
+        # changes a value of Frob(5:4) (e = 20) where only iota_3, iota_7 and
+        # iota_9 can see it.
         G, classes, values = built_table("Frob(5:4)")
         seen = []
         original = chartab._residues
@@ -628,6 +633,15 @@ class TestModP:
             assert is_prime(p) and p % e == 1, label
             assert p > table.group.order * (D * D + 1), label
             assert any(X == residues for residues in reduced.values()), label
+
+    def test_residues_and_value_ids_are_pinned(self):
+        # sha256 of (mod_p, values.cells) of every builtin table, in catalog
+        # order: the prime, the residues under iota_1 and the value ids
+        h = hashlib.sha256()
+        for entry in builtin_catalog():
+            table = character_table(entry.group())
+            h.update(repr((table.mod_p, table.values.cells)).encode())
+        assert h.hexdigest() == "d0ba39415d3d9672fe1420b9238bb105e2fc981270f5cf6a74a54d5536f20ee5"
 
     def test_one_reduction_per_built_table(self, monkeypatch):
         calls = []

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,7 +8,6 @@ from camina.grouptable import (
     DEFAULT_ORDER_CAP,
     CapExceeded,
     ElementSet,
-    GroupTable,
     closure_indices,
     generate,
     quotient_table,
@@ -18,6 +19,15 @@ from camina.structure import conjugacy_classes, subgroups
 from reference import reference_closure_indices, reference_is_subgroup, reference_small_generating_set
 
 SMALL_LABELS = [entry.label for entry in builtin_catalog() if entry.group().order <= 60]
+
+
+def composed_table(elements, ids):
+    """The rows ``ids`` of the Cayley table of ``elements`` and their
+    inverses, by ``perm.compose`` and ``perm.inverse`` looked up in the
+    elements' own index."""
+    index = {p.images: i for i, p in enumerate(elements)}
+    rows = [[index[compose(elements[x], y).images] for y in elements] for x in ids]
+    return rows, [index[inverse(elements[x]).images] for x in ids]
 
 
 def cyc(degree, *cycles):
@@ -82,14 +92,21 @@ class TestGenerate:
 
     @pytest.mark.parametrize("label", [entry.label for entry in builtin_catalog()] + ["S5", "S6", "Heis(5)"])
     def test_matches_the_table_built_from_its_elements(self, label):
-        # The table built from the elements, generators and the rows
-        # recomputed by permutation composition, independent of generation.
-        G = builtin(label).group()
-        H = GroupTable(G.degree, G.elements, G.generator_ids)
-        assert G.elements == H.elements
-        assert G.rows == H.rows
-        assert G.generator_ids == H.generator_ids
-        assert G.inverse_ids == H.inverse_ids
+        # Every row by permutation composition and every inverse by
+        # permutation inversion, independent of the generation walk; S6 on
+        # its generators and 20 seeded elements.
+        entry = builtin(label)
+        G = entry.group()
+        assert G.order == entry.order
+        assert [p.images for p in G.elements] == sorted(p.images for p in G.elements)
+        assert G.index_of == {p.images: i for i, p in enumerate(G.elements)}
+        assert [G.elements[g] for g in G.generator_ids] == list(entry.generators)
+        ids = range(G.order)
+        if label == "S6":
+            ids = sorted({*G.generator_ids, *random.Random(label).sample(ids, 20)})
+        rows, inverse_ids = composed_table(G.elements, ids)
+        assert [G.rows[x] for x in ids] == rows
+        assert [G.inv(x) for x in ids] == inverse_ids
 
     def test_regeneration_is_deterministic(self):
         a = builtin("S4").group()
@@ -115,7 +132,8 @@ class TestCayleyTable:
         els, index = G.elements, G.index_of
         for x in range(G.order):
             assert G.inv(x) == index[inverse(els[x]).images]
-            for k in range(-1, G.element_order(x) + 2):
+            o = G.element_order(x)
+            for k in range(-2 * o, 2 * o + 1):  # 0, negative k and multiples of o
                 assert G.power(x, k) == index[(els[x] ** k).images]
         for a in range(G.order):
             for b in range(G.order):
@@ -139,11 +157,6 @@ class TestCayleyTable:
     def test_trivial_table(self):
         assert generate(1, []).rows == [[0]]
         assert generate(3, [Permutation.identity(3)]).rows == [[0]]
-
-    def test_generators_must_generate(self, s3):
-        with pytest.raises(ValueError, match="do not generate"):
-            GroupTable(3, s3.elements, [s3.generator_ids[0]])
-
 
 class TestClosure:
     def test_identity_never_multiplies(self, table_reads):
@@ -286,6 +299,20 @@ class TestSubgroupTable:
     def test_cached(self, s4):
         H = next(H for H in subgroups(s4) if len(H) == 4)
         assert subgroup_table(s4, H)[0] is subgroup_table(s4, H)[0]
+
+    @pytest.mark.parametrize("label", ["S4", "A5"])
+    def test_matches_the_table_built_from_its_elements(self, label):
+        # every subgroup's table against composition and inversion of its
+        # members, with the generators small_generating_set keeps
+        G = builtin(label).group()
+        for H in subgroups(G):
+            table = subgroup_table(G, H)[0]
+            elements = [G.elements[m] for m in H.members]
+            assert list(table.elements) == elements
+            assert table.generator_ids == tuple(map(H.members.index, small_generating_set(G, H.members)))
+            rows, inverse_ids = composed_table(elements, range(len(H)))
+            assert table.rows == rows
+            assert list(table.inverse_ids) == inverse_ids
 
 
 class TestQuotientTable:

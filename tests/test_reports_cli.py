@@ -138,6 +138,12 @@ def damaged(text: str, damage: str) -> str:
     obj = json.loads(text)
     if damage == "string_coefficient":
         obj["values"][1][0] = str(obj["values"][1][0])
+    elif damage in ("bool_coefficient", "float_coefficient"):
+        # the value 1 at the trivial character's first class, its 1 written
+        # as true or 1.0, which Python reads as 1
+        one = obj["values"][obj["rows"][0][0]]
+        assert one[0] == 1
+        one[0] = {"bool_coefficient": True, "float_coefficient": 1.0}[damage]
     else:
         # the trivial character's first id, 0, as no index into the values;
         # Python would read -len(values) and False as 0, the same table
@@ -236,8 +242,8 @@ class TestChartabCache:
 
     @pytest.mark.parametrize(
         "damage",
-        ["truncated", "missing_key", "list", "string_coefficient", "negative_id", "id_past_the_end", "float_id",
-         "bool_id", "string_id"],
+        ["truncated", "missing_key", "list", "string_coefficient", "bool_coefficient", "float_coefficient",
+         "negative_id", "id_past_the_end", "float_id", "bool_id", "string_id"],
     )
     def test_unreadable_file_is_a_miss(self, tmp_path, capsys, s3, damage):
         cache = str(tmp_path)
@@ -421,6 +427,26 @@ class TestCli:
             group = tmp_path / "fano.grp"
             group.write_text("degree 7\n(1,2,3,4,5,6,7)\n(1,2)(3,6)\n")
         assert run_cli(["subgroups", "--group", str(group)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "group, digest",
+        [
+            ("C60", "8456a57e37494c4bec85594f25089eaecf42a06ed0feb534855607b0b1942860"),
+            ("C5xC10", "8770bcc41e9233489439f0552e4faeaa4a02d1fab68e34479c3ebdaef2428217"),
+            ("C4xC4xC2", "3847bee9048ba6440bcee88868e4c9d631919ac52518d8b4b781d0230a30d6b2"),
+            ("Heis(5)", "0ff116e75d4569f37b71360fc5f2d5f664e0c62a98bdc244ff0bddf670a42d16"),
+            ("C3xC3xC3", "f0dc36bfb577fd39db257cbc7cd5b33d65c22b1aa48b3488d44ec4bd087bf854"),
+            ("Q32xC2", "5a3bd9dfa1b5f7f449de898154015027a4a61694f5f57225cbf0944773167455"),
+            ("D30", "f1a8b8cfc686a4fc4ceef9c6cd0e2b05f35f30604ceea4568c27bb572b6db313"),
+            ("S5", "e172aaaf7e246dedb31e5b7ad8d9780d7c3e4ae62a797c678d252e462d590813"),
+            ("S6", "0957828e57df42fe937f1c2948d869bcdba731f74be247593e9fe4557b41fd2c"),
+        ],
+    )
+    def test_chartab_listing_digest(self, capsys, group, digest):
+        # The whole printed table, class representatives, class sizes and
+        # every value, pinned byte for byte.
+        assert run_cli(["chartab", "--group", group]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_catalog_list(self, capsys):

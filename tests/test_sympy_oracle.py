@@ -4,6 +4,7 @@ an independent implementation, on the builtin catalog."""
 import pytest
 
 combinatorics = pytest.importorskip("sympy.combinatorics")
+sympy = pytest.importorskip("sympy")
 
 from camina.catalog import builtin_catalog
 from camina.grouptable import ElementSet, closure_indices
@@ -15,6 +16,7 @@ from camina.structure import (
     is_nilpotent,
     is_solvable,
     normal_closure,
+    is_prime,
     o_lower_p,
     prime_factors,
 )
@@ -50,3 +52,10 @@ def test_series_sylow_and_class_closures_agree_with_sympy(entry):
         cyclic = combinatorics.PermutationGroup([combinatorics.Permutation(list(G.elements[rep].images))])
         closure = normal_closure(G, ElementSet(G, closure_indices(G, [rep])))
         assert len(closure) == P.normal_closure(cyclic).order(), rep
+
+
+def test_primes_agree_with_sympy():
+    # the one trial division, grouptable._least_prime, behind both helpers
+    for n in range(5_000):
+        assert is_prime(n) == sympy.isprime(n), n
+        assert prime_factors(n) == sympy.primefactors(n), n
