@@ -29,7 +29,6 @@ class CatalogEntry:
     label: str
     degree: int
     generators: tuple[Permutation, ...]
-    provenance: str  # "builtin" | "file"
     order: int | None = None  # known without generating for a builtin label
 
     def group(self, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
@@ -117,7 +116,7 @@ def parse_group_file(path: str | Path) -> CatalogEntry:
             raise ParseError(str(exc), lineno) from None
     if degree is None:
         raise ParseError("file contains no 'degree N' line", 1)
-    return CatalogEntry(f"file:{path.name}", degree, tuple(gens), "file")
+    return CatalogEntry(f"file:{path.name}", degree, tuple(gens))
 
 
 # --- builtin families -------------------------------------------------------
@@ -295,7 +294,7 @@ def builtin(label: str) -> CatalogEntry:
                 break
         else:
             raise UnknownLabel(f"unknown builtin label {label!r}")
-    return CatalogEntry(label, degree, tuple(gens), "builtin", order)
+    return CatalogEntry(label, degree, tuple(gens), order)
 
 
 BUILTIN_LABELS = (

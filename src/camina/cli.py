@@ -11,8 +11,10 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from functools import cache, partial
+from operator import attrgetter
 from pathlib import Path
 
+from . import __version__
 from .catalog import (
     ParseError,
     UnknownLabel,
@@ -44,14 +46,12 @@ from .structure import (
     small_generating_set,
     subgroups,
 )
-from .verify import ALL_CLAIMS, LEMMA_CLAIMS, VIOLATION, VerificationReport, sorted_reports, summarize, sweep_single
+from .verify import ALL_CLAIMS, LEMMA_CLAIMS, VIOLATION, VerificationReport, summarize, sweep_single
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_CAPS_IO = 3
-
-VERSION = "0.1.0"
 
 # --condition name -> its predicate on (G, H)
 _CONDITIONS = {
@@ -307,15 +307,17 @@ def _cmd_verify(args) -> int:
     claims = _parse_claims(args.claims)
     items = _catalog_entries(args.catalog)
     run = partial(_sweep_payload, max_order=args.max_order, claims=claims, order_cap=args.order_cap)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(items))  # a fork pool starts all its workers at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, items))
     else:
         results = [run(item) for item in items]
     errors = [error for _, error in results if error is not None]
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
-    reports = sorted_reports(r for chunk, _ in results for r in chunk)
+    # each chunk is in report_key order and catalog labels are distinct
+    reports = sorted((r for chunk, _ in results for r in chunk), key=attrgetter("group_label"))
     summary = summarize(reports)
     for claim in sorted(summary["claims"]):
         c = summary["claims"][claim]
@@ -332,7 +334,7 @@ def _cmd_verify(args) -> int:
             print(f"VIOLATION {r.group_label} subgroup_index={r.subgroup_index} {r.claim}: {r.details}")
     if args.out:
         timestamp = datetime.now(timezone.utc).isoformat()
-        persist_reports(reports, args.out, VERSION, timestamp)
+        persist_reports(reports, args.out, __version__, timestamp)
         print(f"wrote {len(reports)} reports to {args.out}")
     if errors:
         return EXIT_CAPS_IO

@@ -9,6 +9,9 @@ scan, ``_coset_scan``, over x outside H and h in H.  Each of them holds for
 every member of xH once it holds for x, so the scan skips the members of
 cosets already passed: it skips only elements that would pass, and the
 witness stays the first one in element order.
+
+(F), (F+-) and Camina are one class-label scan, ``_class_scan``, which also
+decides them on (G/M, H/M) from the classes of G.
 """
 
 from __future__ import annotations
@@ -72,23 +75,19 @@ def is_camina_pair(G: GroupTable, N: ElementSet) -> ConditionVerdict:
                     return ConditionVerdict.fail(
                         CAMINA, g, n, "N is not normal: conjugate of h by x leaves N"
                     )
-    return _coset_scan(G, N, CAMINA, _same_class(G), "x*h is not conjugate to x")
+    return _class_scan(G, N, CAMINA)
 
 
 def satisfies_F(G: GroupTable, H: ElementSet) -> ConditionVerdict:
     """xH inside x^G for every x outside H."""
     _require_nontrivial_proper(G, H, "condition (F)")
-    return _coset_scan(G, H, F, _same_class(G), "x*h is not conjugate to x")
+    return _class_scan(G, H, F)
 
 
 def satisfies_Fpm(G: GroupTable, H: ElementSet) -> ConditionVerdict:
     """x*h conjugate to x or to x^-1 for every x outside H, h in H."""
     _require_nontrivial_proper(G, H, "condition (F+-)")
-    classes = conjugacy_classes(G)
-    c, inv = classes.class_of, classes.inverse_class
-    return _coset_scan(
-        G, H, FPM, lambda x, y: c[y] in (c[x], inv[c[x]]), "x*h is conjugate to neither x nor x^-1"
-    )
+    return _class_scan(G, H, FPM)
 
 
 def satisfies_CI(G: GroupTable, H: ElementSet) -> ConditionVerdict:
@@ -151,9 +150,24 @@ def _equal_order_scan(G: GroupTable, H: ElementSet, xs: Iterable[int] | None = N
     )
 
 
-def _same_class(G: GroupTable) -> Callable[[int, int], bool]:
-    class_of = conjugacy_classes(G).class_of
-    return lambda x, y: class_of[y] == class_of[x]
+def _class_scan(G: GroupTable, H: ElementSet, tag: str, M: ElementSet | None = None) -> ConditionVerdict:
+    """(F) (tag F or CAMINA) or (F+-) (tag FPM) on (G, H): each x*h must
+    have the class label of x, or under (F+-) that of x or of x^-1.
+
+    A label is a class of G.  With M normal in G and M <= H, the labels are
+    those of G/M, read inside G: the class of xM pulls back to K M = (r M)^G,
+    K the class of x and r its representative, so class k gets the label
+    q[k], the least class met by reps[k] * M.  A witness holds G's indices."""
+    classes = conjugacy_classes(G)
+    c = label = classes.class_of
+    q = range(classes.count)
+    if M is not None:
+        q = [min(c[G.mul(r, m)] for m in M.members) for r in classes.reps]
+        label = [q[k] for k in c]
+    if tag != FPM:
+        return _coset_scan(G, H, tag, lambda x, y: label[y] == label[x], "x*h is not conjugate to x")
+    allowed = [(q[k], q[inv]) for k, inv in enumerate(classes.inverse_class)]
+    return _coset_scan(G, H, tag, lambda x, y: label[y] in allowed[c[x]], "x*h is conjugate to neither x nor x^-1")
 
 
 def _coset_scan(

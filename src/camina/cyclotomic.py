@@ -134,9 +134,6 @@ class Cyc:
         a, b = self._aligned(other)
         return Cyc(a.e, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
 
-    def __neg__(self) -> Cyc:
-        return Cyc(self.e, tuple(-x for x in self.coeffs))
-
     def __mul__(self, other: Cyc | int) -> Cyc:
         if isinstance(other, int):
             return Cyc(self.e, tuple(other * x for x in self.coeffs))

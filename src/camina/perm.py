@@ -70,9 +70,6 @@ class Permutation:
     def __hash__(self) -> int:
         return hash(self.images)
 
-    def __lt__(self, other: Permutation) -> bool:
-        return self.images < other.images
-
     def __repr__(self) -> str:
         cyc = self.cycles()
         if not cyc:

@@ -18,15 +18,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, count
-from operator import attrgetter, eq
-from typing import Iterable
 
 from .chartab import CharacterTable, character_table
 from .conditions import (
     F,
     FPM,
     ConditionVerdict,
+    _class_scan,
     _coset_scan,
     _equal_order_scan,
     bs_hypothesis,
@@ -95,26 +93,6 @@ class VerificationReport:
 def report_key(r: VerificationReport) -> tuple:
     """The canonical report order: group label, subgroup index, claim, details."""
     return (r.group_label, r.subgroup_index, r.claim, str(sorted(r.details.items())))
-
-
-def sorted_reports(reports: Iterable[VerificationReport]) -> list[VerificationReport]:
-    """``reports`` in ``report_key`` order, as ``sorted(reports,
-    key=report_key)`` returns them.  They are sorted once on (label, index,
-    claim); then only the slices that tie on it, cor2's per-prime reports
-    and groups that share a label, are sorted again by ``report_key``, which
-    stringifies the details."""
-    triple = attrgetter("group_label", "subgroup_index", "claim")
-    out = sorted(reports, key=triple)
-    keys = list(map(triple, out))
-    run_end = 0
-    for i in compress(count(1), map(eq, keys, keys[1:])):  # out[i] ties with out[i - 1]
-        if i < run_end:
-            continue
-        run_end = i + 1
-        while run_end < len(keys) and keys[run_end] == keys[i]:
-            run_end += 1
-        out[i - 1:run_end] = sorted(out[i - 1:run_end], key=report_key)
-    return out
 
 
 def _witness_dict(verdict: ConditionVerdict) -> dict | None:
@@ -339,23 +317,10 @@ def verify_cor2(G: GroupTable, p: int, label: str = "") -> VerificationReport:
 # --- lemma suite ------------------------------------------------------------
 
 
-def _quotient_verdict(G: GroupTable, H: ElementSet, M: ElementSet, plus_minus: bool) -> ConditionVerdict:
-    """(F), or (F+-) when ``plus_minus``, on (G/M, H/M) for M normal, M <= H,
-    read inside G: the class of xM in G/M pulls back to K M = (r M)^G, K the
-    class of x and r its representative, so class c gets the label q[c], the
-    least class met by reps[c] * M.  A witness (x, h) holds G's indices."""
-    classes = conjugacy_classes(G)
-    c, inv = classes.class_of, classes.inverse_class
-    q = [min(c[G.mul(r, m)] for m in M.members) for r in classes.reps]
-    allowed = [(q[k], q[inv[k] if plus_minus else k]) for k in range(classes.count)]
-    tag, detail = (FPM, "x*h is conjugate to neither x nor x^-1") if plus_minus else (F, "x*h is not conjugate to x")
-    return _coset_scan(G, H, tag, lambda x, y: q[c[y]] in allowed[c[x]], detail)
-
-
 def _quotients_keep(G: GroupTable, H: ElementSet, plus_minus: bool) -> tuple[str, dict]:
     """Every normal M not containing H lies properly below H, and (G/M, H/M)
     keeps (F), or (F+-) when ``plus_minus``, read off G's classes by
-    ``_quotient_verdict`` with no quotient table."""
+    ``_class_scan`` with no quotient table."""
     checked = 0
     for M in normal_subgroups(G):
         if all(h in M for h in H.members):
@@ -363,7 +328,7 @@ def _quotients_keep(G: GroupTable, H: ElementSet, plus_minus: bool) -> tuple[str
         checked += 1
         if not (all(m in H for m in M.members) and len(M) < len(H)):
             return VIOLATION, {"m_order": len(M), "failure": "M is not properly below H"}
-        sub = _quotient_verdict(G, H, M, plus_minus)
+        sub = _class_scan(G, H, FPM if plus_minus else F, M)
         if not sub.holds:
             return VIOLATION, {
                 "m_order": len(M),
@@ -635,41 +600,42 @@ def transferable(report: VerificationReport) -> bool:
 
 
 def sweep_single(label: str, G: GroupTable, claims: list[str]) -> list[VerificationReport]:
-    """The group claims of G, then the pair claims of every proper subgroup,
-    in ``subgroups`` order.  The pair claims are evaluated on the first
-    member of each conjugacy class of subgroups; a later member gets a copy
-    of each ``transferable`` report under its own subgroup index and a fresh
-    evaluation of the others.  The reports equal those of one evaluation per
-    subgroup."""
-    reports: list[VerificationReport] = []
-    if COR2 in claims:
-        reports.extend(verify_cor2(G, p, label) for p in prime_factors(G.order))
+    """The reports of G in ``report_key`` order, made in that order.  First
+    come the reports of G alone, subgroup index -1, sorted by ``report_key``:
+    cor2's per-prime reports, covering, and one SKIPPED report per pair claim
+    when the subgroup cap stops ``subgroups``.  Then every proper subgroup in
+    ``subgroups`` order gets its pair claims in claim-name order.  The pair
+    claims are evaluated on the first member of each conjugacy class of
+    subgroups; a later member gets a copy of each ``transferable`` report
+    under its own subgroup index and a fresh evaluation of the others.  The
+    reports equal those of one evaluation per subgroup."""
+    reports = [verify_cor2(G, p, label) for p in prime_factors(G.order)] if COR2 in claims else []
     if COVERING in claims:
         reports.append(verify_covering(G, label))
-    pair_claims = [c for c in claims if c in CLAIMS]
+    pair_claims = sorted(c for c in claims if c in CLAIMS)
+    subs: list[tuple[ElementSet, int]] = []
     if pair_claims:
         try:
-            subs = subgroups(G)
+            subs = list(zip(subgroups(G), subgroup_class_ids(G)))
         except CapExceeded as exc:
-            for claim in pair_claims:
-                reports.append(_group_report(label, G, claim, SKIPPED, {"reason": str(exc)}))
-            return reports
-        first_of_class: dict[int, list[tuple[VerificationReport, bool]]] = {}
-        for idx, (H, cid) in enumerate(zip(subs, subgroup_class_ids(G))):
-            if len(H) == G.order:
-                continue
-            pair = Pair(G, H, label, idx)
-            first = first_of_class.get(cid)
-            if first is None:
-                evaluated = [verify_pair_claim(G, H, c, pair) for c in pair_claims if len(H) > 1 or CLAIMS[c][2]]
-                first_of_class[cid] = [(r, transferable(r)) for r in evaluated]
-                reports += evaluated
-                continue
-            for r, same in first:
-                if same:
-                    reports.append(pair.report(r.claim, r.status, r.details))
-                else:
-                    reports.append(verify_pair_claim(G, H, r.claim, pair))
+            reports += [_group_report(label, G, claim, SKIPPED, {"reason": str(exc)}) for claim in pair_claims]
+    reports.sort(key=report_key)
+    first_of_class: dict[int, list[tuple[VerificationReport, bool]]] = {}
+    for idx, (H, cid) in enumerate(subs):
+        if len(H) == G.order:
+            continue
+        pair = Pair(G, H, label, idx)
+        first = first_of_class.get(cid)
+        if first is None:
+            evaluated = [verify_pair_claim(G, H, c, pair) for c in pair_claims if len(H) > 1 or CLAIMS[c][2]]
+            first_of_class[cid] = [(r, transferable(r)) for r in evaluated]
+            reports += evaluated
+            continue
+        for r, same in first:
+            if same:
+                reports.append(pair.report(r.claim, r.status, r.details))
+            else:
+                reports.append(verify_pair_claim(G, H, r.claim, pair))
     return reports
 
 

@@ -45,7 +45,6 @@ class TestBuiltin:
         entry = builtin(label)
         assert entry.group().order == order
         assert entry.label == label
-        assert entry.provenance == "builtin"
 
     def test_frob_has_frobenius_kernel(self, frob21):
         kernel = next(H for H in subgroups(frob21) if len(H) == 7)
@@ -167,7 +166,6 @@ class TestGroupFile:
         entry = parse_group_file(f)
         assert entry.degree == 3
         assert entry.group().order == 6
-        assert entry.provenance == "file"
         assert entry.label == "file:s3.grp"
 
     def test_trivial_file(self, tmp_path):

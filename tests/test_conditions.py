@@ -1,3 +1,4 @@
+import hashlib
 import re
 from collections import Counter
 
@@ -370,6 +371,29 @@ class TestImplicationChain:
                 if not 1 < len(H) < G.order or not H.is_normal():
                     continue
                 assert is_camina_pair(G, H).holds == satisfies_F(G, H).holds
+
+
+# sha256 of (label, subgroup index, condition, holds, witness) from (F), (F+-)
+# and Camina on every nontrivial proper subgroup of the builtin groups and S5:
+# 51 groups, 2,697 verdicts
+CLASS_SCAN_VERDICTS_SHA256 = "a12595f312c265662d5b66ad9c731c78757ff850d32f64c0522fb2af15dae213"
+
+
+class TestClassScanVerdictDigest:
+    def test_verdicts_and_witnesses_are_pinned(self):
+        digest, verdicts = hashlib.sha256(), 0
+        for label in [e.label for e in builtin_catalog() if e.order <= 120] + ["S5"]:
+            G = builtin(label).group()
+            for idx, H in enumerate(subgroups(G)):
+                if not 1 < len(H) < G.order:
+                    continue
+                for predicate in (satisfies_F, satisfies_Fpm, is_camina_pair):
+                    v = predicate(G, H)
+                    w = v.witness
+                    digest.update(repr((label, idx, v.condition, v.holds, w and (w.x, w.h, w.detail))).encode())
+                    verdicts += 1
+        assert verdicts == 2697
+        assert digest.hexdigest() == CLASS_SCAN_VERDICTS_SHA256
 
 
 def _first_failure(G, H, keeps, xs):

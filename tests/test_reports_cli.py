@@ -596,6 +596,38 @@ class TestCli:
         strip = lambda p: re.sub(r'"timestamp":"[^"]*"', '"timestamp":null', p.read_text())
         assert strip(out1) == strip(out2)
 
+    def test_verify_pool_has_no_more_workers_than_groups(self, tmp_path, monkeypatch, capsys):
+        # a fork pool starts all of its workers at the first submit; an
+        # in-process stand-in records the size of each pool that is built
+        import camina.cli as cli_mod
+
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", InProcessPool)
+        one, empty = tmp_path / "one", tmp_path / "empty"
+        one.mkdir()
+        empty.mkdir()
+        (one / "s3.grp").write_text("degree 3\n(1,2)\n(1,2,3)\n")
+        args = ["verify", "--max-order", "12", "--claims", "theorem1"]
+        assert run_cli(["--jobs", "8"] + args + ["--catalog", str(one)]) == 0
+        assert run_cli(["--jobs", "2"] + args + ["--catalog", str(empty)]) == 0
+        assert pools == []
+        assert run_cli(["--jobs", "3"] + args + ["--catalog", "builtin"]) == 0
+        assert pools == [3]
+
 
 class TestCachedParser:
     """``run_cli`` reuses one parser per process; no call leaves state on it

@@ -16,7 +16,7 @@ import camina.structure as structure
 import camina.verify as verify
 from camina.catalog import builtin, builtin_catalog, parse_group_file
 from camina.chartab import CharacterTable, character_table, inner_product_int, restrict, trivial_character
-from camina.conditions import bs_hypothesis, derangements, satisfies_F, satisfies_Fpm
+from camina.conditions import F, FPM, _class_scan, bs_hypothesis, derangements, satisfies_F, satisfies_Fpm
 from camina.cyclotomic import Cyc
 from camina.grouptable import ElementSet, closure_indices, generate, quotient_table, subgroup_table
 from camina.perm import Permutation, conjugate
@@ -30,7 +30,6 @@ from camina.verify import (
     Pair,
     is_subnormal,
     report_key,
-    sorted_reports,
     summarize,
     sweep_single,
     verify_cor2,
@@ -303,46 +302,25 @@ class TestSweep:
         assert keys == sorted(keys)
 
     @staticmethod
-    def assert_report_key_order(reports):
-        # the same objects in the same order as a full sort by report_key,
-        # for the input order and its reverse; equal keys keep input order
-        for given in (reports, reports[::-1]):
-            assert list(map(id, sorted_reports(given))) == list(map(id, sorted(given, key=report_key)))
+    def assert_made_in_report_key_order(reports):
+        # the same objects in the same order as a full sort by report_key
+        assert list(map(id, reports)) == list(map(id, sorted(reports, key=report_key)))
 
-    def test_sorted_reports_orders_cor2_by_details(self):
-        # cor2 makes one report per prime with the same label, index and claim
-        reports = sweep_single("C60", builtin("C60").group(), ["cor2", "odd_order"])
-        cor2 = [r for r in reports if r.claim == "cor2"]
-        assert len(cor2) == 3 and len({(r.subgroup_index, r.group_label) for r in cor2}) == 1
-        triple = lambda r: (r.group_label, r.subgroup_index, r.claim)
-        assert sorted(cor2[::-1], key=triple) != sorted(cor2[::-1], key=report_key)
-        self.assert_report_key_order(reports)
+    @pytest.mark.parametrize("label", [e.label for e in builtin_catalog()] + ["C64", "S5"])
+    def test_sweep_single_makes_report_key_order(self, label):
+        # the claims in a shuffled order: cor2's per-prime reports, covering
+        # and the pair claims all come out in report_key order
+        claims = list(verify.ALL_CLAIMS)
+        random.Random(label).shuffle(claims)
+        self.assert_made_in_report_key_order(sweep_single(label, builtin(label).group(), claims))
 
-    def test_sorted_reports_orders_groups_that_share_a_label(self, tmp_path):
-        # group files of the same name in two directories share their label
-        reports = []
-        for name, text in (("a", "degree 3\n(1,2)\n(1,2,3)\n"), ("b", "degree 4\n(1,2,3,4)\n")):
-            (tmp_path / name).mkdir()
-            (tmp_path / name / "g.grp").write_text(text)
-            entry = parse_group_file(tmp_path / name / "g.grp")
-            reports += sweep_single(entry.label, entry.group(), ["theorem1", "odd_order", "cor2"])
-        assert {r.group_label for r in reports} == {"file:g.grp"}
-        assert {r.group_order for r in reports} == {6, 4}
-        self.assert_report_key_order(reports)
-
-    def test_sorted_reports_on_shuffled_builtin_sweep(self):
-        # the builtin sweep, plus two copies of C4 under one label and two of
-        # C60 under another that sorts after every builtin label: whole
-        # reports tie on report_key and keep their input order, and the last
-        # run, C60's six cor2 reports, has three different details
-        reports = [r for e in builtin_catalog() for r in sweep_single(e.label, e.group(), list(verify.ALL_CLAIMS))]
-        for _ in range(2):
-            reports += sweep_single("C4 again", builtin("C4").group(), list(verify.ALL_CLAIMS))
-            reports += sweep_single("~C60", builtin("C60").group(), ["cor2"])
-        for seed in range(5):
-            shuffled = reports[:]
-            random.Random(seed).shuffle(shuffled)
-            assert list(map(id, sorted_reports(shuffled))) == list(map(id, sorted(shuffled, key=report_key)))
+    def test_sweep_single_orders_group_reports_over_the_subgroup_cap(self, monkeypatch):
+        # the SKIPPED pair claims share subgroup index -1 with cor2 and covering
+        monkeypatch.setattr(structure, "SUBGROUP_CAP", 29)
+        claims = list(verify.ALL_CLAIMS)[::-1]
+        reports = sweep_single("S4", builtin("S4").group(), claims)
+        assert {r.subgroup_index for r in reports} == {-1} and len(reports) == len(verify.PAIR_CLAIMS) + 3
+        self.assert_made_in_report_key_order(reports)
 
     def test_replayable(self, s3):
         reports = sweep_single("S3", s3, ["theorem1", "odd_order"])
@@ -487,7 +465,7 @@ class TestOneEvaluationPerClass:
     def test_reports_equal_per_subgroup_reference(self, label):
         claims = list(verify.PAIR_CLAIMS)
         reports = sweep_single(label, builtin(label).group(), claims)
-        assert reports == reference_pair_reports(label, builtin(label).group(), claims)
+        assert reports == reference_pair_reports(label, builtin(label).group(), sorted(claims))
 
     def test_evaluations_are_class_firsts_plus_reruns(self, monkeypatch):
         calls = [0]
@@ -561,7 +539,7 @@ class TestSubgroupCap:
     def test_every_pair_claim_skipped(self, monkeypatch):
         monkeypatch.setattr(structure, "SUBGROUP_CAP", 29)
         reports = sweep_single("S4", builtin("S4").group(), list(verify.PAIR_CLAIMS))
-        assert [r.claim for r in reports] == list(verify.PAIR_CLAIMS)
+        assert [r.claim for r in reports] == sorted(verify.PAIR_CLAIMS)
         assert {(r.status, r.subgroup_index, r.details["reason"]) for r in reports} == {
             (SKIPPED, -1, "subgroup cap exceeded (reached 29)")
         }
@@ -762,7 +740,7 @@ class TestClassRepresentativesMatchElementwise:
                     Q, proj = quotient_table(G, M)
                     HQ = ElementSet(Q, (proj[h] for h in H.members))
                     for plus_minus, reference in ((False, satisfies_F), (True, satisfies_Fpm)):
-                        got = verify._quotient_verdict(G, H, M, plus_minus)
+                        got = _class_scan(G, H, FPM if plus_minus else F, M)
                         want = reference(Q, HQ)
                         assert got.holds == want.holds, (label, H.members, M.members, plus_minus)
                         triples[plus_minus, got.holds] += 1
