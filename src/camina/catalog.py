@@ -3,7 +3,10 @@
 Labels: Cn, Dn (dihedral of order 2n, n >= 3), Sn, An, Q8/Q16/Q32,
 SL23, Frob(p:q) with q | p-1 (affine action on p points), Heis(p)
 (extraspecial of order p^3 and exponent p, regular representation),
-and direct products AxB of supported labels.
+and direct products AxB of supported labels: a label splits at every
+``x``, which no family label contains.  Cn, Dn, Q8/Q16/Q32, SL23, Frob
+and Heis are each the action of a few maps on a list of points, built
+by ``_action``.
 
 Group files: line 1 is ``degree N``; each following non-comment line is
 one generator in 1-based disjoint-cycle notation, e.g. ``(1,2)(3,4,5)``;
@@ -122,20 +125,23 @@ def parse_group_file(path: str | Path) -> CatalogEntry:
 # --- builtin families -------------------------------------------------------
 
 
+def _action(points: Sequence, maps: Sequence[Callable]) -> tuple[int, list[Permutation]]:
+    """``(degree, generators)``: the permutations that ``maps`` induce on
+    ``points``, numbered in the order given."""
+    index = {p: i for i, p in enumerate(points)}
+    return len(points), [Permutation(tuple(index[f(p)] for p in points)) for f in maps]
+
+
 def _cyclic(n: int) -> tuple[int, list[Permutation]]:
     if n < 1:
         raise UnknownLabel(f"cyclic parameter must be >= 1, got {n}")
-    if n == 1:
-        return 1, []
-    return n, [Permutation(tuple((i + 1) % n for i in range(n)))]
+    return _action(range(n), [lambda i: (i + 1) % n] if n > 1 else [])
 
 
 def _dihedral(n: int) -> tuple[int, list[Permutation]]:
     if n < 3:
         raise UnknownLabel(f"dihedral parameter must be >= 3, got {n}")
-    rot = Permutation(tuple((i + 1) % n for i in range(n)))
-    flip = Permutation(tuple((-i) % n for i in range(n)))
-    return n, [rot, flip]
+    return _action(range(n), [lambda i: (i + 1) % n, lambda i: -i % n])
 
 
 def _symmetric(n: int) -> tuple[int, list[Permutation]]:
@@ -161,17 +167,6 @@ def _alternating(n: int) -> tuple[int, list[Permutation]]:
     return n, [three, big]
 
 
-def _regular_representation(
-    elements: Sequence, mult: Callable, generators: Sequence
-) -> tuple[int, list[Permutation]]:
-    index = {e: i for i, e in enumerate(elements)}
-    degree = len(elements)
-    gens = [
-        Permutation(tuple(index[mult(e, g)] for e in elements)) for g in generators
-    ]
-    return degree, gens
-
-
 def _quaternion(order: int) -> tuple[int, list[Permutation]]:
     # <a, b | a^(2m) = 1, b^2 = a^m, b a b^-1 = a^-1> with order = 4m.
     m = order // 4
@@ -187,7 +182,7 @@ def _quaternion(order: int) -> tuple[int, list[Permutation]]:
             return ((i - s) % n, 1)
         return ((i - s + m) % n, 0)
 
-    return _regular_representation(elements, mult, [(1, 0), (0, 1)])
+    return _action(elements, [lambda x: mult(x, (1, 0)), lambda x: mult(x, (0, 1))])
 
 
 def _heisenberg(p: int) -> tuple[int, list[Permutation]]:
@@ -200,21 +195,13 @@ def _heisenberg(p: int) -> tuple[int, list[Permutation]]:
         d, e, f = y
         return ((a + d) % p, (b + e) % p, (c + f + a * e) % p)
 
-    return _regular_representation(elements, mult, [(1, 0, 0), (0, 1, 0)])
+    return _action(elements, [lambda x: mult(x, (1, 0, 0)), lambda x: mult(x, (0, 1, 0))])
 
 
 def _sl23() -> tuple[int, list[Permutation]]:
+    # the matrices [[1, 1], [0, 1]] and [[1, 0], [1, 1]] on the nonzero vectors of F_3^2
     vectors = [(x, y) for x in range(3) for y in range(3) if (x, y) != (0, 0)]
-    index = {v: i for i, v in enumerate(vectors)}
-
-    def action(mat):
-        (a, b), (c, d) = mat
-        images = []
-        for (x, y) in vectors:
-            images.append(index[((a * x + b * y) % 3, (c * x + d * y) % 3)])
-        return Permutation(tuple(images))
-
-    return 8, [action(((1, 1), (0, 1))), action(((1, 0), (1, 1)))]
+    return _action(vectors, [lambda v: ((v[0] + v[1]) % 3, v[1]), lambda v: (v[0], (v[0] + v[1]) % 3)])
 
 
 def _frobenius(p: int, q: int) -> tuple[int, list[Permutation]]:
@@ -225,9 +212,7 @@ def _frobenius(p: int, q: int) -> tuple[int, list[Permutation]]:
     if (p - 1) % q != 0:
         raise UnknownLabel(f"Frob requires q | p-1, got Frob({p}:{q})")
     c = _root_of_unity(q, p)
-    shift = Permutation(tuple((i + 1) % p for i in range(p)))
-    mult = Permutation(tuple((c * i) % p for i in range(p)))
-    return p, [shift, mult]
+    return _action(range(p), [lambda i: (i + 1) % p, lambda i: c * i % p])
 
 
 def _direct_product(parts: list[CatalogEntry]) -> tuple[int, list[Permutation]]:
@@ -258,28 +243,10 @@ _FAMILIES: list[tuple[str, Callable[..., tuple[int, list[Permutation]]], Callabl
 ]
 
 
-def _split_product(label: str) -> list[str]:
-    parts = []
-    depth = 0
-    current = []
-    for ch in label:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "x" and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return parts
-
-
 def builtin(label: str) -> CatalogEntry:
     """Resolve a builtin label to a catalog entry; raises UnknownLabel."""
     label = label.strip()
-    parts = _split_product(label)
+    parts = label.split("x")
     if len(parts) > 1:
         factors = [builtin(p) for p in parts]
         degree, gens = _direct_product(factors)

@@ -44,6 +44,12 @@ class GroupTable:
     is the index of elements[i] followed by elements[j].  ``members`` is
     G's member tuple, 0..order-1, one tuple shared by every closure that
     comes out as G.
+
+    ``orders``, ``inverse_ids`` and ``least_generators`` give each element's
+    order, inverse and the least y with <y> = <x>, all from one walk per
+    cyclic subgroup: x is taken in ascending order unless it already
+    generates a walked subgroup, and ``powers`` walks <x>.  A generator
+    x^j, j prime to o = o(x), has order o and inverse x^(o-j).
     """
 
     def __init__(
@@ -54,9 +60,21 @@ class GroupTable:
         self.index_of = index_of
         self.generator_ids = tuple(generator_ids)
         self.rows = rows
-        self.members = tuple(range(len(rows)))
-        self.inverse_ids = tuple(row.index(0) for row in rows)
-        self._orders: list[int | None] = [None] * len(rows)
+        n = len(rows)
+        self.members = tuple(range(n))
+        orders, inverse_ids, least = [1] * n, [0] * n, [0] * n
+        for x in range(1, n):
+            if least[x]:
+                continue  # a generator of a cyclic subgroup already walked
+            walk = self.powers(x)
+            o = len(walk)
+            for j in range(1, o):
+                if math.gcd(j, o) == 1:
+                    y = walk[j - 1]
+                    orders[y], inverse_ids[y], least[y] = o, walk[o - j - 1], x
+        self.orders = tuple(orders)
+        self.inverse_ids = tuple(inverse_ids)
+        self.least_generators = tuple(least)
         self._cache: dict = {}
 
     @property
@@ -86,20 +104,15 @@ class GroupTable:
 
     def powers(self, i: int) -> list[int]:
         """The walk [x, x^2, ..., x^o] along x's row of the Cayley table,
-        x = elements[i], to its first return to the identity, 0; it records
-        the order o / gcd(j, o) of each x^j."""
+        x = elements[i], to its first return to the identity, 0."""
         row, walk = self.rows[i], [i]
         while walk[-1]:
             walk.append(row[walk[-1]])
-        o = len(walk)
-        for j, x in enumerate(walk, 1):
-            self._orders[x] = o // math.gcd(j, o)
         return walk
 
     def element_order(self, i: int) -> int:
-        """Least k >= 1 with x^k = 1, x = elements[i]: the length of ``powers``."""
-        o = self._orders[i]
-        return len(self.powers(i)) if o is None else o
+        """Least k >= 1 with x^k = 1, x = elements[i]."""
+        return self.orders[i]
 
     def __repr__(self) -> str:
         return f"GroupTable(degree={self.degree}, order={self.order})"

@@ -151,10 +151,12 @@ def subgroups(G: GroupTable) -> list[ElementSet]:
 
     Found breadth-first from the trivial group by zuppo joins (Neubüser's
     cyclic extension), one conjugacy class at a time.  A zuppo is a cyclic
-    subgroup of prime-power order, given by its least generator; every
-    subgroup is generated by its zuppos.  A new join's conjugates are
-    added by conjugating its members, with no closure; the walk keeps a
-    transversal, whose Schreier generators give N_G(A) for the class
+    subgroup of prime-power order, given by its least generator, an element
+    of prime-power order that is its own ``G.least_generators`` entry; a
+    conjugate of it has prime-power order too, so that tuple maps it to the
+    conjugate zuppo.  Every subgroup is generated by its zuppos.  A new
+    join's conjugates are added by conjugating its members, with no
+    closure; the walk keeps a transversal, whose Schreier generators give N_G(A) for the class
     representative A in one ``_dimino`` pass.  A is joined with one zuppo
     z of each N_G(A)-orbit outside it: <A, z^n> = <A, z>^n for n in
     N_G(A) and <A^g, z> = <A, z^(g^-1)>^g, so every other join is a
@@ -171,8 +173,8 @@ def subgroups(G: GroupTable) -> list[ElementSet]:
     hit = G._cache.get("subgroups")
     if hit is not None:
         return hit
-    zuppo_of = _zuppo_of(G)
-    zuppos = [x for x in range(1, G.order) if zuppo_of[x] == x]
+    least = G.least_generators
+    zuppos = [x for x in range(1, G.order) if least[x] == x and is_p_group(G.orders[x])]
     conjugators = conjugacy_classes(G).conjugators
     rows, inv = G.rows, G.inverse_ids
     gens_of: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -212,7 +214,7 @@ def subgroups(G: GroupTable) -> list[ElementSet]:
             orbit = [z]
             seen.add(z)
             for y in orbit:  # grows while it is walked: the N_G(A)-orbit of z
-                images = {zuppo_of[rows[rows[inv[n]][y]][n]] for n in normalizer_gens} - seen
+                images = {least[rows[rows[inv[n]][y]][n]] for n in normalizer_gens} - seen
                 seen |= images
                 orbit += images
             joined = closure_indices(G, (z,), start=(a, gens_of[a]))
@@ -240,21 +242,6 @@ def subgroup_class_ids(G: GroupTable) -> list[int]:
     """For each subgroup in ``subgroups`` order, the index of its conjugacy class."""
     subgroups(G)
     return G._cache["subgroup_class_ids"]
-
-
-def _zuppo_of(G: GroupTable) -> list[int]:
-    """For each element of prime-power order, the least generator of the
-    cyclic subgroup it generates; -1 for the other elements.  Each cyclic
-    subgroup is walked once, from its least generator."""
-    least = [0] * G.order
-    for x in range(1, G.order):
-        if not least[x]:
-            walk = G.powers(x)
-            n = len(walk)
-            for k, y in enumerate(walk, 1):
-                if math.gcd(k, n) == 1:
-                    least[y] = x
-    return [x if x and is_p_group(G.element_order(x)) else -1 for x in least]
 
 
 def o_lower_p(G: GroupTable, p: int) -> ElementSet:
@@ -320,9 +307,5 @@ def is_simple(G: GroupTable) -> bool:
 
 
 def exponent(G: GroupTable) -> int:
-    """lcm of all element orders; cached."""
-    hit = G._cache.get("exponent")
-    if hit is None:
-        hit = math.lcm(*(G.element_order(i) for i in range(G.order)))
-        G._cache["exponent"] = hit
-    return hit
+    """lcm of all element orders."""
+    return math.lcm(*G.orders)

@@ -203,8 +203,14 @@ def is_subnormal(G: GroupTable, H: ElementSet) -> bool:
 
 
 def _theorem1(pair: Pair) -> tuple[str, dict]:
-    """CI holds iff F holds; a biconditional, so never VACUOUS."""
-    f, ci = pair.F, pair.CI
+    """CI holds iff F holds; a biconditional, so never VACUOUS.  (F) needs
+    no character table, so a SKIPPED report over a cap keeps ``f_holds``
+    and ``h_normal``, and the summary still counts its non-normal (F) pairs."""
+    f = pair.F
+    try:
+        ci = pair.CI
+    except CapExceeded as exc:
+        return SKIPPED, {"f_holds": f.holds, "h_normal": pair.normal, "reason": str(exc)}
     details = {"f_holds": f.holds, "ci_holds": ci.holds, "fired": f.holds or ci.holds, "h_normal": pair.normal}
     if f.holds != ci.holds:
         details["f_witness"] = _witness_dict(f)

@@ -77,6 +77,7 @@ class TestBuiltin:
             ("C0", "cyclic parameter must be >= 1, got 0"),
             ("C2xC0", "cyclic parameter must be >= 1, got 0"),
             ("Heis(4)", "Heis parameter must be an odd prime, got 4"),
+            ("Heis(x)", "unknown builtin label 'Heis('"),  # a label splits at every x
         ],
     )
     def test_unknown_label_messages(self, label, message):
@@ -93,6 +94,18 @@ class TestBuiltin:
             entry = builtin(label)
             h.update(repr((entry.degree, [g.images for g in entry.generators])).encode())
         assert h.hexdigest() == "f5a75feda7fcd06961af9897b290e82c181666d94649c34bfcb5b7b829edac9a"
+
+    def test_labels_outside_the_catalog_pinned(self):
+        # sha256 of (degree, generator images, order) of labels that are not
+        # builtin catalog entries: the edge parameters of each family and
+        # products of several factors
+        labels = ["C1", "S2", "A3", "A6", "S6", "Q16", "Heis(5)", "Heis(7)", "Frob(13:4)"]
+        labels += ["Frob(7:3)xC2", "C2xHeis(3)xFrob(7:2)", "S3xS3xS3"]
+        h = hashlib.sha256()
+        for label in labels:
+            entry = builtin(label)
+            h.update(repr((entry.degree, [g.images for g in entry.generators], entry.order)).encode())
+        assert h.hexdigest() == "d968851f74e2ef5b18a2fbb932006c2f42936660a302953edbb115edfd922e39"
 
     def test_catalog_sorted_and_unique(self):
         entries = builtin_catalog()

@@ -143,8 +143,9 @@ class TestCayleyTable:
 
     @pytest.mark.parametrize("label", [entry.label for entry in builtin_catalog()])
     def test_element_order_is_permutation_order(self, label):
-        # the table walk against the lcm of the cycle lengths; a walk records
-        # the orders of all powers it passes, so query forwards and backwards
+        # the table walk against the lcm of the cycle lengths; the orders of
+        # all generators of <x> come from one walk of <x>, so query forwards
+        # and backwards
         els = builtin(label).group().elements
         want = [element_order(x) for x in els]
         for ids in (range(len(els)), reversed(range(len(els)))):
@@ -153,6 +154,17 @@ class TestCayleyTable:
         G = builtin(label).group()
         for x in range(G.order):
             assert G.powers(x) == [G.index_of[(els[x] ** j).images] for j in range(1, want[x] + 1)]
+
+    @pytest.mark.parametrize("label", [entry.label for entry in builtin_catalog()] + ["S5", "S6"])
+    def test_least_generator_is_least_y_with_the_same_cyclic_subgroup(self, label):
+        # <x> from the permutation powers of x, independent of the table walk
+        G = builtin(label).group()
+        cyclic = [
+            frozenset(G.index_of[(x**k).images] for k in range(element_order(x))) for x in G.elements
+        ]
+        want = [min(y for y in C if cyclic[y] == C) for C in cyclic]
+        assert list(G.least_generators) == want, label
+        assert list(G.orders) == list(map(len, cyclic)), label
 
     def test_trivial_table(self):
         assert generate(1, []).rows == [[0]]

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -357,6 +358,45 @@ class TestSubgroups:
         assert len(subgroups(a6)) == 501
         assert len(subgroups(builtin("S6").group())) == 1_455
 
+    @pytest.mark.parametrize("label", [entry.label for entry in builtin_catalog()] + ["S5"])
+    def test_zuppos_match_a_separate_walk(self, monkeypatch, label):
+        # zuppo_of is a copy of the lattice's former second walk of every
+        # cyclic subgroup: the least generator of <x> for x of prime-power
+        # order, -1 for the other elements
+        G = builtin(label).group()
+
+        def zuppo_of(G):
+            least = [0] * G.order
+            for x in range(1, G.order):
+                if not least[x]:
+                    walk = G.powers(x)
+                    n = len(walk)
+                    for k, y in enumerate(walk, 1):
+                        if math.gcd(k, n) == 1:
+                            least[y] = x
+            return [x if x and structure.is_p_group(G.element_order(x)) else -1 for x in least]
+
+        want = zuppo_of(G)
+        zuppos = [x for x in range(1, G.order) if want[x] == x]
+        # on the elements of prime-power order, least_generators is that copy
+        assert [z if z == -1 else G.least_generators[y] for y, z in enumerate(want)] == want, label
+        joined = []
+        original = structure.closure_indices
+
+        def recorded(G, seed, start=((0,), ())):
+            joined.extend(seed)
+            return original(G, seed, start)
+
+        monkeypatch.setattr(structure, "closure_indices", recorded)
+        subs = subgroups(G)
+        assert set(joined) <= set(zuppos), label
+        cyclic = [
+            min(x for x in H if G.element_order(x) == len(H))
+            for H in subs
+            if len(H) > 1 and structure.is_p_group(len(H)) and any(G.element_order(x) == len(H) for x in H)
+        ]
+        assert sorted(cyclic) == zuppos, label
+
     def test_closure_budget(self, monkeypatch):
         # One join per (class representative A, N_G(A)-orbit of zuppos
         # outside A), each a closure_indices pass that starts from A's
@@ -402,8 +442,9 @@ class TestSubgroups:
         # Each closure adds whole cosets of the group built so far, one
         # table row mapped over it, starts from the subgroup it extends and
         # stops once Lagrange says it is G; every product the lattice
-        # makes, class partition included.
-        for label, budget in [("S5", 13_905), ("S6", 421_690)]:
+        # makes, class partition included.  The zuppos are read off the
+        # generation walk, so the lattice walks no cyclic subgroup.
+        for label, budget in [("S5", 13_741), ("S6", 420_521)]:
             G = builtin(label).group()
             reads = table_reads(G)
             subgroups(G)

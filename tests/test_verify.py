@@ -65,6 +65,17 @@ class TestTheorem1:
         r = verify_pair_claim(s4, H, "theorem1", Pair(s4, H))
         assert r.status == SKIPPED
 
+    def test_skipped_on_cap_keeps_the_nonnormal_f_count(self, monkeypatch):
+        # (F) needs no character table: A4's three subgroups of order 2 satisfy
+        # it and are not normal, which is lemma_e's hypothesis
+        monkeypatch.setattr(chartab, "CLASS_CAP", 3)
+        reports = sweep_single("A4", builtin("A4").group(), ["theorem1", "lemma_e"])
+        theorem1 = [r for r in reports if r.claim == "theorem1"]
+        assert len(theorem1) == 8 and {r.status for r in theorem1} == {SKIPPED}
+        summary = summarize(reports)
+        assert summary["claims"]["lemma_e"]["fired"] == 3
+        assert summary["nonnormal_f_pairs"] == 3
+
 
 class TestTheorem2:
     def test_q8_center(self, q8):
