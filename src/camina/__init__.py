@@ -38,12 +38,12 @@ from .structure import (
     is_frobenius_with_kernel,
     is_nilpotent,
     is_solvable,
+    is_subnormal,
     normal_closure,
     normal_subgroups,
     o_lower_p,
     o_upper_p,
     subgroups,
-    upper_central_series,
 )
 from .reports import (
     ReportRecord,

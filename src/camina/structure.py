@@ -1,7 +1,7 @@
 """Structural invariants of a GroupTable.
 
-Centralizers, center, derived and upper central series, solvability and
-nilpotency, O_p and O^p, normal closure, subgroup enumeration and
+Centralizers, center, derived series, solvability, nilpotency, simplicity,
+O_p and O^p, normal closure, subnormality, subgroup enumeration and
 Frobenius-kernel detection, all computed from the ``GroupTable`` alone.
 The conjugacy classes are ``grouptable.conjugacy_classes``, re-exported
 here; a normal subset is a union of classes.
@@ -68,6 +68,20 @@ def normal_closure(G: GroupTable, H: ElementSet) -> ElementSet:
     return _conjugation_closure(G, H.members, G.generator_ids)
 
 
+def is_subnormal(G: GroupTable, H: ElementSet) -> bool:
+    """Whether the subgroup H is subnormal in G, by Wielandt's series S_0 = G,
+    S_(i+1) = H^(S_i), each term normal in the one before.  S_i lies in K_i
+    for every chain H = K_n <| ... <| K_0 = G, so H is subnormal iff the
+    series reaches H; it never does once a term repeats above H."""
+    S = ElementSet.whole(G)
+    while len(S) > len(H):
+        nxt = _conjugation_closure(G, H.members, small_generating_set(G, S.members))
+        if len(nxt) == len(S):
+            return False
+        S = nxt
+    return True
+
+
 def _conjugation_closure(G: GroupTable, gens: Iterable[int], conjugators: Sequence[int]) -> ElementSet:
     """Least subgroup containing ``gens`` and closed under conjugation by
     ``conjugators``: close, add the missing conjugates of the kept seeds,
@@ -123,27 +137,15 @@ def is_solvable(G: GroupTable, S: ElementSet | None = None) -> bool:
     return len(derived_series(G, S)[-1]) == 1
 
 
-def upper_central_series(G: GroupTable, S: ElementSet | None = None) -> tuple[ElementSet, ...]:
-    """1 = Z_0 <= Z_1 <= ... with Z_{i+1}/Z_i the center of S/Z_i, for the
-    subgroup S of G (default: G), computed with G's products.  An element
-    of S is central modulo Z_i iff it commutes modulo Z_i with a generating
-    set of S: G's generators, or ``small_generating_set`` of a proper S."""
-    members = S.members if S is not None else range(G.order)
-    gens = G.generator_ids if S is None else small_generating_set(G, S.members)
-    terms = [ElementSet.trivial(G)]
-    while True:
-        prev = terms[-1]
-        nxt = ElementSet(G, (x for x in members if all(G.commutator(x, g) in prev for g in gens)))
-        if len(nxt) == len(prev):
-            break
-        terms.append(nxt)
-    return tuple(terms)
-
-
 def is_nilpotent(G: GroupTable, S: ElementSet | None = None) -> bool:
-    """Whether the subgroup S of G (default: G) is nilpotent."""
-    order = len(S) if S is not None else G.order
-    return len(upper_central_series(G, S)[-1]) == order
+    """Whether the subgroup S of G (default: G) is nilpotent: whether, for
+    each prime p dividing |S|, S has exactly |S|_p elements of p-power
+    order.  Each p-element lies in a Sylow p-subgroup, so two of them would
+    hold more; and a finite group is nilpotent iff each Sylow subgroup is
+    its only one, that is, normal."""
+    orders = [G.orders[x] for x in (S.members if S is not None else G.members)]
+    n = len(orders)
+    return all(sum(p_part(o, p) == o for o in orders) == p_part(n, p) for p in prime_factors(n))
 
 
 def subgroups(G: GroupTable) -> list[ElementSet]:
@@ -292,18 +294,11 @@ def is_p_group(order: int) -> bool:
 
 
 def is_simple(G: GroupTable) -> bool:
-    """True iff G is nonabelian simple: every nontrivial class normally
-    generates the whole group, and G is not abelian."""
-    if G.order == 1:
-        return False
+    """True iff G is nonabelian simple: G is not abelian and each nontrivial
+    class generates G.  A subgroup generated by a class is normal, and a
+    nontrivial normal subgroup contains a nontrivial class."""
     classes = conjugacy_classes(G)
-    if classes.count == G.order:
-        return False
-    for cid in range(1, classes.count):
-        rep = classes.reps[cid]
-        if len(normal_closure(G, ElementSet(G, (rep,)))) < G.order:
-            return False
-    return True
+    return classes.count < G.order and all(len(closure_indices(G, m)) == G.order for m in classes.member_lists[1:])
 
 
 def exponent(G: GroupTable) -> int:

@@ -49,6 +49,7 @@ from .structure import (
     is_p_group,
     is_simple,
     is_solvable,
+    is_subnormal,
     normal_closure,
     normal_subgroups,
     normalizer,
@@ -185,18 +186,6 @@ class Pair:
 
 def _group_report(label: str, G: GroupTable, claim: str, status: str, details: dict) -> VerificationReport:
     return VerificationReport(label, G.order, -1, 0, claim, status, details)
-
-
-def is_subnormal(G: GroupTable, H: ElementSet) -> bool:
-    """Iterate normalizers upward; subnormal iff the chain reaches G."""
-    current = H
-    while True:
-        nxt = normalizer(G, current)
-        if len(nxt) == G.order:
-            return True
-        if len(nxt) == len(current):
-            return False
-        current = nxt
 
 
 # --- main theorems ----------------------------------------------------------

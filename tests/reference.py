@@ -74,6 +74,23 @@ def reference_is_normal(G: GroupTable, members: Sequence[int]) -> bool:
     return all(G.conj(m, g) in inside for m in members for g in G.generator_ids)
 
 
+def reference_is_subnormal(G: GroupTable, H: ElementSet) -> bool:
+    """Whether a chain H = K_0 < K_1 < ... < K_n = G with each K_i normal in
+    K_(i+1) exists, searched upward through the subgroup lattice: K is
+    reached once it contains a reached subgroup A with a^k in A for every
+    a in A and k in K."""
+    lattice = [frozenset(K.members) for K in subgroups(G)]
+    reached = {frozenset(H.members)}
+    frontier = list(reached)
+    while frontier:
+        A = frontier.pop()
+        for K in lattice:
+            if K not in reached and A < K and all(G.conj(a, k) in A for a in A for k in K):
+                reached.add(K)
+                frontier.append(K)
+    return G.order in map(len, reached)
+
+
 def reference_in_irr_given_N(chi: ClassFunction, N: ElementSet) -> bool:
     """True iff chi lies in Irr(G|N), i.e. the normal subgroup N is not
     inside ker(chi), compared element by element."""

@@ -12,7 +12,7 @@ import pytest
 import camina.chartab as chartab
 import camina.cyclotomic as cyclotomic
 import camina.reports as reports
-from camina.catalog import builtin, builtin_catalog
+from camina.catalog import BUILTIN_LABELS, builtin, builtin_catalog
 from camina.chartab import character_table
 from camina.cli import build_parser, run_cli
 from camina.grouptable import CapExceeded
@@ -403,6 +403,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "order 21" in out
+
+    def test_info_digest(self, capsys):
+        # Every info line of the builtin labels, S5 and A6, pinned byte for
+        # byte: solvable, nilpotent and simple verdicts included.
+        for label in BUILTIN_LABELS + ["S5", "A6"]:
+            assert run_cli(["info", "--group", label]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\nsimple True\n") == 2  # A5 and A6
+        assert hashlib.sha256(out.encode()).hexdigest() == "6d916ea67dae7e93606d38202096df257e515936e137e2f8836d037d2868a2e8"
 
     def test_subgroups_listing(self, capsys):
         rc = run_cli(["subgroups", "--group", "S3"])

@@ -7,7 +7,7 @@ combinatorics = pytest.importorskip("sympy.combinatorics")
 sympy = pytest.importorskip("sympy")
 
 from camina.catalog import builtin_catalog
-from camina.grouptable import ElementSet, closure_indices
+from camina.grouptable import ElementSet, closure_indices, small_generating_set
 from camina.structure import (
     center,
     conjugacy_classes,
@@ -19,6 +19,7 @@ from camina.structure import (
     is_prime,
     o_lower_p,
     prime_factors,
+    subgroups,
 )
 
 
@@ -36,6 +37,15 @@ def test_invariants_agree_with_sympy(entry):
     assert len(derived_subgroup(G)) == P.derived_subgroup().order()
     assert is_solvable(G) == P.is_solvable
     assert is_nilpotent(G) == P.is_nilpotent
+
+
+@pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.label)
+def test_subgroup_nilpotency_agrees_with_sympy(entry):
+    G = entry.group()
+    for H in subgroups(G):
+        gens = (0, *small_generating_set(G, H.members))  # the identity keeps the trivial group's list nonempty
+        P = combinatorics.PermutationGroup([combinatorics.Permutation(list(G.elements[x].images)) for x in gens])
+        assert is_nilpotent(G, H) == P.is_nilpotent, H.members
 
 
 @pytest.mark.parametrize("entry", builtin_catalog(), ids=lambda e: e.label)

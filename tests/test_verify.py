@@ -20,7 +20,15 @@ from camina.conditions import F, FPM, _class_scan, bs_hypothesis, derangements, 
 from camina.cyclotomic import Cyc
 from camina.grouptable import ElementSet, closure_indices, generate, quotient_table, subgroup_table
 from camina.perm import Permutation, conjugate
-from camina.structure import conjugacy_classes, o_lower_p, p_part, prime_factors, subgroup_class_ids, subgroups
+from camina.structure import (
+    conjugacy_classes,
+    is_subnormal,
+    o_lower_p,
+    p_part,
+    prime_factors,
+    subgroup_class_ids,
+    subgroups,
+)
 from camina.verify import (
     LEMMA_CLAIMS,
     PASS,
@@ -28,7 +36,6 @@ from camina.verify import (
     VACUOUS,
     VIOLATION,
     Pair,
-    is_subnormal,
     report_key,
     summarize,
     sweep_single,
@@ -36,7 +43,7 @@ from camina.verify import (
     verify_covering,
     verify_pair_claim,
 )
-from reference import reference_in_irr_given_N, reference_pair_reports
+from reference import reference_in_irr_given_N, reference_is_subnormal, reference_pair_reports
 
 
 def by_order(G, n, which=0):
@@ -296,6 +303,13 @@ class TestSubnormality:
     def test_subgroup_of_nilpotent(self, q8):
         for H in subgroups(q8):
             assert is_subnormal(q8, H)
+
+    @pytest.mark.parametrize("label", [e.label for e in builtin_catalog()] + ["S5"])
+    def test_matches_lattice_search(self, label):
+        # in S4 the normalizer chain of <(1,2)(3,4)> < V4 stops at a self-normalizing D8
+        G = builtin(label).group()
+        for H in subgroups(G):
+            assert is_subnormal(G, H) == reference_is_subnormal(G, H), H.members
 
 
 class TestSweep:
