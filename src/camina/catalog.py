@@ -21,10 +21,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .chartab import _root_of_unity
 from .grouptable import DEFAULT_ORDER_CAP, GroupTable, generate
 from .perm import Permutation
-from .structure import is_prime
+from .structure import _root_of_unity, is_prime
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from typing import NamedTuple, Sequence
 
 from .cyclotomic import Cyc
 from .grouptable import CapExceeded, ElementSet, GroupTable, subgroup_table
-from .structure import ConjClassPartition, conjugacy_classes, derived_subgroup, exponent, is_prime, prime_factors
+from .structure import ConjClassPartition, _root_of_unity, conjugacy_classes, derived_subgroup, exponent, is_prime
 
 CLASS_CAP = 60
 
@@ -280,16 +280,6 @@ def _simultaneous_eigenvectors(mats: list[list[list[int]]], start: list[list[int
         inv = pow(v[0], -1, q)
         out.append([(x * inv) % q for x in v])
     return sorted(out)
-
-
-def _root_of_unity(e: int, q: int) -> int:
-    """A primitive e-th root of unity mod the prime q = 1 (mod e): a
-    primitive root of F_q raised to the power (q - 1) / e."""
-    factors = prime_factors(q - 1)
-    for g in range(2, q):
-        if all(pow(g, (q - 1) // p, q) != 1 for p in factors):
-            return pow(g, (q - 1) // e, q)
-    raise RuntimeError(f"no primitive root mod {q}")
 
 
 def _eigenvalue_counts(

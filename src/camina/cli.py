@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from functools import cache, partial
 from operator import attrgetter
@@ -309,6 +308,8 @@ def _cmd_verify(args) -> int:
     run = partial(_sweep_payload, max_order=args.max_order, claims=claims, order_cap=args.order_cap)
     workers = min(args.jobs, len(items))  # a fork pool starts all its workers at once
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing, which --jobs 1 never needs
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, items))
     else:

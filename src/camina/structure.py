@@ -5,6 +5,12 @@ O_p and O^p, normal closure, subnormality, subgroup enumeration and
 Frobenius-kernel detection, all computed from the ``GroupTable`` alone.
 The conjugacy classes are ``grouptable.conjugacy_classes``, re-exported
 here; a normal subset is a union of classes.
+
+The number theory these read group orders with lives here too, where the
+catalog can import it without the character-table layer: ``is_prime``,
+``prime_factors``, ``_root_of_unity`` (a primitive e-th root of unity mod
+a prime q = 1 mod e, which the Dixon split and the catalog's Frob(p:q)
+builder use) and ``p_part``.
 """
 
 from __future__ import annotations
@@ -40,6 +46,16 @@ def prime_factors(n: int) -> list[int]:
         while n % p == 0:
             n //= p
     return out
+
+
+def _root_of_unity(e: int, q: int) -> int:
+    """A primitive e-th root of unity mod the prime q = 1 (mod e): a
+    primitive root of F_q raised to the power (q - 1) / e."""
+    factors = prime_factors(q - 1)
+    for g in range(2, q):
+        if all(pow(g, (q - 1) // p, q) != 1 for p in factors):
+            return pow(g, (q - 1) // e, q)
+    raise RuntimeError(f"no primitive root mod {q}")
 
 
 def p_part(n: int, p: int) -> int:

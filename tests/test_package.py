@@ -1,0 +1,158 @@
+"""The package root's contract, and the modules each entry point loads.
+
+``import camina`` resolves its exports on first access, so the import
+graph is pinned in fresh interpreters: a module imported by an earlier
+test would hide an eager import here.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
+import camina
+
+# the package root's exports, by defining submodule
+EXPORTS = {
+    "catalog": ["CatalogEntry", "builtin", "builtin_catalog", "parse_group_file"],
+    "chartab": [
+        "CharacterTable",
+        "ClassFunction",
+        "character_table",
+        "decompose",
+        "dixon_prime",
+        "induce",
+        "inner_product",
+        "is_homogeneous_induction",
+        "kernel_of",
+        "restrict",
+    ],
+    "conditions": [
+        "ConditionVerdict",
+        "bs_hypothesis",
+        "derangements",
+        "equal_order_coset",
+        "is_camina_pair",
+        "satisfies_CI",
+        "satisfies_F",
+        "satisfies_Fpm",
+        "satisfies_O",
+    ],
+    "cyclotomic": ["Cyc", "cyclotomic_polynomial"],
+    "grouptable": ["CapExceeded", "ElementSet", "GroupTable", "generate"],
+    "perm": ["Permutation", "compose", "conjugate", "element_order", "inverse"],
+    "structure": [
+        "ConjClassPartition",
+        "center",
+        "centralizer",
+        "conjugacy_classes",
+        "derived_series",
+        "derived_subgroup",
+        "exponent",
+        "is_frobenius_with_kernel",
+        "is_nilpotent",
+        "is_solvable",
+        "is_subnormal",
+        "normal_closure",
+        "normal_subgroups",
+        "o_lower_p",
+        "o_upper_p",
+        "subgroups",
+    ],
+    "reports": ["ReportRecord", "cached_character_table", "load_reports", "persist_reports"],
+    "verify": [
+        "CLAIMS",
+        "Pair",
+        "VerificationReport",
+        "summarize",
+        "verify_cor2",
+        "verify_covering",
+        "verify_pair_claim",
+    ],
+}
+
+SRC = str(Path(camina.__file__).resolve().parent.parent)
+
+
+def fresh(code: str):
+    """Run ``code`` in a new interpreter that imports this checkout's
+    camina; it prints one JSON value, which is returned."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def loaded_after(statements: str) -> list[str]:
+    """The modules that ``statements`` add to ``sys.modules``, sorted."""
+    return fresh(
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        f"{statements}\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+
+
+def camina_modules(names: list[str]) -> list[str]:
+    return [m for m in names if m == "camina" or m.startswith("camina.")]
+
+
+class TestImportGraph:
+    def test_package_root_loads_no_submodule(self):
+        assert camina_modules(loaded_after("import camina")) == ["camina"]
+
+    def test_catalog_loads_no_character_table_layer(self):
+        added = loaded_after("import camina.catalog")
+        assert camina_modules(added) == [
+            "camina",
+            "camina.catalog",
+            "camina.grouptable",
+            "camina.perm",
+            "camina.structure",
+        ]
+
+    @pytest.mark.parametrize("jobs, pooled", [(1, False), (2, True)])
+    def test_process_pool_loads_only_for_several_jobs(self, jobs, pooled):
+        added = loaded_after(
+            "from camina.cli import run_cli\n"
+            f"code = run_cli(['--jobs', '{jobs}', 'verify', '--max-order', '8', '--claims', 'theorem1'])\n"
+            "assert code == 0, code"
+        )
+        assert ("multiprocessing" in added) is pooled
+        assert ("concurrent.futures.process" in added) is pooled
+
+
+class TestPackageRoot:
+    def test_exports_are_todays_names(self):
+        names = [name for names in EXPORTS.values() for name in names]
+        assert len(names) == 61
+        assert sorted(camina.__all__) == sorted(names)
+
+    @pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTS.items() for n in names])
+    def test_export_is_the_submodules_object(self, module, name):
+        assert getattr(camina, name) is getattr(import_module(f"camina.{module}"), name)
+
+    def test_submodule_resolves_without_prior_import(self):
+        code = "import json, camina\nprint(json.dumps([camina.verify.__name__, camina.verify.verify_pair_claim.__module__]))"
+        assert fresh(code) == ["camina.verify", "camina.verify"]
+
+    def test_dir_lists_every_export(self):
+        assert set(camina.__all__) <= set(dir(camina))
+
+    def test_unknown_attribute_names_the_package(self):
+        with pytest.raises(AttributeError, match="module 'camina' has no attribute 'no_such_name'"):
+            camina.no_such_name
+
+    def test_star_import_binds_every_export(self):
+        namespace = {}
+        exec("from camina import *", namespace)
+        assert set(camina.__all__) <= set(namespace)
+        assert all(namespace[name] is getattr(camina, name) for name in camina.__all__)
+
+    def test_version_needs_no_submodule(self):
+        added = loaded_after("import camina\nassert camina.__version__ == '0.1.0'")
+        assert camina_modules(added) == ["camina"]

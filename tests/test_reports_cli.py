@@ -607,8 +607,10 @@ class TestCli:
 
     def test_verify_pool_has_no_more_workers_than_groups(self, tmp_path, monkeypatch, capsys):
         # a fork pool starts all of its workers at the first submit; an
-        # in-process stand-in records the size of each pool that is built
-        import camina.cli as cli_mod
+        # in-process stand-in records the size of each pool that is built.
+        # verify imports the pool class from concurrent.futures when it
+        # needs one, so the stand-in is bound there.
+        import concurrent.futures
 
         pools = []
 
@@ -625,7 +627,7 @@ class TestCli:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         one, empty = tmp_path / "one", tmp_path / "empty"
         one.mkdir()
         empty.mkdir()
