@@ -20,9 +20,6 @@ _EXPORTS = {
         "dixon_prime",
         "induce",
         "inner_product",
-        "is_homogeneous_induction",
-        "kernel_of",
-        "restrict",
     ),
     "conditions": (
         "ConditionVerdict",
@@ -37,7 +34,7 @@ _EXPORTS = {
     ),
     "cyclotomic": ("Cyc", "cyclotomic_polynomial"),
     "grouptable": ("CapExceeded", "ElementSet", "GroupTable", "generate"),
-    "perm": ("Permutation", "compose", "conjugate", "element_order", "inverse"),
+    "perm": ("Permutation",),
     "structure": (
         "ConjClassPartition",
         "center",
@@ -56,7 +53,7 @@ _EXPORTS = {
         "o_upper_p",
         "subgroups",
     ),
-    "reports": ("ReportRecord", "cached_character_table", "load_reports", "persist_reports"),
+    "reports": ("cached_character_table", "persist_reports"),
     "verify": (
         "CLAIMS",
         "Pair",

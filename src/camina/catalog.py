@@ -8,20 +8,22 @@ and direct products AxB of supported labels: a label splits at every
 and Heis are each the action of a few maps on a list of points, built
 by ``_action``.
 
-Group files: line 1 is ``degree N``; each following non-comment line is
-one generator in 1-based disjoint-cycle notation, e.g. ``(1,2)(3,4,5)``;
-``#`` starts a comment, blank lines are ignored.
+Group files are UTF-8 text, with or without a leading byte-order mark:
+line 1 is ``degree N``; each following non-comment line is one generator
+in 1-based disjoint-cycle notation, e.g. ``(1,2)(3,4,5)``; ``#`` starts a
+comment, blank lines are ignored.
 """
 
 from __future__ import annotations
 
+import codecs
 import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .grouptable import DEFAULT_ORDER_CAP, GroupTable, generate
+from .grouptable import DEFAULT_ORDER_CAP, CapExceeded, GroupTable, generate
 from .perm import Permutation
 from .structure import _root_of_unity, is_prime
 
@@ -34,6 +36,10 @@ class CatalogEntry:
     order: int | None = None  # known without generating for a builtin label
 
     def group(self, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
+        """The generated group, or the CapExceeded that ``generate`` raises
+        above ``cap``: raised before generating when ``order`` is known."""
+        if self.order is not None and self.order > cap:
+            raise CapExceeded("order cap exceeded", cap + 1)
         return generate(self.degree, self.generators, cap=cap)
 
 
@@ -95,7 +101,7 @@ def parse_group_file(path: str | Path) -> CatalogEntry:
     path = Path(path)
     degree = None
     gens: list[Permutation] = []
-    data = path.read_bytes()
+    data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

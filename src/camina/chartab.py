@@ -542,16 +542,6 @@ def _gram_mod(X: list[list[int]], W: list[list[int]], p: int) -> list[list[int]]
 # --- class function operations -------------------------------------------
 
 
-def trivial_character(G: GroupTable) -> ClassFunction:
-    r = conjugacy_classes(G).count
-    return ClassFunction(G, tuple(Cyc.integer(1) for _ in range(r)))
-
-
-def regular_character(G: GroupTable) -> ClassFunction:
-    r = conjugacy_classes(G).count
-    return ClassFunction(G, tuple(Cyc.integer(G.order if k == 0 else 0) for k in range(r)))
-
-
 def inner_product(f: ClassFunction, g: ClassFunction) -> Cyc:
     """(1/|G|) sum over G of f * conj(g), computed classwise and exactly.
 
@@ -567,13 +557,6 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> Cyc:
         return total.divide_exact(f.group.order)
     except ArithmeticError:
         raise ValueError("inner product is not a cyclotomic integer") from None
-
-
-def inner_product_int(f: ClassFunction, g: ClassFunction) -> int:
-    got = inner_product(f, g)
-    if not got.is_rational_integer():
-        raise ValueError("inner product is not a rational integer")
-    return got.as_int()
 
 
 def induce(G: GroupTable, H: ElementSet, theta: ClassFunction) -> ClassFunction:
@@ -595,17 +578,6 @@ def induce(G: GroupTable, H: ElementSet, theta: ClassFunction) -> ClassFunction:
     return ClassFunction(G, tuple(values))
 
 
-def restrict(G: GroupTable, chi: ClassFunction, H: ElementSet) -> ClassFunction:
-    """chi read off on the classes of the subgroup H."""
-    if chi.group is not G:
-        raise ValueError("chi is not a class function on G")
-    table, to_parent, _ = subgroup_table(G, H)
-    h_classes = conjugacy_classes(table)
-    g_classes = conjugacy_classes(G)
-    values = tuple(chi.values[g_classes.class_of[to_parent[rep]]] for rep in h_classes.reps)
-    return ClassFunction(table, values)
-
-
 def decompose(f: ClassFunction, table: CharacterTable | None = None) -> list[tuple[int, int]]:
     """Multiplicities [f, chi_i] for every irreducible, with the exact
     reconstruction sum m_i chi_i = f verified."""
@@ -625,27 +597,3 @@ def decompose(f: ClassFunction, table: CharacterTable | None = None) -> list[tup
         if not acc == f.values[k]:
             raise ValueError("not a character")
     return mults
-
-
-def is_homogeneous_induction(
-    G: GroupTable, H: ElementSet, theta: ClassFunction
-) -> tuple[bool, int | None, int]:
-    """Whether theta^G = a * xi for a single irreducible xi; returns
-    (verdict, index of xi or None, multiplicity a)."""
-    if inner_product(theta, theta) != 1:
-        raise ValueError("theta is not irreducible")
-    induced = induce(G, H, theta)
-    mults = decompose(induced)
-    nonzero = [(i, m) for i, m in mults if m]
-    if len(nonzero) == 1:
-        return True, nonzero[0][0], nonzero[0][1]
-    return False, None, 0
-
-
-def kernel_of(chi: ClassFunction) -> ElementSet:
-    """{x : chi(x) = chi(1)}, a normal subgroup: the union of the classes
-    whose value equals chi(1), compared once per class."""
-    classes = conjugacy_classes(chi.group)
-    top = chi.values[0]
-    return ElementSet(chi.group, (m for k, v in enumerate(chi.values) if v == top for m in classes.members(k)))
-

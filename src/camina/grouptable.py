@@ -82,7 +82,10 @@ class GroupTable:
         return len(self.elements)
 
     def mul(self, i: int, j: int) -> int:
-        """Index of the product: elements[i] first, then elements[j]."""
+        """Index of the product: elements[i] first, then elements[j], the
+        permutation that maps point p to b.images[a.images[p]] for a, b =
+        elements[i], elements[j].  Every product in the package reads left
+        to right this way."""
         return self.rows[i][j]
 
     def inv(self, i: int) -> int:
@@ -182,10 +185,6 @@ class ElementSet:
     @classmethod
     def whole(cls, parent: GroupTable) -> ElementSet:
         return cls(parent, range(parent.order))
-
-    @classmethod
-    def trivial(cls, parent: GroupTable) -> ElementSet:
-        return cls(parent, (0,))
 
     def __contains__(self, idx: int) -> bool:
         return idx in self._memberset

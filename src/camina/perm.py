@@ -1,12 +1,13 @@
 """Permutations of {0, ..., n-1} stored as image tables.
 
-All group elements in this package are permutations; composition reads
-left to right (``compose(a, b)`` applies ``a`` first, then ``b``).
+``Permutation`` is the validated type in which groups come in (generators)
+and go out (elements); it does no arithmetic.  Products, inverses, powers
+and conjugates are index lookups on a ``GroupTable``, whose ``mul``
+documents the left-to-right convention: elements[i], then elements[j].
 """
 
 from __future__ import annotations
 
-import math
 from itertools import repeat
 from typing import Iterable, Sequence
 
@@ -48,8 +49,9 @@ class Permutation:
                 images[a] = b
         return cls(images)
 
-    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
-        """Disjoint cycles, each starting at its least point, sorted by that point."""
+    def cycles(self) -> list[tuple[int, ...]]:
+        """Nontrivial disjoint cycles, each starting at its least point, sorted
+        by that point."""
         seen = [False] * self.degree
         out = []
         for start in range(self.degree):
@@ -60,7 +62,7 @@ class Permutation:
                 seen[cur] = True
                 cycle.append(cur)
                 cur = self.images[cur]
-            if len(cycle) > 1 or include_fixed:
+            if len(cycle) > 1:
                 out.append(tuple(cycle))
         return out
 
@@ -76,46 +78,3 @@ class Permutation:
             return f"Permutation.identity({self.degree})"
         body = "".join("(" + " ".join(map(str, c)) + ")" for c in cyc)
         return f"Permutation[{body}]"
-
-    def __pow__(self, k: int) -> Permutation:
-        n = element_order(self)
-        k %= n
-        result = Permutation.identity(self.degree)
-        base = self
-        while k:
-            if k & 1:
-                result = compose(result, base)
-            base = compose(base, base)
-            k >>= 1
-        return result
-
-
-def compose(a: Permutation, b: Permutation) -> Permutation:
-    """Apply ``a`` first, then ``b``: the result maps i to b.images[a.images[i]]."""
-    if a.degree != b.degree:
-        raise ValueError(f"degree mismatch: {a.degree} != {b.degree}")
-    bi = b.images
-    return Permutation(tuple(bi[v] for v in a.images))
-
-
-def inverse(a: Permutation) -> Permutation:
-    out = [0] * a.degree
-    for i, v in enumerate(a.images):
-        out[v] = i
-    return Permutation(out)
-
-
-def element_order(a: Permutation) -> int:
-    """Least k >= 1 with a^k = identity: the lcm of the cycle lengths."""
-    return math.lcm(*(len(c) for c in a.cycles(include_fixed=True)))
-
-
-def conjugate(x: Permutation, g: Permutation) -> Permutation:
-    """The conjugate g^-1 x g (apply g^-1, then x, then g)."""
-    if x.degree != g.degree:
-        raise ValueError(f"degree mismatch: {x.degree} != {g.degree}")
-    gi, xi = g.images, x.images
-    ginv = [0] * g.degree
-    for i, v in enumerate(gi):
-        ginv[v] = i
-    return Permutation(tuple(gi[xi[ginv[i]]] for i in range(x.degree)))

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable
 
@@ -17,22 +16,16 @@ from .verify import VerificationReport
 FORMAT_VERSION = "camina/0.2.0"
 
 
-@dataclass
-class ReportRecord(VerificationReport):
-    """A VerificationReport plus artifact version and run timestamp."""
-
-    version: str
-    timestamp: str
-
-
 def persist_reports(
     reports: Iterable[VerificationReport], path: str | Path, version: str, timestamp: str
 ) -> None:
-    """One JSON object per line, one line per report, exact round trip: each
-    report's fields as a ReportRecord with ``version`` and ``timestamp``,
-    written as ``json.dumps(record, sort_keys=True, separators=(",", ":"))``
-    writes it, keys in sorted order.  Strings are escaped as ``json.dumps``
-    escapes them, and ``details`` goes through one shared sorted-key encoder.
+    """One JSON object per line, one line per report, exact round trip: the
+    dict ``record`` of a report's fields with the run's ``version`` and
+    ``timestamp`` added, written as ``json.dumps(record, sort_keys=True,
+    separators=(",", ":"))`` writes it, keys in sorted order, so
+    ``json.loads`` reads each line back.  Strings are escaped as
+    ``json.dumps`` escapes them, and ``details`` goes through one shared
+    sorted-key encoder.
 
     A sweep's reports hold few distinct ``details``, so each is encoded
     once: a dict seen before is found by identity (the memo keeps it alive,
@@ -65,16 +58,6 @@ def persist_reports(
             )
         lines.append(f'{head[0]}{hit[1]}{head[1]}{r.subgroup_index:d},"subgroup_order":{r.subgroup_order:d}{tail}')
     Path(path).write_text("".join(lines))
-
-
-def load_reports(path: str | Path) -> list[ReportRecord]:
-    names = [f.name for f in fields(ReportRecord)]
-    records = []
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
-            obj = json.loads(line)
-            records.append(ReportRecord(**{name: obj[name] for name in names}))
-    return records
 
 
 # --- character table cache --------------------------------------------------

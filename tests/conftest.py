@@ -5,7 +5,7 @@ import pytest
 
 from camina.catalog import builtin
 from camina.cli import EXIT_OK, EXIT_VIOLATION, run_cli
-from camina.reports import load_reports
+from reference import load_reports
 
 
 @pytest.fixture(scope="session")

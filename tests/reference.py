@@ -1,9 +1,34 @@
 """Test-only reference implementations that the tests compare the library
-against: straightforward versions of code the library computes faster."""
+against: straightforward versions of code the library computes faster, and
+the second routes that the library no longer takes.
+
+- Permutation arithmetic on image tuples, which ``GroupTable`` lookups
+  replaced: ``compose``, ``inverse``, ``conjugate``, ``element_order`` and
+  ``power``.
+- The literal character-theory route to (CI) (Theorem 1: every nontrivial
+  theta in Irr(H) induces homogeneously), which the library decides from
+  Irr(G) mod p: ``trivial_character``, ``regular_character``,
+  ``inner_product_int``, ``restrict``, ``is_homogeneous_induction`` and
+  ``kernel_of``.  ``induce``, ``decompose`` and ``inner_product`` stay in
+  ``camina.chartab``, as do ``subgroup_table`` and ``quotient_table`` in
+  ``camina.grouptable``, ``derangements`` in ``camina.conditions`` and the
+  character-table cache (``save_chartab``, ``load_chartab``,
+  ``--cache-dir``) in ``camina.reports``, because the benchmark's tracer
+  wraps them by name.
+- The report file read back: ``ReportRecord`` and ``load_reports``.
+- The trivial subgroup, ``trivial_subgroup``.
+- Slow versions of fast library code, named ``reference_*``: closures,
+  generating sets, subgroup, normality and subnormality tests, Irr(G|N),
+  the sweep without transfer between conjugates, and the character table
+  split in the whole class space and checked in exact ``Cyc`` arithmetic.
+"""
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import Iterable, Sequence
 
 from camina.chartab import (
@@ -15,13 +40,146 @@ from camina.chartab import (
     _roots_mod,
     _rref,
     class_matrices,
+    decompose,
     dixon_prime,
-    kernel_of,
+    induce,
+    inner_product,
 )
 from camina.cyclotomic import Cyc
-from camina.grouptable import ElementSet, GroupTable
+from camina.grouptable import ElementSet, GroupTable, subgroup_table
+from camina.perm import Permutation
 from camina.structure import ConjClassPartition, conjugacy_classes, exponent, subgroups
 from camina.verify import CLAIMS, Pair, VerificationReport, verify_pair_claim
+
+# --- permutation arithmetic ------------------------------------------------
+
+
+def compose(a: Permutation, b: Permutation) -> Permutation:
+    """Apply ``a`` first, then ``b``: the result maps i to b.images[a.images[i]]."""
+    if a.degree != b.degree:
+        raise ValueError(f"degree mismatch: {a.degree} != {b.degree}")
+    bi = b.images
+    return Permutation(tuple(bi[v] for v in a.images))
+
+
+def inverse(a: Permutation) -> Permutation:
+    out = [0] * a.degree
+    for i, v in enumerate(a.images):
+        out[v] = i
+    return Permutation(out)
+
+
+def element_order(a: Permutation) -> int:
+    """Least k >= 1 with a^k = identity: the lcm of the cycle lengths (1
+    for the identity, which has no nontrivial cycle)."""
+    return math.lcm(*(len(c) for c in a.cycles()))
+
+
+def power(a: Permutation, k: int) -> Permutation:
+    """a^k for any integer k, by repeated squaring of k mod the order of a."""
+    k %= element_order(a)
+    result = Permutation.identity(a.degree)
+    base = a
+    while k:
+        if k & 1:
+            result = compose(result, base)
+        base = compose(base, base)
+        k >>= 1
+    return result
+
+
+def conjugate(x: Permutation, g: Permutation) -> Permutation:
+    """The conjugate g^-1 x g (apply g^-1, then x, then g)."""
+    if x.degree != g.degree:
+        raise ValueError(f"degree mismatch: {x.degree} != {g.degree}")
+    gi, xi = g.images, x.images
+    ginv = [0] * g.degree
+    for i, v in enumerate(gi):
+        ginv[v] = i
+    return Permutation(tuple(gi[xi[ginv[i]]] for i in range(x.degree)))
+
+
+def trivial_subgroup(G: GroupTable) -> ElementSet:
+    return ElementSet(G, (0,))
+
+
+# --- class functions -------------------------------------------------------
+
+
+def trivial_character(G: GroupTable) -> ClassFunction:
+    r = conjugacy_classes(G).count
+    return ClassFunction(G, tuple(Cyc.integer(1) for _ in range(r)))
+
+
+def regular_character(G: GroupTable) -> ClassFunction:
+    r = conjugacy_classes(G).count
+    return ClassFunction(G, tuple(Cyc.integer(G.order if k == 0 else 0) for k in range(r)))
+
+
+def inner_product_int(f: ClassFunction, g: ClassFunction) -> int:
+    got = inner_product(f, g)
+    if not got.is_rational_integer():
+        raise ValueError("inner product is not a rational integer")
+    return got.as_int()
+
+
+def restrict(G: GroupTable, chi: ClassFunction, H: ElementSet) -> ClassFunction:
+    """chi read off on the classes of the subgroup H."""
+    if chi.group is not G:
+        raise ValueError("chi is not a class function on G")
+    table, to_parent, _ = subgroup_table(G, H)
+    h_classes = conjugacy_classes(table)
+    g_classes = conjugacy_classes(G)
+    values = tuple(chi.values[g_classes.class_of[to_parent[rep]]] for rep in h_classes.reps)
+    return ClassFunction(table, values)
+
+
+def is_homogeneous_induction(
+    G: GroupTable, H: ElementSet, theta: ClassFunction
+) -> tuple[bool, int | None, int]:
+    """Whether theta^G = a * xi for a single irreducible xi; returns
+    (verdict, index of xi or None, multiplicity a)."""
+    if inner_product(theta, theta) != 1:
+        raise ValueError("theta is not irreducible")
+    induced = induce(G, H, theta)
+    mults = decompose(induced)
+    nonzero = [(i, m) for i, m in mults if m]
+    if len(nonzero) == 1:
+        return True, nonzero[0][0], nonzero[0][1]
+    return False, None, 0
+
+
+def kernel_of(chi: ClassFunction) -> ElementSet:
+    """{x : chi(x) = chi(1)}, a normal subgroup: the union of the classes
+    whose value equals chi(1), compared once per class."""
+    classes = conjugacy_classes(chi.group)
+    top = chi.values[0]
+    return ElementSet(chi.group, (m for k, v in enumerate(chi.values) if v == top for m in classes.members(k)))
+
+
+# --- report files ----------------------------------------------------------
+
+
+@dataclass
+class ReportRecord(VerificationReport):
+    """A VerificationReport plus artifact version and run timestamp."""
+
+    version: str
+    timestamp: str
+
+
+def load_reports(path: str | Path) -> list[ReportRecord]:
+    """The records of a ``verify --out`` file, one JSON object per line."""
+    names = [f.name for f in fields(ReportRecord)]
+    records = []
+    for line in Path(path).read_text().splitlines():
+        if line.strip():
+            obj = json.loads(line)
+            records.append(ReportRecord(**{name: obj[name] for name in names}))
+    return records
+
+
+# --- slow versions of fast library code ------------------------------------
 
 
 def reference_closure_indices(G: GroupTable, seed: Iterable[int]) -> tuple[int, ...]:

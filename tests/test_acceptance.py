@@ -7,14 +7,7 @@ lines as they complete.
 import re
 
 from camina.catalog import builtin_catalog
-from camina.chartab import (
-    character_table,
-    decompose,
-    induce,
-    inner_product_int,
-    regular_character,
-    restrict,
-)
+from camina.chartab import character_table, decompose, induce
 from camina.cli import run_cli
 from camina.conditions import is_camina_pair, satisfies_F, satisfies_Fpm
 from camina.grouptable import subgroup_table
@@ -24,6 +17,7 @@ from camina.structure import (
     subgroups,
 )
 from camina.verify import LEMMA_CLAIMS, summarize, verify_covering
+from reference import inner_product_int, regular_character, restrict
 
 
 def _criterion(name, ok):

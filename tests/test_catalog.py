@@ -1,7 +1,9 @@
+import codecs
 import hashlib
 
 import pytest
 
+import camina.catalog as catalog
 from camina.catalog import (
     BUILTIN_LABELS,
     ParseError,
@@ -12,6 +14,7 @@ from camina.catalog import (
     parse_cycles,
     parse_group_file,
 )
+from camina.grouptable import CapExceeded
 from camina.perm import Permutation
 from camina.structure import conjugacy_classes, is_frobenius_with_kernel, subgroups
 
@@ -125,6 +128,28 @@ class TestBuiltin:
         path.write_text("degree 3\n(1,2)\n(1,2,3)\n")
         assert parse_group_file(path).order is None
 
+    @pytest.mark.parametrize("label, cap", [("C2001", 2000), ("C20000", 2000), ("S4", 10), ("S4xC2", 47)])
+    def test_static_order_over_the_cap_is_not_generated(self, monkeypatch, label, cap):
+        def refuse(*args, **kwargs):
+            raise AssertionError("generate called for a group whose static order is over the cap")
+
+        entry = builtin(label)
+        monkeypatch.setattr(catalog, "generate", refuse)
+        with pytest.raises(CapExceeded, match=rf"^order cap exceeded \(reached {cap + 1}\)$") as exc:
+            entry.group(cap)
+        assert exc.value.partial == cap + 1
+
+    def test_static_order_at_the_cap_is_generated(self):
+        assert builtin("S4xC2").group(48).order == 48
+
+    def test_file_entry_over_the_cap_stops_in_generation(self, tmp_path):
+        # a file entry's order is unknown until generated: generation stops
+        # at the first element over the cap, as for a builtin label
+        path = tmp_path / "s4.grp"
+        path.write_text("degree 4\n(1,2)\n(1,2,3,4)\n")
+        with pytest.raises(CapExceeded, match=r"^order cap exceeded \(reached 11\)$"):
+            parse_group_file(path).group(10)
+
     def test_criterion_families_present(self):
         labels = {e.label for e in builtin_catalog()}
         required = {"S3", "S4", "A4", "A5", "Q8", "Q16", "SL23", "Frob(7:3)", "Frob(5:4)", "Heis(3)"}
@@ -205,6 +230,31 @@ class TestGroupFile:
         with pytest.raises(ParseError) as exc:
             parse_group_file(f)
         assert exc.value.line == 4
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = b"# symmetric group on 3 points\ndegree 3\n(1,2)\n(1,2,3)\n"
+        plain, marked = tmp_path / "s3.grp", tmp_path / "bom" / "s3.grp"
+        marked.parent.mkdir()
+        plain.write_bytes(text)
+        marked.write_bytes(codecs.BOM_UTF8 + text)
+        assert parse_group_file(marked) == parse_group_file(plain)
+        # on the first content line too
+        marked.write_bytes(codecs.BOM_UTF8 + b"degree 3\n(1,2)\n")
+        assert parse_group_file(marked).degree == 3
+
+    def test_bad_byte_after_byte_order_mark_reports_its_line(self, tmp_path):
+        f = tmp_path / "bad.grp"
+        f.write_bytes(codecs.BOM_UTF8 + b"degree 3\n(1,2)\n\xff\n")
+        with pytest.raises(ParseError, match=r"^line 3: not UTF-8 text$") as exc:
+            parse_group_file(f)
+        assert exc.value.line == 3
+
+    def test_byte_order_mark_only_at_the_start(self, tmp_path):
+        # a second mark is the character U+FEFF, which no cycle contains
+        f = tmp_path / "bad.grp"
+        f.write_bytes(codecs.BOM_UTF8 * 2 + b"degree 3\n")
+        with pytest.raises(ParseError, match=r"^line 1: expected 'degree N'"):
+            parse_group_file(f)
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         f = tmp_path / "ok.grp"

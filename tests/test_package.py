@@ -5,6 +5,8 @@ graph is pinned in fresh interpreters: a module imported by an earlier
 test would hide an eager import here.
 """
 
+import ast
+import functools
 import json
 import os
 import subprocess
@@ -27,9 +29,6 @@ EXPORTS = {
         "dixon_prime",
         "induce",
         "inner_product",
-        "is_homogeneous_induction",
-        "kernel_of",
-        "restrict",
     ],
     "conditions": [
         "ConditionVerdict",
@@ -44,7 +43,7 @@ EXPORTS = {
     ],
     "cyclotomic": ["Cyc", "cyclotomic_polynomial"],
     "grouptable": ["CapExceeded", "ElementSet", "GroupTable", "generate"],
-    "perm": ["Permutation", "compose", "conjugate", "element_order", "inverse"],
+    "perm": ["Permutation"],
     "structure": [
         "ConjClassPartition",
         "center",
@@ -63,7 +62,7 @@ EXPORTS = {
         "o_upper_p",
         "subgroups",
     ],
-    "reports": ["ReportRecord", "cached_character_table", "load_reports", "persist_reports"],
+    "reports": ["cached_character_table", "persist_reports"],
     "verify": [
         "CLAIMS",
         "Pair",
@@ -76,6 +75,7 @@ EXPORTS = {
 }
 
 SRC = str(Path(camina.__file__).resolve().parent.parent)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def fresh(code: str):
@@ -129,7 +129,7 @@ class TestImportGraph:
 class TestPackageRoot:
     def test_exports_are_todays_names(self):
         names = [name for names in EXPORTS.values() for name in names]
-        assert len(names) == 61
+        assert len(names) == 52
         assert sorted(camina.__all__) == sorted(names)
 
     @pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTS.items() for n in names])
@@ -156,3 +156,61 @@ class TestPackageRoot:
     def test_version_needs_no_submodule(self):
         added = loaded_after("import camina\nassert camina.__version__ == '0.1.0'")
         assert camina_modules(added) == ["camina"]
+
+
+@functools.cache
+def _parsed(directory: str) -> tuple[tuple[Path, ast.Module], ...]:
+    """Each ``*.py`` file under ``ROOT / directory`` with its syntax tree."""
+    return tuple((path, ast.parse(path.read_text())) for path in sorted((ROOT / directory).glob("*.py")))
+
+
+def _own_definition(tree: ast.Module, name: str) -> ast.stmt | None:
+    """The module-level def or class of ``name``, whose body may name it
+    (a recursive call, a classmethod's return type); an assignment stores
+    its name and loads none."""
+    return next((n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == name), None)
+
+
+def _library_references(name: str) -> list[str]:
+    """The modules of the package, its root aside, whose code reads ``name``
+    (a load or an import of it) outside the statement that defines it."""
+    found = []
+    for path, tree in _parsed("src/camina"):
+        if path.name == "__init__.py":
+            continue
+        definition = _own_definition(tree, name)
+        inside = {id(node) for node in ast.walk(definition)} if definition else set()
+        for node in ast.walk(tree):
+            if id(node) in inside:
+                continue
+            if (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)) or (
+                isinstance(node, ast.alias) and node.name == name
+            ):
+                found.append(path.stem)
+                break
+    return found
+
+
+def _benchmark_references(name: str) -> list[str]:
+    """The benchmark files that name ``name``: as a variable, an attribute,
+    or a string, as its tracer names the functions it wraps."""
+    found = []
+    for path, tree in _parsed("perfbench"):
+        for node in ast.walk(tree):
+            if (
+                (isinstance(node, ast.Name) and node.id == name)
+                or (isinstance(node, ast.Attribute) and node.attr == name)
+                or (isinstance(node, ast.Constant) and node.value == name)
+            ):
+                found.append(path.name)
+                break
+    return found
+
+
+class TestExportsAreUsed:
+    """Every export is read by the package's own code or by the benchmark;
+    one that only tests read belongs in ``tests/reference.py``."""
+
+    @pytest.mark.parametrize("name", sorted(camina.__all__))
+    def test_export_is_referenced(self, name):
+        assert _library_references(name) or _benchmark_references(name), name

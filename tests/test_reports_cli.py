@@ -17,15 +17,14 @@ from camina.chartab import character_table
 from camina.cli import build_parser, run_cli
 from camina.grouptable import CapExceeded
 from camina.reports import (
-    ReportRecord,
     cached_character_table,
     chartab_cache_key,
     load_chartab,
-    load_reports,
     persist_reports,
     save_chartab,
 )
 from camina.verify import ALL_CLAIMS, VerificationReport, sweep_single
+from reference import ReportRecord, load_reports
 
 
 REPORTS = [
@@ -514,6 +513,9 @@ class TestCli:
     def test_cap_exit_code(self, capsys):
         rc = run_cli(["--order-cap", "10", "info", "--group", "S4"])
         assert rc == 3
+        assert capsys.readouterr().err == "error: order cap exceeded (reached 11)\n"
+        assert run_cli(["info", "--group", "C20000"]) == 3
+        assert capsys.readouterr().err == "error: order cap exceeded (reached 2001)\n"
 
     def test_chartab_over_the_class_cap(self, tmp_path, capsys):
         # C64's 64 classes are over the class cap of 60

@@ -16,7 +16,7 @@ from camina.grouptable import (
     small_generating_set,
     subgroup_table,
 )
-from camina.perm import Permutation, compose, conjugate
+from camina.perm import Permutation
 from camina.structure import (
     center,
     centralizer,
@@ -36,7 +36,7 @@ from camina.structure import (
     prime_factors,
     subgroups,
 )
-from reference import reference_is_normal
+from reference import compose, conjugate, reference_is_normal
 
 
 def by_order(G, n, which=0):

@@ -15,11 +15,11 @@ import camina.grouptable as grouptable
 import camina.structure as structure
 import camina.verify as verify
 from camina.catalog import builtin, builtin_catalog, parse_group_file
-from camina.chartab import CharacterTable, character_table, inner_product_int, restrict, trivial_character
+from camina.chartab import CharacterTable, character_table
 from camina.conditions import F, FPM, _class_scan, bs_hypothesis, derangements, satisfies_F, satisfies_Fpm
 from camina.cyclotomic import Cyc
 from camina.grouptable import ElementSet, closure_indices, generate, quotient_table, subgroup_table
-from camina.perm import Permutation, conjugate
+from camina.perm import Permutation
 from camina.structure import (
     conjugacy_classes,
     is_subnormal,
@@ -43,7 +43,15 @@ from camina.verify import (
     verify_covering,
     verify_pair_claim,
 )
-from reference import reference_in_irr_given_N, reference_is_subnormal, reference_pair_reports
+from reference import (
+    conjugate,
+    inner_product_int,
+    reference_in_irr_given_N,
+    reference_is_subnormal,
+    reference_pair_reports,
+    restrict,
+    trivial_character,
+)
 
 
 def by_order(G, n, which=0):
