@@ -4,9 +4,8 @@ Labels: Cn, Dn (dihedral of order 2n, n >= 3), Sn, An, Q8/Q16/Q32,
 SL23, Frob(p:q) with q | p-1 (affine action on p points), Heis(p)
 (extraspecial of order p^3 and exponent p, regular representation),
 and direct products AxB of supported labels: a label splits at every
-``x``, which no family label contains.  Cn, Dn, Q8/Q16/Q32, SL23, Frob
-and Heis are each the action of a few maps on a list of points, built
-by ``_action``.
+``x``, which no family label contains.  Each family is the action of a
+few maps on a list of points, built by ``_action``.
 
 Group files are UTF-8 text, with or without a leading byte-order mark:
 line 1 is ``degree N``; each following non-comment line is one generator
@@ -19,7 +18,9 @@ from __future__ import annotations
 import codecs
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -28,16 +29,30 @@ from .perm import Permutation
 from .structure import _root_of_unity, is_prime
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CatalogEntry:
+    """A group: its label, degree, the function that makes its generators,
+    and its order when that is known without generating, as for a builtin
+    label.  ``generators`` is made at its first read.  Two entries are equal
+    when their labels, degrees, orders and generators are."""
+
     label: str
     degree: int
-    generators: tuple[Permutation, ...]
-    order: int | None = None  # known without generating for a builtin label
+    make: Callable[[], Sequence[Permutation]] = field(repr=False)
+    order: int | None = None
+
+    @cached_property
+    def generators(self) -> tuple[Permutation, ...]:
+        return tuple(self.make())
+
+    def __eq__(self, other) -> bool:
+        key = attrgetter("label", "degree", "order", "generators")
+        return isinstance(other, CatalogEntry) and key(self) == key(other)
 
     def group(self, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
         """The generated group, or the CapExceeded that ``generate`` raises
-        above ``cap``: raised before generating when ``order`` is known."""
+        above ``cap``: raised before any generator is made when ``order`` is
+        known."""
         if self.order is not None and self.order > cap:
             raise CapExceeded("order cap exceeded", cap + 1)
         return generate(self.degree, self.generators, cap=cap)
@@ -124,55 +139,54 @@ def parse_group_file(path: str | Path) -> CatalogEntry:
             raise ParseError(str(exc), lineno) from None
     if degree is None:
         raise ParseError("file contains no 'degree N' line", 1)
-    return CatalogEntry(f"file:{path.name}", degree, tuple(gens))
+    return CatalogEntry(f"file:{path.name}", degree, lambda: gens)
 
 
 # --- builtin families -------------------------------------------------------
 
+# A family constructor checks its parameters and returns (degree, make):
+# make() builds the generators, which no one asks for before
+# ``CatalogEntry.group`` has checked the label's order against the cap.
+_Family = tuple[int, Callable[[], list[Permutation]]]
 
-def _action(points: Sequence, maps: Sequence[Callable]) -> tuple[int, list[Permutation]]:
-    """``(degree, generators)``: the permutations that ``maps`` induce on
-    ``points``, numbered in the order given."""
+
+def _action(points: Sequence, maps: Sequence[Callable]) -> list[Permutation]:
+    """The permutations that ``maps`` induce on ``points``, numbered in the
+    order given."""
     index = {p: i for i, p in enumerate(points)}
-    return len(points), [Permutation(tuple(index[f(p)] for p in points)) for f in maps]
+    return [Permutation(tuple(index[f(p)] for p in points)) for f in maps]
 
 
-def _cyclic(n: int) -> tuple[int, list[Permutation]]:
+def _cyclic(n: int) -> _Family:
     if n < 1:
         raise UnknownLabel(f"cyclic parameter must be >= 1, got {n}")
-    return _action(range(n), [lambda i: (i + 1) % n] if n > 1 else [])
+    return n, lambda: _action(range(n), [lambda i: (i + 1) % n] if n > 1 else [])
 
 
-def _dihedral(n: int) -> tuple[int, list[Permutation]]:
+def _dihedral(n: int) -> _Family:
     if n < 3:
         raise UnknownLabel(f"dihedral parameter must be >= 3, got {n}")
-    return _action(range(n), [lambda i: (i + 1) % n, lambda i: -i % n])
+    return n, lambda: _action(range(n), [lambda i: (i + 1) % n, lambda i: -i % n])
 
 
-def _symmetric(n: int) -> tuple[int, list[Permutation]]:
+def _symmetric(n: int) -> _Family:
+    # the transposition (0 1) and, for n > 2, the n-cycle
     if n < 2:
         raise UnknownLabel(f"symmetric parameter must be >= 2, got {n}")
-    swap = Permutation((1, 0) + tuple(range(2, n)))
-    if n == 2:
-        return n, [swap]
-    cycle = Permutation(tuple((i + 1) % n for i in range(n)))
-    return n, [swap, cycle]
+    maps = [lambda i: 1 - i if i < 2 else i, lambda i: (i + 1) % n]
+    return n, lambda: _action(range(n), maps[: 1 if n == 2 else 2])
 
 
-def _alternating(n: int) -> tuple[int, list[Permutation]]:
+def _alternating(n: int) -> _Family:
+    # the 3-cycle (0 1 2) and, for n > 3, the n-cycle (n odd) or (1 ... n-1)
     if n < 3:
         raise UnknownLabel(f"alternating parameter must be >= 3, got {n}")
-    three = Permutation.from_cycles(n, [(0, 1, 2)])
-    if n == 3:
-        return n, [three]
-    if n % 2 == 1:
-        big = Permutation(tuple((i + 1) % n for i in range(n)))
-    else:
-        big = Permutation.from_cycles(n, [tuple(range(1, n))])
-    return n, [three, big]
+    big = (lambda i: (i + 1) % n) if n % 2 else (lambda i: i and i % (n - 1) + 1)
+    maps = [lambda i: (i + 1) % 3 if i < 3 else i, big]
+    return n, lambda: _action(range(n), maps[: 1 if n == 3 else 2])
 
 
-def _quaternion(order: int) -> tuple[int, list[Permutation]]:
+def _quaternion(order: int) -> _Family:
     # <a, b | a^(2m) = 1, b^2 = a^m, b a b^-1 = a^-1> with order = 4m.
     m = order // 4
     n = 2 * m
@@ -187,29 +201,32 @@ def _quaternion(order: int) -> tuple[int, list[Permutation]]:
             return ((i - s) % n, 1)
         return ((i - s + m) % n, 0)
 
-    return _action(elements, [lambda x: mult(x, (1, 0)), lambda x: mult(x, (0, 1))])
+    return order, lambda: _action(elements, [lambda x: mult(x, (1, 0)), lambda x: mult(x, (0, 1))])
 
 
-def _heisenberg(p: int) -> tuple[int, list[Permutation]]:
+def _heisenberg(p: int) -> _Family:
     if p == 2 or not is_prime(p):
         raise UnknownLabel(f"Heis parameter must be an odd prime, got {p}")
-    elements = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
 
     def mult(x, y):
         a, b, c = x
         d, e, f = y
         return ((a + d) % p, (b + e) % p, (c + f + a * e) % p)
 
-    return _action(elements, [lambda x: mult(x, (1, 0, 0)), lambda x: mult(x, (0, 1, 0))])
+    def make() -> list[Permutation]:
+        elements = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
+        return _action(elements, [lambda x: mult(x, (1, 0, 0)), lambda x: mult(x, (0, 1, 0))])
+
+    return p**3, make
 
 
-def _sl23() -> tuple[int, list[Permutation]]:
+def _sl23() -> _Family:
     # the matrices [[1, 1], [0, 1]] and [[1, 0], [1, 1]] on the nonzero vectors of F_3^2
     vectors = [(x, y) for x in range(3) for y in range(3) if (x, y) != (0, 0)]
-    return _action(vectors, [lambda v: ((v[0] + v[1]) % 3, v[1]), lambda v: (v[0], (v[0] + v[1]) % 3)])
+    return 8, lambda: _action(vectors, [lambda v: ((v[0] + v[1]) % 3, v[1]), lambda v: (v[0], (v[0] + v[1]) % 3)])
 
 
-def _frobenius(p: int, q: int) -> tuple[int, list[Permutation]]:
+def _frobenius(p: int, q: int) -> _Family:
     if not is_prime(p):
         raise UnknownLabel(f"Frob parameter {p} is not prime")
     if q <= 1:
@@ -217,26 +234,29 @@ def _frobenius(p: int, q: int) -> tuple[int, list[Permutation]]:
     if (p - 1) % q != 0:
         raise UnknownLabel(f"Frob requires q | p-1, got Frob({p}:{q})")
     c = _root_of_unity(q, p)
-    return _action(range(p), [lambda i: (i + 1) % p, lambda i: c * i % p])
+    return p, lambda: _action(range(p), [lambda i: (i + 1) % p, lambda i: c * i % p])
 
 
-def _direct_product(parts: list[CatalogEntry]) -> tuple[int, list[Permutation]]:
+def _direct_product(parts: list[CatalogEntry]) -> _Family:
     degree = sum(p.degree for p in parts)
-    gens = []
-    offset = 0
-    for part in parts:
-        for g in part.generators:
-            images = list(range(degree))
-            for i, v in enumerate(g.images):
-                images[offset + i] = offset + v
-            gens.append(Permutation(tuple(images)))
-        offset += part.degree
-    return degree, gens
+
+    def make() -> list[Permutation]:
+        gens, offset = [], 0
+        for part in parts:
+            for g in part.generators:
+                images = list(range(degree))
+                for i, v in enumerate(g.images):
+                    images[offset + i] = offset + v
+                gens.append(Permutation(tuple(images)))
+            offset += part.degree
+        return gens
+
+    return degree, make
 
 
 # Each family: a label pattern, the constructor that takes the pattern's
 # groups as integers, and the group order as a function of the same integers.
-_FAMILIES: list[tuple[str, Callable[..., tuple[int, list[Permutation]]], Callable[..., int]]] = [
+_FAMILIES: list[tuple[str, Callable[..., _Family], Callable[..., int]]] = [
     (r"C(\d+)", _cyclic, lambda n: n),
     (r"D(\d+)", _dihedral, lambda n: 2 * n),
     (r"S(\d+)", _symmetric, math.factorial),
@@ -254,19 +274,19 @@ def builtin(label: str) -> CatalogEntry:
     parts = label.split("x")
     if len(parts) > 1:
         factors = [builtin(p) for p in parts]
-        degree, gens = _direct_product(factors)
+        degree, make = _direct_product(factors)
         order = math.prod(f.order for f in factors)
     else:
         for pattern, build, order_of in _FAMILIES:
             m = re.fullmatch(pattern, label)
             if m:
                 args = list(map(int, m.groups()))
-                degree, gens = build(*args)
+                degree, make = build(*args)
                 order = order_of(*args)
                 break
         else:
             raise UnknownLabel(f"unknown builtin label {label!r}")
-    return CatalogEntry(label, degree, tuple(gens), order)
+    return CatalogEntry(label, degree, make, order)
 
 
 BUILTIN_LABELS = (

@@ -60,7 +60,8 @@ class ClassFunction:
 class CharacterTable:
     """Irr(G), checked exactly when constructed, whether built or read from
     a cache: RuntimeError unless there is one row per class, the rows are
-    distinct, every value lies in Z[zeta_e] with e = exp(G), the rows are
+    distinct and sorted by degree, then by the coefficient tuples of their
+    values, every value lies in Z[zeta_e] with e = exp(G), the rows are
     closed under the Galois group and follow the power maps, [chi_i, chi_j]
     = delta_ij, and every chi(1) is a positive integer; with one such row
     per class, sum chi(1)^2 = |G| follows.  ``values`` is the check's value
@@ -486,7 +487,9 @@ def _residues(values: _Values, classes: ConjClassPartition, p: int) -> list[list
     its RuntimeError: the rows, one per class and distinct, must pass the
     Galois checks on coefficient tuples, then X_1 W_1^T = |G| I mod p, with
     W_1[j][k] = X_1[j][k*] sizes[k], exact once the power map at c = -1 has
-    passed, and the degrees must be positive integers."""
+    passed, the degrees must be positive integers, and the rows must be in
+    the order ``character_table`` sorts them in: by degree, then by the
+    coefficient tuples of their values."""
     cells, distinct, ids, e = values
     G, r = classes.group, classes.count
     present = set(cells)
@@ -510,6 +513,10 @@ def _residues(values: _Values, classes: ConjClassPartition, p: int) -> list[list
             raise RuntimeError("character rows are not orthonormal")
     if not all(distinct[row[0]][0] > 0 and not any(distinct[row[0]][1:]) for row in cells):
         raise RuntimeError("character degrees are not positive integers")
+    # the degree, an integer, leads each row's coefficient tuples
+    keys = [[distinct[i] for i in row] for row in cells]
+    if keys != sorted(keys):
+        raise RuntimeError("character rows are not in canonical order")
     return X
 
 

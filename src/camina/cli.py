@@ -23,6 +23,7 @@ from .catalog import (
     parse_group_file,
 )
 from .conditions import (
+    ConditionVerdict,
     equal_order_coset,
     is_camina_pair,
     satisfies_CI,
@@ -128,7 +129,8 @@ def build_parser() -> _Parser:
     verify = sub.add_parser("verify", help="sweep theorem/lemma claims over a catalog")
     verify.add_argument("--catalog", default="builtin", help="'builtin' or a directory of group files")
     verify.add_argument("--max-order", type=_positive_int, default=96)
-    verify.add_argument("--claims", default="all", help="comma list (theorem1,...,lemma_a..lemma_m,claim9,cor2,covering,lemmas,all)")
+    claims_help = f"comma list of claims ({', '.join(ALL_CLAIMS)}) and aliases ({', '.join(CLAIM_ALIASES)})"
+    verify.add_argument("--claims", default="all", help=claims_help)
     verify.add_argument("--out", default=None, help="write a JSON-lines report file")
     return p
 
@@ -151,22 +153,15 @@ def _subgroup_by_file(G: GroupTable, path: str) -> ElementSet:
     return ElementSet(G, closure_indices(G, ids))
 
 
-def _print_verdict(G: GroupTable, H: ElementSet, index: int | None, verdict) -> None:
+def _print_verdict(G: GroupTable, H: ElementSet, index: int | None, verdict: ConditionVerdict) -> None:
     gens = [format_cycles(G.elements[i]) for i in small_generating_set(G, H.members)]
     where = f"subgroup index={index} " if index is not None else ""
     print(f"{where}order={len(H)} gens={' '.join(gens) or '()'}")
     if verdict.holds:
         print(f"condition {verdict.condition}: holds")
-    else:
-        w = verdict.witness
-        parts = [f"condition {verdict.condition}: fails"]
-        if w is not None:
-            if w.x is not None:
-                parts.append(f"x={format_cycles(G.elements[w.x])}")
-            if w.h is not None:
-                parts.append(f"h={format_cycles(G.elements[w.h])}")
-            parts.append(f"({w.detail})")
-        print(" ".join(parts))
+        return
+    witness = [f"{k}={format_cycles(G.elements[i])}" for k, i in (("x", verdict.x), ("h", verdict.h)) if i is not None]
+    print(f"condition {verdict.condition}: fails", *witness, f"({verdict.detail})")
 
 
 def _cmd_catalog(args) -> int:

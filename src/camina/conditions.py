@@ -34,25 +34,20 @@ BS_HYPOTHESIS = "BS_HYPOTHESIS"
 
 
 @dataclass(frozen=True)
-class Witness:
-    x: int | None
-    h: int | None
-    detail: str
-
-
-@dataclass(frozen=True)
 class ConditionVerdict:
+    """Whether ``condition`` holds and, when it fails, its witness: the
+    elements x and h (either may be None) and what goes wrong on them."""
+
     holds: bool
-    witness: Witness | None
     condition: str
+    x: int | None = None
+    h: int | None = None
+    detail: str = ""
 
-    @staticmethod
-    def ok(condition: str) -> ConditionVerdict:
-        return ConditionVerdict(True, None, condition)
-
-    @staticmethod
-    def fail(condition: str, x: int | None, h: int | None, detail: str) -> ConditionVerdict:
-        return ConditionVerdict(False, Witness(x, h, detail), condition)
+    @property
+    def witness(self) -> dict | None:
+        """The witness as reports store it, or None when the condition holds."""
+        return None if self.holds else {"x": self.x, "h": self.h, "detail": self.detail}
 
 
 def _require_nontrivial_proper(G: GroupTable, H: ElementSet, what: str) -> None:
@@ -65,16 +60,14 @@ def _require_nontrivial_proper(G: GroupTable, H: ElementSet, what: str) -> None:
 def is_camina_pair(G: GroupTable, N: ElementSet) -> ConditionVerdict:
     """(G, N) with N nontrivial proper normal and gN inside g^G for all g not in N."""
     if not N.is_subgroup:
-        return ConditionVerdict.fail(CAMINA, None, None, "N is not a subgroup")
+        return ConditionVerdict(False, CAMINA, detail="N is not a subgroup")
     if len(N) <= 1 or len(N) >= G.order:
-        return ConditionVerdict.fail(CAMINA, None, None, "N is not nontrivial proper")
+        return ConditionVerdict(False, CAMINA, detail="N is not nontrivial proper")
     if not N.is_normal():
         for n in N.members:
             for g, conj in zip(G.generator_ids, conjugacy_classes(G).conjugators):
                 if conj[n] not in N:
-                    return ConditionVerdict.fail(
-                        CAMINA, g, n, "N is not normal: conjugate of h by x leaves N"
-                    )
+                    return ConditionVerdict(False, CAMINA, g, n, "N is not normal: conjugate of h by x leaves N")
     return _class_scan(G, N, CAMINA)
 
 
@@ -113,10 +106,9 @@ def satisfies_CI(G: GroupTable, H: ElementSet) -> ConditionVerdict:
     for i, w in enumerate(weighted):
         for j in range(i + 1, len(X)):
             if sum(map(mul, w, at_inverse[j])) % p * len(H) != trivial[i] * trivial[j]:
-                return ConditionVerdict.fail(
-                    CI, None, None, f"chi_index={i} and chi_index={j} share a nontrivial constituent on H"
-                )
-    return ConditionVerdict.ok(CI)
+                detail = f"chi_index={i} and chi_index={j} share a nontrivial constituent on H"
+                return ConditionVerdict(False, CI, detail=detail)
+    return ConditionVerdict(True, CI)
 
 
 def satisfies_O(G: GroupTable, H: ElementSet) -> ConditionVerdict:
@@ -190,9 +182,9 @@ def _coset_scan(
         for h in H.members:
             y = G.mul(x, h)
             if not keeps(x, y):
-                return ConditionVerdict.fail(tag, x, h, detail)
+                return ConditionVerdict(False, tag, x, h, detail)
             passed.add(y)
-    return ConditionVerdict.ok(tag)
+    return ConditionVerdict(True, tag)
 
 
 def derangements(G: GroupTable, H: ElementSet) -> ElementSet:
@@ -220,7 +212,5 @@ def bs_hypothesis(G: GroupTable, x: int, p: int) -> ConditionVerdict:
         if G.element_order(y) % p == 0:
             continue
         if G.element_order(G.mul(x, y)) % p == 0:
-            return ConditionVerdict.fail(
-                BS_HYPOTHESIS, x, y, f"x*y is {p}-singular for p-regular y"
-            )
-    return ConditionVerdict.ok(BS_HYPOTHESIS)
+            return ConditionVerdict(False, BS_HYPOTHESIS, x, y, f"x*y is {p}-singular for p-regular y")
+    return ConditionVerdict(True, BS_HYPOTHESIS)

@@ -11,6 +11,7 @@ hypotheses of a pair from one ``Pair`` object, which computes each of them
 at most once, so claims that share a hypothesis share its evaluation.  A
 sweep evaluates them once per conjugacy class of subgroups and carries the
 reports that ``transferable`` admits over to the other members of the class.
+Claims on G alone, cor2 and covering, are the entries of ``GROUP_CLAIMS``.
 """
 
 from __future__ import annotations
@@ -66,14 +67,6 @@ VACUOUS = "VACUOUS"
 VIOLATION = "VIOLATION"
 SKIPPED = "SKIPPED"
 
-THEOREM1 = "theorem1"
-THEOREM2 = "theorem2"
-ODD_ORDER = "odd_order"
-COR1 = "cor1"
-COR2 = "cor2"
-CLAIM9 = "claim9"
-COVERING = "covering"
-
 
 @dataclass
 class VerificationReport:
@@ -94,11 +87,6 @@ class VerificationReport:
 def report_key(r: VerificationReport) -> tuple:
     """The canonical report order: group label, subgroup index, claim, details."""
     return (r.group_label, r.subgroup_index, r.claim, str(sorted(r.details.items())))
-
-
-def _witness_dict(verdict: ConditionVerdict) -> dict | None:
-    w = verdict.witness
-    return None if w is None else {"x": w.x, "h": w.h, "detail": w.detail}
 
 
 @dataclass(eq=False)
@@ -202,8 +190,8 @@ def _theorem1(pair: Pair) -> tuple[str, dict]:
         return SKIPPED, {"f_holds": f.holds, "h_normal": pair.normal, "reason": str(exc)}
     details = {"f_holds": f.holds, "ci_holds": ci.holds, "fired": f.holds or ci.holds, "h_normal": pair.normal}
     if f.holds != ci.holds:
-        details["f_witness"] = _witness_dict(f)
-        details["ci_witness"] = _witness_dict(ci)
+        details["f_witness"] = f.witness
+        details["ci_witness"] = ci.witness
         return VIOLATION, details
     return PASS, details
 
@@ -217,7 +205,7 @@ def _theorem2(pair: Pair) -> tuple[str, dict]:
     verdict is recorded in the details.
     """
     if not pair.Fpm.holds:
-        return VACUOUS, {"fpm_witness": _witness_dict(pair.Fpm)}
+        return VACUOUS, {"fpm_witness": pair.Fpm.witness}
     G, N = pair.G, pair.N
     details = {"n_order": len(N), "fired": True, "h_normal": pair.normal}
     if len(N) == G.order:
@@ -229,14 +217,14 @@ def _theorem2(pair: Pair) -> tuple[str, dict]:
     details["closure_nilpotent"] = nilp
     if fpm_n.holds and (nilp or pair.normal):
         return PASS, details
-    details["fpm_witness"] = _witness_dict(fpm_n)
+    details["fpm_witness"] = fpm_n.witness
     return VIOLATION, details
 
 
 def _odd_order(pair: Pair) -> tuple[str, dict]:
     """(O) implies O^2(H) normal with 2-group quotient, or H solvable."""
     if not pair.O.holds:
-        return VACUOUS, {"o_witness": _witness_dict(pair.O)}
+        return VACUOUS, {"o_witness": pair.O.witness}
     G = pair.G
     o2 = pair.o_upper(2)
     o2_normal = o2.is_normal()
@@ -260,7 +248,7 @@ def _cor1(pair: Pair) -> tuple[str, dict]:
     G, H = pair.G, pair.H
     hyp = _equal_order_scan(G, H)
     if not hyp.holds:
-        return VACUOUS, {"equal_order_witness": _witness_dict(hyp)}
+        return VACUOUS, {"equal_order_witness": hyp.witness}
     if pair.h_solvable:
         return PASS, {"fired": True, "h_solvable": True}
     o2g = o_upper_p(G, 2)
@@ -270,7 +258,7 @@ def _cor1(pair: Pair) -> tuple[str, dict]:
     ngh = normalizer(G, H)
     if len(ngh) > len(H):
         c = _equal_order_scan(G, H, ngh.members)
-        c_ok, c_wit = c.holds, _witness_dict(c)
+        c_ok, c_wit = c.holds, c.witness
     else:
         c_ok, c_wit = False, {"detail": "H is self-normalizing"}
     details = {
@@ -290,7 +278,7 @@ def verify_cor2(G: GroupTable, p: int, label: str = "") -> VerificationReport:
     p-regular lies in O_p(G).  Both sides are closed under conjugation, so
     each class is decided by its representative, its least member."""
     if G.order % p:
-        return _group_report(label, G, COR2, VACUOUS, {"p": p, "reason": "p does not divide |G|"})
+        return _group_report(label, G, "cor2", VACUOUS, {"p": p, "reason": "p does not divide |G|"})
     opg = o_lower_p(G, p)
     classes = conjugacy_classes(G)
     fired = 0
@@ -299,14 +287,9 @@ def verify_cor2(G: GroupTable, p: int, label: str = "") -> VerificationReport:
         if p_part(ox, p) == ox and bs_hypothesis(G, x, p).holds:
             fired += size
             if x not in opg:
-                return _group_report(
-                    label,
-                    G,
-                    COR2,
-                    VIOLATION,
-                    {"p": p, "x": x, "detail": "hypothesis fires but x is outside O_p(G)"},
-                )
-    return _group_report(label, G, COR2, PASS, {"p": p, "fired": fired, "o_p_order": len(opg)})
+                details = {"p": p, "x": x, "detail": "hypothesis fires but x is outside O_p(G)"}
+                return _group_report(label, G, "cor2", VIOLATION, details)
+    return _group_report(label, G, "cor2", PASS, {"p": p, "fired": fired, "o_p_order": len(opg)})
 
 
 # --- lemma suite ------------------------------------------------------------
@@ -328,7 +311,7 @@ def _quotients_keep(G: GroupTable, H: ElementSet, plus_minus: bool) -> tuple[str
             return VIOLATION, {
                 "m_order": len(M),
                 "failure": f"quotient pair loses condition ({'F+-' if plus_minus else 'F'})",
-                "quotient_witness": _witness_dict(sub),
+                "quotient_witness": sub.witness,
             }
     return PASS, {"normal_subgroups_checked": checked}
 
@@ -360,7 +343,7 @@ def _lemma_d(pair: Pair) -> tuple[str, dict]:
     verdict = is_camina_pair(pair.G, pair.N)
     details = {"n_order": len(pair.N), "camina": verdict.holds}
     if not verdict.holds:
-        details["witness"] = _witness_dict(verdict)
+        details["witness"] = verdict.witness
     return (PASS if verdict.holds else VIOLATION), details
 
 
@@ -440,7 +423,7 @@ def _lemma_k(pair: Pair) -> tuple[str, dict]:
     sub = satisfies_O(pair.G, o2)
     details = {"o2_order": len(o2), "o_on_o2": sub.holds}
     if not sub.holds:
-        details["witness"] = _witness_dict(sub)
+        details["witness"] = sub.witness
     return (PASS if sub.holds else VIOLATION), details
 
 
@@ -468,8 +451,7 @@ def _lemma_m(pair: Pair) -> tuple[str, dict]:
             pair.N.members,
         )
         if not verdict.holds:
-            w = verdict.witness
-            return VIOLATION, {"x": w.x, "h": w.h, "failure": w.detail}
+            return VIOLATION, {"x": verdict.x, "h": verdict.h, "failure": verdict.detail}
     return PASS, {"characters_checked": len(irr)}
 
 
@@ -503,7 +485,7 @@ def verify_covering(G: GroupTable, label: str = "") -> VerificationReport:
     the classes met by reps[s] * y, s in S and y in C.  Each set fixes the
     next, so once one repeats the powers cycle and never reach G."""
     if not is_simple(G):
-        return _group_report(label, G, COVERING, VACUOUS, {"reason": "group is not nonabelian simple"})
+        return _group_report(label, G, "covering", VACUOUS, {"reason": "group is not nonabelian simple"})
     classes = conjugacy_classes(G)
     max_m = 0
     for cid in range(1, classes.count):
@@ -514,11 +496,11 @@ def verify_covering(G: GroupTable, label: str = "") -> VerificationReport:
             if current in seen:
                 failure = f"C^m repeats at m = {len(seen) + 1} without reaching G"
                 details = {"class_rep": classes.reps[cid], "failure": failure}
-                return _group_report(label, G, COVERING, VIOLATION, details)
+                return _group_report(label, G, "covering", VIOLATION, details)
             seen.add(current)
             current = frozenset(classes.class_of[G.mul(classes.reps[s], y)] for s in current for y in members)
         max_m = max(max_m, len(seen) + 1)
-    return _group_report(label, G, COVERING, PASS, {"fired": True, "max_power_needed": max_m})
+    return _group_report(label, G, "covering", PASS, {"fired": True, "max_power_needed": max_m})
 
 
 # claim -> (hypothesis, check, whether the trivial subgroup is admissible).
@@ -527,10 +509,10 @@ def verify_covering(G: GroupTable, label: str = "") -> VerificationReport:
 # and its check does not run.  The theorems have no hypothesis here: they test
 # their own and report its witness when it fails.
 CLAIMS = {
-    THEOREM1: (None, _theorem1, False),
-    THEOREM2: (None, _theorem2, False),
-    ODD_ORDER: (None, _odd_order, True),
-    COR1: (None, _cor1, True),
+    "theorem1": (None, _theorem1, False),
+    "theorem2": (None, _theorem2, False),
+    "odd_order": (None, _odd_order, True),
+    "cor1": (None, _cor1, True),
     "lemma_a": (lambda p: p.F.holds, _lemma_a, False),
     "lemma_b": (lambda p: p.F.holds, _lemma_b, False),
     "lemma_c": (lambda p: p.Fpm.holds and not p.normal, _lemma_c, False),
@@ -544,12 +526,16 @@ CLAIMS = {
     "lemma_k": (lambda p: p.O.holds, _lemma_k, False),
     "lemma_l": (lambda p: p.CI.holds, _lemma_l, False),
     "lemma_m": (lambda p: p.CI.holds and not p.normal, _lemma_m, False),
-    CLAIM9: (lambda p: p.O.holds, _claim9, False),
+    "claim9": (lambda p: p.O.holds, _claim9, False),
 }
 PAIR_CLAIMS = tuple(CLAIMS)
 LEMMA_CLAIMS = tuple(c for c in CLAIMS if c.startswith("lemma_"))
-GROUP_CLAIMS = (COR2, COVERING)
-ALL_CLAIMS = PAIR_CLAIMS + GROUP_CLAIMS
+# claim on G alone -> its reports on (G, label)
+GROUP_CLAIMS = {
+    "cor2": lambda G, label: [verify_cor2(G, p, label) for p in prime_factors(G.order)],
+    "covering": lambda G, label: [verify_covering(G, label)],
+}
+ALL_CLAIMS = PAIR_CLAIMS + tuple(GROUP_CLAIMS)
 
 
 def verify_pair_claim(G: GroupTable, H: ElementSet, claim: str, pair: Pair | None = None) -> VerificationReport:
@@ -597,16 +583,15 @@ def transferable(report: VerificationReport) -> bool:
 def sweep_single(label: str, G: GroupTable, claims: list[str]) -> list[VerificationReport]:
     """The reports of G in ``report_key`` order, made in that order.  First
     come the reports of G alone, subgroup index -1, sorted by ``report_key``:
-    cor2's per-prime reports, covering, and one SKIPPED report per pair claim
-    when the subgroup cap stops ``subgroups``.  Then every proper subgroup in
-    ``subgroups`` order gets its pair claims in claim-name order.  The pair
-    claims are evaluated on the first member of each conjugacy class of
-    subgroups; a later member gets a copy of each ``transferable`` report
-    under its own subgroup index and a fresh evaluation of the others.  The
-    reports equal those of one evaluation per subgroup."""
-    reports = [verify_cor2(G, p, label) for p in prime_factors(G.order)] if COR2 in claims else []
-    if COVERING in claims:
-        reports.append(verify_covering(G, label))
+    those of each ``GROUP_CLAIMS`` entry asked for, and one SKIPPED report
+    per pair claim when the subgroup cap stops ``subgroups``.  Then every
+    proper subgroup in ``subgroups`` order gets its pair claims in
+    claim-name order.  The pair claims are evaluated on the first member of
+    each conjugacy class of subgroups; a later member gets a copy of each
+    ``transferable`` report under its own subgroup index and a fresh
+    evaluation of the others.  The reports equal those of one evaluation
+    per subgroup."""
+    reports = [r for c in sorted(claims) if c in GROUP_CLAIMS for r in GROUP_CLAIMS[c](G, label)]
     pair_claims = sorted(c for c in claims if c in CLAIMS)
     subs: list[tuple[ElementSet, int]] = []
     if pair_claims:
@@ -636,7 +621,8 @@ def sweep_single(label: str, G: GroupTable, claims: list[str]) -> list[Verificat
 
 def summarize(reports: list[VerificationReport]) -> dict:
     """Per-claim status counts, hypothesis-fired counts, and the empirical
-    count of non-normal subgroups satisfying condition (F)."""
+    count of non-normal subgroups satisfying condition (F).  A report fired
+    when its details say so or it is a VIOLATION, whose hypothesis held."""
     claims: dict[str, dict[str, int]] = {}
     summary: dict = {"claims": claims, "total": len(reports)}
     nonnormal_f = 0
@@ -646,9 +632,9 @@ def summarize(reports: list[VerificationReport]) -> dict:
             c = claims[r.claim] = {"PASS": 0, "VACUOUS": 0, "VIOLATION": 0, "SKIPPED": 0, "fired": 0}
         c[r.status] += 1
         details = r.details
-        if details.get("fired"):
+        if r.status == VIOLATION or details.get("fired"):
             c["fired"] += 1
-        if r.claim == THEOREM1 and details.get("f_holds") and not details.get("h_normal", True):
+        if r.claim == "theorem1" and details.get("f_holds") and not details.get("h_normal", True):
             nonnormal_f += 1
     summary["violations"] = sum(c["VIOLATION"] for c in claims.values())
     summary["nonnormal_f_pairs"] = nonnormal_f

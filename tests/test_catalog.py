@@ -139,6 +139,20 @@ class TestBuiltin:
             entry.group(cap)
         assert exc.value.partial == cap + 1
 
+    @pytest.mark.parametrize("label", ["C1000000000", "Heis(13)", "S1000", "A1000", "C2xD1000000000"])
+    def test_label_over_the_cap_builds_no_generator(self, monkeypatch, label):
+        # a family builds its generators only when they are read: a label
+        # over the cap is refused before any point map or permutation is made
+        def refuse(*args, **kwargs):
+            raise AssertionError("a generator was built for a label over the cap")
+
+        monkeypatch.setattr(catalog, "_action", refuse)
+        monkeypatch.setattr(catalog, "Permutation", refuse)
+        monkeypatch.setattr(catalog, "generate", refuse)
+        with pytest.raises(CapExceeded, match=r"^order cap exceeded \(reached 2001\)$") as exc:
+            builtin(label).group()
+        assert exc.value.partial == 2001
+
     def test_static_order_at_the_cap_is_generated(self):
         assert builtin("S4xC2").group(48).order == 48
 

@@ -55,11 +55,10 @@ class TestConditionF:
     def test_s3_transposition_witness(self, s3):
         v = satisfies_F(s3, by_order(s3, 2))
         assert not v.holds
-        w = v.witness
         # the witness violates the defining clause when replayed
         cl = conjugacy_classes(s3)
-        assert w.x not in by_order(s3, 2)
-        assert cl.class_of[s3.mul(w.x, w.h)] != cl.class_of[w.x]
+        assert v.x not in by_order(s3, 2)
+        assert cl.class_of[s3.mul(v.x, v.h)] != cl.class_of[v.x]
 
     def test_abelian_always_fails(self):
         for label in ["C4", "C6", "C2xC2", "C2xC4", "C3xC3"]:
@@ -98,10 +97,9 @@ class TestConditionFpm:
         v = satisfies_Fpm(s3, by_order(s3, 2))
         assert not v.holds
         cl = conjugacy_classes(s3)
-        w = v.witness
-        c = cl.class_of[s3.mul(w.x, w.h)]
-        assert c != cl.class_of[w.x]
-        assert c != cl.inverse_class[cl.class_of[w.x]]
+        c = cl.class_of[s3.mul(v.x, v.h)]
+        assert c != cl.class_of[v.x]
+        assert c != cl.inverse_class[cl.class_of[v.x]]
 
     def test_frob54_dihedral_subgroup(self):
         # the order-10 subgroup of Frob(5:4) is normal, satisfies F+-, and is
@@ -138,7 +136,7 @@ class TestConditionCI:
         v = satisfies_CI(s4, H)
         assert not v.holds
         # replay: chi_i and chi_j restricted to H share a nontrivial constituent
-        i, j = (int(k) for k in re.findall(r"chi_index=(\d+)", v.witness.detail))
+        i, j = (int(k) for k in re.findall(r"chi_index=(\d+)", v.detail))
         irr = character_table(s4).irreducibles
         h_table = character_table(subgroup_table(s4, H)[0])
         a, b = (dict(decompose(restrict(s4, irr[k], H), h_table)) for k in (i, j))
@@ -192,7 +190,7 @@ class TestConditionCI:
                 if not 1 < len(H) < G.order:
                     continue
                 v = satisfies_CI(G, H)
-                got = (v.holds, None if v.holds else v.witness.detail)
+                got = (v.holds, None if v.holds else v.detail)
                 assert got == ci_by_conjugated_rows(G, H), (entry.label, H.members)
                 pairs += 1
                 holding += v.holds
@@ -228,9 +226,8 @@ class TestConditionO:
     def test_s3_transposition_witness(self, s3):
         v = satisfies_O(s3, by_order(s3, 2))
         assert not v.holds
-        w = v.witness
-        assert s3.element_order(w.x) % 2 == 1
-        assert s3.element_order(s3.mul(w.x, w.h)) % 2 == 0
+        assert s3.element_order(v.x) % 2 == 1
+        assert s3.element_order(s3.mul(v.x, v.h)) % 2 == 0
 
     def test_two_group_vacuous(self, q8):
         for H in subgroups(q8):
@@ -279,15 +276,14 @@ class TestEqualOrder:
 
     def test_witness_replay(self, s3):
         v = equal_order_coset(s3, by_order(s3, 2))
-        w = v.witness
-        assert s3.element_order(s3.mul(w.x, w.h)) != s3.element_order(w.x)
+        assert s3.element_order(s3.mul(v.x, v.h)) != s3.element_order(v.x)
 
     def test_camina_witness_replay(self):
         G = builtin("C2xC2").group()
         N = by_order(G, 2)
-        w = is_camina_pair(G, N).witness
+        v = is_camina_pair(G, N)
         cl = conjugacy_classes(G)
-        assert cl.class_of[G.mul(w.x, w.h)] != cl.class_of[w.x]
+        assert cl.class_of[G.mul(v.x, v.h)] != cl.class_of[v.x]
 
 
 class TestDerangements:
@@ -340,9 +336,8 @@ class TestBsHypothesis:
         x = s3.index_of[(1, 0, 2)]
         v = bs_hypothesis(s3, x, 2)
         assert not v.holds
-        w = v.witness
-        assert s3.element_order(w.h) % 2 == 1
-        assert s3.element_order(s3.mul(x, w.h)) % 2 == 0
+        assert s3.element_order(v.h) % 2 == 1
+        assert s3.element_order(s3.mul(x, v.h)) % 2 == 0
 
     def test_rejects_non_p_element(self, s3):
         x = s3.index_of[(1, 2, 0)]
@@ -390,8 +385,7 @@ class TestClassScanVerdictDigest:
                     continue
                 for predicate in (satisfies_F, satisfies_Fpm, is_camina_pair):
                     v = predicate(G, H)
-                    w = v.witness
-                    digest.update(repr((label, idx, v.condition, v.holds, w and (w.x, w.h, w.detail))).encode())
+                    digest.update(repr((label, idx, v.condition, v.holds, None if v.holds else (v.x, v.h, v.detail))).encode())
                     verdicts += 1
         assert verdicts == 2697
         assert digest.hexdigest() == CLASS_SCAN_VERDICTS_SHA256
@@ -437,7 +431,7 @@ class TestCosetScan:
                     cases.append((is_camina_pair(G, H), lambda x, y: c[y] == c[x], range(G.order)))
                 for verdict, keeps, xs in cases:
                     expect = _first_failure(G, H, keeps, xs)
-                    got = None if verdict.holds else (verdict.witness.x, verdict.witness.h)
+                    got = None if verdict.holds else (verdict.x, verdict.h)
                     assert got == expect, (entry.label, H.members, verdict.condition)
                     checked += 1
         assert checked > 1000

@@ -228,6 +228,22 @@ class TestChartabCache:
         assert capsys.readouterr().out == printed
         assert load_chartab(builtin("C4").group(), tmp_path) is not None  # rebuilt and saved again
 
+    def test_reordered_rows_are_a_miss(self, tmp_path, capsys):
+        # S4's rows 0 and 4 swapped pass every other check: the rows are still
+        # Irr(S4), but the cache must give the table in the order a build does
+        cache = str(tmp_path)
+        assert run_cli(["--cache-dir", cache, "chartab", "--group", "S4"]) == 0
+        printed = capsys.readouterr().out
+        assert "chi_0: 1  1  -1  1  -1\n" in printed
+        (path,) = tmp_path.glob("chartab-*.json")
+        obj = json.loads(path.read_text())
+        obj["rows"][0], obj["rows"][4] = obj["rows"][4], obj["rows"][0]
+        path.write_text(json.dumps(obj))
+        assert load_chartab(builtin("S4").group(), tmp_path) is None
+        assert run_cli(["--cache-dir", cache, "chartab", "--group", "S4"]) == 0
+        assert capsys.readouterr().out == printed
+        assert load_chartab(builtin("S4").group(), tmp_path) is not None  # rebuilt and saved again
+
     def test_every_built_table_loads_after_a_save(self, tmp_path):
         # the builtin groups and those of the benchmark's chartab workload
         extra = ["C60", "C5xC10", "C4xC4xC2", "Heis(5)", "C3xC3xC3", "Q32xC2", "D30"]
@@ -451,11 +467,14 @@ class TestCli:
             ("S6", "0957828e57df42fe937f1c2948d869bcdba731f74be247593e9fe4557b41fd2c"),
         ],
     )
-    def test_chartab_listing_digest(self, capsys, group, digest):
+    def test_chartab_listing_digest(self, capsys, tmp_path, group, digest):
         # The whole printed table, class representatives, class sizes and
-        # every value, pinned byte for byte.
-        assert run_cli(["chartab", "--group", group]) == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+        # every value, pinned byte for byte: first as built, then as loaded
+        # from the cache file that the first call saved.
+        for _ in ("built", "loaded"):
+            assert run_cli(["--cache-dir", str(tmp_path), "chartab", "--group", group]) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+        assert len(list(tmp_path.glob("chartab-*.json"))) == 1
 
     def test_catalog_list(self, capsys):
         rc = run_cli(["catalog", "list"])

@@ -329,6 +329,18 @@ class TestSweep:
         reports = verify_builtin(48, ["cor2"])
         assert summarize(reports)["violations"] == 0
 
+    def test_violations_count_as_fired(self, monkeypatch):
+        # a lemma's VIOLATION details carry no fired key, but its hypothesis
+        # held: the fired count keeps every pair whose hypothesis held
+        G = builtin("S4").group()
+        fired = summarize(sweep_single("S4", G, ["lemma_k"]))["claims"]["lemma_k"]["fired"]
+        hypothesis, _, trivial = verify.CLAIMS["lemma_k"]
+        failing = (hypothesis, lambda pair: (VIOLATION, {"failure": "forced"}), trivial)
+        monkeypatch.setitem(verify.CLAIMS, "lemma_k", failing)
+        counts = summarize(sweep_single("S4", G, ["lemma_k"]))["claims"]["lemma_k"]
+        assert fired > 0 and counts["PASS"] == 0
+        assert counts["VIOLATION"] == counts["fired"] == fired
+
     def test_report_order_canonical(self, verify_builtin):
         reports = verify_builtin(12, ["theorem1", "theorem2"])
         keys = [(r.group_label, r.subgroup_index, r.claim) for r in reports]
@@ -778,7 +790,7 @@ class TestClassRepresentativesMatchElementwise:
                         assert got.holds == want.holds, (label, H.members, M.members, plus_minus)
                         triples[plus_minus, got.holds] += 1
                         if not got.holds:  # the witness is in G's indices and replays in G/M
-                            x, h = got.witness.x, got.witness.h
+                            x, h = got.x, got.h
                             q_class = conjugacy_classes(Q).class_of
                             image = q_class[proj[G.mul(x, h)]]
                             conjugates = {q_class[proj[x]]}
