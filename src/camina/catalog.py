@@ -5,7 +5,9 @@ SL23, Frob(p:q) with q | p-1 (affine action on p points), Heis(p)
 (extraspecial of order p^3 and exponent p, regular representation),
 and direct products AxB of supported labels: a label splits at every
 ``x``, which no family label contains.  Each family is the action of a
-few maps on a list of points, built by ``_action``.
+few maps on a list of points, built by ``_action``.  The prime test and
+the root of unity that Heis(p) and Frob(p:q) read are ``grouptable``'s
+number theory, so importing the catalog loads no structure layer.
 
 Group files are UTF-8 text, with or without a leading byte-order mark:
 line 1 is ``degree N``; each following non-comment line is one generator
@@ -18,28 +20,39 @@ from __future__ import annotations
 import codecs
 import math
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .grouptable import DEFAULT_ORDER_CAP, CapExceeded, GroupTable, generate
+from .grouptable import DEFAULT_ORDER_CAP, CapExceeded, GroupTable, _root_of_unity, generate, is_prime
 from .perm import Permutation
-from .structure import _root_of_unity, is_prime
 
 
-@dataclass(frozen=True, eq=False)
 class CatalogEntry:
-    """A group: its label, degree, the function that makes its generators,
-    and its order when that is known without generating, as for a builtin
-    label.  ``generators`` is made at its first read.  Two entries are equal
-    when their labels, degrees, orders and generators are."""
+    """A group: its label, degree, the function that makes its generators
+    and, for a builtin label, the function that lists integers whose
+    product is its order, known without generating.  ``order`` (None for a
+    group file) and ``generators`` are made at their first read.  Two
+    entries are equal when their labels, degrees, orders and generators
+    are."""
 
-    label: str
-    degree: int
-    make: Callable[[], Sequence[Permutation]] = field(repr=False)
-    order: int | None = None
+    def __init__(
+        self,
+        label: str,
+        degree: int,
+        make: Callable[[], Sequence[Permutation]],
+        factors: Callable[[], Iterable[int]] | None = None,
+    ):
+        self.label = label
+        self.degree = degree
+        self.make = make
+        self.factors = factors
+
+    @cached_property
+    def order(self) -> int | None:
+        return None if self.factors is None else math.prod(self.factors())
 
     @cached_property
     def generators(self) -> tuple[Permutation, ...]:
@@ -51,10 +64,15 @@ class CatalogEntry:
 
     def group(self, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
         """The generated group, or the CapExceeded that ``generate`` raises
-        above ``cap``: raised before any generator is made when ``order`` is
-        known."""
-        if self.order is not None and self.order > cap:
-            raise CapExceeded("order cap exceeded", cap + 1)
+        above ``cap``: raised before any generator is made when the order's
+        factors are known, as soon as their running product passes ``cap``,
+        so that S1000000 is refused without computing 1000000!."""
+        if self.factors is not None:
+            product = 1
+            for f in self.factors():
+                product *= f
+                if product > cap:
+                    raise CapExceeded("order cap exceeded", cap + 1)
         return generate(self.degree, self.generators, cap=cap)
 
 
@@ -255,16 +273,17 @@ def _direct_product(parts: list[CatalogEntry]) -> _Family:
 
 
 # Each family: a label pattern, the constructor that takes the pattern's
-# groups as integers, and the group order as a function of the same integers.
-_FAMILIES: list[tuple[str, Callable[..., _Family], Callable[..., int]]] = [
-    (r"C(\d+)", _cyclic, lambda n: n),
-    (r"D(\d+)", _dihedral, lambda n: 2 * n),
-    (r"S(\d+)", _symmetric, math.factorial),
-    (r"A(\d+)", _alternating, lambda n: math.factorial(n) // 2),
-    (r"Q(8|16|32)", _quaternion, lambda n: n),
-    (r"SL23", _sl23, lambda: 24),
-    (r"Frob\((\d+):(\d+)\)", _frobenius, lambda p, q: p * q),
-    (r"Heis\((\d+)\)", _heisenberg, lambda p: p**3),
+# groups as integers, and integers whose product is the group order, as a
+# function of the same integers: n! is 2 3 ... n, and n!/2 is 3 ... n.
+_FAMILIES: list[tuple[str, Callable[..., _Family], Callable[..., Iterable[int]]]] = [
+    (r"C(\d+)", _cyclic, lambda n: (n,)),
+    (r"D(\d+)", _dihedral, lambda n: (2, n)),
+    (r"S(\d+)", _symmetric, lambda n: range(2, n + 1)),
+    (r"A(\d+)", _alternating, lambda n: range(3, n + 1)),
+    (r"Q(8|16|32)", _quaternion, lambda n: (n,)),
+    (r"SL23", _sl23, lambda: (24,)),
+    (r"Frob\((\d+):(\d+)\)", _frobenius, lambda p, q: (p, q)),
+    (r"Heis\((\d+)\)", _heisenberg, lambda p: (p, p, p)),
 ]
 
 
@@ -273,20 +292,16 @@ def builtin(label: str) -> CatalogEntry:
     label = label.strip()
     parts = label.split("x")
     if len(parts) > 1:
-        factors = [builtin(p) for p in parts]
-        degree, make = _direct_product(factors)
-        order = math.prod(f.order for f in factors)
-    else:
-        for pattern, build, order_of in _FAMILIES:
-            m = re.fullmatch(pattern, label)
-            if m:
-                args = list(map(int, m.groups()))
-                degree, make = build(*args)
-                order = order_of(*args)
-                break
-        else:
-            raise UnknownLabel(f"unknown builtin label {label!r}")
-    return CatalogEntry(label, degree, make, order)
+        entries = [builtin(p) for p in parts]
+        degree, make = _direct_product(entries)
+        return CatalogEntry(label, degree, make, lambda: chain.from_iterable(e.factors() for e in entries))
+    for pattern, build, order_of in _FAMILIES:
+        m = re.fullmatch(pattern, label)
+        if m:
+            args = list(map(int, m.groups()))
+            degree, make = build(*args)
+            return CatalogEntry(label, degree, make, lambda: order_of(*args))
+    raise UnknownLabel(f"unknown builtin label {label!r}")
 
 
 BUILTIN_LABELS = (

@@ -11,6 +11,13 @@ indices.
 ConjClassPartition is G's partition into conjugacy classes, with the maps
 x -> x^g of G's generators g that found it; a set is normal iff it is a
 union of classes, read off its class counts.
+
+The number theory that group orders are read with lives here too, next to
+the one prime test, ``_least_prime``, so that the catalog imports it
+without the structure layer: ``is_prime``, ``prime_factors``, ``p_part``
+and ``_root_of_unity`` (a primitive e-th root of unity mod a prime q = 1
+mod e, which the Dixon split and the catalog's Frob(p:q) builder use).
+``structure`` re-exports all four.
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ from __future__ import annotations
 import bisect
 import math
 from collections import Counter
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -222,22 +228,34 @@ class ElementSet:
         return classes.is_union(classes.counts(self.members))
 
 
-@dataclass(frozen=True)
 class ConjClassPartition:
     """Partition of a group into conjugacy classes.
 
     Classes are numbered by (element order of representative, class size,
     least representative index); the identity is always class 0.
     ``conjugators[k]`` maps x to x^g, g = ``group.generator_ids[k]``.
+    A slots class: claims read ``class_of`` in their inner loops.
     """
 
-    group: GroupTable
-    class_of: tuple[int, ...]
-    reps: tuple[int, ...]
-    sizes: tuple[int, ...]
-    inverse_class: tuple[int, ...]
-    member_lists: tuple[tuple[int, ...], ...]
-    conjugators: tuple[tuple[int, ...], ...]
+    __slots__ = ("group", "class_of", "reps", "sizes", "inverse_class", "member_lists", "conjugators")
+
+    def __init__(
+        self,
+        group: GroupTable,
+        class_of: tuple[int, ...],
+        reps: tuple[int, ...],
+        sizes: tuple[int, ...],
+        inverse_class: tuple[int, ...],
+        member_lists: tuple[tuple[int, ...], ...],
+        conjugators: tuple[tuple[int, ...], ...],
+    ):
+        self.group = group
+        self.class_of = class_of
+        self.reps = reps
+        self.sizes = sizes
+        self.inverse_class = inverse_class
+        self.member_lists = member_lists
+        self.conjugators = conjugators
 
     @property
     def count(self) -> int:
@@ -289,13 +307,47 @@ def conjugacy_classes(G: GroupTable) -> ConjClassPartition:
 
 def _least_prime(n: int) -> int:
     """The least prime dividing n >= 2, by trial division: the one prime
-    test, behind ``structure.is_prime`` and ``prime_factors`` too."""
+    test, behind ``is_prime`` and ``prime_factors`` too."""
     d = 2
     while d * d <= n:
         if n % d == 0:
             return d
         d += 1
     return n
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and _least_prime(n) == n
+
+
+def prime_factors(n: int) -> list[int]:
+    """Distinct prime divisors of n, ascending: each least prime divided out."""
+    out = []
+    while n > 1:
+        p = _least_prime(n)
+        out.append(p)
+        while n % p == 0:
+            n //= p
+    return out
+
+
+def p_part(n: int, p: int) -> int:
+    """Largest power of p dividing n."""
+    m = 1
+    while n % p == 0:
+        n //= p
+        m *= p
+    return m
+
+
+def _root_of_unity(e: int, q: int) -> int:
+    """A primitive e-th root of unity mod the prime q = 1 (mod e): a
+    primitive root of F_q raised to the power (q - 1) / e."""
+    factors = prime_factors(q - 1)
+    for g in range(2, q):
+        if all(pow(g, (q - 1) // p, q) != 1 for p in factors):
+            return pow(g, (q - 1) // e, q)
+    raise RuntimeError(f"no primitive root mod {q}")
 
 
 def _dimino(G: GroupTable, seeds: Iterable[int], start: tuple = ((0,), ())) -> tuple[Sequence[int], list[int]]:

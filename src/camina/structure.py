@@ -6,11 +6,9 @@ Frobenius-kernel detection, all computed from the ``GroupTable`` alone.
 The conjugacy classes are ``grouptable.conjugacy_classes``, re-exported
 here; a normal subset is a union of classes.
 
-The number theory these read group orders with lives here too, where the
-catalog can import it without the character-table layer: ``is_prime``,
-``prime_factors``, ``_root_of_unity`` (a primitive e-th root of unity mod
-a prime q = 1 mod e, which the Dixon split and the catalog's Frob(p:q)
-builder use) and ``p_part``.
+The number theory these read group orders with, ``is_prime``,
+``prime_factors``, ``p_part`` and ``_root_of_unity``, lives in
+``grouptable`` next to its one prime test and is re-exported here.
 """
 
 from __future__ import annotations
@@ -24,47 +22,16 @@ from .grouptable import (
     ElementSet,
     GroupTable,
     _dimino,
-    _least_prime,
+    _root_of_unity,
     closure_indices,
     conjugacy_classes,
+    is_prime,
+    p_part,
+    prime_factors,
     small_generating_set,
 )
 
 SUBGROUP_CAP = 50_000
-
-
-def is_prime(n: int) -> bool:
-    return n >= 2 and _least_prime(n) == n
-
-
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime divisors of n, ascending: each least prime divided out."""
-    out = []
-    while n > 1:
-        p = _least_prime(n)
-        out.append(p)
-        while n % p == 0:
-            n //= p
-    return out
-
-
-def _root_of_unity(e: int, q: int) -> int:
-    """A primitive e-th root of unity mod the prime q = 1 (mod e): a
-    primitive root of F_q raised to the power (q - 1) / e."""
-    factors = prime_factors(q - 1)
-    for g in range(2, q):
-        if all(pow(g, (q - 1) // p, q) != 1 for p in factors):
-            return pow(g, (q - 1) // e, q)
-    raise RuntimeError(f"no primitive root mod {q}")
-
-
-def p_part(n: int, p: int) -> int:
-    """Largest power of p dividing n."""
-    m = 1
-    while n % p == 0:
-        n //= p
-        m *= p
-    return m
 
 
 def centralizer(G: GroupTable, x: int) -> ElementSet:

@@ -6,6 +6,7 @@ import pytest
 import camina.catalog as catalog
 from camina.catalog import (
     BUILTIN_LABELS,
+    CatalogEntry,
     ParseError,
     UnknownLabel,
     builtin,
@@ -139,19 +140,26 @@ class TestBuiltin:
             entry.group(cap)
         assert exc.value.partial == cap + 1
 
-    @pytest.mark.parametrize("label", ["C1000000000", "Heis(13)", "S1000", "A1000", "C2xD1000000000"])
+    @pytest.mark.parametrize(
+        "label",
+        ["C1000000000", "Heis(13)", "S1000", "A1000", "C2xD1000000000", "S10000000", "A10000000", "S10000000xC2"],
+    )
     def test_label_over_the_cap_builds_no_generator(self, monkeypatch, label):
         # a family builds its generators only when they are read: a label
-        # over the cap is refused before any point map or permutation is made
+        # over the cap is refused before any point map or permutation is made,
+        # and its order's factors are multiplied only until they pass the cap
         def refuse(*args, **kwargs):
             raise AssertionError("a generator was built for a label over the cap")
 
         monkeypatch.setattr(catalog, "_action", refuse)
         monkeypatch.setattr(catalog, "Permutation", refuse)
         monkeypatch.setattr(catalog, "generate", refuse)
+        entry = builtin(label)
         with pytest.raises(CapExceeded, match=r"^order cap exceeded \(reached 2001\)$") as exc:
-            builtin(label).group()
+            entry.group()
         assert exc.value.partial == 2001
+        assert "order" not in vars(entry)
+        assert "generators" not in vars(entry)
 
     def test_static_order_at_the_cap_is_generated(self):
         assert builtin("S4xC2").group(48).order == 48
@@ -169,6 +177,42 @@ class TestBuiltin:
         required = {"S3", "S4", "A4", "A5", "Q8", "Q16", "SL23", "Frob(7:3)", "Frob(5:4)", "Heis(3)"}
         required |= {f"D{n}" for n in range(4, 13)}
         assert required <= labels
+
+
+class TestCatalogEntry:
+    def test_equal_by_label_degree_order_and_generators(self):
+        assert builtin("S4") == builtin("S4")
+        assert builtin("S4xC2") == builtin(" S4xC2 ")
+        assert builtin("S4") != builtin("A4")
+        assert builtin("C2xC3") != builtin("C3xC2")  # same order, other label
+        assert builtin("S4") != "S4"
+
+    def test_equal_labels_with_other_generators_differ(self):
+        entry = builtin("C4")
+        other = CatalogEntry("C4", 4, lambda: [Permutation((1, 0, 3, 2))], entry.factors)
+        assert entry.order == other.order == 4
+        assert entry != other
+
+    def test_not_hashable(self):
+        with pytest.raises(TypeError):
+            hash(builtin("S3"))
+
+    def test_generators_made_once_at_first_read_after_the_cap_check(self):
+        calls = []
+
+        def make():
+            calls.append(1)
+            return builtin("S4").generators
+
+        entry = CatalogEntry("S4", 4, make, builtin("S4").factors)
+        with pytest.raises(CapExceeded):
+            entry.group(10)
+        assert calls == []
+        first = entry.generators
+        assert calls == [1]
+        assert entry.generators is first
+        assert entry.group().order == 24
+        assert calls == [1]
 
 
 class TestCycleNotation:

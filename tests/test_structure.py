@@ -104,6 +104,36 @@ class TestConjugacyClasses:
                 assert cl.sizes[cl.class_of[x]] * len(centralizer(G, x)) == G.order
 
 
+    def test_partition_fields_and_methods(self, s4):
+        cl = conjugacy_classes(s4)
+        assert cl is conjugacy_classes(s4)  # cached on the table
+        assert cl.group is s4
+        assert cl.count == len(cl.reps) == len(cl.sizes) == len(cl.inverse_class) == len(cl.member_lists) == 5
+        assert cl.sizes == (1, 3, 6, 8, 6)
+        assert cl.reps == tuple(m[0] for m in cl.member_lists)
+        assert len(cl.class_of) == 24
+        assert all(cl.class_of[x] == c for c in range(cl.count) for x in cl.members(c))
+        assert all(cl.members(c) == cl.member_lists[c] for c in range(cl.count))
+        assert len(cl.conjugators) == len(s4.generator_ids)
+        assert all(row == tuple(s4.conj(x, g) for x in range(24)) for row, g in zip(cl.conjugators, s4.generator_ids))
+        klein = closure_indices(s4, cl.members(1))
+        assert cl.counts(klein) == {0: 1, 1: 3}
+        assert cl.is_union(cl.counts(klein))
+        assert not cl.is_union(cl.counts(klein[:2]))
+
+    def test_partition_is_a_slots_record(self, s4):
+        cl = conjugacy_classes(s4)
+        assert not hasattr(cl, "__dict__")
+        with pytest.raises(AttributeError):
+            cl.extra = 1
+
+
+class TestNumberTheory:
+    @pytest.mark.parametrize("name", ["is_prime", "prime_factors", "p_part", "_root_of_unity"])
+    def test_structure_reexports_grouptable(self, name):
+        assert getattr(structure, name) is getattr(grouptable, name)
+
+
 class TestCentralizerCenter:
     def test_identity_centralizer(self, s3):
         assert len(centralizer(s3, 0)) == s3.order
