@@ -298,7 +298,10 @@ def builtin(label: str) -> CatalogEntry:
     for pattern, build, order_of in _FAMILIES:
         m = re.fullmatch(pattern, label)
         if m:
-            args = list(map(int, m.groups()))
+            try:
+                args = list(map(int, m.groups()))
+            except ValueError:  # more digits than int() converts
+                raise UnknownLabel(f"builtin label {label[:20]}... has a parameter too long to read") from None
             degree, make = build(*args)
             return CatalogEntry(label, degree, make, lambda: order_of(*args))
     raise UnknownLabel(f"unknown builtin label {label!r}")

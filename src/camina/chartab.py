@@ -7,10 +7,12 @@ needs nothing more.  The other rows come from simultaneous eigenspace
 splitting of the class matrices over a finite field F_q with q = 1 mod e,
 started in the orthogonal complement of the linear rows, which every class
 matrix maps into itself; one row left needs no class matrix.  Each space
-is split by the roots of the class matrix restricted to it, and each
-row is lifted to exact cyclotomic integers by multiplicity counting over
-the powers of one class representative per Galois class of columns; the
-other columns of a Galois class re-index those counts.  Every value of a
+is split by the roots of the class matrix restricted to it; a class
+matrix that acts on a space as a scalar leaves it whole, and each class
+matrix is built only when the split reaches it with a space left to
+split.  Each row is lifted to exact cyclotomic integers by multiplicity
+counting over the powers of one class representative per Galois class of
+columns; the other columns of a Galois class re-index those counts.  Every value of a
 table lies in one ring, Z[zeta_e] with e = exp(G).  Every table, built or
 read from a cache, is checked by one path, the ``CharacterTable``
 constructor, which decides it exactly in Z[zeta_e]: one row per class, the
@@ -36,7 +38,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cyclotomic import Cyc
 from .grouptable import CapExceeded, ElementSet, GroupTable, subgroup_table
@@ -137,17 +139,23 @@ def dixon_prime(e: int, order: int) -> int:
 
 def class_matrices(G: GroupTable) -> list[list[list[int]]]:
     """For each class i, the matrix M_i with M_i[j][k] = a_ijk, the number of
-    ways a fixed element of class k factors as (class i element)*(class j element)."""
+    ways a fixed element of class k factors as (class i element)*(class j
+    element): every ``_class_matrix`` at once.  The split builds its
+    matrices one at a time instead, as it reaches them."""
     classes = conjugacy_classes(G)
+    return [_class_matrix(G, classes, i) for i in range(classes.count)]
+
+
+def _class_matrix(G: GroupTable, classes: ConjClassPartition, i: int) -> list[list[int]]:
+    """M_i of ``class_matrices``: x in class i factors rep_k as x (x^-1
+    rep_k), so a_ijk counts the x with x^-1 rep_k in class j."""
     r = classes.count
-    mats = [[[0] * r for _ in range(r)] for _ in range(r)]
-    for k in range(r):
-        z = classes.reps[k]
-        for i in range(r):
-            row = mats[i]
-            for x in classes.members(i):
-                row[classes.class_of[G.mul(G.inv(x), z)]][k] += 1
-    return mats
+    M = [[0] * r for _ in range(r)]
+    members = classes.members(i)
+    for k, z in enumerate(classes.reps):
+        for x in members:
+            M[classes.class_of[G.mul(G.inv(x), z)]][k] += 1
+    return M
 
 
 # --- linear algebra over F_q ---------------------------------------------
@@ -241,14 +249,27 @@ def _roots_mod(poly: list[int], q: int) -> list[int]:
     return roots
 
 
-def _simultaneous_eigenvectors(mats: list[list[list[int]]], start: list[list[int]], q: int) -> list[list[int]]:
+def _simultaneous_eigenvectors(mats: Iterable[list[list[int]]], start: list[list[int]], q: int) -> list[list[int]]:
     """Common eigenvectors over F_q of the commuting class matrices in the
     space spanned by ``start``, a basis in reduced echelon form that every
     matrix maps into itself, normalized so the identity-class coordinate
-    is 1."""
+    is 1.
+
+    ``mats`` gives the class matrices of the non-identity classes in class
+    order, and may be lazy: the next one is drawn only while some space is
+    larger than one-dimensional, so once every space is a line no further
+    matrix is built.  Each space B, kept in reduced echelon form, is split
+    by the roots of the characteristic polynomial of the matrix A of M on
+    span(B).  Since q does not divide |G|, the class sums act semisimply on
+    the centre of F_q G, so A is diagonalizable, and one root means that A
+    is a scalar lambda I: then A - lambda I is zero, its kernel is all of
+    span(B), and B is kept as it is, with no characteristic polynomial,
+    root search or kernel computed."""
     spaces = [start]
-    for M in mats[1:]:
-        if all(len(B) == 1 for B in spaces):
+    matrices = iter(mats)
+    while any(len(B) > 1 for B in spaces):
+        M = next(matrices, None)
+        if M is None:
             break
         new_spaces: list[list[list[int]]] = []
         for B in spaces:
@@ -260,6 +281,9 @@ def _simultaneous_eigenvectors(mats: list[list[list[int]]], start: list[list[int
             # product of M's row pivot_i with b_j; no other row is read.
             pivot_rows = [M[b.index(1)] for b in B]
             A = [[sum(map(mul, row, b)) % q for b in B] for row in pivot_rows]
+            if A == [[A[0][0] if i == j else 0 for j in range(len(B))] for i in range(len(B))]:
+                new_spaces.append(B)  # A is scalar: B is one eigenspace
+                continue
             cols = list(zip(*B))
             split_total = 0
             for lam in _roots_mod(_charpoly(A, q), q):
@@ -389,16 +413,16 @@ def _nonlinear_rows(G: GroupTable, classes: ConjClassPartition, linear: list[lis
     Their central characters omega_chi(k) = |K_k| chi(rep_k) / chi(1) span
     the space of v with sum_k v(k) lambda(rep_k*) = 0 for every linear
     lambda, k* the class of inverses, and every class matrix maps it into
-    itself (Schneider), so the split starts there, mod q = ``dixon_prime``;
-    a one-dimensional space needs no class matrix.  The rows are then
-    lifted from the degrees and the residues chi(k) = chi(1) omega(k) /
-    |K_k| mod q."""
+    itself (Schneider), so the split starts there, mod q = ``dixon_prime``,
+    building each class matrix as it reaches it; a one-dimensional space
+    needs no class matrix.  The rows are then lifted from the degrees and
+    the residues chi(k) = chi(1) omega(k) / |K_k| mod q."""
     r, n = classes.count, G.order
     q = dixon_prime(e, n)
     z = _root_of_unity(e, q)
     zpow = [pow(z, t, q) for t in range(e)]
     start = _rref(_kernel([[zpow[ts[k]] for k in classes.inverse_class] for ts in linear], r, q), q)
-    omegas = _simultaneous_eigenvectors(class_matrices(G) if len(start) > 1 else [], start, q)
+    omegas = _simultaneous_eigenvectors((_class_matrix(G, classes, i) for i in range(1, r)), start, q)
 
     inv_sizes = [pow(s, -1, q) for s in classes.sizes]
     degrees = []
@@ -495,12 +519,13 @@ def _residues(values: _Values, classes: ConjClassPartition, p: int) -> list[list
     present = set(cells)
     if len(present) != r or len(cells) != r or any(len(row) != r for row in cells):
         raise RuntimeError("character rows are not orthonormal")
+    walks = [G.powers(rep) for rep in classes.reps]  # walk[t - 1] = rep^t
     for c in _unit_generators(e) + [-1 % e]:
         image = [ids.get(Cyc(e, v).galois(c).coeffs) for v in distinct]
         moved = [tuple(map(image.__getitem__, row)) for row in cells]
         if not present.issuperset(moved):
             raise RuntimeError("character rows are not orthonormal")
-        at = [classes.class_of[G.power(rep, c)] for rep in classes.reps]
+        at = [classes.class_of[walk[c % len(walk) - 1]] for walk in walks]
         if moved != [tuple(map(row.__getitem__, at)) for row in cells]:
             raise RuntimeError("character values do not follow the power maps")
     z = _root_of_unity(e, p)

@@ -136,8 +136,18 @@ def build_parser() -> _Parser:
 
 
 def _resolve_group(args) -> tuple[str, GroupTable]:
-    entry = parse_group_file(args.group) if Path(args.group).is_file() else builtin(args.group)
+    entry = parse_group_file(args.group) if _is_file(args.group) else builtin(args.group)
     return entry.label, entry.group(cap=args.order_cap)
+
+
+def _is_file(path: str) -> bool:
+    """Whether ``path`` names a file.  A name that the system refuses to
+    look up, such as one longer than its file-name limit, names none, so
+    ``--group`` reads it as a builtin label."""
+    try:
+        return Path(path).is_file()
+    except OSError:
+        return False
 
 
 def _subgroup_by_file(G: GroupTable, path: str) -> ElementSet:

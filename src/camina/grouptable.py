@@ -140,7 +140,13 @@ def generate(degree: int, gens: Sequence[Permutation], cap: int = DEFAULT_ORDER_
     several indices and gives a tuple.  Raises CapExceeded as soon as more
     than ``cap`` elements are discovered.  The trivial group is produced
     for an empty generator list.
+
+    The generators are validated ``Permutation``s of ``degree`` >= 1, so
+    every image tuple found, a product of them, is a bijection too: the
+    elements wrap these tuples as they are, with no second check.
     """
+    if degree < 1:
+        raise ValueError("permutation must have positive degree")
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"generator degree {g.degree} != {degree}")
@@ -171,7 +177,7 @@ def generate(degree: int, gens: Sequence[Permutation], cap: int = DEFAULT_ORDER_
             if rows[left[x]] is None:
                 rows[left[x]] = list(itemgetter(*rows[x])(left))
                 reached.append(left[x])
-    elements = [Permutation(t) for t in ordered]
+    elements = list(map(Permutation._unchecked, ordered))
     return GroupTable(degree, elements, index_of, [index_of[g] for g in gen_images], rows)
 
 
@@ -179,14 +185,25 @@ class ElementSet:
     """A subset of a GroupTable, stored as strictly increasing element indices."""
 
     def __init__(self, parent: GroupTable, members: Iterable[int]):
-        self.parent = parent
-        self.members = tuple(sorted(set(members)))
-        m = self.members
+        m = tuple(sorted(set(members)))
         if m and (m[0] < 0 or m[-1] >= parent.order):
             bad = m[0] if m[0] < 0 else m[bisect.bisect_left(m, parent.order)]  # least negative, else least >= |G|
             raise ValueError(f"element index {bad} out of range")
-        self._memberset = frozenset(self.members)
-        self._is_subgroup: bool | None = None
+        self._set(parent, m, None)
+
+    @classmethod
+    def _sorted(cls, parent: GroupTable, members: tuple[int, ...], is_subgroup: bool | None = None) -> ElementSet:
+        """A set whose ``members`` are already strictly increasing indices
+        of ``parent``, such as a closure's sorted members, taken as they are."""
+        s = object.__new__(cls)
+        s._set(parent, members, is_subgroup)
+        return s
+
+    def _set(self, parent: GroupTable, members: tuple[int, ...], is_subgroup: bool | None) -> None:
+        self.parent = parent
+        self.members = members
+        self._memberset = frozenset(members)
+        self._is_subgroup = is_subgroup
 
     @classmethod
     def whole(cls, parent: GroupTable) -> ElementSet:

@@ -26,6 +26,15 @@ class Permutation:
             raise ValueError(f"images {imgs!r} are not a bijection of 0..{n - 1}")
         self.images = imgs
 
+    @classmethod
+    def _unchecked(cls, images: tuple[int, ...]) -> Permutation:
+        """Wrap an image tuple that is already known to be a bijection of
+        0..n-1, n >= 1, such as a product of validated permutations, without
+        checking it again."""
+        perm = object.__new__(cls)
+        perm.images = images
+        return perm
+
     @property
     def degree(self) -> int:
         return len(self.images)

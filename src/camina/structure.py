@@ -206,9 +206,7 @@ def subgroups(G: GroupTable) -> list[ElementSet]:
             if joined not in gens_of:
                 record_class(joined, gens_of[a] + (z,))
     ordered = sorted(gens_of, key=lambda m: (len(m), m))
-    result = [ElementSet(G, m) for m in ordered]
-    for s in result:
-        s._is_subgroup = True
+    result = [ElementSet._sorted(G, m, is_subgroup=True) for m in ordered]
     normal = {a for a, size, _ in worklist if size == 1}
     G._cache["subgroups"] = result
     G._cache["normal_subgroups"] = [s for s in result if s.members in normal]

@@ -89,6 +89,16 @@ class TestBuiltin:
             builtin(label)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("label", ["C" + "9" * 5000, "C2xD" + "7" * 5000, "Frob(" + "7" * 5000 + ":2)"])
+    def test_parameter_too_long_for_an_int(self, label):
+        # past Python's int-conversion digit limit: an unknown label, not a bare ValueError
+        with pytest.raises(UnknownLabel, match=r"has a parameter too long to read$"):
+            builtin(label)
+
+    def test_long_parameter_that_converts_is_over_the_cap(self):
+        with pytest.raises(CapExceeded, match=r"^order cap exceeded \(reached 2001\)$"):
+            builtin("C" + "9" * 300).group()
+
     def test_generators_pinned(self):
         # sha256 of (degree, generator images) of every builtin label: the
         # generators fix the element order, and so the subgroup indices and

@@ -368,14 +368,16 @@ class TestLinearCharacters:
 
     @pytest.mark.parametrize(
         "label, skipped",
-        [("C60", ("class_matrices", "_eigenvalue_counts")), ("C5xC10", ("class_matrices", "_eigenvalue_counts")),
-         ("C4xC4xC2", ("class_matrices", "_eigenvalue_counts")), ("C3xC3xC3", ("class_matrices", "_eigenvalue_counts")),
-         ("S3", ("class_matrices",)), ("A4", ("class_matrices",)), ("Frob(11:10)", ("class_matrices",))],
+        [("C60", ("_eigenvalue_counts",)), ("C5xC10", ("_eigenvalue_counts",)),
+         ("C4xC4xC2", ("_eigenvalue_counts",)), ("C3xC3xC3", ("_eigenvalue_counts",)),
+         ("S3", ()), ("A4", ()), ("Frob(11:10)", ())],
     )
     def test_no_class_matrices_when_at_most_one_row_is_left(self, monkeypatch, label, skipped):
         # abelian groups need no split and no lift; S3, A4 and Frob(11:10)
-        # have one row of degree > 1, (rho_G - sum of the linear rows) / d
-        for name in skipped:
+        # have one row of degree > 1, (rho_G - sum of the linear rows) / d.
+        # The split builds its matrices one at a time with _class_matrix, so
+        # that is forbidden too, or the test would pass with matrices built
+        for name in ("class_matrices", "_class_matrix") + skipped:
             monkeypatch.setattr(chartab, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
         G = builtin(label).group()
         table = character_table(G)
@@ -413,6 +415,62 @@ class TestDixonSplit:
         monkeypatch.setattr(chartab, "_rref", lambda *args: calls.append(args) or original(*args))
         assert len(character_table(builtin("C16").group()).irreducibles) == 16
         assert len(calls) <= 120
+
+    @pytest.mark.parametrize("label, most", [("Q32xC2", 13), ("D30", 11)])
+    def test_no_characteristic_polynomial_of_a_scalar(self, monkeypatch, label, most):
+        # a class matrix that acts on a space as a scalar leaves it whole:
+        # splitting every space by every matrix took 59 and 31 of them
+        calls = []
+        original = chartab._charpoly
+        monkeypatch.setattr(chartab, "_charpoly", lambda *args: calls.append(args) or original(*args))
+        G = builtin(label).group()
+        assert len(character_table(G).irreducibles) == conjugacy_classes(G).count
+        assert 0 < len(calls) <= most
+        for A, q in calls:
+            assert A != [[A[0][0] if i == j else 0 for j in range(len(A))] for i in range(len(A))]
+
+    def test_heis5_builds_one_class_matrix(self, monkeypatch):
+        # the first non-identity class matrix splits Heis(5)'s four
+        # central characters apart, so none of the other 27 is built
+        built = []
+        original = chartab._class_matrix
+        monkeypatch.setattr(chartab, "_class_matrix", lambda *args: built.append(args[2]) or original(*args))
+        monkeypatch.setattr(chartab, "class_matrices", lambda *args: pytest.fail("class_matrices ran"))
+        assert character_table(builtin("Heis(5)").group()).degree_sequence == (1,) * 25 + (5,) * 4
+        assert built == [1]
+
+    def test_scalar_matrix_keeps_the_space_and_no_matrix_is_drawn_after_the_split(self, monkeypatch):
+        # 3 I keeps span(e_0, e_1); the swap splits it into the lines of
+        # (1, 1) and (1, -1), after which the third matrix is never drawn
+        q = 7
+        calls = []
+        original = chartab._charpoly
+        monkeypatch.setattr(chartab, "_charpoly", lambda *args: calls.append(args) or original(*args))
+        drawn = []
+
+        def mats():
+            for M in ([[3, 0], [0, 3]], [[0, 1], [1, 0]], None):
+                drawn.append(M)
+                yield M
+
+        got = chartab._simultaneous_eigenvectors(mats(), [[1, 0], [0, 1]], q)
+        assert got == [[1, 1], [1, q - 1]]
+        assert calls == [([[0, 1], [1, 0]], q)]
+        assert drawn == [[[3, 0], [0, 3]], [[0, 1], [1, 0]]]
+
+    def test_too_few_matrices_to_split(self):
+        with pytest.raises(RuntimeError, match="did not split to one-dimensional spaces"):
+            chartab._simultaneous_eigenvectors(iter([[[3, 0], [0, 3]]]), [[1, 0], [0, 1]], 7)
+
+    @pytest.mark.parametrize("label", ["Q16xQ8", "D20xC3", "Frob(31:15)xC2"])
+    def test_larger_tables_match_the_reference_split(self, label):
+        # the shortened split against the oracle that splits every space
+        # by every class matrix's own eigenvalues on the whole space
+        G = builtin(label).group()
+        got, want = character_table(G), reference_character_table(G)
+        assert len(got.irreducibles) == conjugacy_classes(G).count
+        for a, b in zip(got.irreducibles, want.irreducibles, strict=True):
+            assert [(v.e, v.coeffs) for v in a.values] == [(v.e, v.coeffs) for v in b.values], label
 
 
 class TestModularSelfCheck:

@@ -81,6 +81,21 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(4, [cyc(3, (0, 1))])
 
+    def test_degree_zero(self):
+        with pytest.raises(ValueError, match="^permutation must have positive degree$"):
+            generate(0, [])
+
+    def test_elements_are_their_validated_permutations(self):
+        # generate wraps the products it found without checking them again;
+        # each is the Permutation that the checking constructor makes of it
+        G = builtin("S5").group()
+        assert G.order == 120
+        for x in G.elements:
+            checked = Permutation(x.images)
+            assert type(x) is Permutation and type(x.images) is tuple
+            assert x == checked and hash(x) == hash(checked) and x.images == checked.images
+        assert sorted(x.images for x in G.elements) == [x.images for x in G.elements]
+
     def test_canonical_order(self):
         G = generate(3, [cyc(3, (0, 1)), cyc(3, (0, 1, 2))])
         images = [p.images for p in G.elements]
@@ -260,6 +275,16 @@ class TestElementSet:
     def test_out_of_range(self, s3):
         with pytest.raises(ValueError):
             ElementSet(s3, (99,))
+
+    def test_sorted_members_taken_as_they_are(self, s3):
+        # the lattice's members are sorted closures, so they skip the
+        # constructor's sort and range check and give the same set
+        members = closure_indices(s3, [1])
+        es = ElementSet._sorted(s3, members, is_subgroup=True)
+        assert es.members is members
+        assert es == ElementSet(s3, members) and hash(es) == hash(ElementSet(s3, members))
+        assert es.is_subgroup and list(es) == list(members) and all(x in es for x in members)
+        assert ElementSet._sorted(s3, (0, 1, 2)).is_subgroup is False
 
     @pytest.mark.parametrize(
         "members, named",

@@ -510,6 +510,17 @@ class TestCli:
         assert out == ""
         assert err == "error: cyclic parameter must be >= 1, got 0\n"
 
+    def test_label_longer_than_a_file_name_is_a_label(self, capsys):
+        # a --group value past the file-name length limit is no file: 300
+        # nines name a cyclic group over the order cap, 5000 nines are more
+        # digits than an int is read from, an unknown label
+        assert run_cli(["info", "--group", "C" + "9" * 300]) == 3
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: order cap exceeded (reached 2001)\n")
+        assert run_cli(["info", "--group", "C" + "9" * 5000]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: builtin label C9999999999999999999... has a parameter too long to read\n"
+
     @pytest.mark.parametrize("flag", ["--order-cap", "--jobs", "--max-order"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_counts_are_positive_integers(self, capsys, flag, value):

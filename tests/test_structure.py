@@ -374,6 +374,18 @@ class TestSubgroups:
         keys = [(len(H), H.members) for H in subs]
         assert keys == sorted(keys)
 
+    def test_listed_sets_are_not_sorted_again(self, monkeypatch):
+        # every listed member tuple is already sorted and in range, so no
+        # set goes through ElementSet's checking constructor
+        G = builtin("S4xC2").group()
+        monkeypatch.setattr(ElementSet, "__init__", lambda *args: pytest.fail("ElementSet.__init__ ran"))
+        subs = subgroups(G)
+        monkeypatch.undo()
+        assert len(subs) == 98
+        for H in subs:
+            assert H == ElementSet(G, H.members) and H.is_subgroup
+            assert H.members == tuple(sorted(set(H.members)))
+
     def test_known_counts(self):
         for label, expect in [("A4", 10), ("S4", 30), ("A5", 59), ("D6", 16), ("S5", 156)]:
             assert len(subgroups(builtin(label).group())) == expect, label
