@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .grouptable import DEFAULT_ORDER_CAP, CapExceeded, GroupTable, _root_of_unity, generate, is_prime
-from .perm import Permutation
+from .perm import Permutation, cycles
 
 
 class CatalogEntry:
@@ -97,7 +97,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     if not stripped:
         raise ValueError("empty permutation")
     consumed = 0
-    cycles: list[list[int]] = []
+    images = list(range(degree))
     seen: set[int] = set()
     for m in _CYCLE_RE.finditer(stripped):
         if m.start() != consumed:
@@ -116,15 +116,17 @@ def parse_cycles(text: str, degree: int) -> Permutation:
             if p in seen:
                 raise ValueError(f"point {p} repeated across cycles")
             seen.add(p)
-        cycles.append([p - 1 for p in points])
+        for a, b in zip(points, points[1:] + points[:1]):
+            images[a - 1] = b - 1
     if consumed != len(stripped):
         raise ValueError(f"malformed cycle text {text!r}")
-    return Permutation.from_cycles(degree, cycles)
+    return Permutation(images)
 
 
-def format_cycles(perm: Permutation) -> str:
-    """1-based disjoint-cycle notation; the identity prints as ``()``."""
-    cyc = perm.cycles()
+def format_cycles(images: Sequence[int]) -> str:
+    """An image tuple, such as a group element, in 1-based disjoint-cycle
+    notation; the identity prints as ``()``."""
+    cyc = cycles(images)
     if not cyc:
         return "()"
     return "".join("(" + ",".join(str(p + 1) for p in c) + ")" for c in cyc)

@@ -12,35 +12,36 @@ matrix that acts on a space as a scalar leaves it whole, and each class
 matrix is built only when the split reaches it with a space left to
 split.  Each row is lifted to exact cyclotomic integers by multiplicity
 counting over the powers of one class representative per Galois class of
-columns; the other columns of a Galois class re-index those counts.  Every value of a
-table lies in one ring, Z[zeta_e] with e = exp(G).  Every table, built or
-read from a cache, is checked by one path, the ``CharacterTable``
-constructor, which decides it exactly in Z[zeta_e]: one row per class, the
-rows closed under the Galois group and following the power maps, both
-compared on coefficient tuples, and then the orthogonality relations, which
-one embedding into F_p, p = 1 mod e a prime above an explicit bound on the
-values, decides.  The check reads each of the r^2 cells once, as the id of
-its distinct value, and works on the distinct values after that.  Its r^2
-residues come from one packed integer product per row (Kronecker
-substitution): with the j-th row of W_1 in bits [s j, s j + s) of the
-packed columns, s = bit_length(r p^2), slot j of row i is a sum of r
-products of residues below p, so it is below r (p - 1)^2 < 2^s, no slot
-carries into the next, and each slot is the exact dot product.  The
-table keeps both the value ids (``CharacterTable.values``), on which
-equality tests such as kernels run, and the residues: integer sums below
-p, such as |H| [chi_i_H, chi_j_H], are read from them
-(``CharacterTable.mod_p``).
+columns; the other columns of a Galois class re-index those counts.  Every
+value lies in one ring, Z[zeta_e] with e = exp(G), and a table is its
+value index: its distinct values as coefficient tuples and each row as
+the ids of its values (``Cyc`` and ``ClassFunction`` are only for the
+class-function operations).  Every table, built or read from a cache,
+reaches one check in that form, the ``CharacterTable`` constructor, which
+checks the coefficients and ids and then decides the table exactly in
+Z[zeta_e]: one row per class, the rows closed under the Galois group and
+following the power maps, both compared on coefficient tuples, and then
+the orthogonality relations, which one embedding into F_p, p = 1 mod e a
+prime above an explicit bound on the values, decides.  Its r^2 residues
+come from one packed integer product per row (Kronecker substitution):
+with the j-th row of W_1 in bits [s j, s j + s) of the packed columns, s =
+bit_length(r p^2), slot j of row i is a sum of r products of residues
+below p, so it is below r (p - 1)^2 < 2^s, no slot carries into the next,
+and each slot is the exact dot product.  The table keeps both the value
+ids (``CharacterTable.values``), on which equality tests such as kernels
+run, and the residues: integer sums below p, such as |H| [chi_i_H,
+chi_j_H], are read from them (``CharacterTable.mod_p``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .cyclotomic import Cyc
+from .cyclotomic import Cyc, cyclotomic_polynomial
 from .grouptable import CapExceeded, ElementSet, GroupTable, subgroup_table
 from .structure import ConjClassPartition, _root_of_unity, conjugacy_classes, derived_subgroup, exponent, is_prime
 
@@ -58,20 +59,22 @@ class ClassFunction:
         return self.values[0].as_int()
 
 
-@dataclass(frozen=True)
 class CharacterTable:
-    """Irr(G), checked exactly when constructed, whether built or read from
-    a cache: RuntimeError unless there is one row per class, the rows are
-    distinct and sorted by degree, then by the coefficient tuples of their
-    values, every value lies in Z[zeta_e] with e = exp(G), the rows are
-    closed under the Galois group and follow the power maps, [chi_i, chi_j]
-    = delta_ij, and every chi(1) is a positive integer; with one such row
-    per class, sum chi(1)^2 = |G| follows.  ``values`` is the check's value
-    index (``_Values``): each cell as the id of its distinct value, so equal
-    values have equal ids.  ``mod_p`` is the check's (p, X): X[i][k] =
-    chi_i(k) mod p under zeta_e -> z.  A sum of products of values that is
-    an integer in [0, p) is its own residue; p > |G| (D^2 + 1) >= |G|
-    chi(1)^2 for all chi.
+    """Irr(G) as its value index, checked exactly when constructed, whether
+    built or read from a cache.  ``distinct`` lists values of Z[zeta_e], e =
+    exp(G), each as its deg(Phi_e) int coefficients, and ``cells`` each row
+    as the ids of its values: cells[i][k] indexes chi_i(k) in ``distinct``.
+    RuntimeError unless every value is such a coefficient tuple, every id
+    is an int index into ``distinct``, there is one row per class, the rows
+    are distinct and sorted by degree, then by the coefficient tuples of
+    their values, the rows are closed under the Galois group and follow
+    the power maps, [chi_i, chi_j] = delta_ij, and every chi(1) is a
+    positive integer; with one such row per class, sum chi(1)^2 = |G|
+    follows.  ``values`` is the check's value index (``_Values``): equal
+    values merged, so equal values have equal ids.  ``mod_p`` is the
+    check's (p, X): X[i][k] = chi_i(k) mod p under zeta_e -> z.  A sum of
+    products of values that is an integer in [0, p) is its own residue; p >
+    |G| (D^2 + 1) >= |G| chi(1)^2 for all chi.
 
     The check runs on the distinct values of ``_reduction``.  For c = -1
     and each c of ``_unit_generators(e)``, which generate the units mod e,
@@ -99,19 +102,23 @@ class CharacterTable:
     sigma_-1(chi(k)).  X_1 W_1^T mod p comes from ``_gram_mod``, one packed
     integer product per row, exactly."""
 
-    group: GroupTable
-    irreducibles: tuple[ClassFunction, ...]
-    values: _Values = field(init=False, repr=False, compare=False)
-    mod_p: tuple[int, list[list[int]]] = field(init=False, repr=False, compare=False)
+    def __init__(self, group: GroupTable, distinct: Sequence[Sequence[int]], cells: Sequence[Sequence[int]]):
+        self.group = group
+        self.values, p = _reduction(group, distinct, cells)
+        self.mod_p = (p, _residues(self.values, conjugacy_classes(group), p))
 
-    def __post_init__(self):
-        values, p = _reduction(self.irreducibles, self.group)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "mod_p", (p, _residues(values, conjugacy_classes(self.group), p)))
+    @cached_property
+    def irreducibles(self) -> tuple[ClassFunction, ...]:
+        """The rows as class functions, one ``Cyc`` per distinct value, for
+        ``decompose``."""
+        cells, distinct, _, e = self.values
+        values = [Cyc(e, coeffs) for coeffs in distinct]
+        return tuple(ClassFunction(self.group, tuple(map(values.__getitem__, row))) for row in cells)
 
     @cached_property
     def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(chi.degree() for chi in self.irreducibles))
+        distinct = self.values.distinct
+        return tuple(sorted(distinct[row[0]][0] for row in self.values.cells))
 
     @cached_property
     def kernels(self) -> tuple[frozenset[int], ...]:
@@ -137,18 +144,12 @@ def dixon_prime(e: int, order: int) -> int:
     return prime_above(e, 2 * root)
 
 
-def class_matrices(G: GroupTable) -> list[list[list[int]]]:
-    """For each class i, the matrix M_i with M_i[j][k] = a_ijk, the number of
-    ways a fixed element of class k factors as (class i element)*(class j
-    element): every ``_class_matrix`` at once.  The split builds its
-    matrices one at a time instead, as it reaches them."""
-    classes = conjugacy_classes(G)
-    return [_class_matrix(G, classes, i) for i in range(classes.count)]
-
-
 def _class_matrix(G: GroupTable, classes: ConjClassPartition, i: int) -> list[list[int]]:
-    """M_i of ``class_matrices``: x in class i factors rep_k as x (x^-1
-    rep_k), so a_ijk counts the x with x^-1 rep_k in class j."""
+    """The class matrix M_i with M_i[j][k] = a_ijk, the number of ways a
+    fixed element of class k factors as (class i element)*(class j
+    element): x in class i factors rep_k as x (x^-1 rep_k), so a_ijk counts
+    the x with x^-1 rep_k in class j.  The split builds these one at a
+    time, as it reaches them."""
     r = classes.count
     M = [[0] * r for _ in range(r)]
     members = classes.members(i)
@@ -361,12 +362,16 @@ def character_table(G: GroupTable) -> CharacterTable:
         return hit
     e = exponent(G)
     linear = _linear_exponents(G, classes, e)
-    roots = {t: Cyc.root_power(e, t) for t in {t for ts in linear for t in ts}}
-    rows = [ClassFunction(G, tuple(map(roots.__getitem__, ts))) for ts in linear]
+    roots = sorted({t for ts in linear for t in ts})
+    distinct = [Cyc.root_power(e, t).coeffs for t in roots]  # the linear rows' values, zeta_e^t
+    root_id = dict(zip(roots, range(len(roots))))
+    cells: list[Sequence[int]] = [list(map(root_id.__getitem__, ts)) for ts in linear]
     if len(linear) < classes.count:
-        rows += _nonlinear_rows(G, classes, linear, e)
-    rows.sort(key=lambda cf: (cf.values[0].as_int(), tuple(v.coeffs for v in cf.values)))
-    table = CharacterTable(G, tuple(rows))
+        for row in _nonlinear_rows(G, classes, linear, e):
+            cells.append(range(len(distinct), len(distinct) + len(row)))
+            distinct += row
+    cells.sort(key=lambda row: [distinct[i] for i in row])
+    table = CharacterTable(G, distinct, cells)
     G._cache["chartab"] = table
     return table
 
@@ -407,8 +412,9 @@ def _linear_exponents(G: GroupTable, classes: ConjClassPartition, e: int) -> lis
     return [[sum(map(mul, coords[rep], lam)) % e for rep in classes.reps] for lam in chars]
 
 
-def _nonlinear_rows(G: GroupTable, classes: ConjClassPartition, linear: list[list[int]], e: int) -> list[ClassFunction]:
-    """The irreducibles of degree > 1, given the linear ones' exponents.
+def _nonlinear_rows(G: GroupTable, classes: ConjClassPartition, linear: list[list[int]], e: int) -> list[list[tuple[int, ...]]]:
+    """The irreducibles of degree > 1, given the linear ones' exponents,
+    each row as the coefficient tuples of its values.
 
     Their central characters omega_chi(k) = |K_k| chi(rep_k) / chi(1) span
     the space of v with sum_k v(k) lambda(rep_k*) = 0 for every linear
@@ -461,10 +467,9 @@ def _nonlinear_rows(G: GroupTable, classes: ConjClassPartition, linear: list[lis
     for w, d in zip(omegas, degrees):
         chi_mod = [(d * w[k] * inv_sizes[k]) % q for k in range(r)]
         counts = {k: _eigenvalue_counts(chi_mod, pcls, d, dft[len(pcls)], q) for k, pcls in power_classes.items()}
-        values = tuple(
-            Cyc.from_root_multiset(e, {t * a % e: c for t, c in counts[lifted].items()}) for lifted, a in source
+        rows.append(
+            [Cyc.from_root_multiset(e, {t * a % e: c for t, c in counts[lifted].items()}).coeffs for lifted, a in source]
         )
-        rows.append(ClassFunction(G, values))
     return rows
 
 
@@ -479,21 +484,31 @@ class _Values(NamedTuple):
     e: int
 
 
-def _reduction(rows: Sequence[ClassFunction], G: GroupTable) -> tuple[_Values, int]:
-    """(values, p): the rows' values by id in Z[zeta_e], e = exp(G), and the
-    smallest prime p = 1 (mod e) with p > |G| (D^2 + 1), D the largest
-    coefficient L1 norm of a value.  Each cell is read once; everything
-    else runs on the distinct values.
+def _reduction(G: GroupTable, distinct: Sequence[Sequence[int]], cells: Sequence[Sequence[int]]) -> tuple[_Values, int]:
+    """(values, p): the table's value index in Z[zeta_e], e = exp(G), and
+    the smallest prime p = 1 (mod e) with p > |G| (D^2 + 1), D the largest
+    coefficient L1 norm of a value.  Equal values are merged and the ids
+    renumbered in order of first use, row by row, so a value no cell reads
+    is dropped.  Each cell is read twice, once to check it and once to
+    renumber it, as an int; everything else runs on the distinct values.
 
-    A value given in another ring raises RuntimeError.  A value of a
+    A value that is not deg(Phi_e) int coefficients raises RuntimeError, as
+    does an id that is not an int index into ``distinct``.  A value of a
     character of G is a sum of chi(1) <= sqrt(|G|) e-th roots of unity, so a
     value with a larger L1 norm than that many of the largest reduced
     zeta_e^s raises RuntimeError too; this keeps p small for any input."""
     e, n = exponent(G), G.order
-    if any(v.e != e for chi in rows for v in chi.values):
+    given = list(map(tuple, distinct))
+    size = len(cyclotomic_polynomial(e)) - 1
+    if not all(len(v) == size and all(type(c) is int for c in v) for v in given):
         raise RuntimeError("character values are not in Z[zeta_e], e the exponent of the group")
-    ids: dict[tuple[int, ...], int] = {}
-    cells = [tuple([ids.setdefault(v.coeffs, len(ids)) for v in chi.values]) for chi in rows]
+    if not all(type(i) is int and 0 <= i < len(given) for row in cells for i in row):
+        raise RuntimeError("character cells are not ids of the table's values")
+    first: dict[tuple[int, ...], int] = {}
+    merged = [first.setdefault(v, i) for i, v in enumerate(given)]  # each id's least id of an equal value
+    renumber: dict[int, int] = {}
+    cells = [tuple([renumber.setdefault(merged[i], len(renumber)) for i in row]) for row in cells]
+    ids = {given[i]: j for i, j in renumber.items()}
     D = max((sum(map(abs, c)) for c in ids), default=0)
     if D > math.isqrt(n) * _root_norm(e):
         raise RuntimeError("character values exceed the bound for a group of this order")

@@ -158,7 +158,7 @@ def _subgroup_by_file(G: GroupTable, path: str) -> ElementSet:
     for gen in entry.generators:
         idx = G.index_of.get(gen.images)
         if idx is None:
-            raise UsageError(f"generator {format_cycles(gen)} is not an element of the group")
+            raise UsageError(f"generator {format_cycles(gen.images)} is not an element of the group")
         ids.append(idx)
     return ElementSet(G, closure_indices(G, ids))
 

@@ -130,10 +130,6 @@ class Cyc:
         a, b = self._aligned(other)
         return Cyc(a.e, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
 
-    def __sub__(self, other: Cyc) -> Cyc:
-        a, b = self._aligned(other)
-        return Cyc(a.e, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
-
     def __mul__(self, other: Cyc | int) -> Cyc:
         if isinstance(other, int):
             return Cyc(self.e, tuple(other * x for x in self.coeffs))

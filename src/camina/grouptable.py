@@ -1,9 +1,10 @@
 """Exhaustively enumerated finite permutation groups.
 
 A GroupTable holds every element of the group generated by a set of
-permutations, in canonical (lexicographic) order, and its Cayley table,
-so that products are index lookups; ``generate`` builds every table,
-subgroup and quotient tables included.  ``DEFAULT_ORDER_CAP`` is the one
+permutations, as its image tuple, in canonical (lexicographic) order, and
+its Cayley table, so that products are index lookups; ``Permutation`` is
+only the validated type of the generators.  ``generate`` builds every
+table, subgroup and quotient tables included.  ``DEFAULT_ORDER_CAP`` is the one
 order cap: ``generate`` stops above it, which bounds a table at 4M
 entries, about 8 n^2 bytes.  ElementSet is a subset of a table (a
 subgroup, a coset, a conjugacy class, ...) given by sorted element
@@ -44,10 +45,11 @@ class CapExceeded(RuntimeError):
 class GroupTable:
     """A fully enumerated permutation group, built by ``generate`` alone.
 
-    ``elements[0]`` is the identity (the identity image table is the
-    lexicographic minimum among bijections) and ``index_of`` maps an image
-    tuple back to its index.  ``rows`` is the Cayley table: ``rows[i][j]``
-    is the index of elements[i] followed by elements[j].  ``members`` is
+    ``elements`` are the image tuples, sorted: ``elements[0]`` is the
+    identity (the identity image table is the lexicographic minimum among
+    bijections), and ``index_of`` maps an image tuple back to its index.
+    ``rows`` is the Cayley table: ``rows[i][j]`` is the index of
+    elements[i] followed by elements[j].  ``members`` is
     G's member tuple, 0..order-1, one tuple shared by every closure that
     comes out as G.
 
@@ -59,7 +61,7 @@ class GroupTable:
     """
 
     def __init__(
-        self, degree: int, elements: Sequence[Permutation], index_of: dict, generator_ids: Sequence[int], rows: list[list[int]]
+        self, degree: int, elements: Sequence[tuple[int, ...]], index_of: dict, generator_ids: Sequence[int], rows: list[list[int]]
     ):
         self.degree = degree
         self.elements = tuple(elements)
@@ -89,7 +91,7 @@ class GroupTable:
 
     def mul(self, i: int, j: int) -> int:
         """Index of the product: elements[i] first, then elements[j], the
-        permutation that maps point p to b.images[a.images[p]] for a, b =
+        permutation that maps point p to b[a[p]] for the image tuples a, b =
         elements[i], elements[j].  Every product in the package reads left
         to right this way."""
         return self.rows[i][j]
@@ -104,12 +106,6 @@ class GroupTable:
     def commutator(self, a: int, b: int) -> int:
         """Index of a^-1 b^-1 a b."""
         return self.mul(self.mul(self.mul(self.inv(a), self.inv(b)), a), b)
-
-    def power(self, i: int, k: int) -> int:
-        """Index of x^k, x = elements[i], any integer k: read off ``powers``,
-        whose entry j - 1 is x^j and whose last entry is x^o = 1."""
-        walk = self.powers(i)
-        return walk[k % len(walk) - 1]
 
     def powers(self, i: int) -> list[int]:
         """The walk [x, x^2, ..., x^o] along x's row of the Cayley table,
@@ -143,7 +139,7 @@ def generate(degree: int, gens: Sequence[Permutation], cap: int = DEFAULT_ORDER_
 
     The generators are validated ``Permutation``s of ``degree`` >= 1, so
     every image tuple found, a product of them, is a bijection too: the
-    elements wrap these tuples as they are, with no second check.
+    elements are these tuples, sorted, with no second check.
     """
     if degree < 1:
         raise ValueError("permutation must have positive degree")
@@ -177,8 +173,7 @@ def generate(degree: int, gens: Sequence[Permutation], cap: int = DEFAULT_ORDER_
             if rows[left[x]] is None:
                 rows[left[x]] = list(itemgetter(*rows[x])(left))
                 reached.append(left[x])
-    elements = list(map(Permutation._unchecked, ordered))
-    return GroupTable(degree, elements, index_of, [index_of[g] for g in gen_images], rows)
+    return GroupTable(degree, ordered, index_of, [index_of[g] for g in gen_images], rows)
 
 
 class ElementSet:
@@ -427,10 +422,12 @@ def subgroup_table(G: GroupTable, H: ElementSet) -> tuple[GroupTable, tuple[int,
 
     Returns ``(table, to_parent, from_parent)`` where ``to_parent[i]`` is
     the G-index of the subgroup's element i and ``from_parent`` inverts it.
-    The table is generated from the seeds ``small_generating_set`` keeps.
+    The table is generated from the seeds ``small_generating_set`` keeps,
+    each made a ``Permutation`` again.
     Its canonical element order agrees with G's, so ``to_parent`` is just
     the member tuple, and a generator's id is its ``from_parent`` image.
-    Results are cached on G.
+    Results are cached on G, so a subgroup has one table, which ``induce``
+    relies on.
     """
     key = ("subtable", H.members)
     hit = G._cache.get(key)
@@ -440,7 +437,7 @@ def subgroup_table(G: GroupTable, H: ElementSet) -> tuple[GroupTable, tuple[int,
         raise ValueError("not a subgroup")
     from_parent = {g: i for i, g in enumerate(H.members)}
     gens = small_generating_set(G, H.members)
-    table = generate(G.degree, [G.elements[g] for g in gens], cap=len(H))
+    table = generate(G.degree, [Permutation(G.elements[g]) for g in gens], cap=len(H))
     result = (table, H.members, from_parent)
     G._cache[key] = result
     return result
@@ -453,10 +450,6 @@ def quotient_table(G: GroupTable, M: ElementSet) -> tuple[GroupTable, tuple[int,
     coset containing element i.  Cosets are numbered by their least member,
     so coset 0 is M itself and proj is a group homomorphism onto the table.
     """
-    key = ("quotient", M.members)
-    hit = G._cache.get(key)
-    if hit is not None:
-        return hit
     if not M.is_subgroup or not M.is_normal():
         raise ValueError("quotient requires a normal subgroup")
     coset_of = [-1] * G.order
@@ -469,12 +462,8 @@ def quotient_table(G: GroupTable, M: ElementSet) -> tuple[GroupTable, tuple[int,
                 coset_of[G.mul(m, i)] = cid
     n_cosets = len(reps)
 
-    def coset_perm(g: int) -> Permutation:
-        return Permutation(tuple(coset_of[G.mul(reps[c], g)] for c in range(n_cosets)))
+    def coset_images(g: int) -> tuple[int, ...]:
+        return tuple(coset_of[G.mul(reps[c], g)] for c in range(n_cosets))
 
-    gens = [coset_perm(g) for g in G.generator_ids]
-    table = generate(n_cosets, gens, cap=n_cosets)
-    proj = tuple(table.index_of[coset_perm(i).images] for i in range(G.order))
-    result = (table, proj)
-    G._cache[key] = result
-    return result
+    table = generate(n_cosets, [Permutation(coset_images(g)) for g in G.generator_ids], cap=n_cosets)
+    return table, tuple(table.index_of[coset_images(i)] for i in range(G.order))

@@ -1,15 +1,16 @@
 """Permutations of {0, ..., n-1} stored as image tables.
 
-``Permutation`` is the validated type in which groups come in (generators)
-and go out (elements); it does no arithmetic.  Products, inverses, powers
-and conjugates are index lookups on a ``GroupTable``, whose ``mul``
-documents the left-to-right convention: elements[i], then elements[j].
+``Permutation`` is the validated type in which groups come in
+(generators); it does no arithmetic.  A ``GroupTable``'s elements are
+plain image tuples, and products, inverses, powers and conjugates are
+index lookups on it, whose ``mul`` documents the left-to-right
+convention: elements[i], then elements[j].
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class Permutation:
@@ -26,54 +27,9 @@ class Permutation:
             raise ValueError(f"images {imgs!r} are not a bijection of 0..{n - 1}")
         self.images = imgs
 
-    @classmethod
-    def _unchecked(cls, images: tuple[int, ...]) -> Permutation:
-        """Wrap an image tuple that is already known to be a bijection of
-        0..n-1, n >= 1, such as a product of validated permutations, without
-        checking it again."""
-        perm = object.__new__(cls)
-        perm.images = images
-        return perm
-
     @property
     def degree(self) -> int:
         return len(self.images)
-
-    @classmethod
-    def identity(cls, degree: int) -> Permutation:
-        return cls(tuple(range(degree)))
-
-    @classmethod
-    def from_cycles(cls, degree: int, cycles: Iterable[Sequence[int]]) -> Permutation:
-        """Build a permutation from disjoint cycles on 0-based points."""
-        images = list(range(degree))
-        touched = [False] * degree
-        for cycle in cycles:
-            for a, b in zip(cycle, tuple(cycle[1:]) + (cycle[0],)):
-                if not 0 <= a < degree:
-                    raise ValueError(f"point {a} out of range for degree {degree}")
-                if touched[a]:
-                    raise ValueError(f"point {a} repeated across cycles")
-                touched[a] = True
-                images[a] = b
-        return cls(images)
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Nontrivial disjoint cycles, each starting at its least point, sorted
-        by that point."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            cur, cycle = start, []
-            while not seen[cur]:
-                seen[cur] = True
-                cycle.append(cur)
-                cur = self.images[cur]
-            if len(cycle) > 1:
-                out.append(tuple(cycle))
-        return out
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -82,8 +38,26 @@ class Permutation:
         return hash(self.images)
 
     def __repr__(self) -> str:
-        cyc = self.cycles()
+        cyc = cycles(self.images)
         if not cyc:
-            return f"Permutation.identity({self.degree})"
+            return f"Permutation(range({self.degree}))"
         body = "".join("(" + " ".join(map(str, c)) + ")" for c in cyc)
         return f"Permutation[{body}]"
+
+
+def cycles(images: Sequence[int]) -> list[tuple[int, ...]]:
+    """The nontrivial disjoint cycles of the bijection with these images,
+    each starting at its least point, sorted by that point."""
+    seen = [False] * len(images)
+    out = []
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        cur, cycle = start, []
+        while not seen[cur]:
+            seen[cur] = True
+            cycle.append(cur)
+            cur = images[cur]
+        if len(cycle) > 1:
+            out.append(tuple(cycle))
+    return out

@@ -1,4 +1,5 @@
-"""Report persistence (JSON lines) and the character-table cache."""
+"""Report persistence (JSON lines) and the character-table cache, which
+holds a table's value index and hands it back to the table constructor."""
 
 from __future__ import annotations
 
@@ -7,8 +8,7 @@ import json
 from pathlib import Path
 from typing import Iterable
 
-from .chartab import CharacterTable, ClassFunction, character_table, check_caps
-from .cyclotomic import Cyc
+from .chartab import CharacterTable, character_table, check_caps
 from .grouptable import GroupTable
 from .structure import exponent
 from .verify import VerificationReport
@@ -67,8 +67,8 @@ def chartab_cache_key(G: GroupTable) -> str:
     """Hash of the canonical element list; identical regenerated groups share it."""
     h = hashlib.sha256()
     h.update(f"degree={G.degree};".encode())
-    for p in G.elements:
-        h.update(",".join(map(str, p.images)).encode())
+    for images in G.elements:
+        h.update(",".join(map(str, images)).encode())
         h.update(b";")
     return h.hexdigest()
 
@@ -97,25 +97,17 @@ def save_chartab(G: GroupTable, table: CharacterTable, cache_dir: str | Path) ->
 
 def load_chartab(G: GroupTable, cache_dir: str | Path) -> CharacterTable | None:
     """The cached table of G, or None when there is no readable file, its
-    root order is not the exponent of G, a coefficient is not an int, a row
-    holds an id that is not an index into its values, or the rows fail the
-    exact check that constructing any ``CharacterTable`` makes.  One ``Cyc`` is built per
-    distinct value, in the ring of G's own table."""
+    format, order or root order is not G's, or its ``values`` and ``rows``
+    fail the constructor of ``CharacterTable``, which checks every
+    coefficient and id and then the table, exactly as it checks a build."""
     path = _cache_path(G, cache_dir)
     try:
         obj = json.loads(path.read_text())
-        e = exponent(G)
-        if obj["format"] != FORMAT_VERSION or obj["order"] != G.order or obj["root_order"] != e:
+        if obj["format"] != FORMAT_VERSION or obj["order"] != G.order or obj["root_order"] != exponent(G):
             return None
-        if any(type(c) is not int for coeffs in obj["values"] for c in coeffs):
-            return None
-        values = [Cyc(e, coeffs) for coeffs in obj["values"]]
-        if any(type(i) is not int or not 0 <= i < len(values) for row in obj["rows"] for i in row):
-            return None
-        table = CharacterTable(G, tuple(ClassFunction(G, tuple(map(values.__getitem__, row))) for row in obj["rows"]))
+        return CharacterTable(G, obj["values"], obj["rows"])
     except (OSError, LookupError, RuntimeError, TypeError, ValueError):
         return None
-    return table
 
 
 def cached_character_table(G: GroupTable, cache_dir: str | Path) -> CharacterTable:

@@ -2,9 +2,14 @@
 against: straightforward versions of code the library computes faster, and
 the second routes that the library no longer takes.
 
-- Permutation arithmetic on image tuples, which ``GroupTable`` lookups
-  replaced: ``compose``, ``inverse``, ``conjugate``, ``element_order`` and
-  ``power``.
+- Permutation arithmetic, which ``GroupTable`` lookups replaced:
+  ``from_cycles``, ``compose``, ``inverse``, ``conjugate``,
+  ``element_order`` and ``power`` on ``Permutation``s, and ``table_power``,
+  x^k read off a table's ``powers`` walk.
+- Every class matrix at once, ``class_matrices``, where the library builds
+  each one as its split reaches it.
+- A table's value index from ``ClassFunction`` rows, ``index_rows``, the
+  form the ``CharacterTable`` constructor takes.
 - The literal character-theory route to (CI) (Theorem 1: every nontrivial
   theta in Irr(H) induces homogeneously), which the library decides from
   Irr(G) mod p: ``trivial_character``, ``regular_character``,
@@ -39,7 +44,7 @@ from camina.chartab import (
     _root_of_unity,
     _roots_mod,
     _rref,
-    class_matrices,
+    _class_matrix,
     decompose,
     dixon_prime,
     induce,
@@ -47,11 +52,26 @@ from camina.chartab import (
 )
 from camina.cyclotomic import Cyc
 from camina.grouptable import ElementSet, GroupTable, subgroup_table
-from camina.perm import Permutation
+from camina.perm import Permutation, cycles
 from camina.structure import ConjClassPartition, conjugacy_classes, exponent, subgroups
 from camina.verify import CLAIMS, Pair, VerificationReport, verify_pair_claim
 
 # --- permutation arithmetic ------------------------------------------------
+
+
+def from_cycles(degree: int, cycle_list: Iterable[Sequence[int]]) -> Permutation:
+    """The permutation with these disjoint cycles on 0-based points."""
+    images = list(range(degree))
+    touched = [False] * degree
+    for cycle in cycle_list:
+        for a, b in zip(cycle, tuple(cycle[1:]) + (cycle[0],)):
+            if not 0 <= a < degree:
+                raise ValueError(f"point {a} out of range for degree {degree}")
+            if touched[a]:
+                raise ValueError(f"point {a} repeated across cycles")
+            touched[a] = True
+            images[a] = b
+    return Permutation(images)
 
 
 def compose(a: Permutation, b: Permutation) -> Permutation:
@@ -72,13 +92,13 @@ def inverse(a: Permutation) -> Permutation:
 def element_order(a: Permutation) -> int:
     """Least k >= 1 with a^k = identity: the lcm of the cycle lengths (1
     for the identity, which has no nontrivial cycle)."""
-    return math.lcm(*(len(c) for c in a.cycles()))
+    return math.lcm(*(len(c) for c in cycles(a.images)))
 
 
 def power(a: Permutation, k: int) -> Permutation:
     """a^k for any integer k, by repeated squaring of k mod the order of a."""
     k %= element_order(a)
-    result = Permutation.identity(a.degree)
+    result = Permutation(range(a.degree))
     base = a
     while k:
         if k & 1:
@@ -99,11 +119,34 @@ def conjugate(x: Permutation, g: Permutation) -> Permutation:
     return Permutation(tuple(gi[xi[ginv[i]]] for i in range(x.degree)))
 
 
+def table_power(G: GroupTable, i: int, k: int) -> int:
+    """Index of x^k, x = elements[i], any integer k: read off ``powers``,
+    whose entry j - 1 is x^j and whose last entry is x^o = 1."""
+    walk = G.powers(i)
+    return walk[k % len(walk) - 1]
+
+
 def trivial_subgroup(G: GroupTable) -> ElementSet:
     return ElementSet(G, (0,))
 
 
 # --- class functions -------------------------------------------------------
+
+
+def class_matrices(G: GroupTable) -> list[list[list[int]]]:
+    """Every class matrix of G in class order, built at once."""
+    classes = conjugacy_classes(G)
+    return [_class_matrix(G, classes, i) for i in range(classes.count)]
+
+
+def index_rows(rows: Iterable[ClassFunction]) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """(distinct, cells) of ``CharacterTable``: the rows' distinct
+    coefficient tuples, and each row as the ids of its values.  Only the
+    coefficients are kept, so the constructor alone decides whether they
+    are values of G's ring."""
+    ids: dict[tuple[int, ...], int] = {}
+    cells = [[ids.setdefault(v.coeffs, len(ids)) for v in chi.values] for chi in rows]
+    return list(ids), cells
 
 
 def trivial_character(G: GroupTable) -> ClassFunction:
@@ -301,7 +344,7 @@ def reference_check_galois(rows: list[ClassFunction], classes: ConjClassPartitio
     n_exp = exponent(G)
     for c in (c for c in range(1, n_exp + 1) if math.gcd(c, n_exp) == 1):
         for k, r in enumerate(classes.reps):
-            at = classes.class_of[G.power(r, c)]
+            at = classes.class_of[table_power(G, r, c)]
             for chi in rows:
                 v = chi.values[k]
                 image = Cyc.from_root_multiset(v.e, {j * c % v.e: a for j, a in enumerate(v.coeffs)})
@@ -360,7 +403,7 @@ def reference_character_table(G: GroupTable, prime: int | None = None) -> Charac
         for rep in classes.reps:
             m = G.element_order(rep)
             step = e // m
-            pcls = [classes.class_of[G.power(rep, t)] for t in range(m)]
+            pcls = [classes.class_of[table_power(G, rep, t)] for t in range(m)]
             counts = {}
             for l in range(m):
                 c = sum(chi_mod[pcls[t]] * pow(z, -step * l * t % e, q) for t in range(m)) * pow(m, -1, q) % q
@@ -371,4 +414,4 @@ def reference_character_table(G: GroupTable, prime: int | None = None) -> Charac
         rows.append(ClassFunction(G, tuple(values)))
     reference_check_orthonormal(rows, classes)
     rows.sort(key=lambda cf: (cf.values[0].as_int(), tuple(v.coeffs for v in cf.values)))
-    return CharacterTable(G, tuple(rows))
+    return CharacterTable(G, *index_rows(rows))

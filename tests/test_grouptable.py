@@ -20,27 +20,30 @@ from reference import (
     compose,
     conjugate,
     element_order,
+    from_cycles,
     inverse,
     power,
     reference_closure_indices,
     reference_is_subgroup,
     reference_small_generating_set,
+    table_power,
 )
 
 SMALL_LABELS = [entry.label for entry in builtin_catalog() if entry.group().order <= 60]
 
 
 def composed_table(elements, ids):
-    """The rows ``ids`` of the Cayley table of ``elements`` and their
-    inverses, by ``reference.compose`` and ``reference.inverse`` looked up in the
-    elements' own index."""
-    index = {p.images: i for i, p in enumerate(elements)}
-    rows = [[index[compose(elements[x], y).images] for y in elements] for x in ids]
-    return rows, [index[inverse(elements[x]).images] for x in ids]
+    """The rows ``ids`` of the Cayley table of the image tuples
+    ``elements`` and their inverses, by ``reference.compose`` and
+    ``reference.inverse`` looked up in the elements' own index."""
+    index = {p: i for i, p in enumerate(elements)}
+    perms = list(map(Permutation, elements))
+    rows = [[index[compose(perms[x], y).images] for y in perms] for x in ids]
+    return rows, [index[inverse(perms[x]).images] for x in ids]
 
 
 def cyc(degree, *cycles):
-    return Permutation.from_cycles(degree, cycles)
+    return from_cycles(degree, cycles)
 
 
 def coset(G, x, H):
@@ -56,7 +59,7 @@ class TestGenerate:
     def test_trivial(self):
         G = generate(1, [])
         assert G.order == 1
-        assert G.elements[0] == Permutation.identity(1)
+        assert G.elements[0] == (0,)
 
     def test_cyclic_from_four_cycle(self):
         G = generate(4, [cyc(4, (0, 1, 2, 3))])
@@ -85,24 +88,25 @@ class TestGenerate:
         with pytest.raises(ValueError, match="^permutation must have positive degree$"):
             generate(0, [])
 
-    def test_elements_are_their_validated_permutations(self):
-        # generate wraps the products it found without checking them again;
-        # each is the Permutation that the checking constructor makes of it
+    def test_elements_are_sorted_image_tuples_of_bijections(self):
+        # generate keeps the products it found as image tuples, without
+        # checking them again; each is a bijection, as the checking
+        # constructor finds
         G = builtin("S5").group()
         assert G.order == 120
         for x in G.elements:
-            checked = Permutation(x.images)
-            assert type(x) is Permutation and type(x.images) is tuple
-            assert x == checked and hash(x) == hash(checked) and x.images == checked.images
-        assert sorted(x.images for x in G.elements) == [x.images for x in G.elements]
+            checked = Permutation(x)
+            assert type(x) is tuple
+            assert x == checked.images and hash(x) == hash(checked)
+        assert sorted(G.elements) == list(G.elements)
 
     def test_canonical_order(self):
         G = generate(3, [cyc(3, (0, 1)), cyc(3, (0, 1, 2))])
-        images = [p.images for p in G.elements]
+        images = list(G.elements)
         assert images == sorted(images)
-        assert G.elements[0] == Permutation.identity(3)
+        assert G.elements[0] == (0, 1, 2)
         for i, p in enumerate(G.elements):
-            assert G.index_of[p.images] == i
+            assert G.index_of[p] == i
 
     def test_closure_and_inverses(self):
         for label in ["S3", "Q8", "S4", "D6", "Frob(7:3)"]:
@@ -122,9 +126,9 @@ class TestGenerate:
         entry = builtin(label)
         G = entry.group()
         assert G.order == entry.order
-        assert [p.images for p in G.elements] == sorted(p.images for p in G.elements)
-        assert G.index_of == {p.images: i for i, p in enumerate(G.elements)}
-        assert [G.elements[g] for g in G.generator_ids] == list(entry.generators)
+        assert list(G.elements) == sorted(G.elements)
+        assert G.index_of == {p: i for i, p in enumerate(G.elements)}
+        assert [G.elements[g] for g in G.generator_ids] == [g.images for g in entry.generators]
         ids = range(G.order)
         if label == "S6":
             ids = sorted({*G.generator_ids, *random.Random(label).sample(ids, 20)})
@@ -135,7 +139,7 @@ class TestGenerate:
     def test_regeneration_is_deterministic(self):
         a = builtin("S4").group()
         b = builtin("S4").group()
-        assert [p.images for p in a.elements] == [p.images for p in b.elements]
+        assert a.elements == b.elements
         assert a.generator_ids == b.generator_ids
 
 
@@ -145,7 +149,7 @@ class TestCayleyTable:
     @pytest.mark.parametrize("label", SMALL_LABELS + ["S5"])
     def test_mul_is_compose(self, label):
         G = builtin(label).group()
-        els = G.elements
+        els = list(map(Permutation, G.elements))
         for i in range(G.order):
             for j in range(G.order):
                 assert G.mul(i, j) == G.index_of[compose(els[i], els[j]).images]
@@ -153,12 +157,12 @@ class TestCayleyTable:
     @pytest.mark.parametrize("label", SMALL_LABELS + ["S5"])
     def test_conj_commutator_power_inv(self, label):
         G = builtin(label).group()
-        els, index = G.elements, G.index_of
+        els, index = list(map(Permutation, G.elements)), G.index_of
         for x in range(G.order):
             assert G.inv(x) == index[inverse(els[x]).images]
             o = G.element_order(x)
             for k in range(-2 * o, 2 * o + 1):  # 0, negative k and multiples of o
-                assert G.power(x, k) == index[power(els[x], k).images]
+                assert table_power(G, x, k) == index[power(els[x], k).images]
         for a in range(G.order):
             for b in range(G.order):
                 assert G.conj(a, b) == index[conjugate(els[a], els[b]).images]
@@ -170,7 +174,7 @@ class TestCayleyTable:
         # the table walk against the lcm of the cycle lengths; the orders of
         # all generators of <x> come from one walk of <x>, so query forwards
         # and backwards
-        els = builtin(label).group().elements
+        els = list(map(Permutation, builtin(label).group().elements))
         want = [element_order(x) for x in els]
         for ids in (range(len(els)), reversed(range(len(els)))):
             G = builtin(label).group()
@@ -184,7 +188,8 @@ class TestCayleyTable:
         # <x> from the permutation powers of x, independent of the table walk
         G = builtin(label).group()
         cyclic = [
-            frozenset(G.index_of[power(x, k).images] for k in range(element_order(x))) for x in G.elements
+            frozenset(G.index_of[power(x, k).images] for k in range(element_order(x)))
+            for x in map(Permutation, G.elements)
         ]
         want = [min(y for y in C if cyclic[y] == C) for C in cyclic]
         assert list(G.least_generators) == want, label
@@ -192,7 +197,7 @@ class TestCayleyTable:
 
     def test_trivial_table(self):
         assert generate(1, []).rows == [[0]]
-        assert generate(3, [Permutation.identity(3)]).rows == [[0]]
+        assert generate(3, [Permutation(range(3))]).rows == [[0]]
 
 class TestClosure:
     def test_identity_never_multiplies(self, table_reads):

@@ -209,10 +209,23 @@ def _benchmark_references(name: str) -> list[str]:
     return found
 
 
-class TestExportsAreUsed:
-    """Every export is read by the package's own code or by the benchmark;
-    one that only tests read belongs in ``tests/reference.py``."""
+def _definitions() -> set[str]:
+    """The names of the module-level functions and classes of the package,
+    its root aside."""
+    return {
+        node.name
+        for path, tree in _parsed("src/camina")
+        if path.name != "__init__.py"
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
 
-    @pytest.mark.parametrize("name", sorted(camina.__all__))
+
+class TestExportsAreUsed:
+    """Every export, and every module-level function and class, is read by
+    the package's own code or by the benchmark; one that only tests read
+    belongs in ``tests/reference.py``."""
+
+    @pytest.mark.parametrize("name", sorted(set(camina.__all__) | _definitions()))
     def test_export_is_referenced(self, name):
         assert _library_references(name) or _benchmark_references(name), name

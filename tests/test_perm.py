@@ -3,12 +3,12 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from camina.perm import Permutation
-from reference import compose, conjugate, element_order, inverse, power
+from camina.perm import Permutation, cycles
+from reference import compose, conjugate, element_order, from_cycles, inverse, power
 
 
-def cyc(degree, *cycles):
-    return Permutation.from_cycles(degree, cycles)
+def cyc(degree, *cycle_list):
+    return from_cycles(degree, cycle_list)
 
 
 perms = st.integers(min_value=1, max_value=7).flatmap(
@@ -25,11 +25,11 @@ def same_degree_perms(count):
 class TestCompose:
     def test_involution_squared(self):
         t = cyc(2, (0, 1))
-        assert compose(t, t) == Permutation.identity(2)
+        assert compose(t, t) == Permutation(range(2))
 
     def test_identity_law(self):
         p = cyc(5, (0, 3, 1), (2, 4))
-        e = Permutation.identity(5)
+        e = Permutation(range(5))
         assert compose(e, p) == p
         assert compose(p, e) == p
 
@@ -39,7 +39,7 @@ class TestCompose:
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
-            compose(Permutation.identity(2), Permutation.identity(3))
+            compose(Permutation(range(2)), Permutation(range(3)))
 
     @given(same_degree_perms(3))
     def test_associative(self, abc):
@@ -49,7 +49,7 @@ class TestCompose:
 
 class TestInverse:
     def test_identity(self):
-        assert inverse(Permutation.identity(4)) == Permutation.identity(4)
+        assert inverse(Permutation(range(4))) == Permutation(range(4))
 
     def test_involution(self):
         t = cyc(3, (0, 1))
@@ -60,7 +60,7 @@ class TestInverse:
 
     @given(perms)
     def test_left_and_right_inverse(self, p):
-        e = Permutation.identity(p.degree)
+        e = Permutation(range(p.degree))
         assert compose(p, inverse(p)) == e
         assert compose(inverse(p), p) == e
 
@@ -71,7 +71,7 @@ class TestInverse:
 
 class TestElementOrder:
     def test_identity(self):
-        assert element_order(Permutation.identity(3)) == 1
+        assert element_order(Permutation(range(3))) == 1
 
     def test_lcm_of_cycle_lengths(self):
         assert element_order(cyc(5, (0, 1), (2, 3, 4))) == 6
@@ -82,27 +82,27 @@ class TestElementOrder:
     @given(perms)
     def test_power_of_order_is_identity(self, p):
         n = element_order(p)
-        assert power(p, n) == Permutation.identity(p.degree)
+        assert power(p, n) == Permutation(range(p.degree))
         for d in range(1, n):
             if n % d == 0:
-                assert power(p, d) != Permutation.identity(p.degree)
+                assert power(p, d) != Permutation(range(p.degree))
 
 
 class TestConjugate:
     def test_by_identity(self):
         x = cyc(4, (0, 2, 1))
-        assert conjugate(x, Permutation.identity(4)) == x
+        assert conjugate(x, Permutation(range(4))) == x
 
     def test_of_identity(self):
         g = cyc(4, (0, 2, 1, 3))
-        assert conjugate(Permutation.identity(4), g) == Permutation.identity(4)
+        assert conjugate(Permutation(range(4)), g) == Permutation(range(4))
 
     def test_transposition_by_three_cycle(self):
         assert conjugate(cyc(3, (0, 1)), cyc(3, (0, 1, 2))) == cyc(3, (1, 2))
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
-            conjugate(Permutation.identity(2), Permutation.identity(3))
+            conjugate(Permutation(range(2)), Permutation(range(3)))
 
     @given(same_degree_perms(2))
     def test_preserves_order(self, xg):
@@ -139,8 +139,8 @@ class TestValidation:
 
     def test_from_cycles_rejects_repeated_point(self):
         with pytest.raises(ValueError):
-            Permutation.from_cycles(4, [(0, 1), (1, 2)])
+            from_cycles(4, [(0, 1), (1, 2)])
 
     def test_cycles_round_trip(self):
         p = cyc(6, (0, 4), (1, 2, 5))
-        assert Permutation.from_cycles(6, p.cycles()) == p
+        assert from_cycles(6, cycles(p.images)) == p

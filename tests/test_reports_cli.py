@@ -143,6 +143,14 @@ def damaged(text: str, damage: str) -> str:
         one = obj["values"][obj["rows"][0][0]]
         assert one[0] == 1
         one[0] = {"bool_coefficient": True, "float_coefficient": 1.0}[damage]
+    elif damage == "value_one_coefficient_short":
+        obj["values"][obj["rows"][1][1]].pop()
+    elif damage == "row_one_cell_short":
+        obj["rows"][1].pop()
+    elif damage == "true_id":
+        # an id 1 written as true, which Python reads as 1
+        row, k = next((i, k) for i, row in enumerate(obj["rows"]) for k, v in enumerate(row) if v == 1)
+        obj["rows"][row][k] = True
     else:
         # the trivial character's first id, 0, as no index into the values;
         # Python would read -len(values) and False as 0, the same table
@@ -258,18 +266,44 @@ class TestChartabCache:
     @pytest.mark.parametrize(
         "damage",
         ["truncated", "missing_key", "list", "string_coefficient", "bool_coefficient", "float_coefficient",
-         "negative_id", "id_past_the_end", "float_id", "bool_id", "string_id"],
+         "value_one_coefficient_short", "negative_id", "id_past_the_end", "float_id", "bool_id", "true_id",
+         "string_id", "row_one_cell_short"],
     )
     def test_unreadable_file_is_a_miss(self, tmp_path, capsys, s3, damage):
+        # the coefficients and ids are checked by the table constructor alone
         cache = str(tmp_path)
         assert run_cli(["--cache-dir", cache, "chartab", "--group", "S3"]) == 0
         printed = capsys.readouterr().out
         (path,) = tmp_path.glob("chartab-*.json")
-        path.write_text(damaged(path.read_text(), damage))
+        written = path.read_text()
+        path.write_text(damaged(written, damage))
         assert load_chartab(s3, tmp_path) is None
         assert run_cli(["--cache-dir", cache, "chartab", "--group", "S3"]) == 0
         assert capsys.readouterr().out == printed
         assert load_chartab(s3, tmp_path) is not None  # rebuilt and saved again
+        assert path.read_text() == written
+
+    def test_value_listed_twice_loads_as_the_build(self, tmp_path, capsys):
+        # Frob(7:3)'s values are irrational, 12 coefficients each.  A row's
+        # degree at a class of its kernel goes under a new id of its own,
+        # while the identity class keeps the old id: equal values merge
+        argv = ["--cache-dir", str(tmp_path), "chartab", "--group", "Frob(7:3)"]
+        assert run_cli(argv) == 0
+        printed = capsys.readouterr().out
+        (path,) = tmp_path.glob("chartab-*.json")
+        obj = json.loads(path.read_text())
+        rows = obj["rows"]
+        i, k = next((i, k) for i, row in enumerate(rows) for k in range(1, len(row)) if row[k] == row[0])
+        obj["values"].append(list(obj["values"][rows[i][0]]))
+        rows[i][k] = len(obj["values"]) - 1
+        path.write_text(json.dumps(obj))
+        loaded = load_chartab(builtin("Frob(7:3)").group(), tmp_path)
+        fresh = character_table(builtin("Frob(7:3)").group())
+        assert loaded is not None
+        assert loaded.values.distinct == fresh.values.distinct and loaded.values.cells == fresh.values.cells
+        assert loaded.mod_p == fresh.mod_p
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == printed
 
     def test_root_order_not_dividing_the_exponent_is_a_miss(self, tmp_path, capsys, monkeypatch, s3):
         # Z[zeta_e] costs time and memory quadratic in e, so no ring is built

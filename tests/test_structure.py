@@ -36,7 +36,7 @@ from camina.structure import (
     prime_factors,
     subgroups,
 )
-from reference import compose, conjugate, reference_is_normal
+from reference import compose, conjugate, from_cycles, reference_is_normal
 
 
 def by_order(G, n, which=0):
@@ -45,7 +45,7 @@ def by_order(G, n, which=0):
 
 def psl27():
     """PSL(2,7) on the 7 points of the Fano plane."""
-    return generate(7, [Permutation.from_cycles(7, [(0, 1, 2, 3, 4, 5, 6)]), Permutation.from_cycles(7, [(0, 1), (2, 5)])])
+    return generate(7, [from_cycles(7, [(0, 1, 2, 3, 4, 5, 6)]), from_cycles(7, [(0, 1), (2, 5)])])
 
 
 RELABEL_LABELS = [e.label for e in builtin_catalog() if e.group().order <= 48] + ["S4xC2"]
@@ -150,8 +150,9 @@ class TestCentralizerCenter:
     def test_matches_permutation_definition(self):
         # Independent oracle: g commutes with x as permutations
         for label, G in small_builtin_groups():
-            for x, px in enumerate(G.elements):
-                want = tuple(g for g, pg in enumerate(G.elements) if compose(pg, px) == compose(px, pg))
+            perms = list(map(Permutation, G.elements))
+            for x, px in enumerate(perms):
+                want = tuple(g for g, pg in enumerate(perms) if compose(pg, px) == compose(px, pg))
                 assert centralizer(G, x).members == want, (label, x)
 
     def test_center_abelian(self):
@@ -390,7 +391,7 @@ class TestSubgroups:
         for label, expect in [("A4", 10), ("S4", 30), ("A5", 59), ("D6", 16), ("S5", 156)]:
             assert len(subgroups(builtin(label).group())) == expect, label
         assert len(subgroups(psl27())) == 179
-        a6 = generate(6, [Permutation.from_cycles(6, [(0, 1, 2)]), Permutation.from_cycles(6, [(1, 2, 3, 4, 5)])])
+        a6 = generate(6, [from_cycles(6, [(0, 1, 2)]), from_cycles(6, [(1, 2, 3, 4, 5)])])
         assert a6.order == 360
         assert len(subgroups(a6)) == 501
         assert len(subgroups(builtin("S6").group())) == 1_455

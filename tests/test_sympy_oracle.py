@@ -44,7 +44,7 @@ def test_subgroup_nilpotency_agrees_with_sympy(entry):
     G = entry.group()
     for H in subgroups(G):
         gens = (0, *small_generating_set(G, H.members))  # the identity keeps the trivial group's list nonempty
-        P = combinatorics.PermutationGroup([combinatorics.Permutation(list(G.elements[x].images)) for x in gens])
+        P = combinatorics.PermutationGroup([combinatorics.Permutation(list(G.elements[x])) for x in gens])
         assert is_nilpotent(G, H) == P.is_nilpotent, H.members
 
 
@@ -59,7 +59,7 @@ def test_series_sylow_and_class_closures_agree_with_sympy(entry):
         core = [x for x in sylow if all(x ^ g in sylow for g in elements)]  # O_p(G), the core of a Sylow p-subgroup
         assert len(o_lower_p(G, p)) == len(core), p
     for rep in conjugacy_classes(G).reps:
-        cyclic = combinatorics.PermutationGroup([combinatorics.Permutation(list(G.elements[rep].images))])
+        cyclic = combinatorics.PermutationGroup([combinatorics.Permutation(list(G.elements[rep]))])
         closure = normal_closure(G, ElementSet(G, closure_indices(G, [rep])))
         assert len(closure) == P.normal_closure(cyclic).order(), rep
 

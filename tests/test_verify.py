@@ -911,5 +911,5 @@ class TestMetamorphicVerdicts:
                 span = set(closure_indices(F, ids))
         redundant = F.mul(rng.choice(ids or [0]), rng.choice(ids or [0]))
         ids.insert(rng.randrange(len(ids) + 1), redundant)
-        G = generate(F.degree, [F.elements[i] for i in ids])
+        G = generate(F.degree, [Permutation(F.elements[i]) for i in ids])
         assert group_facts(label, G) == builtin_facts(label)
