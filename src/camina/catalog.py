@@ -4,10 +4,11 @@ Labels: Cn, Dn (dihedral of order 2n, n >= 3), Sn, An, Q8/Q16/Q32,
 SL23, Frob(p:q) with q | p-1 (affine action on p points), Heis(p)
 (extraspecial of order p^3 and exponent p, regular representation),
 and direct products AxB of supported labels: a label splits at every
-``x``, which no family label contains.  Each family is the action of a
-few maps on a list of points, built by ``_action``.  The prime test and
-the root of unity that Heis(p) and Frob(p:q) read are ``grouptable``'s
-number theory, so importing the catalog loads no structure layer.
+``x``, which no family label contains.  Each family, and each product,
+is the action of a few maps on a list of points, built by ``_action``.
+The prime test and the root of unity that Heis(p) and Frob(p:q) read
+are ``grouptable``'s number theory, so importing the catalog loads no
+structure layer.
 
 Group files are UTF-8 text, with or without a leading byte-order mark:
 line 1 is ``degree N``; each following non-comment line is one generator
@@ -253,25 +254,22 @@ def _frobenius(p: int, q: int) -> _Family:
         raise UnknownLabel(f"Frob requires q > 1, got Frob({p}:{q})")
     if (p - 1) % q != 0:
         raise UnknownLabel(f"Frob requires q | p-1, got Frob({p}:{q})")
-    c = _root_of_unity(q, p)
-    return p, lambda: _action(range(p), [lambda i: (i + 1) % p, lambda i: c * i % p])
+
+    def make() -> list[Permutation]:
+        c = _root_of_unity(q, p)  # factors p - 1, so only once the order passed the cap
+        return _action(range(p), [lambda i: (i + 1) % p, lambda i: c * i % p])
+
+    return p, make
 
 
 def _direct_product(parts: list[CatalogEntry]) -> _Family:
-    degree = sum(p.degree for p in parts)
-
+    # the points are (factor, point) pairs; each factor's generators move only its own block
     def make() -> list[Permutation]:
-        gens, offset = [], 0
-        for part in parts:
-            for g in part.generators:
-                images = list(range(degree))
-                for i, v in enumerate(g.images):
-                    images[offset + i] = offset + v
-                gens.append(Permutation(tuple(images)))
-            offset += part.degree
-        return gens
+        points = [(i, x) for i, part in enumerate(parts) for x in range(part.degree)]
+        moves = [(i, g.images) for i, part in enumerate(parts) for g in part.generators]
+        return _action(points, [lambda x, i=i, g=g: (i, g[x[1]]) if x[0] == i else x for i, g in moves])
 
-    return degree, make
+    return sum(part.degree for part in parts), make
 
 
 # Each family: a label pattern, the constructor that takes the pattern's

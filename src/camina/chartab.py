@@ -41,7 +41,7 @@ from functools import cached_property, lru_cache
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .cyclotomic import Cyc, cyclotomic_polynomial
+from .cyclotomic import Cyc, _ring, cyclotomic_polynomial
 from .grouptable import CapExceeded, ElementSet, GroupTable, subgroup_table
 from .structure import ConjClassPartition, _root_of_unity, conjugacy_classes, derived_subgroup, exponent, is_prime
 
@@ -54,9 +54,6 @@ class ClassFunction:
 
     group: GroupTable
     values: tuple[Cyc, ...]
-
-    def degree(self) -> int:
-        return self.values[0].as_int()
 
 
 class CharacterTable:
@@ -518,7 +515,7 @@ def _reduction(G: GroupTable, distinct: Sequence[Sequence[int]], cells: Sequence
 @lru_cache(maxsize=None)
 def _root_norm(e: int) -> int:
     """The largest coefficient L1 norm of a reduced zeta_e^t."""
-    return max(sum(map(abs, Cyc.root_power(e, t).coeffs)) for t in range(e))
+    return max(sum(map(abs, row)) for row in _ring(e).rows)
 
 
 def _residues(values: _Values, classes: ConjClassPartition, p: int) -> list[list[int]]:

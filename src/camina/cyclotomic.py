@@ -42,7 +42,8 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
 
 
 class _Ring:
-    """Reduction data for Z[x]/Phi_e: rows[k] = x^k reduced, 0 <= k < 2e."""
+    """Reduction data for Z[x]/Phi_e: rows[k] = x^k reduced, 0 <= k < e,
+    so x^k is rows[k % e] for every k."""
 
     def __init__(self, e: int):
         self.e = e
@@ -51,7 +52,7 @@ class _Ring:
         rows: list[tuple[int, ...]] = []
         for k in range(self.deg):
             rows.append(tuple(1 if i == k else 0 for i in range(self.deg)))
-        for k in range(self.deg, 2 * e):
+        for k in range(self.deg, e):
             # x^k = x * x^(k-1), then kill the top coefficient with the monic Phi_e.
             prev = rows[k - 1]
             shifted = [0] + list(prev[:-1])
@@ -97,11 +98,6 @@ class Cyc:
         return cls(e, (0,) * _ring(e).deg)
 
     @classmethod
-    def integer(cls, n: int, e: int = 1) -> Cyc:
-        ring = _ring(e)
-        return cls(e, (n,) + (0,) * (ring.deg - 1))
-
-    @classmethod
     def root_power(cls, e: int, k: int) -> Cyc:
         """zeta_e^k reduced mod Phi_e."""
         return cls(e, _ring(e).rows[k % e])
@@ -134,22 +130,12 @@ class Cyc:
         if isinstance(other, int):
             return Cyc(self.e, tuple(other * x for x in self.coeffs))
         a, b = self._aligned(other)
-        ring = _ring(a.e)
-        conv = [0] * (2 * ring.deg - 1)
+        conv = [0] * (2 * len(a.coeffs) - 1)
         for i, x in enumerate(a.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y:
+            if x:
+                for j, y in enumerate(b.coeffs):
                     conv[i + j] += x * y
-        acc = list(conv[: ring.deg]) + [0] * max(0, ring.deg - len(conv))
-        for k in range(ring.deg, len(conv)):
-            c = conv[k]
-            if c:
-                row = ring.rows[k]
-                for i in range(ring.deg):
-                    acc[i] += c * row[i]
-        return Cyc(a.e, acc)
+        return Cyc(a.e, _root_sum(_ring(a.e), enumerate(conv)))
 
     __rmul__ = __mul__
 

@@ -13,11 +13,12 @@ ConjClassPartition is G's partition into conjugacy classes, with the maps
 x -> x^g of G's generators g that found it; a set is normal iff it is a
 union of classes, read off its class counts.
 
-The number theory that group orders are read with lives here too, next to
-the one prime test, ``_least_prime``, so that the catalog imports it
-without the structure layer: ``is_prime``, ``prime_factors``, ``p_part``
-and ``_root_of_unity`` (a primitive e-th root of unity mod a prime q = 1
-mod e, which the Dixon split and the catalog's Frob(p:q) builder use).
+The number theory that group orders are read with lives here too, so
+that the catalog imports it without the structure layer: ``is_prime``,
+a Miller-Rabin test, quick on label parameters of any size,
+``prime_factors``, by trial division in ``_least_prime``, ``p_part`` and
+``_root_of_unity`` (a primitive e-th root of unity mod a prime q = 1 mod
+e, which the Dixon split and the catalog's Frob(p:q) read).
 ``structure`` re-exports all four.
 """
 
@@ -318,8 +319,7 @@ def conjugacy_classes(G: GroupTable) -> ConjClassPartition:
 
 
 def _least_prime(n: int) -> int:
-    """The least prime dividing n >= 2, by trial division: the one prime
-    test, behind ``is_prime`` and ``prime_factors`` too."""
+    """The least prime dividing n >= 2, by trial division."""
     d = 2
     while d * d <= n:
         if n % d == 0:
@@ -328,8 +328,21 @@ def _least_prime(n: int) -> int:
     return n
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and _least_prime(n) == n
+    """Miller-Rabin to the prime bases up to 41, which no composite below
+    3.3 * 10^24 passes; a larger one that does, given as a label parameter,
+    is refused by the order cap instead of as a non-prime."""
+    if n < 2 or any(n % a == 0 for a in _WITNESSES):
+        return n in _WITNESSES
+    s = p_part(n - 1, 2).bit_length() - 1  # n - 1 = 2^s d with d odd
+    for a in _WITNESSES:  # a prime n has a^d = 1 or a^(2^r d) = -1 for some r < s
+        powers = [pow(a, (n - 1) >> r, n) for r in range(s, 0, -1)]
+        if powers[0] != 1 and n - 1 not in powers:
+            return False
+    return True
 
 
 def prime_factors(n: int) -> list[int]:

@@ -419,8 +419,8 @@ def _lemma_j(pair: Pair) -> tuple[str, dict]:
 
 
 def _lemma_k(pair: Pair) -> tuple[str, dict]:
-    o2 = pair.o_upper(2)
-    sub = satisfies_O(pair.G, o2)
+    o2 = pair.o_upper(2)  # inside H, so H itself when the orders agree
+    sub = pair.O if len(o2) == len(pair.H) else satisfies_O(pair.G, o2)
     details = {"o2_order": len(o2), "o_on_o2": sub.holds}
     if not sub.holds:
         details["witness"] = sub.witness
@@ -437,21 +437,14 @@ def _lemma_l(pair: Pair) -> tuple[str, dict]:
 
 
 def _lemma_m(pair: Pair) -> tuple[str, dict]:
-    G, H = pair.G, pair.H
-    class_of = conjugacy_classes(G).class_of
-    irr = pair.irr_given_n
-    for i in irr:
-        ids = pair.table.values.cells[i]
-        verdict = _coset_scan(
-            G,
-            H,
-            "lemma_m",
-            lambda x, y: ids[class_of[y]] == ids[class_of[x]],
-            "character is not constant on the coset xH",
-            pair.N.members,
-        )
-        if not verdict.holds:
-            return VIOLATION, {"x": verdict.x, "h": verdict.h, "failure": verdict.detail}
+    # one scan of N: x is labelled by the value ids, at its class, of every chi in Irr(G|N)
+    cells, irr = pair.table.values.cells, pair.irr_given_n
+    by_class = [tuple(cells[i][k] for i in irr) for k in range(len(cells))]
+    label = [by_class[k] for k in conjugacy_classes(pair.G).class_of]
+    detail = "character is not constant on the coset xH"
+    verdict = _coset_scan(pair.G, pair.H, "lemma_m", lambda x, y: label[y] == label[x], detail, pair.N.members)
+    if not verdict.holds:
+        return VIOLATION, {"x": verdict.x, "h": verdict.h, "failure": verdict.detail}
     return PASS, {"characters_checked": len(irr)}
 
 

@@ -151,12 +151,12 @@ def index_rows(rows: Iterable[ClassFunction]) -> tuple[list[tuple[int, ...]], li
 
 def trivial_character(G: GroupTable) -> ClassFunction:
     r = conjugacy_classes(G).count
-    return ClassFunction(G, tuple(Cyc.integer(1) for _ in range(r)))
+    return ClassFunction(G, tuple(Cyc(1, (1,)) for _ in range(r)))
 
 
 def regular_character(G: GroupTable) -> ClassFunction:
     r = conjugacy_classes(G).count
-    return ClassFunction(G, tuple(Cyc.integer(G.order if k == 0 else 0) for k in range(r)))
+    return ClassFunction(G, tuple(Cyc(1, (G.order if k == 0 else 0,)) for k in range(r)))
 
 
 def inner_product_int(f: ClassFunction, g: ClassFunction) -> int:

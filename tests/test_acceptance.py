@@ -41,8 +41,8 @@ def test_criterion_1_character_table_exactness():
         classes = conjugacy_classes(G)
         r = classes.count
         irr = table.irreducibles
-        assert sum(chi.degree() ** 2 for chi in irr) == G.order, entry.label
-        assert all(G.order % chi.degree() == 0 for chi in irr), entry.label
+        assert sum(chi.values[0].as_int() ** 2 for chi in irr) == G.order, entry.label
+        assert all(G.order % chi.values[0].as_int() == 0 for chi in irr), entry.label
         for i in range(r):
             for j in range(i, r):
                 expect = 1 if i == j else 0

@@ -4,6 +4,7 @@ import hashlib
 import pytest
 
 import camina.catalog as catalog
+import camina.grouptable as grouptable
 from camina.catalog import (
     BUILTIN_LABELS,
     CatalogEntry,
@@ -122,6 +123,24 @@ class TestBuiltin:
             h.update(repr((entry.degree, [g.images for g in entry.generators], entry.order)).encode())
         assert h.hexdigest() == "d968851f74e2ef5b18a2fbb932006c2f42936660a302953edbb115edfd922e39"
 
+    @pytest.mark.parametrize(
+        "label,images",
+        [
+            ("C2xS3", [(1, 0, 2, 3, 4), (0, 1, 3, 2, 4), (0, 1, 3, 4, 2)]),
+            ("S3xS3", [(1, 0, 2, 3, 4, 5), (1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 3, 5), (0, 1, 2, 4, 5, 3)]),
+            (
+                "Frob(7:3)xC2",
+                [(1, 2, 3, 4, 5, 6, 0, 7, 8), (0, 2, 4, 6, 1, 3, 5, 7, 8), (0, 1, 2, 3, 4, 5, 6, 8, 7)],
+            ),
+            ("C2xC2xC2", [(1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4)]),
+            ("C1xC2", [(0, 2, 1)]),
+        ],
+    )
+    def test_product_generators_pinned(self, label, images):
+        # a product's points are its factors' points, block after block; each
+        # factor's generators, in order, move only their own block
+        assert [g.images for g in builtin(label).generators] == images
+
     def test_catalog_sorted_and_unique(self):
         entries = builtin_catalog()
         labels = [e.label for e in entries]
@@ -153,15 +172,19 @@ class TestBuiltin:
 
     @pytest.mark.parametrize(
         "label",
-        ["C1000000000", "Heis(13)", "S1000", "A1000", "C2xD1000000000", "S10000000", "A10000000", "S10000000xC2"],
+        ["C1000000000", "Heis(13)", "S1000", "A1000", "C2xD1000000000", "S10000000", "A10000000", "S10000000xC2"]
+        + ["Heis(1000000000000000009)", "Frob(1000000000000000009:2)"],
     )
     def test_label_over_the_cap_builds_no_generator(self, monkeypatch, label):
         # a family builds its generators only when they are read: a label
         # over the cap is refused before any point map or permutation is made,
-        # and its order's factors are multiplied only until they pass the cap
+        # and its order's factors are multiplied only until they pass the cap;
+        # a prime parameter, 10^18 + 9 too, is tested and Frob's p - 1 left
+        # unfactored, with no trial division
         def refuse(*args, **kwargs):
-            raise AssertionError("a generator was built for a label over the cap")
+            raise AssertionError("a generator was built, or a trial division run, for a label over the cap")
 
+        monkeypatch.setattr(grouptable, "_least_prime", refuse)
         monkeypatch.setattr(catalog, "_action", refuse)
         monkeypatch.setattr(catalog, "Permutation", refuse)
         monkeypatch.setattr(catalog, "generate", refuse)

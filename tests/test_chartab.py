@@ -173,12 +173,12 @@ class TestCharacterTable:
     def test_regular_character_oracle(self, s4):
         t = character_table(s4)
         mults = decompose(regular_character(s4), t)
-        assert [m for _, m in mults] == [chi.degree() for chi in t.irreducibles]
+        assert [m for _, m in mults] == [chi.values[0].as_int() for chi in t.irreducibles]
 
     def test_identity_column_is_degree(self, a5):
         t = character_table(a5)
-        for chi in t.irreducibles:
-            assert chi.values[0].as_int() == chi.degree() > 0
+        degrees = [chi.values[0].as_int() for chi in t.irreducibles]
+        assert degrees == list(t.degree_sequence) and degrees[0] > 0
 
     def test_order_cap(self, monkeypatch, s4):
         # G's order is capped where G is generated; S4's 5 classes meet a class cap of 5
@@ -231,7 +231,7 @@ class TestCharacterTable:
             n = len(lifted)
             lifted.append(original_lift(e, counts))
             if wrong == "value_off_by_one":
-                return lifted[n] + Cyc.integer(1) if n == 1 else lifted[n]
+                return lifted[n] + Cyc(1, (1,)) if n == 1 else lifted[n]
             if wrong == "row_repeated":
                 return lifted[n - 5] if 5 <= n < 10 else lifted[n]
             return lifted[n]
@@ -364,7 +364,7 @@ class TestLinearCharacters:
             ([power(c, 2), compose(c, s), r], None),
         ):
             G = generate(gens[0].degree, gens)
-            linear = [chi for chi in character_table(G).irreducibles if chi.degree() == 1]
+            linear = [chi for chi in character_table(G).irreducibles if chi.values[0].as_int() == 1]
             assert len(linear) == G.order // len(derived_subgroup(G)) == 8
             if label:
                 assert table_shape(G) == table_shape(builtin(label).group())
@@ -556,7 +556,7 @@ class TestModularSelfCheck:
         e = reduced.e
         z = chartab._root_of_unity(e, p)
         zeta = Cyc.root_power(e, 1)
-        delta = (zeta + Cyc.integer(-z, e)) * (zeta + Cyc.integer(-pow(z, -1, p), e))
+        delta = (zeta + Cyc(1, (-z,)).rebase(e)) * (zeta + Cyc(1, (-pow(z, -1, p),)).rebase(e))
         perturbed = [list(row) for row in values]
         perturbed[1][1] = perturbed[1][1] + delta
         assert e == 20 and not delta.is_zero()
@@ -577,7 +577,7 @@ class TestModularSelfCheck:
         # there has the very tuples of its own.)
         G, classes, values = built_table("S4")
         mixed = [
-            [Cyc.integer(v.as_int()) if (i + k) % 2 else v for k, v in enumerate(row)] for i, row in enumerate(values)
+            [Cyc(1, (v.as_int(),)) if (i + k) % 2 else v for k, v in enumerate(row)] for i, row in enumerate(values)
         ]
         assert {v.e for row in mixed for v in row} == {1, 12}
         assert accepts(constructed, G, classes, values)
@@ -586,7 +586,7 @@ class TestModularSelfCheck:
         G, classes, values = built_table("S3")
         assert {v.e for row in values for v in row} == {6}
         for e in (2, 12):
-            moved = [[Cyc.integer(v.as_int(), e) for v in row] for row in values]
+            moved = [[Cyc(1, (v.as_int(),)).rebase(e) for v in row] for row in values]
             assert moved == values
             with pytest.raises(RuntimeError, match=r"character values are not in Z\[zeta_e\]"):
                 chartab.CharacterTable(G, *index_rows(ClassFunction(G, tuple(row)) for row in moved))
@@ -594,7 +594,7 @@ class TestModularSelfCheck:
     def test_rows_of_another_length_than_the_class_count(self):
         # C2's rows with a zero appended, or one row cut short, are no table
         G, classes, values = built_table("C2")
-        zero = Cyc.integer(0)
+        zero = Cyc(1, (0,))
         assert accepts(constructed, G, classes, values)
         assert not accepts(constructed, G, classes, [row + [zero] for row in values])
         assert not accepts(constructed, G, classes, [values[0], values[1][:1]])
@@ -824,14 +824,14 @@ class TestInnerProduct:
         values = []
         for rep in cl.reps:
             fixed = sum(1 for i, v in enumerate(s3.elements[rep]) if i == v)
-            values.append(Cyc.integer(fixed))
+            values.append(Cyc(1, (fixed,)))
         pi = ClassFunction(s3, tuple(values))
         assert inner_product_int(pi, trivial_character(s3)) == 1
 
     def test_inexact_division_raises(self, s3):
         # [f, f] = 3/6 for the indicator f of the transpositions
         cl = conjugacy_classes(s3)
-        f = ClassFunction(s3, tuple(Cyc.integer(1 if k == 1 else 0) for k in range(cl.count)))
+        f = ClassFunction(s3, tuple(Cyc(1, (1 if k == 1 else 0,)) for k in range(cl.count)))
         with pytest.raises(ValueError):
             inner_product(f, f)
 
@@ -841,7 +841,7 @@ class TestInduceRestrict:
         for H in subgroups(s4):
             table, _, _ = subgroup_table(s4, H)
             ind = induce(s4, H, trivial_character(table))
-            assert ind.degree() == s4.order // len(H)
+            assert ind.values[0].as_int() == s4.order // len(H)
             assert inner_product_int(ind, trivial_character(s4)) == 1
 
     def test_s3_a3_linear_induces_degree_two(self, s3):
@@ -871,7 +871,7 @@ class TestInduceRestrict:
     def test_restrict_preserves_degree(self, a5):
         H = by_order(a5, 12)
         for chi in character_table(a5).irreducibles:
-            assert restrict(a5, chi, H).degree() == chi.degree()
+            assert restrict(a5, chi, H).values[0].as_int() == chi.values[0].as_int()
 
     def test_s3_degree2_restricts_to_two_linears(self, s3):
         A3 = by_order(s3, 3)
@@ -951,7 +951,7 @@ class TestDecompose:
     def test_regular(self, frob21):
         t = character_table(frob21)
         mults = decompose(regular_character(frob21), t)
-        assert [m for _, m in mults] == [chi.degree() for chi in t.irreducibles]
+        assert [m for _, m in mults] == [chi.values[0].as_int() for chi in t.irreducibles]
 
     def test_induced_trivial_from_a3(self, s3):
         A3 = by_order(s3, 3)
@@ -959,13 +959,13 @@ class TestDecompose:
         ind = induce(s3, A3, trivial_character(table))
         t = character_table(s3)
         mults = dict(decompose(ind, t))
-        degrees = [chi.degree() for chi in t.irreducibles]
+        degrees = [chi.values[0].as_int() for chi in t.irreducibles]
         # trivial + sign: the two linear characters appear once each
         assert [mults[i] for i in range(3)] == [1 if degrees[i] == 1 else 0 for i in range(3)]
 
     def test_not_a_character(self, s3):
         cl = conjugacy_classes(s3)
-        f = ClassFunction(s3, tuple(Cyc.integer(1 if k == 1 else 0) for k in range(cl.count)))
+        f = ClassFunction(s3, tuple(Cyc(1, (1 if k == 1 else 0,)) for k in range(cl.count)))
         with pytest.raises(ValueError):
             decompose(f)
 
@@ -986,7 +986,7 @@ class TestHomogeneity:
         )
         ok, idx, a = is_homogeneous_induction(s3, A3, theta)
         assert ok and a == 1
-        assert character_table(s3).irreducibles[idx].degree() == 2
+        assert character_table(s3).irreducibles[idx].values[0].as_int() == 2
 
     def test_s4_transposition_subgroup_fails(self, s4):
         H = next(
@@ -1013,7 +1013,7 @@ class TestKernels:
 
     def test_q8_faithful(self, q8):
         chi = character_table(q8).irreducibles[-1]
-        assert chi.degree() == 2
+        assert chi.values[0].as_int() == 2
         assert kernel_of(chi).members == (0,)
 
     def test_s3_irr_given_n(self, s3):
@@ -1021,7 +1021,7 @@ class TestKernels:
         t = character_table(s3)
         sign = next(
             chi for chi in t.irreducibles
-            if chi.degree() == 1 and not all(v == 1 for v in chi.values)
+            if chi.values[0].as_int() == 1 and not all(v == 1 for v in chi.values)
         )
         degree2 = t.irreducibles[-1]
         assert not reference_in_irr_given_N(sign, A3)

@@ -39,7 +39,7 @@ def test_product_of_divisors_is_x_to_e_minus_1():
 
 def test_root_power_wraps():
     for e in (1, 2, 3, 4, 6, 8, 12):
-        assert Cyc.root_power(e, e) == Cyc.integer(1, e)
+        assert Cyc.root_power(e, e) == Cyc(1, (1,)).rebase(e)
         assert Cyc.root_power(e, 0) == 1
 
 
@@ -67,7 +67,7 @@ def test_norm_of_root_is_one():
 
 def test_rebase_embeds_consistently():
     minus_one = Cyc.root_power(6, 3)
-    assert minus_one == Cyc.integer(-1, 2)
+    assert minus_one == Cyc(1, (-1,)).rebase(2)
     assert Cyc.root_power(3, 1).rebase(6) == Cyc.root_power(6, 2)
     with pytest.raises(ValueError):
         Cyc.root_power(4, 1).rebase(6)
@@ -81,15 +81,15 @@ def test_mixed_root_order_arithmetic():
 
 
 def test_divide_exact():
-    v = Cyc.integer(6, 4) + Cyc.root_power(4, 1) * 9
-    assert v.divide_exact(3) == Cyc.integer(2, 4) + Cyc.root_power(4, 1) * 3
+    v = Cyc(1, (6,)).rebase(4) + Cyc.root_power(4, 1) * 9
+    assert v.divide_exact(3) == Cyc(1, (2,)).rebase(4) + Cyc.root_power(4, 1) * 3
     with pytest.raises(ArithmeticError):
         v.divide_exact(4)
 
 
 def test_rational_integer_detection():
-    assert Cyc.integer(5, 12).is_rational_integer()
-    assert Cyc.integer(5, 12).as_int() == 5
+    assert Cyc(1, (5,)).rebase(12).is_rational_integer()
+    assert Cyc(1, (5,)).rebase(12).as_int() == 5
     z = Cyc.root_power(8, 1)
     assert not z.is_rational_integer()
     with pytest.raises(ValueError):
@@ -98,7 +98,7 @@ def test_rational_integer_detection():
 
 def test_from_root_multiset():
     v = Cyc.from_root_multiset(4, {0: 2, 1: 1, 2: 1})
-    assert v == Cyc.integer(2, 4) + Cyc.root_power(4, 1) + Cyc.root_power(4, 2)
+    assert v == Cyc(1, (2,)).rebase(4) + Cyc.root_power(4, 1) + Cyc.root_power(4, 2)
 
 
 small_e = st.sampled_from([1, 2, 3, 4, 6, 8, 12])
@@ -124,7 +124,7 @@ def test_ring_laws(vals):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a + Cyc.zero(a.e) == a
-    assert a * Cyc.integer(1, a.e) == a
+    assert a * Cyc(1, (1,)).rebase(a.e) == a
 
 
 @given(cyc_pairs(2))

@@ -65,7 +65,19 @@ def test_series_sylow_and_class_closures_agree_with_sympy(entry):
 
 
 def test_primes_agree_with_sympy():
-    # the one trial division, grouptable._least_prime, behind both helpers
     for n in range(5_000):
         assert is_prime(n) == sympy.isprime(n), n
         assert prime_factors(n) == sympy.primefactors(n), n
+    # Miller-Rabin on large primes and on strong pseudoprimes to the first bases
+    large = [
+        561,  # a Carmichael number
+        3215031751,  # the least strong pseudoprime to the bases 2, 3, 5 and 7
+        3825123056546413051,  # a strong pseudoprime to every prime base up to 23
+        318665857834031151167461,  # the least strong pseudoprime to every prime base up to 37
+        1000000000000000009,
+        2**61 - 1,
+        2**89 - 1,
+        (2**61 - 1) * (2**89 - 1),
+    ]
+    for n in large:
+        assert is_prime(n) == sympy.isprime(n), n

@@ -264,7 +264,7 @@ class TestTableModP:
             table = character_table(entry.group())
             p, X = table.mod_p
             assert p > entry.group().order * max(table.degree_sequence) ** 2, entry.label
-            assert [row[0] for row in X] == [chi.degree() for chi in table.irreducibles], entry.label
+            assert [row[0] for row in X] == [chi.values[0].as_int() for chi in table.irreducibles], entry.label
 
     def test_no_cyc_arithmetic_in_the_verdicts(self, monkeypatch):
         # (CI) and lemma_l sum residues; lemma_m and the kernels only compare values
@@ -420,6 +420,32 @@ class TestOneEvaluationPerPair:
         for label, G in groups:
             sweep_single(label, G, ["odd_order", "cor1"])
         assert len(calls) == 226 and set(calls.values()) == {1}, calls
+
+    @pytest.mark.parametrize("label", ["S4", "C2xA4", "S3xS3"])
+    def test_lemma_k_reads_the_pairs_o_when_o2_is_h(self, monkeypatch, label):
+        # (O) on O^2(H) is the pair's own (O) when O^2(H) = H, as for every H
+        # of odd order, and a scan of its own otherwise: no pair scans one
+        # subgroup for (O) twice
+        calls = Counter()
+        original = verify.satisfies_O
+
+        def counted(G, H):
+            calls[H.members] += 1
+            return original(G, H)
+
+        monkeypatch.setattr(verify, "satisfies_O", counted)
+        G = builtin(label).group()
+        fired = Counter()
+        for H in subgroups(G):
+            if 1 < len(H) < G.order:
+                calls.clear()
+                pair = Pair(G, H)
+                verify_pair_claim(G, H, "lemma_k", pair)
+                scanned = {H.members, pair.o_upper(2).members} if pair.O.holds else {H.members}
+                assert calls == Counter(scanned), (label, H.members, calls)
+                if pair.O.holds:
+                    fired[len(scanned)] += 1
+        assert fired[1] and fired[2], fired
 
     def test_ci_over_cap_runs_once_per_pair(self, monkeypatch, s4):
         calls = Counter()
@@ -827,6 +853,32 @@ class TestIrrGivenNOncePerPair:
             rows = pair.table.irreducibles
             assert len(rows) == 4 and pair.irr_given_n == [i for i, chi in enumerate(rows) if reference_in_irr_given_N(chi, pair.N)]
         assert len(builds) == 1
+
+
+class TestLemmaMWitness:
+    @pytest.mark.parametrize("label", ["S4", "D6", "D10", "Q16", "C2xA4", "A5"])
+    def test_witness_is_the_first_failing_pair(self, monkeypatch, label):
+        # with its (CI) hypothesis dropped, lemma_m fails on non-normal pairs;
+        # its witness is the first (x, h) in element order, x first, with x
+        # in N - H, h in H and some chi in Irr(G|N) taking other values at x
+        # and x*h, and a pair with no such (x, h) passes
+        hypothesis, check, trivial = verify.CLAIMS["lemma_m"]
+        monkeypatch.setitem(verify.CLAIMS, "lemma_m", (lambda pair: not pair.normal, check, trivial))
+        G = builtin(label).group()
+        class_of = conjugacy_classes(G).class_of
+        subs = subgroups(G)
+        reports = [r for r in sweep_single(label, G, ["lemma_m"]) if r.status != VACUOUS]
+        assert any(r.status == VIOLATION for r in reports)
+        for r in reports:
+            H = subs[r.subgroup_index]
+            N = Pair(G, H).N
+            irr = [chi.values for chi in character_table(G).irreducibles if reference_in_irr_given_N(chi, N)]
+            pairs = ((x, h) for x in N.members if x not in H for h in H.members)
+            first = next(((x, h) for x, h in pairs if any(chi[class_of[x]] != chi[class_of[G.mul(x, h)]] for chi in irr)), None)
+            if first is None:
+                assert r.status == PASS, (label, r.subgroup_index)
+            else:
+                assert r.status == VIOLATION and (r.details["x"], r.details["h"]) == first, (label, r.subgroup_index)
 
 
 ISOMORPHIC_ENTRIES = [
