@@ -2,6 +2,11 @@
 
 Exit codes: 0 success with no violations, 1 usage error, 2 when any
 VIOLATION report was produced, 3 on cap overruns and IO errors.
+
+Importing this module loads the catalog and the structure layer only.
+The predicates, character tables, claims and report files are imported
+by the commands that use them, so ``catalog list``, ``info`` and
+``subgroups`` load none of them.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from datetime import datetime, timezone
 from functools import cache, partial
 from operator import attrgetter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .catalog import (
@@ -22,18 +28,7 @@ from .catalog import (
     format_cycles,
     parse_group_file,
 )
-from .conditions import (
-    ConditionVerdict,
-    equal_order_coset,
-    is_camina_pair,
-    satisfies_CI,
-    satisfies_F,
-    satisfies_Fpm,
-    satisfies_O,
-)
-from .cyclotomic import Cyc
 from .grouptable import DEFAULT_ORDER_CAP, CapExceeded, ElementSet, GroupTable, closure_indices
-from .reports import cached_character_table, persist_reports
 from .structure import (
     center,
     conjugacy_classes,
@@ -46,24 +41,21 @@ from .structure import (
     small_generating_set,
     subgroups,
 )
-from .verify import ALL_CLAIMS, LEMMA_CLAIMS, VIOLATION, VerificationReport, summarize, sweep_single
+
+if TYPE_CHECKING:
+    from .conditions import ConditionVerdict
+    from .verify import VerificationReport
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_CAPS_IO = 3
 
-# --condition name -> its predicate on (G, H)
-_CONDITIONS = {
-    "camina": is_camina_pair,
-    "f": satisfies_F,
-    "fpm": satisfies_Fpm,
-    "ci": satisfies_CI,
-    "o": satisfies_O,
-    "equal-order": equal_order_coset,
-}
+# the --condition names, each mapped to its predicate by ``_predicate``
+_CONDITIONS = ("camina", "f", "fpm", "ci", "o", "equal-order")
 
-CLAIM_ALIASES = {"all": ALL_CLAIMS, "lemmas": LEMMA_CLAIMS}
+# claim alias -> the name of its tuple of claims in ``verify``
+CLAIM_ALIASES = {"all": "ALL_CLAIMS", "lemmas": "LEMMA_CLAIMS"}
 
 # Input that cannot be read or is over a cap: exit code 3, or one group left out of a sweep.
 INPUT_ERRORS = (ParseError, OSError, CapExceeded)
@@ -76,6 +68,32 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); we need exit code 1
         raise UsageError(message)
+
+
+class _ClaimsHelp(argparse.HelpFormatter):
+    """Names the claims in the help of ``verify --claims`` when the help is
+    printed, so that building the parser does not import ``verify``."""
+
+    def _get_help_string(self, action):
+        if action.dest != "claims":
+            return action.help
+        from .verify import ALL_CLAIMS
+
+        return f"comma list of claims ({', '.join(ALL_CLAIMS)}) and aliases ({', '.join(CLAIM_ALIASES)})"
+
+
+def _predicate(condition: str):
+    """The predicate on (G, H) that ``--condition`` names."""
+    from .conditions import equal_order_coset, is_camina_pair, satisfies_CI, satisfies_F, satisfies_Fpm, satisfies_O
+
+    return {
+        "camina": is_camina_pair,
+        "f": satisfies_F,
+        "fpm": satisfies_Fpm,
+        "ci": satisfies_CI,
+        "o": satisfies_O,
+        "equal-order": equal_order_coset,
+    }[condition]
 
 
 def _positive_int(text: str) -> int:
@@ -126,11 +144,10 @@ def build_parser() -> _Parser:
     search.add_argument("--group", required=True)
     search.add_argument("--condition", required=True, choices=_CONDITIONS)
 
-    verify = sub.add_parser("verify", help="sweep theorem/lemma claims over a catalog")
+    verify = sub.add_parser("verify", help="sweep theorem/lemma claims over a catalog", formatter_class=_ClaimsHelp)
     verify.add_argument("--catalog", default="builtin", help="'builtin' or a directory of group files")
     verify.add_argument("--max-order", type=_positive_int, default=96)
-    claims_help = f"comma list of claims ({', '.join(ALL_CLAIMS)}) and aliases ({', '.join(CLAIM_ALIASES)})"
-    verify.add_argument("--claims", default="all", help=claims_help)
+    verify.add_argument("--claims", default="all", help="comma list of claims and aliases")
     verify.add_argument("--out", default=None, help="write a JSON-lines report file")
     return p
 
@@ -198,6 +215,9 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_chartab(args) -> int:
+    from .cyclotomic import Cyc
+    from .reports import cached_character_table
+
     label, G = _resolve_group(args)
     table = cached_character_table(G, args.cache_dir)
     classes = conjugacy_classes(G)
@@ -240,7 +260,7 @@ def _cmd_check(args) -> int:
                 raise UsageError(f"no subgroup of order {args.subgroup_order}")
     for index, H in targets:
         try:
-            verdict = _CONDITIONS[args.condition](G, H)
+            verdict = _predicate(args.condition)(G, H)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         _print_verdict(G, H, index, verdict)
@@ -249,10 +269,11 @@ def _cmd_check(args) -> int:
 
 def _cmd_search(args) -> int:
     label, G = _resolve_group(args)
+    predicate = _predicate(args.condition)
     found = 0
     for idx, H in enumerate(subgroups(G)):
         try:
-            verdict = _CONDITIONS[args.condition](G, H)
+            verdict = predicate(G, H)
         except ValueError:
             continue  # precondition not met (trivial or improper H)
         if verdict.holds:
@@ -263,14 +284,16 @@ def _cmd_search(args) -> int:
 
 
 def _parse_claims(text: str) -> list[str]:
+    from . import verify
+
     claims: list[str] = []
     for token in text.split(","):
         token = token.strip()
         if not token:
             continue
         if token in CLAIM_ALIASES:
-            claims.extend(CLAIM_ALIASES[token])
-        elif token in ALL_CLAIMS:
+            claims.extend(getattr(verify, CLAIM_ALIASES[token]))
+        elif token in verify.ALL_CLAIMS:
             claims.append(token)
         else:
             raise UsageError(f"unknown claim {token!r}")
@@ -296,6 +319,8 @@ def _sweep_payload(item, max_order, claims, order_cap) -> tuple[list[Verificatio
     Generation stops at the smaller of ``max_order`` and the order cap,
     so a group above ``max_order`` is never enumerated past it: it has no
     reports and no error."""
+    from .verify import sweep_single
+
     kind, payload = item
     try:
         entry = builtin(payload) if kind == "builtin" else parse_group_file(payload)
@@ -308,6 +333,8 @@ def _sweep_payload(item, max_order, claims, order_cap) -> tuple[list[Verificatio
 
 
 def _cmd_verify(args) -> int:
+    from .verify import VIOLATION, summarize
+
     claims = _parse_claims(args.claims)
     items = _catalog_entries(args.catalog)
     run = partial(_sweep_payload, max_order=args.max_order, claims=claims, order_cap=args.order_cap)
@@ -339,6 +366,8 @@ def _cmd_verify(args) -> int:
         if r.status == VIOLATION:
             print(f"VIOLATION {r.group_label} subgroup_index={r.subgroup_index} {r.claim}: {r.details}")
     if args.out:
+        from .reports import persist_reports
+
         timestamp = datetime.now(timezone.utc).isoformat()
         persist_reports(reports, args.out, __version__, timestamp)
         print(f"wrote {len(reports)} reports to {args.out}")

@@ -6,12 +6,14 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .chartab import CharacterTable, character_table, check_caps
 from .grouptable import GroupTable
 from .structure import exponent
-from .verify import VerificationReport
+
+if TYPE_CHECKING:
+    from .verify import VerificationReport
 
 FORMAT_VERSION = "camina/0.2.0"
 

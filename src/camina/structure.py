@@ -143,9 +143,15 @@ def subgroups(G: GroupTable) -> list[ElementSet]:
     join's conjugates are added by conjugating its members, with no
     closure; the walk keeps a transversal, whose Schreier generators give N_G(A) for the class
     representative A in one ``_dimino`` pass.  A is joined with one zuppo
-    z of each N_G(A)-orbit outside it: <A, z^n> = <A, z>^n for n in
-    N_G(A) and <A^g, z> = <A, z^(g^-1)>^g, so every other join is a
-    conjugate of these, recorded with its class.  A join is one
+    z of each N_G(A)-orbit outside it with z^p in A, p the prime dividing
+    o(z): <A, z^n> = <A, z>^n for n in N_G(A) and <A^g, z> =
+    <A, z^(g^-1)>^g, so every other join is a conjugate of these, recorded
+    with its class.  The z^p test loses no subgroup: a subgroup U != 1 has
+    a maximal subgroup A, and a zuppo z of U outside A of least order has
+    z^p in A (<z^p> is a smaller zuppo of U, or 1), so U = <A, z>.  The
+    test is the same for each generator of <z> and N_G(A)-invariant, so
+    it is made before the orbit walk; z^p is read once per zuppo, by
+    p - 1 row reads, and looked up in A's members.  A join is one
     ``closure_indices`` pass that starts from A's members and generators;
     it at least doubles the order, so a subgroup keeps at most log2 of its
     order generators, and it stops as soon as Lagrange says it is G (see
@@ -159,9 +165,15 @@ def subgroups(G: GroupTable) -> list[ElementSet]:
     if hit is not None:
         return hit
     least = G.least_generators
-    zuppos = [x for x in range(1, G.order) if least[x] == x and is_p_group(G.orders[x])]
     conjugators = conjugacy_classes(G).conjugators
     rows, inv = G.rows, G.inverse_ids
+    zuppos = []  # (z, z^p), p the prime dividing o(z)
+    for z in range(1, G.order):
+        if least[z] == z and is_p_group(G.orders[z]):
+            y = z
+            for _ in range(prime_factors(G.orders[z])[0] - 1):
+                y = rows[y][z]
+            zuppos.append((z, y))
     gens_of: dict[tuple[int, ...], tuple[int, ...]] = {}
     class_of: dict[tuple[int, ...], int] = {}
     worklist: list[tuple[tuple[int, ...], int, list[int]]] = []
@@ -192,9 +204,10 @@ def subgroups(G: GroupTable) -> list[ElementSet]:
         index = G.order // len(a)
         if is_prime(index) and G.members in gens_of:
             continue  # A has prime index, so every join with it is G
-        seen = set(a)
-        for z in zuppos:
-            if z in seen:
+        inside = set(a)
+        seen = set(inside)
+        for z, z_p in zuppos:
+            if z_p not in inside or z in seen:
                 continue
             orbit = [z]
             seen.add(z)

@@ -117,7 +117,7 @@ class Pair:
 
     @cached_property
     def O(self) -> ConditionVerdict:
-        return satisfies_O(self.G, self.H)
+        return _O_verdict(self.G, self.H)
 
     @property
     def CI(self) -> ConditionVerdict:
@@ -170,6 +170,17 @@ class Pair:
         """The rows of Irr(G|N) in ``table``, N = H^G: those whose kernel misses a class of N."""
         inside = conjugacy_classes(self.G).counts(self.N.members).keys()
         return [i for i, ker in enumerate(self.table.kernels) if not inside <= ker]
+
+
+def _O_verdict(G: GroupTable, H: ElementSet) -> ConditionVerdict:
+    """(O) on H, one scan per (G, member tuple), kept on G: O^2(H) of one
+    pair, read by lemma_k, is often the subgroup of another pair or O^2 of
+    a third."""
+    verdicts = G._cache.setdefault("O_verdicts", {})
+    verdict = verdicts.get(H.members)
+    if verdict is None:
+        verdict = verdicts[H.members] = satisfies_O(G, H)
+    return verdict
 
 
 def _group_report(label: str, G: GroupTable, claim: str, status: str, details: dict) -> VerificationReport:
@@ -419,8 +430,8 @@ def _lemma_j(pair: Pair) -> tuple[str, dict]:
 
 
 def _lemma_k(pair: Pair) -> tuple[str, dict]:
-    o2 = pair.o_upper(2)  # inside H, so H itself when the orders agree
-    sub = pair.O if len(o2) == len(pair.H) else satisfies_O(pair.G, o2)
+    o2 = pair.o_upper(2)  # inside H, so H's own verdict is read when the orders agree
+    sub = _O_verdict(pair.G, o2)
     details = {"o2_order": len(o2), "o_on_o2": sub.holds}
     if not sub.holds:
         details["witness"] = sub.witness

@@ -97,6 +97,10 @@ def loaded_after(statements: str) -> list[str]:
     )
 
 
+# what ``import camina.cli`` loads of the package
+CLI_MODULES = ["camina", "camina.catalog", "camina.cli", "camina.grouptable", "camina.perm", "camina.structure"]
+
+
 def camina_modules(names: list[str]) -> list[str]:
     return [m for m in names if m == "camina" or m.startswith("camina.")]
 
@@ -116,6 +120,31 @@ class TestImportGraph:
         added = loaded_after("import camina.catalog")
         assert "dataclasses" not in added
         assert "inspect" not in added
+
+    def test_cli_loads_catalog_and_structure_only(self):
+        # the predicates, character tables, claims and report files are
+        # imported by the commands that use them
+        assert camina_modules(loaded_after("import camina.cli")) == CLI_MODULES
+
+    @pytest.mark.parametrize(
+        "argv, layers",
+        [
+            (["catalog", "list"], []),
+            (["info", "--group", "S4"], []),
+            (["subgroups", "--group", "S4"], []),
+            (["check", "--group", "S4", "--subgroup-order", "4", "--condition", "o"], ["chartab", "conditions", "cyclotomic"]),
+            (["chartab", "--group", "S4"], ["chartab", "cyclotomic", "reports"]),
+            (["verify", "--max-order", "8", "--claims", "theorem1"], ["chartab", "conditions", "cyclotomic", "verify"]),
+            (["verify", "--max-order", "8", "--claims", "theorem1", "--out"], ["chartab", "conditions", "cyclotomic", "reports", "verify"]),
+        ],
+        ids=["catalog", "info", "subgroups", "check", "chartab", "verify", "verify-out"],
+    )
+    def test_command_loads_the_layers_it_uses(self, tmp_path, argv, layers):
+        if argv[-1] == "--out":
+            argv = argv + [str(tmp_path / "reports.jsonl")]
+        argv = ["--cache-dir", str(tmp_path / "cache")] + argv
+        added = loaded_after(f"from camina.cli import run_cli\ncode = run_cli({argv!r})\nassert code == 0, code")
+        assert camina_modules(added) == sorted(CLI_MODULES + [f"camina.{m}" for m in layers])
 
     @pytest.mark.parametrize("jobs, pooled", [(1, False), (2, True)])
     def test_process_pool_loads_only_for_several_jobs(self, jobs, pooled):

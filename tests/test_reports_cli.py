@@ -645,12 +645,12 @@ class TestCli:
         assert strip(files["all,cor2"]) == strip(files["all"]) == strip(files["lemmas,all"])
 
     def test_verify_exit_two_on_violation(self, monkeypatch, capsys):
-        import camina.cli as cli_mod
+        import camina.verify as verify_mod  # the CLI imports sweep_single from it per group
 
         def fake_sweep_single(label, G, claims, *a, **k):
             return [VerificationReport(label, G.order, 0, 1, claims[0], "VIOLATION", {"x": 1})]
 
-        monkeypatch.setattr(cli_mod, "sweep_single", fake_sweep_single)
+        monkeypatch.setattr(verify_mod, "sweep_single", fake_sweep_single)
         rc = run_cli(["verify", "--catalog", "builtin", "--max-order", "6", "--claims", "theorem1"])
         assert rc == 2
 

@@ -436,15 +436,16 @@ class TestSubgroups:
         assert sorted(cyclic) == zuppos, label
 
     def test_closure_budget(self, monkeypatch):
-        # One join per (class representative A, N_G(A)-orbit of zuppos
-        # outside A), each a closure_indices pass that starts from A's
-        # members with the zuppo as its one seed, none from an A of prime
-        # index once G is listed, and one more _dimino pass per class, for
-        # N_G(A): S5 makes 159 joins in 178 passes, PSL(2,7) 136 in 151 and
-        # S6 1,408 in 1,464.  A pass whose union of cosets outgrows |G|/p,
-        # p the least prime dividing the index of the group it extends,
-        # stops there and returns G's member tuple: 69 passes on S5, 68 on
-        # PSL(2,7) and 502 on S6.
+        # One join per (class representative A, N_G(A)-orbit of zuppos z
+        # outside A with z^p in A, p the prime dividing o(z)), each a
+        # closure_indices pass that starts from A's members with the zuppo
+        # as its one seed, none from an A of prime index once G is listed,
+        # and one more _dimino pass per class, for N_G(A): S5 makes 125
+        # joins in 144 passes, PSL(2,7) 101 in 116 and S6 968 in 1,024
+        # (159, 136 and 1,408 joins without the z^p test).  A pass whose
+        # union of cosets outgrows |G|/p, p the least prime dividing the
+        # index of the group it extends, stops there and returns G's member
+        # tuple: 46 passes on S5, 46 on PSL(2,7) and 282 on S6.
         joins, passes, stopped = [], [0], [0]
         original_closure, original_dimino = closure_indices, grouptable._dimino
 
@@ -462,9 +463,9 @@ class TestSubgroups:
         for module in (grouptable, structure):
             monkeypatch.setattr(module, "_dimino", counted_dimino)
         for G, join_budget, pass_budget, at_bound in [
-            (builtin("S5").group(), 170, 200, 69),
-            (psl27(), 150, 170, 68),
-            (builtin("S6").group(), 1_420, 1_500, 502),
+            (builtin("S5").group(), 130, 150, 46),
+            (psl27(), 105, 120, 46),
+            (builtin("S6").group(), 980, 1_040, 282),
         ]:
             joins.clear()
             passes[0] = stopped[0] = 0
@@ -482,7 +483,7 @@ class TestSubgroups:
         # stops once Lagrange says it is G; every product the lattice
         # makes, class partition included.  The zuppos are read off the
         # generation walk, so the lattice walks no cyclic subgroup.
-        for label, budget in [("S5", 13_741), ("S6", 420_521)]:
+        for label, budget in [("S5", 10_808), ("S6", 263_665)]:
             G = builtin(label).group()
             reads = table_reads(G)
             subgroups(G)
@@ -517,21 +518,23 @@ class TestSubgroups:
 
     def test_complete_under_single_element_joins(self):
         # Independent of how subgroups are found: the list holds distinct
-        # subgroups, and joining any of them with any element stays in it.
-        for entry in builtin_catalog():
-            G = entry.group()
-            if G.order > 60:
-                continue
+        # subgroups, joining any of them with any element stays in it, and
+        # its length is the known count.  S5, S4xC2 and PSL(2,7) are where
+        # the z^p test skips the most zuppos.
+        groups = [(e.label, e.group(), None) for e in builtin_catalog() if e.order <= 60]
+        groups += [("S5", builtin("S5").group(), 156), ("S4xC2", builtin("S4xC2").group(), 98), ("PSL(2,7)", psl27(), 179)]
+        for label, G, count in groups:
             listed = [H.members for H in subgroups(G)]
-            assert len(set(listed)) == len(listed), entry.label
-            assert all(ElementSet(G, m).is_subgroup for m in listed), entry.label
+            assert len(set(listed)) == len(listed), label
+            assert all(ElementSet(G, m).is_subgroup for m in listed), label
             found = set(listed)
             for members in listed:
                 inside = set(members)
                 gens = small_generating_set(G, members)
                 for x in range(G.order):
                     if x not in inside:
-                        assert closure_indices(G, gens + (x,)) in found, (entry.label, members, x)
+                        assert closure_indices(G, gens + (x,)) in found, (label, members, x)
+            assert count is None or len(listed) == count, label
 
     def test_count_cap(self, monkeypatch):
         monkeypatch.setattr(structure, "SUBGROUP_CAP", 29)

@@ -424,8 +424,9 @@ class TestOneEvaluationPerPair:
     @pytest.mark.parametrize("label", ["S4", "C2xA4", "S3xS3"])
     def test_lemma_k_reads_the_pairs_o_when_o2_is_h(self, monkeypatch, label):
         # (O) on O^2(H) is the pair's own (O) when O^2(H) = H, as for every H
-        # of odd order, and a scan of its own otherwise: no pair scans one
-        # subgroup for (O) twice
+        # of odd order, and otherwise the verdict kept on G for O^2(H),
+        # scanned by whichever pair or lemma_k read it first: no subgroup of
+        # G is scanned for (O) twice
         calls = Counter()
         original = verify.satisfies_O
 
@@ -435,17 +436,36 @@ class TestOneEvaluationPerPair:
 
         monkeypatch.setattr(verify, "satisfies_O", counted)
         G = builtin(label).group()
-        fired = Counter()
+        scanned, fired = set(), Counter()
         for H in subgroups(G):
             if 1 < len(H) < G.order:
-                calls.clear()
                 pair = Pair(G, H)
                 verify_pair_claim(G, H, "lemma_k", pair)
-                scanned = {H.members, pair.o_upper(2).members} if pair.O.holds else {H.members}
-                assert calls == Counter(scanned), (label, H.members, calls)
+                scanned.add(H.members)
                 if pair.O.holds:
-                    fired[len(scanned)] += 1
-        assert fired[1] and fired[2], fired
+                    o2 = pair.o_upper(2).members
+                    scanned.add(o2)
+                    fired[o2 == H.members] += 1
+        assert calls == Counter(scanned), (label, calls)
+        assert fired[True] and fired[False], fired
+
+    def test_builtin_sweep_scans_o_once_per_subgroup(self, monkeypatch):
+        # The builtin sweep's pairs and lemma_k read (O) on 729 distinct
+        # (G, member tuple) pairs, each scanned once: 853 scans when lemma_k
+        # scanned O^2(H) afresh.  The report file is pinned by
+        # BUILTIN_SWEEP_SHA256 in test_reports_cli.py.
+        calls = Counter()
+        original = verify.satisfies_O
+
+        def counted(G, H):
+            calls[id(G), H.members] += 1
+            return original(G, H)
+
+        monkeypatch.setattr(verify, "satisfies_O", counted)
+        groups = [(entry.label, entry.group()) for entry in builtin_catalog()]  # alive, so ids stay distinct
+        for label, G in groups:
+            sweep_single(label, G, list(verify.ALL_CLAIMS))
+        assert len(calls) == 729 and set(calls.values()) == {1}, (len(calls), sum(calls.values()))
 
     def test_ci_over_cap_runs_once_per_pair(self, monkeypatch, s4):
         calls = Counter()
