@@ -142,17 +142,15 @@ def dixon_prime(e: int, order: int) -> int:
 
 
 def _class_matrix(G: GroupTable, classes: ConjClassPartition, i: int) -> list[list[int]]:
-    """The class matrix M_i with M_i[j][k] = a_ijk, the number of ways a
-    fixed element of class k factors as (class i element)*(class j
-    element): x in class i factors rep_k as x (x^-1 rep_k), so a_ijk counts
-    the x with x^-1 rep_k in class j.  The split builds these one at a
-    time, as it reaches them."""
+    """The class matrix M_i with M_i[j][k] = a_ijk, the number of x in class
+    i with x^-1 rep_k in class j, so that rep_k = x (x^-1 rep_k).  These
+    y = x^-1 fill class i*, and y rep_k is conjugate to rep_k y, so column k
+    counts ``products(i*, k)``.  The split builds these as it reaches them."""
     r = classes.count
     M = [[0] * r for _ in range(r)]
-    members = classes.members(i)
-    for k, z in enumerate(classes.reps):
-        for x in members:
-            M[classes.class_of[G.mul(G.inv(x), z)]][k] += 1
+    for k in range(r):
+        for j in classes.products(classes.inverse_class[i], k):
+            M[j][k] += 1
     return M
 
 

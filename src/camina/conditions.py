@@ -147,19 +147,19 @@ def _class_scan(G: GroupTable, H: ElementSet, tag: str, M: ElementSet | None = N
     have the class label of x, or under (F+-) that of x or of x^-1.
 
     A label is a class of G.  With M normal in G and M <= H, the labels are
-    those of G/M, read inside G: the class of xM pulls back to K M = (r M)^G,
-    K the class of x and r its representative, so class k gets the label
-    q[k], the least class met by reps[k] * M.  A witness holds G's indices."""
+    those of G/M, read inside G: xM's class pulls back to K M = (r M)^G, r the
+    representative of x's class k, which gets the label q[k], the least class
+    in ``products(m, k)``, m a class of M.  A witness holds G's indices."""
     classes = conjugacy_classes(G)
-    c = label = classes.class_of
-    q = range(classes.count)
+    label = classes.class_of
     if M is not None:
-        q = [min(c[G.mul(r, m)] for m in M.members) for r in classes.reps]
-        label = [q[k] for k in c]
+        m_ids = classes.counts(M.members)
+        q = [min(min(classes.products(m, k)) for m in m_ids) for k in range(classes.count)]
+        label = list(map(q.__getitem__, label))
     if tag != FPM:
         return _coset_scan(G, H, tag, lambda x, y: label[y] == label[x], "x*h is not conjugate to x")
-    allowed = [(q[k], q[inv]) for k, inv in enumerate(classes.inverse_class)]
-    return _coset_scan(G, H, tag, lambda x, y: label[y] in allowed[c[x]], "x*h is conjugate to neither x nor x^-1")
+    inv, detail = G.inverse_ids, "x*h is conjugate to neither x nor x^-1"
+    return _coset_scan(G, H, tag, lambda x, y: label[y] == label[x] or label[y] == label[inv[x]], detail)
 
 
 def _coset_scan(

@@ -11,7 +11,8 @@ subgroup, a coset, a conjugacy class, ...) given by sorted element
 indices.
 ConjClassPartition is G's partition into conjugacy classes, with the maps
 x -> x^g of G's generators g that found it; a set is normal iff it is a
-union of classes, read off its class counts.
+union of classes, read off its class counts; its ``products`` is G's one
+class-product table, read wherever classes are multiplied.
 
 The number theory that group orders are read with lives here too, so
 that the catalog imports it without the structure layer: ``is_prime``,
@@ -247,10 +248,13 @@ class ConjClassPartition:
     Classes are numbered by (element order of representative, class size,
     least representative index); the identity is always class 0.
     ``conjugators[k]`` maps x to x^g, g = ``group.generator_ids[k]``.
+    ``products(i, k)`` reads the class-product table: the class matrices,
+    the G/M labels and the claims on class products (claim9, covering,
+    lemma_h) all read it.
     A slots class: claims read ``class_of`` in their inner loops.
     """
 
-    __slots__ = ("group", "class_of", "reps", "sizes", "inverse_class", "member_lists", "conjugators")
+    __slots__ = ("group", "class_of", "reps", "sizes", "inverse_class", "member_lists", "conjugators", "_products")
 
     def __init__(
         self,
@@ -269,10 +273,26 @@ class ConjClassPartition:
         self.inverse_class = inverse_class
         self.member_lists = member_lists
         self.conjugators = conjugators
+        self._products: list = [None] * len(reps)
 
     @property
     def count(self) -> int:
         return len(self.reps)
+
+    def products(self, i: int, k: int) -> list[int]:
+        """The classes of reps[k] * y for every y in class i, with
+        multiplicity and in member order: K_k K_i is the union of the
+        classes met, since K S = (x S)^G for x in K and S normal.  Class
+        i's products are built on first read and kept in one flat list, for
+        each y the classes of y * reps[k], a conjugate of reps[k] * y, read
+        off y's row of the Cayley table; the whole table is at most |G| r
+        ids, no more than the Cayley table."""
+        flat = self._products[i]
+        if flat is None:
+            flat = self._products[i] = []
+            for y in self.member_lists[i]:
+                flat += map(self.class_of.__getitem__, map(self.group.rows[y].__getitem__, self.reps))
+        return flat[k::len(self.reps)]
 
     def members(self, cid: int) -> tuple[int, ...]:
         return self.member_lists[cid]

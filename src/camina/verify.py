@@ -391,17 +391,16 @@ def _lemma_g(pair: Pair) -> tuple[str, dict]:
 
 def _lemma_h(pair: Pair) -> tuple[str, dict]:
     """K*N lies in K union K^-1 for every class K of derangements, the classes
-    that miss H.  Only k = reps[K], K's least member, is tested: a failing
-    (k^g, n) gives (k, n^(g^-1))."""
-    G, N = pair.G, pair.N
-    classes = conjugacy_classes(G)
+    that miss H, read off the products of N's classes with k = reps[K], K's
+    least member: a failing (k^g, n) gives (k, n^(g^-1)), n the least in N."""
+    classes = conjugacy_classes(pair.G)
     delta_class_ids = [c for c in range(classes.count) if c not in pair.class_counts]
+    n_ids = classes.counts(pair.N.members)
     for cid in delta_class_ids:
-        k = classes.reps[cid]
-        allowed = (cid, classes.inverse_class[cid])
-        for n in N.members:
-            if classes.class_of[G.mul(k, n)] not in allowed:
-                return VIOLATION, {"class_rep": k, "k": k, "n": n, "failure": "K*N escapes K union K^-1"}
+        k, allowed = classes.reps[cid], (cid, classes.inverse_class[cid])
+        bad = [y for m in n_ids for y, c in zip(classes.members(m), classes.products(m, cid)) if c not in allowed]
+        if bad:
+            return VIOLATION, {"class_rep": k, "k": k, "n": min(bad), "failure": "K*N escapes K union K^-1"}
     return PASS, {"derangement_classes_checked": len(delta_class_ids)}
 
 
@@ -461,8 +460,8 @@ def _lemma_m(pair: Pair) -> tuple[str, dict]:
 
 def _claim9(pair: Pair) -> tuple[str, dict]:
     """Derangement classes x^G, those that miss H, against the classes y^G that
-    meet H: x^G y^G is the union of the classes met by reps[x^G] * y, y in y^G,
-    each judged by its representative, its least member, which is the witness."""
+    meet H: x^G y^G is the union of the classes in ``products(y^G, x^G)``, each
+    judged by its representative, its least member, which is the witness."""
     G = pair.G
     classes = conjugacy_classes(G)
     odd = [G.element_order(r) % 2 == 1 for r in classes.reps]
@@ -471,7 +470,7 @@ def _claim9(pair: Pair) -> tuple[str, dict]:
     for did in delta_class_ids:
         x, x_odd = classes.reps[did], odd[did]
         for cid in h_class_ids:
-            wrong = [c for c in {classes.class_of[G.mul(x, y)] for y in classes.members(cid)} if odd[c] != x_odd]
+            wrong = [c for c in set(classes.products(cid, did)) if odd[c] != x_odd]
             if wrong:
                 z_parity, x_parity = ("even", "odd") if x_odd else ("odd", "even")
                 return VIOLATION, {
@@ -486,14 +485,13 @@ def _claim9(pair: Pair) -> tuple[str, dict]:
 def verify_covering(G: GroupTable, label: str = "") -> VerificationReport:
     """For nonabelian simple G, every nontrivial class C has C^m = G for
     some m.  C^m is kept as its set S of class ids: C^(m+1) is the union of
-    the classes met by reps[s] * y, s in S and y in C.  Each set fixes the
-    next, so once one repeats the powers cycle and never reach G."""
+    the classes in ``products(C, s)``, s in S.  Each set fixes the next, so
+    once one repeats the powers cycle and never reach G."""
     if not is_simple(G):
         return _group_report(label, G, "covering", VACUOUS, {"reason": "group is not nonabelian simple"})
     classes = conjugacy_classes(G)
     max_m = 0
     for cid in range(1, classes.count):
-        members = classes.members(cid)
         current = frozenset({cid})
         seen = set()  # C^1 .. C^(m-1), all distinct
         while len(current) < classes.count:
@@ -502,7 +500,7 @@ def verify_covering(G: GroupTable, label: str = "") -> VerificationReport:
                 details = {"class_rep": classes.reps[cid], "failure": failure}
                 return _group_report(label, G, "covering", VIOLATION, details)
             seen.add(current)
-            current = frozenset(classes.class_of[G.mul(classes.reps[s], y)] for s in current for y in members)
+            current = frozenset().union(*(classes.products(cid, s) for s in current))
         max_m = max(max_m, len(seen) + 1)
     return _group_report(label, G, "covering", PASS, {"fired": True, "max_power_needed": max_m})
 

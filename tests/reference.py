@@ -6,8 +6,9 @@ the second routes that the library no longer takes.
   ``from_cycles``, ``compose``, ``inverse``, ``conjugate``,
   ``element_order`` and ``power`` on ``Permutation``s, and ``table_power``,
   x^k read off a table's ``powers`` walk.
-- Every class matrix at once, ``class_matrices``, where the library builds
-  each one as its split reaches it.
+- Every class matrix at once, ``class_matrices``, element by element from
+  the definition, where the library reads each one off its class-product
+  table as its split reaches it.
 - A table's value index from ``ClassFunction`` rows, ``index_rows``, the
   form the ``CharacterTable`` constructor takes.
 - The literal character-theory route to (CI) (Theorem 1: every nontrivial
@@ -44,7 +45,6 @@ from camina.chartab import (
     _root_of_unity,
     _roots_mod,
     _rref,
-    _class_matrix,
     decompose,
     dixon_prime,
     induce,
@@ -134,9 +134,18 @@ def trivial_subgroup(G: GroupTable) -> ElementSet:
 
 
 def class_matrices(G: GroupTable) -> list[list[list[int]]]:
-    """Every class matrix of G in class order, built at once."""
+    """Every class matrix of G in class order, built at once: M_i[j][k] counts
+    the x in class i with x^-1 rep_k in class j."""
     classes = conjugacy_classes(G)
-    return [_class_matrix(G, classes, i) for i in range(classes.count)]
+    r = classes.count
+    mats = []
+    for i in range(r):
+        M = [[0] * r for _ in range(r)]
+        for k, z in enumerate(classes.reps):
+            for x in classes.members(i):
+                M[classes.class_of[G.mul(G.inv(x), z)]][k] += 1
+        mats.append(M)
+    return mats
 
 
 def index_rows(rows: Iterable[ClassFunction]) -> tuple[list[tuple[int, ...]], list[list[int]]]:

@@ -157,6 +157,16 @@ class TestClassMatrices:
                     total = sum(mats[i][j][k] * cl.sizes[k] for k in range(r))
                     assert total == cl.sizes[i] * cl.sizes[j]
 
+    def test_match_elementwise(self):
+        # the library reads M_i off the class products of the inverse class;
+        # C3 and Frob(7:3) have non-real classes, where that class differs
+        labels = [e.label for e in builtin_catalog()] + ["S5", "A6", "Frob(31:15)xC2"]
+        for label in labels:
+            G = builtin(label).group()
+            classes = conjugacy_classes(G)
+            got = [chartab._class_matrix(G, classes, i) for i in range(classes.count)]
+            assert got == class_matrices(G), label
+
 
 class TestCharacterTable:
     def test_abelian_all_linear(self):

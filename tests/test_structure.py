@@ -396,6 +396,19 @@ class TestSubgroups:
         assert len(subgroups(a6)) == 501
         assert len(subgroups(builtin("S6").group())) == 1_455
 
+    def test_elementary_abelian_counts(self):
+        # C_p^n has [n choose k]_p subgroups of order p^k, the number of
+        # k-dimensional subspaces of F_p^n (OEIS A006116 for p = 2)
+        def gaussian_binomial(n, k, p):
+            top = math.prod(p ** (n - i) - 1 for i in range(k))
+            return top // math.prod(p ** (i + 1) - 1 for i in range(k))
+
+        for p, n, expect in [(2, 5, 374), (2, 6, 2_825), (3, 4, 212), (5, 3, 64)]:
+            count = sum(gaussian_binomial(n, k, p) for k in range(n + 1))
+            assert count == expect
+            label = "x".join([f"C{p}"] * n)
+            assert len(subgroups(builtin(label).group())) == count, label
+
     @pytest.mark.parametrize("label", [entry.label for entry in builtin_catalog()] + ["S5"])
     def test_zuppos_match_a_separate_walk(self, monkeypatch, label):
         # zuppo_of is a copy of the lattice's former second walk of every

@@ -763,7 +763,8 @@ def elementwise_covering(G):
 
 class TestClassRepresentativesMatchElementwise:
     """Claims that read one representative per class agree with their
-    element-by-element definitions on the builtin groups of order <= 60."""
+    element-by-element definitions on the builtin groups of order <= 60,
+    and on some larger groups."""
 
     def test_lemma_c_lemma_h_and_claim9_checks(self):
         pairs = proper_nontrivial_pairs()
@@ -778,7 +779,7 @@ class TestClassRepresentativesMatchElementwise:
             statuses[got[0]] += 1
         assert statuses[VIOLATION] > 0 and statuses[PASS] > 0
 
-    def test_claim9(self):
+    def test_claim9_and_lemma_h(self):
         # every builtin group, and S5 and S4xC2 beyond order 60
         labels = [e.label for e in builtin_catalog()] + ["S5", "S4xC2"]
         groups = [(label, builtin(label).group()) for label in labels]
@@ -789,8 +790,11 @@ class TestClassRepresentativesMatchElementwise:
                     pair = Pair(G, H)
                     got = verify._claim9(pair)
                     assert got == elementwise_claim9(pair), (label, H.members)
-                    statuses[got[0]] += 1
-        assert statuses[VIOLATION] > 0 and statuses[PASS] > 0
+                    statuses["claim9", got[0]] += 1
+                    got = verify._lemma_h(pair)
+                    assert got == elementwise_lemma_h(pair), (label, H.members)
+                    statuses["lemma_h", got[0]] += 1
+        assert all(statuses[claim, status] > 0 for claim in ("claim9", "lemma_h") for status in (PASS, VIOLATION))
 
     def test_lemma_j(self):
         fired = 0
@@ -806,9 +810,11 @@ class TestClassRepresentativesMatchElementwise:
             for p in prime_factors(G.order):
                 r = verify_cor2(G, p)
                 assert (r.status, r.details) == elementwise_cor2(G, p), (label, p)
-        a5 = builtin("A5").group()
-        r = verify_covering(a5)
-        assert r.status == PASS and (r.status, r.details) == elementwise_covering(a5)
+        # A5 is the one simple builtin group; A6 is simple too
+        for label in ("A5", "A6"):
+            G = builtin(label).group()
+            r = verify_covering(G)
+            assert r.status == PASS and (r.status, r.details) == elementwise_covering(G), label
         # S3 is not simple: the powers of its transpositions alternate between
         # the transpositions and A3, which reaches the VIOLATION branch
         s3 = builtin("S3").group()
