@@ -23,7 +23,6 @@ _EXPORTS = {
     ),
     "conditions": (
         "ConditionVerdict",
-        "bs_hypothesis",
         "derangements",
         "equal_order_coset",
         "is_camina_pair",

@@ -15,12 +15,12 @@ import argparse
 import sys
 from datetime import datetime, timezone
 from functools import cache, partial
-from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
 from .catalog import (
+    BUILTIN_LABELS,
     ParseError,
     UnknownLabel,
     builtin,
@@ -303,9 +303,10 @@ def _parse_claims(text: str) -> list[str]:
 
 
 def _catalog_entries(source: str) -> list[tuple[str, str]]:
-    """(kind, payload) pairs a worker can rebuild a group from."""
+    """(kind, payload) pairs a worker can rebuild a group from, in the
+    order of the labels of their groups."""
     if source == "builtin":
-        return [("builtin", e.label) for e in builtin_catalog()]
+        return [("builtin", label) for label in sorted(BUILTIN_LABELS)]
     directory = Path(source)
     if not directory.is_dir():
         raise UsageError(f"--catalog must be 'builtin' or a directory, got {source!r}")
@@ -349,8 +350,8 @@ def _cmd_verify(args) -> int:
     errors = [error for _, error in results if error is not None]
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
-    # each chunk is in report_key order and catalog labels are distinct
-    reports = sorted((r for chunk, _ in results for r in chunk), key=attrgetter("group_label"))
+    # each chunk is in report_key order, and the chunks in label order
+    reports = [r for chunk, _ in results for r in chunk]
     summary = summarize(reports)
     for claim in sorted(summary["claims"]):
         c = summary["claims"][claim]

@@ -12,6 +12,10 @@ witness stays the first one in element order.
 
 (F), (F+-) and Camina are one class-label scan, ``_class_scan``, which also
 decides them on (G/M, H/M) from the classes of G.
+
+Every predicate here is a condition on a pair (G, H).  Corollary 2's
+hypothesis, a fact of G alone, is decided per class by ``verify_cor2``
+from the class-product table.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Callable, Iterable
 
 from .chartab import character_table
 from .grouptable import ElementSet, GroupTable
-from .structure import conjugacy_classes, p_part
+from .structure import conjugacy_classes
 
 CAMINA = "CAMINA"
 F = "F"
@@ -30,7 +34,6 @@ FPM = "FPM"
 CI = "CI"
 O = "O"
 EQUAL_ORDER_COSET = "EQUAL_ORDER_COSET"
-BS_HYPOTHESIS = "BS_HYPOTHESIS"
 
 
 @dataclass(frozen=True)
@@ -201,16 +204,3 @@ def derangements(G: GroupTable, H: ElementSet) -> ElementSet:
     if not members:
         raise RuntimeError("a proper subgroup always has derangements")
     return ElementSet(G, members)
-
-
-def bs_hypothesis(G: GroupTable, x: int, p: int) -> ConditionVerdict:
-    """x*y is p-regular for every nontrivial p-regular y in G; x must be a p-element."""
-    ox = G.element_order(x)
-    if p_part(ox, p) != ox:
-        raise ValueError(f"element {x} of order {ox} is not a {p}-element")
-    for y in range(1, G.order):
-        if G.element_order(y) % p == 0:
-            continue
-        if G.element_order(G.mul(x, y)) % p == 0:
-            return ConditionVerdict(False, BS_HYPOTHESIS, x, y, f"x*y is {p}-singular for p-regular y")
-    return ConditionVerdict(True, BS_HYPOTHESIS)

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .chartab import CharacterTable, character_table
+from .chartab import CharacterTable, character_table, check_caps
 from .conditions import (
     F,
     FPM,
@@ -28,7 +28,6 @@ from .conditions import (
     _class_scan,
     _coset_scan,
     _equal_order_scan,
-    bs_hypothesis,
     is_camina_pair,
     satisfies_CI,
     satisfies_F,
@@ -119,20 +118,12 @@ class Pair:
     def O(self) -> ConditionVerdict:
         return _O_verdict(self.G, self.H)
 
-    @property
-    def CI(self) -> ConditionVerdict:
-        """(CI), or the CapExceeded of its character table, raised on every read."""
-        verdict = self._CI
-        if isinstance(verdict, CapExceeded):
-            raise verdict
-        return verdict
-
     @cached_property
-    def _CI(self) -> ConditionVerdict | CapExceeded:
-        try:
-            return satisfies_CI(self.G, self.H)
-        except CapExceeded as exc:
-            return exc
+    def CI(self) -> ConditionVerdict:
+        """(CI).  Above G's class cap every read raises the CapExceeded of
+        ``check_caps`` and (CI) is never evaluated."""
+        check_caps(self.G)
+        return satisfies_CI(self.G, self.H)
 
     @cached_property
     def h_solvable(self) -> bool:
@@ -287,16 +278,20 @@ def _cor1(pair: Pair) -> tuple[str, dict]:
 def verify_cor2(G: GroupTable, p: int, label: str = "") -> VerificationReport:
     """Every p-element whose products with nontrivial p-regular elements stay
     p-regular lies in O_p(G).  Both sides are closed under conjugation, so
-    each class is decided by its representative, its least member."""
+    each class k of p-elements is decided by its representative, its least
+    member: the hypothesis holds iff every class in ``products(j, k)`` is
+    p-regular, for every nontrivial p-regular class j."""
     if G.order % p:
         return _group_report(label, G, "cor2", VACUOUS, {"p": p, "reason": "p does not divide |G|"})
     opg = o_lower_p(G, p)
     classes = conjugacy_classes(G)
+    orders = [G.element_order(r) for r in classes.reps]
+    regular = [o % p != 0 for o in orders]
+    regular_ids = [j for j in range(1, classes.count) if regular[j]]  # class 0 is the identity
     fired = 0
-    for x, size in sorted(zip(classes.reps, classes.sizes)):
-        ox = G.element_order(x)
-        if p_part(ox, p) == ox and bs_hypothesis(G, x, p).holds:
-            fired += size
+    for x, k in sorted(zip(classes.reps, range(classes.count))):
+        if p_part(orders[k], p) == orders[k] and all(regular[c] for j in regular_ids for c in classes.products(j, k)):
+            fired += classes.sizes[k]
             if x not in opg:
                 details = {"p": p, "x": x, "detail": "hypothesis fires but x is outside O_p(G)"}
                 return _group_report(label, G, "cor2", VIOLATION, details)
@@ -572,14 +567,14 @@ def transferable(report: VerificationReport) -> bool:
     class: orders of H, N, O^p(H) and normal subgroups, numbers of classes,
     characters and class pairs checked, the class counts of H.  Only a
     witness is not: it is the first failing element in element order, which
-    conjugation does not keep.  PASS details hold no witness, and VACUOUS
+    conjugation does not keep.  PASS details hold no witness, VACUOUS
     details hold one only under a ``*_witness`` key (the failed hypothesis of
-    theorem2, odd_order and cor1).  Those reports, VIOLATION and SKIPPED are
+    theorem2, odd_order and cor1), and SKIPPED details hold only the class
+    cap's message, a fact of G, and for theorem1 ``f_holds`` and
+    ``h_normal``.  VIOLATION reports and those with a ``*_witness`` key are
     evaluated on each conjugate's own pair.
     """
-    if report.status == PASS:
-        return True
-    return report.status == VACUOUS and not any(k.endswith("_witness") for k in report.details)
+    return report.status != VIOLATION and not any(k.endswith("_witness") for k in report.details)
 
 
 def sweep_single(label: str, G: GroupTable, claims: list[str]) -> list[VerificationReport]:

@@ -25,8 +25,10 @@ the second routes that the library no longer takes.
 - The trivial subgroup, ``trivial_subgroup``.
 - Slow versions of fast library code, named ``reference_*``: closures,
   generating sets, subgroup, normality and subnormality tests, Irr(G|N),
-  the sweep without transfer between conjugates, and the character table
-  split in the whole class space and checked in exact ``Cyc`` arithmetic.
+  corollary 2's hypothesis on one element against every y in G, which the
+  library decides per class from the class-product table, the sweep
+  without transfer between conjugates, and the character table split in
+  the whole class space and checked in exact ``Cyc`` arithmetic.
 """
 
 from __future__ import annotations
@@ -50,10 +52,11 @@ from camina.chartab import (
     induce,
     inner_product,
 )
+from camina.conditions import ConditionVerdict
 from camina.cyclotomic import Cyc
 from camina.grouptable import ElementSet, GroupTable, subgroup_table
 from camina.perm import Permutation, cycles
-from camina.structure import ConjClassPartition, conjugacy_classes, exponent, subgroups
+from camina.structure import ConjClassPartition, conjugacy_classes, exponent, p_part, subgroups
 from camina.verify import CLAIMS, Pair, VerificationReport, verify_pair_claim
 
 # --- permutation arithmetic ------------------------------------------------
@@ -308,6 +311,20 @@ def reference_in_irr_given_N(chi: ClassFunction, N: ElementSet) -> bool:
         raise ValueError("N must be a normal subgroup")
     ker = kernel_of(chi)
     return not all(n in ker for n in N.members)
+
+
+def reference_bs_hypothesis(G: GroupTable, x: int, p: int) -> ConditionVerdict:
+    """x*y is p-regular for every nontrivial p-regular y in G, y in element
+    order; x must be a p-element.  A failing verdict names the first y."""
+    ox = G.element_order(x)
+    if p_part(ox, p) != ox:
+        raise ValueError(f"element {x} of order {ox} is not a {p}-element")
+    for y in range(1, G.order):
+        if G.element_order(y) % p == 0:
+            continue
+        if G.element_order(G.mul(x, y)) % p == 0:
+            return ConditionVerdict(False, "BS_HYPOTHESIS", x, y, f"x*y is {p}-singular for p-regular y")
+    return ConditionVerdict(True, "BS_HYPOTHESIS")
 
 
 def reference_pair_reports(label: str, G: GroupTable, claims: Sequence[str]) -> list[VerificationReport]:

@@ -17,7 +17,7 @@ from camina.structure import (
     subgroups,
 )
 from camina.verify import LEMMA_CLAIMS, summarize, verify_covering
-from reference import inner_product_int, regular_character, restrict
+from reference import inner_product_int, reference_bs_hypothesis, regular_character, restrict
 
 
 def _criterion(name, ok):
@@ -117,10 +117,8 @@ def test_criterion_5_cor2_sweep(s3, verify_builtin):
     fires for both 3-cycles."""
     reports = verify_builtin(128, ["cor2"])
     s = summarize(reports)
-    from camina.conditions import bs_hypothesis
-
     three_cycles = [i for i in range(s3.order) if s3.element_order(i) == 3]
-    fires = all(bs_hypothesis(s3, x, 3).holds for x in three_cycles)
+    fires = all(reference_bs_hypothesis(s3, x, 3).holds for x in three_cycles)
     ok = s["violations"] == 0 and len(three_cycles) == 2 and fires
     _criterion(f"criterion 5: cor2 sweep <= 128 over {s['total']} (G,p) pairs, 0 violations", ok)
 

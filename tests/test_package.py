@@ -32,7 +32,6 @@ EXPORTS = {
     ],
     "conditions": [
         "ConditionVerdict",
-        "bs_hypothesis",
         "derangements",
         "equal_order_coset",
         "is_camina_pair",
@@ -160,7 +159,7 @@ class TestImportGraph:
 class TestPackageRoot:
     def test_exports_are_todays_names(self):
         names = [name for names in EXPORTS.values() for name in names]
-        assert len(names) == 52
+        assert len(names) == 51
         assert sorted(camina.__all__) == sorted(names)
 
     @pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTS.items() for n in names])

@@ -516,6 +516,19 @@ class TestCli:
         assert rc == 0
         assert "S3" in out and "Q8" in out
 
+    def test_verify_takes_groups_in_label_order(self, tmp_path, capsys):
+        # verify concatenates its groups' chunks in label order; catalog list
+        # keeps the catalog's (order, label) order
+        out = tmp_path / "reports.jsonl"
+        assert run_cli(["verify", "--catalog", "builtin", "--max-order", "12", "--claims", "cor2", "--out", str(out)]) == 0
+        swept = list(dict.fromkeys(r.group_label for r in load_reports(out)))
+        capsys.readouterr()
+        assert run_cli(["catalog", "list"]) == 0
+        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert listed == [e.label for e in builtin_catalog()]
+        small = [label for label in listed if builtin(label).order <= 12]
+        assert swept == sorted(small) != small
+
     def test_search(self, capsys):
         rc = run_cli(["search", "--group", "A4", "--condition", "f"])
         out = capsys.readouterr().out
@@ -808,8 +821,8 @@ class TestSweepFaultIsolation:
         capped, below = tmp_path / "capped.jsonl", tmp_path / "below.jsonl"
         args = ["--order-cap", "50", "verify", "--claims", "cor2", "--out"]
         assert run_cli(args + [str(capped), "--max-order", "200"]) == 3
-        # the builtin groups of order 51 to 200, in catalog order
-        labels = ["A5", "Frob(13:6)", "Frob(11:10)", "C2xA5"]
+        # the builtin groups of order 51 to 200, in label order
+        labels = ["A5", "C2xA5", "Frob(11:10)", "Frob(13:6)"]
         assert capsys.readouterr().err == "".join(f"error: {g}: order cap exceeded (reached 51)\n" for g in labels)
         assert run_cli(args + [str(below), "--max-order", "50"]) == 0
         assert self.records(capped) == self.records(below) != []
