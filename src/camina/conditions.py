@@ -13,7 +13,10 @@ witness stays the first one in element order.
 (F), (F+-) and Camina are one class-label scan, ``_class_scan``, which also
 decides them on (G/M, H/M) from the classes of G.
 
-Every predicate here is a condition on a pair (G, H).  Corollary 2's
+Every predicate here is a condition on a pair (G, H), with H a proper
+subgroup, nontrivial except for (O) and ``derangements``; the one check
+``_require_nontrivial_proper`` raises ValueError on any other H, while
+``is_camina_pair`` returns a failing verdict.  Corollary 2's
 hypothesis, a fact of G alone, is decided per class by ``verify_cor2``
 from the class-product table.
 """
@@ -53,11 +56,13 @@ class ConditionVerdict:
         return None if self.holds else {"x": self.x, "h": self.h, "detail": self.detail}
 
 
-def _require_nontrivial_proper(G: GroupTable, H: ElementSet, what: str) -> None:
+def _require_nontrivial_proper(G: GroupTable, H: ElementSet, what: str, trivial_ok: bool = False) -> None:
+    """The input rule of every predicate: H a proper subgroup of G, and
+    nontrivial unless ``trivial_ok``."""
     if not H.is_subgroup:
         raise ValueError(f"{what} requires a subgroup")
-    if len(H) <= 1 or len(H) >= G.order:
-        raise ValueError(f"{what} requires a nontrivial proper subgroup")
+    if len(H) >= G.order or (len(H) <= 1 and not trivial_ok):
+        raise ValueError(f"{what} requires a {'' if trivial_ok else 'nontrivial '}proper subgroup")
 
 
 def is_camina_pair(G: GroupTable, N: ElementSet) -> ConditionVerdict:
@@ -119,10 +124,7 @@ def satisfies_O(G: GroupTable, H: ElementSet) -> ConditionVerdict:
 
     H must be proper; the trivial subgroup is allowed and the condition is
     vacuously true when no odd-order element lies outside H."""
-    if not H.is_subgroup:
-        raise ValueError("condition (O) requires a subgroup")
-    if len(H) >= G.order:
-        raise ValueError("condition (O) requires a proper subgroup")
+    _require_nontrivial_proper(G, H, "condition (O)", trivial_ok=True)
     odd = G._cache.get("odd_order_elements")
     if odd is None:
         odd = G._cache["odd_order_elements"] = [x for x in range(G.order) if G.element_order(x) % 2]
@@ -194,10 +196,7 @@ def derangements(G: GroupTable, H: ElementSet) -> ElementSet:
     """G minus the union of all conjugates of H; nonempty for proper H.
 
     That union is the union of the classes of G that meet H."""
-    if not H.is_subgroup:
-        raise ValueError("derangements requires a subgroup")
-    if len(H) >= G.order:
-        raise ValueError("derangements requires a proper subgroup")
+    _require_nontrivial_proper(G, H, "derangements", trivial_ok=True)
     classes = conjugacy_classes(G)
     meets = classes.counts(H.members)
     members = [x for x in range(G.order) if classes.class_of[x] not in meets]

@@ -66,13 +66,9 @@ def persist_reports(
 
 
 def chartab_cache_key(G: GroupTable) -> str:
-    """Hash of the canonical element list; identical regenerated groups share it."""
-    h = hashlib.sha256()
-    h.update(f"degree={G.degree};".encode())
-    for images in G.elements:
-        h.update(",".join(map(str, images)).encode())
-        h.update(b";")
-    return h.hexdigest()
+    """Hash of the canonical element list, whose image tuples carry the
+    degree; identical regenerated groups share it."""
+    return hashlib.sha256(repr(G.elements).encode()).hexdigest()
 
 
 def _cache_path(G: GroupTable, cache_dir: str | Path) -> Path:

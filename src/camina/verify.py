@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .chartab import CharacterTable, character_table, check_caps
+from .chartab import character_table, check_caps
 from .conditions import (
     F,
     FPM,
@@ -153,14 +153,10 @@ class Pair:
         return hit
 
     @cached_property
-    def table(self) -> CharacterTable:
-        return character_table(self.G)
-
-    @cached_property
     def irr_given_n(self) -> list[int]:
-        """The rows of Irr(G|N) in ``table``, N = H^G: those whose kernel misses a class of N."""
+        """The rows of Irr(G|N), N = H^G: those whose kernel misses a class of N."""
         inside = conjugacy_classes(self.G).counts(self.N.members).keys()
-        return [i for i, ker in enumerate(self.table.kernels) if not inside <= ker]
+        return [i for i, ker in enumerate(character_table(self.G).kernels) if not inside <= ker]
 
 
 def _O_verdict(G: GroupTable, H: ElementSet) -> ConditionVerdict:
@@ -434,7 +430,7 @@ def _lemma_k(pair: Pair) -> tuple[str, dict]:
 
 def _lemma_l(pair: Pair) -> tuple[str, dict]:
     irr = pair.irr_given_n
-    p, X = pair.table.mod_p
+    p, X = character_table(pair.G).mod_p
     # sum_{h in H} chi(h) = |H| [chi_H, 1_H], an integer in [0, p)
     if any(sum(X[i][k] * n for k, n in pair.class_counts.items()) % p for i in irr):
         return VACUOUS, {"fired": False, "reason": "some chi in Irr(G|H) restricts with trivial constituent"}
@@ -443,7 +439,7 @@ def _lemma_l(pair: Pair) -> tuple[str, dict]:
 
 def _lemma_m(pair: Pair) -> tuple[str, dict]:
     # one scan of N: x is labelled by the value ids, at its class, of every chi in Irr(G|N)
-    cells, irr = pair.table.values.cells, pair.irr_given_n
+    cells, irr = character_table(pair.G).values.cells, pair.irr_given_n
     by_class = [tuple(cells[i][k] for i in irr) for k in range(len(cells))]
     label = [by_class[k] for k in conjugacy_classes(pair.G).class_of]
     detail = "character is not constant on the coset xH"

@@ -7,6 +7,7 @@ import pytest
 import camina.chartab as chartab
 from camina.catalog import builtin, builtin_catalog
 from camina.chartab import character_table, decompose
+from camina.cli import run_cli
 from camina.conditions import (
     derangements,
     equal_order_coset,
@@ -45,6 +46,55 @@ class TestCaminaPair:
     def test_improper_fails(self, s3):
         assert not is_camina_pair(s3, ElementSet.whole(s3)).holds
         assert not is_camina_pair(s3, trivial_subgroup(s3)).holds
+
+
+class TestSubgroupInputCheck:
+    """Each predicate on (G, H) takes a proper subgroup H, nontrivial except
+    for (O) and derangements (TestConditionO and TestDerangements take the
+    trivial one); any other H is refused with one of three messages, and
+    is_camina_pair answers with a failing verdict instead."""
+
+    NONTRIVIAL = [
+        (satisfies_F, "condition (F)"),
+        (satisfies_Fpm, "condition (F+-)"),
+        (satisfies_CI, "condition (CI)"),
+        (equal_order_coset, "equal order coset condition"),
+    ]
+    TRIVIAL_OK = [(satisfies_O, "condition (O)"), (derangements, "derangements")]
+
+    @staticmethod
+    def not_a_subgroup(G):
+        # the identity and one element of order 3, whose square is missing
+        x = next(x for x in range(G.order) if G.element_order(x) == 3)
+        H = ElementSet(G, (0, x))
+        assert not H.is_subgroup
+        return H
+
+    @pytest.mark.parametrize("predicate, what", NONTRIVIAL + TRIVIAL_OK)
+    def test_not_a_subgroup(self, a4, predicate, what):
+        with pytest.raises(ValueError, match=f"^{re.escape(what)} requires a subgroup$"):
+            predicate(a4, self.not_a_subgroup(a4))
+
+    @pytest.mark.parametrize("improper", [trivial_subgroup, ElementSet.whole])
+    @pytest.mark.parametrize("predicate, what", NONTRIVIAL)
+    def test_trivial_or_whole_group_refused(self, a4, predicate, what, improper):
+        with pytest.raises(ValueError, match=f"^{re.escape(what)} requires a nontrivial proper subgroup$"):
+            predicate(a4, improper(a4))
+
+    @pytest.mark.parametrize("predicate, what", TRIVIAL_OK)
+    def test_whole_group_refused_when_trivial_allowed(self, a4, predicate, what):
+        with pytest.raises(ValueError, match=f"^{re.escape(what)} requires a proper subgroup$"):
+            predicate(a4, ElementSet.whole(a4))
+
+    def test_camina_pair_fails_instead(self, a4):
+        assert is_camina_pair(a4, self.not_a_subgroup(a4)).detail == "N is not a subgroup"
+        for N in (trivial_subgroup(a4), ElementSet.whole(a4)):
+            assert is_camina_pair(a4, N).detail == "N is not nontrivial proper"
+
+    def test_cli_check_on_the_trivial_subgroup(self, capsys):
+        assert run_cli(["check", "--group", "A4", "--subgroup-index", "0", "--condition", "f"]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: condition (F) requires a nontrivial proper subgroup\n")
 
 
 class TestConditionF:

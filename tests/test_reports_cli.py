@@ -719,6 +719,67 @@ class TestCli:
         assert pools == [3]
 
 
+class TestCliErrorPaths:
+    """Each bad command line or group file gets its exit code and one
+    ``error:`` line on stderr, and prints nothing to stdout."""
+
+    def test_verify_help_lists_every_claim(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["verify", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+        assert f"comma list of claims ({', '.join(ALL_CLAIMS)}) and aliases (all, lemmas)" in text
+
+    @staticmethod
+    def fails(capsys, argv, code, message):
+        assert run_cli(argv) == code
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_jobs_not_an_integer(self, capsys):
+        message = "argument --jobs: expected a positive integer, got 'abc'"
+        self.fails(capsys, ["--jobs", "abc", "info", "--group", "S3"], 1, message)
+
+    @pytest.mark.parametrize(
+        "group, text, message",
+        [
+            ("S3", "degree 4\n(1,2)\n", "subgroup file degree 4 != group degree 3"),
+            ("A4", "degree 4\n(1,2,3)\n(1,2)\n", "generator (1,2) is not an element of the group"),
+        ],
+    )
+    def test_subgroup_file_outside_the_group(self, tmp_path, capsys, group, text, message):
+        f = tmp_path / "h.grp"
+        f.write_text(text)
+        argv = ["check", "--group", group, "--subgroup-file", str(f), "--condition", "f"]
+        self.fails(capsys, argv, 1, message)
+
+    @pytest.mark.parametrize("index", ["6", "-1"])
+    def test_subgroup_index_out_of_range(self, capsys, index):
+        argv = ["check", "--group", "S3", "--subgroup-index", index, "--condition", "f"]
+        self.fails(capsys, argv, 1, f"subgroup index {index} out of range (0..5)")
+
+    def test_empty_claim_list(self, capsys):
+        self.fails(capsys, ["verify", "--claims", ",", "--max-order", "6"], 1, "no claims selected")
+
+    def test_catalog_naming_a_file(self, tmp_path, capsys):
+        f = tmp_path / "s3.grp"
+        f.write_text("degree 3\n(1,2)\n(1,2,3)\n")
+        argv = ["verify", "--catalog", str(f), "--max-order", "6", "--claims", "cor2"]
+        self.fails(capsys, argv, 1, f"--catalog must be 'builtin' or a directory, got {str(f)!r}")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("degree 3\nx(1,2)\n", "line 2: malformed cycle text 'x(1,2)'"),
+            ("degree 0\n(1,2)\n", "line 1: degree must be positive"),
+            ("# no degree line\n\n", "line 1: file contains no 'degree N' line"),
+        ],
+    )
+    def test_malformed_group_file(self, tmp_path, capsys, text, message):
+        f = tmp_path / "g.grp"
+        f.write_text(text)
+        self.fails(capsys, ["info", "--group", str(f)], 3, message)
+
+
 class TestCachedParser:
     """``run_cli`` reuses one parser per process; no call leaves state on it
     that a later call sees."""

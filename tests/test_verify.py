@@ -883,7 +883,7 @@ class TestIrrGivenNOncePerPair:
             for claim in ("lemma_l", "lemma_m"):  # each runs its check, not only its hypothesis
                 assert set(verify_pair_claim(G, H, claim, pair).details) != {"fired"}
             assert pair.CI.holds and not pair.normal
-            rows = pair.table.irreducibles
+            rows = character_table(pair.G).irreducibles
             assert len(rows) == 4 and pair.irr_given_n == [i for i, chi in enumerate(rows) if reference_in_irr_given_N(chi, pair.N)]
         assert len(builds) == 1
 
@@ -998,3 +998,133 @@ class TestMetamorphicVerdicts:
         ids.insert(rng.randrange(len(ids) + 1), redundant)
         G = generate(F.degree, [Permutation(F.elements[i]) for i in ids])
         assert group_facts(label, G) == builtin_facts(label)
+
+
+class TestForcedBranches:
+    """Branches that no catalog group reaches, each forced by replacing a
+    name that ``verify`` reads.  Each such test makes its group fresh, so
+    nothing a replaced name returns is kept on a shared group."""
+
+    @staticmethod
+    def fired(report):
+        summary = summarize([report])
+        return summary["claims"][report.claim]["fired"] == 1 and summary["violations"] == 1
+
+    @staticmethod
+    def replays(G, S, witness, keeps):
+        """The witness {x, h} of subgroup S: x outside S, h in S, and
+        ``keeps(x, x*h)`` false."""
+        x, h = witness["x"], witness["h"]
+        return x not in S and h in S and not keeps(x, G.mul(x, h))
+
+    @staticmethod
+    def conjugate_to(G, or_inverse=False):
+        """The clause of (F) on (x, x*h), or of (F+-) when ``or_inverse``."""
+        label, inv = conjugacy_classes(G).class_of, G.inverse_ids
+        return lambda x, y: label[y] == label[x] or (or_inverse and label[y] == label[inv[x]])
+
+    def test_theorem1_violation(self, monkeypatch):
+        # (F) fails on S3's transposition pair; (CI) is declared to hold
+        G = builtin("S3").group()
+        H = by_order(G, 2)
+        monkeypatch.setattr(verify, "satisfies_CI", lambda G, H: verify.ConditionVerdict(True, "CI"))
+        r = verify_pair_claim(G, H, "theorem1")
+        assert r.status == VIOLATION
+        assert set(r.details) == {"f_holds", "ci_holds", "fired", "h_normal", "f_witness", "ci_witness"}
+        assert (r.details["f_holds"], r.details["ci_holds"], r.details["ci_witness"]) == (False, True, None)
+        assert self.fired(r)
+        assert self.replays(G, H, r.details["f_witness"], self.conjugate_to(G))
+
+    def test_theorem2_closure_is_the_whole_group(self, monkeypatch):
+        G = builtin("S3").group()
+        monkeypatch.setattr(verify, "normal_closure", lambda G, H: ElementSet.whole(G))
+        r = verify_pair_claim(G, by_order(G, 3), "theorem2")
+        assert r.status == VIOLATION
+        assert r.details == {"n_order": 6, "fired": True, "h_normal": True, "failure": "normal closure is the whole group"}
+        assert self.fired(r)
+
+    def test_theorem2_closure_loses_fpm(self, monkeypatch):
+        # A4's non-normal pair of order 2 keeps (F+-); its closure is declared
+        # to be a subgroup of order 3, on which (F+-) fails
+        G = builtin("A4").group()
+        H, C3 = by_order(G, 2), by_order(G, 3)
+        monkeypatch.setattr(verify, "normal_closure", lambda G, H: C3)
+        r = verify_pair_claim(G, H, "theorem2")
+        assert r.status == VIOLATION
+        assert set(r.details) == {"n_order", "fired", "h_normal", "fpm_on_closure", "closure_nilpotent", "fpm_witness"}
+        assert (r.details["n_order"], r.details["fpm_on_closure"], r.details["closure_nilpotent"]) == (3, False, True)
+        assert self.fired(r)
+        assert self.replays(G, C3, r.details["fpm_witness"], self.conjugate_to(G, or_inverse=True))
+
+    def test_theorem2_closure_not_nilpotent(self, monkeypatch):
+        G = builtin("A4").group()
+        monkeypatch.setattr(verify, "is_nilpotent", lambda G, S=None: False)
+        r = verify_pair_claim(G, by_order(G, 2), "theorem2")
+        assert r.status == VIOLATION
+        assert r.details["fpm_on_closure"] and not r.details["closure_nilpotent"] and not r.details["h_normal"]
+        assert r.details["fpm_witness"] is None
+        assert self.fired(r)
+
+    def test_cor1_self_normalizing(self, monkeypatch):
+        # equal orders hold on S3's cosets of A3; H is declared non-solvable
+        # and its own normalizer, so (N_G(H), H) has no coset to check
+        G = builtin("S3").group()
+        H = by_order(G, 3)
+        monkeypatch.setattr(verify, "is_solvable", lambda G, S=None: False)
+        monkeypatch.setattr(verify, "normalizer", lambda G, H: H)
+        r = verify_pair_claim(G, H, "cor1")
+        assert r.status == VIOLATION
+        assert r.details["normalizer_pair_equal_order"] is False
+        assert r.details["c_witness"] == {"detail": "H is self-normalizing"}
+        assert self.fired(r)
+
+    def test_cor2_violation(self, monkeypatch):
+        # O_3(S3) is declared trivial: the 3-cycles fire and lie outside it
+        G = builtin("S3").group()
+        monkeypatch.setattr(verify, "o_lower_p", lambda G, p: ElementSet(G, (0,)))
+        r = verify_cor2(G, 3)
+        assert r.status == VIOLATION
+        assert set(r.details) == {"p", "x", "detail"}
+        x = r.details["x"]
+        assert G.element_order(x) == 3 and reference_bs_hypothesis(G, x, 3).holds
+        assert self.fired(r)
+
+    @pytest.mark.parametrize("claim, label, h_order, m_order", [("lemma_a", "S3", 3, 2), ("lemma_g", "A4", 2, 3)])
+    def test_normal_subgroup_not_below_h(self, monkeypatch, claim, label, h_order, m_order):
+        # a subgroup M that does not contain H is declared G's one normal subgroup
+        G = builtin(label).group()
+        M = by_order(G, m_order)
+        monkeypatch.setattr(verify, "normal_subgroups", lambda G: [M])
+        r = verify_pair_claim(G, by_order(G, h_order), claim)
+        assert r.status == VIOLATION
+        assert r.details == {"m_order": m_order, "failure": "M is not properly below H"}
+        assert self.fired(r)
+
+    def test_lemma_j_violation(self, monkeypatch):
+        # O^p(A3) is declared trivial: S3's 2-regular elements all lie in A3,
+        # but G over the trivial subgroup is no 2-group
+        G = builtin("S3").group()
+        monkeypatch.setattr(verify, "o_upper_p", lambda G, p, H=None: ElementSet(G, (0,)))
+        r = verify_pair_claim(G, by_order(G, 3), "lemma_j")
+        assert r.status == VIOLATION
+        assert r.details == {"p": 2, "all_outside_p_singular": True, "o_p_normal_with_p_quotient": False}
+        assert self.fired(r)
+
+    def test_lemma_k_witness(self, monkeypatch):
+        # (O) holds on S3's pair with A3; O^2(A3) is declared a transposition
+        # subgroup, on which (O) fails
+        G = builtin("S3").group()
+        C2 = by_order(G, 2)
+        monkeypatch.setattr(verify, "o_upper_p", lambda G, p, H=None: C2)
+        r = verify_pair_claim(G, by_order(G, 3), "lemma_k")
+        assert r.status == VIOLATION
+        assert set(r.details) == {"o2_order", "o_on_o2", "witness"}
+        assert (r.details["o2_order"], r.details["o_on_o2"]) == (2, False)
+        assert self.fired(r)
+        odd = G.element_order
+        assert odd(r.details["witness"]["x"]) % 2 == 1
+        assert self.replays(G, C2, r.details["witness"], lambda x, y: odd(y) % 2 == 1)
+
+    def test_unknown_pair_claim(self, s3):
+        with pytest.raises(ValueError, match="^unknown pair claim 'cor2'$"):
+            verify_pair_claim(s3, by_order(s3, 3), "cor2")
