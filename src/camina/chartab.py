@@ -614,7 +614,7 @@ def induce(G: GroupTable, H: ElementSet, theta: ClassFunction) -> ClassFunction:
     values = []
     for k, size in enumerate(g_classes.sizes):
         acc = Cyc.zero(e)
-        for c, n in h_classes.counts(from_parent[y] for y in g_classes.members(k) if y in from_parent).items():
+        for c, n in h_classes.counts(from_parent[y] for y in g_classes.member_lists[k] if y in from_parent).items():
             acc = acc + theta_up[c] * (n * (G.order // size))
         values.append(acc.divide_exact(len(H)))
     return ClassFunction(G, tuple(values))

@@ -61,9 +61,6 @@ _CONDITIONS = {
     "equal-order": "equal_order_coset",
 }
 
-# claim alias -> the name of its tuple of claims in ``verify``
-CLAIM_ALIASES = {"all": "ALL_CLAIMS", "lemmas": "LEMMA_CLAIMS"}
-
 # Input that cannot be read or is over a cap: exit code 3, or one group left out of a sweep.
 INPUT_ERRORS = (ParseError, OSError, CapExceeded)
 
@@ -84,7 +81,7 @@ class _ClaimsHelp(argparse.HelpFormatter):
     def _get_help_string(self, action):
         if action.dest != "claims":
             return action.help
-        from .verify import ALL_CLAIMS
+        from .verify import ALL_CLAIMS, CLAIM_ALIASES
 
         return f"comma list of claims ({', '.join(ALL_CLAIMS)}) and aliases ({', '.join(CLAIM_ALIASES)})"
 
@@ -292,8 +289,8 @@ def _parse_claims(text: str) -> list[str]:
         token = token.strip()
         if not token:
             continue
-        if token in CLAIM_ALIASES:
-            claims.extend(getattr(verify, CLAIM_ALIASES[token]))
+        if token in verify.CLAIM_ALIASES:
+            claims.extend(verify.CLAIM_ALIASES[token])
         elif token in verify.ALL_CLAIMS:
             claims.append(token)
         else:

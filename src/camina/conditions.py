@@ -4,11 +4,14 @@ Every predicate is an exhaustive scan with early exit; a failing verdict
 carries the first witness in canonical element order, and replaying the
 witness against the defining clause reproduces the violation.
 
-The coset conditions ((F), (F+-), (O), equal orders, Camina) share one
-scan, ``_coset_scan``, over x outside H and h in H.  Each of them holds for
-every member of xH once it holds for x, so the scan skips the members of
-cosets already passed: it skips only elements that would pass, and the
-witness stays the first one in element order.
+The coset conditions ((F), (F+-), (O), equal orders, Camina) are one
+scan, ``_coset_scan``: each gives every element of G a label, and fails at
+the first x outside H and h in H where x*h has a label other than x's.  The
+labels are the classes of G for (F) and Camina, the lesser of a class and
+its inverse class for (F+-), the parity of the order for (O), over the
+odd-order x only, and the order for equal orders.  Label equality holds on
+all of xH once it holds for x, so the scan skips the members of cosets
+already passed, and the witness stays the first one in element order.
 
 (F), (F+-) and Camina are one class-label scan, ``_class_scan``, which also
 decides them on (G/M, H/M) from the classes of G.
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
-from typing import Callable, Iterable
+from typing import Iterable, Sequence
 
 from .chartab import character_table
 from .grouptable import ElementSet, GroupTable
@@ -125,12 +128,12 @@ def satisfies_O(G: GroupTable, H: ElementSet) -> ConditionVerdict:
     H must be proper; the trivial subgroup is allowed and the condition is
     vacuously true when no odd-order element lies outside H."""
     _require_nontrivial_proper(G, H, "condition (O)", trivial_ok=True)
-    odd = G._cache.get("odd_order_elements")
-    if odd is None:
-        odd = G._cache["odd_order_elements"] = [x for x in range(G.order) if G.element_order(x) % 2]
-    return _coset_scan(
-        G, H, O, lambda x, y: G.element_order(y) % 2 == 1, "x has odd order but x*h has even order", odd
-    )
+    hit = G._cache.get("order_parity")
+    if hit is None:
+        parity = [o % 2 for o in G.orders]
+        hit = G._cache["order_parity"] = parity, [x for x in range(G.order) if parity[x]]
+    parity, odd = hit
+    return _coset_scan(G, H, O, parity, "x has odd order but x*h has even order", odd)
 
 
 def equal_order_coset(G: GroupTable, H: ElementSet) -> ConditionVerdict:
@@ -141,52 +144,55 @@ def equal_order_coset(G: GroupTable, H: ElementSet) -> ConditionVerdict:
 
 def _equal_order_scan(G: GroupTable, H: ElementSet, xs: Iterable[int] | None = None) -> ConditionVerdict:
     """Every x in ``xs`` (default G) outside H against every h in H: o(x*h) = o(x)."""
-    order = G.element_order
-    return _coset_scan(
-        G, H, EQUAL_ORDER_COSET, lambda x, y: order(y) == order(x), "o(x*h) differs from o(x)", xs
-    )
+    return _coset_scan(G, H, EQUAL_ORDER_COSET, G.orders, "o(x*h) differs from o(x)", xs)
 
 
 def _class_scan(G: GroupTable, H: ElementSet, tag: str, M: ElementSet | None = None) -> ConditionVerdict:
     """(F) (tag F or CAMINA) or (F+-) (tag FPM) on (G, H): each x*h must
-    have the class label of x, or under (F+-) that of x or of x^-1.
+    have the label of x.  Under (F) that is x's class; under (F+-) it is the
+    lesser of x's class and the class of x^-1, so two labels agree iff the
+    classes are equal or inverse.
 
-    A label is a class of G.  With M normal in G and M <= H, the labels are
-    those of G/M, read inside G: xM's class pulls back to K M = (r M)^G, r the
+    The classes are G's.  With M normal in G and M <= H, they are those of
+    G/M, read inside G: xM's class pulls back to K M = (r M)^G, r the
     representative of x's class k, which gets the label q[k], the least class
-    in ``products(m, k)``, m a class of M.  A witness holds G's indices."""
-    classes = conjugacy_classes(G)
-    label = classes.class_of
-    if M is not None:
-        m_ids = classes.counts(M.members)
-        q = [min(min(classes.products(m, k)) for m in m_ids) for k in range(classes.count)]
-        label = list(map(q.__getitem__, label))
-    if tag != FPM:
-        return _coset_scan(G, H, tag, lambda x, y: label[y] == label[x], "x*h is not conjugate to x")
-    inv, detail = G.inverse_ids, "x*h is conjugate to neither x nor x^-1"
-    return _coset_scan(G, H, tag, lambda x, y: label[y] == label[x] or label[y] == label[inv[x]], detail)
+    in ``products(m, k)``, m a class of M.  A witness holds G's indices.  The
+    (F+-) labels of G itself are built once and kept on G."""
+    classes, plus_minus = conjugacy_classes(G), tag == FPM
+    key = "fpm_labels" if plus_minus and M is None else None
+    label = classes.class_of if M is None and not plus_minus else G._cache.get(key)
+    if label is None:
+        q = list(range(classes.count))
+        if M is not None:
+            m_ids = classes.counts(M.members)
+            q = [min(min(classes.products(m, k)) for m in m_ids) for k in q]
+        if plus_minus:
+            q = [min(q[k], q[classes.inverse_class[k]]) for k in range(classes.count)]
+        label = list(map(q.__getitem__, classes.class_of))
+        if key:
+            G._cache[key] = label
+    detail = "x*h is conjugate to neither x nor x^-1" if plus_minus else "x*h is not conjugate to x"
+    return _coset_scan(G, H, tag, label, detail)
 
 
 def _coset_scan(
-    G: GroupTable,
-    H: ElementSet,
-    tag: str,
-    keeps: Callable[[int, int], bool],
-    detail: str,
-    xs: Iterable[int] | None = None,
+    G: GroupTable, H: ElementSet, tag: str, label: Sequence, detail: str, xs: Iterable[int] | None = None
 ) -> ConditionVerdict:
     """The first x in ``xs`` (default G, in element order) outside H and h in
-    H with ``keeps(x, x*h)`` false, as a failing verdict with ``detail``.
+    H with ``label[x*h] != label[x]``, as a failing verdict with ``detail``;
+    x*h is read off x's row of the Cayley table.
 
-    ``keeps`` must hold on all of xH once it holds for x and every h; the
-    members of such a passed coset are then skipped as x."""
+    Once x passes, every y = x*h in xH has x's label, and y*h' = x*(h*h') is
+    in xH too, so label[y*h'] = label[x] = label[y]: y passes, whatever the
+    labels are.  The members of a passed coset are therefore skipped as x."""
     passed = set(H.members)
     for x in range(G.order) if xs is None else xs:
         if x in passed:
             continue
+        row, want = G.rows[x], label[x]
         for h in H.members:
-            y = G.mul(x, h)
-            if not keeps(x, y):
+            y = row[h]
+            if label[y] != want:
                 return ConditionVerdict(False, tag, x, h, detail)
             passed.add(y)
     return ConditionVerdict(True, tag)

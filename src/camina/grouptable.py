@@ -95,16 +95,13 @@ class GroupTable:
         to right this way."""
         return self.rows[i][j]
 
-    def inv(self, i: int) -> int:
-        return self.inverse_ids[i]
-
     def conj(self, x: int, g: int) -> int:
         """Index of g^-1 x g."""
         return self.rows[self.rows[self.inverse_ids[g]][x]][g]
 
     def commutator(self, a: int, b: int) -> int:
         """Index of a^-1 b^-1 a b."""
-        return self.mul(self.mul(self.mul(self.inv(a), self.inv(b)), a), b)
+        return self.mul(self.mul(self.mul(self.inverse_ids[a], self.inverse_ids[b]), a), b)
 
     def powers(self, i: int) -> list[int]:
         """The walk [x, x^2, ..., x^o] along x's row of the Cayley table,
@@ -113,10 +110,6 @@ class GroupTable:
         while walk[-1]:
             walk.append(row[walk[-1]])
         return walk
-
-    def element_order(self, i: int) -> int:
-        """Least k >= 1 with x^k = 1, x = elements[i]."""
-        return self.orders[i]
 
     def __repr__(self) -> str:
         return f"GroupTable(degree={self.degree}, order={self.order})"
@@ -291,9 +284,6 @@ class ConjClassPartition:
                 flat += map(self.class_of.__getitem__, map(self.group.rows[y].__getitem__, self.reps))
         return flat[k::len(self.reps)]
 
-    def members(self, cid: int) -> tuple[int, ...]:
-        return self.member_lists[cid]
-
     def counts(self, members: Iterable[int]) -> Counter:
         """How many of ``members`` lie in each class, by class id."""
         return Counter(map(self.class_of.__getitem__, members))
@@ -322,13 +312,13 @@ def conjugacy_classes(G: GroupTable) -> ConjClassPartition:
                         seen[c[x]] = True
                         orbit.append(c[x])
             orbits.append(tuple(sorted(orbit)))
-    member_lists = tuple(sorted(orbits, key=lambda m: (G.element_order(m[0]), len(m), m[0])))
+    member_lists = tuple(sorted(orbits, key=lambda m: (G.orders[m[0]], len(m), m[0])))
     class_of = [0] * G.order
     for cid, members in enumerate(member_lists):
         for x in members:
             class_of[x] = cid
     reps = tuple(m[0] for m in member_lists)
-    inverse_class = tuple(class_of[G.inv(r)] for r in reps)
+    inverse_class = tuple(class_of[G.inverse_ids[r]] for r in reps)
     sizes = tuple(map(len, member_lists))
     part = ConjClassPartition(G, tuple(class_of), reps, sizes, inverse_class, member_lists, conjugators)
     G._cache["classes"] = part

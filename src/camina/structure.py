@@ -251,7 +251,7 @@ def o_lower_p(G: GroupTable, p: int) -> ElementSet:
     classes = conjugacy_classes(G)
     group: tuple = ((0,), ())  # (members, kept seeds), as ``_dimino`` takes and returns it
     for r, members in zip(classes.reps, classes.member_lists):
-        n = G.element_order(r)
+        n = G.orders[r]
         if p_part(n, p) == n:
             joined = _dimino(G, members, group)
             if p_part(len(joined[0]), p) == len(joined[0]):
@@ -267,7 +267,7 @@ def o_upper_p(G: GroupTable, p: int, S: ElementSet | None = None) -> ElementSet:
     and is the least normal subgroup of S with p-group quotient.
     """
     members = S.members if S is not None else range(G.order)
-    regulars = [x for x in members if G.element_order(x) % p != 0]
+    regulars = [x for x in members if G.orders[x] % p != 0]
     return ElementSet(G, closure_indices(G, regulars))
 
 

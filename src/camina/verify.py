@@ -247,7 +247,7 @@ def _cor1(pair: Pair) -> tuple[str, dict]:
         return PASS, {"fired": True, "h_solvable": True}
     o2g = o_upper_p(G, 2)
     a_ok = all(m in H for m in o2g.members) and is_subnormal(G, H)
-    orders = (G.element_order(x) for x in range(G.order) if x not in H)
+    orders = (G.orders[x] for x in range(G.order) if x not in H)
     b_ok = all(p_part(o, 2) == o for o in orders)
     ngh = normalizer(G, H)
     if len(ngh) > len(H):
@@ -277,7 +277,7 @@ def verify_cor2(G: GroupTable, p: int, label: str = "") -> VerificationReport:
         return _group_report(label, G, "cor2", VACUOUS, {"p": p, "reason": "p does not divide |G|"})
     opg = o_lower_p(G, p)
     classes = conjugacy_classes(G)
-    orders = [G.element_order(r) for r in classes.reps]
+    orders = [G.orders[r] for r in classes.reps]
     regular = [o % p != 0 for o in orders]
     regular_ids = [j for j in range(1, classes.count) if regular[j]]  # class 0 is the identity
     fired = 0
@@ -385,7 +385,7 @@ def _lemma_h(pair: Pair) -> tuple[str, dict]:
     n_ids = classes.counts(pair.N.members)
     for cid in delta_class_ids:
         k, allowed = classes.reps[cid], (cid, classes.inverse_class[cid])
-        bad = [y for m in n_ids for y, c in zip(classes.members(m), classes.products(m, cid)) if c not in allowed]
+        bad = [y for m in n_ids for y, c in zip(classes.member_lists[m], classes.products(m, cid)) if c not in allowed]
         if bad:
             return VIOLATION, {"class_rep": k, "k": k, "n": min(bad), "failure": "K*N escapes K union K^-1"}
     return PASS, {"derangement_classes_checked": len(delta_class_ids)}
@@ -402,7 +402,7 @@ def _lemma_j(pair: Pair) -> tuple[str, dict]:
     prime to p lies wholly in H."""
     G, counts = pair.G, pair.class_counts
     classes = conjugacy_classes(G)
-    rep_orders = [G.element_order(r) for r in classes.reps]
+    rep_orders = [G.orders[r] for r in classes.reps]
     fired = []
     for p in prime_factors(G.order):
         lhs = all(counts[c] == size for c, size in enumerate(classes.sizes) if rep_orders[c] % p)
@@ -439,7 +439,7 @@ def _lemma_m(pair: Pair) -> tuple[str, dict]:
     by_class = [tuple(cells[i][k] for i in irr) for k in range(len(cells))]
     label = [by_class[k] for k in conjugacy_classes(pair.G).class_of]
     detail = "character is not constant on the coset xH"
-    verdict = _coset_scan(pair.G, pair.H, "lemma_m", lambda x, y: label[y] == label[x], detail, pair.N.members)
+    verdict = _coset_scan(pair.G, pair.H, "lemma_m", label, detail, pair.N.members)
     if not verdict.holds:
         return VIOLATION, {"x": verdict.x, "h": verdict.h, "failure": verdict.detail}
     return PASS, {"characters_checked": len(irr)}
@@ -451,7 +451,7 @@ def _claim9(pair: Pair) -> tuple[str, dict]:
     judged by its representative, its least member, which is the witness."""
     G = pair.G
     classes = conjugacy_classes(G)
-    odd = [G.element_order(r) % 2 == 1 for r in classes.reps]
+    odd = [G.orders[r] % 2 == 1 for r in classes.reps]
     delta_class_ids = [c for c in range(classes.count) if c not in pair.class_counts]
     h_class_ids = sorted(pair.class_counts)
     for did in delta_class_ids:
@@ -525,6 +525,8 @@ GROUP_CLAIMS = {
     "covering": lambda G, label: [verify_covering(G, label)],
 }
 ALL_CLAIMS = PAIR_CLAIMS + tuple(GROUP_CLAIMS)
+# each alias of ``verify --claims`` and the claims it names
+CLAIM_ALIASES = {"all": ALL_CLAIMS, "lemmas": LEMMA_CLAIMS}
 
 
 def verify_pair_claim(G: GroupTable, H: ElementSet, claim: str, pair: Pair | None = None) -> VerificationReport:

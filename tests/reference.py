@@ -145,8 +145,8 @@ def class_matrices(G: GroupTable) -> list[list[list[int]]]:
     for i in range(r):
         M = [[0] * r for _ in range(r)]
         for k, z in enumerate(classes.reps):
-            for x in classes.members(i):
-                M[classes.class_of[G.mul(G.inv(x), z)]][k] += 1
+            for x in classes.member_lists[i]:
+                M[classes.class_of[G.mul(G.inverse_ids[x], z)]][k] += 1
         mats.append(M)
     return mats
 
@@ -209,7 +209,7 @@ def kernel_of(chi: ClassFunction) -> ElementSet:
     whose value equals chi(1), compared once per class."""
     classes = conjugacy_classes(chi.group)
     top = chi.values[0]
-    return ElementSet(chi.group, (m for k, v in enumerate(chi.values) if v == top for m in classes.members(k)))
+    return ElementSet(chi.group, (m for k, v in enumerate(chi.values) if v == top for m in classes.member_lists[k]))
 
 
 # --- report files ----------------------------------------------------------
@@ -275,7 +275,7 @@ def reference_is_subgroup(G: GroupTable, members: Sequence[int]) -> bool:
     """Whether ``members`` holds the identity, every inverse and all
     |members|^2 products."""
     inside = set(members)
-    return 0 in inside and all(G.inv(a) in inside for a in members) and all(
+    return 0 in inside and all(G.inverse_ids[a] in inside for a in members) and all(
         G.mul(a, b) in inside for a in members for b in members
     )
 
@@ -316,13 +316,13 @@ def reference_in_irr_given_N(chi: ClassFunction, N: ElementSet) -> bool:
 def reference_bs_hypothesis(G: GroupTable, x: int, p: int) -> ConditionVerdict:
     """x*y is p-regular for every nontrivial p-regular y in G, y in element
     order; x must be a p-element.  A failing verdict names the first y."""
-    ox = G.element_order(x)
+    ox = G.orders[x]
     if p_part(ox, p) != ox:
         raise ValueError(f"element {x} of order {ox} is not a {p}-element")
     for y in range(1, G.order):
-        if G.element_order(y) % p == 0:
+        if G.orders[y] % p == 0:
             continue
-        if G.element_order(G.mul(x, y)) % p == 0:
+        if G.orders[G.mul(x, y)] % p == 0:
             return ConditionVerdict(False, "BS_HYPOTHESIS", x, y, f"x*y is {p}-singular for p-regular y")
     return ConditionVerdict(True, "BS_HYPOTHESIS")
 
@@ -427,7 +427,7 @@ def reference_character_table(G: GroupTable, prime: int | None = None) -> Charac
         chi_mod = [d * w[k] * inv_sizes[k] % q for k in range(r)]
         values = []
         for rep in classes.reps:
-            m = G.element_order(rep)
+            m = G.orders[rep]
             step = e // m
             pcls = [classes.class_of[table_power(G, rep, t)] for t in range(m)]
             counts = {}

@@ -57,11 +57,11 @@ class TestBuiltin:
         assert is_frobenius_with_kernel(frob21, kernel)
 
     def test_q8_unique_involution(self, q8):
-        assert sum(1 for i in range(q8.order) if q8.element_order(i) == 2) == 1
+        assert sum(1 for i in range(q8.order) if q8.orders[i] == 2) == 1
 
     def test_heis3_exponent_three(self):
         G = builtin("Heis(3)").group()
-        assert all(G.element_order(i) in (1, 3) for i in range(G.order))
+        assert all(G.orders[i] in (1, 3) for i in range(G.order))
 
     def test_unknown_labels(self):
         for label in ["X5", "Frob(6:2)", "Frob(7:4)", "D2", "Heis(2)", "Heis(4)", "Q12", "S1", "C0", "C2xC0"]:

@@ -96,7 +96,7 @@ def table_shape(G):
     order: for each pair of rows, the multiset over the columns of (class
     size, representative order, value, value)."""
     classes = conjugacy_classes(G)
-    columns = [(size, G.element_order(rep)) for size, rep in zip(classes.sizes, classes.reps)]
+    columns = [(size, G.orders[rep]) for size, rep in zip(classes.sizes, classes.reps)]
     rows = [[(v.e, v.coeffs) for v in chi.values] for chi in character_table(G).irreducibles]
     pairs = sorted(tuple(sorted(Counter(zip(columns, a, b)).items())) for a in rows for b in rows)
     return sorted(classes.sizes), pairs
@@ -141,7 +141,7 @@ class TestClassMatrices:
 
     def test_s3_transposition_squares(self, s3):
         cl = conjugacy_classes(s3)
-        t = next(c for c in range(cl.count) if s3.element_order(cl.reps[c]) == 2)
+        t = next(c for c in range(cl.count) if s3.orders[cl.reps[c]] == 2)
         mats = class_matrices(s3)
         # a_{t,t,identity} = |class| since every transposition squares to 1
         assert mats[t][t][0] == 3
@@ -764,7 +764,7 @@ class TestPowerMapCheck:
         # units u outside H = <7, -1>, a subgroup of index 2: chi(x^(cu)) =
         # sigma_c(chi(x^u)) still holds for c in H, but fails for c = 13
         G, classes, values = built_table("C60")
-        x = next(r for r in classes.reps if G.element_order(r) == 60)
+        x = next(r for r in classes.reps if G.orders[r] == 60)
         H = {1}
         while len(H) < 8:
             H |= {h * c % 60 for h in H for c in (7, 59)}

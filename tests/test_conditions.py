@@ -1,14 +1,17 @@
+import functools
 import hashlib
 import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import camina.chartab as chartab
 from camina.catalog import builtin, builtin_catalog
 from camina.chartab import character_table, decompose
 from camina.cli import run_cli
 from camina.conditions import (
+    _coset_scan,
     derangements,
     equal_order_coset,
     is_camina_pair,
@@ -65,7 +68,7 @@ class TestSubgroupInputCheck:
     @staticmethod
     def not_a_subgroup(G):
         # the identity and one element of order 3, whose square is missing
-        x = next(x for x in range(G.order) if G.element_order(x) == 3)
+        x = next(x for x in range(G.order) if G.orders[x] == 3)
         H = ElementSet(G, (0, x))
         assert not H.is_subgroup
         return H
@@ -275,8 +278,8 @@ class TestConditionO:
     def test_s3_transposition_witness(self, s3):
         v = satisfies_O(s3, by_order(s3, 2))
         assert not v.holds
-        assert s3.element_order(v.x) % 2 == 1
-        assert s3.element_order(s3.mul(v.x, v.h)) % 2 == 0
+        assert s3.orders[v.x] % 2 == 1
+        assert s3.orders[s3.mul(v.x, v.h)] % 2 == 0
 
     def test_two_group_vacuous(self, q8):
         for H in subgroups(q8):
@@ -298,10 +301,10 @@ class TestConditionO:
                 if len(H) == G.order or not satisfies_O(G, H).holds:
                     continue
                 for x in range(G.order):
-                    if x in H or G.element_order(x) % 2 == 1:
+                    if x in H or G.orders[x] % 2 == 1:
                         continue
                     for h in H.members:
-                        assert G.element_order(G.mul(x, h)) % 2 == 0
+                        assert G.orders[G.mul(x, h)] % 2 == 0
 
 
 class TestEqualOrder:
@@ -325,7 +328,7 @@ class TestEqualOrder:
 
     def test_witness_replay(self, s3):
         v = equal_order_coset(s3, by_order(s3, 2))
-        assert s3.element_order(s3.mul(v.x, v.h)) != s3.element_order(v.x)
+        assert s3.orders[s3.mul(v.x, v.h)] != s3.orders[v.x]
 
     def test_camina_witness_replay(self):
         G = builtin("C2xC2").group()
@@ -344,7 +347,7 @@ class TestDerangements:
     def test_s3_transposition(self, s3):
         d = derangements(s3, by_order(s3, 2))
         assert len(d) == 2
-        assert all(s3.element_order(x) == 3 for x in d.members)
+        assert all(s3.orders[x] == 3 for x in d.members)
 
     def test_trivial_subgroup(self, s3):
         d = derangements(s3, trivial_subgroup(s3))
@@ -357,7 +360,7 @@ class TestDerangements:
             d = derangements(s4, H)
             members = set(d.members)
             for x in members:
-                assert s4.inv(x) in members
+                assert s4.inverse_ids[x] in members
                 for g in s4.generator_ids:
                     assert s4.conj(x, g) in members
 
@@ -385,8 +388,8 @@ class TestBsHypothesis:
         x = s3.index_of[(1, 0, 2)]
         v = reference_bs_hypothesis(s3, x, 2)
         assert not v.holds
-        assert s3.element_order(v.h) % 2 == 1
-        assert s3.element_order(s3.mul(x, v.h)) % 2 == 0
+        assert s3.orders[v.h] % 2 == 1
+        assert s3.orders[s3.mul(x, v.h)] % 2 == 0
 
     def test_rejects_non_p_element(self, s3):
         x = s3.index_of[(1, 2, 0)]
@@ -440,6 +443,28 @@ class TestClassScanVerdictDigest:
         assert digest.hexdigest() == CLASS_SCAN_VERDICTS_SHA256
 
 
+# sha256 of (label, subgroup index, condition, holds, witness) from (O) on
+# every proper subgroup and equal orders on every nontrivial proper subgroup
+# of the builtin groups of order at most 120 and S5: 1,849 verdicts
+COSET_SCAN_VERDICTS_SHA256 = "65105ae3670c251d65ba1c63b9b31a876b61ce229553e5cc3838e4cb5bcdb9af"
+
+
+class TestCosetScanVerdictDigest:
+    def test_verdicts_and_witnesses_are_pinned(self):
+        digest, verdicts = hashlib.sha256(), 0
+        for label in [e.label for e in builtin_catalog() if e.order <= 120] + ["S5"]:
+            G = builtin(label).group()
+            for idx, H in enumerate(subgroups(G)):
+                if len(H) >= G.order:
+                    continue
+                for predicate in (satisfies_O, equal_order_coset) if len(H) > 1 else (satisfies_O,):
+                    v = predicate(G, H)
+                    digest.update(repr((label, idx, v.condition, v.holds, None if v.holds else (v.x, v.h, v.detail))).encode())
+                    verdicts += 1
+        assert verdicts == 1849
+        assert digest.hexdigest() == COSET_SCAN_VERDICTS_SHA256
+
+
 def _first_failure(G, H, keeps, xs):
     """The definition as a plain double loop: the first (x, h) in element
     order, x in ``xs`` outside H, with keeps(x, x*h) false."""
@@ -461,8 +486,8 @@ class TestCosetScan:
             if G.order > 48:
                 continue
             cls = conjugacy_classes(G)
-            c, order = cls.class_of, G.element_order
-            odd = [x for x in range(G.order) if order(x) % 2]
+            c, order = cls.class_of, G.orders
+            odd = [x for x in range(G.order) if order[x] % 2]
             for H in subgroups(G):
                 if not 1 < len(H) < G.order:
                     continue
@@ -473,8 +498,8 @@ class TestCosetScan:
                         lambda x, y: c[y] in (c[x], cls.inverse_class[c[x]]),
                         range(G.order),
                     ),
-                    (satisfies_O(G, H), lambda x, y: order(y) % 2 == 1, odd),
-                    (equal_order_coset(G, H), lambda x, y: order(y) == order(x), range(G.order)),
+                    (satisfies_O(G, H), lambda x, y: order[y] % 2 == 1, odd),
+                    (equal_order_coset(G, H), lambda x, y: order[y] == order[x], range(G.order)),
                 ]
                 if H.is_normal():
                     cases.append((is_camina_pair(G, H), lambda x, y: c[y] == c[x], range(G.order)))
@@ -484,3 +509,30 @@ class TestCosetScan:
                     assert got == expect, (entry.label, H.members, verdict.condition)
                     checked += 1
         assert checked > 1000
+
+    SMALL = [e.label for e in builtin_catalog() if e.order <= 48]
+
+    @staticmethod
+    @functools.cache
+    def group_and_subgroups(label):
+        G = builtin(label).group()
+        return G, [H for H in subgroups(G) if len(H) < G.order]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_labelling_matches_double_loop(self, data):
+        """The coset skip is sound for every labelling, not only for the
+        predicates' own: label equality on x*h is the whole contract."""
+        G, proper = self.group_and_subgroups(data.draw(st.sampled_from(self.SMALL)))
+        H = data.draw(st.sampled_from(proper))
+        values = st.integers(0, data.draw(st.integers(0, 3)))
+        if data.draw(st.booleans()):  # a labelling of the classes, read per element
+            classes = conjugacy_classes(G)
+            by_class = data.draw(st.lists(values, min_size=classes.count, max_size=classes.count))
+            label = [by_class[c] for c in classes.class_of]
+        else:
+            label = data.draw(st.lists(values, min_size=G.order, max_size=G.order))
+        xs = data.draw(st.none() | st.lists(st.integers(0, G.order - 1), max_size=2 * G.order))
+        verdict = _coset_scan(G, H, "t", label, "d", xs)
+        expect = _first_failure(G, H, lambda x, y: label[y] == label[x], range(G.order) if xs is None else xs)
+        assert (None if verdict.holds else (verdict.x, verdict.h)) == expect

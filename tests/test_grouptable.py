@@ -113,8 +113,8 @@ class TestGenerate:
             G = builtin(label).group()
             members = set(range(G.order))
             for i in range(G.order):
-                assert G.inv(G.inv(i)) == i
-                assert G.mul(i, G.inv(i)) == 0
+                assert G.inverse_ids[G.inverse_ids[i]] == i
+                assert G.mul(i, G.inverse_ids[i]) == 0
                 for j in range(G.order):
                     assert G.mul(i, j) in members
 
@@ -134,7 +134,7 @@ class TestGenerate:
             ids = sorted({*G.generator_ids, *random.Random(label).sample(ids, 20)})
         rows, inverse_ids = composed_table(G.elements, ids)
         assert [G.rows[x] for x in ids] == rows
-        assert [G.inv(x) for x in ids] == inverse_ids
+        assert [G.inverse_ids[x] for x in ids] == inverse_ids
 
     def test_regeneration_is_deterministic(self):
         a = builtin("S4").group()
@@ -159,8 +159,8 @@ class TestCayleyTable:
         G = builtin(label).group()
         els, index = list(map(Permutation, G.elements)), G.index_of
         for x in range(G.order):
-            assert G.inv(x) == index[inverse(els[x]).images]
-            o = G.element_order(x)
+            assert G.inverse_ids[x] == index[inverse(els[x]).images]
+            o = G.orders[x]
             for k in range(-2 * o, 2 * o + 1):  # 0, negative k and multiples of o
                 assert table_power(G, x, k) == index[power(els[x], k).images]
         for a in range(G.order):
@@ -178,7 +178,7 @@ class TestCayleyTable:
         want = [element_order(x) for x in els]
         for ids in (range(len(els)), reversed(range(len(els)))):
             G = builtin(label).group()
-            assert {x: G.element_order(x) for x in ids} == dict(enumerate(want)), label
+            assert {x: G.orders[x] for x in ids} == dict(enumerate(want)), label
         G = builtin(label).group()
         for x in range(G.order):
             assert G.powers(x) == [G.index_of[power(els[x], j).images] for j in range(1, want[x] + 1)]
@@ -249,7 +249,7 @@ class TestClosureAgainstReference:
         subs = subgroups(G)
         sets = {H.members for H in subs}
         classes = conjugacy_classes(G)
-        sets.update(classes.members(cid) for cid in range(classes.count))
+        sets.update(classes.member_lists[cid] for cid in range(classes.count))
         sets.update(coset(G, x, H).members for H in subs for x in range(G.order))
         for members in sets:
             assert_matches_reference(G, members)

@@ -253,11 +253,61 @@ def _definitions() -> set[str]:
     }
 
 
+def _methods() -> list[str]:
+    """``module.Class.name`` for every public method and property of the
+    package's classes, its root aside, that overrides no inherited one: a
+    base class's own code calls an override, as argparse calls ``error``."""
+    found = []
+    for path, tree in _parsed("src/camina"):
+        if path.name == "__init__.py":
+            continue
+        module = import_module(f"camina.{path.stem}")
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                bases = getattr(module, cls.name).__mro__[1:]
+                found += [
+                    f"{path.stem}.{cls.name}.{fn.name}"
+                    for fn in cls.body
+                    if isinstance(fn, ast.FunctionDef)
+                    and not fn.name.startswith("_")
+                    and not any(fn.name in vars(base) for base in bases)
+                ]
+    return found
+
+
+def _method_references(module: str, cls: str, name: str) -> list[str]:
+    """The modules of the package, its root aside, whose code reads the
+    attribute ``name`` (or names it in a string, for ``getattr``) outside
+    the definition of ``cls.name`` in ``module``.  Attributes are matched by
+    name alone, whatever object they are read from."""
+    found = []
+    for path, tree in _parsed("src/camina"):
+        if path.name == "__init__.py":
+            continue
+        inside = set()
+        if path.stem == module:
+            method = next(n for n in _own_definition(tree, cls).body if isinstance(n, ast.FunctionDef) and n.name == name)
+            inside = {id(node) for node in ast.walk(method)}
+        if any(
+            id(node) not in inside
+            and ((isinstance(node, ast.Attribute) and node.attr == name) or (isinstance(node, ast.Constant) and node.value == name))
+            for node in ast.walk(tree)
+        ):
+            found.append(path.stem)
+    return found
+
+
 class TestExportsAreUsed:
-    """Every export, and every module-level function and class, is read by
-    the package's own code or by the benchmark; one that only tests read
-    belongs in ``tests/reference.py``."""
+    """Every export, every module-level function and class, and every public
+    method and property of a class is read by the package's own code or by
+    the benchmark; one that only tests read belongs in ``tests/reference.py``,
+    or is a test's read of the tuple it restates."""
 
     @pytest.mark.parametrize("name", sorted(set(camina.__all__) | _definitions()))
     def test_export_is_referenced(self, name):
         assert _library_references(name) or _benchmark_references(name), name
+
+    @pytest.mark.parametrize("method", _methods())
+    def test_method_is_referenced(self, method):
+        module, cls, name = method.split(".")
+        assert _method_references(module, cls, name) or _benchmark_references(name), method

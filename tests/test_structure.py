@@ -112,11 +112,10 @@ class TestConjugacyClasses:
         assert cl.sizes == (1, 3, 6, 8, 6)
         assert cl.reps == tuple(m[0] for m in cl.member_lists)
         assert len(cl.class_of) == 24
-        assert all(cl.class_of[x] == c for c in range(cl.count) for x in cl.members(c))
-        assert all(cl.members(c) == cl.member_lists[c] for c in range(cl.count))
+        assert all(cl.class_of[x] == c for c in range(cl.count) for x in cl.member_lists[c])
         assert len(cl.conjugators) == len(s4.generator_ids)
         assert all(row == tuple(s4.conj(x, g) for x in range(24)) for row, g in zip(cl.conjugators, s4.generator_ids))
-        klein = closure_indices(s4, cl.members(1))
+        klein = closure_indices(s4, cl.member_lists[1])
         assert cl.counts(klein) == {0: 1, 1: 3}
         assert cl.is_union(cl.counts(klein))
         assert not cl.is_union(cl.counts(klein[:2]))
@@ -139,7 +138,7 @@ class TestCentralizerCenter:
         assert len(centralizer(s3, 0)) == s3.order
 
     def test_central_element(self, q8):
-        minus_one = next(i for i in range(q8.order) if i and q8.element_order(i) == 2)
+        minus_one = next(i for i in range(q8.order) if i and q8.orders[i] == 2)
         assert len(centralizer(q8, minus_one)) == q8.order
 
     def test_s3_three_cycle(self, s3):
@@ -174,7 +173,7 @@ class TestCommutatorAndSeries:
     def test_s3_derived_is_a3(self, s3):
         d = derived_subgroup(s3)
         assert len(d) == 3
-        assert all(s3.element_order(i) in (1, 3) for i in d.members)
+        assert all(s3.orders[i] in (1, 3) for i in d.members)
 
     def test_q8_derived(self, q8):
         assert len(derived_subgroup(q8)) == 2
@@ -299,7 +298,7 @@ class TestNormalityFromClasses:
         classes = conjugacy_classes(G)
         chosen = data.draw(st.sets(st.integers(0, classes.count - 1)))
         toggled = data.draw(st.sets(st.integers(0, G.order - 1), max_size=3))
-        members = {m for c in chosen for m in classes.members(c)} ^ toggled
+        members = {m for c in chosen for m in classes.member_lists[c]} ^ toggled
         S = ElementSet(G, members)
         assert S.is_normal() == reference_is_normal(G, S.members)
         assert sum(classes.counts(S.members).values()) == len(S)
@@ -425,7 +424,7 @@ class TestSubgroups:
                     for k, y in enumerate(walk, 1):
                         if math.gcd(k, n) == 1:
                             least[y] = x
-            return [x if x and structure.is_p_group(G.element_order(x)) else -1 for x in least]
+            return [x if x and structure.is_p_group(G.orders[x]) else -1 for x in least]
 
         want = zuppo_of(G)
         zuppos = [x for x in range(1, G.order) if want[x] == x]
@@ -442,9 +441,9 @@ class TestSubgroups:
         subs = subgroups(G)
         assert set(joined) <= set(zuppos), label
         cyclic = [
-            min(x for x in H if G.element_order(x) == len(H))
+            min(x for x in H if G.orders[x] == len(H))
             for H in subs
-            if len(H) > 1 and structure.is_p_group(len(H)) and any(G.element_order(x) == len(H) for x in H)
+            if len(H) > 1 and structure.is_p_group(len(H)) and any(G.orders[x] == len(H) for x in H)
         ]
         assert sorted(cyclic) == zuppos, label
 

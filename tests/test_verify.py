@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import importlib.util
 import inspect
 import json
@@ -379,6 +380,19 @@ class TestSweep:
             assert again.details == r.details
 
 
+# sha256 of the repr of every report of sweep_single("S6", ...) over every
+# claim, in the order made: 26,160 reports
+S6_SWEEP_SHA256 = "20f7edcad7f5714259148bd43fe6cd7fe953a9ccbf55b00ead50b485f9506c37"
+
+
+def test_s6_sweep_is_pinned():
+    digest, reports = hashlib.sha256(), sweep_single("S6", builtin("S6").group(), list(verify.ALL_CLAIMS))
+    for r in reports:
+        digest.update(repr(r).encode())
+    assert len(reports) == 26160
+    assert digest.hexdigest() == S6_SWEEP_SHA256
+
+
 class TestOneEvaluationPerPair:
     @pytest.mark.parametrize(
         "predicate, claims",
@@ -681,8 +695,8 @@ def elementwise_lemma_h(pair):
     classes = conjugacy_classes(G)
     deltas = delta_classes(G, pair.H)
     for cid in deltas:
-        members = classes.members(cid)
-        allowed = set(members) | set(classes.members(classes.inverse_class[cid]))
+        members = classes.member_lists[cid]
+        allowed = set(members) | set(classes.member_lists[classes.inverse_class[cid]])
         for k in members:
             for n in N.members:
                 if G.mul(k, n) not in allowed:
@@ -705,11 +719,11 @@ def elementwise_claim9(pair):
     deltas = delta_classes(G, H)
     h_class_ids = sorted({classes.class_of[h] for h in H.members})
     for did in deltas:
-        x_odd = G.element_order(classes.reps[did]) % 2 == 1
+        x_odd = G.orders[classes.reps[did]] % 2 == 1
         for cid in h_class_ids:
-            product = sorted({G.mul(a, b) for a in classes.members(did) for b in classes.members(cid)})
+            product = sorted({G.mul(a, b) for a in classes.member_lists[did] for b in classes.member_lists[cid]})
             for z in product:
-                if (G.element_order(z) % 2 == 1) != x_odd:
+                if (G.orders[z] % 2 == 1) != x_odd:
                     z_parity, x_parity = ("even", "odd") if x_odd else ("odd", "even")
                     return VIOLATION, {
                         "derangement_class_rep": classes.reps[did],
@@ -725,7 +739,7 @@ def elementwise_lemma_j(pair):
     outside = [x for x in range(G.order) if x not in H]
     fired = []
     for p in prime_factors(G.order):
-        lhs = all(G.element_order(x) % p == 0 for x in outside)
+        lhs = all(G.orders[x] % p == 0 for x in outside)
         op = pair.o_upper(p)
         rhs = op.is_normal() and p_part(G.order // len(op), p) == G.order // len(op)
         if lhs:
@@ -739,7 +753,7 @@ def elementwise_cor2(G, p):
     opg = o_lower_p(G, p)
     fired = 0
     for x in range(G.order):
-        ox = G.element_order(x)
+        ox = G.orders[x]
         if p_part(ox, p) == ox and reference_bs_hypothesis(G, x, p).holds:
             fired += 1
             if x not in opg:
@@ -751,7 +765,7 @@ def elementwise_covering(G):
     classes = conjugacy_classes(G)
     max_m = 0
     for cid in range(1, classes.count):
-        current = frozenset(classes.members(cid))
+        current = frozenset(classes.member_lists[cid])
         seen = set()
         m = 1
         while len(current) < G.order:
@@ -759,7 +773,7 @@ def elementwise_covering(G):
                 failure = f"C^m repeats at m = {m} without reaching G"
                 return VIOLATION, {"class_rep": classes.reps[cid], "failure": failure}
             seen.add(current)
-            current = frozenset(G.mul(s, d) for s in current for d in classes.members(cid))
+            current = frozenset(G.mul(s, d) for s in current for d in classes.member_lists[cid])
             m += 1
         max_m = max(max_m, m)
     return PASS, {"fired": True, "max_power_needed": max_m}
@@ -854,7 +868,7 @@ class TestClassRepresentativesMatchElementwise:
                             image = q_class[proj[G.mul(x, h)]]
                             conjugates = {q_class[proj[x]]}
                             if plus_minus:
-                                conjugates.add(q_class[proj[G.inv(x)]])
+                                conjugates.add(q_class[proj[G.inverse_ids[x]]])
                             assert x not in H and h in H and image not in conjugates
         # both verdicts of both conditions occur
         assert all(triples[pm, holds] for pm in (False, True) for holds in (False, True)), triples
@@ -1086,7 +1100,7 @@ class TestForcedBranches:
         assert r.status == VIOLATION
         assert set(r.details) == {"p", "x", "detail"}
         x = r.details["x"]
-        assert G.element_order(x) == 3 and reference_bs_hypothesis(G, x, 3).holds
+        assert G.orders[x] == 3 and reference_bs_hypothesis(G, x, 3).holds
         assert self.fired(r)
 
     @pytest.mark.parametrize("claim, label, h_order, m_order", [("lemma_a", "S3", 3, 2), ("lemma_g", "A4", 2, 3)])
@@ -1121,9 +1135,8 @@ class TestForcedBranches:
         assert set(r.details) == {"o2_order", "o_on_o2", "witness"}
         assert (r.details["o2_order"], r.details["o_on_o2"]) == (2, False)
         assert self.fired(r)
-        odd = G.element_order
-        assert odd(r.details["witness"]["x"]) % 2 == 1
-        assert self.replays(G, C2, r.details["witness"], lambda x, y: odd(y) % 2 == 1)
+        assert G.orders[r.details["witness"]["x"]] % 2 == 1
+        assert self.replays(G, C2, r.details["witness"], lambda x, y: G.orders[y] % 2 == 1)
 
     def test_unknown_pair_claim(self, s3):
         with pytest.raises(ValueError, match="^unknown pair claim 'cor2'$"):
